@@ -227,7 +227,8 @@ def _cmd_sweep(args) -> int:
     table = montecarlo.estimate_ekr_curve(
         args.n, args.k, _grid(args), trials=args.trials, seed=_seed_from(args),
         sampler_mode=args.sampler, workers=args.workers, psi=args.psi,
-        eps_thr=args.eps_thr, edge_cap=args.edge_cap, node_budget=args.node_budget)
+        eps_thr=args.eps_thr, edge_cap=args.edge_cap, node_budget=args.node_budget,
+        c_regime=args.c_regime)
     text = (montecarlo.sweep_table_to_csv(table) if args.format == "csv"
             else montecarlo.sweep_table_to_json(table))
     _emit(text, args.output)

@@ -7,14 +7,16 @@ Sampling determinism contract: every sampler is a pure function of
 (parameters, seed).  Seeds feed a counter-based Philox generator through
 numpy's SeedSequence, and each trial of the Monte Carlo engine gets its own
 substream derived from (master seed, trial index), so parallel execution
-reproduces serial output bit for bit.
+reproduces serial output bit for bit.  The Bernoulli and conditioned
+samplers unrank all drawn colex ranks in one vectorised pass, which returns
+the same edges, in the same order, as exact.colex_unrank rank by rank.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -205,6 +207,34 @@ def _check_enum_cap(n: int, k: int, cap: int, hint: str) -> int:
     return N
 
 
+def _colex_unrank_bits(ranks, n: int, k: int, N: int) -> list[int]:
+    """Edge bitsets of the k-subsets of [n] at the given colex ranks (< N = C(n, k)).
+
+    Vectorised exact.colex_unrank: for i = k..1 the i-th largest member is
+    the largest v with C(v, i) <= r, found by a searchsorted over the column
+    C(v, i), v < n.  Column entries are clipped at N, which keeps them in
+    int64 and changes no answer, since every remaining r is below N.  Memory
+    is O(m + n k); no table of all C(n, k) sets is built.
+    """
+    r = np.asarray(ranks, dtype=np.int64)
+    if not r.size:
+        return []
+    out = np.zeros(r.shape, dtype=object)    # Python-int zeros
+    vertex_bit = np.array([1 << v for v in range(n)], dtype=object)
+    col = [1] * n                        # C(v, 0)
+    columns = []
+    for _ in range(k):
+        # hockey stick: C(v, i) = sum_{u < v} C(u, i - 1); clipping each
+        # partial sum at N leaves min(C(v, i), N) exact
+        col = list(accumulate(col[:-1], lambda a, b: min(a + b, N), initial=0))
+        columns.append(np.array(col, dtype=np.int64))
+    for column in reversed(columns):
+        v = np.searchsorted(column, r, side="right") - 1
+        r = r - column[v]
+        out |= vertex_bit[v]
+    return out.tolist()
+
+
 def sample_bernoulli(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP) -> Hypergraph:
     """Each k-set independently present with probability p; colex edge order."""
     if not 0 <= p <= 1:
@@ -214,10 +244,10 @@ def sample_bernoulli(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP
     if p == 0:
         ranks = []
     elif p == 1:
-        ranks = range(N)
+        ranks = np.arange(N)
     else:
-        ranks = np.flatnonzero(rng.random(N) < p).tolist()
-    bits = [exact.mask_from(exact.colex_unrank(r, k)) for r in ranks]
+        ranks = np.flatnonzero(rng.random(N) < p)
+    bits = _colex_unrank_bits(ranks, n, k, N)
     return Hypergraph.from_edge_bits(n, k, bits, dedup=True)
 
 
@@ -262,8 +292,7 @@ def sample_conditioned(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_C
     N = _check_enum_cap(n, k, cap, "use sample_independent for graphs this large")
     rng = generator(seed)
     m = int(rng.binomial(N, p))
-    ranks = _distinct_ranks(rng, N, m)
-    bits = [exact.mask_from(exact.colex_unrank(r, k)) for r in ranks]
+    bits = _colex_unrank_bits(_distinct_ranks(rng, N, m), n, k, N)
     H = Hypergraph.from_edge_bits(n, k, bits, dedup=True)
     psi = math.log(n) if psi is None else psi
     return H, m_window(m, p * N, psi)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -36,14 +37,19 @@ _Z95 = 1.959963984540054
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion.
+
+    Clamped so that lo <= successes/trials <= hi: at 0 and at all successes
+    rounding would otherwise leave the interval a step short of its own
+    estimate (lo = 0.0 and hi = 1.0 exactly there).
+    """
     if trials <= 0:
         return 0.0, 1.0
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    return min(max(0.0, center - half), phat), max(min(1.0, center + half), phat)
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +222,24 @@ def _worker(args) -> TrialRecord:
     return run_one_trial(ctx, idx)
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def run_trials(params: ModelParams, trials: int, sampler_mode: str, seed: int,
                workers: int = 1, edge_cap: int = verifier.DEFAULT_EDGE_CAP,
                node_budget: int = verifier.DEFAULT_NODE_BUDGET,
                stream: tuple[int, ...] = ()) -> list[TrialRecord]:
     """Execute trials with independent derived seeds; records come back
-    sorted by trial index regardless of the execution schedule."""
+    sorted by trial index regardless of the execution schedule.  The pool
+    never exceeds the available CPUs or the number of trials."""
     if trials < 0:
         raise DomainError("trials must be nonnegative")
     ctx = make_trial_context(params, sampler_mode, seed, edge_cap, node_budget, stream)
+    workers = min(workers, _available_cpus(), trials)
     if workers <= 1:
         records = [run_one_trial(ctx, i) for i in range(trials)]
     else:
@@ -292,11 +307,13 @@ def estimate_ekr_curve(n: int, k: int, phi_grid, trials: int, seed: int,
                        sampler_mode: str = "conditioned", workers: int = 1,
                        psi: float | None = None, eps_thr: float = 0.1,
                        edge_cap: int = verifier.DEFAULT_EDGE_CAP,
-                       node_budget: int = verifier.DEFAULT_NODE_BUDGET) -> SweepTable:
+                       node_budget: int = verifier.DEFAULT_NODE_BUDGET,
+                       c_regime: float = 0.15) -> SweepTable:
     """One run_trials batch per grid point, emitted in input order."""
     rows = []
     for gi, phi in enumerate(phi_grid):
-        params = ModelParams.from_phi(n, k, float(phi), psi=psi, eps_thr=eps_thr)
+        params = ModelParams.from_phi(n, k, float(phi), psi=psi, eps_thr=eps_thr,
+                                      c_regime=c_regime)
         recs = run_trials(params, trials, sampler_mode, seed, workers=workers,
                           edge_cap=edge_cap, node_budget=node_budget, stream=(gi,))
         rows.append(summarize_trials(params, recs))

@@ -19,6 +19,12 @@ maximum clique cannot have a common vertex) or some omega-clique has empty
 intersection.  Cliques of size <= 2 always share a vertex, so omega <= 2
 (including the empty hypergraph) verdicts "holds".
 
+Each family is prepared once: per-vertex star masks (star[x] = the edge
+indices containing x), from which Delta, the seed star and the intersection
+adjacency (adj[i] = OR of star[x] over x in edge i, minus i) follow in
+O(m k) big-int operations.  verify_ekr shares that structure between both
+searches; the public search functions build it themselves.
+
 EKR is undefined for multisets: hypergraphs with repeated edges are
 rejected.
 """
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, ResourceLimitError
+from .exact import bits_of
 from .hypergraph import Hypergraph, degree_stats
 
 DEFAULT_EDGE_CAP = 2000
@@ -65,19 +72,62 @@ def is_trivial_clique(clique_bits) -> tuple[bool, Optional[int]]:
     return True, (common & -common).bit_length() - 1
 
 
-def intersection_adjacency(edge_bits) -> list[int]:
-    """adj[i] = bitmask of edge indices j != i with edges i, j intersecting."""
-    m = len(edge_bits)
-    adj = [0] * m
-    for i in range(m):
-        bi = edge_bits[i]
-        mask_i = 0
-        for j in range(i + 1, m):
-            if bi & edge_bits[j]:
-                mask_i |= 1 << j
-                adj[j] |= 1 << i
-        adj[i] |= mask_i
+def _vertex_stars(n: int, members) -> list[int]:
+    """stars[x] = bitmask of the edge indices whose edge contains vertex x."""
+    stars = [0] * n
+    for i, mem in enumerate(members):
+        bit = 1 << i
+        for x in mem:
+            stars[x] |= bit
+    return stars
+
+
+def _star_adjacency(members, stars) -> list[int]:
+    """adj[i] = OR of stars[x] over the vertices x of edge i, minus bit i."""
+    adj = []
+    for i, mem in enumerate(members):
+        a = 0
+        for x in mem:
+            a |= stars[x]
+        adj.append(a & ~(1 << i))
     return adj
+
+
+def _max_star(stars) -> tuple[int, Optional[int]]:
+    """(Delta, lowest vertex of degree Delta); degrees count multiplicity."""
+    degrees = [s.bit_count() for s in stars]
+    Delta = max(degrees, default=0)
+    return Delta, (degrees.index(Delta) if degrees else None)
+
+
+def intersection_adjacency(edge_bits) -> list[int]:
+    """adj[i] = bitmask of edge indices j != i with edges i, j intersecting.
+
+    Built from the vertex stars in O(m k) big-int ORs.  Repeated edges of a
+    multiset intersect, so they are adjacent to each other.
+    """
+    members = [tuple(bits_of(b)) for b in edge_bits]
+    n = max((b.bit_length() for b in edge_bits), default=0)
+    return _star_adjacency(members, _vertex_stars(n, members))
+
+
+class _Instance:
+    """A family's derived structure, built once and shared by both searches."""
+
+    __slots__ = ("m", "dense_pairs", "bits", "members", "stars", "adj")
+
+    def __init__(self, H: Hypergraph):
+        self.m = H.m
+        self.dense_pairs = H.n < 3 * H.k        # see _make_coloring
+        self.bits = H.edge_bits
+        self.members = [e.members for e in H.edges]
+        self.stars = _vertex_stars(H.n, self.members)
+        self.adj = _star_adjacency(self.members, self.stars)
+
+
+def _check_edge_cap(H: Hypergraph, edge_cap: int) -> None:
+    if H.m > edge_cap:
+        raise ResourceLimitError(f"|H| = {H.m} exceeds the edge cap {edge_cap}")
 
 
 class _Budget:
@@ -211,16 +261,6 @@ def _make_coloring(adj, m: int, dense_pairs: bool):
     return lambda P: _pair_color_order(cadj, P)
 
 
-def _greedy_star_clique(H: Hypergraph):
-    stats = degree_stats(H)
-    Delta = stats.Delta
-    if Delta == 0:
-        return stats, []
-    x = stats.deg.index(Delta)
-    star = [i for i, e in enumerate(H.edges) if (e.bits >> x) & 1]
-    return stats, star
-
-
 def max_intersecting_family(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
                             node_budget: int = DEFAULT_NODE_BUDGET):
     """(omega, witness clique as edge indices), exact.
@@ -229,31 +269,25 @@ def max_intersecting_family(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
     degree (ties by index, i.e. input/colex order), greedy-coloring bounds,
     lower bound seeded with the largest star.
     """
-    if H.m > edge_cap:
-        raise ResourceLimitError(f"|H| = {H.m} exceeds the edge cap {edge_cap}")
-    if H.m == 0:
-        return 0, []
-    bits = H.edge_bits
-    adj = intersection_adjacency(bits)
-    # relabel by descending degree for better coloring bounds
-    perm = sorted(range(H.m), key=lambda i: (-adj[i].bit_count(), i))
-    inv = [0] * H.m
-    for new, old in enumerate(perm):
-        inv[old] = new
-    radj = [0] * H.m
-    for new, old in enumerate(perm):
-        mask = 0
-        a = adj[old]
-        while a:
-            b = a & -a
-            mask |= 1 << inv[b.bit_length() - 1]
-            a ^= b
-        radj[new] = mask
+    _check_edge_cap(H, edge_cap)
+    return _max_clique(_Instance(H), node_budget)
 
-    _, star = _greedy_star_clique(H)
-    best = [len(star), [inv[i] for i in star]]
+
+def _max_clique(inst: _Instance, node_budget: int):
+    m = inst.m
+    if m == 0:
+        return 0, []
+    # relabel by descending degree for better coloring bounds: the stars and
+    # adjacency of the permuted edge order, built the same way as the originals
+    perm = sorted(range(m), key=lambda i: (-inst.adj[i].bit_count(), i))
+    members = [inst.members[old] for old in perm]
+    stars = _vertex_stars(len(inst.stars), members)
+    radj = _star_adjacency(members, stars)
+
+    Delta, x = _max_star(stars)
+    best = [Delta, list(bits_of(stars[x]))]
     budget = _Budget(node_budget)
-    coloring = _make_coloring(radj, H.m, H.n < 3 * H.k)
+    coloring = _make_coloring(radj, m, inst.dense_pairs)
 
     def expand(R: list, P: int):
         budget.tick()
@@ -272,7 +306,7 @@ def max_intersecting_family(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
             R.pop()
             P &= ~(1 << v)
 
-    expand([], (1 << H.m) - 1)
+    expand([], (1 << m) - 1)
     omega, clique = best
     return omega, sorted(perm[v] for v in clique)
 
@@ -290,17 +324,21 @@ def find_nontrivial_clique(H: Hypergraph, target: int,
     remaining candidates nonempty).  Deterministic: candidates explored in
     index order.
     """
-    bits = H.edge_bits
     if maximize:
         floor = initial_best if initial_best is not None else 2
     else:
         floor = initial_best if initial_best is not None else target - 1
     if H.m == 0 or target > H.m:
         return (floor, None) if maximize else None
-    adj = intersection_adjacency(bits)
+    return _nontrivial_search(_Instance(H), target, node_budget, floor, maximize)
+
+
+def _nontrivial_search(inst: _Instance, target: int, node_budget: int,
+                       floor: int, maximize: bool):
+    bits, adj = inst.bits, inst.adj
     budget = _Budget(node_budget)
     best = [floor, None]
-    coloring = _make_coloring(adj, H.m, H.n < 3 * H.k)
+    coloring = _make_coloring(adj, inst.m, inst.dense_pairs)
 
     def and_with_seed(mask: int, seed: int) -> int:
         c = seed
@@ -332,7 +370,7 @@ def find_nontrivial_clique(H: Hypergraph, target: int,
             P &= ~(1 << v)
         return False
 
-    expand([], -1, (1 << H.m) - 1)
+    expand([], -1, (1 << inst.m) - 1)
     if maximize:
         return best[0], (tuple(best[1]) if best[1] else None)
     if best[1] is not None and len(best[1]) >= target:
@@ -356,19 +394,20 @@ def verify_ekr(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
     """Exact strong-EKR verdict; see the module docstring for the argument."""
     if H.has_duplicates():
         raise DomainError("EKR is undefined for multisets: duplicate edges present")
-    stats = degree_stats(H)
-    Delta = stats.Delta
-    omega, clique = max_intersecting_family(H, edge_cap, node_budget)
+    _check_edge_cap(H, edge_cap)
+    inst = _Instance(H)
+    Delta, _ = _max_star(inst.stars)
+    omega, clique = _max_clique(inst, node_budget)
     if omega > Delta:
         # cannot have a common vertex: |C| <= d(x) <= Delta < omega
         return EkrVerdict(False, omega, Delta, tuple(clique))
     if omega <= 2:
-        trivial, center = is_trivial_clique(H.edges[i].bits for i in clique)
+        trivial, center = is_trivial_clique(inst.bits[i] for i in clique)
         return EkrVerdict(True, omega, Delta, None, center if trivial else None)
-    witness = find_nontrivial_clique(H, target=omega, node_budget=node_budget)
+    witness = _nontrivial_search(inst, omega, node_budget, omega - 1, False)
     if witness is not None:
         return EkrVerdict(False, omega, Delta, witness)
-    trivial, center = is_trivial_clique(H.edges[i].bits for i in clique)
+    trivial, center = is_trivial_clique(inst.bits[i] for i in clique)
     return EkrVerdict(True, omega, Delta, None, center if trivial else None)
 
 

@@ -145,6 +145,13 @@ def test_sweep_worker_invariance(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_c_regime_reaches_the_model():
+    code, _, err = run_cli(["sweep", "--n", "10", "--k", "2", "--grid-start", "1",
+                            "--grid-stop", "2", "--grid-points", "2", "--trials", "2",
+                            "--seed", "1", "--c-regime", "0.3"])
+    assert code == 2 and "c_regime" in err
+
+
 def test_sweep_log_grid_and_json(tmp_path):
     code, out, _ = run_cli(["sweep", "--n", "10", "--k", "2", "--grid-start", "0.5",
                             "--grid-stop", "2", "--grid-points", "3",

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ekrlab import analytics as an
+from ekrlab import exact
 from ekrlab import hypergraph as hg
 from ekrlab.errors import DomainError, ParseError, ResourceLimitError
 
@@ -116,6 +117,19 @@ def test_determinism_same_seed_bit_identical():
                     lambda s: hg.sample_conditioned(12, 3, 0.1, s)[0]):
         a, b = sampler(99), sampler(99)
         assert a.edge_bits == b.edge_bits
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (9, 1), (9, 8), (10, 4), (12, 6),
+                                 (24, 20), (70, 2)])
+def test_batch_unrank_matches_colex_unrank(n, k):
+    # (24, 20): columns C(v, i) for i < k exceed C(24, 20) and get clipped;
+    # (70, 2): edge bitsets wider than 64 bits
+    N = math.comb(n, k)
+    expect = [exact.mask_from(exact.colex_unrank(r, k)) for r in range(N)]
+    assert hg._colex_unrank_bits(np.arange(N), n, k, N) == expect
+    shuffled = np.random.Generator(np.random.Philox(n * 100 + k)).permutation(N)
+    assert hg._colex_unrank_bits(shuffled, n, k, N) == [expect[r] for r in shuffled]
+    assert hg._colex_unrank_bits([], n, k, N) == []
 
 
 def test_independent_m0_empty():

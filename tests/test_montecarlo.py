@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,15 @@ def test_wilson_basic_shape():
     assert lo0 == 0.0 and hi0 > 0.0
     lo1, hi1 = mc.wilson_interval(50, 50)
     assert hi1 == 1.0 and lo1 < 1.0
+
+
+def test_wilson_contains_its_estimate_exactly():
+    for T in range(1, 2001):
+        assert mc.wilson_interval(0, T)[0] == 0.0, T
+        assert mc.wilson_interval(T, T)[1] == 1.0, T
+        for s in range(T + 1):
+            lo, hi = mc.wilson_interval(s, T)
+            assert lo <= s / T <= hi, (s, T)
 
 
 def test_wilson_coverage():
@@ -117,6 +127,36 @@ def test_trials_resource_rows_not_fatal():
     assert row.undecided == 4 and math.isnan(row.f_hat)
 
 
+def test_pool_size_clamped_to_cpus_and_trials(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    params = an.ModelParams.from_phi(10, 2, 1.5)
+    serial = mc.trial_records_to_csv(mc.run_trials(params, 6, "conditioned", seed=3))
+    for cpus, trials, expect in ((3, 6, [3]), (8, 2, [2]), (1, 6, [])):
+        sizes.clear()
+        monkeypatch.setattr(mc, "_available_cpus", lambda: cpus)
+        recs = mc.run_trials(params, trials, "conditioned", seed=3, workers=10_000)
+        assert sizes == expect
+        if trials == 6:
+            assert mc.trial_records_to_csv(recs) == serial
+
+
 def test_bad_sampler_mode():
     params = an.ModelParams.from_p(10, 3, 0.1)
     with pytest.raises(DomainError):
@@ -151,6 +191,20 @@ def test_sweep_csv_deterministic_and_seed_sensitive():
     assert mc.sweep_table_to_csv(t1) == mc.sweep_table_to_csv(t2)
     t3 = mc.estimate_ekr_curve(10, 2, grid, trials=40, seed=10)
     assert mc.sweep_table_to_csv(t1) != mc.sweep_table_to_csv(t3)
+
+
+# sha256 of sweep_table_to_csv for the README sweep at seed 1, recorded with
+# per-edge unranking and pairwise adjacency; sampling draws, verdicts and
+# witness kinds must reproduce it byte for byte
+README_SWEEP_SEED1_SHA256 = "cade037b378236e2d0f47203e1c193adf15a1ef8f313b8971d81ffd1496ffc5e"
+
+
+def test_readme_sweep_golden_hash():
+    ratio = (20.0 / 0.3) ** (1.0 / 11)
+    grid = [0.3 * ratio**i for i in range(12)]
+    table = mc.estimate_ekr_curve(24, 3, grid, trials=100, seed=1)
+    csv = mc.sweep_table_to_csv(table).encode()
+    assert hashlib.sha256(csv).hexdigest() == README_SWEEP_SEED1_SHA256
 
 
 def test_sweep_csv_worker_count_invariance():

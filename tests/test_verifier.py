@@ -3,7 +3,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ekrlab import exact
 from ekrlab import hypergraph as hg
 from ekrlab import verifier as vf
 from ekrlab.errors import DomainError, ResourceLimitError
@@ -15,6 +18,40 @@ def H_from(n, k, edges):
 
 def full_K(n, k):
     return H_from(n, k, list(combinations(range(n), k)))
+
+
+def pairwise_adjacency(edge_bits):
+    """Oracle for intersection_adjacency: test every pair of edges."""
+    m = len(edge_bits)
+    adj = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if edge_bits[i] & edge_bits[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+# ---------------------------------------------------------------------------
+# intersection adjacency
+# ---------------------------------------------------------------------------
+
+def test_adjacency_keeps_repeated_edges_adjacent():
+    bits = [exact.mask_from(e) for e in [(0, 1), (0, 1), (2, 3), (1, 2)]]
+    assert vf.intersection_adjacency(bits) == [0b1010, 0b1001, 0b1000, 0b0111]
+    assert vf.intersection_adjacency(()) == []
+
+
+@given(st.data())
+def test_adjacency_matches_pair_loop_on_multisets(data):
+    n = data.draw(st.integers(1, 70), label="n")
+    k = data.draw(st.integers(1, min(n, 6)), label="k")
+    kset = st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
+    pool = data.draw(st.lists(kset, min_size=1, max_size=10), label="pool")
+    # drawing from a small pool repeats edges
+    edges = data.draw(st.lists(st.sampled_from(pool), max_size=40), label="edges")
+    bits = hg.Hypergraph.from_edges(n, k, edges).edge_bits
+    assert vf.intersection_adjacency(bits) == pairwise_adjacency(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +242,23 @@ def test_oracle_equivalence_dense_regime():
                 cand ^= b
                 stack.append((R + [v], common & bits[v], cand & adj[v]))
         assert size == walk_best, H.edges
+
+
+@given(st.data())
+def test_verify_matches_brute_force_in_every_regime(data):
+    k = data.draw(st.integers(1, 4), label="k")
+    # n < 2k (every pair meets), 2k <= n < 3k (matching bound), n >= 3k
+    lo, hi = data.draw(st.sampled_from([(k, 2 * k - 1), (2 * k, 3 * k - 1),
+                                        (3 * k, 3 * k + 3)]), label="regime")
+    n = data.draw(st.integers(lo, hi), label="n")
+    N = math.comb(n, k)
+    ranks = data.draw(st.lists(st.integers(0, N - 1), unique=True,
+                               max_size=min(N, 12)), label="ranks")
+    H = H_from(n, k, [exact.colex_unrank(r, k) for r in ranks])
+    fast = vf.verify_ekr(H)
+    slow = vf.brute_force_ekr(H)
+    assert (fast.holds, fast.omega, fast.Delta) == (slow.holds, slow.omega, slow.Delta)
+    assert vf.validate_witness(H, fast)
 
 
 def test_hm_value_k52():
