@@ -15,7 +15,7 @@ the same edges, in the same order, as exact.colex_unrank rank by rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -27,13 +27,16 @@ MAX_N = 256                 # bitset width ceiling
 DEFAULT_ENUM_CAP = 10**7    # refuse to enumerate C(n,k) beyond this
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KSet:
-    """A k-subset of [n] as a fixed-width bitset."""
+    """A k-subset of [n] as a fixed-width bitset.
+
+    `members` (its vertices, ascending) is computed once, on construction."""
 
     n: int
     k: int
     bits: int
+    members: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # n > 2k is enforced at the model level, not on raw k-sets
@@ -43,14 +46,11 @@ class KSet:
             raise DomainError("bitset popcount != k")
         if self.bits >> self.n:
             raise DomainError("bitset has members >= n")
+        object.__setattr__(self, "members", tuple(exact.bits_of(self.bits)))
 
     @classmethod
     def from_members(cls, n: int, members) -> "KSet":
         return cls(n, len(set(members)), exact.mask_from(members))
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(exact.bits_of(self.bits))
 
     @property
     def colex_rank(self) -> int:

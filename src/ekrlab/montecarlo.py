@@ -1,11 +1,15 @@
 """Seeded, parallel trial engine for Pr(EKR) and friends.
 
 Contract: trials are independent work items with per-trial Philox substreams
-derived from (master seed, trial index); records are sorted by trial index,
-so results are byte-identical for any worker count.  Per-trial resource
-errors (edge cap, search-node budget) are recorded in the row and excluded
-from the estimates with an explicit count, never fatal.  The node budget is
-deterministic on purpose; a wall-clock timeout would break reproducibility.
+derived from (master seed, trial index), prefixed by the grid index in a
+sweep; records are sorted by trial index, so results are byte-identical for
+any worker count.  With workers > 1 there is one pool per call; contexts
+sent once per worker: a pool initializer installs every grid point's
+TrialContext in each worker, and a task carries only its (grid index,
+trial) key.  Per-trial resource errors (edge cap, search-node budget) are
+recorded in the row and excluded from the estimates with an explicit count,
+never fatal.  The node budget is deterministic on purpose; a wall-clock
+timeout would break reproducibility.
 
 Asymptotic "almost surely" claims are reported as finite-n frequencies with
 Wilson intervals and nothing more.
@@ -19,7 +23,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from time import perf_counter
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -68,7 +72,6 @@ class TrialRecord:
     lambda_prime_of_Delta: float
     eventR_conjuncts: tuple[bool, bool, bool, bool, bool]
     witness_kind: Optional[str]
-    runtime_ms: float = 0.0         # informational; never serialized
     error: Optional[str] = None
 
     @property
@@ -160,7 +163,9 @@ def _sample(params: ModelParams, mode: str, seed_seq) -> Hypergraph:
 
 @dataclass(frozen=True)
 class TrialContext:
-    """Shared per-batch inputs, computed once and shipped to workers."""
+    """Shared inputs of one grid point's trials, computed once.
+
+    One pool per call; contexts sent once per worker (see _trial_batches)."""
 
     params: ModelParams
     sampler_mode: str
@@ -191,7 +196,6 @@ def make_trial_context(params: ModelParams, sampler_mode: str, seed: int,
 
 
 def run_one_trial(ctx: TrialContext, trial_index: int) -> TrialRecord:
-    t0 = perf_counter()
     params = ctx.params
     seed_seq = np.random.SeedSequence(ctx.master_seed,
                                       spawn_key=(*ctx.stream, trial_index))
@@ -207,19 +211,12 @@ def run_one_trial(ctx: TrialContext, trial_index: int) -> TrialRecord:
                                       node_budget=ctx.node_budget)
     except ResourceLimitError as exc:
         return TrialRecord(trial_index, ctx.master_seed, H.m, stats.Delta, -1,
-                           None, lam, lam_p, conj, None,
-                           (perf_counter() - t0) * 1e3, str(exc))
+                           None, lam, lam_p, conj, None, str(exc))
     kind = None
     if not verdict.holds:
         kind = classify_witness_kind(H, verdict.witness, params, ctx.regime)
     return TrialRecord(trial_index, ctx.master_seed, H.m, stats.Delta,
-                       verdict.omega, verdict.holds, lam, lam_p, conj, kind,
-                       (perf_counter() - t0) * 1e3)
-
-
-def _worker(args) -> TrialRecord:
-    ctx, idx = args
-    return run_one_trial(ctx, idx)
+                       verdict.omega, verdict.holds, lam, lam_p, conj, kind)
 
 
 def _available_cpus() -> int:
@@ -229,24 +226,54 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Set in each pool worker by its initializer, never in the parent.
+_worker_contexts: tuple[TrialContext, ...] = ()
+
+
+def _install_contexts(contexts: tuple[TrialContext, ...]) -> None:
+    global _worker_contexts
+    _worker_contexts = contexts
+
+
+def _run_key(key: tuple[int, int]) -> TrialRecord:
+    gi, trial_index = key
+    return run_one_trial(_worker_contexts[gi], trial_index)
+
+
+def _trial_batches(contexts, trials: int, workers: int):
+    """Yield each context's records, sorted by trial index, in context order.
+
+    Every (context index, trial) key runs on one pool, whose initializer
+    sends the contexts to each worker once; results are consumed lazily, one
+    context at a time.  The pool never exceeds the available CPUs or the
+    number of keys; with one worker the keys run in this process."""
+    if trials < 0:
+        raise DomainError("trials must be nonnegative")
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
+    contexts = tuple(contexts)
+    workers = min(workers, _available_cpus(), len(contexts) * trials)
+    if workers <= 1:
+        for ctx in contexts:
+            yield [run_one_trial(ctx, i) for i in range(trials)]
+        return
+    keys = ((gi, t) for gi in range(len(contexts)) for t in range(trials))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_install_contexts,
+                             initargs=(contexts,)) as pool:
+        records = pool.map(_run_key, keys, chunksize=max(1, trials // (8 * workers)))
+        for _ in contexts:
+            yield sorted(islice(records, trials), key=lambda r: r.trial_index)
+
+
 def run_trials(params: ModelParams, trials: int, sampler_mode: str, seed: int,
                workers: int = 1, edge_cap: int = verifier.DEFAULT_EDGE_CAP,
                node_budget: int = verifier.DEFAULT_NODE_BUDGET,
                stream: tuple[int, ...] = ()) -> list[TrialRecord]:
     """Execute trials with independent derived seeds; records come back
-    sorted by trial index regardless of the execution schedule.  The pool
-    never exceeds the available CPUs or the number of trials."""
-    if trials < 0:
-        raise DomainError("trials must be nonnegative")
+    sorted by trial index regardless of the execution schedule."""
     ctx = make_trial_context(params, sampler_mode, seed, edge_cap, node_budget, stream)
-    workers = min(workers, _available_cpus(), trials)
-    if workers <= 1:
-        records = [run_one_trial(ctx, i) for i in range(trials)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_worker, ((ctx, i) for i in range(trials)),
-                                    chunksize=max(1, trials // (8 * workers))))
-    return sorted(records, key=lambda r: r.trial_index)
+    (records,) = _trial_batches([ctx], trials, workers)     # drains: pool closed
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +336,19 @@ def estimate_ekr_curve(n: int, k: int, phi_grid, trials: int, seed: int,
                        edge_cap: int = verifier.DEFAULT_EDGE_CAP,
                        node_budget: int = verifier.DEFAULT_NODE_BUDGET,
                        c_regime: float = 0.15) -> SweepTable:
-    """One run_trials batch per grid point, emitted in input order."""
-    rows = []
-    for gi, phi in enumerate(phi_grid):
-        params = ModelParams.from_phi(n, k, float(phi), psi=psi, eps_thr=eps_thr,
-                                      c_regime=c_regime)
-        recs = run_trials(params, trials, sampler_mode, seed, workers=workers,
-                          edge_cap=edge_cap, node_budget=node_budget, stream=(gi,))
-        rows.append(summarize_trials(params, recs))
-    return SweepTable(tuple(rows), eps_thr, seed, sampler_mode)
+    """Every grid point's trials over one trial engine (spawn-key prefix
+    (grid index,)); rows are summarized as each point's records arrive and
+    emitted in input order."""
+    contexts = [
+        make_trial_context(ModelParams.from_phi(n, k, float(phi), psi=psi, eps_thr=eps_thr,
+                                                c_regime=c_regime),
+                           sampler_mode, seed, edge_cap, node_budget, stream=(gi,))
+        for gi, phi in enumerate(phi_grid)]
+    batches = _trial_batches(contexts, trials, workers)
+    # strict: zip then reads the engine to its end, which closes the pool
+    rows = tuple(summarize_trials(ctx.params, recs)
+                 for ctx, recs in zip(contexts, batches, strict=True))
+    return SweepTable(rows, eps_thr, seed, sampler_mode)
 
 
 SWEEP_CSV_FIELDS = (

@@ -152,6 +152,14 @@ def test_sweep_c_regime_reaches_the_model():
     assert code == 2 and "c_regime" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_nonpositive_workers_exits_2(workers):
+    code, out, err = run_cli(["sweep", "--n", "10", "--k", "2", "--grid-start", "1",
+                              "--grid-stop", "2", "--grid-points", "2", "--trials", "2",
+                              "--seed", "1", "--workers", workers])
+    assert code == 2 and out == "" and "workers" in err
+
+
 def test_sweep_log_grid_and_json(tmp_path):
     code, out, _ = run_cli(["sweep", "--n", "10", "--k", "2", "--grid-start", "0.5",
                             "--grid-stop", "2", "--grid-points", "3",

@@ -33,6 +33,17 @@ def test_kset_validation():
         hg.KSet(300, 3, 0b111)        # bitset width cap
 
 
+def test_kset_members_stored_once_outside_identity():
+    import pickle
+    ks = hg.KSet.from_members(6, (5, 0, 3))
+    assert ks.members is ks.members
+    twin = hg.KSet(6, 3, ks.bits)
+    assert ks == twin and hash(ks) == hash(twin)
+    assert repr(ks) == "KSet(n=6, k=3, bits=41)"
+    back = pickle.loads(pickle.dumps(ks))
+    assert back == ks and back.members == (0, 3, 5)
+
+
 def test_hypergraph_dedup_flag():
     with pytest.raises(DomainError):
         H_from(6, 2, [(0, 1), (0, 1)], dedup=True)

@@ -127,25 +127,36 @@ def test_trials_resource_rows_not_fatal():
     assert row.undecided == 4 and math.isnan(row.f_hat)
 
 
-def test_pool_size_clamped_to_cpus_and_trials(monkeypatch):
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs the
+    initializer and the tasks in this process, starts nothing."""
+
+    def __init__(self, sizes, max_workers, initializer=None, initargs=()):
+        sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+def in_process_pools(monkeypatch) -> list:
+    """Patch in InProcessPool; returns the list of pool sizes it records."""
     sizes = []
+    monkeypatch.setattr(mc, "ProcessPoolExecutor",
+                        lambda **kw: InProcessPool(sizes, **kw))
+    monkeypatch.setattr(mc, "_worker_contexts", ())
+    return sizes
 
-    class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+def test_pool_size_clamped_to_cpus_and_trials(monkeypatch):
+    sizes = in_process_pools(monkeypatch)
     params = an.ModelParams.from_phi(10, 2, 1.5)
     serial = mc.trial_records_to_csv(mc.run_trials(params, 6, "conditioned", seed=3))
     for cpus, trials, expect in ((3, 6, [3]), (8, 2, [2]), (1, 6, [])):
@@ -155,6 +166,15 @@ def test_pool_size_clamped_to_cpus_and_trials(monkeypatch):
         assert sizes == expect
         if trials == 6:
             assert mc.trial_records_to_csv(recs) == serial
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_nonpositive_workers_rejected(workers):
+    params = an.ModelParams.from_p(10, 3, 0.1)
+    with pytest.raises(DomainError, match="workers"):
+        mc.run_trials(params, 1, "bernoulli", seed=0, workers=workers)
+    with pytest.raises(DomainError, match="workers"):
+        mc.estimate_ekr_curve(10, 3, [1.0], trials=1, seed=0, workers=workers)
 
 
 def test_bad_sampler_mode():
@@ -212,6 +232,28 @@ def test_sweep_csv_worker_count_invariance():
     t1 = mc.estimate_ekr_curve(10, 2, grid, trials=24, seed=13, workers=1)
     t2 = mc.estimate_ekr_curve(10, 2, grid, trials=24, seed=13, workers=4)
     assert mc.sweep_table_to_csv(t1) == mc.sweep_table_to_csv(t2)
+
+
+README_GRID = [0.3 * (20.0 / 0.3) ** (i / 11) for i in range(12)]
+
+
+@pytest.mark.parametrize("n, k, grid, trials, node_budget, pools", [
+    (24, 3, README_GRID, 5, vf.DEFAULT_NODE_BUDGET, [2]),   # 12 points
+    (10, 3, [0.5, 8.0], 4, 2, [2]),      # budget 2 leaves phi = 8 undecided
+    (24, 3, README_GRID, 0, vf.DEFAULT_NODE_BUDGET, []),    # no keys, no pool
+])
+def test_sweep_runs_on_one_pool(monkeypatch, n, k, grid, trials, node_budget, pools):
+    serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(
+        n, k, grid, trials=trials, seed=5, node_budget=node_budget))
+    sizes = in_process_pools(monkeypatch)
+    monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
+    table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5, workers=2,
+                                  node_budget=node_budget)
+    assert sizes == pools
+    assert mc.sweep_table_to_csv(table) == serial
+    assert [r.trials for r in table.rows] == [trials] * len(grid)
+    if node_budget == 2:
+        assert [r.undecided for r in table.rows] == [0, trials]
 
 
 def test_sweep_row_counts_consistent():
