@@ -25,12 +25,21 @@ adjacency (adj[i] = OR of star[x] over x in edge i, minus i) follow in
 O(m k) big-int operations.  verify_ekr shares that structure between both
 searches; the public search functions build it themselves.
 
+Both searches, and the generic-clique search of the witnesses module, run
+on one branch-and-bound kernel (_branch_and_bound).  It walks cliques depth
+first on an explicit stack, so clique size is not bounded by Python's
+recursion limit.  Each caller supplies only which cliques to record, how to
+bound and order the branches of a node, and the state a child carries.  A
+node is a visited clique, the empty one included, and each costs one unit
+of node_budget; a search that needs more raises ResourceLimitError.
+
 EKR is undefined for multisets: hypergraphs with repeated edges are
 rejected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,7 +121,7 @@ def intersection_adjacency(edge_bits) -> list[int]:
 
 
 class _Instance:
-    """A family's derived structure, built once and shared by both searches."""
+    """A family's derived structure, built once and shared by the searches."""
 
     __slots__ = ("m", "dense_pairs", "bits", "members", "stars", "adj")
 
@@ -128,18 +137,6 @@ class _Instance:
 def _check_edge_cap(H: Hypergraph, edge_cap: int) -> None:
     if H.m > edge_cap:
         raise ResourceLimitError(f"|H| = {H.m} exceeds the edge cap {edge_cap}")
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, nodes: int):
-        self.left = nodes
-
-    def tick(self):
-        self.left -= 1
-        if self.left < 0:
-            raise ResourceLimitError("branch-and-bound node budget exceeded")
 
 
 def _color_order(adj, P: int):
@@ -261,6 +258,60 @@ def _make_coloring(adj, m: int, dense_pairs: bool):
     return lambda P: _pair_color_order(cadj, P)
 
 
+def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
+                      accept, branches, child):
+    """Depth-first branch and bound over the cliques of the graph adj, on an
+    explicit stack.
+
+    A node is a clique R, its candidate set P (vertices adjacent to all of
+    R and not yet branched on) and a caller state (root for the empty
+    clique).  Visiting a node costs one unit of node_budget.  The node is
+    recorded when len(R) > best and accept(P, state), best starting at
+    floor; the search stops once best >= target.  branches(len(R), P, state)
+    returns (order, colors): candidates are taken from the back of order,
+    and order[idx] together with every candidate before it cannot add more
+    than colors[idx] vertices to R, so the node's remaining branches are cut
+    once len(R) + colors[idx] <= best.  child(state, v) is the state of
+    R + [v], or None to skip v.  Returns (best, recorded clique or None).
+    """
+    R, best, found = [], floor, None
+    left = node_budget
+    stack = []
+    P, state = (1 << len(adj)) - 1, root
+    while True:
+        left -= 1
+        if left < 0:
+            raise ResourceLimitError("branch-and-bound node budget exceeded")
+        size = len(R)
+        if size > best and accept(P, state):
+            best, found = size, R.copy()
+            if best >= target:
+                break
+        order, colors = branches(size, P, state)
+        stack.append([P, order, colors, len(order), state])
+        # next node: the deepest frame's next unpruned, feasible candidate
+        while stack:
+            frame = stack[-1]
+            P, order, colors, idx, state = frame
+            idx -= 1
+            if idx < 0 or len(R) + colors[idx] <= best:
+                stack.pop()
+                if R:
+                    R.pop()
+                continue
+            v = order[idx]
+            frame[0] = P & ~(1 << v)
+            frame[3] = idx
+            state = child(state, v)
+            if state is not None:
+                R.append(v)
+                P &= adj[v]
+                break
+        else:
+            break       # the stack is empty: every branch is done
+    return best, found
+
+
 def max_intersecting_family(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
                             node_budget: int = DEFAULT_NODE_BUDGET):
     """(omega, witness clique as edge indices), exact.
@@ -285,29 +336,14 @@ def _max_clique(inst: _Instance, node_budget: int):
     radj = _star_adjacency(members, stars)
 
     Delta, x = _max_star(stars)
-    best = [Delta, list(bits_of(stars[x]))]
-    budget = _Budget(node_budget)
     coloring = _make_coloring(radj, m, inst.dense_pairs)
-
-    def expand(R: list, P: int):
-        budget.tick()
-        order, colors = coloring(P)
-        for idx in range(len(order) - 1, -1, -1):
-            if len(R) + colors[idx] <= best[0]:
-                return
-            v = order[idx]
-            R.append(v)
-            newP = P & radj[v]
-            if newP:
-                expand(R, newP)
-            elif len(R) > best[0]:
-                best[0] = len(R)
-                best[1] = R.copy()
-            R.pop()
-            P &= ~(1 << v)
-
-    expand([], (1 << m) - 1)
-    omega, clique = best
+    omega, clique = _branch_and_bound(
+        radj, node_budget, Delta, math.inf, 0,
+        accept=lambda P, _: not P,
+        branches=lambda size, P, _: coloring(P),
+        child=lambda state, v: state)
+    if clique is None:
+        clique = bits_of(stars[x])
     return omega, sorted(perm[v] for v in clique)
 
 
@@ -335,46 +371,27 @@ def find_nontrivial_clique(H: Hypergraph, target: int,
 
 def _nontrivial_search(inst: _Instance, target: int, node_budget: int,
                        floor: int, maximize: bool):
-    bits, adj = inst.bits, inst.adj
-    budget = _Budget(node_budget)
-    best = [floor, None]
-    coloring = _make_coloring(adj, inst.m, inst.dense_pairs)
+    bits = inst.bits
+    coloring = _make_coloring(inst.adj, inst.m, inst.dense_pairs)
 
-    def and_with_seed(mask: int, seed: int) -> int:
-        c = seed
-        while mask and c:
-            b = mask & -mask
+    def branches(size, P, common):
+        c, rest = common, P
+        while rest and c:
+            b = rest & -rest
             c &= bits[b.bit_length() - 1]
-            mask ^= b
-        return c
+            rest ^= b
+        # with c != 0 every extension of R from P keeps a common vertex
+        return ((), ()) if c else coloring(P)
 
-    def expand(R: list, common: int, P: int):
-        budget.tick()
-        if common == 0 and len(R) > best[0]:
-            best[0] = len(R)
-            best[1] = R.copy()
-            if not maximize and best[0] >= target:
-                return True
-        if and_with_seed(P, common):
-            # every extension of R from P keeps a common vertex
-            return False
-        order, colors = coloring(P)
-        for idx in range(len(order) - 1, -1, -1):
-            if len(R) + colors[idx] <= best[0]:
-                return False
-            v = order[idx]
-            R.append(v)
-            if expand(R, common & bits[v], P & adj[v]):
-                return True
-            R.pop()
-            P &= ~(1 << v)
-        return False
-
-    expand([], -1, (1 << inst.m) - 1)
+    best, found = _branch_and_bound(
+        inst.adj, node_budget, floor, math.inf if maximize else target, -1,
+        accept=lambda P, common: not common,
+        branches=branches,
+        child=lambda common, v: common & bits[v])
     if maximize:
-        return best[0], (tuple(best[1]) if best[1] else None)
-    if best[1] is not None and len(best[1]) >= target:
-        return tuple(best[1])
+        return best, (tuple(found) if found else None)
+    if found is not None and len(found) >= target:
+        return tuple(found)
     return None
 
 

@@ -13,9 +13,10 @@ from typing import Optional
 
 from .analytics import RegimeParams
 from .errors import DomainError
+from .exact import bits_of
 from .hypergraph import Hypergraph
-from .verifier import _Budget, _color_order, intersection_adjacency, is_trivial_clique, \
-    DEFAULT_NODE_BUDGET
+from .verifier import DEFAULT_NODE_BUDGET, _branch_and_bound, _color_order, _Instance, \
+    is_trivial_clique
 
 
 # ---------------------------------------------------------------------------
@@ -40,18 +41,16 @@ def find_hilton_milner(H: Hypergraph, d: int) -> Optional[HMWitness]:
     """First (x ascending, B0 by edge index) witness with >= d petals, or None."""
     if d <= 0:
         raise DomainError("d must be a positive integer")
-    bits = H.edge_bits
-    for x in range(H.n):
-        x_bit = 1 << x
-        star = [i for i, b in enumerate(bits) if b & x_bit]
-        if len(star) < d:
+    inst = _Instance(H)
+    for x, star in enumerate(inst.stars):
+        if star.bit_count() < d:
             continue
         for b0 in range(H.m):
-            if bits[b0] & x_bit:
+            if star >> b0 & 1:
                 continue
-            petals = [i for i in star if bits[i] & bits[b0]]
-            if len(petals) >= d:
-                return HMWitness(x, b0, tuple(petals))
+            petals = star & inst.adj[b0]
+            if petals.bit_count() >= d:
+                return HMWitness(x, b0, tuple(bits_of(petals)))
     return None
 
 
@@ -117,9 +116,12 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
                         node_budget: int = DEFAULT_NODE_BUDGET) -> Optional[tuple[int, ...]]:
     """First generic clique of the given size in deterministic (index) order.
 
-    Branch and bound over edge indices: a branch dies as soon as some vertex
-    degree would exceed 3 or the degree-3 count would exceed zeta_cap, or
-    when the candidate count / coloring bound cannot reach size_t.
+    Runs the verifier's branch-and-bound kernel over edge indices in
+    ascending order.  A node carries the vertices of clique-degree >= 1,
+    >= 2 and exactly 3 as bitsets; edge e is infeasible when it meets a
+    degree-3 vertex or would raise the degree-3 count above zeta_cap.  A
+    branch dies when the candidate count or coloring bound cannot reach
+    size_t.
     """
     if size_t < 0:
         raise DomainError("size_t must be nonnegative")
@@ -127,52 +129,29 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
         return ()
     if size_t > H.m:
         return None
-    bits = H.edge_bits
-    adj = intersection_adjacency(bits)
-    budget = _Budget(node_budget)
-    deg: dict[int, int] = {}
-    out: list[tuple[int, ...]] = []
+    inst = _Instance(H)
+    bits, adj = inst.bits, inst.adj
 
-    def feasible(i: int) -> bool:
-        bumps = 0
-        for v in H.edges[i].members:
-            c = deg.get(v, 0)
-            if c >= 3:
-                return False
-            if c == 2:
-                bumps += 1
-        deg3 = sum(1 for c in deg.values() if c == 3)
-        return deg3 + bumps <= zeta_cap
-
-    def expand(R: list, P: int) -> bool:
-        budget.tick()
-        if len(R) == size_t:
-            out.append(tuple(R))
-            return True
-        if len(R) + P.bit_count() < size_t:
-            return False
+    def branches(size, P, _):
+        if size + P.bit_count() < size_t:
+            return (), ()
         _, colors = _color_order(adj, P)
-        if not colors or len(R) + colors[-1] < size_t:
-            return False
-        while P:
-            b = P & -P
-            v = b.bit_length() - 1
-            P ^= b
-            if len(R) + 1 + P.bit_count() < size_t:
-                return False
-            if feasible(v):
-                for u in H.edges[v].members:
-                    deg[u] = deg.get(u, 0) + 1
-                R.append(v)
-                if expand(R, P & adj[v]):
-                    return True
-                R.pop()
-                for u in H.edges[v].members:
-                    deg[u] -= 1
-        return False
+        if size + colors[-1] < size_t:
+            return (), ()
+        # ascending index order; order[idx] leaves idx + 1 candidates
+        order = list(bits_of(P))[::-1]
+        return order, range(1, len(order) + 1)
 
-    expand([], (1 << H.m) - 1)
-    return out[0] if out else None
+    def child(degrees, v):
+        d1, d2, d3 = degrees
+        e = bits[v]
+        if e & d3 or (d3 | e & d2).bit_count() > zeta_cap:
+            return None
+        return d1 | e, d2 | e & d1, d3 | e & d2
+
+    _, found = _branch_and_bound(adj, node_budget, size_t - 1, size_t, (0, 0, 0),
+                                 accept=lambda P, _: True, branches=branches, child=child)
+    return None if found is None else tuple(found)
 
 
 def brute_force_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float) -> bool:

@@ -95,6 +95,20 @@ def test_verify_triangle(tmp_path):
                  "witness": [[1, 2], [1, 3], [2, 3]]}
 
 
+def test_verify_full_family_past_recursion_depth(tmp_path):
+    # C([13],7): 1716 edges, inside the default edge cap; one clique of them all
+    from itertools import combinations
+    lines = ["13 7 1716"] + [" ".join(str(v + 1) for v in e)
+                             for e in combinations(range(13), 7)]
+    path = tmp_path / "k137.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(["verify", str(path)])
+    assert code == 0
+    d = json.loads(out)
+    assert (d["holds"], d["omega"], d["delta"]) == (False, 1716, 924)
+    assert len(d["witness"]) == 1716
+
+
 def test_verify_parse_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("6 2 1\n2 1\n")

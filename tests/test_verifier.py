@@ -86,6 +86,51 @@ def test_node_budget_error():
         vf.max_intersecting_family(H, node_budget=3)
 
 
+def sampled(n, k, phi, seed):
+    return hg.sample_bernoulli(n, k, phi / math.comb(n - 1, k - 1), seed)
+
+
+# (n, k, phi, seed) of H_k(n, p) -> verdict, omega, and the node budgets at
+# which the omega search and the omega-target empty-intersection search
+# decide (one node per visited clique).  None: verify_ekr skips the second
+# search because omega > Delta.
+NODE_PINS = [
+    ((14, 5, 60, 1), False, 72, 121, 97),       # dense (n < 3k), witness found
+    ((14, 5, 60, 37), False, 67, 128, None),    # dense, omega > Delta
+    ((18, 5, 60, 3), True, 70, 216, 551),       # sparse, star is the maximum
+]
+
+
+@pytest.mark.parametrize("key, holds, omega, omega_nodes, nontrivial_nodes", NODE_PINS)
+def test_search_node_counts_pinned(key, holds, omega, omega_nodes, nontrivial_nodes):
+    H = sampled(*key)
+    assert vf.max_intersecting_family(H, node_budget=omega_nodes)[0] == omega
+    with pytest.raises(ResourceLimitError):
+        vf.max_intersecting_family(H, node_budget=omega_nodes - 1)
+    if nontrivial_nodes is None:
+        assert vf.verify_ekr(H, node_budget=omega_nodes).holds is holds
+        return
+    witness = vf.find_nontrivial_clique(H, omega, node_budget=nontrivial_nodes)
+    assert (witness is None) is holds
+    with pytest.raises(ResourceLimitError):
+        vf.find_nontrivial_clique(H, omega, node_budget=nontrivial_nodes - 1)
+    budget = max(omega_nodes, nontrivial_nodes)
+    assert vf.verify_ekr(H, node_budget=budget).holds is holds
+    with pytest.raises(ResourceLimitError):
+        vf.verify_ekr(H, node_budget=budget - 1)
+
+
+def test_search_depth_not_limited_by_recursion():
+    # every pair of 7-subsets of [13] meets, so the whole family (1716
+    # edges) is one clique: search depth 1716, past Python's call limit
+    H = full_K(13, 7)
+    v = vf.verify_ekr(H)
+    assert (v.holds, v.omega, v.Delta) == (False, 1716, 924)
+    assert vf.validate_witness(H, v)
+    size, witness = vf.max_nontrivial_clique(H)
+    assert size == 1716 == len(witness)
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------

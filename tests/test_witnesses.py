@@ -10,7 +10,7 @@ from ekrlab import analytics as an
 from ekrlab import hypergraph as hg
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
-from ekrlab.errors import DomainError
+from ekrlab.errors import DomainError, ResourceLimitError
 
 
 def H_from(n, k, edges, dedup=True):
@@ -136,6 +136,19 @@ def test_find_generic_vs_brute_force():
                 assert (got is not None) == want, (H.edges, size, zeta)
                 if got is not None:
                     assert wt.is_generic_clique(H, got, zeta)
+
+
+# (25, 5, phi=10) samples of H_k(n, p): the generic clique (t=7, zeta=3) and
+# the node budget at which the search decides (one node per visited clique)
+@pytest.mark.parametrize("seed, clique, nodes", [
+    (4, None, 10122),
+    (26, (10, 14, 16, 18, 34, 38, 41), 7865),
+])
+def test_generic_node_counts_pinned(seed, clique, nodes):
+    H = hg.sample_bernoulli(25, 5, 10 / math.comb(24, 4), seed)
+    assert wt.find_generic_clique(H, 7, 3, node_budget=nodes) == clique
+    with pytest.raises(ResourceLimitError):
+        wt.find_generic_clique(H, 7, 3, node_budget=nodes - 1)
 
 
 # ---------------------------------------------------------------------------
