@@ -190,6 +190,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    verifier.check_limits(node_budget=args.node_budget)     # also when only --hm-d runs
     H = read_hypergraph(args.input)
     found = []
     if args.hm_d is not None:

@@ -186,6 +186,7 @@ def make_trial_context(params: ModelParams, sampler_mode: str, seed: int,
                        stream: tuple[int, ...] = ()) -> TrialContext:
     if sampler_mode not in SAMPLER_MODES:
         raise DomainError(f"unknown sampler mode {sampler_mode!r}; pick from {SAMPLER_MODES}")
+    verifier.check_limits(edge_cap, node_budget)
     q = analytics.intersection_probability(params.n, params.k, exact_mode=False)
     ab = analytics.compute_alpha_beta(params, q=q)
     regime = None

@@ -31,7 +31,11 @@ first on an explicit stack, so clique size is not bounded by Python's
 recursion limit.  Each caller supplies only which cliques to record, how to
 bound and order the branches of a node, and the state a child carries.  A
 node is a visited clique, the empty one included, and each costs one unit
-of node_budget; a search that needs more raises ResourceLimitError.
+of node_budget; a search that needs more raises ResourceLimitError.  The
+kernel hands each node's pruning threshold kmin = best - |R| to the
+caller's branch ordering, which may omit every candidate colored at or
+below it (the kernel would cut those unvisited), as MCQ/MCS do.  Both
+colorings work on complement-adjacency bitsets built once per search.
 
 EKR is undefined for multisets: hypergraphs with repeated edges are
 rejected.
@@ -134,128 +138,156 @@ class _Instance:
         self.adj = _star_adjacency(self.members, self.stars)
 
 
+def check_limits(edge_cap: int = DEFAULT_EDGE_CAP,
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> None:
+    """DomainError for limits no search can run under: node_budget < 1
+    (the empty clique is a node) or edge_cap < 0."""
+    if node_budget < 1:
+        raise DomainError(f"node budget must be >= 1; got {node_budget}")
+    if edge_cap < 0:
+        raise DomainError(f"edge cap must be >= 0; got {edge_cap}")
+
+
 def _check_edge_cap(H: Hypergraph, edge_cap: int) -> None:
     if H.m > edge_cap:
         raise ResourceLimitError(f"|H| = {H.m} exceeds the edge cap {edge_cap}")
 
 
-def _color_order(adj, P: int):
-    """Greedy coloring of the candidate set P in index order.
+def _color_order(cadj, P: int, kmin: int):
+    """Greedy coloring of the candidate set P in index order; cadj[v] is the
+    complement of v's closed neighbourhood (see _make_coloring).
 
     Returns (vertices, colors), vertices grouped class by class, so colors is
-    nondecreasing and colors[-1] is the clique-size upper bound for P.
+    nondecreasing and colors[-1] is the clique-size upper bound for P.  The
+    classes numbered <= kmin are colored but not returned: a search cuts
+    their vertices anyway.
     """
     order = []
     colors = []
+    if P.bit_count() <= kmin:
+        return order, colors
     color = 0
     rest = P
     while rest:
         color += 1
         avail = rest
+        if color <= kmin:
+            while avail:
+                b = avail & -avail
+                avail &= cadj[b.bit_length() - 1]
+                rest ^= b
+            continue
+        start = len(order)
         while avail:
             b = avail & -avail
             v = b.bit_length() - 1
             order.append(v)
-            colors.append(color)
-            avail &= ~adj[v] & ~b
-            rest &= ~b
+            avail &= cadj[v]
+            rest ^= b
+        colors += [color] * (len(order) - start)
     return order, colors
 
 
-def _pair_color_order(cadj, P: int):
+def _pair_color_order(cadj, P: int, kmin: int):
     """Matching-based coloring for the dense regime (n < 3k), where every
     independent set of the intersection graph has at most two members.
 
     Classes are the pairs of a greedy maximal matching on the disjointness
     graph, improved by length-3 augmentation sweeps, plus singletons; the
     class count |P| - matching size is a much tighter clique bound here than
-    first-fit coloring.
+    first-fit coloring.  Pairs come first, by lower vertex, then singletons
+    ascending; as in _color_order, classes numbered <= kmin are not returned.
     """
+    size = P.bit_count()
+    if size <= kmin:
+        return [], []
+    # the matching only grows, so once it has size - kmin pairs every class
+    # is numbered <= kmin
+    need = size - kmin
+    # seed: fewest remaining partners first, so hard-to-pair vertices go
+    # early; key = (partners, v) packed into one int, v < width
+    width = P.bit_length()
+    keys = [(cadj[v] & P).bit_count() * width + v
+            for v, bit in enumerate(reversed(bin(P))) if bit == "1"]
+    keys.sort()
     mate = {}
-    rest = P
-    free = []
-    # seed: fewest remaining partners first, so hard-to-pair vertices go early
-    verts = []
-    r = P
-    while r:
-        b = r & -r
-        verts.append(((cadj[b.bit_length() - 1] & P).bit_count(), b.bit_length() - 1))
-        r ^= b
-    verts.sort()
-    taken = 0
-    for _, v in verts:
-        if (taken >> v) & 1:
+    free = 0                # bitmask of the unmatched vertices
+    free_list = []
+    untaken = P
+    for key in keys:
+        v = key % width
+        if not untaken >> v & 1:
             continue
-        avail = cadj[v] & P & ~taken & ~(1 << v)
+        avail = cadj[v] & untaken
         if avail:
-            w = (avail & -avail).bit_length() - 1
+            wb = avail & -avail
+            w = wb.bit_length() - 1
             mate[v] = w
             mate[w] = v
-            taken |= (1 << v) | (1 << w)
+            untaken ^= (1 << v) | wb
         else:
-            free.append(v)
-            taken |= 1 << v
-    free = set(free)
+            free |= 1 << v
+            free_list.append(v)
+            untaken ^= 1 << v
+    if len(mate) // 2 >= need:
+        return [], []
+    free_list.sort()
     changed = True
-    while changed and len(free) > 1:
+    while changed and len(free_list) > 1:
         changed = False
-        for u in sorted(free):
-            if u not in free:
+        for u in free_list:
+            if not free >> u & 1:
                 continue
+            ub = 1 << u
             amask = cadj[u] & P
-            done = False
-            while amask and not done:
+            while amask:
                 ab = amask & -amask
                 a = ab.bit_length() - 1
                 amask ^= ab
-                if a in mate:
-                    bp = mate[a]
-                    wmask = cadj[bp] & P & ~(1 << u)
-                    while wmask:
-                        wb = wmask & -wmask
-                        w = wb.bit_length() - 1
-                        wmask ^= wb
-                        if w in free:
-                            mate[u] = a
-                            mate[a] = u
-                            mate[bp] = w
-                            mate[w] = bp
-                            free.discard(u)
-                            free.discard(w)
-                            done = True
-                            changed = True
-                            break
-                elif a in free:
+                # the matching is maximal (no two free vertices are disjoint,
+                # and augmenting keeps it so), hence a is matched: a takes u,
+                # and a's mate takes the lowest free vertex it misses
+                bp = mate[a]
+                wmask = cadj[bp] & free & ~ub
+                if wmask:
+                    wb = wmask & -wmask
+                    w = wb.bit_length() - 1
                     mate[u] = a
                     mate[a] = u
-                    free.discard(u)
-                    free.discard(a)
-                    done = True
+                    mate[bp] = w
+                    mate[w] = bp
+                    free ^= ub | wb
                     changed = True
+                    break
+        free_list = [u for u in free_list if free >> u & 1]
+    npairs = len(mate) // 2
+    if npairs >= need:
+        return [], []
+    pairs = [v for v in sorted(mate) if v < mate[v]]
     order = []
     colors = []
-    color = 0
-    for v, w in sorted({(min(v, w), max(v, w)) for v, w in mate.items()}):
-        color += 1
-        order.append(v)
-        order.append(w)
-        colors.append(color)
-        colors.append(color)
-    for v in sorted(free):
-        color += 1
-        order.append(v)
-        colors.append(color)
+    for c in range(max(kmin, 0), npairs):
+        v = pairs[c]
+        order += (v, mate[v])
+        colors += (c + 1, c + 1)
+    skip = max(kmin - npairs, 0)
+    order += free_list[skip:]
+    colors += range(npairs + skip + 1, npairs + len(free_list) + 1)
     return order, colors
 
 
 def _make_coloring(adj, m: int, dense_pairs: bool):
     """Pick the coloring bound: matching-based when independent sets of the
-    intersection graph cannot exceed two edges (n < 3k), first-fit otherwise."""
-    if not dense_pairs:
-        return lambda P: _color_order(adj, P)
+    intersection graph cannot exceed two edges (n < 3k), first-fit otherwise.
+
+    Both color with the complement adjacency cadj[v] (the vertices neither
+    adjacent to nor equal to v), built once here.  The returned function
+    maps (P, kmin) to (order, colors).
+    """
     full = (1 << m) - 1
-    cadj = [full & ~adj[i] & ~(1 << i) for i in range(m)]
-    return lambda P: _pair_color_order(cadj, P)
+    cadj = [full & ~a & ~(1 << v) for v, a in enumerate(adj)]
+    color_order = _pair_color_order if dense_pairs else _color_order
+    return lambda P, kmin: color_order(cadj, P, kmin)
 
 
 def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
@@ -267,12 +299,15 @@ def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
     R and not yet branched on) and a caller state (root for the empty
     clique).  Visiting a node costs one unit of node_budget.  The node is
     recorded when len(R) > best and accept(P, state), best starting at
-    floor; the search stops once best >= target.  branches(len(R), P, state)
+    floor; the search stops once best >= target.  branches(kmin, P, state)
     returns (order, colors): candidates are taken from the back of order,
     and order[idx] together with every candidate before it cannot add more
     than colors[idx] vertices to R, so the node's remaining branches are cut
-    once len(R) + colors[idx] <= best.  child(state, v) is the state of
-    R + [v], or None to skip v.  Returns (best, recorded clique or None).
+    once len(R) + colors[idx] <= best.  kmin = best - len(R) is that cut as
+    it stands when the node is expanded (best only grows), so branches may
+    leave out every candidate whose colors entry would be <= kmin.
+    child(state, v) is the state of R + [v], or None to skip v.  Returns
+    (best, recorded clique or None).
     """
     R, best, found = [], floor, None
     left = node_budget
@@ -287,7 +322,7 @@ def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
             best, found = size, R.copy()
             if best >= target:
                 break
-        order, colors = branches(size, P, state)
+        order, colors = branches(best - size, P, state)
         stack.append([P, order, colors, len(order), state])
         # next node: the deepest frame's next unpruned, feasible candidate
         while stack:
@@ -320,6 +355,7 @@ def max_intersecting_family(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
     degree (ties by index, i.e. input/colex order), greedy-coloring bounds,
     lower bound seeded with the largest star.
     """
+    check_limits(edge_cap, node_budget)
     _check_edge_cap(H, edge_cap)
     return _max_clique(_Instance(H), node_budget)
 
@@ -340,7 +376,7 @@ def _max_clique(inst: _Instance, node_budget: int):
     omega, clique = _branch_and_bound(
         radj, node_budget, Delta, math.inf, 0,
         accept=lambda P, _: not P,
-        branches=lambda size, P, _: coloring(P),
+        branches=lambda kmin, P, _: coloring(P, kmin),
         child=lambda state, v: state)
     if clique is None:
         clique = bits_of(stars[x])
@@ -360,6 +396,7 @@ def find_nontrivial_clique(H: Hypergraph, target: int,
     remaining candidates nonempty).  Deterministic: candidates explored in
     index order.
     """
+    check_limits(node_budget=node_budget)
     if maximize:
         floor = initial_best if initial_best is not None else 2
     else:
@@ -374,14 +411,14 @@ def _nontrivial_search(inst: _Instance, target: int, node_budget: int,
     bits = inst.bits
     coloring = _make_coloring(inst.adj, inst.m, inst.dense_pairs)
 
-    def branches(size, P, common):
+    def branches(kmin, P, common):
         c, rest = common, P
         while rest and c:
             b = rest & -rest
             c &= bits[b.bit_length() - 1]
             rest ^= b
         # with c != 0 every extension of R from P keeps a common vertex
-        return ((), ()) if c else coloring(P)
+        return ((), ()) if c else coloring(P, kmin)
 
     best, found = _branch_and_bound(
         inst.adj, node_budget, floor, math.inf if maximize else target, -1,
@@ -411,6 +448,7 @@ def verify_ekr(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
     """Exact strong-EKR verdict; see the module docstring for the argument."""
     if H.has_duplicates():
         raise DomainError("EKR is undefined for multisets: duplicate edges present")
+    check_limits(edge_cap, node_budget)
     _check_edge_cap(H, edge_cap)
     inst = _Instance(H)
     Delta, _ = _max_star(inst.stars)

@@ -15,8 +15,8 @@ from .analytics import RegimeParams
 from .errors import DomainError
 from .exact import bits_of
 from .hypergraph import Hypergraph
-from .verifier import DEFAULT_NODE_BUDGET, _branch_and_bound, _color_order, _Instance, \
-    is_trivial_clique
+from .verifier import DEFAULT_NODE_BUDGET, _branch_and_bound, _Instance, _make_coloring, \
+    check_limits, is_trivial_clique
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +123,7 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
     branch dies when the candidate count or coloring bound cannot reach
     size_t.
     """
+    check_limits(node_budget=node_budget)
     if size_t < 0:
         raise DomainError("size_t must be nonnegative")
     if size_t == 0:
@@ -131,12 +132,12 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
         return None
     inst = _Instance(H)
     bits, adj = inst.bits, inst.adj
+    coloring = _make_coloring(adj, inst.m, False)
 
-    def branches(size, P, _):
-        if size + P.bit_count() < size_t:
-            return (), ()
-        _, colors = _color_order(adj, P)
-        if size + colors[-1] < size_t:
+    def branches(kmin, P, _):
+        # kmin = size_t - 1 - len(R): the popcount and first-fit coloring
+        # bounds of P must exceed it
+        if not coloring(P, kmin)[0]:
             return (), ()
         # ascending index order; order[idx] leaves idx + 1 candidates
         order = list(bits_of(P))[::-1]

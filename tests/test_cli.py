@@ -128,6 +128,24 @@ def test_verify_resource_error(tmp_path):
     assert code == 3 and "resource" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--node-budget", "0"], "node budget"), (["--node-budget", "-5"], "node budget"),
+    (["--edge-cap", "-1"], "edge cap")])
+def test_invalid_limits_exit_2(tmp_path, flags, message):
+    path = tmp_path / "tri.txt"
+    path.write_text(TRIANGLE)
+    code, out, err = run_cli(["verify", str(path)] + flags)
+    assert code == 2 and out == "" and message in err
+    code, out, err = run_cli(["sweep", "--n", "10", "--k", "2", "--grid-start", "1",
+                              "--grid-stop", "2", "--grid-points", "2", "--trials", "2",
+                              "--seed", "1"] + flags)
+    assert code == 2 and out == "" and message in err
+    if "--node-budget" in flags:
+        for detector in (["--generic-size", "3"], ["--hm-d", "2"]):
+            code, out, err = run_cli(["witness", str(path)] + detector + flags)
+            assert code == 2 and out == "" and message in err
+
+
 def test_witness_detectors(tmp_path):
     path = tmp_path / "tri.txt"
     path.write_text(TRIANGLE)

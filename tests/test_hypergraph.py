@@ -44,6 +44,21 @@ def test_kset_members_stored_once_outside_identity():
     assert back == ks and back.members == (0, 3, 5)
 
 
+def test_equal_ksets_share_bits_and_members_through_a_bounded_cache():
+    from itertools import islice
+    a = hg.KSet.from_members(12, (11, 3, 9))
+    b = hg.KSet(12, 3, int("101000001000", 2))  # a new int object, equal to a.bits
+    assert b == a and b.bits is a.bits and b.members is a.members == (3, 9, 11)
+    # more distinct k-sets than the cache keeps: it stays at its bound
+    for c in islice(combinations(range(30), 4), hg.MEMBERS_CACHE + 100):
+        assert hg.KSet.from_members(30, c).members == c
+    info = hg._shared.cache_info()
+    assert info.maxsize == hg.MEMBERS_CACHE == info.currsize
+    # an evicted k-set is rebuilt equal, and old k-sets keep their own
+    again = hg.KSet.from_members(12, (3, 9, 11))
+    assert again == a and again.members == a.members == (3, 9, 11)
+
+
 def test_hypergraph_dedup_flag():
     with pytest.raises(DomainError):
         H_from(6, 2, [(0, 1), (0, 1)], dedup=True)

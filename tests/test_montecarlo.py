@@ -177,6 +177,16 @@ def test_nonpositive_workers_rejected(workers):
         mc.estimate_ekr_curve(10, 3, [1.0], trials=1, seed=0, workers=workers)
 
 
+@pytest.mark.parametrize("limits", [{"node_budget": 0}, {"node_budget": -5},
+                                    {"edge_cap": -1}])
+def test_invalid_search_limits_rejected(limits):
+    params = an.ModelParams.from_p(10, 3, 0.1)
+    with pytest.raises(DomainError):
+        mc.run_trials(params, 1, "bernoulli", seed=0, **limits)
+    with pytest.raises(DomainError):
+        mc.estimate_ekr_curve(10, 3, [1.0], trials=0, seed=0, **limits)
+
+
 def test_bad_sampler_mode():
     params = an.ModelParams.from_p(10, 3, 0.1)
     with pytest.raises(DomainError):

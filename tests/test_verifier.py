@@ -32,6 +32,103 @@ def pairwise_adjacency(edge_bits):
     return adj
 
 
+def oracle_color_order(adj, P):
+    """First-fit coloring of P in index order, class by class, every class
+    returned (the library's _color_order before its kmin rule)."""
+    order = []
+    colors = []
+    color = 0
+    rest = P
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            b = avail & -avail
+            v = b.bit_length() - 1
+            order.append(v)
+            colors.append(color)
+            avail &= ~adj[v] & ~b
+            rest &= ~b
+    return order, colors
+
+
+def oracle_pair_color_order(cadj, P):
+    """The matching-based coloring with sets and tuples: a greedy maximal
+    matching of the disjointness graph cadj (fewest partners first), then
+    length-3 augmentation sweeps; pairs sorted, then singletons."""
+    mate = {}
+    free = []
+    verts = []
+    r = P
+    while r:
+        b = r & -r
+        verts.append(((cadj[b.bit_length() - 1] & P).bit_count(), b.bit_length() - 1))
+        r ^= b
+    verts.sort()
+    taken = 0
+    for _, v in verts:
+        if (taken >> v) & 1:
+            continue
+        avail = cadj[v] & P & ~taken & ~(1 << v)
+        if avail:
+            w = (avail & -avail).bit_length() - 1
+            mate[v] = w
+            mate[w] = v
+            taken |= (1 << v) | (1 << w)
+        else:
+            free.append(v)
+            taken |= 1 << v
+    free = set(free)
+    changed = True
+    while changed and len(free) > 1:
+        changed = False
+        for u in sorted(free):
+            if u not in free:
+                continue
+            amask = cadj[u] & P
+            done = False
+            while amask and not done:
+                ab = amask & -amask
+                a = ab.bit_length() - 1
+                amask ^= ab
+                if a in mate:
+                    bp = mate[a]
+                    wmask = cadj[bp] & P & ~(1 << u)
+                    while wmask:
+                        wb = wmask & -wmask
+                        w = wb.bit_length() - 1
+                        wmask ^= wb
+                        if w in free:
+                            mate[u] = a
+                            mate[a] = u
+                            mate[bp] = w
+                            mate[w] = bp
+                            free.discard(u)
+                            free.discard(w)
+                            done = True
+                            changed = True
+                            break
+                elif a in free:
+                    mate[u] = a
+                    mate[a] = u
+                    free.discard(u)
+                    free.discard(a)
+                    done = True
+                    changed = True
+    order = []
+    colors = []
+    color = 0
+    for v, w in sorted({(min(v, w), max(v, w)) for v, w in mate.items()}):
+        color += 1
+        order += (v, w)
+        colors += (color, color)
+    for v in sorted(free):
+        color += 1
+        order.append(v)
+        colors.append(color)
+    return order, colors
+
+
 # ---------------------------------------------------------------------------
 # intersection adjacency
 # ---------------------------------------------------------------------------
@@ -52,6 +149,35 @@ def test_adjacency_matches_pair_loop_on_multisets(data):
     edges = data.draw(st.lists(st.sampled_from(pool), max_size=40), label="edges")
     bits = hg.Hypergraph.from_edges(n, k, edges).edge_bits
     assert vf.intersection_adjacency(bits) == pairwise_adjacency(bits)
+
+
+# ---------------------------------------------------------------------------
+# coloring bounds
+# ---------------------------------------------------------------------------
+
+@given(st.data())
+def test_colorings_match_oracles_above_kmin(data):
+    k = data.draw(st.integers(2, 4), label="k")
+    # n < 3k: every independent set has <= 2 edges; n >= 3k: it can have more
+    lo, hi = data.draw(st.sampled_from([(k + 1, 3 * k - 1), (3 * k, 3 * k + 4)]),
+                       label="regime")
+    n = data.draw(st.integers(lo, hi), label="n")
+    N = math.comb(n, k)
+    ranks = data.draw(st.lists(st.integers(0, N - 1), unique=True, min_size=1,
+                               max_size=min(N, 40)), label="ranks")
+    m = len(ranks)
+    adj = vf.intersection_adjacency([exact.mask_from(exact.colex_unrank(r, k))
+                                     for r in ranks])
+    full = (1 << m) - 1
+    P = data.draw(st.one_of(st.just(full), st.integers(0, full)), label="P")
+    kmin = data.draw(st.sampled_from([0, 1, 5, m]), label="kmin")
+    cadj = [full & ~adj[i] & ~(1 << i) for i in range(m)]
+    for dense, (order, colors) in ((False, oracle_color_order(adj, P)),
+                                   (True, oracle_pair_color_order(cadj, P))):
+        keep = [i for i, c in enumerate(colors) if c > kmin]
+        want = ([order[i] for i in keep], [colors[i] for i in keep])
+        got = vf._make_coloring(adj, m, dense)(P, kmin)
+        assert (list(got[0]), list(got[1])) == want, (dense, P, kmin)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +206,24 @@ def test_edge_cap_error():
         vf.max_intersecting_family(H, edge_cap=5)
 
 
+@pytest.mark.parametrize("limits", [{"node_budget": 0}, {"node_budget": -5},
+                                    {"edge_cap": -1}])
+def test_invalid_limits_rejected(limits):
+    H = H_from(6, 2, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    with pytest.raises(DomainError):
+        vf.verify_ekr(H, **limits)
+    with pytest.raises(DomainError):
+        vf.max_intersecting_family(H, **limits)
+    if "node_budget" in limits:
+        empty = H_from(6, 2, [])
+        with pytest.raises(DomainError):
+            vf.find_nontrivial_clique(empty, 3, **limits)
+        with pytest.raises(DomainError):
+            vf.max_nontrivial_clique(H, **limits)
+    # the least valid limits still decide the empty family
+    assert vf.verify_ekr(H_from(6, 2, []), edge_cap=0, node_budget=1).holds
+
+
 def test_node_budget_error():
     H = full_K(9, 3)
     with pytest.raises(ResourceLimitError):
@@ -98,6 +242,8 @@ NODE_PINS = [
     ((14, 5, 60, 1), False, 72, 121, 97),       # dense (n < 3k), witness found
     ((14, 5, 60, 37), False, 67, 128, None),    # dense, omega > Delta
     ((18, 5, 60, 3), True, 70, 216, 551),       # sparse, star is the maximum
+    ((14, 5, 60, 2), True, 78, 99, 1168),       # dense, star is the maximum
+    ((18, 5, 60, 10), True, 70, 150, 1233),     # sparse, star is the maximum
 ]
 
 

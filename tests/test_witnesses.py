@@ -113,6 +113,13 @@ def test_generic_requires_clique():
         wt.is_generic_clique(H, [0, 1], 5)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_find_generic_rejects_invalid_budget(budget):
+    H = hg.Hypergraph.from_edges(6, 2, [(0, 1), (0, 2), (1, 2)], dedup=True)
+    with pytest.raises(DomainError):
+        wt.find_generic_clique(H, 0, math.inf, node_budget=budget)
+
+
 def test_find_generic_examples():
     tri = H_from(6, 2, [(0, 1), (0, 2), (1, 2)])
     assert wt.find_generic_clique(tri, 3, 0) == (0, 1, 2)
