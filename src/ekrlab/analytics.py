@@ -322,22 +322,18 @@ def alpha2_from_lambda(mbar: float, q: float, eps_thr: float) -> int:
         t += 1
 
 
-def compute_alpha_beta(params: ModelParams, exact_mode: bool | None = None,
-                       exact_cutoff: int = exact.EXACT_TAIL_CUTOFF,
-                       q: float | None = None) -> AlphaBeta:
+def compute_alpha_beta(params: ModelParams, q: float | None = None) -> AlphaBeta:
     """alpha1, alpha2, alpha = max of the two, and beta for d_v ~ Bin(M, p).
 
     alpha1 is the largest t with Pr(d_v >= t) >= psi/n, beta the smallest t
     with Pr(d_v > t) < 1/(n psi), both with the strict/non-strict
     inequalities exactly as stated; alpha2 is the first t with
-    Lambda(t) <= eps_thr.
+    Lambda(t) <= eps_thr.  The tails are exact for a rational p and
+    M <= EXACT_TAIL_CUTOFF, floating point otherwise.
     """
     M = params.M
     p = params.p
-    if exact_mode is None:
-        exact_mode = isinstance(p, (int, Fraction)) and M <= exact_cutoff
-    if exact_mode and M > exact_cutoff:
-        exact_mode = False
+    exact_mode = isinstance(p, (int, Fraction)) and M <= exact.EXACT_TAIL_CUTOFF
     mean = float(params.phi)
     if exact_mode:
         psi_frac = Fraction(params.psi)  # the supplied float, taken exactly
@@ -533,12 +529,10 @@ class DerivedQuantities:
     exact: bool
 
 
-def derive(params: ModelParams, exact_mode: bool | None = None,
-           size_cutoff: int = EXACT_SIZE_CUTOFF) -> DerivedQuantities:
+def derive(params: ModelParams) -> DerivedQuantities:
     """All per-parameter scalars; exact q/theta/mbar below the size cutoff."""
     n, k = params.n, params.k
-    if exact_mode is None:
-        exact_mode = math.comb(n, k) <= size_cutoff and _is_exact(params.phi)
+    exact_mode = math.comb(n, k) <= EXACT_SIZE_CUTOFF and _is_exact(params.phi)
     if exact_mode:
         theta = theta_exact(n, k)
         q = 1 - theta

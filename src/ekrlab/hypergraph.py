@@ -1,4 +1,5 @@
-"""k-sets, k-uniform hypergraphs, the two sampling models, and degree stats.
+"""k-sets, k-uniform hypergraphs, the two sampling models, and degree stats
+read off the per-vertex star masks, the structure the verifier prepares.
 
 Vertices are 0-based internally (0..n-1) and stored as Python-int bitsets;
 the text file format and all JSON surfaces are 1-based.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 import numpy as np
 
@@ -134,22 +135,38 @@ class DegreeStats:
     W: dict                                    # x -> frozenset {y : d(x,y) >= 2}
 
 
-def degree_stats(H: Hypergraph) -> DegreeStats:
-    deg = [0] * H.n
+def _vertex_stars(n: int, members) -> list[int]:
+    """stars[x] = bitmask of the edge indices whose edge contains vertex x:
+    d(x) = |stars[x]| and d(x, y) = |stars[x] & stars[y]|, with multiplicity."""
+    stars = [0] * n
+    for i, mem in enumerate(members):
+        bit = 1 << i
+        for x in mem:
+            stars[x] |= bit
+    return stars
+
+
+def _star_stats(stars, deg, Delta: int) -> DegreeStats:
+    """DegreeStats from the star masks, their popcounts deg and max(deg)."""
     pair = {}
-    for e in H.edges:
-        mem = e.members
-        for v in mem:
-            deg[v] += 1
-        for x, y in combinations(mem, 2):
-            pair[(x, y)] = pair.get((x, y), 0) + 1
-    W = {x: set() for x in range(H.n)}
-    for (x, y), c in pair.items():
-        if c >= 2:
-            W[x].add(y)
-            W[y].add(x)
-    return DegreeStats(tuple(deg), max(deg) if deg else 0,
-                       pair, {x: frozenset(s) for x, s in W.items()})
+    W = [set() for _ in stars]
+    live = [x for x, s in enumerate(stars) if s]
+    for i, x in enumerate(live):
+        sx = stars[x]
+        for y in live[i + 1:]:
+            c = (sx & stars[y]).bit_count()
+            if c:
+                pair[x, y] = c
+                if c >= 2:
+                    W[x].add(y)
+                    W[y].add(x)
+    return DegreeStats(deg, Delta, pair, {x: frozenset(s) for x, s in enumerate(W)})
+
+
+def degree_stats(H: Hypergraph) -> DegreeStats:
+    stars = _vertex_stars(H.n, [e.members for e in H.edges])
+    deg = tuple(s.bit_count() for s in stars)
+    return _star_stats(stars, deg, max(deg, default=0))
 
 
 @dataclass(frozen=True)

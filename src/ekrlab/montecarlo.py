@@ -31,8 +31,8 @@ import numpy as np
 from . import analytics, verifier, witnesses
 from .analytics import ModelParams
 from .errors import DomainError, ResourceLimitError
-from .hypergraph import (Hypergraph, check_event_r, degree_stats,
-                         sample_bernoulli, sample_conditioned, sample_independent)
+from .hypergraph import (Hypergraph, _star_stats, check_event_r, sample_bernoulli,
+                         sample_conditioned, sample_independent)
 
 SCHEMA_VERSION = 1
 SAMPLER_MODES = ("bernoulli", "conditioned", "independent")
@@ -179,6 +179,9 @@ class TrialContext:
     node_budget: int = verifier.DEFAULT_NODE_BUDGET
     stream: tuple[int, ...] = ()    # extra spawn-key prefix (e.g. grid index)
 
+    def __post_init__(self):
+        verifier.check_limits(self.edge_cap, self.node_budget)
+
 
 def make_trial_context(params: ModelParams, sampler_mode: str, seed: int,
                        edge_cap: int = verifier.DEFAULT_EDGE_CAP,
@@ -186,7 +189,6 @@ def make_trial_context(params: ModelParams, sampler_mode: str, seed: int,
                        stream: tuple[int, ...] = ()) -> TrialContext:
     if sampler_mode not in SAMPLER_MODES:
         raise DomainError(f"unknown sampler mode {sampler_mode!r}; pick from {SAMPLER_MODES}")
-    verifier.check_limits(edge_cap, node_budget)
     q = analytics.intersection_probability(params.n, params.k, exact_mode=False)
     ab = analytics.compute_alpha_beta(params, q=q)
     regime = None
@@ -197,26 +199,29 @@ def make_trial_context(params: ModelParams, sampler_mode: str, seed: int,
 
 
 def run_one_trial(ctx: TrialContext, trial_index: int) -> TrialRecord:
+    """Event R, Delta and the verdict all read one prepared sample."""
     params = ctx.params
     seed_seq = np.random.SeedSequence(ctx.master_seed,
                                       spawn_key=(*ctx.stream, trial_index))
     H = _sample(params, ctx.sampler_mode, seed_seq)
-    stats = degree_stats(H)
+    inst = verifier._Instance(H)
+    Delta = inst.Delta
+    stats = _star_stats(inst.stars, inst.deg, Delta)
     ev = check_event_r(H, params, stats=stats, alpha=ctx.alpha, beta=ctx.beta)
     conj = (ev.m_in_window, ev.delta_le_beta, ev.delta_ge_alpha,
             ev.pair_deg_le_8, ev.wx_bounded)
-    lam = float(analytics.lambda_t(ctx.mbar, ctx.q, stats.Delta))
-    lam_p = float(analytics.lambda_prime_t(ctx.mbar, ctx.q, stats.Delta))
+    lam = float(analytics.lambda_t(ctx.mbar, ctx.q, Delta))
+    lam_p = float(analytics.lambda_prime_t(ctx.mbar, ctx.q, Delta))
     try:
-        verdict = verifier.verify_ekr(H, edge_cap=ctx.edge_cap,
-                                      node_budget=ctx.node_budget)
+        verifier._check_edge_cap(H, ctx.edge_cap)
+        verdict = verifier._decide(inst, ctx.node_budget)
     except ResourceLimitError as exc:
-        return TrialRecord(trial_index, ctx.master_seed, H.m, stats.Delta, -1,
+        return TrialRecord(trial_index, ctx.master_seed, H.m, Delta, -1,
                            None, lam, lam_p, conj, None, str(exc))
     kind = None
     if not verdict.holds:
         kind = classify_witness_kind(H, verdict.witness, params, ctx.regime)
-    return TrialRecord(trial_index, ctx.master_seed, H.m, stats.Delta,
+    return TrialRecord(trial_index, ctx.master_seed, H.m, Delta,
                        verdict.omega, verdict.holds, lam, lam_p, conj, kind)
 
 
@@ -466,7 +471,7 @@ def estimate_delta_law(params: ModelParams, trials: int, seed: int,
     for i in range(trials):
         seed_seq = np.random.SeedSequence(seed, spawn_key=(i,))
         H = _sample(params, sampler_mode, seed_seq)
-        Delta = degree_stats(H).Delta
+        Delta = verifier._Instance(H).Delta
         hist[Delta] = hist.get(Delta, 0) + 1
         ge_alpha += Delta >= ab.alpha
         ge_alpha2 += Delta >= ab.alpha2

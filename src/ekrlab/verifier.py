@@ -19,11 +19,12 @@ maximum clique cannot have a common vertex) or some omega-clique has empty
 intersection.  Cliques of size <= 2 always share a vertex, so omega <= 2
 (including the empty hypergraph) verdicts "holds".
 
-Each family is prepared once: per-vertex star masks (star[x] = the edge
-indices containing x), from which Delta, the seed star and the intersection
-adjacency (adj[i] = OR of star[x] over x in edge i, minus i) follow in
-O(m k) big-int operations.  verify_ekr shares that structure between both
-searches; the public search functions build it themselves.
+Each family is prepared once (_Instance): per-vertex star masks (star[x] =
+the edge indices containing x), from which Delta, the seed star and the
+intersection adjacency (adj[i] = OR of star[x] over x in edge i, minus i)
+follow in O(m k) big-int operations.  verify_ekr is its input checks plus
+_decide on that one structure; a Monte Carlo trial hands _decide the
+instance it built for event R.
 
 Both searches, and the generic-clique search of the witnesses module, run
 on one branch-and-bound kernel (_branch_and_bound).  It walks cliques depth
@@ -43,13 +44,14 @@ rejected.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, ResourceLimitError
 from .exact import bits_of
-from .hypergraph import Hypergraph, degree_stats
+from .hypergraph import Hypergraph, _vertex_stars
 
 DEFAULT_EDGE_CAP = 2000
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -61,12 +63,6 @@ class EkrVerdict:
     omega: int
     Delta: int
     witness: Optional[tuple[int, ...]]       # edge indices of a failing clique
-    trivial_center: Optional[int] = None     # common vertex when holds (if any)
-
-    def witness_edges(self, H: Hypergraph):
-        if self.witness is None:
-            return None
-        return [H.edges[i] for i in self.witness]
 
 
 def is_trivial_clique(clique_bits) -> tuple[bool, Optional[int]]:
@@ -85,16 +81,6 @@ def is_trivial_clique(clique_bits) -> tuple[bool, Optional[int]]:
     return True, (common & -common).bit_length() - 1
 
 
-def _vertex_stars(n: int, members) -> list[int]:
-    """stars[x] = bitmask of the edge indices whose edge contains vertex x."""
-    stars = [0] * n
-    for i, mem in enumerate(members):
-        bit = 1 << i
-        for x in mem:
-            stars[x] |= bit
-    return stars
-
-
 def _star_adjacency(members, stars) -> list[int]:
     """adj[i] = OR of stars[x] over the vertices x of edge i, minus bit i."""
     adj = []
@@ -104,13 +90,6 @@ def _star_adjacency(members, stars) -> list[int]:
             a |= stars[x]
         adj.append(a & ~(1 << i))
     return adj
-
-
-def _max_star(stars) -> tuple[int, Optional[int]]:
-    """(Delta, lowest vertex of degree Delta); degrees count multiplicity."""
-    degrees = [s.bit_count() for s in stars]
-    Delta = max(degrees, default=0)
-    return Delta, (degrees.index(Delta) if degrees else None)
 
 
 def intersection_adjacency(edge_bits) -> list[int]:
@@ -125,9 +104,9 @@ def intersection_adjacency(edge_bits) -> list[int]:
 
 
 class _Instance:
-    """A family's derived structure, built once and shared by the searches."""
-
-    __slots__ = ("m", "dense_pairs", "bits", "members", "stars", "adj")
+    """A family's derived structure, built once and shared by the searches;
+    deg[x] = |stars[x]| counts multiplicity.  The adjacency (m^2 bits) is
+    built on first use, never for a family over the edge cap."""
 
     def __init__(self, H: Hypergraph):
         self.m = H.m
@@ -135,7 +114,12 @@ class _Instance:
         self.bits = H.edge_bits
         self.members = [e.members for e in H.edges]
         self.stars = _vertex_stars(H.n, self.members)
-        self.adj = _star_adjacency(self.members, self.stars)
+        self.deg = tuple(s.bit_count() for s in self.stars)
+        self.Delta = max(self.deg, default=0)
+
+    @functools.cached_property
+    def adj(self) -> list[int]:
+        return _star_adjacency(self.members, self.stars)
 
 
 def check_limits(edge_cap: int = DEFAULT_EDGE_CAP,
@@ -368,18 +352,16 @@ def _max_clique(inst: _Instance, node_budget: int):
     # adjacency of the permuted edge order, built the same way as the originals
     perm = sorted(range(m), key=lambda i: (-inst.adj[i].bit_count(), i))
     members = [inst.members[old] for old in perm]
-    stars = _vertex_stars(len(inst.stars), members)
-    radj = _star_adjacency(members, stars)
+    radj = _star_adjacency(members, _vertex_stars(len(inst.stars), members))
 
-    Delta, x = _max_star(stars)
     coloring = _make_coloring(radj, m, inst.dense_pairs)
     omega, clique = _branch_and_bound(
-        radj, node_budget, Delta, math.inf, 0,
+        radj, node_budget, inst.Delta, math.inf, 0,
         accept=lambda P, _: not P,
         branches=lambda kmin, P, _: coloring(P, kmin),
         child=lambda state, v: state)
-    if clique is None:
-        clique = bits_of(stars[x])
+    if clique is None:       # no clique beats the largest star: return it
+        return omega, bits_of(inst.stars[inst.deg.index(inst.Delta)])
     return omega, sorted(perm[v] for v in clique)
 
 
@@ -450,20 +432,20 @@ def verify_ekr(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
         raise DomainError("EKR is undefined for multisets: duplicate edges present")
     check_limits(edge_cap, node_budget)
     _check_edge_cap(H, edge_cap)
-    inst = _Instance(H)
-    Delta, _ = _max_star(inst.stars)
+    return _decide(_Instance(H), node_budget)
+
+
+def _decide(inst: _Instance, node_budget: int) -> EkrVerdict:
+    """verify_ekr's verdict on a prepared family of distinct edges."""
+    Delta = inst.Delta
     omega, clique = _max_clique(inst, node_budget)
     if omega > Delta:
         # cannot have a common vertex: |C| <= d(x) <= Delta < omega
         return EkrVerdict(False, omega, Delta, tuple(clique))
     if omega <= 2:
-        trivial, center = is_trivial_clique(inst.bits[i] for i in clique)
-        return EkrVerdict(True, omega, Delta, None, center if trivial else None)
+        return EkrVerdict(True, omega, Delta, None)
     witness = _nontrivial_search(inst, omega, node_budget, omega - 1, False)
-    if witness is not None:
-        return EkrVerdict(False, omega, Delta, witness)
-    trivial, center = is_trivial_clique(inst.bits[i] for i in clique)
-    return EkrVerdict(True, omega, Delta, None, center if trivial else None)
+    return EkrVerdict(witness is None, omega, Delta, witness)
 
 
 def brute_force_ekr(H: Hypergraph, max_edges: int = 20) -> EkrVerdict:
@@ -475,19 +457,18 @@ def brute_force_ekr(H: Hypergraph, max_edges: int = 20) -> EkrVerdict:
         raise ResourceLimitError(f"brute force limited to |H| <= {max_edges}")
     if H.has_duplicates():
         raise DomainError("EKR is undefined for multisets: duplicate edges present")
-    stats = degree_stats(H)
-    Delta = stats.Delta
+    # Delta and the adjacency by direct counts, not from the star masks
+    Delta = max((sum(x in e.members for e in H.edges) for x in range(H.n)), default=0)
     bits = H.edge_bits
     m = H.m
-    adj = intersection_adjacency(bits)
-    best = [0, []]            # omega, first max clique found
+    adj = [sum(1 << j for j in range(m) if j != i and bits[i] & bits[j])
+           for i in range(m)]
+    best = [0]                # omega
     best_nontrivial = [0, None]
 
     def walk(R: list, common: int, cand: int):
         size = len(R)
-        if size > best[0]:
-            best[0] = size
-            best[1] = R.copy()
+        best[0] = max(best[0], size)
         if common == 0 and size > best_nontrivial[0]:
             best_nontrivial[0] = size
             best_nontrivial[1] = R.copy()
@@ -503,8 +484,7 @@ def brute_force_ekr(H: Hypergraph, max_edges: int = 20) -> EkrVerdict:
     omega = best[0]
     if best_nontrivial[0] == omega and omega >= 3:
         return EkrVerdict(False, omega, Delta, tuple(best_nontrivial[1]))
-    trivial, center = is_trivial_clique(bits[i] for i in best[1])
-    return EkrVerdict(True, omega, Delta, None, center if trivial else None)
+    return EkrVerdict(True, omega, Delta, None)
 
 
 def validate_witness(H: Hypergraph, verdict: EkrVerdict) -> bool:

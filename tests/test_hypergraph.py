@@ -100,6 +100,35 @@ def test_degree_stats_invariants(seed, n):
         assert (y in st_.W[x]) == (x in st_.W[y])
 
 
+def oracle_degree_stats(H):
+    """Per-edge pair loop, independent of the star masks."""
+    deg = [0] * H.n
+    pair = {}
+    for e in H.edges:
+        mem = e.members
+        for v in mem:
+            deg[v] += 1
+        for x, y in combinations(mem, 2):
+            pair[(x, y)] = pair.get((x, y), 0) + 1
+    W = {x: set() for x in range(H.n)}
+    for (x, y), c in pair.items():
+        if c >= 2:
+            W[x].add(y)
+            W[y].add(x)
+    return hg.DegreeStats(tuple(deg), max(deg) if deg else 0,
+                          pair, {x: frozenset(s) for x, s in W.items()})
+
+
+@given(st.integers(0, 10**6), st.integers(3, 16), st.integers(0, 40),
+       st.sampled_from(["set", "multiset", "empty"]))
+def test_degree_stats_matches_oracle(seed, n, m, family):
+    k = 1 + seed % min(5, n - 1)
+    H = hg.sample_independent(n, k, 0 if family == "empty" else m, seed)
+    if family == "set":
+        H = H.dedupped()
+    assert hg.degree_stats(H) == oracle_degree_stats(H)
+
+
 def test_degree_stats_invariant_under_shuffle():
     H = hg.sample_bernoulli(10, 3, 0.2, 7)
     rng = np.random.default_rng(0)

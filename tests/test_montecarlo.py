@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from ekrlab import analytics as an
+from ekrlab import hypergraph as hg
 from ekrlab import montecarlo as mc
 from ekrlab import verifier as vf
 from ekrlab.errors import DomainError
@@ -127,6 +129,18 @@ def test_trials_resource_rows_not_fatal():
     assert row.undecided == 4 and math.isnan(row.f_hat)
 
 
+def test_trial_over_edge_cap_skips_adjacency(monkeypatch):
+    # the row still carries m, Delta and event R; the m^2-bit adjacency of a
+    # family over the cap is never built
+    monkeypatch.setattr(vf, "_star_adjacency", lambda *a: pytest.fail("adjacency built"))
+    params = an.ModelParams.from_p(10, 3, 0.5)
+    recs = mc.run_trials(params, 4, "bernoulli", seed=5, edge_cap=5)
+    for r in recs:
+        H = mc._sample(params, "bernoulli", np.random.SeedSequence(5, spawn_key=(r.trial_index,)))
+        assert r.error == f"|H| = {H.m} exceeds the edge cap 5" and r.omega == -1
+        assert r.Delta == hg.degree_stats(H).Delta
+
+
 class InProcessPool:
     """Stands in for ProcessPoolExecutor: records its size, runs the
     initializer and the tasks in this process, starts nothing."""
@@ -185,6 +199,9 @@ def test_invalid_search_limits_rejected(limits):
         mc.run_trials(params, 1, "bernoulli", seed=0, **limits)
     with pytest.raises(DomainError):
         mc.estimate_ekr_curve(10, 3, [1.0], trials=0, seed=0, **limits)
+    # a context built by hand is checked too: its trials skip verify_ekr
+    with pytest.raises(DomainError):
+        dataclasses.replace(mc.make_trial_context(params, "bernoulli", 0), **limits)
 
 
 def test_bad_sampler_mode():
@@ -235,6 +252,44 @@ def test_readme_sweep_golden_hash():
     table = mc.estimate_ekr_curve(24, 3, grid, trials=100, seed=1)
     csv = mc.sweep_table_to_csv(table).encode()
     assert hashlib.sha256(csv).hexdigest() == README_SWEEP_SEED1_SHA256
+
+
+# sha256 of trial_records_to_csv, the per-point CSVs concatenated: every
+# record of the README sweep at seed 1, then 40 bernoulli and 40 independent
+# trials at each TRIAL_PINS point, seed 5.  Recorded with degree_stats' per-edge
+# pair loop and a second instance per verdict; pins event R, Delta and lambda
+TRIAL_PINS = [(12, 3, 2), (40, 3, 0.5), (14, 3, 3), (18, 5, 20)]
+TRIALS_SHA256 = "e5f99082855637b4508108368355529b640afe2a24bd2f2dc2f10a1c10760687"
+
+
+def test_trial_csv_golden_hash():
+    ratio = (20.0 / 0.3) ** (1.0 / 11)
+    contexts = [mc.make_trial_context(an.ModelParams.from_phi(24, 3, 0.3 * ratio**i),
+                                      "conditioned", 1, stream=(i,)) for i in range(12)]
+    parts = [mc.trial_records_to_csv(recs) for recs in mc._trial_batches(contexts, 100, 1)]
+    for mode in ("bernoulli", "independent"):
+        for n, k, phi in TRIAL_PINS:
+            recs = mc.run_trials(an.ModelParams.from_phi(n, k, phi), 40, mode, 5)
+            parts.append(mc.trial_records_to_csv(recs))
+    assert hashlib.sha256("".join(parts).encode()).hexdigest() == TRIALS_SHA256
+
+
+def test_trial_builds_star_masks_once(monkeypatch):
+    # one build for event R, Delta and both searches, plus the omega search's
+    # relabelled copy; degree_stats (hypergraph's own build) never runs
+    calls = []
+    stars = vf._vertex_stars
+    monkeypatch.setattr(vf, "_vertex_stars",
+                        lambda n, members: calls.append(len(members)) or stars(n, members))
+    monkeypatch.setattr(hg, "_vertex_stars", lambda *a: pytest.fail("degree_stats ran"))
+    ctx = mc.make_trial_context(an.ModelParams.from_phi(12, 3, 2.0), "conditioned", 1)
+    kinds = set()
+    for t in range(30):
+        calls.clear()
+        rec = mc.run_one_trial(ctx, t)
+        kinds.add(rec.witness_kind)
+        assert calls == ([rec.m, rec.m] if rec.m else [0]), (t, calls)
+    assert None in kinds and len(kinds) > 1     # holding and failing trials
 
 
 def test_sweep_csv_worker_count_invariance():
