@@ -1,0 +1,390 @@
+/* Compiled branch-and-bound kernel for ekrlab's three clique searches.
+ *
+ * A line-by-line twin of verifier._branch_and_bound together with the rules
+ * its callers supply: the omega search (accept an empty candidate set), the
+ * nontrivial search (accept an empty common intersection; no branches while
+ * the AND over R and all of P is nonempty) and the generic search (degree
+ * bitsets d1/d2/d3, zeta_cap).  The colorings reproduce _color_order and
+ * _pair_color_order class for class, so visited cliques, node counts and the
+ * recorded clique are those of the Python kernel.
+ *
+ * Edge bitsets take W = ceil(m/64) words; vertex bitsets VW words (n <= 256).
+ * The search runs on an explicit stack of m + 1 levels.  A level keeps its
+ * candidate set, its state, and its candidates in branching order with the
+ * start of each color class; colors are consecutive from the level's first.
+ *
+ * Built with `cc -O2 -shared -fPIC` and called through ctypes (verifier).
+ */
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef uint64_t u64;
+#define VW 4                            /* vertex bitset words, n <= 256 */
+#define BIT(v) (1ULL << ((v) & 63))
+
+enum { OMEGA = 0, NONTRIVIAL = 1, GENERIC = 2 };
+enum { DONE = 0, OUT_OF_BUDGET = 1, OUT_OF_MEMORY = 2 };
+
+typedef struct { int32_t *v; size_t len, cap; } ivec;
+
+typedef struct {
+    size_t off, coff;     /* first candidate in order, first class in starts */
+    int64_t idx, cls, c0; /* candidates left, class of the last, first color */
+} level;
+
+typedef struct {
+    int m, W, mode, dense;
+    const u64 *adj, *cadj, *bits;
+    double zeta;
+    ivec order, starts;   /* every level's candidates and class starts */
+    u64 *rest, *avail, *untaken, *free;
+    int32_t *mate, *cnt, *vs, *sorted, *hist, *fl;
+} search;
+
+static inline int popc(u64 x) { return __builtin_popcountll(x); }
+
+static int popcount(const u64 *s, int W)
+{
+    int c = 0;
+    for (int w = 0; w < W; w++) c += popc(s[w]);
+    return c;
+}
+
+static int zero(const u64 *s, int W)
+{
+    for (int w = 0; w < W; w++)
+        if (s[w]) return 0;
+    return 1;
+}
+
+/* lowest set bit at or above word *lo, or -1; *lo moves to its word */
+static inline int lowest(const u64 *s, int W, int *lo)
+{
+    while (*lo < W && !s[*lo]) ++*lo;
+    return *lo < W ? *lo * 64 + __builtin_ctzll(s[*lo]) : -1;
+}
+
+static int reserve(ivec *a, size_t extra)
+{
+    if (a->len + extra <= a->cap) return 0;
+    size_t cap = a->cap ? a->cap : 256;
+    while (cap < a->len + extra) cap *= 2;
+    int32_t *p = realloc(a->v, cap * sizeof *p);
+    if (!p) return -1;
+    a->v = p;
+    a->cap = cap;
+    return 0;
+}
+
+static inline void push(ivec *a, int32_t x) { a->v[a->len++] = x; }
+
+/* _color_order: first-fit classes in index order; those numbered > kmin
+ * are appended, with their starts relative to the level's first candidate */
+static void first_fit(search *s, const u64 *P, int64_t kmin)
+{
+    int W = s->W, rlo = 0;
+    size_t base = s->order.len;
+    if (popcount(P, W) <= kmin) return;
+    memcpy(s->rest, P, W * sizeof(u64));
+    for (int64_t color = 1; lowest(s->rest, W, &rlo) >= 0; color++) {
+        int alo = rlo, keep = color > kmin, v;
+        memcpy(s->avail + rlo, s->rest + rlo, (W - rlo) * sizeof(u64));
+        if (keep) push(&s->starts, (int32_t)(s->order.len - base));
+        while ((v = lowest(s->avail, W, &alo)) >= 0) {
+            const u64 *c = s->cadj + (size_t)v * W;
+            if (keep) push(&s->order, v);
+            for (int w = alo; w < W; w++) s->avail[w] &= c[w];
+            s->rest[v >> 6] &= ~BIT(v);
+        }
+    }
+}
+
+/* lowest vertex of a & b & ~bit(skip), or -1 */
+static int lowest_and(const u64 *a, const u64 *b, int skip, int W)
+{
+    for (int w = 0; w < W; w++) {
+        u64 x = a[w] & b[w];
+        if (w == skip >> 6) x &= ~BIT(skip);
+        if (x) return w * 64 + __builtin_ctzll(x);
+    }
+    return -1;
+}
+
+/* _pair_color_order: a greedy maximal matching of the disjointness graph
+ * (fewest partners first, ties by index), length-3 augmentation sweeps over
+ * the free vertices ascending; pairs by lower vertex, then singletons */
+static void pair_color(search *s, const u64 *P, int64_t kmin)
+{
+    int W = s->W, size = popcount(P, W), n = 0, lo = 0, v, npairs = 0, nfree = 0;
+    size_t base = s->order.len;
+    if (size <= kmin) return;
+    int64_t need = size - kmin;
+    memcpy(s->rest, P, W * sizeof(u64));
+    memcpy(s->untaken, P, W * sizeof(u64));
+    memset(s->free, 0, W * sizeof(u64));
+    memset(s->hist, 0, (size + 1) * sizeof(int32_t));
+    while ((v = lowest(s->rest, W, &lo)) >= 0) {
+        const u64 *c = s->cadj + (size_t)v * W;
+        int k = 0;
+        for (int w = 0; w < W; w++) k += popc(c[w] & P[w]);
+        s->rest[v >> 6] &= ~BIT(v);
+        s->vs[n++] = v;
+        s->cnt[v] = k;
+        s->mate[v] = -1;
+        s->hist[k + 1]++;
+    }
+    /* counting sort by partner count, stable, so ties stay ascending */
+    for (int k = 1; k <= size; k++) s->hist[k] += s->hist[k - 1];
+    for (int i = 0; i < n; i++) s->sorted[s->hist[s->cnt[s->vs[i]]]++] = s->vs[i];
+    for (int i = 0; i < n; i++) {
+        v = s->sorted[i];
+        if (!(s->untaken[v >> 6] & BIT(v))) continue;
+        int w = lowest_and(s->cadj + (size_t)v * W, s->untaken, v, W);
+        s->untaken[v >> 6] &= ~BIT(v);
+        if (w >= 0) {
+            s->mate[v] = w;
+            s->mate[w] = v;
+            s->untaken[w >> 6] &= ~BIT(w);
+            npairs++;
+        } else {
+            s->free[v >> 6] |= BIT(v);
+        }
+    }
+    if (npairs >= need) return;
+    lo = 0;
+    memcpy(s->rest, s->free, W * sizeof(u64));
+    while ((v = lowest(s->rest, W, &lo)) >= 0) {
+        s->fl[nfree++] = v;
+        s->rest[v >> 6] &= ~BIT(v);
+    }
+    for (int changed = 1; changed && nfree > 1;) {
+        changed = 0;
+        for (int i = 0; i < nfree; i++) {
+            int u = s->fl[i], alo = 0, a;
+            if (!(s->free[u >> 6] & BIT(u))) continue;
+            for (int w = 0; w < W; w++) s->avail[w] = s->cadj[(size_t)u * W + w] & P[w];
+            /* the matching is maximal, so a is matched: a takes u, and a's
+             * mate takes the lowest free vertex it misses */
+            while ((a = lowest(s->avail, W, &alo)) >= 0) {
+                s->avail[a >> 6] &= ~BIT(a);
+                int bp = s->mate[a];
+                int w = lowest_and(s->cadj + (size_t)bp * W, s->free, u, W);
+                if (w >= 0) {
+                    s->mate[u] = a;
+                    s->mate[a] = u;
+                    s->mate[bp] = w;
+                    s->mate[w] = bp;
+                    s->free[u >> 6] &= ~BIT(u);
+                    s->free[w >> 6] &= ~BIT(w);
+                    npairs++;
+                    changed = 1;
+                    break;
+                }
+            }
+        }
+        int kept = 0;
+        for (int i = 0; i < nfree; i++)
+            if (s->free[s->fl[i] >> 6] & BIT(s->fl[i])) s->fl[kept++] = s->fl[i];
+        nfree = kept;
+    }
+    if (npairs >= need) return;
+    int64_t c = 0, first = kmin > 0 ? kmin : 0;
+    for (int i = 0; i < n; i++) {
+        v = s->vs[i];
+        if (s->mate[v] > v && c++ >= first) {
+            push(&s->starts, (int32_t)(s->order.len - base));
+            push(&s->order, v);
+            push(&s->order, s->mate[v]);
+        }
+    }
+    for (int64_t i = kmin > npairs ? kmin - npairs : 0; i < nfree; i++) {
+        push(&s->starts, (int32_t)(s->order.len - base));
+        push(&s->order, s->fl[i]);
+    }
+}
+
+/* the branches of a node at depth r: appends its candidates and classes
+ * and fills in L */
+static int branches(search *s, level *L, const u64 *P, const u64 *S, int64_t kmin)
+{
+    int W = s->W, size = popcount(P, W);
+    L->off = s->order.len;
+    L->coff = s->starts.len;
+    L->c0 = (kmin > 0 ? kmin : 0) + 1;
+    if (reserve(&s->order, size) || reserve(&s->starts, size)) return -1;
+    if (s->mode == NONTRIVIAL) {
+        /* with a common vertex left every extension of R from P keeps one */
+        u64 c[VW];
+        int lo = 0, v;
+        memcpy(c, S, sizeof c);
+        memcpy(s->rest, P, W * sizeof(u64));
+        while (!zero(c, VW) && (v = lowest(s->rest, W, &lo)) >= 0) {
+            for (int w = 0; w < VW; w++) c[w] &= s->bits[(size_t)v * VW + w];
+            s->rest[v >> 6] &= ~BIT(v);
+        }
+        if (!zero(c, VW)) size = 0;
+    }
+    if (size && s->dense) pair_color(s, P, kmin);
+    else if (size) first_fit(s, P, kmin);
+    if (s->mode == GENERIC && s->order.len > L->off) {
+        /* a feasible node branches on all of P in ascending index order;
+         * order[idx] leaves idx + 1 candidates */
+        s->order.len = L->off;
+        s->starts.len = L->coff;
+        for (int w = W - 1; w >= 0; w--)
+            for (u64 x = P[w]; x;) {
+                int hi = 63 - __builtin_clzll(x);
+                x ^= 1ULL << hi;
+                push(&s->starts, (int32_t)(s->order.len - L->off));
+                push(&s->order, w * 64 + hi);
+            }
+        L->c0 = 1;
+    }
+    L->idx = (int64_t)(s->order.len - L->off);
+    L->cls = (int64_t)(s->starts.len - L->coff) - 1;
+    return 0;
+}
+
+/* the state of R + [v] from S into C; 0 when v is infeasible */
+static int child(const search *s, const u64 *S, u64 *C, int v)
+{
+    if (s->mode == OMEGA) return 1;
+    const u64 *e = s->bits + (size_t)v * VW;
+    if (s->mode == NONTRIVIAL) {
+        for (int w = 0; w < VW; w++) C[w] = S[w] & e[w];
+    } else {
+        const u64 *d1 = S, *d2 = S + VW, *d3 = S + 2 * VW;
+        int k = 0;
+        for (int w = 0; w < VW; w++) {
+            if (e[w] & d3[w]) return 0;
+            k += popc(d3[w] | (e[w] & d2[w]));
+        }
+        if (k > s->zeta) return 0;
+        for (int w = 0; w < VW; w++) {
+            C[w] = d1[w] | e[w];
+            C[VW + w] = d2[w] | (e[w] & d1[w]);
+            C[2 * VW + w] = d3[w] | (e[w] & d2[w]);
+        }
+    }
+    return 1;
+}
+
+/* One search over the graph adj (m rows of W words).  With perm, the graph
+ * searched is adj relabelled so that new vertex i is old vertex perm[i].
+ * bits holds each edge's vertex bitset (nontrivial and generic modes).
+ * Writes best, the recorded clique's size (-1 for none) and the nodes used
+ * to result[0..2] and the clique to clique[]; returns DONE, OUT_OF_BUDGET
+ * or OUT_OF_MEMORY. */
+int ekr_search(int mode, int m, const u64 *adj, const int32_t *perm,
+               const u64 *bits, int dense, int64_t best0, int64_t target,
+               double zeta, int64_t budget, int32_t *clique, int64_t *result)
+{
+    int W = (m + 63) / 64, SW = 3 * VW, r = 0, status = DONE;
+    size_t rows = (size_t)m * W + 1;
+    search s = {.m = m, .W = W, .mode = mode, .dense = dense, .adj = adj,
+                .bits = bits, .zeta = zeta};
+    u64 *radj = perm ? calloc(rows, sizeof(u64)) : NULL;
+    u64 *cadj = malloc(rows * sizeof(u64));
+    u64 *Ps = calloc(((size_t)m + 1) * W + 1, sizeof(u64));
+    u64 *St = calloc(((size_t)m + 1) * SW, sizeof(u64));
+    u64 *scratch = malloc(4 * (size_t)(W + 1) * sizeof(u64));
+    int32_t *ints = malloc(7 * ((size_t)m + 2) * sizeof(int32_t));
+    level *lv = malloc(((size_t)m + 1) * sizeof(level));
+    int64_t best = best0, found = -1, nodes = 0;
+    if (!cadj || !Ps || !St || !scratch || !ints || !lv || (perm && !radj)) {
+        status = OUT_OF_MEMORY;
+        goto out;
+    }
+    s.rest = scratch;
+    s.avail = scratch + (W + 1);
+    s.untaken = scratch + 2 * (W + 1);
+    s.free = scratch + 3 * (W + 1);
+    s.mate = ints;
+    s.cnt = ints + (m + 2);
+    s.vs = ints + 2 * (m + 2);
+    s.sorted = ints + 3 * (m + 2);
+    s.hist = ints + 4 * (m + 2);
+    s.fl = ints + 5 * (m + 2);
+    int32_t *R = ints + 6 * (m + 2);
+    if (perm) {
+        /* radj[i] has bit j when old edges perm[i] and perm[j] meet */
+        int32_t *inv = s.vs;
+        for (int i = 0; i < m; i++) inv[perm[i]] = i;
+        for (int i = 0; i < m; i++) {
+            const u64 *row = adj + (size_t)perm[i] * W;
+            for (int w = 0; w < W; w++)
+                for (u64 x = row[w]; x; x &= x - 1) {
+                    int j = inv[w * 64 + __builtin_ctzll(x)];
+                    radj[(size_t)i * W + (j >> 6)] |= BIT(j);
+                }
+        }
+        s.adj = radj;
+    }
+    for (int v = 0; v < m; v++) {
+        for (int w = 0; w < W; w++) {
+            int top = m - 64 * w;
+            u64 full = top >= 64 ? ~0ULL : (1ULL << top) - 1;
+            cadj[(size_t)v * W + w] = full & ~s.adj[(size_t)v * W + w];
+        }
+        cadj[(size_t)v * W + (v >> 6)] &= ~BIT(v);
+    }
+    s.cadj = cadj;
+    for (int v = 0; v < m; v++) Ps[v >> 6] |= BIT(v);
+    if (mode == NONTRIVIAL) memset(St, 0xff, VW * sizeof(u64));
+    for (;;) {
+        u64 *P = Ps + (size_t)r * W, *S = St + (size_t)r * SW;
+        if (++nodes > budget) {
+            status = OUT_OF_BUDGET;
+            goto out;
+        }
+        if (r > best && (mode == OMEGA ? zero(P, W) : mode == GENERIC || zero(S, VW))) {
+            best = found = r;
+            memcpy(clique, R, r * sizeof(int32_t));
+            if (best >= target) break;
+        }
+        if (branches(&s, &lv[r], P, S, best - r)) {
+            status = OUT_OF_MEMORY;
+            goto out;
+        }
+        /* next node: the deepest level's next unpruned, feasible candidate */
+        for (;;) {
+            level *L = &lv[r];
+            int64_t idx = L->idx - 1;
+            if (idx >= 0)
+                while (s.starts.v[L->coff + L->cls] > idx) L->cls--;
+            if (idx < 0 || r + L->c0 + L->cls <= best) {
+                s.order.len = L->off;
+                s.starts.len = L->coff;
+                if (r == 0) goto out;
+                r--;
+                continue;
+            }
+            int v = s.order.v[L->off + idx];
+            u64 *Pv = Ps + (size_t)r * W;
+            L->idx = idx;
+            if (child(&s, St + (size_t)r * SW, St + (size_t)(r + 1) * SW, v)) {
+                const u64 *a = s.adj + (size_t)v * W;
+                for (int w = 0; w < W; w++) Pv[W + w] = Pv[w] & a[w];
+                Pv[v >> 6] &= ~BIT(v);
+                R[r++] = v;
+                break;
+            }
+            Pv[v >> 6] &= ~BIT(v);
+        }
+    }
+out:
+    result[0] = best;
+    result[1] = found;
+    result[2] = nodes;
+    free(radj);
+    free(cadj);
+    free(Ps);
+    free(St);
+    free(scratch);
+    free(ints);
+    free(lv);
+    free(s.order.v);
+    free(s.starts.v);
+    return status;
+}

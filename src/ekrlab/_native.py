@@ -1,0 +1,134 @@
+"""The compiled search kernel (_kernel.c): build, cache, load and call.
+
+kernel() builds the kernel on first use with the system gcc, into a
+per-user cache directory ($XDG_CACHE_HOME/ekrlab or ~/.cache/ekrlab, mode
+0700), under a name keyed by the sha256 of the source and the build
+command, and loads it through ctypes.  It returns None when there is no
+compiler, the build fails, or the cache directory cannot be written or is
+not private to the user; the searches then run on the Python kernel
+(verifier._branch_and_bound), which gives the same results.  Nothing is
+built or loaded at import.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import shutil
+import subprocess
+import tempfile
+
+from .errors import ResourceLimitError
+
+OMEGA, NONTRIVIAL, GENERIC = 0, 1, 2
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+_CC = "gcc"
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+_VERTEX_BYTES = 32                      # 4 words: n <= hypergraph.MAX_N = 256
+
+_lib = None     # the kernel's entry point once loaded; False if it cannot be
+
+
+def kernel():
+    """The native search function, or None when it cannot be built or loaded."""
+    global _lib
+    if _lib is None:
+        _lib = _load() or False
+    return _lib or None
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "ekrlab")
+
+
+def _private(path: str) -> bool:
+    """Owned by this user and writable by no one else."""
+    st = os.stat(path)
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _sha256(data: bytes) -> str:
+    # the interpreter's own sha256: importing hashlib maps OpenSSL, ~3.5 MB RSS
+    try:
+        from _sha2 import sha256            # Python >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256      # Python <= 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def _load():
+    cc = shutil.which(_CC) if os.name == "posix" else None
+    if cc is None:
+        return None
+    command = [cc, *_CFLAGS]
+    try:
+        with open(_SOURCE, "rb") as f:
+            source = f.read()
+        key = _sha256(source + " ".join(command + [os.uname().machine]).encode())
+        cache = _cache_dir()
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        if not _private(cache):
+            return None
+        path = os.path.join(cache, f"kernel-{key[:24]}.so")
+        if not os.path.exists(path):
+            # build beside the target and rename, so a process building at the
+            # same time never loads a half-written library
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run(command + ["-o", tmp, _SOURCE], check=True,
+                               capture_output=True, timeout=300)
+                os.chmod(tmp, 0o700)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        if not _private(path):
+            return None
+        fn = ctypes.CDLL(path).ekr_search
+    except (OSError, subprocess.SubprocessError):
+        return None
+    i64, u64p, i32p = ctypes.c_int64, ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int32)
+    fn.argtypes = [ctypes.c_int, ctypes.c_int, u64p, i32p, u64p, ctypes.c_int, i64, i64,
+                   ctypes.c_double, i64, i32p, ctypes.POINTER(i64)]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _words(ints, nbytes: int):
+    data = b"".join([x.to_bytes(nbytes, "little") for x in ints])
+    return (ctypes.c_uint64 * (len(data) // 8)).from_buffer_copy(data)
+
+
+def search(fn, mode: int, adj, *, floor: int, target: int, node_budget: int,
+           bits=None, perm=None, dense: bool = False, zeta_cap: float = 0.0):
+    """verifier._branch_and_bound's (best, recorded clique or None, nodes)
+    for one of the three searches, on the native kernel.
+
+    adj and bits are the edge and vertex bitsets as ints; with perm, the
+    graph searched is adj relabelled so that vertex i is perm[i].
+    """
+    m = len(adj)
+    bits_words = None if bits is None else _words(bits, _VERTEX_BYTES)
+    perm_arr = None if perm is None else (ctypes.c_int32 * m)(*perm)
+    clique = (ctypes.c_int32 * max(m, 1))()
+    result = (ctypes.c_int64 * 3)()
+    # beyond these ranges a value acts as its clamp: best <= m, so a floor of
+    # m or more records nothing and a target above m is never met; a clique
+    # has at most MAX_N vertices of degree 3
+    status = fn(mode, m, _words(adj, 8 * ((m + 63) // 64)), perm_arr, bits_words, dense,
+                max(min(floor, m), -1), min(target, m + 1), float(max(min(zeta_cap, 256), -1)),
+                min(node_budget, 2**62), clique, result)
+    if status == 1:
+        raise ResourceLimitError("branch-and-bound node budget exceeded")
+    if status:
+        raise MemoryError("native branch-and-bound kernel")
+    best, size, nodes = result
+    if size < 0:
+        return floor, None, nodes
+    return best, clique[:size], nodes

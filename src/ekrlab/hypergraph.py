@@ -47,7 +47,10 @@ class KSet:
     family kept in memory costs ~75 bytes per edge.  The cache keeps at most
     MEMBERS_CACHE = 8192 entries, key included ~270 bytes each at k <= 10
     and ~2.2 KB at the k = 255 extreme (tracemalloc): ~2.2 MB and ~17.5 MB
-    when full."""
+    when full.  Hypergraph.from_edges and from_edge_bits also share whole
+    KSet objects through a second cache of the same bound (_kset, ~220 more
+    bytes per entry), so a family they build costs one pointer per edge
+    once its k-sets are cached."""
 
     n: int
     k: int
@@ -78,6 +81,12 @@ class KSet:
         return bool(self.bits & other.bits)
 
 
+@functools.lru_cache(maxsize=MEMBERS_CACHE)
+def _kset(n: int, k: int, bits: int) -> KSet:
+    """KSet(n, k, bits), one shared object per distinct k-set (see KSet)."""
+    return KSet(n, k, bits)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Ordered multiset of k-sets on [n]; dedup records enforced distinctness."""
@@ -96,11 +105,12 @@ class Hypergraph:
 
     @classmethod
     def from_edge_bits(cls, n: int, k: int, bits_list, dedup: bool = False) -> "Hypergraph":
-        return cls(n, k, tuple(KSet(n, k, b) for b in bits_list), dedup)
+        return cls(n, k, tuple(_kset(n, k, b) for b in bits_list), dedup)
 
     @classmethod
     def from_edges(cls, n: int, k: int, member_lists, dedup: bool = False) -> "Hypergraph":
-        return cls(n, k, tuple(KSet.from_members(n, m) for m in member_lists), dedup)
+        return cls(n, k, tuple(_kset(n, len(set(m)), exact.mask_from(m)) for m in member_lists),
+                   dedup)
 
     @property
     def m(self) -> int:
@@ -306,10 +316,12 @@ def sample_independent(n: int, k: int, m: int, seed) -> Hypergraph:
 
 
 def _distinct_ranks(rng: np.random.Generator, N: int, m: int) -> list[int]:
-    # Floyd's uniform m-subset of {0..N-1} with exactly m draws
+    # Floyd's uniform m-subset of {0..N-1}: t_j uniform on [0, j] for
+    # j = N-m .. N-1, all m drawn in one call (the same values and generator
+    # state as m scalar draws); keep t_j, or j when t_j is already chosen
     chosen = set()
-    for j in range(N - m, N):
-        t = int(rng.integers(0, j + 1))
+    draws = rng.integers(0, np.arange(N - m + 1, N + 1)).tolist()
+    for j, t in zip(range(N - m, N), draws):
         chosen.add(t if t not in chosen else j)
     return sorted(chosen)
 

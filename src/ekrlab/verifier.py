@@ -38,6 +38,15 @@ caller's branch ordering, which may omit every candidate colored at or
 below it (the kernel would cut those unvisited), as MCQ/MCS do.  Both
 colorings work on complement-adjacency bitsets built once per search.
 
+The three searches run on a compiled twin of that kernel (_kernel.c, with
+the three callers' rules and both colorings), built with the system gcc
+on the first search and loaded through ctypes (see _native).  When it
+cannot be built or loaded they run on _branch_and_bound, which stays the
+reference: both kernels visit the same nodes and record the same cliques,
+so verdicts, witnesses, node counts and budget errors are identical.  The
+native omega search relabels the adjacency itself, so only the Python one
+rebuilds the stars in permuted order.
+
 EKR is undefined for multisets: hypergraphs with repeated edges are
 rejected.
 """
@@ -49,6 +58,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import _native
 from .errors import DomainError, ResourceLimitError
 from .exact import bits_of
 from .hypergraph import Hypergraph, _vertex_stars
@@ -291,7 +301,7 @@ def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
     it stands when the node is expanded (best only grows), so branches may
     leave out every candidate whose colors entry would be <= kmin.
     child(state, v) is the state of R + [v], or None to skip v.  Returns
-    (best, recorded clique or None).
+    (best, recorded clique or None, nodes visited).
     """
     R, best, found = [], floor, None
     left = node_budget
@@ -328,7 +338,7 @@ def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
                 break
         else:
             break       # the stack is empty: every branch is done
-    return best, found
+    return best, found, node_budget - left
 
 
 def max_intersecting_family(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
@@ -341,28 +351,36 @@ def max_intersecting_family(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
     """
     check_limits(edge_cap, node_budget)
     _check_edge_cap(H, edge_cap)
-    return _max_clique(_Instance(H), node_budget)
+    omega, clique, _ = _max_clique(_Instance(H), node_budget)
+    return omega, clique
 
 
 def _max_clique(inst: _Instance, node_budget: int):
+    """(omega, clique as ascending edge indices, nodes visited)."""
     m = inst.m
     if m == 0:
-        return 0, []
-    # relabel by descending degree for better coloring bounds: the stars and
-    # adjacency of the permuted edge order, built the same way as the originals
+        return 0, [], 0
+    # relabel by descending degree for better coloring bounds
     perm = sorted(range(m), key=lambda i: (-inst.adj[i].bit_count(), i))
-    members = [inst.members[old] for old in perm]
-    radj = _star_adjacency(members, _vertex_stars(len(inst.stars), members))
-
-    coloring = _make_coloring(radj, m, inst.dense_pairs)
-    omega, clique = _branch_and_bound(
-        radj, node_budget, inst.Delta, math.inf, 0,
-        accept=lambda P, _: not P,
-        branches=lambda kmin, P, _: coloring(P, kmin),
-        child=lambda state, v: state)
+    kernel = _native.kernel()
+    if kernel:
+        omega, clique, nodes = _native.search(
+            kernel, _native.OMEGA, inst.adj, perm=perm, dense=inst.dense_pairs,
+            floor=inst.Delta, target=m + 1, node_budget=node_budget)
+    else:
+        # the stars and adjacency of the permuted edge order, built the same
+        # way as the originals
+        members = [inst.members[old] for old in perm]
+        radj = _star_adjacency(members, _vertex_stars(len(inst.stars), members))
+        coloring = _make_coloring(radj, m, inst.dense_pairs)
+        omega, clique, nodes = _branch_and_bound(
+            radj, node_budget, inst.Delta, math.inf, 0,
+            accept=lambda P, _: not P,
+            branches=lambda kmin, P, _: coloring(P, kmin),
+            child=lambda state, v: state)
     if clique is None:       # no clique beats the largest star: return it
-        return omega, bits_of(inst.stars[inst.deg.index(inst.Delta)])
-    return omega, sorted(perm[v] for v in clique)
+        return omega, bits_of(inst.stars[inst.deg.index(inst.Delta)]), nodes
+    return omega, sorted(perm[v] for v in clique), nodes
 
 
 def find_nontrivial_clique(H: Hypergraph, target: int,
@@ -385,11 +403,24 @@ def find_nontrivial_clique(H: Hypergraph, target: int,
         floor = initial_best if initial_best is not None else target - 1
     if H.m == 0 or target > H.m:
         return (floor, None) if maximize else None
-    return _nontrivial_search(_Instance(H), target, node_budget, floor, maximize)
+    best, found, _ = _nontrivial_search(_Instance(H), math.inf if maximize else target,
+                                        node_budget, floor)
+    if maximize:
+        return best, (tuple(found) if found else None)
+    if found is not None and len(found) >= target:
+        return tuple(found)
+    return None
 
 
-def _nontrivial_search(inst: _Instance, target: int, node_budget: int,
-                       floor: int, maximize: bool):
+def _nontrivial_search(inst: _Instance, target, node_budget: int, floor: int):
+    """(best, first clique recorded, nodes visited): the search records a
+    clique with empty common intersection whenever it beats best (from
+    floor) and stops once best >= target."""
+    kernel = _native.kernel()
+    if kernel:
+        return _native.search(kernel, _native.NONTRIVIAL, inst.adj, bits=inst.bits,
+                              dense=inst.dense_pairs, floor=floor, target=target,
+                              node_budget=node_budget)
     bits = inst.bits
     coloring = _make_coloring(inst.adj, inst.m, inst.dense_pairs)
 
@@ -402,16 +433,11 @@ def _nontrivial_search(inst: _Instance, target: int, node_budget: int,
         # with c != 0 every extension of R from P keeps a common vertex
         return ((), ()) if c else coloring(P, kmin)
 
-    best, found = _branch_and_bound(
-        inst.adj, node_budget, floor, math.inf if maximize else target, -1,
+    return _branch_and_bound(
+        inst.adj, node_budget, floor, target, -1,
         accept=lambda P, common: not common,
         branches=branches,
         child=lambda common, v: common & bits[v])
-    if maximize:
-        return best, (tuple(found) if found else None)
-    if found is not None and len(found) >= target:
-        return tuple(found)
-    return None
 
 
 def max_nontrivial_clique(H: Hypergraph, node_budget: int = DEFAULT_NODE_BUDGET,
@@ -438,13 +464,14 @@ def verify_ekr(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
 def _decide(inst: _Instance, node_budget: int) -> EkrVerdict:
     """verify_ekr's verdict on a prepared family of distinct edges."""
     Delta = inst.Delta
-    omega, clique = _max_clique(inst, node_budget)
+    omega, clique, _ = _max_clique(inst, node_budget)
     if omega > Delta:
         # cannot have a common vertex: |C| <= d(x) <= Delta < omega
         return EkrVerdict(False, omega, Delta, tuple(clique))
     if omega <= 2:
         return EkrVerdict(True, omega, Delta, None)
-    witness = _nontrivial_search(inst, omega, node_budget, omega - 1, False)
+    _, found, _ = _nontrivial_search(inst, omega, node_budget, omega - 1)
+    witness = None if found is None else tuple(found)
     return EkrVerdict(witness is None, omega, Delta, witness)
 
 

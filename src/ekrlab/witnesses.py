@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import _native
 from .analytics import RegimeParams
 from .errors import DomainError
 from .exact import bits_of
@@ -116,12 +117,12 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
                         node_budget: int = DEFAULT_NODE_BUDGET) -> Optional[tuple[int, ...]]:
     """First generic clique of the given size in deterministic (index) order.
 
-    Runs the verifier's branch-and-bound kernel over edge indices in
-    ascending order.  A node carries the vertices of clique-degree >= 1,
-    >= 2 and exactly 3 as bitsets; edge e is infeasible when it meets a
-    degree-3 vertex or would raise the degree-3 count above zeta_cap.  A
-    branch dies when the candidate count or coloring bound cannot reach
-    size_t.
+    Runs the verifier's branch-and-bound kernel (native or Python, with
+    the same result) over edge indices in ascending order.  A node carries
+    the vertices of clique-degree >= 1, >= 2 and exactly 3 as bitsets; edge
+    e is infeasible when it meets a degree-3 vertex or would raise the
+    degree-3 count above zeta_cap.  A branch dies when the candidate count
+    or coloring bound cannot reach size_t.
     """
     check_limits(node_budget=node_budget)
     if size_t < 0:
@@ -130,7 +131,17 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
         return ()
     if size_t > H.m:
         return None
-    inst = _Instance(H)
+    _, found, _ = _generic_search(_Instance(H), size_t, zeta_cap, node_budget)
+    return None if found is None else tuple(found)
+
+
+def _generic_search(inst: _Instance, size_t: int, zeta_cap: float, node_budget: int):
+    """find_generic_clique's search: (best, clique or None, nodes visited)."""
+    kernel = _native.kernel()
+    if kernel:
+        return _native.search(kernel, _native.GENERIC, inst.adj, bits=inst.bits,
+                              floor=size_t - 1, target=size_t, zeta_cap=zeta_cap,
+                              node_budget=node_budget)
     bits, adj = inst.bits, inst.adj
     coloring = _make_coloring(adj, inst.m, False)
 
@@ -150,9 +161,8 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
             return None
         return d1 | e, d2 | e & d1, d3 | e & d2
 
-    _, found = _branch_and_bound(adj, node_budget, size_t - 1, size_t, (0, 0, 0),
-                                 accept=lambda P, _: True, branches=branches, child=child)
-    return None if found is None else tuple(found)
+    return _branch_and_bound(adj, node_budget, size_t - 1, size_t, (0, 0, 0),
+                             accept=lambda P, _: True, branches=branches, child=child)
 
 
 def brute_force_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float) -> bool:

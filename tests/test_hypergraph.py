@@ -241,6 +241,27 @@ def test_conditioned_matches_bernoulli_law():
     assert tv < 0.02
 
 
+def scalar_distinct_ranks(rng, N, m):
+    """Reference for _distinct_ranks: Floyd's algorithm, one scalar draw
+    per step."""
+    chosen = set()
+    for j in range(N - m, N):
+        t = int(rng.integers(0, j + 1))
+        chosen.add(t if t not in chosen else j)
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("N, m", [(2024, 0), (2024, 1), (2024, 2024), (2024, 200),
+                                  (10**7, 50), (2**32 - 5, 10), (2**32 + 7, 10),
+                                  (2**40, 20), (2**62, 5)])
+def test_distinct_ranks_match_scalar_draws(N, m):
+    # the same ranks, and the generator left in the same state
+    for seed in range(30):
+        fast, slow = hg.generator(seed), hg.generator(seed)
+        assert hg._distinct_ranks(fast, N, m) == scalar_distinct_ranks(slow, N, m), seed
+        assert repr(fast.bit_generator.state) == repr(slow.bit_generator.state), seed
+
+
 def _rank_mask(H):
     mask = 0
     for e in H.edges:

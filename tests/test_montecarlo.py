@@ -246,12 +246,13 @@ def test_sweep_csv_deterministic_and_seed_sensitive():
 README_SWEEP_SEED1_SHA256 = "cade037b378236e2d0f47203e1c193adf15a1ef8f313b8971d81ffd1496ffc5e"
 
 
-def test_readme_sweep_golden_hash():
+def test_readme_sweep_golden_hash(kernels):
     ratio = (20.0 / 0.3) ** (1.0 / 11)
     grid = [0.3 * ratio**i for i in range(12)]
-    table = mc.estimate_ekr_curve(24, 3, grid, trials=100, seed=1)
-    csv = mc.sweep_table_to_csv(table).encode()
-    assert hashlib.sha256(csv).hexdigest() == README_SWEEP_SEED1_SHA256
+    for kernel in kernels():
+        table = mc.estimate_ekr_curve(24, 3, grid, trials=100, seed=1)
+        csv = mc.sweep_table_to_csv(table).encode()
+        assert hashlib.sha256(csv).hexdigest() == README_SWEEP_SEED1_SHA256, kernel
 
 
 # sha256 of trial_records_to_csv, the per-point CSVs concatenated: every
@@ -262,34 +263,38 @@ TRIAL_PINS = [(12, 3, 2), (40, 3, 0.5), (14, 3, 3), (18, 5, 20)]
 TRIALS_SHA256 = "e5f99082855637b4508108368355529b640afe2a24bd2f2dc2f10a1c10760687"
 
 
-def test_trial_csv_golden_hash():
+def test_trial_csv_golden_hash(kernels):
     ratio = (20.0 / 0.3) ** (1.0 / 11)
     contexts = [mc.make_trial_context(an.ModelParams.from_phi(24, 3, 0.3 * ratio**i),
                                       "conditioned", 1, stream=(i,)) for i in range(12)]
-    parts = [mc.trial_records_to_csv(recs) for recs in mc._trial_batches(contexts, 100, 1)]
-    for mode in ("bernoulli", "independent"):
-        for n, k, phi in TRIAL_PINS:
-            recs = mc.run_trials(an.ModelParams.from_phi(n, k, phi), 40, mode, 5)
-            parts.append(mc.trial_records_to_csv(recs))
-    assert hashlib.sha256("".join(parts).encode()).hexdigest() == TRIALS_SHA256
+    for kernel in kernels():
+        parts = [mc.trial_records_to_csv(recs) for recs in mc._trial_batches(contexts, 100, 1)]
+        for mode in ("bernoulli", "independent"):
+            for n, k, phi in TRIAL_PINS:
+                recs = mc.run_trials(an.ModelParams.from_phi(n, k, phi), 40, mode, 5)
+                parts.append(mc.trial_records_to_csv(recs))
+        assert hashlib.sha256("".join(parts).encode()).hexdigest() == TRIALS_SHA256, kernel
 
 
-def test_trial_builds_star_masks_once(monkeypatch):
-    # one build for event R, Delta and both searches, plus the omega search's
-    # relabelled copy; degree_stats (hypergraph's own build) never runs
+def test_trial_builds_star_masks_once(kernels, monkeypatch):
+    # one build for event R, Delta and both searches; the Python omega search
+    # adds its relabelled copy, the native one relabels the adjacency itself;
+    # degree_stats (hypergraph's own build) never runs
     calls = []
     stars = vf._vertex_stars
     monkeypatch.setattr(vf, "_vertex_stars",
                         lambda n, members: calls.append(len(members)) or stars(n, members))
     monkeypatch.setattr(hg, "_vertex_stars", lambda *a: pytest.fail("degree_stats ran"))
     ctx = mc.make_trial_context(an.ModelParams.from_phi(12, 3, 2.0), "conditioned", 1)
-    kinds = set()
-    for t in range(30):
-        calls.clear()
-        rec = mc.run_one_trial(ctx, t)
-        kinds.add(rec.witness_kind)
-        assert calls == ([rec.m, rec.m] if rec.m else [0]), (t, calls)
-    assert None in kinds and len(kinds) > 1     # holding and failing trials
+    for kernel in kernels():
+        builds = 2 if kernel == "python" else 1
+        kinds = set()
+        for t in range(30):
+            calls.clear()
+            rec = mc.run_one_trial(ctx, t)
+            kinds.add(rec.witness_kind)
+            assert calls == ([rec.m] * builds if rec.m else [0]), (kernel, t, calls)
+        assert None in kinds and len(kinds) > 1     # holding and failing trials
 
 
 def test_sweep_csv_worker_count_invariance():

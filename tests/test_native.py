@@ -1,0 +1,83 @@
+import math
+import os
+import stat
+
+import pytest
+
+from ekrlab import _native
+from ekrlab import hypergraph as hg
+from ekrlab import verifier as vf
+from ekrlab import witnesses as wt
+
+
+def frontier_sample():
+    # dense (14, 5, phi=60), seed 1: omega = Delta, a nontrivial witness exists
+    return hg.sample_bernoulli(14, 5, 60 / math.comb(13, 4), 1)
+
+
+@pytest.fixture
+def reload(monkeypatch, tmp_path):
+    """Forget the loaded kernel and point the cache at a fresh directory;
+    returns (cache directory, the Python kernel's calls, the native kernel)."""
+    native = _native.kernel()
+    assert native is not None, "the native search kernel did not build or load"
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    calls = []
+    python_kernel = vf._branch_and_bound
+    for module in (vf, wt):
+        monkeypatch.setattr(module, "_branch_and_bound",
+                            lambda *a, **kw: calls.append(1) or python_kernel(*a, **kw))
+    return tmp_path / "ekrlab", calls, native
+
+
+def test_kernel_builds_into_a_private_cache(reload, monkeypatch):
+    cache, calls, _ = reload
+    H = frontier_sample()
+    assert _native.kernel() is not None
+    v = vf.verify_ekr(H)
+    assert not v.holds and not calls
+    (lib,) = os.listdir(cache)          # the library alone: no temporary left
+    assert lib.startswith("kernel-") and lib.endswith(".so")
+    assert stat.S_IMODE(os.stat(cache).st_mode) == 0o700
+    assert stat.S_IMODE(os.stat(cache / lib).st_mode) == 0o700
+    # a second process loads the cached build without compiling
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native.subprocess, "run", lambda *a, **kw: pytest.fail("rebuilt"))
+    assert _native.kernel() is not None and os.listdir(cache) == [lib]
+
+
+@pytest.mark.parametrize("breakage", ["no compiler", "build fails", "cache not a directory",
+                                      "cache writable by others"])
+def test_fallback_to_python_kernel(reload, monkeypatch, breakage):
+    cache, calls, native = reload
+    H = frontier_sample()
+    _native._lib = native
+    want = vf.verify_ekr(H), wt.find_generic_clique(H, 4, 1)
+    _native._lib = None
+    if breakage == "no compiler":
+        monkeypatch.setattr(_native, "_CC", "ekrlab-no-such-compiler")
+    elif breakage == "build fails":
+        monkeypatch.setattr(_native, "_CC", "false")
+    elif breakage == "cache not a directory":
+        cache.parent.mkdir(exist_ok=True)
+        cache.write_text("")
+    else:
+        cache.mkdir(mode=0o700)
+        os.chmod(cache, 0o777)
+    assert (vf.verify_ekr(H), wt.find_generic_clique(H, 4, 1)) == want
+    assert len(calls) == 3 and _native._lib is False
+    if cache.is_dir():
+        assert os.listdir(cache) == []      # no library, no temporary
+
+
+def test_limits_beyond_int64_act_as_their_clamps(kernels):
+    H = frontier_sample()
+    runs = {}
+    for kernel in kernels():
+        runs[kernel] = (vf.max_nontrivial_clique(H, initial_best=10**30),
+                        vf.find_nontrivial_clique(H, 3, node_budget=10**30, initial_best=-10**30),
+                        wt.find_generic_clique(H, 4, 10**400),
+                        wt.find_generic_clique(H, 3, -10**400))
+    assert runs["python"] == runs["native"]
+    assert runs["native"][0] == (10**30, None) and runs["native"][3] is None

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ekrlab import exact
@@ -234,10 +234,10 @@ def sampled(n, k, phi, seed):
     return hg.sample_bernoulli(n, k, phi / math.comb(n - 1, k - 1), seed)
 
 
-# (n, k, phi, seed) of H_k(n, p) -> verdict, omega, and the node budgets at
-# which the omega search and the omega-target empty-intersection search
-# decide (one node per visited clique).  None: verify_ekr skips the second
-# search because omega > Delta.
+# (n, k, phi, seed) of H_k(n, p) -> verdict, omega, and the nodes the omega
+# search and the omega-target empty-intersection search visit (one node per
+# visited clique), which are the least budgets at which they decide.  None:
+# verify_ekr skips the second search because omega > Delta.
 NODE_PINS = [
     ((14, 5, 60, 1), False, 72, 121, 97),       # dense (n < 3k), witness found
     ((14, 5, 60, 37), False, 67, 128, None),    # dense, omega > Delta
@@ -245,36 +245,70 @@ NODE_PINS = [
     ((14, 5, 60, 2), True, 78, 99, 1168),       # dense, star is the maximum
     ((18, 5, 60, 10), True, 70, 150, 1233),     # sparse, star is the maximum
 ]
+OUT_OF_BUDGET = "^branch-and-bound node budget exceeded$"
 
 
 @pytest.mark.parametrize("key, holds, omega, omega_nodes, nontrivial_nodes", NODE_PINS)
-def test_search_node_counts_pinned(key, holds, omega, omega_nodes, nontrivial_nodes):
+def test_search_node_counts_pinned(kernels, key, holds, omega, omega_nodes, nontrivial_nodes):
     H = sampled(*key)
-    assert vf.max_intersecting_family(H, node_budget=omega_nodes)[0] == omega
-    with pytest.raises(ResourceLimitError):
-        vf.max_intersecting_family(H, node_budget=omega_nodes - 1)
-    if nontrivial_nodes is None:
-        assert vf.verify_ekr(H, node_budget=omega_nodes).holds is holds
-        return
-    witness = vf.find_nontrivial_clique(H, omega, node_budget=nontrivial_nodes)
-    assert (witness is None) is holds
-    with pytest.raises(ResourceLimitError):
-        vf.find_nontrivial_clique(H, omega, node_budget=nontrivial_nodes - 1)
-    budget = max(omega_nodes, nontrivial_nodes)
-    assert vf.verify_ekr(H, node_budget=budget).holds is holds
-    with pytest.raises(ResourceLimitError):
-        vf.verify_ekr(H, node_budget=budget - 1)
+    for kernel in kernels():
+        got, _, nodes = vf._max_clique(vf._Instance(H), vf.DEFAULT_NODE_BUDGET)
+        assert (got, nodes) == (omega, omega_nodes), kernel
+        assert vf.max_intersecting_family(H, node_budget=omega_nodes)[0] == omega
+        with pytest.raises(ResourceLimitError, match=OUT_OF_BUDGET):
+            vf.max_intersecting_family(H, node_budget=omega_nodes - 1)
+        if nontrivial_nodes is None:
+            assert vf.verify_ekr(H, node_budget=omega_nodes).holds is holds
+            continue
+        _, found, nodes = vf._nontrivial_search(vf._Instance(H), omega,
+                                                vf.DEFAULT_NODE_BUDGET, omega - 1)
+        assert (found is None, nodes) == (holds, nontrivial_nodes), kernel
+        witness = vf.find_nontrivial_clique(H, omega, node_budget=nontrivial_nodes)
+        assert (witness is None) is holds
+        with pytest.raises(ResourceLimitError, match=OUT_OF_BUDGET):
+            vf.find_nontrivial_clique(H, omega, node_budget=nontrivial_nodes - 1)
+        budget = max(omega_nodes, nontrivial_nodes)
+        assert vf.verify_ekr(H, node_budget=budget).holds is holds
+        with pytest.raises(ResourceLimitError, match=OUT_OF_BUDGET):
+            vf.verify_ekr(H, node_budget=budget - 1)
 
 
-def test_search_depth_not_limited_by_recursion():
+def search_outcome(search, *args):
+    """(best, recorded clique as a list or None, nodes), or the error text."""
+    try:
+        best, found, nodes = search(*args)
+    except ResourceLimitError as exc:
+        return str(exc)
+    return best, None if found is None else list(found), nodes
+
+
+@settings(max_examples=16, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from([(14, 5, 60), (18, 5, 60)]), seed=st.integers(0, 2**32 - 1))
+def test_kernels_agree_on_sampled_families(kernels, key, seed):
+    # dense (pair-matching bound) and sparse (first-fit) frontier families:
+    # omega, the omega-target and the maximizing empty-intersection searches
+    H = sampled(*key, seed)
+    runs = {}
+    for kernel in kernels():
+        inst = vf._Instance(H)
+        omega = search_outcome(vf._max_clique, inst, 20_000)
+        target = omega[0] if isinstance(omega, tuple) else inst.Delta
+        runs[kernel] = (omega,
+                        search_outcome(vf._nontrivial_search, inst, target, 20_000, target - 1),
+                        search_outcome(vf._nontrivial_search, inst, math.inf, 2_000, 2))
+    assert runs["python"] == runs["native"]
+
+
+def test_search_depth_not_limited_by_recursion(kernels):
     # every pair of 7-subsets of [13] meets, so the whole family (1716
     # edges) is one clique: search depth 1716, past Python's call limit
     H = full_K(13, 7)
-    v = vf.verify_ekr(H)
-    assert (v.holds, v.omega, v.Delta) == (False, 1716, 924)
-    assert vf.validate_witness(H, v)
-    size, witness = vf.max_nontrivial_clique(H)
-    assert size == 1716 == len(witness)
+    for _ in kernels():
+        v = vf.verify_ekr(H)
+        assert (v.holds, v.omega, v.Delta) == (False, 1716, 924)
+        assert vf.validate_witness(H, v)
+        size, witness = vf.max_nontrivial_clique(H)
+        assert size == 1716 == len(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +469,9 @@ def test_oracle_equivalence_dense_regime():
         assert size == walk_best, H.edges
 
 
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_verify_matches_brute_force_in_every_regime(data):
+def test_verify_matches_brute_force_in_every_regime(kernels, data):
     k = data.draw(st.integers(1, 4), label="k")
     # n < 2k (every pair meets), 2k <= n < 3k (matching bound), n >= 3k
     lo, hi = data.draw(st.sampled_from([(k, 2 * k - 1), (2 * k, 3 * k - 1),
@@ -446,10 +481,11 @@ def test_verify_matches_brute_force_in_every_regime(data):
     ranks = data.draw(st.lists(st.integers(0, N - 1), unique=True,
                                max_size=min(N, 12)), label="ranks")
     H = H_from(n, k, [exact.colex_unrank(r, k) for r in ranks])
-    fast = vf.verify_ekr(H)
     slow = vf.brute_force_ekr(H)
-    assert (fast.holds, fast.omega, fast.Delta) == (slow.holds, slow.omega, slow.Delta)
-    assert vf.validate_witness(H, fast)
+    for kernel in kernels():
+        fast = vf.verify_ekr(H)
+        assert (fast.holds, fast.omega, fast.Delta) == (slow.holds, slow.omega, slow.Delta), kernel
+        assert vf.validate_witness(H, fast)
 
 
 def test_hm_value_k52():

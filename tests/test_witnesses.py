@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ekrlab import analytics as an
@@ -145,17 +145,38 @@ def test_find_generic_vs_brute_force():
                     assert wt.is_generic_clique(H, got, zeta)
 
 
+def witness_sample(seed):
+    return hg.sample_bernoulli(25, 5, 10 / math.comb(24, 4), seed)
+
+
 # (25, 5, phi=10) samples of H_k(n, p): the generic clique (t=7, zeta=3) and
-# the node budget at which the search decides (one node per visited clique)
+# the nodes the search visits (one per visited clique), which are the least
+# budget at which it decides
 @pytest.mark.parametrize("seed, clique, nodes", [
     (4, None, 10122),
     (26, (10, 14, 16, 18, 34, 38, 41), 7865),
 ])
-def test_generic_node_counts_pinned(seed, clique, nodes):
-    H = hg.sample_bernoulli(25, 5, 10 / math.comb(24, 4), seed)
-    assert wt.find_generic_clique(H, 7, 3, node_budget=nodes) == clique
-    with pytest.raises(ResourceLimitError):
-        wt.find_generic_clique(H, 7, 3, node_budget=nodes - 1)
+def test_generic_node_counts_pinned(kernels, seed, clique, nodes):
+    H = witness_sample(seed)
+    for kernel in kernels():
+        _, found, used = wt._generic_search(vf._Instance(H), 7, 3, vf.DEFAULT_NODE_BUDGET)
+        assert (found and tuple(found), used) == (clique, nodes), kernel
+        assert wt.find_generic_clique(H, 7, 3, node_budget=nodes) == clique
+        with pytest.raises(ResourceLimitError, match="^branch-and-bound node budget exceeded$"):
+            wt.find_generic_clique(H, 7, 3, node_budget=nodes - 1)
+
+
+@settings(max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kernels_agree_on_generic_search(kernels, seed):
+    H = witness_sample(seed)
+    runs = {}
+    for kernel in kernels():
+        try:
+            runs[kernel] = wt._generic_search(vf._Instance(H), 7, 3, 5_000)
+        except ResourceLimitError as exc:
+            runs[kernel] = str(exc)
+    assert runs["python"] == runs["native"]
 
 
 # ---------------------------------------------------------------------------
