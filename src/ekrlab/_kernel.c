@@ -8,12 +8,15 @@
  * _pair_color_order class for class, so visited cliques, node counts and the
  * recorded clique are those of the Python kernel.
  *
- * Edge bitsets take W = ceil(m/64) words; vertex bitsets VW words (n <= 256).
+ * The kernel builds its own graph from each edge's vertex bitset (VW words,
+ * n <= 256): per-vertex star words, then the intersection adjacency by
+ * verifier._star_adjacency's rule, and for the omega search the relabel by
+ * descending adjacency degree.  Edge bitsets take W = ceil(m/64) words.
  * The search runs on an explicit stack of m + 1 levels.  A level keeps its
  * candidate set, its state, and its candidates in branching order with the
  * start of each color class; colors are consecutive from the level's first.
  *
- * Built with `cc -O2 -shared -fPIC` and called through ctypes (verifier).
+ * Built with `gcc -O2 -shared -fPIC` and called through ctypes (_native).
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -270,29 +273,58 @@ static int child(const search *s, const u64 *S, u64 *C, int v)
     return 1;
 }
 
-/* One search over the graph adj (m rows of W words).  With perm, the graph
- * searched is adj relabelled so that new vertex i is old vertex perm[i].
- * bits holds each edge's vertex bitset (nontrivial and generic modes).
- * Writes best, the recorded clique's size (-1 for none) and the nodes used
- * to result[0..2] and the clique to clique[]; returns DONE, OUT_OF_BUDGET
- * or OUT_OF_MEMORY. */
-int ekr_search(int mode, int m, const u64 *adj, const int32_t *perm,
-               const u64 *bits, int dense, int64_t best0, int64_t target,
-               double zeta, int64_t budget, int32_t *clique, int64_t *result)
+/* verifier._star_adjacency over the edge order e[i] = bits[perm[i]] (or
+ * bits[i] without perm): star[x] has bit i when e[i] holds vertex x, and
+ * adj[i] is the OR of the stars of e[i]'s vertices minus bit i, so repeated
+ * edges stay adjacent */
+static void star_adjacency(int m, int W, const u64 *bits, const int32_t *perm,
+                           u64 *star, u64 *adj)
+{
+    memset(star, 0, (size_t)64 * VW * W * sizeof(u64));
+    for (int i = 0; i < m; i++) {
+        const u64 *e = bits + (size_t)(perm ? perm[i] : i) * VW;
+        for (int w = 0; w < VW; w++)
+            for (u64 x = e[w]; x; x &= x - 1)
+                star[(size_t)(w * 64 + __builtin_ctzll(x)) * W + (i >> 6)] |= BIT(i);
+    }
+    for (int i = 0; i < m; i++) {
+        const u64 *e = bits + (size_t)(perm ? perm[i] : i) * VW;
+        u64 *a = adj + (size_t)i * W;
+        memset(a, 0, W * sizeof(u64));
+        for (int w = 0; w < VW; w++)
+            for (u64 x = e[w]; x; x &= x - 1) {
+                const u64 *st = star + (size_t)(w * 64 + __builtin_ctzll(x)) * W;
+                for (int j = 0; j < W; j++) a[j] |= st[j];
+            }
+        a[i >> 6] &= ~BIT(i);
+    }
+}
+
+/* One search over the intersection graph of m edges, bits holding each
+ * edge's vertex bitset (VW words).  The omega search runs on that graph
+ * relabelled by descending degree, ties by index (vertex i is old vertex
+ * perm[i]), and its clique is mapped back to the old indices.  Writes best,
+ * the recorded clique's size (-1 for none) and the nodes used to
+ * result[0..2] and the clique to clique[]; returns DONE, OUT_OF_BUDGET or
+ * OUT_OF_MEMORY. */
+int ekr_search(int mode, int m, const u64 *bits, int dense, int64_t best0,
+               int64_t target, double zeta, int64_t budget, int32_t *clique,
+               int64_t *result)
 {
     int W = (m + 63) / 64, SW = 3 * VW, r = 0, status = DONE;
     size_t rows = (size_t)m * W + 1;
-    search s = {.m = m, .W = W, .mode = mode, .dense = dense, .adj = adj,
-                .bits = bits, .zeta = zeta};
-    u64 *radj = perm ? calloc(rows, sizeof(u64)) : NULL;
+    search s = {.m = m, .W = W, .mode = mode, .dense = dense, .bits = bits,
+                .zeta = zeta};
+    u64 *adj = malloc(rows * sizeof(u64));
+    u64 *star = malloc((size_t)64 * VW * W * sizeof(u64) + sizeof(u64));
     u64 *cadj = malloc(rows * sizeof(u64));
     u64 *Ps = calloc(((size_t)m + 1) * W + 1, sizeof(u64));
     u64 *St = calloc(((size_t)m + 1) * SW, sizeof(u64));
     u64 *scratch = malloc(4 * (size_t)(W + 1) * sizeof(u64));
-    int32_t *ints = malloc(7 * ((size_t)m + 2) * sizeof(int32_t));
+    int32_t *ints = malloc(8 * ((size_t)m + 2) * sizeof(int32_t));
     level *lv = malloc(((size_t)m + 1) * sizeof(level));
     int64_t best = best0, found = -1, nodes = 0;
-    if (!cadj || !Ps || !St || !scratch || !ints || !lv || (perm && !radj)) {
+    if (!adj || !star || !cadj || !Ps || !St || !scratch || !ints || !lv) {
         status = OUT_OF_MEMORY;
         goto out;
     }
@@ -306,21 +338,21 @@ int ekr_search(int mode, int m, const u64 *adj, const int32_t *perm,
     s.sorted = ints + 3 * (m + 2);
     s.hist = ints + 4 * (m + 2);
     s.fl = ints + 5 * (m + 2);
-    int32_t *R = ints + 6 * (m + 2);
-    if (perm) {
-        /* radj[i] has bit j when old edges perm[i] and perm[j] meet */
-        int32_t *inv = s.vs;
-        for (int i = 0; i < m; i++) inv[perm[i]] = i;
+    int32_t *R = ints + 6 * (m + 2), *perm = ints + 7 * (m + 2);
+    star_adjacency(m, W, bits, NULL, star, adj);
+    if (mode == OMEGA) {
+        /* sorted(range(m), key=(-degree, index)) as a stable counting sort
+         * on m - 1 - degree, then the graph again in that order */
+        memset(s.hist, 0, ((size_t)m + 1) * sizeof(int32_t));
         for (int i = 0; i < m; i++) {
-            const u64 *row = adj + (size_t)perm[i] * W;
-            for (int w = 0; w < W; w++)
-                for (u64 x = row[w]; x; x &= x - 1) {
-                    int j = inv[w * 64 + __builtin_ctzll(x)];
-                    radj[(size_t)i * W + (j >> 6)] |= BIT(j);
-                }
+            s.cnt[i] = m - 1 - popcount(adj + (size_t)i * W, W);
+            s.hist[s.cnt[i] + 1]++;
         }
-        s.adj = radj;
+        for (int d = 1; d < m; d++) s.hist[d] += s.hist[d - 1];
+        for (int i = 0; i < m; i++) perm[s.hist[s.cnt[i]]++] = i;
+        star_adjacency(m, W, bits, perm, star, adj);
     }
+    s.adj = adj;
     for (int v = 0; v < m; v++) {
         for (int w = 0; w < W; w++) {
             int top = m - 64 * w;
@@ -374,10 +406,13 @@ int ekr_search(int mode, int m, const u64 *adj, const int32_t *perm,
         }
     }
 out:
+    if (mode == OMEGA && status == DONE)
+        for (int64_t j = 0; j < found; j++) clique[j] = perm[clique[j]];
     result[0] = best;
     result[1] = found;
     result[2] = nodes;
-    free(radj);
+    free(adj);
+    free(star);
     free(cadj);
     free(Ps);
     free(St);

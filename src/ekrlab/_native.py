@@ -94,36 +94,36 @@ def _load():
     except (OSError, subprocess.SubprocessError):
         return None
     i64, u64p, i32p = ctypes.c_int64, ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int32)
-    fn.argtypes = [ctypes.c_int, ctypes.c_int, u64p, i32p, u64p, ctypes.c_int, i64, i64,
+    fn.argtypes = [ctypes.c_int, ctypes.c_int, u64p, ctypes.c_int, i64, i64,
                    ctypes.c_double, i64, i32p, ctypes.POINTER(i64)]
     fn.restype = ctypes.c_int
     return fn
 
 
-def _words(ints, nbytes: int):
-    data = b"".join([x.to_bytes(nbytes, "little") for x in ints])
+def vertex_words(bits):
+    """The edges' vertex bitsets (ints, n <= 256) as the kernel reads them:
+    4 little-endian words per edge."""
+    data = b"".join([x.to_bytes(_VERTEX_BYTES, "little") for x in bits])
     return (ctypes.c_uint64 * (len(data) // 8)).from_buffer_copy(data)
 
 
-def search(fn, mode: int, adj, *, floor: int, target: int, node_budget: int,
-           bits=None, perm=None, dense: bool = False, zeta_cap: float = 0.0):
+def search(fn, mode: int, words, *, floor: int, target: int, node_budget: int,
+           dense: bool = False, zeta_cap: float = 0.0):
     """verifier._branch_and_bound's (best, recorded clique or None, nodes)
     for one of the three searches, on the native kernel.
 
-    adj and bits are the edge and vertex bitsets as ints; with perm, the
-    graph searched is adj relabelled so that vertex i is perm[i].
+    words holds the edges' vertex_words; the kernel builds the intersection
+    adjacency from them, and for the omega search its relabel by descending
+    degree, whose clique comes back in the original edge indices.
     """
-    m = len(adj)
-    bits_words = None if bits is None else _words(bits, _VERTEX_BYTES)
-    perm_arr = None if perm is None else (ctypes.c_int32 * m)(*perm)
+    m = len(words) * 8 // _VERTEX_BYTES
     clique = (ctypes.c_int32 * max(m, 1))()
     result = (ctypes.c_int64 * 3)()
     # beyond these ranges a value acts as its clamp: best <= m, so a floor of
     # m or more records nothing and a target above m is never met; a clique
     # has at most MAX_N vertices of degree 3
-    status = fn(mode, m, _words(adj, 8 * ((m + 63) // 64)), perm_arr, bits_words, dense,
-                max(min(floor, m), -1), min(target, m + 1), float(max(min(zeta_cap, 256), -1)),
-                min(node_budget, 2**62), clique, result)
+    status = fn(mode, m, words, dense, max(min(floor, m), -1), min(target, m + 1),
+                float(max(min(zeta_cap, 256), -1)), min(node_budget, 2**62), clique, result)
     if status == 1:
         raise ResourceLimitError("branch-and-bound node budget exceeded")
     if status:

@@ -75,6 +75,8 @@ class ModelParams:
             raise DomainError("eps_thr must lie in (0, 1)")
         if not (0 < self.c_regime < 0.25):
             raise DomainError("c_regime must lie in (0, 1/4)")
+        if isinstance(self.phi, float) and not math.isfinite(self.phi):
+            raise DomainError(f"phi must be finite; got {self.phi}")
         if self.phi < 0:
             raise DomainError("phi must be nonnegative")
         if self.phi > self.M:

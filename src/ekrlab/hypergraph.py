@@ -156,8 +156,9 @@ def _vertex_stars(n: int, members) -> list[int]:
     return stars
 
 
-def _star_stats(stars, deg, Delta: int) -> DegreeStats:
-    """DegreeStats from the star masks, their popcounts deg and max(deg)."""
+def degree_stats(H: Hypergraph) -> DegreeStats:
+    stars = _vertex_stars(H.n, [e.members for e in H.edges])
+    deg = tuple(s.bit_count() for s in stars)
     pair = {}
     W = [set() for _ in stars]
     live = [x for x, s in enumerate(stars) if s]
@@ -170,13 +171,8 @@ def _star_stats(stars, deg, Delta: int) -> DegreeStats:
                 if c >= 2:
                     W[x].add(y)
                     W[y].add(x)
-    return DegreeStats(deg, Delta, pair, {x: frozenset(s) for x, s in enumerate(W)})
-
-
-def degree_stats(H: Hypergraph) -> DegreeStats:
-    stars = _vertex_stars(H.n, [e.members for e in H.edges])
-    deg = tuple(s.bit_count() for s in stars)
-    return _star_stats(stars, deg, max(deg, default=0))
+    return DegreeStats(deg, max(deg, default=0), pair,
+                       {x: frozenset(s) for x, s in enumerate(W)})
 
 
 @dataclass(frozen=True)
@@ -207,27 +203,58 @@ def m_window(m: int, mbar: float, psi: float) -> bool:
     return mbar - half < m < mbar + half
 
 
+def _star_maxima(stars) -> tuple[int, int]:
+    """(max d(x, y) over x != y, max |W_x|) from the star masks, with
+    W_x = {y : d(x, y) >= 2}: the two numbers event R reads, in one pass over
+    the pairs of live vertices (0 when there are none)."""
+    live = [s for s in stars if s]
+    w = [0] * len(live)
+    top = 0
+    for i, sx in enumerate(live):
+        for j in range(i + 1, len(live)):
+            c = (sx & live[j]).bit_count()
+            if c > top:
+                top = c
+            if c >= 2:
+                w[i] += 1
+                w[j] += 1
+    return top, max(w, default=0)
+
+
+def _event_r(m: int, Delta: int, max_pair: int, max_w: int, *, mbar: float, psi: float,
+             w_bound: float, alpha: int, beta: int) -> EventRReport:
+    """The conjuncts of event R from m, Delta, max d(x, y) and max |W_x|,
+    with mbar and w_bound as analytics.derive gives them."""
+    return EventRReport(
+        m_in_window=m_window(m, mbar, psi),
+        delta_le_beta=Delta <= beta,
+        delta_ge_alpha=Delta >= alpha,
+        pair_deg_le_8=max_pair <= 8,
+        wx_bounded=max_w < w_bound,
+        m=m, Delta=Delta, alpha=alpha, beta=beta, w_bound=w_bound,
+    )
+
+
 def check_event_r(H: Hypergraph, params, stats: DegreeStats | None = None,
                   alpha: int | None = None, beta: int | None = None) -> EventRReport:
     """Evaluate each conjunct of the high-probability event R on one sample."""
     from . import analytics
 
-    if stats is None:
-        stats = degree_stats(H)
     if alpha is None or beta is None:
         ab = analytics.compute_alpha_beta(params)
         alpha = ab.alpha if alpha is None else alpha
         beta = ab.beta if beta is None else beta
+    if stats is None:
+        stars = _vertex_stars(H.n, [e.members for e in H.edges])
+        Delta = max((s.bit_count() for s in stars), default=0)
+        maxima = _star_maxima(stars)
+    else:
+        Delta = stats.Delta
+        maxima = (max(stats.pair_deg.values(), default=0),
+                  max((len(s) for s in stats.W.values()), default=0))
     d = analytics.derive(params)
-    mbar = float(d.mbar)
-    return EventRReport(
-        m_in_window=m_window(H.m, mbar, params.psi),
-        delta_le_beta=stats.Delta <= beta,
-        delta_ge_alpha=stats.Delta >= alpha,
-        pair_deg_le_8=all(c <= 8 for c in stats.pair_deg.values()),
-        wx_bounded=all(len(s) < d.w for s in stats.W.values()),
-        m=H.m, Delta=stats.Delta, alpha=alpha, beta=beta, w_bound=d.w,
-    )
+    return _event_r(H.m, Delta, *maxima, mbar=float(d.mbar), psi=params.psi, w_bound=d.w,
+                    alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +278,12 @@ def _check_enum_cap(n: int, k: int, cap: int, hint: str) -> int:
     return N
 
 
-def _colex_unrank_bits(ranks, n: int, k: int, N: int) -> list[int]:
-    """Edge bitsets of the k-subsets of [n] at the given colex ranks (< N = C(n, k)).
-
-    Vectorised exact.colex_unrank: for i = k..1 the i-th largest member is
-    the largest v with C(v, i) <= r, found by a searchsorted over the column
-    C(v, i), v < n.  Column entries are clipped at N, which keeps them in
-    int64 and changes no answer, since every remaining r is below N.  Memory
-    is O(m + n k); no table of all C(n, k) sets is built.
-    """
-    r = np.asarray(ranks, dtype=np.int64)
-    if not r.size:
-        return []
-    out = np.zeros(r.shape, dtype=object)    # Python-int zeros
+@functools.lru_cache(maxsize=16)
+def _unrank_tables(n: int, k: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(columns, vertex_bit) for _colex_unrank_bits at (n, k), read-only:
+    columns[k - i] holds C(v, i) for v < n, clipped at N = C(n, k), and
+    vertex_bit[v] = 1 << v.  Each entry is O(n k) words."""
+    N = math.comb(n, k)
     vertex_bit = np.array([1 << v for v in range(n)], dtype=object)
     col = [1] * n                        # C(v, 0)
     columns = []
@@ -272,7 +292,27 @@ def _colex_unrank_bits(ranks, n: int, k: int, N: int) -> list[int]:
         # partial sum at N leaves min(C(v, i), N) exact
         col = list(accumulate(col[:-1], lambda a, b: min(a + b, N), initial=0))
         columns.append(np.array(col, dtype=np.int64))
-    for column in reversed(columns):
+    for table in (*columns, vertex_bit):
+        table.flags.writeable = False
+    return tuple(reversed(columns)), vertex_bit
+
+
+def _colex_unrank_bits(ranks, n: int, k: int) -> list[int]:
+    """Edge bitsets of the k-subsets of [n] at the given colex ranks (< C(n, k)).
+
+    Vectorised exact.colex_unrank: for i = k..1 the i-th largest member is
+    the largest v with C(v, i) <= r, found by a searchsorted over the column
+    C(v, i), v < n.  Column entries are clipped at C(n, k), which keeps them
+    in int64 and changes no answer, since every remaining r is below it.
+    Memory is O(m + n k); no table of all C(n, k) sets is built, and the
+    columns are built once per (n, k) (_unrank_tables).
+    """
+    r = np.asarray(ranks, dtype=np.int64)
+    if not r.size:
+        return []
+    columns, vertex_bit = _unrank_tables(n, k)
+    out = np.zeros(r.shape, dtype=object)    # Python-int zeros
+    for column in columns:
         v = np.searchsorted(column, r, side="right") - 1
         r = r - column[v]
         out |= vertex_bit[v]
@@ -291,7 +331,7 @@ def sample_bernoulli(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP
         ranks = np.arange(N)
     else:
         ranks = np.flatnonzero(rng.random(N) < p)
-    bits = _colex_unrank_bits(ranks, n, k, N)
+    bits = _colex_unrank_bits(ranks, n, k)
     return Hypergraph.from_edge_bits(n, k, bits, dedup=True)
 
 
@@ -338,7 +378,7 @@ def sample_conditioned(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_C
     N = _check_enum_cap(n, k, cap, "use sample_independent for graphs this large")
     rng = generator(seed)
     m = int(rng.binomial(N, p))
-    bits = _colex_unrank_bits(_distinct_ranks(rng, N, m), n, k, N)
+    bits = _colex_unrank_bits(_distinct_ranks(rng, N, m), n, k)
     H = Hypergraph.from_edge_bits(n, k, bits, dedup=True)
     psi = math.log(n) if psi is None else psi
     return H, m_window(m, p * N, psi)

@@ -31,7 +31,7 @@ import numpy as np
 from . import analytics, verifier, witnesses
 from .analytics import ModelParams
 from .errors import DomainError, ResourceLimitError
-from .hypergraph import (Hypergraph, _star_stats, check_event_r, sample_bernoulli,
+from .hypergraph import (Hypergraph, _event_r, _star_maxima, sample_bernoulli,
                          sample_conditioned, sample_independent)
 
 SCHEMA_VERSION = 1
@@ -175,6 +175,7 @@ class TrialContext:
     alpha: int
     beta: int
     regime: Optional[analytics.RegimeParams]
+    w_bound: float                  # event R's bound on |W_x| (analytics.derive)
     edge_cap: int = verifier.DEFAULT_EDGE_CAP
     node_budget: int = verifier.DEFAULT_NODE_BUDGET
     stream: tuple[int, ...] = ()    # extra spawn-key prefix (e.g. grid index)
@@ -194,8 +195,9 @@ def make_trial_context(params: ModelParams, sampler_mode: str, seed: int,
     regime = None
     if 0 < q < 1:
         regime = analytics.regime_params(params, alpha=ab.alpha, q=q)
-    return TrialContext(params, sampler_mode, seed, q, float(params.mbar),
-                        ab.alpha, ab.beta, regime, edge_cap, node_budget, stream)
+    return TrialContext(params, sampler_mode, seed, q, float(params.mbar), ab.alpha,
+                        ab.beta, regime, analytics.derive(params).w, edge_cap, node_budget,
+                        stream)
 
 
 def run_one_trial(ctx: TrialContext, trial_index: int) -> TrialRecord:
@@ -206,8 +208,8 @@ def run_one_trial(ctx: TrialContext, trial_index: int) -> TrialRecord:
     H = _sample(params, ctx.sampler_mode, seed_seq)
     inst = verifier._Instance(H)
     Delta = inst.Delta
-    stats = _star_stats(inst.stars, inst.deg, Delta)
-    ev = check_event_r(H, params, stats=stats, alpha=ctx.alpha, beta=ctx.beta)
+    ev = _event_r(H.m, Delta, *_star_maxima(inst.stars), mbar=ctx.mbar, psi=params.psi,
+                  w_bound=ctx.w_bound, alpha=ctx.alpha, beta=ctx.beta)
     conj = (ev.m_in_window, ev.delta_le_beta, ev.delta_ge_alpha,
             ev.pair_deg_le_8, ev.wx_bounded)
     lam = float(analytics.lambda_t(ctx.mbar, ctx.q, Delta))

@@ -44,8 +44,9 @@ on the first search and loaded through ctypes (see _native).  When it
 cannot be built or loaded they run on _branch_and_bound, which stays the
 reference: both kernels visit the same nodes and record the same cliques,
 so verdicts, witnesses, node counts and budget errors are identical.  The
-native omega search relabels the adjacency itself, so only the Python one
-rebuilds the stars in permuted order.
+native kernel builds the adjacency and the omega relabel from the edges'
+vertex bitsets, marshalled once per instance, so on that path the
+instance never builds adj.
 
 EKR is undefined for multisets: hypergraphs with repeated edges are
 rejected.
@@ -115,8 +116,9 @@ def intersection_adjacency(edge_bits) -> list[int]:
 
 class _Instance:
     """A family's derived structure, built once and shared by the searches;
-    deg[x] = |stars[x]| counts multiplicity.  The adjacency (m^2 bits) is
-    built on first use, never for a family over the edge cap."""
+    deg[x] = |stars[x]| counts multiplicity.  The adjacency (m^2 bits, for
+    the Python kernel) and the native kernel's words are built on first use,
+    never for a family over the edge cap."""
 
     def __init__(self, H: Hypergraph):
         self.m = H.m
@@ -130,6 +132,10 @@ class _Instance:
     @functools.cached_property
     def adj(self) -> list[int]:
         return _star_adjacency(self.members, self.stars)
+
+    @functools.cached_property
+    def words(self):
+        return _native.vertex_words(self.bits)
 
 
 def check_limits(edge_cap: int = DEFAULT_EDGE_CAP,
@@ -360,16 +366,17 @@ def _max_clique(inst: _Instance, node_budget: int):
     m = inst.m
     if m == 0:
         return 0, [], 0
-    # relabel by descending degree for better coloring bounds
-    perm = sorted(range(m), key=lambda i: (-inst.adj[i].bit_count(), i))
     kernel = _native.kernel()
     if kernel:
+        # the kernel relabels by degree itself and maps the clique back
         omega, clique, nodes = _native.search(
-            kernel, _native.OMEGA, inst.adj, perm=perm, dense=inst.dense_pairs,
+            kernel, _native.OMEGA, inst.words, dense=inst.dense_pairs,
             floor=inst.Delta, target=m + 1, node_budget=node_budget)
     else:
-        # the stars and adjacency of the permuted edge order, built the same
-        # way as the originals
+        # relabel by descending degree for better coloring bounds: the stars
+        # and adjacency of the permuted edge order, built the same way as
+        # the originals
+        perm = sorted(range(m), key=lambda i: (-inst.adj[i].bit_count(), i))
         members = [inst.members[old] for old in perm]
         radj = _star_adjacency(members, _vertex_stars(len(inst.stars), members))
         coloring = _make_coloring(radj, m, inst.dense_pairs)
@@ -378,9 +385,11 @@ def _max_clique(inst: _Instance, node_budget: int):
             accept=lambda P, _: not P,
             branches=lambda kmin, P, _: coloring(P, kmin),
             child=lambda state, v: state)
+        if clique is not None:
+            clique = [perm[v] for v in clique]
     if clique is None:       # no clique beats the largest star: return it
-        return omega, bits_of(inst.stars[inst.deg.index(inst.Delta)]), nodes
-    return omega, sorted(perm[v] for v in clique), nodes
+        return omega, list(bits_of(inst.stars[inst.deg.index(inst.Delta)])), nodes
+    return omega, sorted(clique), nodes
 
 
 def find_nontrivial_clique(H: Hypergraph, target: int,
@@ -418,7 +427,7 @@ def _nontrivial_search(inst: _Instance, target, node_budget: int, floor: int):
     floor) and stops once best >= target."""
     kernel = _native.kernel()
     if kernel:
-        return _native.search(kernel, _native.NONTRIVIAL, inst.adj, bits=inst.bits,
+        return _native.search(kernel, _native.NONTRIVIAL, inst.words,
                               dense=inst.dense_pairs, floor=floor, target=target,
                               node_budget=node_budget)
     bits = inst.bits

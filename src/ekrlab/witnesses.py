@@ -139,9 +139,8 @@ def _generic_search(inst: _Instance, size_t: int, zeta_cap: float, node_budget: 
     """find_generic_clique's search: (best, clique or None, nodes visited)."""
     kernel = _native.kernel()
     if kernel:
-        return _native.search(kernel, _native.GENERIC, inst.adj, bits=inst.bits,
-                              floor=size_t - 1, target=size_t, zeta_cap=zeta_cap,
-                              node_budget=node_budget)
+        return _native.search(kernel, _native.GENERIC, inst.words, floor=size_t - 1,
+                              target=size_t, zeta_cap=zeta_cap, node_budget=node_budget)
     bits, adj = inst.bits, inst.adj
     coloring = _make_coloring(adj, inst.m, False)
 

@@ -233,3 +233,16 @@ def test_console_script_installed():
     # module execution path: argparse prints usage and exits 0
     assert out.returncode == 0
     assert "ekrlab" in out.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["calc", "--n", "24", "--k", "3", "--phi", "nan"],
+    ["sweep", "--n", "24", "--k", "3", "--grid-start", "nan", "--grid-stop", "2",
+     "--grid-points", "2", "--trials", "1"],
+    ["sweep", "--n", "24", "--k", "3", "--grid-start", "1", "--grid-stop", "nan",
+     "--grid-points", "2", "--trials", "1"],
+], ids=["calc-phi", "sweep-grid-start", "sweep-grid-stop"])
+def test_nan_phi_exits_2(args):
+    # a NaN phi passes both range checks; the alpha2 scan then never ended
+    code, out, err = run_cli(args)
+    assert code == 2 and out == "" and "phi must be finite" in err

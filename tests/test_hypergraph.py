@@ -129,6 +129,24 @@ def test_degree_stats_matches_oracle(seed, n, m, family):
     assert hg.degree_stats(H) == oracle_degree_stats(H)
 
 
+@given(st.integers(0, 10**6), st.integers(3, 16), st.integers(0, 40),
+       st.sampled_from(["set", "multiset", "empty"]))
+def test_star_maxima_match_degree_stats(seed, n, m, family):
+    # event R's one pass reads the maxima degree_stats reports
+    k = 1 + seed % min(5, n - 1)
+    H = hg.sample_independent(n, k, 0 if family == "empty" else m, seed)
+    if family == "set":
+        H = H.dedupped()
+    stats = hg.degree_stats(H)
+    stars = hg._vertex_stars(n, [e.members for e in H.edges])
+    assert hg._star_maxima(stars) == (max(stats.pair_deg.values(), default=0),
+                                      max(len(w) for w in stats.W.values()))
+    if n > 2 * k:
+        params = an.ModelParams.from_phi(n, k, 1.0)
+        assert (hg.check_event_r(H, params, alpha=1, beta=3)
+                == hg.check_event_r(H, params, stats=stats, alpha=1, beta=3))
+
+
 def test_degree_stats_invariant_under_shuffle():
     H = hg.sample_bernoulli(10, 3, 0.2, 7)
     rng = np.random.default_rng(0)
@@ -181,10 +199,10 @@ def test_batch_unrank_matches_colex_unrank(n, k):
     # (70, 2): edge bitsets wider than 64 bits
     N = math.comb(n, k)
     expect = [exact.mask_from(exact.colex_unrank(r, k)) for r in range(N)]
-    assert hg._colex_unrank_bits(np.arange(N), n, k, N) == expect
+    assert hg._colex_unrank_bits(np.arange(N), n, k) == expect
     shuffled = np.random.Generator(np.random.Philox(n * 100 + k)).permutation(N)
-    assert hg._colex_unrank_bits(shuffled, n, k, N) == [expect[r] for r in shuffled]
-    assert hg._colex_unrank_bits([], n, k, N) == []
+    assert hg._colex_unrank_bits(shuffled, n, k) == [expect[r] for r in shuffled]
+    assert hg._colex_unrank_bits([], n, k) == []
 
 
 def test_independent_m0_empty():

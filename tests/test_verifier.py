@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ekrlab import exact
 from ekrlab import hypergraph as hg
 from ekrlab import verifier as vf
+from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError, ResourceLimitError
 
 
@@ -299,6 +300,46 @@ def test_kernels_agree_on_sampled_families(kernels, key, seed):
     assert runs["python"] == runs["native"]
 
 
+def relabelled(H, n, f):
+    return hg.Hypergraph.from_edges(n, H.k, [[f(v) for v in e.members] for e in H.edges])
+
+
+# the native kernel builds the adjacency (and the omega relabel) from the
+# edges' vertex words; these families reach the corners of that build, and
+# in each the omega search beats the largest star
+KERNEL_BUILT_GRAPHS = {
+    # repeated edges stay adjacent: the generic search takes multisets
+    "repeated edges": (lambda: hg.sample_independent(7, 3, 30, 3),
+                       lambda H: H.has_duplicates()),
+    # m > 64: edge bitsets span two words
+    "m > 64": (lambda: hg.sample_bernoulli(14, 5, 0.04, 0), lambda H: H.m > 64),
+    # vertices 255, 230, ..., 5: every vertex word, the last up to bit 63
+    "vertex 255": (lambda: relabelled(hg.sample_bernoulli(11, 5, 0.2, 0), 256,
+                                      lambda v: 255 - 25 * v),
+                   lambda H: any(e.bits >> 255 for e in H.edges)),
+}
+
+
+@pytest.mark.parametrize("family", list(KERNEL_BUILT_GRAPHS))
+def test_kernels_agree_on_the_graph_the_native_kernel_builds(kernels, family):
+    make, reaches = KERNEL_BUILT_GRAPHS[family]
+    H = make()
+    assert reaches(H)
+    runs = {}
+    for kernel in kernels():
+        inst = vf._Instance(H)
+        omega = vf._max_clique(inst, 50_000)
+        runs[kernel] = (omega,
+                        search_outcome(vf._nontrivial_search, inst, omega[0], 50_000, omega[0] - 1),
+                        search_outcome(vf._nontrivial_search, inst, math.inf, 50_000, 2),
+                        search_outcome(wt._generic_search, inst, 4, 1, 50_000),
+                        wt.find_generic_clique(H, 3, 0))
+    assert runs["python"] == runs["native"]
+    (omega, clique, _), *_ = runs["native"]
+    assert omega > vf._Instance(H).Delta and len(clique) == omega == len(set(clique))
+    assert all(H.edges[i].bits & H.edges[j].bits for i in clique for j in clique)
+
+
 def test_search_depth_not_limited_by_recursion(kernels):
     # every pair of 7-subsets of [13] meets, so the whole family (1716
     # edges) is one clique: search depth 1716, past Python's call limit
@@ -505,3 +546,10 @@ def test_verdict_json_shape():
     H2 = H_from(6, 2, [(0, 1), (0, 2)])
     js2 = vf.verdict_to_json(H2, vf.verify_ekr(H2))
     assert js2["holds"] is True and js2["witness"] is None
+
+
+def test_max_intersecting_family_returns_the_largest_star_as_a_list(kernels):
+    # no clique beats Delta = 3, so the star of vertex 0 is the witness
+    H = hg.Hypergraph.from_edges(7, 3, [[0, 1, 2], [0, 3, 4], [0, 5, 6]])
+    for kernel in kernels():
+        assert vf.max_intersecting_family(H) == (3, [0, 1, 2]), kernel
