@@ -9,11 +9,10 @@ from .analytics import (AlphaBeta, BetaStar, DerivedQuantities, ModelParams,
                         lambda_t, perturbed_intersection_bound, regime_params,
                         threshold_estimate)
 from .errors import DomainError, EkrLabError, ParseError, ResourceLimitError
-from .hypergraph import (DegreeStats, EventRReport, Hypergraph, KSet,
-                         check_event_r, degree_stats, dump_hypergraph,
-                         parse_hypergraph, read_hypergraph, sample_bernoulli,
-                         sample_conditioned, sample_independent,
-                         write_hypergraph)
+from .hypergraph import (DegreeStats, EventRReport, Hypergraph, check_event_r,
+                         degree_stats, dump_hypergraph, parse_hypergraph,
+                         read_hypergraph, sample_bernoulli, sample_conditioned,
+                         sample_independent, write_hypergraph)
 from .montecarlo import (NandSSummary, SweepRow, SweepTable, TrialRecord,
                          estimate_condition_nands, estimate_delta_law,
                          estimate_ekr_curve, run_trials, wilson_interval)

@@ -1,9 +1,10 @@
 """Command-line surface: calc, sample, verify, witness, sweep.
 
 Every subcommand is a pure function of (flags, input files, seed); repeated
-invocations are byte-identical.  Exit codes: 0 ok, 2 domain error, 3
-resource cap, 4 parse error.  EKRLAB_SEED is the seed fallback when --seed
-is not given.  All files UTF-8.
+invocations are byte-identical.  Exit codes: 0 ok, 2 domain error (or a
+flag argparse rejects), 3 resource cap, 4 parse error.  Only sample and
+sweep draw at random, so only they take --seed; EKRLAB_SEED is their seed
+fallback when it is not given.  All files UTF-8.
 """
 
 from __future__ import annotations
@@ -78,10 +79,13 @@ def _add_model_flags(sp) -> None:
                     help="regime constant c in (0, 1/4); eps = 1/4 - c")
 
 
-def _add_common(sp) -> None:
+def _add_output(sp) -> None:
+    sp.add_argument("--output", default=None, help="output path (default: stdout)")
+
+
+def _add_seed(sp) -> None:
     sp.add_argument("--seed", type=int, default=None,
                     help="master seed (fallback: EKRLAB_SEED, then 0)")
-    sp.add_argument("--output", default=None, help="output path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,13 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("calc", help="closed-form report: q, theta, Lambda table, "
                                      "alpha/beta/beta*, regime parameters, threshold")
     _add_model_flags(sp)
-    _add_common(sp)
+    _add_output(sp)
     sp.add_argument("--t-max", type=int, default=None, dest="t_max",
                     help="largest t in the Lambda table")
 
     sp = sub.add_parser("sample", help="sample one hypergraph to the text format")
     _add_model_flags(sp)
-    _add_common(sp)
+    _add_seed(sp)
+    _add_output(sp)
     sp.add_argument("--sampler", choices=montecarlo.SAMPLER_MODES, default="bernoulli")
     sp.add_argument("--m", type=int, default=None,
                     help="edge count for --sampler independent")
@@ -108,13 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="refuse to enumerate C(n,k) beyond this")
 
     sp = sub.add_parser("verify", help="exact strong-EKR verdict for a hypergraph file")
-    _add_common(sp)
+    _add_output(sp)
     sp.add_argument("input", help="hypergraph file (header 'n k m', 1-based edges)")
     sp.add_argument("--edge-cap", type=int, default=verifier.DEFAULT_EDGE_CAP)
     sp.add_argument("--node-budget", type=int, default=verifier.DEFAULT_NODE_BUDGET)
 
     sp = sub.add_parser("witness", help="obstruction detectors on a hypergraph file")
-    _add_common(sp)
+    _add_output(sp)
     sp.add_argument("input")
     sp.add_argument("--hm-d", type=int, default=None,
                     help="search a Hilton-Milner family with at least this many petals")
@@ -126,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="estimate Pr(EKR) over a phi grid")
     _add_model_flags(sp)
-    _add_common(sp)
+    _add_seed(sp)
+    _add_output(sp)
     sp.add_argument("--grid-start", type=float, required=True)
     sp.add_argument("--grid-stop", type=float, required=True)
     sp.add_argument("--grid-points", type=int, required=True)
@@ -216,8 +222,8 @@ def _grid(args) -> list[float]:
     if args.grid_scale == "linear":
         step = (args.grid_stop - args.grid_start) / (args.grid_points - 1)
         return [args.grid_start + i * step for i in range(args.grid_points)]
-    if args.grid_start <= 0:
-        raise DomainError("log grid needs a positive start")
+    if args.grid_start <= 0 or args.grid_stop <= 0:
+        raise DomainError("log grid needs a positive start and stop")
     ratio = (args.grid_stop / args.grid_start) ** (1.0 / (args.grid_points - 1))
     return [args.grid_start * ratio**i for i in range(args.grid_points)]
 

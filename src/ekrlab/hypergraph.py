@@ -1,8 +1,11 @@
-"""k-sets, k-uniform hypergraphs, the two sampling models, and degree stats
-read off the per-vertex star masks, the structure the verifier prepares.
+"""k-uniform hypergraphs, the two sampling models, and degree stats read off
+the per-vertex star masks, the structure the verifier prepares.
 
-Vertices are 0-based internally (0..n-1) and stored as Python-int bitsets;
-the text file format and all JSON surfaces are 1-based.
+Vertices are 0-based internally (0..n-1); the text file format and all JSON
+surfaces are 1-based.  A Hypergraph stores each edge only as a Python-int
+bitset (bit v for vertex v); edge_members reads an edge's vertices through
+one bounded cache keyed by the bitset, through which from_edges also makes
+equal parsed edges share one int object.
 
 Sampling determinism contract: every sampler is a pure function of
 (parameters, seed).  Seeds feed a counter-based Philox generator through
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -33,104 +36,65 @@ MEMBERS_CACHE = 8192        # distinct k-sets whose bits and members are kept
 @functools.lru_cache(maxsize=MEMBERS_CACHE)
 def _shared(bits: int) -> tuple[int, tuple[int, ...]]:
     """(bits, members): the first bits object seen for a k-set, and its
-    vertices ascending."""
+    vertices ascending.
+
+    A least-recently-used cache of at most MEMBERS_CACHE = 8192 entries, key
+    included ~270 bytes each at k <= 10 and ~2.2 KB at the k = 255 extreme
+    (tracemalloc): ~2.2 MB and ~17.5 MB when full.  Hypergraph.from_edges
+    keeps the int held here, so equal edges of parsed families share one int
+    object and a family kept in memory costs one pointer per cached edge."""
     return bits, tuple(exact.bits_of(bits))
 
 
-@dataclass(frozen=True, slots=True)
-class KSet:
-    """A k-subset of [n] as a fixed-width bitset.
-
-    `members` (its vertices, ascending) is set once, on construction, from a
-    least-recently-used cache keyed by `bits`, and `bits` is replaced by the
-    equal int held there, so equal k-sets share one int and one tuple: a
-    family kept in memory costs ~75 bytes per edge.  The cache keeps at most
-    MEMBERS_CACHE = 8192 entries, key included ~270 bytes each at k <= 10
-    and ~2.2 KB at the k = 255 extreme (tracemalloc): ~2.2 MB and ~17.5 MB
-    when full.  Hypergraph.from_edges and from_edge_bits also share whole
-    KSet objects through a second cache of the same bound (_kset, ~220 more
-    bytes per entry), so a family they build costs one pointer per edge
-    once its k-sets are cached."""
-
-    n: int
-    k: int
-    bits: int
-    members: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # n > 2k is enforced at the model level, not on raw k-sets
-        if not 0 < self.k <= self.n <= MAX_N:
-            raise DomainError(f"need 0 < k <= n <= {MAX_N}; got n={self.n}, k={self.k}")
-        if self.bits.bit_count() != self.k:
-            raise DomainError("bitset popcount != k")
-        if self.bits >> self.n:
-            raise DomainError("bitset has members >= n")
-        bits, members = _shared(self.bits)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "members", members)
-
-    @classmethod
-    def from_members(cls, n: int, members) -> "KSet":
-        return cls(n, len(set(members)), exact.mask_from(members))
-
-    @property
-    def colex_rank(self) -> int:
-        return exact.colex_rank(self.members)
-
-    def intersects(self, other: "KSet") -> bool:
-        return bool(self.bits & other.bits)
+def edge_members(bits: int) -> tuple[int, ...]:
+    """The vertices of an edge bitset, ascending, shared through _shared."""
+    return _shared(bits)[1]
 
 
-@functools.lru_cache(maxsize=MEMBERS_CACHE)
-def _kset(n: int, k: int, bits: int) -> KSet:
-    """KSet(n, k, bits), one shared object per distinct k-set (see KSet)."""
-    return KSet(n, k, bits)
+def check_nk(n: int, k: int) -> None:
+    """DomainError unless 0 < k <= n <= MAX_N, the shape every Hypergraph
+    and sampler accepts (n > 2k is enforced at the model level)."""
+    if not 0 < k <= n <= MAX_N:
+        raise DomainError(f"need 0 < k <= n <= {MAX_N}; got n={n}, k={k}")
 
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Ordered multiset of k-sets on [n]; dedup records enforced distinctness."""
+    """Ordered multiset of k-subsets of [n]; edge i is the int bitset
+    edge_bits[i], with bit v set for vertex v."""
 
     n: int
     k: int
-    edges: tuple[KSet, ...]
-    dedup: bool = False
+    edge_bits: tuple[int, ...]
 
     def __post_init__(self):
-        for e in self.edges:
-            if e.n != self.n or e.k != self.k:
-                raise DomainError("edge (n, k) mismatch")
-        if self.dedup and len(set(e.bits for e in self.edges)) != len(self.edges):
-            raise DomainError("dedup flag set but duplicate edges present")
+        check_nk(self.n, self.k)
+        for b in self.edge_bits:
+            if b.bit_count() != self.k:
+                raise DomainError("bitset popcount != k")
+            if b >> self.n:
+                raise DomainError("bitset has members >= n")
 
     @classmethod
-    def from_edge_bits(cls, n: int, k: int, bits_list, dedup: bool = False) -> "Hypergraph":
-        return cls(n, k, tuple(_kset(n, k, b) for b in bits_list), dedup)
+    def from_edge_bits(cls, n: int, k: int, bits_list) -> "Hypergraph":
+        return cls(n, k, tuple(bits_list))
 
     @classmethod
-    def from_edges(cls, n: int, k: int, member_lists, dedup: bool = False) -> "Hypergraph":
-        return cls(n, k, tuple(_kset(n, len(set(m)), exact.mask_from(m)) for m in member_lists),
-                   dedup)
+    def from_edges(cls, n: int, k: int, member_lists) -> "Hypergraph":
+        # (n, k) first: a parsed vertex may be as large as the header's n
+        check_nk(n, k)
+        return cls(n, k, tuple(_shared(exact.mask_from(m))[0] for m in member_lists))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    @property
-    def edge_bits(self) -> tuple[int, ...]:
-        return tuple(e.bits for e in self.edges)
+        return len(self.edge_bits)
 
     def has_duplicates(self) -> bool:
         return len(set(self.edge_bits)) != self.m
 
     def dedupped(self) -> "Hypergraph":
-        seen = set()
-        keep = []
-        for e in self.edges:
-            if e.bits not in seen:
-                seen.add(e.bits)
-                keep.append(e)
-        return Hypergraph(self.n, self.k, tuple(keep), dedup=True)
+        """The first copy of each edge, in order."""
+        return Hypergraph(self.n, self.k, tuple(dict.fromkeys(self.edge_bits)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +121,7 @@ def _vertex_stars(n: int, members) -> list[int]:
 
 
 def degree_stats(H: Hypergraph) -> DegreeStats:
-    stars = _vertex_stars(H.n, [e.members for e in H.edges])
+    stars = _vertex_stars(H.n, map(edge_members, H.edge_bits))
     deg = tuple(s.bit_count() for s in stars)
     pair = {}
     W = [set() for _ in stars]
@@ -245,7 +209,7 @@ def check_event_r(H: Hypergraph, params, stats: DegreeStats | None = None,
         alpha = ab.alpha if alpha is None else alpha
         beta = ab.beta if beta is None else beta
     if stats is None:
-        stars = _vertex_stars(H.n, [e.members for e in H.edges])
+        stars = _vertex_stars(H.n, map(edge_members, H.edge_bits))
         Delta = max((s.bit_count() for s in stars), default=0)
         maxima = _star_maxima(stars)
     else:
@@ -321,6 +285,7 @@ def _colex_unrank_bits(ranks, n: int, k: int) -> list[int]:
 
 def sample_bernoulli(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP) -> Hypergraph:
     """Each k-set independently present with probability p; colex edge order."""
+    check_nk(n, k)
     if not 0 <= p <= 1:
         raise DomainError("p must lie in [0, 1]")
     N = _check_enum_cap(n, k, cap, "use sample_independent for graphs this large")
@@ -332,10 +297,10 @@ def sample_bernoulli(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP
     else:
         ranks = np.flatnonzero(rng.random(N) < p)
     bits = _colex_unrank_bits(ranks, n, k)
-    return Hypergraph.from_edge_bits(n, k, bits, dedup=True)
+    return Hypergraph.from_edge_bits(n, k, bits)
 
 
-def _uniform_kset_bits(rng: np.random.Generator, n: int, k: int, pool: list[int]) -> int:
+def _uniform_edge_bits(rng: np.random.Generator, n: int, k: int, pool: list[int]) -> int:
     # partial Fisher-Yates: first k entries of a uniformly shuffled [n]
     bits = 0
     for j in range(k):
@@ -347,12 +312,13 @@ def _uniform_kset_bits(rng: np.random.Generator, n: int, k: int, pool: list[int]
 
 def sample_independent(n: int, k: int, m: int, seed) -> Hypergraph:
     """m edges i.i.d. uniform from C([n],k); duplicates possible; draw order."""
+    check_nk(n, k)
     if m < 0:
         raise DomainError("m must be nonnegative")
     rng = generator(seed)
     pool = list(range(n))
-    bits = [_uniform_kset_bits(rng, n, k, pool) for _ in range(m)]
-    return Hypergraph.from_edge_bits(n, k, bits, dedup=False)
+    bits = [_uniform_edge_bits(rng, n, k, pool) for _ in range(m)]
+    return Hypergraph.from_edge_bits(n, k, bits)
 
 
 def _distinct_ranks(rng: np.random.Generator, N: int, m: int) -> list[int]:
@@ -373,13 +339,14 @@ def sample_conditioned(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_C
     Same law as sample_bernoulli; also reports whether m landed inside the
     window (mbar - psi sqrt(mbar), mbar + psi sqrt(mbar)).
     """
+    check_nk(n, k)
     if not 0 <= p <= 1:
         raise DomainError("p must lie in [0, 1]")
     N = _check_enum_cap(n, k, cap, "use sample_independent for graphs this large")
     rng = generator(seed)
     m = int(rng.binomial(N, p))
     bits = _colex_unrank_bits(_distinct_ranks(rng, N, m), n, k)
-    H = Hypergraph.from_edge_bits(n, k, bits, dedup=True)
+    H = Hypergraph.from_edge_bits(n, k, bits)
     psi = math.log(n) if psi is None else psi
     return H, m_window(m, p * N, psi)
 
@@ -390,8 +357,8 @@ def sample_conditioned(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_C
 
 def dump_hypergraph(H: Hypergraph) -> str:
     lines = [f"{H.n} {H.k} {H.m}"]
-    for e in H.edges:
-        lines.append(" ".join(str(v + 1) for v in e.members))
+    for b in H.edge_bits:
+        lines.append(" ".join(str(v + 1) for v in edge_members(b)))
     return "\n".join(lines) + "\n"
 
 
@@ -423,11 +390,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
             raise ParseError(f"line {idx}: vertices must be strictly increasing")
         edges.append([v - 1 for v in verts])
     try:
-        H = Hypergraph.from_edges(n, k, edges, dedup=False)
+        return Hypergraph.from_edges(n, k, edges)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
-    # the format carries no flag; claim distinctness exactly when it holds
-    return H if H.has_duplicates() else Hypergraph(H.n, H.k, H.edges, dedup=True)
 
 
 def write_hypergraph(H: Hypergraph, path) -> None:

@@ -31,8 +31,8 @@ import numpy as np
 from . import analytics, verifier, witnesses
 from .analytics import ModelParams
 from .errors import DomainError, ResourceLimitError
-from .hypergraph import (Hypergraph, _event_r, _star_maxima, sample_bernoulli,
-                         sample_conditioned, sample_independent)
+from .hypergraph import (Hypergraph, _event_r, _star_maxima, generator,
+                         sample_bernoulli, sample_conditioned, sample_independent)
 
 SCHEMA_VERSION = 1
 SAMPLER_MODES = ("bernoulli", "conditioned", "independent")
@@ -125,7 +125,7 @@ def classify_witness_kind(H: Hypergraph, witness_indices, params: ModelParams,
         return "other"
     # Hilton-Milner shape: a single member B0 missing some vertex x that all
     # other members share, every x-member meeting B0.
-    bits = [H.edges[i].bits for i in idx]
+    bits = [H.edge_bits[i] for i in idx]
     for x in range(H.n):
         outside = [b for b in bits if not (b >> x) & 1]
         if len(outside) == 1:
@@ -155,7 +155,7 @@ def _sample(params: ModelParams, mode: str, seed_seq) -> Hypergraph:
     if mode == "independent":
         # coupling model: m ~ Bin(C(n,k), p), then m i.i.d. edges; EKR is
         # decided on the deduplicated family (repeats are o(1) here anyway)
-        rng = np.random.Generator(np.random.Philox(seed_seq))
+        rng = generator(seed_seq)
         m = int(rng.binomial(math.comb(n, k), p))
         return sample_independent(n, k, m, rng).dedupped()
     raise DomainError(f"unknown sampler mode {mode!r}; pick from {SAMPLER_MODES}")

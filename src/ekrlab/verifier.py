@@ -19,12 +19,13 @@ maximum clique cannot have a common vertex) or some omega-clique has empty
 intersection.  Cliques of size <= 2 always share a vertex, so omega <= 2
 (including the empty hypergraph) verdicts "holds".
 
-Each family is prepared once (_Instance): per-vertex star masks (star[x] =
-the edge indices containing x), from which Delta, the seed star and the
-intersection adjacency (adj[i] = OR of star[x] over x in edge i, minus i)
-follow in O(m k) big-int operations.  verify_ekr is its input checks plus
-_decide on that one structure; a Monte Carlo trial hands _decide the
-instance it built for event R.
+Each family is prepared once (_Instance) from its edge bitsets, with each
+edge's members read through hypergraph.edge_members: per-vertex star masks
+(star[x] = the edge indices containing x), from which Delta, the seed star
+and the intersection adjacency (adj[i] = OR of star[x] over x in edge i,
+minus i) follow in O(m k) big-int operations.  verify_ekr is its input
+checks plus _decide on that one structure; a Monte Carlo trial hands
+_decide the instance it built for event R.
 
 Both searches, and the generic-clique search of the witnesses module, run
 on one branch-and-bound kernel (_branch_and_bound).  It walks cliques depth
@@ -62,7 +63,7 @@ from typing import Optional
 from . import _native
 from .errors import DomainError, ResourceLimitError
 from .exact import bits_of
-from .hypergraph import Hypergraph, _vertex_stars
+from .hypergraph import Hypergraph, _vertex_stars, edge_members
 
 DEFAULT_EDGE_CAP = 2000
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -106,10 +107,11 @@ def _star_adjacency(members, stars) -> list[int]:
 def intersection_adjacency(edge_bits) -> list[int]:
     """adj[i] = bitmask of edge indices j != i with edges i, j intersecting.
 
-    Built from the vertex stars in O(m k) big-int ORs.  Repeated edges of a
-    multiset intersect, so they are adjacent to each other.
+    Built from the vertex stars in O(m k) big-int ORs, the members read
+    through hypergraph.edge_members.  Repeated edges of a multiset
+    intersect, so they are adjacent to each other.
     """
-    members = [tuple(bits_of(b)) for b in edge_bits]
+    members = [edge_members(b) for b in edge_bits]
     n = max((b.bit_length() for b in edge_bits), default=0)
     return _star_adjacency(members, _vertex_stars(n, members))
 
@@ -124,7 +126,7 @@ class _Instance:
         self.m = H.m
         self.dense_pairs = H.n < 3 * H.k        # see _make_coloring
         self.bits = H.edge_bits
-        self.members = [e.members for e in H.edges]
+        self.members = [edge_members(b) for b in self.bits]
         self.stars = _vertex_stars(H.n, self.members)
         self.deg = tuple(s.bit_count() for s in self.stars)
         self.Delta = max(self.deg, default=0)
@@ -494,8 +496,8 @@ def brute_force_ekr(H: Hypergraph, max_edges: int = 20) -> EkrVerdict:
     if H.has_duplicates():
         raise DomainError("EKR is undefined for multisets: duplicate edges present")
     # Delta and the adjacency by direct counts, not from the star masks
-    Delta = max((sum(x in e.members for e in H.edges) for x in range(H.n)), default=0)
     bits = H.edge_bits
+    Delta = max((sum(b >> x & 1 for b in bits) for x in range(H.n)), default=0)
     m = H.m
     adj = [sum(1 << j for j in range(m) if j != i and bits[i] & bits[j])
            for i in range(m)]
@@ -530,7 +532,7 @@ def validate_witness(H: Hypergraph, verdict: EkrVerdict) -> bool:
     w = verdict.witness
     if w is None or len(w) != verdict.omega:
         return False
-    bts = [H.edges[i].bits for i in w]
+    bts = [H.edge_bits[i] for i in w]
     for i in range(len(bts)):
         for j in range(i + 1, len(bts)):
             if not bts[i] & bts[j]:
@@ -543,6 +545,6 @@ def verdict_to_json(H: Hypergraph, verdict: EkrVerdict) -> dict:
     """Verdict JSON: {holds, omega, delta, witness} with 1-based vertices."""
     witness = None
     if verdict.witness is not None:
-        witness = [[v + 1 for v in H.edges[i].members] for i in verdict.witness]
+        witness = [[v + 1 for v in edge_members(H.edge_bits[i])] for i in verdict.witness]
     return {"holds": verdict.holds, "omega": verdict.omega,
             "delta": verdict.Delta, "witness": witness}

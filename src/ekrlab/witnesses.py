@@ -15,7 +15,7 @@ from . import _native
 from .analytics import RegimeParams
 from .errors import DomainError
 from .exact import bits_of
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, edge_members
 from .verifier import DEFAULT_NODE_BUDGET, _branch_and_bound, _Instance, _make_coloring, \
     check_limits, is_trivial_clique
 
@@ -59,12 +59,13 @@ def brute_force_hilton_milner(H: Hypergraph, d: int) -> bool:
     """Oracle: literal scan over all (x, B0) pairs counting petals."""
     if d <= 0:
         raise DomainError("d must be a positive integer")
+    bits = H.edge_bits
     for x in range(H.n):
-        for b0, e0 in enumerate(H.edges):
-            if x in e0.members:
+        for b0, e0 in enumerate(bits):
+            if e0 >> x & 1:
                 continue
-            count = sum(1 for i, e in enumerate(H.edges)
-                        if i != b0 and x in e.members and e.intersects(e0))
+            count = sum(1 for i, e in enumerate(bits)
+                        if i != b0 and e >> x & 1 and e & e0)
             if count >= d:
                 return True
     return False
@@ -86,7 +87,7 @@ def hm_count_bound(params, d: int) -> float:
 def _clique_degrees(H: Hypergraph, indices) -> dict[int, int]:
     deg: dict[int, int] = {}
     for i in indices:
-        for v in H.edges[i].members:
+        for v in edge_members(H.edge_bits[i]):
             deg[v] = deg.get(v, 0) + 1
     return deg
 
@@ -212,7 +213,7 @@ def clique_profile(H: Hypergraph, ordered_indices, lambda_cap: float) -> CliqueP
     Z: set[int] = set()
     w_sizes, z_sizes, u_sizes, s_vec, r_vec = [], [], [], [], []
     for i in ordered_indices:
-        mem = H.edges[i].members
+        mem = edge_members(H.edge_bits[i])
         s_vec.append(sum(1 for v in mem if v in W))
         r_vec.append(sum(1 for v in mem if v in Z))
         for v in mem:
@@ -262,14 +263,14 @@ def classify_nontrivial_clique(H: Hypergraph, clique_indices, regime: RegimePara
     """
     idx = list(clique_indices)
     _require_clique(H, idx)
-    trivial, _ = is_trivial_clique(H.edges[i].bits for i in idx)
+    trivial, _ = is_trivial_clique(H.edge_bits[i] for i in idx)
     if trivial:
         raise DomainError("taxonomy applies to nontrivial cliques only")
     cdeg = _clique_degrees(H, idx)
     size = len(idx)
     hdeg = [0] * H.n
-    for e in H.edges:
-        for v in e.members:
+    for b in H.edge_bits:
+        for v in edge_members(b):
             hdeg[v] += 1
     # (A)
     for x in sorted(cdeg):
@@ -296,5 +297,5 @@ def witness_to_json(H: Hypergraph, kind: str, indices) -> dict:
     """Clique JSON in the verifier's format plus a "kind" tag."""
     return {
         "kind": kind,
-        "witness": [[v + 1 for v in H.edges[i].members] for i in indices],
+        "witness": [[v + 1 for v in edge_members(H.edge_bits[i])] for i in indices],
     }

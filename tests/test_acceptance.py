@@ -72,7 +72,7 @@ def test_criterion_2_ekr_oracle_equivalence():
         built += 1
         fast = vf.verify_ekr(H)
         slow = vf.brute_force_ekr(H)
-        assert fast.holds == slow.holds, H.edges
+        assert fast.holds == slow.holds, H.edge_bits
         assert fast.omega == slow.omega and fast.Delta == slow.Delta
         assert vf.validate_witness(H, fast) and vf.validate_witness(H, slow)
     assert built == 1000
@@ -84,12 +84,12 @@ def test_criterion_3_classical_pins():
     t0 = time.time()
     for k in range(1, 5):
         for n in range(2 * k + 1, 10):
-            H = hg.Hypergraph.from_edges(n, k, list(combinations(range(n), k)), dedup=True)
+            H = hg.Hypergraph.from_edges(n, k, list(combinations(range(n), k)))
             v = vf.verify_ekr(H)
             assert v.holds and v.omega == v.Delta == math.comb(n - 1, k - 1), (n, k)
     for k in (2, 3):
         for n in range(2 * k + 1, 10):
-            H = hg.Hypergraph.from_edges(n, k, list(combinations(range(n), k)), dedup=True)
+            H = hg.Hypergraph.from_edges(n, k, list(combinations(range(n), k)))
             hm_value = math.comb(n - 1, k - 1) - math.comb(n - k - 1, k - 1) + 1
             # explicit Hilton-Milner family as the optimality seed, then the
             # exact search proves nothing larger exists
@@ -97,9 +97,9 @@ def test_criterion_3_classical_pins():
             family = [b0] + [c for c in combinations(range(n), k)
                              if 0 in c and set(c) & set(b0)]
             assert len(family) == hm_value
-            idx = {e.members: i for i, e in enumerate(H.edges)}
+            idx = {hg.edge_members(b): i for i, b in enumerate(H.edge_bits)}
             fam_idx = [idx[tuple(sorted(e))] for e in family]
-            trivial, _ = vf.is_trivial_clique(H.edges[i].bits for i in fam_idx)
+            trivial, _ = vf.is_trivial_clique(H.edge_bits[i] for i in fam_idx)
             assert not trivial
             size, wit = vf.max_nontrivial_clique(H, initial_best=hm_value - 1)
             assert size == hm_value, (n, k, size, hm_value)

@@ -210,14 +210,14 @@ def test_help_lists_flags(capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     for flag in ("--n", "--k", "--phi", "--p", "--psi", "--eps-thr",
-                 "--c-regime", "--seed", "--output", "--t-max"):
+                 "--c-regime", "--output", "--t-max"):
         assert flag in text, flag
     with pytest.raises(SystemExit):
         cli.main(["sweep", "--help"])
     text = capsys.readouterr().out
     for flag in ("--grid-start", "--grid-stop", "--grid-points", "--grid-scale",
                  "--trials", "--workers", "--format", "--sampler",
-                 "--edge-cap", "--node-budget"):
+                 "--edge-cap", "--node-budget", "--seed"):
         assert flag in text, flag
 
 
@@ -246,3 +246,33 @@ def test_nan_phi_exits_2(args):
     # a NaN phi passes both range checks; the alpha2 scan then never ended
     code, out, err = run_cli(args)
     assert code == 2 and out == "" and "phi must be finite" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--n", "24", "--k", "3", "--grid-start", "1", "--grid-stop", "-1",
+      "--grid-points", "3", "--grid-scale", "log", "--trials", "1"], "positive start and stop"),
+    (["sweep", "--n", "24", "--k", "3", "--grid-start", "1", "--grid-stop", "0",
+      "--grid-points", "3", "--grid-scale", "log", "--trials", "1"], "positive start and stop"),
+    (["sample", "--sampler", "independent", "--n", "10", "--k", "11", "--m", "1"],
+     "0 < k <= n"),
+    (["sample", "--n", "300", "--k", "3", "--phi", "1"], "n <= 256"),
+], ids=["log-grid-negative-stop", "log-grid-zero-stop", "sample-k-above-n",
+        "sample-n-above-256"])
+def test_out_of_domain_input_exits_2(args, message):
+    # a negative log-grid stop made the grid ratio complex (a TypeError), and
+    # k > n reached numpy's integers(0, 0) (a ValueError)
+    code, out, err = run_cli(args)
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("command", ["calc", "verify", "witness"])
+def test_seed_rejected_where_nothing_is_drawn(tmp_path, capsys, command):
+    path = tmp_path / "tri.txt"
+    path.write_text(TRIANGLE)
+    args = {"calc": ["calc", "--n", "24", "--k", "3"],
+            "verify": ["verify", str(path)],
+            "witness": ["witness", str(path), "--hm-d", "2"]}[command]
+    assert run_cli(args)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--seed", "1"])
+    assert exc.value.code == 2 and "--seed" in capsys.readouterr().err

@@ -13,59 +13,74 @@ from ekrlab import hypergraph as hg
 from ekrlab.errors import DomainError, ParseError, ResourceLimitError
 
 
-def H_from(n, k, edges, dedup=True):
-    return hg.Hypergraph.from_edges(n, k, edges, dedup=dedup)
+def H_from(n, k, edges):
+    return hg.Hypergraph.from_edges(n, k, edges)
 
 
 # ---------------------------------------------------------------------------
-# KSet / Hypergraph basics
+# Hypergraph basics
 # ---------------------------------------------------------------------------
 
-def test_kset_validation():
-    ks = hg.KSet.from_members(6, (0, 3, 5))
-    assert ks.members == (0, 3, 5)
-    assert ks.colex_rank == math.comb(0, 1) + math.comb(3, 2) + math.comb(5, 3)
-    with pytest.raises(DomainError):
-        hg.KSet(6, 2, 0b111)          # popcount mismatch
-    with pytest.raises(DomainError):
-        hg.KSet(4, 2, 0b10001)        # member >= n
-    with pytest.raises(DomainError):
-        hg.KSet(300, 3, 0b111)        # bitset width cap
+def test_edge_bitsets_validated():
+    H = H_from(6, 3, [(5, 0, 3)])
+    assert H.edge_bits == (0b101001,) and hg.edge_members(H.edge_bits[0]) == (0, 3, 5)
+    assert (exact.colex_rank(hg.edge_members(H.edge_bits[0]))
+            == math.comb(0, 1) + math.comb(3, 2) + math.comb(5, 3))
+    for make in (hg.Hypergraph, hg.Hypergraph.from_edge_bits):
+        with pytest.raises(DomainError, match="popcount"):
+            make(6, 2, (0b11, 0b111))
+        with pytest.raises(DomainError, match="members >= n"):
+            make(4, 2, (0b10001,))
+        with pytest.raises(DomainError, match="n <= 256"):
+            make(300, 3, (0b111,))
+    with pytest.raises(DomainError, match="popcount"):
+        H_from(6, 3, [(0, 1, 1)])                  # a repeated member
+    with pytest.raises(DomainError, match="members >= n"):
+        H_from(4, 2, [(0, 4)])
+    with pytest.raises(DomainError, match="n <= 256"):
+        H_from(300, 3, [(0, 1, 2)])
+    # (n, k) is checked when there is no edge to check it against, too
+    for n, k in ((6, 7), (300, 3), (6, 0)):
+        with pytest.raises(DomainError, match="n <= 256"):
+            hg.Hypergraph(n, k, ())
 
 
-def test_kset_members_stored_once_outside_identity():
-    import pickle
-    ks = hg.KSet.from_members(6, (5, 0, 3))
-    assert ks.members is ks.members
-    twin = hg.KSet(6, 3, ks.bits)
-    assert ks == twin and hash(ks) == hash(twin)
-    assert repr(ks) == "KSet(n=6, k=3, bits=41)"
-    back = pickle.loads(pickle.dumps(ks))
-    assert back == ks and back.members == (0, 3, 5)
-
-
-def test_equal_ksets_share_bits_and_members_through_a_bounded_cache():
+def test_equal_edges_share_bits_and_members_through_a_bounded_cache():
     from itertools import islice
-    a = hg.KSet.from_members(12, (11, 3, 9))
-    b = hg.KSet(12, 3, int("101000001000", 2))  # a new int object, equal to a.bits
-    assert b == a and b.bits is a.bits and b.members is a.members == (3, 9, 11)
+    a = hg.parse_hypergraph("12 3 1\n4 10 12\n")
+    b = hg.parse_hypergraph("12 3 2\n1 2 3\n4 10 12\n")
+    # two parses, one int object for the equal edge (2568 is no small int)
+    assert a.edge_bits[0] == 0b101000001000 and a.edge_bits[0] is b.edge_bits[1]
+    fresh = int("101000001000", 2)
+    assert hg.edge_members(fresh) is hg.edge_members(a.edge_bits[0]) == (3, 9, 11)
     # more distinct k-sets than the cache keeps: it stays at its bound
     for c in islice(combinations(range(30), 4), hg.MEMBERS_CACHE + 100):
-        assert hg.KSet.from_members(30, c).members == c
+        assert hg.edge_members(exact.mask_from(c)) == c
     info = hg._shared.cache_info()
     assert info.maxsize == hg.MEMBERS_CACHE == info.currsize
-    # an evicted k-set is rebuilt equal, and old k-sets keep their own
-    again = hg.KSet.from_members(12, (3, 9, 11))
-    assert again == a and again.members == a.members == (3, 9, 11)
+    # an evicted edge is rebuilt equal, and old families keep their own
+    again = H_from(12, 3, [(3, 9, 11)])
+    assert again == a and hg.edge_members(again.edge_bits[0]) == (3, 9, 11)
 
 
-def test_hypergraph_dedup_flag():
-    with pytest.raises(DomainError):
-        H_from(6, 2, [(0, 1), (0, 1)], dedup=True)
-    H = H_from(6, 2, [(0, 1), (0, 1)], dedup=False)
+def test_hypergraph_dedupped():
+    H = H_from(6, 2, [(0, 1), (2, 3), (0, 1)])
     assert H.has_duplicates()
-    assert not H.dedupped().has_duplicates()
-    assert H.dedupped().m == 1
+    D = H.dedupped()
+    assert not D.has_duplicates() and D.edge_bits == (0b11, 0b1100)
+
+
+@pytest.mark.parametrize("n, k", [(10, 11), (300, 3), (5, 0)])
+def test_samplers_check_n_k_before_drawing(n, k):
+    # the rule Hypergraph applies, before a single draw
+    for sample in (lambda rng: hg.sample_independent(n, k, 1, rng),
+                   lambda rng: hg.sample_bernoulli(n, k, 0.5, rng),
+                   lambda rng: hg.sample_conditioned(n, k, 0.5, rng)):
+        rng = hg.generator(0)
+        state = repr(rng.bit_generator.state)
+        with pytest.raises(DomainError, match="0 < k <= n <= 256"):
+            sample(rng)
+        assert repr(rng.bit_generator.state) == state
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +119,8 @@ def oracle_degree_stats(H):
     """Per-edge pair loop, independent of the star masks."""
     deg = [0] * H.n
     pair = {}
-    for e in H.edges:
-        mem = e.members
+    for b in H.edge_bits:
+        mem = hg.edge_members(b)
         for v in mem:
             deg[v] += 1
         for x, y in combinations(mem, 2):
@@ -138,7 +153,7 @@ def test_star_maxima_match_degree_stats(seed, n, m, family):
     if family == "set":
         H = H.dedupped()
     stats = hg.degree_stats(H)
-    stars = hg._vertex_stars(n, [e.members for e in H.edges])
+    stars = hg._vertex_stars(n, [hg.edge_members(b) for b in H.edge_bits])
     assert hg._star_maxima(stars) == (max(stats.pair_deg.values(), default=0),
                                       max(len(w) for w in stats.W.values()))
     if n > 2 * k:
@@ -151,7 +166,7 @@ def test_degree_stats_invariant_under_shuffle():
     H = hg.sample_bernoulli(10, 3, 0.2, 7)
     rng = np.random.default_rng(0)
     perm = rng.permutation(H.m)
-    H2 = hg.Hypergraph(H.n, H.k, tuple(H.edges[i] for i in perm), dedup=True)
+    H2 = hg.Hypergraph(H.n, H.k, tuple(H.edge_bits[i] for i in perm))
     a, b = hg.degree_stats(H), hg.degree_stats(H2)
     assert a.deg == b.deg and a.Delta == b.Delta and a.pair_deg == b.pair_deg
 
@@ -165,7 +180,7 @@ def test_bernoulli_endpoints():
     H = hg.sample_bernoulli(8, 2, 1.0, 3)
     assert H.m == math.comb(8, 2)
     # colex order
-    ranks = [e.colex_rank for e in H.edges]
+    ranks = [exact.colex_rank(hg.edge_members(b)) for b in H.edge_bits]
     assert ranks == sorted(ranks)
 
 
@@ -207,16 +222,16 @@ def test_batch_unrank_matches_colex_unrank(n, k):
 
 def test_independent_m0_empty():
     H = hg.sample_independent(9, 3, 0, 1)
-    assert H.m == 0 and not H.dedup
+    assert H.m == 0 and H.edge_bits == ()
 
 
 def test_independent_marginal_uniformity():
     # each of the C(5,2)=10 sets with frequency 1/10 +- 3 sigma
     n, k, T = 5, 2, 100_000
     H = hg.sample_independent(n, k, T, 4)
-    counts = Counter(e.bits for e in H.edges)
+    counts = Counter(H.edge_bits)
     sigma = math.sqrt(T * 0.1 * 0.9)
-    for bits in (hg.KSet.from_members(n, c).bits for c in combinations(range(n), k)):
+    for bits in (exact.mask_from(c) for c in combinations(range(n), k)):
         assert abs(counts[bits] - T / 10) <= 3 * sigma
 
 
@@ -282,8 +297,8 @@ def test_distinct_ranks_match_scalar_draws(N, m):
 
 def _rank_mask(H):
     mask = 0
-    for e in H.edges:
-        mask |= 1 << e.colex_rank
+    for b in H.edge_bits:
+        mask |= 1 << exact.colex_rank(hg.edge_members(b))
     return mask
 
 
@@ -394,6 +409,8 @@ def test_file_round_trip_exact(tmp_path):
     "6 2 1\n2 2\n",           # not strictly increasing
     "6 2 1\n2 1\n",           # not sorted
     "6 2 1\n1 7\n",           # vertex > n
+    "6 7 0\n",                # k > n, with no edge to show it
+    "300 3 0\n",              # n past the bitset width cap
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
@@ -402,6 +419,6 @@ def test_parse_errors(bad):
 
 def test_parse_multiset_allowed():
     H = hg.parse_hypergraph("6 2 2\n1 2\n1 2\n")
-    assert H.m == 2 and H.has_duplicates() and not H.dedup
+    assert H.m == 2 and H.has_duplicates()
     H2 = hg.parse_hypergraph("6 2 2\n1 2\n1 3\n")
-    assert H2.dedup
+    assert not H2.has_duplicates()

@@ -14,7 +14,7 @@ from ekrlab.errors import DomainError, ResourceLimitError
 
 
 def H_from(n, k, edges):
-    return hg.Hypergraph.from_edges(n, k, edges, dedup=True)
+    return hg.Hypergraph.from_edges(n, k, edges)
 
 
 def full_K(n, k):
@@ -301,7 +301,8 @@ def test_kernels_agree_on_sampled_families(kernels, key, seed):
 
 
 def relabelled(H, n, f):
-    return hg.Hypergraph.from_edges(n, H.k, [[f(v) for v in e.members] for e in H.edges])
+    return hg.Hypergraph.from_edges(n, H.k, [[f(v) for v in hg.edge_members(b)]
+                                             for b in H.edge_bits])
 
 
 # the native kernel builds the adjacency (and the omega relabel) from the
@@ -316,7 +317,7 @@ KERNEL_BUILT_GRAPHS = {
     # vertices 255, 230, ..., 5: every vertex word, the last up to bit 63
     "vertex 255": (lambda: relabelled(hg.sample_bernoulli(11, 5, 0.2, 0), 256,
                                       lambda v: 255 - 25 * v),
-                   lambda H: any(e.bits >> 255 for e in H.edges)),
+                   lambda H: any(b >> 255 for b in H.edge_bits)),
 }
 
 
@@ -337,7 +338,7 @@ def test_kernels_agree_on_the_graph_the_native_kernel_builds(kernels, family):
     assert runs["python"] == runs["native"]
     (omega, clique, _), *_ = runs["native"]
     assert omega > vf._Instance(H).Delta and len(clique) == omega == len(set(clique))
-    assert all(H.edges[i].bits & H.edges[j].bits for i in clique for j in clique)
+    assert all(H.edge_bits[i] & H.edge_bits[j] for i in clique for j in clique)
 
 
 def test_search_depth_not_limited_by_recursion(kernels):
@@ -397,7 +398,7 @@ def test_ekr_not_monotone_under_edge_addition():
 
 
 def test_multiset_rejected():
-    H = hg.Hypergraph.from_edges(6, 2, [(0, 1), (0, 1)], dedup=False)
+    H = hg.Hypergraph.from_edges(6, 2, [(0, 1), (0, 1)])
     with pytest.raises(DomainError):
         vf.verify_ekr(H)
     with pytest.raises(DomainError):
@@ -455,7 +456,7 @@ def test_oracle_equivalence_small_batch():
     for H in _random_instances(150):
         fast = vf.verify_ekr(H)
         slow = vf.brute_force_ekr(H)
-        assert fast.holds == slow.holds, H.edges
+        assert fast.holds == slow.holds, H.edge_bits
         assert fast.omega == slow.omega and fast.Delta == slow.Delta
         assert fast.omega >= fast.Delta      # every star is a clique
         assert vf.validate_witness(H, fast)
@@ -466,13 +467,13 @@ def test_omega_monotone_under_addition():
     rng = np.random.default_rng(77)
     for H in _random_instances(40, seed0=2000):
         omega0 = vf.max_intersecting_family(H)[0]
-        all_edges = [hg.KSet.from_members(H.n, c) for c in combinations(range(H.n), H.k)]
+        all_edges = [exact.mask_from(c) for c in combinations(range(H.n), H.k)]
         present = set(H.edge_bits)
-        extra = [e for e in all_edges if e.bits not in present]
+        extra = [e for e in all_edges if e not in present]
         if not extra:
             continue
         e = extra[rng.integers(0, len(extra))]
-        H2 = hg.Hypergraph(H.n, H.k, H.edges + (e,), dedup=True)
+        H2 = hg.Hypergraph(H.n, H.k, H.edge_bits + (e,))
         assert vf.max_intersecting_family(H2)[0] >= omega0
 
 
@@ -507,7 +508,7 @@ def test_oracle_equivalence_dense_regime():
                 v = b.bit_length() - 1
                 cand ^= b
                 stack.append((R + [v], common & bits[v], cand & adj[v]))
-        assert size == walk_best, H.edges
+        assert size == walk_best, H.edge_bits
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -533,7 +534,7 @@ def test_hm_value_k52():
     # largest nontrivial clique of full C([5],2): C(4,1) - C(2,1) + 1 = 3
     size, wit = vf.max_nontrivial_clique(full_K(5, 2))
     assert size == 3
-    trivial, _ = vf.is_trivial_clique(full_K(5, 2).edges[i].bits for i in wit)
+    trivial, _ = vf.is_trivial_clique(full_K(5, 2).edge_bits[i] for i in wit)
     assert not trivial
 
 

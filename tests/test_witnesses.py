@@ -13,8 +13,8 @@ from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError, ResourceLimitError
 
 
-def H_from(n, k, edges, dedup=True):
-    return hg.Hypergraph.from_edges(n, k, edges, dedup=dedup)
+def H_from(n, k, edges):
+    return hg.Hypergraph.from_edges(n, k, edges)
 
 
 def full_K(n, k):
@@ -58,7 +58,7 @@ def test_hm_d_validation():
 
 
 def test_hm_multiset_counts_multiplicity():
-    H = H_from(6, 2, [(3, 4), (0, 3), (0, 3)], dedup=False)
+    H = H_from(6, 2, [(3, 4), (0, 3), (0, 3)])
     assert wt.find_hilton_milner(H, 2) is not None
     assert wt.find_hilton_milner(H.dedupped(), 2) is None
 
@@ -75,7 +75,7 @@ def test_hm_vs_brute_force_random():
         built += 1
         for d in (1, 2, 3):
             assert (wt.find_hilton_milner(H, d) is not None) == \
-                wt.brute_force_hilton_milner(H, d), (H.edges, d)
+                wt.brute_force_hilton_milner(H, d), (H.edge_bits, d)
 
 
 def test_hm_count_bound_exponents():
@@ -115,7 +115,7 @@ def test_generic_requires_clique():
 
 @pytest.mark.parametrize("budget", [0, -5])
 def test_find_generic_rejects_invalid_budget(budget):
-    H = hg.Hypergraph.from_edges(6, 2, [(0, 1), (0, 2), (1, 2)], dedup=True)
+    H = hg.Hypergraph.from_edges(6, 2, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(DomainError):
         wt.find_generic_clique(H, 0, math.inf, node_budget=budget)
 
@@ -140,7 +140,7 @@ def test_find_generic_vs_brute_force():
             for zeta in (0, 1, 3):
                 got = wt.find_generic_clique(H, size, zeta)
                 want = wt.brute_force_generic_clique(H, size, zeta)
-                assert (got is not None) == want, (H.edges, size, zeta)
+                assert (got is not None) == want, (H.edge_bits, size, zeta)
                 if got is not None:
                     assert wt.is_generic_clique(H, got, zeta)
 
@@ -202,7 +202,7 @@ def _profile_identities(H, order, lam_cap):
     p = wt.clique_profile(H, order, lam_cap)
     deg = {}
     for i in order:
-        for v in H.edges[i].members:
+        for v in hg.edge_members(H.edge_bits[i]):
             deg[v] = deg.get(v, 0) + 1
     Z = {v for v, c in deg.items() if c >= 3}
     assert p.s == len(Z)
@@ -317,6 +317,6 @@ def test_trichotomy_coverage_on_sampled_instances():
             continue
         reg = an.regime_params(params, alpha=ab.alpha)
         out = wt.classify_nontrivial_clique(H, v.witness, reg, params.eps)
-        assert out.kind in ("A", "B", "C"), (H.edges, v)
+        assert out.kind in ("A", "B", "C"), (H.edge_bits, v)
         checked += 1
     assert checked >= 10
