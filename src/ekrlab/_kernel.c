@@ -16,6 +16,9 @@
  * candidate set, its state, and its candidates in branching order with the
  * start of each color class; colors are consecutive from the level's first.
  *
+ * A fourth mode, STATS, runs no search: from the same star words it returns
+ * Delta, its lowest vertex, max d(x, y) and max |W_x| (verifier._Instance).
+ *
  * Built with `gcc -O2 -shared -fPIC` and called through ctypes (_native).
  */
 #include <stdint.h>
@@ -26,7 +29,7 @@ typedef uint64_t u64;
 #define VW 4                            /* vertex bitset words, n <= 256 */
 #define BIT(v) (1ULL << ((v) & 63))
 
-enum { OMEGA = 0, NONTRIVIAL = 1, GENERIC = 2 };
+enum { OMEGA = 0, NONTRIVIAL = 1, GENERIC = 2, STATS = 3 };
 enum { DONE = 0, OUT_OF_BUDGET = 1, OUT_OF_MEMORY = 2 };
 
 typedef struct { int32_t *v; size_t len, cap; } ivec;
@@ -273,12 +276,9 @@ static int child(const search *s, const u64 *S, u64 *C, int v)
     return 1;
 }
 
-/* verifier._star_adjacency over the edge order e[i] = bits[perm[i]] (or
- * bits[i] without perm): star[x] has bit i when e[i] holds vertex x, and
- * adj[i] is the OR of the stars of e[i]'s vertices minus bit i, so repeated
- * edges stay adjacent */
-static void star_adjacency(int m, int W, const u64 *bits, const int32_t *perm,
-                           u64 *star, u64 *adj)
+/* hypergraph._vertex_stars over the edge order e[i] = bits[perm[i]] (or
+ * bits[i] without perm): star[x] has bit i when e[i] holds vertex x */
+static void vertex_stars(int m, int W, const u64 *bits, const int32_t *perm, u64 *star)
 {
     memset(star, 0, (size_t)64 * VW * W * sizeof(u64));
     for (int i = 0; i < m; i++) {
@@ -287,6 +287,14 @@ static void star_adjacency(int m, int W, const u64 *bits, const int32_t *perm,
             for (u64 x = e[w]; x; x &= x - 1)
                 star[(size_t)(w * 64 + __builtin_ctzll(x)) * W + (i >> 6)] |= BIT(i);
     }
+}
+
+/* verifier._star_adjacency over that edge order: adj[i] is the OR of the
+ * stars of e[i]'s vertices minus bit i, so repeated edges stay adjacent */
+static void star_adjacency(int m, int W, const u64 *bits, const int32_t *perm,
+                           u64 *star, u64 *adj)
+{
+    vertex_stars(m, W, bits, perm, star);
     for (int i = 0; i < m; i++) {
         const u64 *e = bits + (size_t)(perm ? perm[i] : i) * VW;
         u64 *a = adj + (size_t)i * W;
@@ -300,17 +308,48 @@ static void star_adjacency(int m, int W, const u64 *bits, const int32_t *perm,
     }
 }
 
+/* STATS: Delta, its lowest vertex (-1 when m = 0), max d(x, y) over x != y
+ * and max |W_x|, W_x = {y : d(x, y) >= 2}, into result[0..3]; the pairs are
+ * those of the live vertices, as in hypergraph._star_maxima */
+static int stats(int m, int W, const u64 *bits, int64_t *result)
+{
+    u64 *star = malloc((size_t)64 * VW * W * sizeof(u64) + sizeof(u64));
+    int live[64 * VW], wx[64 * VW] = {0}, L = 0;
+    if (!star) return OUT_OF_MEMORY;
+    vertex_stars(m, W, bits, NULL, star);
+    result[0] = result[2] = result[3] = 0;
+    result[1] = -1;
+    for (int x = 0; x < 64 * VW; x++) {
+        int d = popcount(star + (size_t)x * W, W);
+        if (d > result[0]) result[0] = d, result[1] = x;
+        if (d) live[L++] = x;
+    }
+    for (int i = 0; i < L; i++)
+        for (int j = i + 1; j < L; j++) {
+            const u64 *a = star + (size_t)live[i] * W, *b = star + (size_t)live[j] * W;
+            int c = 0;
+            for (int w = 0; w < W; w++) c += popc(a[w] & b[w]);
+            if (c > result[2]) result[2] = c;
+            if (c >= 2) wx[i]++, wx[j]++;
+        }
+    for (int i = 0; i < L; i++)
+        if (wx[i] > result[3]) result[3] = wx[i];
+    free(star);
+    return DONE;
+}
+
 /* One search over the intersection graph of m edges, bits holding each
  * edge's vertex bitset (VW words).  The omega search runs on that graph
  * relabelled by descending degree, ties by index (vertex i is old vertex
  * perm[i]), and its clique is mapped back to the old indices.  Writes best,
  * the recorded clique's size (-1 for none) and the nodes used to
  * result[0..2] and the clique to clique[]; returns DONE, OUT_OF_BUDGET or
- * OUT_OF_MEMORY. */
+ * OUT_OF_MEMORY.  Mode STATS runs stats() instead. */
 int ekr_search(int mode, int m, const u64 *bits, int dense, int64_t best0,
                int64_t target, double zeta, int64_t budget, int32_t *clique,
                int64_t *result)
 {
+    if (mode == STATS) return stats(m, (m + 63) / 64, bits, result);
     int W = (m + 63) / 64, SW = 3 * VW, r = 0, status = DONE;
     size_t rows = (size_t)m * W + 1;
     search s = {.m = m, .W = W, .mode = mode, .dense = dense, .bits = bits,

@@ -1,5 +1,9 @@
 """The compiled search kernel (_kernel.c): build, cache, load and call.
 
+Its one entry point, ekr_search, runs the omega, nontrivial or generic
+search (search()), or in a fourth mode, STATS, no search: it reads the
+edges' degree maxima (stats()).
+
 kernel() builds the kernel on first use with the system gcc, into a
 per-user cache directory ($XDG_CACHE_HOME/ekrlab or ~/.cache/ekrlab, mode
 0700), under a name keyed by the sha256 of the source and the build
@@ -20,7 +24,7 @@ import tempfile
 
 from .errors import ResourceLimitError
 
-OMEGA, NONTRIVIAL, GENERIC = 0, 1, 2
+OMEGA, NONTRIVIAL, GENERIC, STATS = 0, 1, 2, 3
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _CC = "gcc"
@@ -114,7 +118,8 @@ def search(fn, mode: int, words, *, floor: int, target: int, node_budget: int,
 
     words holds the edges' vertex_words; the kernel builds the intersection
     adjacency from them, and for the omega search its relabel by descending
-    degree, whose clique comes back in the original edge indices.
+    degree, whose clique comes back in the original edge indices.  The
+    fourth mode, STATS, is stats(), not a search.
     """
     m = len(words) * 8 // _VERTEX_BYTES
     clique = (ctypes.c_int32 * max(m, 1))()
@@ -132,3 +137,15 @@ def search(fn, mode: int, words, *, floor: int, target: int, node_budget: int,
     if size < 0:
         return floor, None, nodes
     return best, clique[:size], nodes
+
+
+def stats(fn, words) -> tuple[int, int, int, int]:
+    """(Delta, the lowest vertex of degree Delta or -1 when there is no edge,
+    max d(x, y) over x != y, max |W_x| with W_x = {y : d(x, y) >= 2}) of the
+    edges in words, degrees counting multiplicity: the kernel's STATS mode,
+    read off its per-vertex star words, with no search."""
+    m = len(words) * 8 // _VERTEX_BYTES
+    result = (ctypes.c_int64 * 4)()
+    if fn(STATS, m, words, 0, 0, 0, 0.0, 0, None, result):
+        raise MemoryError("native kernel statistics")
+    return tuple(result)

@@ -4,7 +4,10 @@ Every subcommand is a pure function of (flags, input files, seed); repeated
 invocations are byte-identical.  Exit codes: 0 ok, 2 domain error (or a
 flag argparse rejects), 3 resource cap, 4 parse error.  Only sample and
 sweep draw at random, so only they take --seed; EKRLAB_SEED is their seed
-fallback when it is not given.  All files UTF-8.
+fallback when it is not given.  Every flag a command accepts has an effect:
+sample takes no --psi, --eps-thr or --c-regime, and rejects the flags its
+sampler ignores (--m without --sampler independent; --phi, --p and
+--edge-enum-cap with it).  All files UTF-8.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 from . import analytics, montecarlo, verifier, witnesses
 from .analytics import ModelParams
 from .errors import DomainError, ParseError, ResourceLimitError
-from .hypergraph import (dump_hypergraph, read_hypergraph, sample_bernoulli,
-                         sample_conditioned, sample_independent)
+from .hypergraph import (DEFAULT_ENUM_CAP, dump_hypergraph, read_hypergraph,
+                         sample_bernoulli, sample_conditioned, sample_independent)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -44,7 +47,9 @@ def _seed_from(args) -> int:
 def _params_from(args) -> ModelParams:
     if args.n is None or args.k is None:
         raise DomainError("--n and --k are required")
-    kw = dict(psi=args.psi, eps_thr=args.eps_thr, c_regime=args.c_regime)
+    # sample takes no --psi, --eps-thr or --c-regime: no sampler reads them
+    kw = {name: getattr(args, name) for name in ("psi", "eps_thr", "c_regime")
+          if name in args}
     if args.phi is not None and args.p is not None:
         raise DomainError("give exactly one of --phi / --p")
     if args.phi is not None:
@@ -66,11 +71,15 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _add_model_flags(sp) -> None:
+def _add_degree_flags(sp) -> None:
     sp.add_argument("--n", type=int, help="ground-set size (n > 2k)")
     sp.add_argument("--k", type=int, help="edge size")
     sp.add_argument("--phi", type=float, help="expected vertex degree")
     sp.add_argument("--p", type=float, help="edge probability (alternative to --phi)")
+
+
+def _add_model_flags(sp) -> None:
+    _add_degree_flags(sp)
     sp.add_argument("--psi", type=float, default=None,
                     help="slowly growing auxiliary (default: log n)")
     sp.add_argument("--eps-thr", type=float, default=0.1, dest="eps_thr",
@@ -103,14 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest t in the Lambda table")
 
     sp = sub.add_parser("sample", help="sample one hypergraph to the text format")
-    _add_model_flags(sp)
+    _add_degree_flags(sp)
     _add_seed(sp)
     _add_output(sp)
     sp.add_argument("--sampler", choices=montecarlo.SAMPLER_MODES, default="bernoulli")
     sp.add_argument("--m", type=int, default=None,
-                    help="edge count for --sampler independent")
-    sp.add_argument("--edge-enum-cap", type=int, default=10**7, dest="enum_cap",
-                    help="refuse to enumerate C(n,k) beyond this")
+                    help="edge count for --sampler independent (only)")
+    sp.add_argument("--edge-enum-cap", type=int, default=None, dest="enum_cap",
+                    help="refuse to enumerate C(n,k) beyond this (default 10^7; "
+                         "not with --sampler independent)")
 
     sp = sub.add_parser("verify", help="exact strong-EKR verdict for a hypergraph file")
     _add_output(sp)
@@ -168,21 +178,33 @@ def _cmd_calc(args) -> int:
     return EXIT_OK
 
 
+# the sample flags a sampler ignores: given with it, they exit 2
+_SAMPLE_UNUSED = {
+    "bernoulli": (("m", "--m"),),
+    "conditioned": (("m", "--m"),),
+    "independent": (("phi", "--phi"), ("p", "--p"), ("enum_cap", "--edge-enum-cap")),
+}
+
+
 def _cmd_sample(args) -> int:
-    params = _params_from(args) if (args.phi is not None or args.p is not None
-                                    or args.sampler != "independent") else None
+    unused = [flag for name, flag in _SAMPLE_UNUSED[args.sampler]
+              if getattr(args, name) is not None]
+    if unused:
+        raise DomainError(f"--sampler {args.sampler} takes no {' / '.join(unused)}")
     seed = _seed_from(args)
-    if args.sampler == "bernoulli":
-        H = sample_bernoulli(params.n, params.k, float(params.p), seed, cap=args.enum_cap)
-    elif args.sampler == "conditioned":
-        H, _ = sample_conditioned(params.n, params.k, float(params.p), seed,
-                                  cap=args.enum_cap, psi=params.psi)
-    else:
+    if args.sampler == "independent":
         if args.m is None:
             raise DomainError("--sampler independent needs --m")
         if args.n is None or args.k is None:
             raise DomainError("--n and --k are required")
         H = sample_independent(args.n, args.k, args.m, seed)
+    else:
+        params = _params_from(args)
+        cap = DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
+        if args.sampler == "bernoulli":
+            H = sample_bernoulli(params.n, params.k, float(params.p), seed, cap=cap)
+        else:
+            H, _ = sample_conditioned(params.n, params.k, float(params.p), seed, cap=cap)
     _emit(dump_hypergraph(H), args.output)
     return EXIT_OK
 

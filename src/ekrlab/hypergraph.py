@@ -81,9 +81,16 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, n: int, k: int, member_lists) -> "Hypergraph":
-        # (n, k) first: a parsed vertex may be as large as the header's n
+        # (n, k) first: a parsed vertex may be as large as the header's n.
+        # A negative member fails as a shift, and one >= n in __post_init__:
+        # a range check on every member would cost parse_hypergraph over a
+        # quarter of its time.
         check_nk(n, k)
-        return cls(n, k, tuple(_shared(exact.mask_from(m))[0] for m in member_lists))
+        try:
+            bits = tuple(_shared(exact.mask_from(m))[0] for m in member_lists)
+        except ValueError as exc:       # "negative shift count"
+            raise DomainError("edge has members < 0") from exc
+        return cls(n, k, bits)
 
     @property
     def m(self) -> int:

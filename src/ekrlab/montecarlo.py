@@ -17,6 +17,7 @@ Wilson intervals and nothing more.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -31,8 +32,8 @@ import numpy as np
 from . import analytics, verifier, witnesses
 from .analytics import ModelParams
 from .errors import DomainError, ResourceLimitError
-from .hypergraph import (Hypergraph, _event_r, _star_maxima, generator,
-                         sample_bernoulli, sample_conditioned, sample_independent)
+from .hypergraph import (Hypergraph, _event_r, generator, sample_bernoulli,
+                         sample_conditioned, sample_independent)
 
 SCHEMA_VERSION = 1
 SAMPLER_MODES = ("bernoulli", "conditioned", "independent")
@@ -200,6 +201,14 @@ def make_trial_context(params: ModelParams, sampler_mode: str, seed: int,
                         stream)
 
 
+@functools.lru_cache(maxsize=1024)
+def _lambdas(mbar: float, q: float, Delta: int) -> tuple[float, float]:
+    """(Lambda(Delta), Lambda'(Delta)) as floats, kept per (mbar, q, Delta):
+    a grid point's trials share (mbar, q), and Delta takes few values."""
+    return (float(analytics.lambda_t(mbar, q, Delta)),
+            float(analytics.lambda_prime_t(mbar, q, Delta)))
+
+
 def run_one_trial(ctx: TrialContext, trial_index: int) -> TrialRecord:
     """Event R, Delta and the verdict all read one prepared sample."""
     params = ctx.params
@@ -208,12 +217,11 @@ def run_one_trial(ctx: TrialContext, trial_index: int) -> TrialRecord:
     H = _sample(params, ctx.sampler_mode, seed_seq)
     inst = verifier._Instance(H)
     Delta = inst.Delta
-    ev = _event_r(H.m, Delta, *_star_maxima(inst.stars), mbar=ctx.mbar, psi=params.psi,
+    ev = _event_r(H.m, Delta, *inst.pair_maxima, mbar=ctx.mbar, psi=params.psi,
                   w_bound=ctx.w_bound, alpha=ctx.alpha, beta=ctx.beta)
     conj = (ev.m_in_window, ev.delta_le_beta, ev.delta_ge_alpha,
             ev.pair_deg_le_8, ev.wx_bounded)
-    lam = float(analytics.lambda_t(ctx.mbar, ctx.q, Delta))
-    lam_p = float(analytics.lambda_prime_t(ctx.mbar, ctx.q, Delta))
+    lam, lam_p = _lambdas(ctx.mbar, ctx.q, Delta)
     try:
         verifier._check_edge_cap(H, ctx.edge_cap)
         verdict = verifier._decide(inst, ctx.node_budget)

@@ -19,12 +19,13 @@ maximum clique cannot have a common vertex) or some omega-clique has empty
 intersection.  Cliques of size <= 2 always share a vertex, so omega <= 2
 (including the empty hypergraph) verdicts "holds".
 
-Each family is prepared once (_Instance) from its edge bitsets, with each
-edge's members read through hypergraph.edge_members: per-vertex star masks
-(star[x] = the edge indices containing x), from which Delta, the seed star
-and the intersection adjacency (adj[i] = OR of star[x] over x in edge i,
-minus i) follow in O(m k) big-int operations.  verify_ekr is its input
-checks plus _decide on that one structure; a Monte Carlo trial hands
+Each family is prepared once (_Instance) from its edge bitsets.  Its
+degree structure is the per-vertex star masks (star[x] = the edge indices
+containing x): Delta is the largest popcount, the seed star is the star of
+the lowest vertex of that degree, event R's pair maxima are popcounts of
+ANDs of stars, and the intersection adjacency (adj[i] = OR of star[x] over
+x in edge i, minus i) follows in O(m k) operations.  verify_ekr is its
+input checks plus _decide on that one structure; a Monte Carlo trial hands
 _decide the instance it built for event R.
 
 Both searches, and the generic-clique search of the witnesses module, run
@@ -44,10 +45,14 @@ the three callers' rules and both colorings), built with the system gcc
 on the first search and loaded through ctypes (see _native).  When it
 cannot be built or loaded they run on _branch_and_bound, which stays the
 reference: both kernels visit the same nodes and record the same cliques,
-so verdicts, witnesses, node counts and budget errors are identical.  The
-native kernel builds the adjacency and the omega relabel from the edges'
-vertex bitsets, marshalled once per instance, so on that path the
-instance never builds adj.
+so verdicts, witnesses, node counts and budget errors are identical.  With
+the native kernel an instance marshals the edges' vertex bitsets once, and
+the kernel builds the star words from them: one call in its STATS mode
+gives Delta, its lowest vertex and event R's pair maxima, and each search
+builds the adjacency and the omega relabel itself, so that path builds no
+Python star masks, member tuples or adjacency.  With the Python kernel the
+instance builds them from the members (read through
+hypergraph.edge_members) in big-int operations; that path is the reference.
 
 EKR is undefined for multisets: hypergraphs with repeated edges are
 rejected.
@@ -62,8 +67,7 @@ from typing import Optional
 
 from . import _native
 from .errors import DomainError, ResourceLimitError
-from .exact import bits_of
-from .hypergraph import Hypergraph, _vertex_stars, edge_members
+from .hypergraph import Hypergraph, _star_maxima, _vertex_stars, edge_members
 
 DEFAULT_EDGE_CAP = 2000
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -117,19 +121,47 @@ def intersection_adjacency(edge_bits) -> list[int]:
 
 
 class _Instance:
-    """A family's derived structure, built once and shared by the searches;
-    deg[x] = |stars[x]| counts multiplicity.  The adjacency (m^2 bits, for
-    the Python kernel) and the native kernel's words are built on first use,
-    never for a family over the edge cap."""
+    """A family's derived structure, built once and shared by the searches:
+    Delta, centre (the lowest vertex of degree Delta, -1 when m = 0) and
+    pair_maxima (max d(x, y) over x != y, max |W_x|), degrees counting
+    multiplicity.
+
+    With the native kernel these come from one STATS call on words, the
+    edges' vertex bitsets marshalled once.  Otherwise they are read off the
+    star masks, the reference.  members, stars, deg = the popcounts of the
+    stars, and the adjacency (m^2 bits) are built on first use, only by the
+    Python kernel and witnesses.find_hilton_milner; the adjacency is never
+    built for a family over the edge cap."""
 
     def __init__(self, H: Hypergraph):
-        self.m = H.m
+        self.n, self.m = H.n, H.m
         self.dense_pairs = H.n < 3 * H.k        # see _make_coloring
         self.bits = H.edge_bits
-        self.members = [edge_members(b) for b in self.bits]
-        self.stars = _vertex_stars(H.n, self.members)
-        self.deg = tuple(s.bit_count() for s in self.stars)
-        self.Delta = max(self.deg, default=0)
+        kernel = _native.kernel()
+        if kernel:
+            # the cached properties words and pair_maxima, filled in here
+            self.words = _native.vertex_words(self.bits)
+            self.Delta, self.centre, *maxima = _native.stats(kernel, self.words)
+            self.pair_maxima = tuple(maxima)
+        else:
+            self.Delta = max(self.deg, default=0)
+            self.centre = self.deg.index(self.Delta) if self.m else -1
+
+    @functools.cached_property
+    def members(self) -> list[tuple[int, ...]]:
+        return [edge_members(b) for b in self.bits]
+
+    @functools.cached_property
+    def stars(self) -> list[int]:
+        return _vertex_stars(self.n, self.members)
+
+    @functools.cached_property
+    def deg(self) -> tuple[int, ...]:
+        return tuple(s.bit_count() for s in self.stars)
+
+    @functools.cached_property
+    def pair_maxima(self) -> tuple[int, int]:
+        return _star_maxima(self.stars)
 
     @functools.cached_property
     def adj(self) -> list[int]:
@@ -380,7 +412,7 @@ def _max_clique(inst: _Instance, node_budget: int):
         # the originals
         perm = sorted(range(m), key=lambda i: (-inst.adj[i].bit_count(), i))
         members = [inst.members[old] for old in perm]
-        radj = _star_adjacency(members, _vertex_stars(len(inst.stars), members))
+        radj = _star_adjacency(members, _vertex_stars(inst.n, members))
         coloring = _make_coloring(radj, m, inst.dense_pairs)
         omega, clique, nodes = _branch_and_bound(
             radj, node_budget, inst.Delta, math.inf, 0,
@@ -390,7 +422,8 @@ def _max_clique(inst: _Instance, node_budget: int):
         if clique is not None:
             clique = [perm[v] for v in clique]
     if clique is None:       # no clique beats the largest star: return it
-        return omega, list(bits_of(inst.stars[inst.deg.index(inst.Delta)])), nodes
+        centre = inst.centre
+        return omega, [i for i, b in enumerate(inst.bits) if b >> centre & 1], nodes
     return omega, sorted(clique), nodes
 
 

@@ -87,7 +87,7 @@ def hm_count_bound(params, d: int) -> float:
 def _clique_degrees(H: Hypergraph, indices) -> dict[int, int]:
     deg: dict[int, int] = {}
     for i in indices:
-        for v in edge_members(H.edge_bits[i]):
+        for v in bits_of(H.edge_bits[i]):
             deg[v] = deg.get(v, 0) + 1
     return deg
 
@@ -268,13 +268,9 @@ def classify_nontrivial_clique(H: Hypergraph, clique_indices, regime: RegimePara
         raise DomainError("taxonomy applies to nontrivial cliques only")
     cdeg = _clique_degrees(H, idx)
     size = len(idx)
-    hdeg = [0] * H.n
-    for b in H.edge_bits:
-        for v in edge_members(b):
-            hdeg[v] += 1
-    # (A)
+    # (A); d(x) in H is counted only for the x that reach the test
     for x in sorted(cdeg):
-        if (cdeg[x] >= regime.tau and size >= hdeg[x]
+        if (cdeg[x] >= regime.tau and size >= sum(b >> x & 1 for b in H.edge_bits)
                 and (size >= regime.alpha or size - cdeg[x] >= 2.0 / eps)):
             return CliqueClassification("A", (x,))
     # (B)

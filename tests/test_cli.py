@@ -75,6 +75,41 @@ def test_sample_deterministic_given_seed(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def exit_code(args):
+    try:
+        return run_cli(args)[0]
+    except SystemExit as exc:       # a flag argparse rejects
+        return exc.code
+
+
+BERNOULLI = ["sample", "--n", "10", "--k", "3", "--p", "0.2", "--seed", "1"]
+CONDITIONED = BERNOULLI + ["--sampler", "conditioned"]
+INDEPENDENT = ["sample", "--n", "10", "--k", "3", "--sampler", "independent", "--m", "4",
+               "--seed", "1"]
+
+
+@pytest.mark.parametrize("base, extra", [
+    (BERNOULLI, ["--m", "5", "--eps-thr", "0.3", "--c-regime", "0.2", "--psi", "9"]),
+    (INDEPENDENT, ["--phi", "1", "--edge-enum-cap", "5"]),
+    *[(BERNOULLI, flag) for flag in (["--m", "5"], ["--eps-thr", "0.3"],
+                                     ["--c-regime", "0.2"], ["--psi", "9"])],
+    (CONDITIONED, ["--m", "5"]),
+    (CONDITIONED, ["--psi", "9"]),
+    *[(INDEPENDENT, flag) for flag in (["--phi", "1"], ["--p", "0.2"],
+                                       ["--edge-enum-cap", "5"], ["--eps-thr", "0.3"])],
+])
+def test_sample_rejects_flags_its_sampler_ignores(base, extra):
+    # these flags used to be accepted and change no byte of the output
+    assert exit_code(base) == 0
+    assert exit_code(base + extra) == 2
+
+
+def test_sample_edge_enum_cap_still_applies():
+    for base in (BERNOULLI, CONDITIONED):
+        assert exit_code(base + ["--edge-enum-cap", "120"]) == 0     # C(10, 3) = 120
+        assert exit_code(base + ["--edge-enum-cap", "119"]) == 3
+
+
 def test_env_seed_fallback(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     code, _, _ = run_cli(["sample", "--n", "10", "--k", "3", "--p", "0.2",

@@ -37,6 +37,10 @@ def test_edge_bitsets_validated():
         H_from(6, 3, [(0, 1, 1)])                  # a repeated member
     with pytest.raises(DomainError, match="members >= n"):
         H_from(4, 2, [(0, 4)])
+    # a negative member used to escape as ValueError: negative shift count
+    for edge in ((-1, 2), (0, -3), (-2, -1)):
+        with pytest.raises(DomainError, match="members < 0"):
+            H_from(6, 2, [(0, 1), edge])
     with pytest.raises(DomainError, match="n <= 256"):
         H_from(300, 3, [(0, 1, 2)])
     # (n, k) is checked when there is no edge to check it against, too

@@ -9,6 +9,7 @@ from ekrlab import analytics as an
 from ekrlab import hypergraph as hg
 from ekrlab import montecarlo as mc
 from ekrlab import verifier as vf
+from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError
 
 
@@ -277,23 +278,32 @@ def test_trial_csv_golden_hash(kernels):
 
 
 def test_trial_builds_star_masks_once(kernels, monkeypatch):
-    # one build for event R, Delta and both searches; the Python omega search
-    # adds its relabelled copy, the native one relabels the adjacency itself;
+    # Python kernel: one build for event R, Delta and both searches, and the
+    # omega search's relabelled copy; native kernel: none, nor any member
+    # tuple, since its STATS call and searches build their own star words;
     # degree_stats (hypergraph's own build) never runs
-    calls = []
-    stars = vf._vertex_stars
+    calls, members = [], []
+    stars, edge_members = vf._vertex_stars, hg.edge_members
     monkeypatch.setattr(vf, "_vertex_stars",
-                        lambda n, members: calls.append(len(members)) or stars(n, members))
+                        lambda n, mem: calls.append(len(mem)) or stars(n, mem))
     monkeypatch.setattr(hg, "_vertex_stars", lambda *a: pytest.fail("degree_stats ran"))
+    for module in (hg, vf, wt):
+        monkeypatch.setattr(module, "edge_members",
+                            lambda b: members.append(b) or edge_members(b))
     ctx = mc.make_trial_context(an.ModelParams.from_phi(12, 3, 2.0), "conditioned", 1)
     for kernel in kernels():
-        builds = 2 if kernel == "python" else 1
         kinds = set()
         for t in range(30):
             calls.clear()
+            members.clear()
+            cached = hg._shared.cache_info()
             rec = mc.run_one_trial(ctx, t)
             kinds.add(rec.witness_kind)
-            assert calls == ([rec.m] * builds if rec.m else [0]), (kernel, t, calls)
+            if kernel == "native":
+                assert calls == [] and members == [], (t, calls, len(members))
+                assert hg._shared.cache_info() == cached, t
+            else:
+                assert calls == ([rec.m] * 2 if rec.m else [0]), (t, calls)
         assert None in kinds and len(kinds) > 1     # holding and failing trials
 
 

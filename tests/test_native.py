@@ -81,3 +81,46 @@ def test_limits_beyond_int64_act_as_their_clamps(kernels):
                         wt.find_generic_clique(H, 3, -10**400))
     assert runs["python"] == runs["native"]
     assert runs["native"][0] == (10**30, None) and runs["native"][3] is None
+
+
+def reference_stats(H):
+    """(Delta, lowest vertex of degree Delta or -1, max d(x, y), max |W_x|)
+    from the Python star masks, the maxima checked against degree_stats."""
+    stars = hg._vertex_stars(H.n, [hg.edge_members(b) for b in H.edge_bits])
+    deg = [s.bit_count() for s in stars]
+    Delta = max(deg, default=0)
+    maxima = hg._star_maxima(stars)
+    stats = hg.degree_stats(H)
+    assert maxima == (max(stats.pair_deg.values(), default=0),
+                      max(len(w) for w in stats.W.values()))
+    assert stats.Delta == Delta
+    return Delta, deg.index(Delta) if H.m else -1, *maxima
+
+
+def stats_families():
+    yield pytest.param(hg.Hypergraph(10, 3, ()), id="empty")
+    for m in (63, 64, 65, 300):             # one to five edge words
+        yield pytest.param(hg.sample_independent(12, 4, m, m), id=f"m={m}")
+        yield pytest.param(hg.sample_independent(40, 3, m, m).dedupped(), id=f"m={m} sparse")
+    yield pytest.param(hg.Hypergraph.from_edges(
+        256, 3, [(0, 128, 255), (1, 200, 255), (63, 64, 255), (0, 254, 255), (5, 6, 7)]),
+        id="last vertex word")
+    yield pytest.param(hg.Hypergraph.from_edges(
+        8, 3, [(0, 1, 2), (0, 1, 2), (2, 3, 4), (0, 1, 2)]), id="repeated edges")
+    yield pytest.param(hg.Hypergraph.from_edges(6, 1, [(4,)] * 5), id="one live vertex")
+    yield pytest.param(hg.Hypergraph.from_edges(
+        5, 2, [(0, 1)] * 65 + [(2, 3)] * 70 + [(0, 2)]), id="stars over three words")
+    for seed in range(6):
+        yield pytest.param(hg.sample_bernoulli(14, 5, 60 / math.comb(13, 4), seed),
+                           id=f"bernoulli (14,5) seed={seed}")
+        yield pytest.param(hg.sample_bernoulli(24, 3, 0.05, seed),
+                           id=f"bernoulli (24,3) seed={seed}")
+
+
+@pytest.mark.parametrize("H", stats_families())
+def test_native_stats_match_the_star_masks(kernels, H):
+    want = reference_stats(H)
+    assert _native.stats(_native.kernel(), _native.vertex_words(H.edge_bits)) == want
+    for kernel in kernels():
+        inst = vf._Instance(H)
+        assert (inst.Delta, inst.centre, *inst.pair_maxima) == want, kernel
