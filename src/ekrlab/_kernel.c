@@ -19,6 +19,10 @@
  * A fourth mode, STATS, runs no search: from the same star words it returns
  * Delta, its lowest vertex, max d(x, y) and max |W_x| (verifier._Instance).
  *
+ * A second entry point, ekr_trial, runs a whole sweep trial on a sampler's
+ * draws: Floyd's dedup, the colex unrank into vertex words, STATS, then the
+ * omega and nontrivial searches of verifier._decide.
+ *
  * Built with `gcc -O2 -shared -fPIC` and called through ctypes (_native).
  */
 #include <stdint.h>
@@ -460,5 +464,72 @@ out:
     free(lv);
     free(s.order.v);
     free(s.starts.v);
+    return status;
+}
+
+static int cmp64(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* the slot of x in an open-addressing set of 2^lg ranks, or the empty
+ * (-1) slot where x goes */
+static u64 slot(const int64_t *set, int lg, int64_t x)
+{
+    u64 h = (u64)x * 0x9e3779b97f4a7c15ULL >> (64 - lg);
+    while (set[h] >= 0 && set[h] != x) h = (h + 1) & (((u64)1 << lg) - 1);
+    return h;
+}
+
+/* hypergraph._floyd_ranks in place: draw[i] = t_j, j = N - m + i, stays,
+ * or becomes j when taken (j is not: every earlier rank is below it) */
+static int floyd(int64_t N, int64_t m, int64_t *draw)
+{
+    int lg = 1;
+    while (((int64_t)1 << lg) < 2 * m) lg++;
+    int64_t *set = malloc(sizeof(int64_t) << lg);
+    if (!set) return OUT_OF_MEMORY;
+    memset(set, 0xff, sizeof(int64_t) << lg);
+    for (int64_t i = 0; i < m; i++) {
+        u64 h = slot(set, lg, draw[i]);
+        if (set[h] >= 0) h = slot(set, lg, draw[i] = N - m + i);
+        set[h] = draw[i];
+    }
+    free(set);
+    qsort(draw, m, sizeof *draw, cmp64);
+    return DONE;
+}
+
+/* One trial of montecarlo.run_one_trial on m sampled k-sets of [n] (C(n, k)
+ * = N < 2^63), from Floyd's draws when floyd_draws is set (draw is then
+ * overwritten with the ranks) or from ascending ranks.  The colex unrank
+ * (hypergraph._colex_unrank_bits) fills words: the i-th largest member of
+ * rank r is the largest v with C(v, i) = col[(k - i) n + v] <= r (clipped at
+ * N).  STATS fills result[0..3]; when m <= edge_cap, verifier._decide's
+ * searches follow, each on its own budget: result[4] = omega and result[5]
+ * = the size of the failing clique in clique[], or -1 when EKR holds. */
+int ekr_trial(int n, int k, const int64_t *col, int64_t N, int64_t m, int64_t *draw,
+              int floyd_draws, int dense, int64_t edge_cap, int64_t budget, u64 *words,
+              int32_t *clique, int64_t *result)
+{
+    int64_t found[3];
+    int status;
+    if (floyd_draws && floyd(N, m, draw)) return OUT_OF_MEMORY;
+    memset(words, 0, (size_t)m * VW * sizeof(u64));
+    for (int64_t e = 0; e < m; e++)
+        for (int64_t i = 0, v = n, r = draw[e]; i < k; r -= col[i++ * n + v]) {
+            do v--; while (col[i * n + v] > r);     /* below the member before */
+            words[e * VW + (v >> 6)] |= BIT(v);
+        }
+    result[4] = result[5] = -1;
+    if ((status = stats((int)m, (int)((m + 63) / 64), words, result)) || m > edge_cap)
+        return status;
+    status = ekr_search(OMEGA, (int)m, words, dense, result[0], m + 1, 0, budget, clique, found);
+    result[4] = found[0];
+    if (!status && found[0] == result[0] && found[0] > 2)
+        status = ekr_search(NONTRIVIAL, (int)m, words, dense, found[0] - 1, found[0], 0,
+                            budget, clique, found);
+    result[5] = found[1];
     return status;
 }

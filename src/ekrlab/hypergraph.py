@@ -14,6 +14,9 @@ substream derived from (master seed, trial index), so parallel execution
 reproduces serial output bit for bit.  The Bernoulli and conditioned
 samplers unrank all drawn colex ranks in one vectorised pass, which returns
 the same edges, in the same order, as exact.colex_unrank rank by rank.
+Their draws (_draws) are shared with the compiled Monte Carlo trial, which
+dedups and unranks them in C, so both read one random stream.  Ranks are
+int64: C(n, k) >= 2**63 is refused with ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ class Hypergraph:
     edge_bits: tuple[int, ...]
 
     def __post_init__(self):
+        # public constructors validate; samplers build through _unchecked
         check_nk(self.n, self.k)
         for b in self.edge_bits:
             if b.bit_count() != self.k:
@@ -78,6 +82,14 @@ class Hypergraph:
     @classmethod
     def from_edge_bits(cls, n: int, k: int, bits_list) -> "Hypergraph":
         return cls(n, k, tuple(bits_list))
+
+    @classmethod
+    def _unchecked(cls, n: int, k: int, edge_bits: tuple[int, ...]) -> "Hypergraph":
+        """A Hypergraph without __post_init__'s checks, for edges built valid
+        (the samplers, dedupped and the native trial's words)."""
+        H = object.__new__(cls)
+        H.__dict__.update(n=n, k=k, edge_bits=edge_bits)
+        return H
 
     @classmethod
     def from_edges(cls, n: int, k: int, member_lists) -> "Hypergraph":
@@ -101,7 +113,7 @@ class Hypergraph:
 
     def dedupped(self) -> "Hypergraph":
         """The first copy of each edge, in order."""
-        return Hypergraph(self.n, self.k, tuple(dict.fromkeys(self.edge_bits)))
+        return Hypergraph._unchecked(self.n, self.k, tuple(dict.fromkeys(self.edge_bits)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +204,13 @@ def _star_maxima(stars) -> tuple[int, int]:
     return top, max(w, default=0)
 
 
-def _event_r(m: int, Delta: int, max_pair: int, max_w: int, *, mbar: float, psi: float,
-             w_bound: float, alpha: int, beta: int) -> EventRReport:
-    """The conjuncts of event R from m, Delta, max d(x, y) and max |W_x|,
-    with mbar and w_bound as analytics.derive gives them."""
-    return EventRReport(
-        m_in_window=m_window(m, mbar, psi),
-        delta_le_beta=Delta <= beta,
-        delta_ge_alpha=Delta >= alpha,
-        pair_deg_le_8=max_pair <= 8,
-        wx_bounded=max_w < w_bound,
-        m=m, Delta=Delta, alpha=alpha, beta=beta, w_bound=w_bound,
-    )
+def _event_r(m: int, Delta: int, max_pair: int, max_w: int, mbar: float, psi: float,
+             w_bound: float, alpha: int, beta: int) -> tuple[bool, bool, bool, bool, bool]:
+    """The conjuncts of event R, in EventRReport's order, from m, Delta,
+    max d(x, y) and max |W_x|, with mbar and w_bound as analytics.derive
+    gives them."""
+    return (m_window(m, mbar, psi), Delta <= beta, Delta >= alpha, max_pair <= 8,
+            max_w < w_bound)
 
 
 def check_event_r(H: Hypergraph, params, stats: DegreeStats | None = None,
@@ -224,8 +231,8 @@ def check_event_r(H: Hypergraph, params, stats: DegreeStats | None = None,
         maxima = (max(stats.pair_deg.values(), default=0),
                   max((len(s) for s in stats.W.values()), default=0))
     d = analytics.derive(params)
-    return _event_r(H.m, Delta, *maxima, mbar=float(d.mbar), psi=params.psi, w_bound=d.w,
-                    alpha=alpha, beta=beta)
+    conj = _event_r(H.m, Delta, *maxima, float(d.mbar), params.psi, d.w, alpha, beta)
+    return EventRReport(*conj, m=H.m, Delta=Delta, alpha=alpha, beta=beta, w_bound=d.w)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +253,18 @@ def _check_enum_cap(n: int, k: int, cap: int, hint: str) -> int:
     if N > cap:
         raise ResourceLimitError(
             f"C({n},{k}) = {N} exceeds the enumeration cap {cap}; {hint}")
+    if N >= 2**63:
+        raise ResourceLimitError(
+            f"C({n},{k}) = {N} is not below 2**63, the int64 limit of the sampled colex ranks")
     return N
 
 
 @functools.lru_cache(maxsize=16)
-def _unrank_tables(n: int, k: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _unrank_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(columns, vertex_bit) for _colex_unrank_bits at (n, k), read-only:
-    columns[k - i] holds C(v, i) for v < n, clipped at N = C(n, k), and
-    vertex_bit[v] = 1 << v.  Each entry is O(n k) words."""
+    the k x n int64 array columns has row k - i holding C(v, i) for v < n,
+    clipped at N = C(n, k), and vertex_bit[v] = 1 << v.  Each entry is
+    O(n k) words."""
     N = math.comb(n, k)
     vertex_bit = np.array([1 << v for v in range(n)], dtype=object)
     col = [1] * n                        # C(v, 0)
@@ -262,10 +273,11 @@ def _unrank_tables(n: int, k: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         # hockey stick: C(v, i) = sum_{u < v} C(u, i - 1); clipping each
         # partial sum at N leaves min(C(v, i), N) exact
         col = list(accumulate(col[:-1], lambda a, b: min(a + b, N), initial=0))
-        columns.append(np.array(col, dtype=np.int64))
-    for table in (*columns, vertex_bit):
+        columns.append(col)
+    columns = np.array(columns[::-1], dtype=np.int64)
+    for table in (columns, vertex_bit):
         table.flags.writeable = False
-    return tuple(reversed(columns)), vertex_bit
+    return columns, vertex_bit
 
 
 def _colex_unrank_bits(ranks, n: int, k: int) -> list[int]:
@@ -290,21 +302,30 @@ def _colex_unrank_bits(ranks, n: int, k: int) -> list[int]:
     return out.tolist()
 
 
-def sample_bernoulli(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP) -> Hypergraph:
-    """Each k-set independently present with probability p; colex edge order."""
+def _draws(sampler: str, n: int, k: int, p: float, seed, cap: int) -> tuple[int, np.ndarray]:
+    """(N = C(n, k), the int64 draws) of the bernoulli or conditioned sampler,
+    after the checks both make: for "bernoulli" the colex ranks of the
+    present k-sets, ascending; for "conditioned" m ~ Bin(N, p), then
+    Floyd's draws (_floyd_draws).  montecarlo's native trial hands them to
+    the kernel, so both paths read the same random stream."""
     check_nk(n, k)
     if not 0 <= p <= 1:
         raise DomainError("p must lie in [0, 1]")
     N = _check_enum_cap(n, k, cap, "use sample_independent for graphs this large")
     rng = generator(seed)
+    if sampler == "conditioned":
+        return N, _floyd_draws(rng, N, int(rng.binomial(N, p)))
     if p == 0:
-        ranks = []
-    elif p == 1:
-        ranks = np.arange(N)
-    else:
-        ranks = np.flatnonzero(rng.random(N) < p)
-    bits = _colex_unrank_bits(ranks, n, k)
-    return Hypergraph.from_edge_bits(n, k, bits)
+        return N, np.zeros(0, dtype=np.int64)
+    if p == 1:
+        return N, np.arange(N)
+    return N, np.flatnonzero(rng.random(N) < p)
+
+
+def sample_bernoulli(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP) -> Hypergraph:
+    """Each k-set independently present with probability p; colex edge order."""
+    _, ranks = _draws("bernoulli", n, k, p, seed, cap)
+    return Hypergraph._unchecked(n, k, tuple(_colex_unrank_bits(ranks, n, k)))
 
 
 def _uniform_edge_bits(rng: np.random.Generator, n: int, k: int, pool: list[int]) -> int:
@@ -324,19 +345,29 @@ def sample_independent(n: int, k: int, m: int, seed) -> Hypergraph:
         raise DomainError("m must be nonnegative")
     rng = generator(seed)
     pool = list(range(n))
-    bits = [_uniform_edge_bits(rng, n, k, pool) for _ in range(m)]
-    return Hypergraph.from_edge_bits(n, k, bits)
+    bits = tuple(_uniform_edge_bits(rng, n, k, pool) for _ in range(m))
+    return Hypergraph._unchecked(n, k, bits)
+
+
+def _floyd_draws(rng: np.random.Generator, N: int, m: int) -> np.ndarray:
+    """Floyd's draws for a uniform m-subset of {0..N-1}: t_j uniform on
+    [0, j] for j = N-m .. N-1, all m in one call (the same values and
+    generator state as m scalar draws)."""
+    return rng.integers(0, np.arange(N - m + 1, N + 1))
+
+
+def _floyd_ranks(N: int, draws) -> list[int]:
+    """Floyd's m-subset from its draws, ascending: keep t_j, or j when t_j
+    is already chosen."""
+    chosen = set()
+    for j, t in zip(range(N - len(draws), N), draws.tolist()):
+        chosen.add(t if t not in chosen else j)
+    return sorted(chosen)
 
 
 def _distinct_ranks(rng: np.random.Generator, N: int, m: int) -> list[int]:
-    # Floyd's uniform m-subset of {0..N-1}: t_j uniform on [0, j] for
-    # j = N-m .. N-1, all m drawn in one call (the same values and generator
-    # state as m scalar draws); keep t_j, or j when t_j is already chosen
-    chosen = set()
-    draws = rng.integers(0, np.arange(N - m + 1, N + 1)).tolist()
-    for j, t in zip(range(N - m, N), draws):
-        chosen.add(t if t not in chosen else j)
-    return sorted(chosen)
+    """Floyd's uniform m-subset of {0..N-1}, ascending, from rng."""
+    return _floyd_ranks(N, _floyd_draws(rng, N, m))
 
 
 def sample_conditioned(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP,
@@ -346,16 +377,10 @@ def sample_conditioned(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_C
     Same law as sample_bernoulli; also reports whether m landed inside the
     window (mbar - psi sqrt(mbar), mbar + psi sqrt(mbar)).
     """
-    check_nk(n, k)
-    if not 0 <= p <= 1:
-        raise DomainError("p must lie in [0, 1]")
-    N = _check_enum_cap(n, k, cap, "use sample_independent for graphs this large")
-    rng = generator(seed)
-    m = int(rng.binomial(N, p))
-    bits = _colex_unrank_bits(_distinct_ranks(rng, N, m), n, k)
-    H = Hypergraph.from_edge_bits(n, k, bits)
+    N, draws = _draws("conditioned", n, k, p, seed, cap)
+    H = Hypergraph._unchecked(n, k, tuple(_colex_unrank_bits(_floyd_ranks(N, draws), n, k)))
     psi = math.log(n) if psi is None else psi
-    return H, m_window(m, p * N, psi)
+    return H, m_window(H.m, p * N, psi)
 
 
 # ---------------------------------------------------------------------------

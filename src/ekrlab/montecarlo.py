@@ -11,6 +11,15 @@ recorded in the row and excluded from the estimates with an explicit count,
 never fatal.  The node budget is deterministic on purpose; a wall-clock
 timeout would break reproducibility.
 
+With the compiled kernel (see _native) a bernoulli or conditioned trial is
+one kernel call: Python draws the sample's numbers with numpy
+(hypergraph._draws), the kernel dedups, unranks, reads Delta and event R's
+pair maxima and runs the searches, and a Hypergraph is built from the
+kernel's vertex words only to classify a failing clique.  The independent
+sampler, and every trial without the kernel, builds a Hypergraph and a
+verifier._Instance instead; that path is the reference, and both give the
+same records.
+
 Asymptotic "almost surely" claims are reported as finite-n frequencies with
 Wilson intervals and nothing more.
 """
@@ -29,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import analytics, verifier, witnesses
+from . import _native, analytics, hypergraph, verifier, witnesses
 from .analytics import ModelParams
 from .errors import DomainError, ResourceLimitError
 from .hypergraph import (Hypergraph, _event_r, generator, sample_bernoulli,
@@ -209,29 +218,71 @@ def _lambdas(mbar: float, q: float, Delta: int) -> tuple[float, float]:
             float(analytics.lambda_prime_t(mbar, q, Delta)))
 
 
+@functools.lru_cache(maxsize=16)
+def _columns(n: int, k: int) -> tuple[np.ndarray, int]:
+    """hypergraph._unrank_tables(n, k)'s columns and their address."""
+    columns = hypergraph._unrank_tables(n, k)[0]
+    return columns, columns.ctypes.data
+
+
+def _native_trial(lib, ctx: TrialContext, seed_seq):
+    """A bernoulli or conditioned trial as one kernel call on the sampler's
+    numpy draws: (m, Delta, event R's pair maxima, the verdict or the
+    ResourceLimitError that stopped it, the edges' vertex words)."""
+    params = ctx.params
+    n, k = params.n, params.k
+    N, draws = hypergraph._draws(ctx.sampler_mode, n, k, float(params.p), seed_seq,
+                                 hypergraph.DEFAULT_ENUM_CAP)
+    m = len(draws)
+    status, (Delta, _, *maxima, omega, size), clique, words = _native.trial(
+        lib, n, k, _columns(n, k), N, draws, floyd=ctx.sampler_mode == "conditioned",
+        dense=n < 3 * k, edge_cap=ctx.edge_cap, node_budget=ctx.node_budget)
+    try:
+        verifier._check_edge_cap(m, ctx.edge_cap)
+        _native.check(status)
+    except ResourceLimitError as exc:
+        return m, Delta, maxima, exc, words
+    witness = None
+    if size >= 0:       # verifier._max_clique sorts the omega search's clique
+        witness = tuple(sorted(clique[:size]) if omega > Delta else clique[:size])
+    return m, Delta, maxima, verifier.EkrVerdict(witness is None, omega, Delta, witness), words
+
+
 def run_one_trial(ctx: TrialContext, trial_index: int) -> TrialRecord:
-    """Event R, Delta and the verdict all read one prepared sample."""
+    """Event R, Delta and the verdict all read one prepared sample.
+
+    With the native kernel a bernoulli or conditioned trial is one
+    _native.trial call, and a Hypergraph is built (from the kernel's vertex
+    words) only when classify_witness_kind must read a failing clique.
+    Otherwise, and for the independent sampler, the sample is one
+    Hypergraph and one verifier._Instance; that path is the reference."""
     params = ctx.params
     seed_seq = np.random.SeedSequence(ctx.master_seed,
                                       spawn_key=(*ctx.stream, trial_index))
-    H = _sample(params, ctx.sampler_mode, seed_seq)
-    inst = verifier._Instance(H)
-    Delta = inst.Delta
-    ev = _event_r(H.m, Delta, *inst.pair_maxima, mbar=ctx.mbar, psi=params.psi,
-                  w_bound=ctx.w_bound, alpha=ctx.alpha, beta=ctx.beta)
-    conj = (ev.m_in_window, ev.delta_le_beta, ev.delta_ge_alpha,
-            ev.pair_deg_le_8, ev.wx_bounded)
+    lib = _native.kernel()
+    if lib and ctx.sampler_mode != "independent":
+        m, Delta, maxima, verdict, words = _native_trial(lib, ctx, seed_seq)
+        H = None
+    else:
+        H = _sample(params, ctx.sampler_mode, seed_seq)
+        inst = verifier._Instance(H)
+        m, Delta, maxima = H.m, inst.Delta, inst.pair_maxima
+        try:
+            verifier._check_edge_cap(m, ctx.edge_cap)
+            verdict = verifier._decide(inst, ctx.node_budget)
+        except ResourceLimitError as exc:
+            verdict = exc
+    conj = _event_r(m, Delta, *maxima, ctx.mbar, params.psi, ctx.w_bound, ctx.alpha, ctx.beta)
     lam, lam_p = _lambdas(ctx.mbar, ctx.q, Delta)
-    try:
-        verifier._check_edge_cap(H, ctx.edge_cap)
-        verdict = verifier._decide(inst, ctx.node_budget)
-    except ResourceLimitError as exc:
-        return TrialRecord(trial_index, ctx.master_seed, H.m, Delta, -1,
-                           None, lam, lam_p, conj, None, str(exc))
+    if isinstance(verdict, ResourceLimitError):
+        return TrialRecord(trial_index, ctx.master_seed, m, Delta, -1,
+                           None, lam, lam_p, conj, None, str(verdict))
     kind = None
     if not verdict.holds:
+        if H is None:
+            H = Hypergraph._unchecked(params.n, params.k, _native.edge_bits(words))
         kind = classify_witness_kind(H, verdict.witness, params, ctx.regime)
-    return TrialRecord(trial_index, ctx.master_seed, H.m, Delta,
+    return TrialRecord(trial_index, ctx.master_seed, m, Delta,
                        verdict.omega, verdict.holds, lam, lam_p, conj, kind)
 
 

@@ -22,11 +22,13 @@ intersection.  Cliques of size <= 2 always share a vertex, so omega <= 2
 Each family is prepared once (_Instance) from its edge bitsets.  Its
 degree structure is the per-vertex star masks (star[x] = the edge indices
 containing x): Delta is the largest popcount, the seed star is the star of
-the lowest vertex of that degree, event R's pair maxima are popcounts of
+the lowest vertex of that degree (listed only by max_intersecting_family,
+when no clique beats it), event R's pair maxima are popcounts of
 ANDs of stars, and the intersection adjacency (adj[i] = OR of star[x] over
 x in edge i, minus i) follows in O(m k) operations.  verify_ekr is its
-input checks plus _decide on that one structure; a Monte Carlo trial hands
-_decide the instance it built for event R.
+input checks plus _decide on that one structure; a Monte Carlo trial on
+the Python path hands _decide the instance it built for event R, and the
+native trial (_kernel.c's ekr_trial) runs _decide's two searches itself.
 
 Both searches, and the generic-clique search of the witnesses module, run
 on one branch-and-bound kernel (_branch_and_bound).  It walks cliques depth
@@ -182,9 +184,9 @@ def check_limits(edge_cap: int = DEFAULT_EDGE_CAP,
         raise DomainError(f"edge cap must be >= 0; got {edge_cap}")
 
 
-def _check_edge_cap(H: Hypergraph, edge_cap: int) -> None:
-    if H.m > edge_cap:
-        raise ResourceLimitError(f"|H| = {H.m} exceeds the edge cap {edge_cap}")
+def _check_edge_cap(m: int, edge_cap: int) -> None:
+    if m > edge_cap:
+        raise ResourceLimitError(f"|H| = {m} exceeds the edge cap {edge_cap}")
 
 
 def _color_order(cadj, P: int, kmin: int):
@@ -390,13 +392,17 @@ def max_intersecting_family(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
     lower bound seeded with the largest star.
     """
     check_limits(edge_cap, node_budget)
-    _check_edge_cap(H, edge_cap)
-    omega, clique, _ = _max_clique(_Instance(H), node_budget)
+    _check_edge_cap(H.m, edge_cap)
+    inst = _Instance(H)
+    omega, clique, _ = _max_clique(inst, node_budget)
+    if clique is None:       # no clique beats the largest star: return it
+        return omega, [i for i, b in enumerate(H.edge_bits) if b >> inst.centre & 1]
     return omega, clique
 
 
 def _max_clique(inst: _Instance, node_budget: int):
-    """(omega, clique as ascending edge indices, nodes visited)."""
+    """(omega, clique as ascending edge indices, nodes visited); the clique
+    is None when none beats the largest star, of size Delta."""
     m = inst.m
     if m == 0:
         return 0, [], 0
@@ -421,10 +427,7 @@ def _max_clique(inst: _Instance, node_budget: int):
             child=lambda state, v: state)
         if clique is not None:
             clique = [perm[v] for v in clique]
-    if clique is None:       # no clique beats the largest star: return it
-        centre = inst.centre
-        return omega, [i for i, b in enumerate(inst.bits) if b >> centre & 1], nodes
-    return omega, sorted(clique), nodes
+    return omega, None if clique is None else sorted(clique), nodes
 
 
 def find_nontrivial_clique(H: Hypergraph, target: int,
@@ -501,7 +504,7 @@ def verify_ekr(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
     if H.has_duplicates():
         raise DomainError("EKR is undefined for multisets: duplicate edges present")
     check_limits(edge_cap, node_budget)
-    _check_edge_cap(H, edge_cap)
+    _check_edge_cap(H.m, edge_cap)
     return _decide(_Instance(H), node_budget)
 
 

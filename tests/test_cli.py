@@ -110,6 +110,16 @@ def test_sample_edge_enum_cap_still_applies():
         assert exit_code(base + ["--edge-enum-cap", "119"]) == 3
 
 
+@pytest.mark.parametrize("n", ["256", "207"])         # C(207, 12) = 9.34e18: 2**63 < N < 2**64
+@pytest.mark.parametrize("sampler", ["bernoulli", "conditioned"])
+def test_sample_refuses_ranks_beyond_int64(sampler, n):
+    # C(n, 12) >= 2**63: this was a traceback (exit 1), an OverflowError in
+    # rng.binomial or numpy's "Maximum allowed dimension exceeded"
+    code, _, err = run_cli(["sample", "--n", n, "--k", "12", "--phi", "5", "--sampler",
+                            sampler, "--edge-enum-cap", str(10**30), "--seed", "1"])
+    assert code == 3 and "2**63" in err
+
+
 def test_env_seed_fallback(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     code, _, _ = run_cli(["sample", "--n", "10", "--k", "3", "--p", "0.2",

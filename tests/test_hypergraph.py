@@ -278,6 +278,20 @@ def test_conditioned_matches_bernoulli_law():
     assert tv < 0.02
 
 
+def test_sampler_output_passes_the_public_constructor():
+    # the samplers build through the unchecked constructor; rebuilding their
+    # output through the validating one gives an equal hypergraph
+    for seed in range(5):
+        seq = np.random.SeedSequence(seed)
+        for H in (hg.sample_bernoulli(12, 4, 0.1, seq), hg.sample_bernoulli(9, 3, 1.0, seq),
+                  hg.sample_conditioned(256, 3, 1e-5, seq)[0],
+                  hg.sample_conditioned(7, 7, 1.0, seq)[0],
+                  hg.sample_independent(256, 5, 40, seq),
+                  hg.sample_independent(6, 3, 30, seq).dedupped()):
+            assert hg.Hypergraph(H.n, H.k, H.edge_bits) == H
+            assert hg.Hypergraph.from_edge_bits(H.n, H.k, H.edge_bits) == H
+
+
 def scalar_distinct_ranks(rng, N, m):
     """Reference for _distinct_ranks: Floyd's algorithm, one scalar draw
     per step."""

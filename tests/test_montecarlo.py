@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ekrlab import _native
 from ekrlab import analytics as an
 from ekrlab import hypergraph as hg
 from ekrlab import montecarlo as mc
@@ -279,10 +280,11 @@ def test_trial_csv_golden_hash(kernels):
 
 def test_trial_builds_star_masks_once(kernels, monkeypatch):
     # Python kernel: one build for event R, Delta and both searches, and the
-    # omega search's relabelled copy; native kernel: none, nor any member
-    # tuple, since its STATS call and searches build their own star words;
-    # degree_stats (hypergraph's own build) never runs
-    calls, members = [], []
+    # omega search's relabelled copy; native kernel: one ekr_trial call,
+    # which builds its own star words, and no Hypergraph, member tuple or
+    # star mask unless a failing clique must be classified (one Hypergraph,
+    # from the kernel's words); degree_stats (hypergraph's own build) never runs
+    calls, members, built, kernel_calls = [], [], [], []
     stars, edge_members = vf._vertex_stars, hg.edge_members
     monkeypatch.setattr(vf, "_vertex_stars",
                         lambda n, mem: calls.append(len(mem)) or stars(n, mem))
@@ -290,18 +292,29 @@ def test_trial_builds_star_masks_once(kernels, monkeypatch):
     for module in (hg, vf, wt):
         monkeypatch.setattr(module, "edge_members",
                             lambda b: members.append(b) or edge_members(b))
+    post_init, unchecked = hg.Hypergraph.__post_init__, hg.Hypergraph._unchecked
+    monkeypatch.setattr(hg.Hypergraph, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(hg.Hypergraph, "_unchecked",
+                        lambda *a: built.append(1) or unchecked(*a))
     ctx = mc.make_trial_context(an.ModelParams.from_phi(12, 3, 2.0), "conditioned", 1)
     for kernel in kernels():
+        if kernel == "native":
+            monkeypatch.setattr(_native, "_lib", _native.Kernel(*[
+                lambda *a, f=f: kernel_calls.append(1) or f(*a) for f in _native._lib]))
         kinds = set()
         for t in range(30):
             calls.clear()
             members.clear()
+            built.clear()
+            kernel_calls.clear()
             cached = hg._shared.cache_info()
             rec = mc.run_one_trial(ctx, t)
             kinds.add(rec.witness_kind)
             if kernel == "native":
                 assert calls == [] and members == [], (t, calls, len(members))
                 assert hg._shared.cache_info() == cached, t
+                assert kernel_calls == [1] and built == ([] if rec.ekr_holds else [1]), t
             else:
                 assert calls == ([rec.m] * 2 if rec.m else [0]), (t, calls)
         assert None in kinds and len(kinds) > 1     # holding and failing trials

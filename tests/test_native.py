@@ -2,10 +2,16 @@ import math
 import os
 import stat
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from test_hypergraph import scalar_distinct_ranks
 
 from ekrlab import _native
+from ekrlab import analytics as an
 from ekrlab import hypergraph as hg
+from ekrlab import montecarlo as mc
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
 
@@ -124,3 +130,72 @@ def test_native_stats_match_the_star_masks(kernels, H):
     for kernel in kernels():
         inst = vf._Instance(H)
         assert (inst.Delta, inst.centre, *inst.pair_maxima) == want, kernel
+
+
+@given(n=st.integers(1, 256), k=st.integers(1, 10), m=st.integers(0, 300),
+       seed=st.integers(0, 2**32))
+@example(n=6, k=2, m=0, seed=1)             # m = 0
+@example(n=6, k=2, m=15, seed=2)            # m = N = 15
+@example(n=9, k=9, m=1, seed=3)             # N = 1
+@example(n=9, k=9, m=0, seed=3)
+@example(n=256, k=10, m=300, seed=4)        # N = C(256, 10) ~ 2.8e17
+def test_native_floyd_dedup_matches_distinct_ranks(n, k, m, seed):
+    k = min(k, n)
+    N = math.comb(n, k)
+    m = min(m, N)
+    want = scalar_distinct_ranks(hg.generator(seed), N, m)
+    assert hg._distinct_ranks(hg.generator(seed), N, m) == want
+    draws = hg._floyd_draws(hg.generator(seed), N, m)
+    # edge cap 0: STATS only, no search; the kernel overwrites its draws
+    # with the ranks, and unranks them into words
+    *_, words = _native.trial(_native.kernel(), n, k, mc._columns(n, k), N, draws, floyd=True,
+                              dense=False, edge_cap=0, node_budget=1)
+    assert draws.tolist() == want
+    assert _native.edge_bits(words) == tuple(hg._colex_unrank_bits(want, n, k))
+
+
+def graphs(params, sampler, trials):
+    return [mc._sample(params, sampler, np.random.SeedSequence(7, spawn_key=(t,)))
+            for t in range(trials)]
+
+
+# (n, k, phi, run_trials limits, what the 20 trials must show)
+TRIAL_CASES = [
+    pytest.param(24, 3, 0.05, {}, lambda recs, Hs: any(H.m == 0 for H in Hs), id="m = 0"),
+    pytest.param(9, 3, 28, {}, lambda recs, Hs: all(H.m == 84 for H in Hs),
+                 id="p = 1, two edge words"),
+    pytest.param(256, 2, 3.0, {},
+                 lambda recs, Hs: any(b >> 255 & 1 for H in Hs for b in H.edge_bits),
+                 id="(256, 2), vertex 255"),
+    pytest.param(12, 3, 2.0, {}, lambda recs, Hs: any(r.omega > r.Delta for r in recs),
+                 id="omega > Delta"),
+    pytest.param(7, 3, 10, {},
+                 lambda recs, Hs: any(r.ekr_holds is False and r.omega == r.Delta for r in recs),
+                 id="dense, nontrivial witnesses"),
+    pytest.param(24, 3, 8.0, {"edge_cap": 64},
+                 lambda recs, Hs: {r.error is None for r in recs} == {True, False},
+                 id="edge cap below m"),
+    *[pytest.param(12, 3, 2.0, {"node_budget": b},
+                   lambda recs, Hs: any(not r.decided for r in recs),
+                   id=f"node budget {b}") for b in (1, 2)],
+]
+
+
+@pytest.mark.parametrize("sampler", ["bernoulli", "conditioned"])
+@pytest.mark.parametrize("n, k, phi, limits, shows", TRIAL_CASES)
+def test_native_trial_records_equal_the_python_path(kernels, monkeypatch, sampler, n, k, phi,
+                                                    limits, shows):
+    params = an.ModelParams.from_phi(n, k, phi)
+    classified = []
+    classify = mc.classify_witness_kind
+    monkeypatch.setattr(mc, "classify_witness_kind",
+                        lambda H, w, *a: classified.append((H, w)) or classify(H, w, *a))
+    runs = {}
+    for kernel in kernels():
+        classified.clear()
+        runs[kernel] = mc.run_trials(params, 20, sampler, 7, **limits), list(classified)
+    assert runs["native"] == runs["python"]
+    (records, witnesses), Hs = runs["native"], graphs(params, sampler, 20)
+    assert shows(records, Hs)
+    # the native trial rebuilds a failing trial's sample from its words
+    assert [H for H, _ in witnesses] == [H for H, r in zip(Hs, records) if r.ekr_holds is False]
