@@ -19,15 +19,21 @@
  * A fourth mode, STATS, runs no search: from the same star words it returns
  * Delta, its lowest vertex, max d(x, y) and max |W_x| (verifier._Instance).
  *
- * A second entry point, ekr_trial, runs a whole sweep trial on a sampler's
- * draws: Floyd's dedup, the colex unrank into vertex words, STATS, then the
- * omega and nontrivial searches of verifier._decide.
+ * A second entry point, ekr_trials, runs a batch of sweep trials.  It
+ * re-derives each trial's numpy stream (numpy's SeedSequence key, Philox
+ * with numpy's buffering, numpy's binomial and bounded-integer samplers from
+ * its libnpyrandom.a), then runs Floyd's dedup, the colex unrank into vertex
+ * words and, on star words and an adjacency built once, STATS and the omega
+ * and nontrivial searches of verifier._decide.
  *
- * Built with `gcc -O2 -shared -fPIC` and called through ctypes (_native).
+ * Built with `gcc -O2 -shared -fPIC -I<numpy include>`, linked with numpy's
+ * libnpyrandom.a and -lm, and called through ctypes (_native).
  */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#include <numpy/random/bitgen.h>    /* bitgen_t */
 
 typedef uint64_t u64;
 #define VW 4                            /* vertex bitset words, n <= 256 */
@@ -293,12 +299,12 @@ static void vertex_stars(int m, int W, const u64 *bits, const int32_t *perm, u64
     }
 }
 
-/* verifier._star_adjacency over that edge order: adj[i] is the OR of the
- * stars of e[i]'s vertices minus bit i, so repeated edges stay adjacent */
-static void star_adjacency(int m, int W, const u64 *bits, const int32_t *perm,
-                           u64 *star, u64 *adj)
+/* verifier._star_adjacency over that edge order, from its star words:
+ * adj[i] is the OR of the stars of e[i]'s vertices minus bit i, so repeated
+ * edges stay adjacent */
+static void adjacency(int m, int W, const u64 *bits, const int32_t *perm,
+                      const u64 *star, u64 *adj)
 {
-    vertex_stars(m, W, bits, perm, star);
     for (int i = 0; i < m; i++) {
         const u64 *e = bits + (size_t)(perm ? perm[i] : i) * VW;
         u64 *a = adj + (size_t)i * W;
@@ -313,14 +319,15 @@ static void star_adjacency(int m, int W, const u64 *bits, const int32_t *perm,
 }
 
 /* STATS: Delta, its lowest vertex (-1 when m = 0), max d(x, y) over x != y
- * and max |W_x|, W_x = {y : d(x, y) >= 2}, into result[0..3]; the pairs are
- * those of the live vertices, as in hypergraph._star_maxima */
-static int stats(int m, int W, const u64 *bits, int64_t *result)
+ * and max |W_x|, W_x = {y : d(x, y) >= 2}, into result[0..3], from the
+ * star words, or when star is NULL its own; the pairs are those of the live
+ * vertices, as in hypergraph._star_maxima */
+static int stats(int m, int W, const u64 *bits, const u64 *star, int64_t *result)
 {
-    u64 *star = malloc((size_t)64 * VW * W * sizeof(u64) + sizeof(u64));
+    u64 *own = star ? NULL : malloc((size_t)64 * VW * W * sizeof(u64) + sizeof(u64));
+    if (!star && !own) return OUT_OF_MEMORY;
+    if (own) vertex_stars(m, W, bits, NULL, own), star = own;
     int live[64 * VW], wx[64 * VW] = {0}, L = 0;
-    if (!star) return OUT_OF_MEMORY;
-    vertex_stars(m, W, bits, NULL, star);
     result[0] = result[2] = result[3] = 0;
     result[1] = -1;
     for (int x = 0; x < 64 * VW; x++) {
@@ -338,22 +345,23 @@ static int stats(int m, int W, const u64 *bits, int64_t *result)
         }
     for (int i = 0; i < L; i++)
         if (wx[i] > result[3]) result[3] = wx[i];
-    free(star);
+    free(own);
     return DONE;
 }
 
 /* One search over the intersection graph of m edges, bits holding each
- * edge's vertex bitset (VW words).  The omega search runs on that graph
- * relabelled by descending degree, ties by index (vertex i is old vertex
- * perm[i]), and its clique is mapped back to the old indices.  Writes best,
- * the recorded clique's size (-1 for none) and the nodes used to
- * result[0..2] and the clique to clique[]; returns DONE, OUT_OF_BUDGET or
- * OUT_OF_MEMORY.  Mode STATS runs stats() instead. */
-int ekr_search(int mode, int m, const u64 *bits, int dense, int64_t best0,
+ * edge's vertex bitset (VW words), on its adjacency adj0 or, when adj0 is
+ * NULL, one built here.  The omega search runs on that graph relabelled by
+ * descending degree, ties by index (vertex i is old vertex perm[i]), and
+ * its clique is mapped back to the old indices.  Writes best, the recorded
+ * clique's size (-1 for none) and the nodes used to result[0..2] and the
+ * clique to clique[]; returns DONE, OUT_OF_BUDGET or OUT_OF_MEMORY.  Mode
+ * STATS runs stats() instead. */
+int ekr_search(int mode, int m, const u64 *bits, const u64 *adj0, int dense, int64_t best0,
                int64_t target, double zeta, int64_t budget, int32_t *clique,
                int64_t *result)
 {
-    if (mode == STATS) return stats(m, (m + 63) / 64, bits, result);
+    if (mode == STATS) return stats(m, (m + 63) / 64, bits, NULL, result);
     int W = (m + 63) / 64, SW = 3 * VW, r = 0, status = DONE;
     size_t rows = (size_t)m * W + 1;
     search s = {.m = m, .W = W, .mode = mode, .dense = dense, .bits = bits,
@@ -382,20 +390,25 @@ int ekr_search(int mode, int m, const u64 *bits, int dense, int64_t best0,
     s.hist = ints + 4 * (m + 2);
     s.fl = ints + 5 * (m + 2);
     int32_t *R = ints + 6 * (m + 2), *perm = ints + 7 * (m + 2);
-    star_adjacency(m, W, bits, NULL, star, adj);
+    if (!adj0) {
+        vertex_stars(m, W, bits, NULL, star);
+        adjacency(m, W, bits, NULL, star, adj);
+    }
+    s.adj = adj0 = adj0 ? adj0 : adj;
     if (mode == OMEGA) {
         /* sorted(range(m), key=(-degree, index)) as a stable counting sort
          * on m - 1 - degree, then the graph again in that order */
         memset(s.hist, 0, ((size_t)m + 1) * sizeof(int32_t));
         for (int i = 0; i < m; i++) {
-            s.cnt[i] = m - 1 - popcount(adj + (size_t)i * W, W);
+            s.cnt[i] = m - 1 - popcount(adj0 + (size_t)i * W, W);
             s.hist[s.cnt[i] + 1]++;
         }
         for (int d = 1; d < m; d++) s.hist[d] += s.hist[d - 1];
         for (int i = 0; i < m; i++) perm[s.hist[s.cnt[i]]++] = i;
-        star_adjacency(m, W, bits, perm, star, adj);
+        vertex_stars(m, W, bits, perm, star);
+        adjacency(m, W, bits, perm, star, adj);
+        s.adj = adj;
     }
-    s.adj = adj;
     for (int v = 0; v < m; v++) {
         for (int w = 0; w < W; w++) {
             int top = m - 64 * w;
@@ -501,35 +514,180 @@ static int floyd(int64_t N, int64_t m, int64_t *draw)
     return DONE;
 }
 
-/* One trial of montecarlo.run_one_trial on m sampled k-sets of [n] (C(n, k)
- * = N < 2^63), from Floyd's draws when floyd_draws is set (draw is then
- * overwritten with the ranks) or from ascending ranks.  The colex unrank
- * (hypergraph._colex_unrank_bits) fills words: the i-th largest member of
- * rank r is the largest v with C(v, i) = col[(k - i) n + v] <= r (clipped at
- * N).  STATS fills result[0..3]; when m <= edge_cap, verifier._decide's
- * searches follow, each on its own budget: result[4] = omega and result[5]
- * = the size of the failing clique in clique[], or -1 when EKR holds. */
-int ekr_trial(int n, int k, const int64_t *col, int64_t N, int64_t m, int64_t *draw,
-              int floyd_draws, int dense, int64_t edge_cap, int64_t budget, u64 *words,
-              int32_t *clique, int64_t *result)
+/* numpy's SeedSequence (bit_generator.pyx), in uint32 arithmetic */
+static uint32_t hashmix(uint32_t v, uint32_t *h, uint32_t mult)
 {
+    v ^= *h;
+    *h *= mult;
+    v *= *h;
+    return v ^ v >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xca01f9dd * x - 0x4973f715 * y;
+    return r ^ r >> 16;
+}
+
+/* SeedSequence(seed, spawn_key=(*stream, t)).generate_state(2, uint64) into
+ * key: ent[0..len) holds its entropy words (the seed's, padded to 4, then
+ * the stream's), and t's words follow */
+static void seed_key(const uint32_t *ent, int64_t len, u64 t, u64 *key)
+{
+    uint32_t pool[4], tw[2] = {(uint32_t)t, (uint32_t)(t >> 32)}, h = 0x43b0d7e5;
+    for (int i = 0; i < 4; i++) pool[i] = hashmix(ent[i], &h, 0x931e8875);
+    for (int i = 0; i < 4; i++)
+        for (int j = 0; j < 4; j++)
+            if (i != j) pool[j] = mix(pool[j], hashmix(pool[i], &h, 0x931e8875));
+    for (int64_t i = 4; i < len + 1 + (t >> 32 != 0); i++)
+        for (int j = 0; j < 4; j++)
+            pool[j] = mix(pool[j], hashmix(i < len ? ent[i] : tw[i - len], &h, 0x931e8875));
+    h = 0x8b51f9dd;
+    key[0] = key[1] = 0;
+    for (int i = 0; i < 4; i++)
+        key[i / 2] |= (u64)hashmix(pool[i], &h, 0x58f38ded) << 32 * (i % 2);
+}
+
+/* Philox4x64-10 (Salmon et al., SC'11) buffered as numpy's philox.h: the
+ * counter is bumped before each block of four words, and a 32-bit draw
+ * takes the low half of a word first, keeping the high half */
+typedef struct {
+    u64 ctr[4], key[2], buf[4];
+    int pos, has32;
+    uint32_t u32;
+} philox;
+
+static u64 next64(void *st)
+{
+    philox *g = st;
+    if (g->pos < 4) return g->buf[g->pos++];
+    for (int i = 0; i < 4 && !++g->ctr[i]; i++);
+    u64 *c = g->buf, k0 = g->key[0], k1 = g->key[1];
+    memcpy(c, g->ctr, sizeof g->ctr);
+    for (int r = 0; r < 10; r++, k0 += 0x9E3779B97F4A7C15ULL, k1 += 0xBB67AE8584CAA73BULL) {
+        __uint128_t a = (__uint128_t)0xD2E7470EE14C6C93ULL * c[0];
+        __uint128_t b = (__uint128_t)0xCA5A826395121157ULL * c[2];
+        c[0] = (u64)(b >> 64) ^ c[1] ^ k0, c[1] = (u64)b;
+        c[2] = (u64)(a >> 64) ^ c[3] ^ k1, c[3] = (u64)a;
+    }
+    g->pos = 1;
+    return c[0];
+}
+
+static uint32_t next32(void *st)
+{
+    philox *g = st;
+    if (!(g->has32 = !g->has32)) return g->u32;
+    u64 x = next64(st);
+    g->u32 = (uint32_t)(x >> 32);
+    return (uint32_t)x;
+}
+
+static double next_double(void *st) { return (next64(st) >> 11) * (1.0 / 9007199254740992.0); }
+
+/* numpy/random/distributions.h's binomial_t and two of its samplers, linked
+ * from numpy's libnpyrandom.a */
+typedef struct {
+    int has_binomial;
+    double psave;
+    int64_t nsave;
+    double r, q, fm;
+    int64_t m;
+    double p1, xm, xl, xr, c, laml, lamr, p2, p3, p4;
+} binomial_t;
+int64_t random_binomial(bitgen_t *bitgen_state, double p, int64_t n, binomial_t *binomial);
+uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
+                               uint64_t mask, bool use_masked);
+
+/* *a holds at least need int64s, or OUT_OF_MEMORY */
+static int grow(int64_t **a, int64_t *cap, int64_t need)
+{
+    if (need <= *cap) return DONE;
+    int64_t *p = realloc(*a, (2 * need + 16) * sizeof *p);
+    if (p) *a = p, *cap = 2 * need + 16;
+    return p ? DONE : OUT_OF_MEMORY;
+}
+
+/* The colex unrank (hypergraph._colex_unrank_bits) of m ascending ranks
+ * into words: the i-th largest member of rank r is the largest v with
+ * C(v, i) = col[(k - i) n + v] <= r (clipped at C(n, k)).  Then STATS into
+ * result[0..3] and, when m <= edge_cap, verifier._decide's searches, each on
+ * its own budget: result[4] = omega, result[5] = the size of the failing
+ * clique, which follows the words, or -1 when EKR holds or is undecided. */
+static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *rank, int dense,
+                 int64_t edge_cap, int64_t budget, u64 *words, int64_t *result)
+{
+    int W = (int)((m + 63) / 64), status = DONE;
     int64_t found[3];
-    int status;
-    if (floyd_draws && floyd(N, m, draw)) return OUT_OF_MEMORY;
+    size_t stars = (size_t)64 * VW * W + 1;
+    u64 *star = malloc((stars + (size_t)m * W + m + 2) * sizeof(u64));
+    result[4] = result[5] = -1;
+    if (!star) return OUT_OF_MEMORY;
+    u64 *adj = star + stars;
+    int32_t *clique = (int32_t *)(adj + (size_t)m * W + 1);
     memset(words, 0, (size_t)m * VW * sizeof(u64));
     for (int64_t e = 0; e < m; e++)
-        for (int64_t i = 0, v = n, r = draw[e]; i < k; r -= col[i++ * n + v]) {
+        for (int64_t i = 0, v = n, r = rank[e]; i < k; r -= col[i++ * n + v]) {
             do v--; while (col[i * n + v] > r);     /* below the member before */
             words[e * VW + (v >> 6)] |= BIT(v);
         }
-    result[4] = result[5] = -1;
-    if ((status = stats((int)m, (int)((m + 63) / 64), words, result)) || m > edge_cap)
-        return status;
-    status = ekr_search(OMEGA, (int)m, words, dense, result[0], m + 1, 0, budget, clique, found);
-    result[4] = found[0];
-    if (!status && found[0] == result[0] && found[0] > 2)
-        status = ekr_search(NONTRIVIAL, (int)m, words, dense, found[0] - 1, found[0], 0,
-                            budget, clique, found);
-    result[5] = found[1];
+    vertex_stars((int)m, W, words, NULL, star);
+    stats((int)m, W, words, star, result);
+    if (m <= edge_cap) {
+        adjacency((int)m, W, words, NULL, star, adj);
+        status = ekr_search(OMEGA, (int)m, words, adj, dense, result[0], m + 1, 0, budget,
+                            clique, found);
+        result[4] = found[0];
+        if (!status && found[0] == result[0] && found[0] > 2)
+            status = ekr_search(NONTRIVIAL, (int)m, words, adj, dense, found[0] - 1, found[0],
+                                0, budget, clique, found);
+        result[5] = status ? -1 : found[1];
+    }
+    for (int64_t j = 0; j < result[5]; j++) words[VW * m + j] = (u64)clique[j];
+    free(star);
     return status;
+}
+
+/* Trials [lo, hi) of montecarlo.run_one_trial on k-sets of [n], N = C(n, k)
+ * < 2^63.  Trial t draws from Philox keyed by seed_key(ent, len, t) what
+ * numpy's Generator would: m = random_binomial(N, p), then Floyd's t_j on
+ * [0, j], j = N - m .. N - 1 (conditioned), or the ranks r < N whose
+ * next_double < p (bernoulli).  Row t - lo takes m, trial()'s result and
+ * status; trial() writes into out (cap words), where a failing trial's
+ * words and clique stay (any trial's words with keep_all).  Returns the
+ * trials done, fewer when the next one's words may not fit, or
+ * -OUT_OF_MEMORY. */
+int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int n, int k,
+                   const int64_t *col, int64_t N, double p, int conditioned, int dense,
+                   int64_t edge_cap, int64_t budget, int keep_all, int64_t *rows, u64 *out,
+                   int64_t cap)
+{
+    philox g;
+    bitgen_t bg = {&g, next64, next32, next_double, next64};
+    int64_t t, used = 0, dcap = 0, *draw = NULL;
+    int status = DONE;
+    for (t = lo; t < hi && status != OUT_OF_MEMORY; t++) {
+        int64_t m = 0, *row = rows + (t - lo) * 8;
+        memset(&g, 0, sizeof g);
+        g.pos = 4;
+        seed_key(ent, len, (u64)t, g.key);
+        if (conditioned) {
+            binomial_t b = {0};
+            m = random_binomial(&bg, p, N, &b);
+            status = grow(&draw, &dcap, m);
+            for (int64_t i = 0; !status && i < m; i++)
+                draw[i] = (int64_t)random_bounded_uint64(&bg, 0, (u64)(N - m + i), 0, 0);
+            status = status ? status : floyd(N, m, draw);
+        } else {
+            status = DONE;
+            for (int64_t r = 0; r < N && !status; r++)
+                if (next_double(&g) < p && !(status = grow(&draw, &dcap, m + 1))) draw[m++] = r;
+        }
+        row[0] = m;
+        if (status || used + (VW + 1) * m > cap) break;
+        status = row[7] = trial(n, k, col, m, draw, dense, edge_cap, budget, out + used, row + 1);
+        if (keep_all || row[6] >= 0) used += VW * m + (row[6] > 0 ? row[6] : 0);
+    }
+    free(draw);
+    return status == OUT_OF_MEMORY ? -OUT_OF_MEMORY : t - lo;
 }

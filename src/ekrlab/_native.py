@@ -2,19 +2,21 @@
 
 Its entry point ekr_search runs the omega, nontrivial or generic search
 (search()), or in a fourth mode, STATS, no search: it reads the edges'
-degree maxima (stats()).  Its second entry point, ekr_trial, runs a whole
-bernoulli or conditioned Monte Carlo trial (trial()): from the sampler's
-numpy draws it dedups Floyd's draws, unranks the colex ranks into vertex
-words, and runs STATS and verifier._decide's searches, all in one call.
+degree maxima (stats()).  Its second entry point, ekr_trials, runs a batch
+of bernoulli or conditioned Monte Carlo trials in one call (trials()).  It
+seeds and draws each trial as numpy would, with numpy's binomial and
+bounded-integer samplers from numpy's libnpyrandom.a, then dedups and
+unranks the draws and runs STATS and verifier._decide's searches.
 
-kernel() builds the kernel on first use with the system gcc, into a
-per-user cache directory ($XDG_CACHE_HOME/ekrlab or ~/.cache/ekrlab, mode
-0700), under a name keyed by the sha256 of the source and the build
-command, and loads it through ctypes.  It returns None when there is no
-compiler, the build fails, or the cache directory cannot be written or is
-not private to the user; the searches then run on the Python kernel
-(verifier._branch_and_bound), which gives the same results, and a trial on
-the Python sampler and verifier.  Nothing is built or loaded at import.
+kernel() builds the kernel on first use with the system gcc, linked with
+libnpyrandom.a, into a per-user cache directory ($XDG_CACHE_HOME/ekrlab or
+~/.cache/ekrlab, mode 0700), under a name keyed by the sha256 of the
+source, the library and the build command, and loads it through ctypes.
+It returns None when there is no compiler or library, the build fails, or
+the cache directory cannot be written or is not private to the user; the
+searches then run on the Python kernel (verifier._branch_and_bound), which
+gives the same results, and a trial on the Python sampler and verifier.
+Nothing is built or loaded at import.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ OMEGA, NONTRIVIAL, GENERIC, STATS = 0, 1, 2, 3
 DONE, OUT_OF_BUDGET, OUT_OF_MEMORY = 0, 1, 2
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+_NPYRANDOM = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
 _CC = "gcc"
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+# --exclude-libs keeps the library's samplers private to the kernel
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-Wl,--exclude-libs,ALL")
 _VERTEX_BYTES = 32                      # 4 words: n <= hypergraph.MAX_N = 256
 
 _lib = None     # the kernel's entry points once loaded; False if they cannot be
@@ -45,7 +49,7 @@ class Kernel(NamedTuple):
     """The loaded kernel's two entry points, as ctypes functions."""
 
     ekr_search: object
-    ekr_trial: object
+    ekr_trials: object
 
 
 def kernel():
@@ -83,11 +87,13 @@ def _load():
     cc = shutil.which(_CC) if os.name == "posix" else None
     if cc is None:
         return None
-    command = [cc, *_CFLAGS]
+    command = [cc, *_CFLAGS, "-I", np.get_include(), _SOURCE, _NPYRANDOM, "-lm"]
     try:
-        with open(_SOURCE, "rb") as f:
-            source = f.read()
-        key = _sha256(source + " ".join(command + [os.uname().machine]).encode())
+        data = b""
+        for path in (_SOURCE, _NPYRANDOM):
+            with open(path, "rb") as f:
+                data += f.read()
+        key = _sha256(data + " ".join(command + [os.uname().machine]).encode())
         cache = _cache_dir()
         os.makedirs(cache, mode=0o700, exist_ok=True)
         if not _private(cache):
@@ -99,7 +105,7 @@ def _load():
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             try:
-                subprocess.run(command + ["-o", tmp, _SOURCE], check=True,
+                subprocess.run(command + ["-o", tmp], check=True,
                                capture_output=True, timeout=300)
                 os.chmod(tmp, 0o700)
                 os.replace(tmp, path)
@@ -112,14 +118,14 @@ def _load():
     except (OSError, subprocess.SubprocessError):
         return None
     i64, u64p, i32p = ctypes.c_int64, ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int32)
-    cint = ctypes.c_int
-    lib.ekr_search.argtypes = [cint, cint, u64p, cint, i64, i64, ctypes.c_double, i64, i32p,
-                               ctypes.POINTER(i64)]
-    lib.ekr_trial.argtypes = [cint, cint, ctypes.c_void_p, i64, i64, ctypes.POINTER(i64), cint,
-                              cint, i64, i64, u64p, i32p, ctypes.POINTER(i64)]
-    for fn in (lib.ekr_search, lib.ekr_trial):
-        fn.restype = cint
-    return Kernel(lib.ekr_search, lib.ekr_trial)
+    cint, ptr = ctypes.c_int, ctypes.c_void_p
+    lib.ekr_search.argtypes = [cint, cint, u64p, u64p, cint, i64, i64, ctypes.c_double, i64,
+                               i32p, ctypes.POINTER(i64)]
+    lib.ekr_search.restype = cint
+    lib.ekr_trials.argtypes = [ptr, i64, i64, i64, cint, cint, ptr, i64, ctypes.c_double, cint,
+                               cint, i64, i64, cint, ptr, ptr, i64]
+    lib.ekr_trials.restype = i64
+    return Kernel(lib.ekr_search, lib.ekr_trials)
 
 
 def vertex_words(bits):
@@ -160,9 +166,9 @@ def search(lib, mode: int, words, *, floor: int, target: int, node_budget: int,
     # beyond these ranges a value acts as its clamp: best <= m, so a floor of
     # m or more records nothing and a target above m is never met; a clique
     # has at most MAX_N vertices of degree 3
-    check(lib.ekr_search(mode, m, words, dense, max(min(floor, m), -1), min(target, m + 1),
-                         float(max(min(zeta_cap, 256), -1)), min(node_budget, 2**62), clique,
-                         result))
+    check(lib.ekr_search(mode, m, words, None, dense, max(min(floor, m), -1),
+                         min(target, m + 1), float(max(min(zeta_cap, 256), -1)),
+                         min(node_budget, 2**62), clique, result))
     best, size, nodes = result
     if size < 0:
         return floor, None, nodes
@@ -176,34 +182,51 @@ def stats(lib, words) -> tuple[int, int, int, int]:
     read off its per-vertex star words, with no search."""
     m = len(words) * 8 // _VERTEX_BYTES
     result = (ctypes.c_int64 * 4)()
-    if lib.ekr_search(STATS, m, words, 0, 0, 0, 0.0, 0, None, result):
+    if lib.ekr_search(STATS, m, words, None, 0, 0, 0, 0.0, 0, None, result):
         raise MemoryError("native kernel statistics")
     return tuple(result)
 
 
-def trial(lib, n: int, k: int, columns, N: int, draws, *, floyd: bool, dense: bool,
-          edge_cap: int, node_budget: int):
-    """One bernoulli or conditioned trial of montecarlo.run_one_trial in one
-    ekr_trial call, on m = len(draws) sampled k-sets of [n], N = C(n, k) <
-    2**63.  draws are Floyd's t_j (hypergraph._floyd_draws) when floyd is
-    set, and are then overwritten with the ranks; otherwise they are the
-    ranks, ascending (hypergraph._draws).  columns is (array, its address)
-    for the array hypergraph._unrank_tables(n, k)[0].
+def _uint32_words(x: int) -> list[int]:
+    """numpy's _int_to_uint32_array: x >= 0 in little-endian 32-bit words."""
+    return [x >> s & 0xFFFFFFFF for s in range(0, max(x.bit_length(), 1), 32)]
 
-    Returns (status, (Delta, centre, max d(x, y), max |W_x|, omega,
-    witness size), clique, words): status DONE or OUT_OF_BUDGET (see
-    check()); omega and the size are -1 when m > edge_cap, where no search
-    runs, and the size is also -1 when EKR holds; the failing clique is
-    clique[:size], in search order, and words holds the edges' vertex_words.
+
+def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, columns, N: int,
+           p: float, *, conditioned: bool, dense: bool, edge_cap: int, node_budget: int,
+           keep_all: bool = False):
+    """Trials [lo, hi) of montecarlo.run_one_trial, each on the k-sets of [n]
+    that hypergraph.sample_conditioned (or sample_bernoulli) draws under
+    SeedSequence(seed >= 0, spawn_key=(*stream, t)); N = C(n, k) < 2**63 and
+    columns is (array, address) of hypergraph._unrank_tables(n, k)[0].
+
+    Per trial: (m, Delta, (max d(x, y), max |W_x|), omega, size, status,
+    clique, edges), status DONE or OUT_OF_BUDGET (check()).  omega is -1
+    when m > edge_cap; size, the failing clique's, is -1 when EKR holds or
+    no search decided; edges are a failing trial's (any trial's with
+    keep_all) edge bitsets, else None.
     """
-    draws = np.ascontiguousarray(draws, dtype=np.int64)      # writable, or from_buffer raises
-    m = len(draws)
-    words = (ctypes.c_uint64 * (4 * m))()
-    clique = (ctypes.c_int32 * max(m, 1))()
-    result = (ctypes.c_int64 * 6)()
-    status = lib.ekr_trial(n, k, columns[1], N, m, ctypes.c_int64.from_buffer(draws) if m else None,
-                           floyd, dense, min(edge_cap, 2**62), min(node_budget, 2**62), words,
-                           clique, result)
-    if status == OUT_OF_MEMORY:
-        raise MemoryError("native kernel trial")
-    return status, result, clique, words
+    ent = _uint32_words(seed)
+    ent += [0] * (4 - len(ent))             # as SeedSequence pads them when spawned
+    ent = np.array(ent + [w for x in stream for w in _uint32_words(x)], dtype=np.uint32)
+    rows = np.empty((hi - lo, 8), dtype=np.int64)
+    out = np.empty(1 << 16, dtype=np.uint64)
+    done = []
+    while lo < hi:
+        count = lib.ekr_trials(ent.ctypes.data, len(ent), lo, hi, n, k, columns[1], N, p,
+                               conditioned, dense, min(edge_cap, 2**62),
+                               min(node_budget, 2**62), keep_all, rows.ctypes.data,
+                               out.ctypes.data, len(out))
+        if count < 0:
+            raise MemoryError("native kernel trials")
+        at = 0
+        for m, Delta, _, pair, w, omega, size, status in rows[:count].tolist():
+            kept = keep_all or size >= 0
+            edges = edge_bits(out[at:at + 4 * m]) if kept else None
+            clique = out[at + 4 * m:at + 4 * m + size].tolist() if size > 0 else []
+            at += kept * (4 * m + max(size, 0))
+            done.append((m, Delta, (pair, w), omega, size, status, clique, edges))
+        lo += count
+        if lo < hi:     # trial lo's words may not fit: grow out, go on from it
+            out = np.empty(2 * max(len(out), 5 * rows[count, 0]), np.uint64)
+    return done

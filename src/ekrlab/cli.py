@@ -33,15 +33,17 @@ EXIT_PARSE = 4
 
 
 def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("EKRLAB_SEED")
-    if env is not None:
+    """--seed, else EKRLAB_SEED, else 0; SeedSequence takes no negative seed."""
+    seed, where, env = args.seed, "--seed", os.environ.get("EKRLAB_SEED")
+    if seed is None and env is not None:
+        where = "EKRLAB_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise DomainError(f"EKRLAB_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if seed is not None and seed < 0:
+        raise DomainError(f"{where} must be >= 0, got {seed}")
+    return seed or 0
 
 
 def _params_from(args) -> ModelParams:

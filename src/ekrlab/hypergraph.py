@@ -14,9 +14,12 @@ substream derived from (master seed, trial index), so parallel execution
 reproduces serial output bit for bit.  The Bernoulli and conditioned
 samplers unrank all drawn colex ranks in one vectorised pass, which returns
 the same edges, in the same order, as exact.colex_unrank rank by rank.
-Their draws (_draws) are shared with the compiled Monte Carlo trial, which
-dedups and unranks them in C, so both read one random stream.  Ranks are
-int64: C(n, k) >= 2**63 is refused with ResourceLimitError.
+Ranks are int64: C(n, k) >= 2**63 is refused with ResourceLimitError.
+These two samplers are the reference for the compiled kernel's Monte Carlo
+trials (_native.trials), which re-derive their streams in C: numpy's
+SeedSequence key, Philox4x64-10 with numpy's buffering, and numpy's own
+binomial and bounded-integer samplers, linked from its libnpyrandom.a.
+Without the kernel, trials run on these samplers.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ class Hypergraph:
     @classmethod
     def _unchecked(cls, n: int, k: int, edge_bits: tuple[int, ...]) -> "Hypergraph":
         """A Hypergraph without __post_init__'s checks, for edges built valid
-        (the samplers, dedupped and the native trial's words)."""
+        (the samplers, dedupped and the native trials' words)."""
         H = object.__new__(cls)
         H.__dict__.update(n=n, k=k, edge_bits=edge_bits)
         return H
@@ -302,29 +305,22 @@ def _colex_unrank_bits(ranks, n: int, k: int) -> list[int]:
     return out.tolist()
 
 
-def _draws(sampler: str, n: int, k: int, p: float, seed, cap: int) -> tuple[int, np.ndarray]:
-    """(N = C(n, k), the int64 draws) of the bernoulli or conditioned sampler,
-    after the checks both make: for "bernoulli" the colex ranks of the
-    present k-sets, ascending; for "conditioned" m ~ Bin(N, p), then
-    Floyd's draws (_floyd_draws).  montecarlo's native trial hands them to
-    the kernel, so both paths read the same random stream."""
+def _check_draws(n: int, k: int, p: float, cap: int) -> int:
+    """N = C(n, k), after the checks the bernoulli and conditioned samplers
+    make before they draw (montecarlo's native trials make them too)."""
     check_nk(n, k)
     if not 0 <= p <= 1:
         raise DomainError("p must lie in [0, 1]")
-    N = _check_enum_cap(n, k, cap, "use sample_independent for graphs this large")
-    rng = generator(seed)
-    if sampler == "conditioned":
-        return N, _floyd_draws(rng, N, int(rng.binomial(N, p)))
-    if p == 0:
-        return N, np.zeros(0, dtype=np.int64)
-    if p == 1:
-        return N, np.arange(N)
-    return N, np.flatnonzero(rng.random(N) < p)
+    return _check_enum_cap(n, k, cap, "use sample_independent for graphs this large")
 
 
 def sample_bernoulli(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP) -> Hypergraph:
     """Each k-set independently present with probability p; colex edge order."""
-    _, ranks = _draws("bernoulli", n, k, p, seed, cap)
+    N = _check_draws(n, k, p, cap)
+    if p in (0, 1):
+        ranks = np.arange(N if p else 0)
+    else:
+        ranks = np.flatnonzero(generator(seed).random(N) < p)
     return Hypergraph._unchecked(n, k, tuple(_colex_unrank_bits(ranks, n, k)))
 
 
@@ -349,25 +345,14 @@ def sample_independent(n: int, k: int, m: int, seed) -> Hypergraph:
     return Hypergraph._unchecked(n, k, bits)
 
 
-def _floyd_draws(rng: np.random.Generator, N: int, m: int) -> np.ndarray:
-    """Floyd's draws for a uniform m-subset of {0..N-1}: t_j uniform on
-    [0, j] for j = N-m .. N-1, all m in one call (the same values and
-    generator state as m scalar draws)."""
-    return rng.integers(0, np.arange(N - m + 1, N + 1))
-
-
-def _floyd_ranks(N: int, draws) -> list[int]:
-    """Floyd's m-subset from its draws, ascending: keep t_j, or j when t_j
-    is already chosen."""
+def _distinct_ranks(rng: np.random.Generator, N: int, m: int) -> list[int]:
+    """Floyd's uniform m-subset of {0..N-1}, ascending, from rng: t_j uniform
+    on [0, j] for j = N-m .. N-1, all m in one call (the same values and
+    generator state as m scalar draws); keep t_j, or j when t_j is taken."""
     chosen = set()
-    for j, t in zip(range(N - len(draws), N), draws.tolist()):
+    for j, t in zip(range(N - m, N), rng.integers(0, np.arange(N - m + 1, N + 1)).tolist()):
         chosen.add(t if t not in chosen else j)
     return sorted(chosen)
-
-
-def _distinct_ranks(rng: np.random.Generator, N: int, m: int) -> list[int]:
-    """Floyd's uniform m-subset of {0..N-1}, ascending, from rng."""
-    return _floyd_ranks(N, _floyd_draws(rng, N, m))
 
 
 def sample_conditioned(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP,
@@ -377,8 +362,10 @@ def sample_conditioned(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_C
     Same law as sample_bernoulli; also reports whether m landed inside the
     window (mbar - psi sqrt(mbar), mbar + psi sqrt(mbar)).
     """
-    N, draws = _draws("conditioned", n, k, p, seed, cap)
-    H = Hypergraph._unchecked(n, k, tuple(_colex_unrank_bits(_floyd_ranks(N, draws), n, k)))
+    N = _check_draws(n, k, p, cap)
+    rng = generator(seed)
+    ranks = _distinct_ranks(rng, N, int(rng.binomial(N, p)))
+    H = Hypergraph._unchecked(n, k, tuple(_colex_unrank_bits(ranks, n, k)))
     psi = math.log(n) if psi is None else psi
     return H, m_window(H.m, p * N, psi)
 

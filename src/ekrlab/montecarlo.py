@@ -5,18 +5,18 @@ derived from (master seed, trial index), prefixed by the grid index in a
 sweep; records are sorted by trial index, so results are byte-identical for
 any worker count.  With workers > 1 there is one pool per call; contexts
 sent once per worker: a pool initializer installs every grid point's
-TrialContext in each worker, and a task carries only its (grid index,
-trial) key.  Per-trial resource errors (edge cap, search-node budget) are
+TrialContext in each worker, and a task carries only its (grid index, lo,
+hi) chunk of trials.  Per-trial resource errors (edge cap, search-node budget) are
 recorded in the row and excluded from the estimates with an explicit count,
 never fatal.  The node budget is deterministic on purpose; a wall-clock
 timeout would break reproducibility.
 
-With the compiled kernel (see _native) a bernoulli or conditioned trial is
-one kernel call: Python draws the sample's numbers with numpy
-(hypergraph._draws), the kernel dedups, unranks, reads Delta and event R's
-pair maxima and runs the searches, and a Hypergraph is built from the
-kernel's vertex words only to classify a failing clique.  The independent
-sampler, and every trial without the kernel, builds a Hypergraph and a
+With the compiled kernel (see _native) a bernoulli or conditioned grid
+point's trials are one kernel call: the kernel seeds and draws each trial's
+sample as numpy would, dedups, unranks, reads Delta and event R's pair
+maxima and runs the searches, and a Hypergraph is built from its vertex
+words only to classify a failing clique.  The independent sampler, and
+every trial without the kernel, builds a Hypergraph and a
 verifier._Instance instead; that path is the reference, and both give the
 same records.
 
@@ -192,6 +192,8 @@ class TrialContext:
 
     def __post_init__(self):
         verifier.check_limits(self.edge_cap, self.node_budget)
+        if self.master_seed < 0:        # SeedSequence takes none, nor does the kernel
+            raise DomainError(f"seed must be >= 0, got {self.master_seed}")
 
 
 def make_trial_context(params: ModelParams, sampler_mode: str, seed: int,
@@ -225,65 +227,68 @@ def _columns(n: int, k: int) -> tuple[np.ndarray, int]:
     return columns, columns.ctypes.data
 
 
-def _native_trial(lib, ctx: TrialContext, seed_seq):
-    """A bernoulli or conditioned trial as one kernel call on the sampler's
-    numpy draws: (m, Delta, event R's pair maxima, the verdict or the
-    ResourceLimitError that stopped it, the edges' vertex words)."""
+def _record(ctx: TrialContext, t: int, m: int, Delta: int, maxima, verdict,
+            H: Optional[Hypergraph]) -> TrialRecord:
+    """Trial t's record; verdict may be the ResourceLimitError that stopped
+    it, and the sample H is read only to classify a failing clique."""
     params = ctx.params
-    n, k = params.n, params.k
-    N, draws = hypergraph._draws(ctx.sampler_mode, n, k, float(params.p), seed_seq,
-                                 hypergraph.DEFAULT_ENUM_CAP)
-    m = len(draws)
-    status, (Delta, _, *maxima, omega, size), clique, words = _native.trial(
-        lib, n, k, _columns(n, k), N, draws, floyd=ctx.sampler_mode == "conditioned",
-        dense=n < 3 * k, edge_cap=ctx.edge_cap, node_budget=ctx.node_budget)
-    try:
-        verifier._check_edge_cap(m, ctx.edge_cap)
-        _native.check(status)
-    except ResourceLimitError as exc:
-        return m, Delta, maxima, exc, words
-    witness = None
-    if size >= 0:       # verifier._max_clique sorts the omega search's clique
-        witness = tuple(sorted(clique[:size]) if omega > Delta else clique[:size])
-    return m, Delta, maxima, verifier.EkrVerdict(witness is None, omega, Delta, witness), words
-
-
-def run_one_trial(ctx: TrialContext, trial_index: int) -> TrialRecord:
-    """Event R, Delta and the verdict all read one prepared sample.
-
-    With the native kernel a bernoulli or conditioned trial is one
-    _native.trial call, and a Hypergraph is built (from the kernel's vertex
-    words) only when classify_witness_kind must read a failing clique.
-    Otherwise, and for the independent sampler, the sample is one
-    Hypergraph and one verifier._Instance; that path is the reference."""
-    params = ctx.params
-    seed_seq = np.random.SeedSequence(ctx.master_seed,
-                                      spawn_key=(*ctx.stream, trial_index))
-    lib = _native.kernel()
-    if lib and ctx.sampler_mode != "independent":
-        m, Delta, maxima, verdict, words = _native_trial(lib, ctx, seed_seq)
-        H = None
-    else:
-        H = _sample(params, ctx.sampler_mode, seed_seq)
-        inst = verifier._Instance(H)
-        m, Delta, maxima = H.m, inst.Delta, inst.pair_maxima
-        try:
-            verifier._check_edge_cap(m, ctx.edge_cap)
-            verdict = verifier._decide(inst, ctx.node_budget)
-        except ResourceLimitError as exc:
-            verdict = exc
     conj = _event_r(m, Delta, *maxima, ctx.mbar, params.psi, ctx.w_bound, ctx.alpha, ctx.beta)
     lam, lam_p = _lambdas(ctx.mbar, ctx.q, Delta)
     if isinstance(verdict, ResourceLimitError):
-        return TrialRecord(trial_index, ctx.master_seed, m, Delta, -1,
-                           None, lam, lam_p, conj, None, str(verdict))
-    kind = None
-    if not verdict.holds:
-        if H is None:
-            H = Hypergraph._unchecked(params.n, params.k, _native.edge_bits(words))
-        kind = classify_witness_kind(H, verdict.witness, params, ctx.regime)
-    return TrialRecord(trial_index, ctx.master_seed, m, Delta,
-                       verdict.omega, verdict.holds, lam, lam_p, conj, kind)
+        return TrialRecord(t, ctx.master_seed, m, Delta, -1, None, lam, lam_p, conj, None,
+                           str(verdict))
+    kind = None if verdict.holds else classify_witness_kind(H, verdict.witness, params,
+                                                            ctx.regime)
+    return TrialRecord(t, ctx.master_seed, m, Delta, verdict.omega, verdict.holds, lam, lam_p,
+                       conj, kind)
+
+
+def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
+    """Trials [lo, hi) of a bernoulli or conditioned context in one
+    _native.trials batch, with a Hypergraph only for each failing trial."""
+    n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
+    N = hypergraph._check_draws(n, k, p, hypergraph.DEFAULT_ENUM_CAP)
+    records = []
+    for t, (m, Delta, maxima, omega, size, status, clique, edges) in enumerate(_native.trials(
+            lib, ctx.master_seed, ctx.stream, lo, hi, n, k, _columns(n, k), N, p,
+            conditioned=ctx.sampler_mode == "conditioned", dense=n < 3 * k,
+            edge_cap=ctx.edge_cap, node_budget=ctx.node_budget), lo):
+        try:
+            verifier._check_edge_cap(m, ctx.edge_cap)
+            _native.check(status)
+        except ResourceLimitError as exc:
+            verdict = exc
+        else:       # verifier._max_clique sorts the omega search's clique
+            witness = None if size < 0 else tuple(sorted(clique) if omega > Delta else clique)
+            verdict = verifier.EkrVerdict(witness is None, omega, Delta, witness)
+        H = edges and Hypergraph._unchecked(n, k, edges)        # edges: None or nonempty
+        records.append(_record(ctx, t, m, Delta, maxima, verdict, H))
+    return records
+
+
+def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
+    """Trials [lo, hi) of ctx: one native batch, or with the independent
+    sampler or no kernel, one Hypergraph and verifier._Instance per trial."""
+    lib = _native.kernel()
+    if lib and ctx.sampler_mode != "independent":
+        return _native_batch(lib, ctx, lo, hi)
+    records = []
+    for t in range(lo, hi):
+        H = _sample(ctx.params, ctx.sampler_mode,
+                    np.random.SeedSequence(ctx.master_seed, spawn_key=(*ctx.stream, t)))
+        inst = verifier._Instance(H)
+        try:
+            verifier._check_edge_cap(H.m, ctx.edge_cap)
+            verdict = verifier._decide(inst, ctx.node_budget)
+        except ResourceLimitError as exc:
+            verdict = exc
+        records.append(_record(ctx, t, H.m, inst.Delta, inst.pair_maxima, verdict, H))
+    return records
+
+
+def run_one_trial(ctx: TrialContext, trial_index: int) -> TrialRecord:
+    """Event R, Delta and the verdict of one trial, a batch of one."""
+    return _run_batch(ctx, trial_index, trial_index + 1)[0]
 
 
 def _available_cpus() -> int:
@@ -302,18 +307,19 @@ def _install_contexts(contexts: tuple[TrialContext, ...]) -> None:
     _worker_contexts = contexts
 
 
-def _run_key(key: tuple[int, int]) -> TrialRecord:
-    gi, trial_index = key
-    return run_one_trial(_worker_contexts[gi], trial_index)
+def _run_chunk(chunk: tuple[int, int, int]) -> list[TrialRecord]:
+    gi, lo, hi = chunk
+    return _run_batch(_worker_contexts[gi], lo, hi)
 
 
 def _trial_batches(contexts, trials: int, workers: int):
     """Yield each context's records, sorted by trial index, in context order.
 
-    Every (context index, trial) key runs on one pool, whose initializer
-    sends the contexts to each worker once; results are consumed lazily, one
-    context at a time.  The pool never exceeds the available CPUs or the
-    number of keys; with one worker the keys run in this process."""
+    Each context's trials are one _run_batch with one worker; otherwise
+    (context index, lo, hi) chunks of them run on one pool, whose
+    initializer sends the contexts to each worker once, and results are
+    consumed lazily, one context at a time.  The pool never exceeds the
+    available CPUs or the number of trials."""
     if trials < 0:
         raise DomainError("trials must be nonnegative")
     if workers < 1:
@@ -322,14 +328,16 @@ def _trial_batches(contexts, trials: int, workers: int):
     workers = min(workers, _available_cpus(), len(contexts) * trials)
     if workers <= 1:
         for ctx in contexts:
-            yield [run_one_trial(ctx, i) for i in range(trials)]
+            yield _run_batch(ctx, 0, trials)
         return
-    keys = ((gi, t) for gi in range(len(contexts)) for t in range(trials))
+    size = max(1, trials // (8 * workers))
+    chunks = [(gi, lo, min(lo + size, trials))
+              for gi in range(len(contexts)) for lo in range(0, trials, size)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_install_contexts,
                              initargs=(contexts,)) as pool:
-        records = pool.map(_run_key, keys, chunksize=max(1, trials // (8 * workers)))
+        batches = pool.map(_run_chunk, chunks)
         for _ in contexts:
-            yield sorted(islice(records, trials), key=lambda r: r.trial_index)
+            yield [r for batch in islice(batches, -(-trials // size)) for r in batch]
 
 
 def run_trials(params: ModelParams, trials: int, sampler_mode: str, seed: int,

@@ -28,7 +28,7 @@ ANDs of stars, and the intersection adjacency (adj[i] = OR of star[x] over
 x in edge i, minus i) follows in O(m k) operations.  verify_ekr is its
 input checks plus _decide on that one structure; a Monte Carlo trial on
 the Python path hands _decide the instance it built for event R, and the
-native trial (_kernel.c's ekr_trial) runs _decide's two searches itself.
+native trials (_kernel.c's ekr_trials) run _decide's two searches themselves.
 
 Both searches, and the generic-clique search of the witnesses module, run
 on one branch-and-bound kernel (_branch_and_bound).  It walks cliques depth

@@ -130,6 +130,21 @@ def test_env_seed_fallback(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("args, env_seed, message", [
+    (["sample", "--n", "10", "--k", "3", "--p", "0.2"], -5, "EKRLAB_SEED must be >= 0"),
+    (["sample", "--n", "10", "--k", "3", "--p", "0.2", "--seed", "-1"], None,
+     "--seed must be >= 0"),
+    (["sweep", "--n", "24", "--k", "3", "--grid-start", "1", "--grid-stop", "2",
+      "--grid-points", "2", "--trials", "1", "--seed", "-1"], None, "--seed must be >= 0"),
+    (["sweep", "--n", "24", "--k", "3", "--grid-start", "1", "--grid-stop", "2",
+      "--grid-points", "2", "--trials", "1"], -5, "EKRLAB_SEED must be >= 0"),
+], ids=["sample-env", "sample-flag", "sweep-flag", "sweep-env"])
+def test_negative_seed_exits_2(args, env_seed, message):
+    # numpy's SeedSequence raised a ValueError here: a traceback, exit 1
+    code, out, err = run_cli(args, env_seed=env_seed)
+    assert code == 2 and out == "" and message in err
+
+
 def test_verify_triangle(tmp_path):
     path = tmp_path / "tri.txt"
     path.write_text(TRIANGLE)

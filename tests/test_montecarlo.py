@@ -206,6 +206,19 @@ def test_invalid_search_limits_rejected(limits):
         dataclasses.replace(mc.make_trial_context(params, "bernoulli", 0), **limits)
 
 
+def test_negative_seed_rejected():
+    # numpy's SeedSequence raised a bare ValueError; the native trials'
+    # entropy words would wrap a negative seed instead
+    params = an.ModelParams.from_p(10, 3, 0.1)
+    for sampler in ("bernoulli", "conditioned", "independent"):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            mc.run_trials(params, 1, sampler, seed=-1)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        mc.estimate_ekr_curve(10, 3, [1.0], trials=0, seed=-2**70)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        dataclasses.replace(mc.make_trial_context(params, "bernoulli", 0), master_seed=-1)
+
+
 def test_bad_sampler_mode():
     params = an.ModelParams.from_p(10, 3, 0.1)
     with pytest.raises(DomainError):
@@ -280,10 +293,11 @@ def test_trial_csv_golden_hash(kernels):
 
 def test_trial_builds_star_masks_once(kernels, monkeypatch):
     # Python kernel: one build for event R, Delta and both searches, and the
-    # omega search's relabelled copy; native kernel: one ekr_trial call,
-    # which builds its own star words, and no Hypergraph, member tuple or
-    # star mask unless a failing clique must be classified (one Hypergraph,
-    # from the kernel's words); degree_stats (hypergraph's own build) never runs
+    # omega search's relabelled copy; native kernel: one ekr_trials call per
+    # batch, a trial or a whole grid point's, which builds its own star
+    # words, and no Hypergraph, member tuple or star mask unless a failing
+    # clique must be classified (one Hypergraph per failing trial, from the
+    # kernel's words); degree_stats (hypergraph's own build) never runs
     calls, members, built, kernel_calls = [], [], [], []
     stars, edge_members = vf._vertex_stars, hg.edge_members
     monkeypatch.setattr(vf, "_vertex_stars",
@@ -318,6 +332,11 @@ def test_trial_builds_star_masks_once(kernels, monkeypatch):
             else:
                 assert calls == ([rec.m] * 2 if rec.m else [0]), (t, calls)
         assert None in kinds and len(kinds) > 1     # holding and failing trials
+    for seen in (kernel_calls, built, calls, members):
+        seen.clear()
+    (records,) = mc._trial_batches([ctx], 30, 1)
+    assert kernel_calls == [1] and calls == [] and members == []
+    assert len(built) == sum(1 for r in records if r.ekr_holds is False)
 
 
 def test_sweep_csv_worker_count_invariance():

@@ -53,8 +53,31 @@ def test_kernel_builds_into_a_private_cache(reload, monkeypatch):
     assert _native.kernel() is not None and os.listdir(cache) == [lib]
 
 
+def test_kernel_cache_name_covers_numpys_library(reload, monkeypatch, tmp_path):
+    # a numpy upgrade that changes libnpyrandom.a builds a new kernel, never
+    # loads one linked against the old samplers
+    cache, _, _ = reload
+    with open(_native._NPYRANDOM, "rb") as f:
+        data = f.read()
+    data += b"\n" * (len(data) % 2)         # archive members start on even offsets
+    body = b"unused\n"
+    member = b"".join(field.ljust(width) for field, width in (
+        (b"pad.txt/", 16), (b"0", 12), (b"0", 6), (b"0", 6), (b"644", 8),
+        (str(len(body)).encode(), 10))) + b"`\n" + body
+    library = tmp_path / "libnpyrandom.a"
+    monkeypatch.setattr(_native, "_NPYRANDOM", str(library))
+    names = []
+    for extra in (b"", member):         # a member no symbol needs: links the same
+        library.write_bytes(data + extra)
+        monkeypatch.setattr(_native, "_lib", None)
+        assert _native.kernel() is not None
+        names.append(set(os.listdir(cache)))
+    assert len(names[0]) == 1 and len(names[1]) == 2 and names[0] < names[1]
+
+
 @pytest.mark.parametrize("breakage", ["no compiler", "build fails", "cache not a directory",
-                                      "cache writable by others"])
+                                      "cache writable by others", "numpy library missing",
+                                      "numpy library not an archive"])
 def test_fallback_to_python_kernel(reload, monkeypatch, breakage):
     cache, calls, native = reload
     H = frontier_sample()
@@ -68,9 +91,14 @@ def test_fallback_to_python_kernel(reload, monkeypatch, breakage):
     elif breakage == "cache not a directory":
         cache.parent.mkdir(exist_ok=True)
         cache.write_text("")
-    else:
+    elif breakage == "cache writable by others":
         cache.mkdir(mode=0o700)
         os.chmod(cache, 0o777)
+    elif breakage == "numpy library missing":
+        monkeypatch.setattr(_native, "_NPYRANDOM", str(cache.parent / "no-libnpyrandom.a"))
+    else:
+        (cache.parent / "libnpyrandom.a").write_text("not an archive\n")
+        monkeypatch.setattr(_native, "_NPYRANDOM", str(cache.parent / "libnpyrandom.a"))
     assert (vf.verify_ekr(H), wt.find_generic_clique(H, 4, 1)) == want
     assert len(calls) == 3 and _native._lib is False
     if cache.is_dir():
@@ -132,26 +160,81 @@ def test_native_stats_match_the_star_masks(kernels, H):
         assert (inst.Delta, inst.centre, *inst.pair_maxima) == want, kernel
 
 
-@given(n=st.integers(1, 256), k=st.integers(1, 10), m=st.integers(0, 300),
+def kernel_trials(sampler, n, k, p, seed, stream, lo, hi):
+    """(m, edges) of trials [lo, hi) from one native batch that keeps every
+    trial's words; edge cap 0, so no search runs."""
+    return [(m, edges) for m, *_, edges in _native.trials(
+        _native.kernel(), seed, stream, lo, hi, n, k, mc._columns(n, k), math.comb(n, k), p,
+        conditioned=sampler == "conditioned", dense=False, edge_cap=0, node_budget=1,
+        keep_all=True)]
+
+
+@given(n=st.integers(1, 256), k=st.integers(1, 10), mean=st.integers(0, 300),
        seed=st.integers(0, 2**32))
-@example(n=6, k=2, m=0, seed=1)             # m = 0
-@example(n=6, k=2, m=15, seed=2)            # m = N = 15
-@example(n=9, k=9, m=1, seed=3)             # N = 1
-@example(n=9, k=9, m=0, seed=3)
-@example(n=256, k=10, m=300, seed=4)        # N = C(256, 10) ~ 2.8e17
-def test_native_floyd_dedup_matches_distinct_ranks(n, k, m, seed):
+@example(n=6, k=2, mean=0, seed=1)          # m = 0
+@example(n=6, k=2, mean=15, seed=2)         # p = 1: m = N = 15
+@example(n=9, k=9, mean=1, seed=3)          # N = 1
+@example(n=9, k=9, mean=0, seed=3)
+@example(n=256, k=10, mean=300, seed=4)     # N = C(256, 10) ~ 2.8e17
+def test_native_floyd_dedup_matches_distinct_ranks(n, k, mean, seed):
+    # a conditioned trial on the kernel's own draws: m ~ Bin(N, p), then
+    # Floyd's dedup and the colex unrank, against one scalar draw per step
     k = min(k, n)
     N = math.comb(n, k)
-    m = min(m, N)
-    want = scalar_distinct_ranks(hg.generator(seed), N, m)
-    assert hg._distinct_ranks(hg.generator(seed), N, m) == want
-    draws = hg._floyd_draws(hg.generator(seed), N, m)
-    # edge cap 0: STATS only, no search; the kernel overwrites its draws
-    # with the ranks, and unranks them into words
-    *_, words = _native.trial(_native.kernel(), n, k, mc._columns(n, k), N, draws, floyd=True,
-                              dense=False, edge_cap=0, node_budget=1)
-    assert draws.tolist() == want
-    assert _native.edge_bits(words) == tuple(hg._colex_unrank_bits(want, n, k))
+    p = min(mean / N, 1.0)
+    rngs = [hg.generator(np.random.SeedSequence(seed, spawn_key=(0,))) for _ in range(2)]
+    m = int(rngs[0].binomial(N, p))
+    want = scalar_distinct_ranks(rngs[0], N, m)
+    rngs[1].binomial(N, p)
+    assert hg._distinct_ranks(rngs[1], N, m) == want
+    assert kernel_trials("conditioned", n, k, p, seed, (), 0, 1) == [
+        (m, tuple(hg._colex_unrank_bits(want, n, k)))]
+
+
+def with_examples(*examples):
+    def decorate(test):
+        for kw in examples:
+            test = example(**kw)(test)
+        return test
+    return decorate
+
+
+# (16, 4): N = 1820.  Seeds of one to three entropy words; streams of none,
+# one and two words; t of two words; N p <= 30 (numpy's binomial inversion)
+# and > 30 (BTPE); p = 0, p = 1 and p > 1/2; batches from 0 and from later
+STREAM_EXAMPLES = [
+    dict(seed=seed, stream=stream, n=16, k=4, p=p, lo=lo, count=3)
+    for seed, stream, p, lo in [
+        (0, (), 0.3, 0), (2**32 - 1, (0,), 0.01, 5), (2**32, (2**33,), 0.7, 2**32),
+        (2**64 + 7, (2**33,), 1.0, 1), (2**64 + 7, (), 0.0, 0), (0, (0,), 0.015, 2**33 + 3),
+        (2**32, (), 0.99, 17), (2**64 + 7, (0,), 0.5, 0), (5, (2**33, 1), 0.05, 0)]]
+
+
+@given(n=st.integers(1, 16), k=st.integers(1, 4), p=st.floats(0, 1),
+       seed=st.integers(0, 2**70), stream=st.lists(st.integers(0, 2**40), max_size=2).map(tuple),
+       lo=st.integers(0, 2**40), count=st.integers(1, 3))
+@with_examples(*STREAM_EXAMPLES)
+@pytest.mark.parametrize("sampler", ["bernoulli", "conditioned"])
+def test_native_trials_draw_numpys_streams(sampler, n, k, p, seed, stream, lo, count):
+    # the kernel seeds each trial itself: its m and edges are the Python
+    # sampler's under SeedSequence(seed, spawn_key=(*stream, t))
+    k = min(k, n)
+    want = []
+    for t in range(lo, lo + count):
+        seed_seq = np.random.SeedSequence(seed, spawn_key=(*stream, t))
+        H = (hg.sample_bernoulli(n, k, p, seed_seq) if sampler == "bernoulli"
+             else hg.sample_conditioned(n, k, p, seed_seq)[0])
+        want.append((H.m, H.edge_bits))
+    assert kernel_trials(sampler, n, k, p, seed, stream, lo, lo + count) == want
+
+
+def test_native_trials_grow_their_output():
+    # m ~ 38,760 edges: each trial's words outgrow the output buffer, and
+    # the batch goes on from the trial that did not fit
+    want = [hg.sample_bernoulli(20, 7, 0.5, np.random.SeedSequence(3, spawn_key=(t,)))
+            for t in range(3)]
+    assert kernel_trials("bernoulli", 20, 7, 0.5, 3, (), 0, 3) == [(H.m, H.edge_bits)
+                                                                   for H in want]
 
 
 def graphs(params, sampler, trials):
@@ -196,6 +279,8 @@ def test_native_trial_records_equal_the_python_path(kernels, monkeypatch, sample
         runs[kernel] = mc.run_trials(params, 20, sampler, 7, **limits), list(classified)
     assert runs["native"] == runs["python"]
     (records, witnesses), Hs = runs["native"], graphs(params, sampler, 20)
+    # a batch that starts mid-way, on the native kernel
+    assert mc._run_batch(mc.make_trial_context(params, sampler, 7, **limits), 7, 20) == records[7:]
     assert shows(records, Hs)
     # the native trial rebuilds a failing trial's sample from its words
     assert [H for H, _ in witnesses] == [H for H, r in zip(Hs, records) if r.ekr_holds is False]
