@@ -270,7 +270,7 @@ def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
     """Trials [lo, hi) of ctx: one native batch, or with the independent
     sampler or no kernel, one Hypergraph and verifier._Instance per trial."""
     lib = _native.kernel()
-    if lib and ctx.sampler_mode != "independent":
+    if lib and ctx.sampler_mode != "independent" and lo < hi:
         return _native_batch(lib, ctx, lo, hi)
     records = []
     for t in range(lo, hi):

@@ -11,7 +11,7 @@ from ekrlab import hypergraph as hg
 from ekrlab import montecarlo as mc
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
-from ekrlab.errors import DomainError
+from ekrlab.errors import DomainError, ResourceLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,16 @@ def test_invalid_search_limits_rejected(limits):
     # a context built by hand is checked too: its trials skip verify_ekr
     with pytest.raises(DomainError):
         dataclasses.replace(mc.make_trial_context(params, "bernoulli", 0), **limits)
+
+
+def test_no_trials_draw_nothing(kernels):
+    # C(100, 5) is above the enumeration cap: a trial would be refused, but
+    # a sweep of no trials draws nothing and checks no cap
+    for kernel in kernels():
+        table = mc.estimate_ekr_curve(100, 5, [1.0, 2.0], trials=0, seed=0)
+        assert [row.trials for row in table.rows] == [0, 0], kernel
+        with pytest.raises(ResourceLimitError):
+            mc.estimate_ekr_curve(100, 5, [1.0], trials=1, seed=0)
 
 
 def test_negative_seed_rejected():
