@@ -38,8 +38,7 @@ DONE, OUT_OF_BUDGET, OUT_OF_MEMORY = 0, 1, 2
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _NPYRANDOM = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
 _CC = "gcc"
-# --exclude-libs keeps the library's samplers private to the kernel
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-Wl,--exclude-libs,ALL")
+_CFLAGS = ("-O2", "-shared", "-fPIC")
 _VERTEX_BYTES = 32                      # 4 words: n <= hypergraph.MAX_N = 256
 
 _lib = None     # the kernel's entry points once loaded; False if they cannot be
@@ -224,7 +223,8 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, columns, N:
             kept = keep_all or size >= 0
             edges = edge_bits(out[at:at + 4 * m]) if kept else None
             clique = out[at + 4 * m:at + 4 * m + size].tolist() if size > 0 else []
-            at += kept * (4 * m + max(size, 0))
+            if kept:
+                at += 4 * m + max(size, 0)
             done.append((m, Delta, (pair, w), omega, size, status, clique, edges))
         lo += count
         if lo < hi:     # trial lo's words may not fit: grow out, go on from it

@@ -6,9 +6,9 @@ sweep; records are sorted by trial index, so results are byte-identical for
 any worker count.  With workers > 1 there is one pool per call; contexts
 sent once per worker: a pool initializer installs every grid point's
 TrialContext in each worker, and a task carries only its (grid index, lo,
-hi) chunk of trials.  Per-trial resource errors (edge cap, search-node budget) are
-recorded in the row and excluded from the estimates with an explicit count,
-never fatal.  The node budget is deterministic on purpose; a wall-clock
+hi) chunk of trials.  Per-trial resource errors (edge cap, search-node
+budget) are recorded in the row and excluded from the estimates with an
+explicit count, never fatal.  The node budget is deterministic on purpose; a wall-clock
 timeout would break reproducibility.
 
 With the compiled kernel (see _native) a bernoulli or conditioned grid
@@ -261,7 +261,7 @@ def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]
         else:       # verifier._max_clique sorts the omega search's clique
             witness = None if size < 0 else tuple(sorted(clique) if omega > Delta else clique)
             verdict = verifier.EkrVerdict(witness is None, omega, Delta, witness)
-        H = edges and Hypergraph._unchecked(n, k, edges)        # edges: None or nonempty
+        H = None if edges is None else Hypergraph._unchecked(n, k, edges)
         records.append(_record(ctx, t, m, Delta, maxima, verdict, H))
     return records
 

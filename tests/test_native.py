@@ -182,11 +182,13 @@ def test_native_floyd_dedup_matches_distinct_ranks(n, k, mean, seed):
     k = min(k, n)
     N = math.comb(n, k)
     p = min(mean / N, 1.0)
-    rngs = [hg.generator(np.random.SeedSequence(seed, spawn_key=(0,))) for _ in range(2)]
-    m = int(rngs[0].binomial(N, p))
-    want = scalar_distinct_ranks(rngs[0], N, m)
-    rngs[1].binomial(N, p)
-    assert hg._distinct_ranks(rngs[1], N, m) == want
+
+    def drawn():        # trial 0's generator after its binomial draw, and m
+        rng = hg.generator(np.random.SeedSequence(seed, spawn_key=(0,)))
+        return rng, int(rng.binomial(N, p))
+    rng, m = drawn()
+    want = scalar_distinct_ranks(rng, N, m)
+    assert hg._distinct_ranks(drawn()[0], N, m) == want
     assert kernel_trials("conditioned", n, k, p, seed, (), 0, 1) == [
         (m, tuple(hg._colex_unrank_bits(want, n, k)))]
 
