@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import hypergraph
 from .errors import ResourceLimitError
 
 OMEGA, NONTRIVIAL, GENERIC, STATS = 0, 1, 2, 3
@@ -191,13 +192,12 @@ def _uint32_words(x: int) -> list[int]:
     return [x >> s & 0xFFFFFFFF for s in range(0, max(x.bit_length(), 1), 32)]
 
 
-def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, columns, N: int,
-           p: float, *, conditioned: bool, dense: bool, edge_cap: int, node_budget: int,
+def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: float, *,
+           conditioned: bool, dense: bool, edge_cap: int, node_budget: int,
            keep_all: bool = False):
     """Trials [lo, hi) of montecarlo.run_one_trial, each on the k-sets of [n]
     that hypergraph.sample_conditioned (or sample_bernoulli) draws under
-    SeedSequence(seed >= 0, spawn_key=(*stream, t)); N = C(n, k) < 2**63 and
-    columns is (array, address) of hypergraph._unrank_tables(n, k)[0].
+    SeedSequence(seed >= 0, spawn_key=(*stream, t)), N = C(n, k) < 2**63.
 
     Per trial: (m, Delta, (max d(x, y), max |W_x|), omega, size, status,
     clique, edges), status DONE or OUT_OF_BUDGET (check()).  omega is -1
@@ -208,11 +208,12 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, columns, N:
     ent = _uint32_words(seed)
     ent += [0] * (4 - len(ent))             # as SeedSequence pads them when spawned
     ent = np.array(ent + [w for x in stream for w in _uint32_words(x)], dtype=np.uint32)
+    columns = hypergraph._unrank_tables(n, k)[0]
     rows = np.empty((hi - lo, 8), dtype=np.int64)
     out = np.empty(1 << 16, dtype=np.uint64)
     done = []
     while lo < hi:
-        count = lib.ekr_trials(ent.ctypes.data, len(ent), lo, hi, n, k, columns[1], N, p,
+        count = lib.ekr_trials(ent.ctypes.data, len(ent), lo, hi, n, k, columns.ctypes.data, N, p,
                                conditioned, dense, min(edge_cap, 2**62),
                                min(node_budget, 2**62), keep_all, rows.ctypes.data,
                                out.ctypes.data, len(out))

@@ -220,13 +220,6 @@ def _lambdas(mbar: float, q: float, Delta: int) -> tuple[float, float]:
             float(analytics.lambda_prime_t(mbar, q, Delta)))
 
 
-@functools.lru_cache(maxsize=16)
-def _columns(n: int, k: int) -> tuple[np.ndarray, int]:
-    """hypergraph._unrank_tables(n, k)'s columns and their address."""
-    columns = hypergraph._unrank_tables(n, k)[0]
-    return columns, columns.ctypes.data
-
-
 def _record(ctx: TrialContext, t: int, m: int, Delta: int, maxima, verdict,
             H: Optional[Hypergraph]) -> TrialRecord:
     """Trial t's record; verdict may be the ResourceLimitError that stopped
@@ -250,7 +243,7 @@ def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]
     N = hypergraph._check_draws(n, k, p, hypergraph.DEFAULT_ENUM_CAP)
     records = []
     for t, (m, Delta, maxima, omega, size, status, clique, edges) in enumerate(_native.trials(
-            lib, ctx.master_seed, ctx.stream, lo, hi, n, k, _columns(n, k), N, p,
+            lib, ctx.master_seed, ctx.stream, lo, hi, n, k, N, p,
             conditioned=ctx.sampler_mode == "conditioned", dense=n < 3 * k,
             edge_cap=ctx.edge_cap, node_budget=ctx.node_budget), lo):
         try:

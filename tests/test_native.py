@@ -164,7 +164,7 @@ def kernel_trials(sampler, n, k, p, seed, stream, lo, hi):
     """(m, edges) of trials [lo, hi) from one native batch that keeps every
     trial's words; edge cap 0, so no search runs."""
     return [(m, edges) for m, *_, edges in _native.trials(
-        _native.kernel(), seed, stream, lo, hi, n, k, mc._columns(n, k), math.comb(n, k), p,
+        _native.kernel(), seed, stream, lo, hi, n, k, math.comb(n, k), p,
         conditioned=sampler == "conditioned", dense=False, edge_cap=0, node_budget=1,
         keep_all=True)]
 
