@@ -192,8 +192,11 @@ class TrialContext:
 
     def __post_init__(self):
         verifier.check_limits(self.edge_cap, self.node_budget)
-        if self.master_seed < 0:        # SeedSequence takes none, nor does the kernel
+        # SeedSequence takes no negative entropy, nor do the kernel's trials
+        if self.master_seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.master_seed}")
+        if any(x < 0 for x in self.stream):
+            raise DomainError(f"stream entries must be >= 0, got {self.stream}")
 
 
 def make_trial_context(params: ModelParams, sampler_mode: str, seed: int,

@@ -218,7 +218,7 @@ def test_no_trials_draw_nothing(kernels):
 
 def test_negative_seed_rejected():
     # numpy's SeedSequence raised a bare ValueError; the native trials'
-    # entropy words would wrap a negative seed instead
+    # entropy words would wrap a negative seed or stream entry instead
     params = an.ModelParams.from_p(10, 3, 0.1)
     for sampler in ("bernoulli", "conditioned", "independent"):
         with pytest.raises(DomainError, match="seed must be >= 0"):
@@ -227,6 +227,8 @@ def test_negative_seed_rejected():
         mc.estimate_ekr_curve(10, 3, [1.0], trials=0, seed=-2**70)
     with pytest.raises(DomainError, match="seed must be >= 0"):
         dataclasses.replace(mc.make_trial_context(params, "bernoulli", 0), master_seed=-1)
+    with pytest.raises(DomainError, match="stream entries must be >= 0"):
+        mc.run_trials(params, 1, "conditioned", seed=0, stream=(3, -1))
 
 
 def test_bad_sampler_mode():
