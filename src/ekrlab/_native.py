@@ -87,13 +87,14 @@ def _load():
     cc = shutil.which(_CC) if os.name == "posix" else None
     if cc is None:
         return None
-    command = [cc, *_CFLAGS, "-I", np.get_include(), _SOURCE, _NPYRANDOM, "-lm"]
+    # the source's path stays out of the name: checkouts share a build
+    command, link = [cc, *_CFLAGS, "-I", np.get_include()], [_NPYRANDOM, "-lm"]
     try:
         data = b""
         for path in (_SOURCE, _NPYRANDOM):
             with open(path, "rb") as f:
                 data += f.read()
-        key = _sha256(data + " ".join(command + [os.uname().machine]).encode())
+        key = _sha256(data + " ".join(command + link + [os.uname().machine]).encode())
         cache = _cache_dir()
         os.makedirs(cache, mode=0o700, exist_ok=True)
         if not _private(cache):
@@ -105,7 +106,7 @@ def _load():
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             try:
-                subprocess.run(command + ["-o", tmp], check=True,
+                subprocess.run(command + ["-o", tmp, _SOURCE] + link, check=True,
                                capture_output=True, timeout=300)
                 os.chmod(tmp, 0o700)
                 os.replace(tmp, path)

@@ -75,6 +75,19 @@ def test_kernel_cache_name_covers_numpys_library(reload, monkeypatch, tmp_path):
     assert len(names[0]) == 1 and len(names[1]) == 2 and names[0] < names[1]
 
 
+def test_kernel_cache_name_ignores_the_source_path(reload, monkeypatch, tmp_path):
+    # another checkout of the same source loads the cached build
+    cache, _, _ = reload
+    assert _native.kernel() is not None
+    copy = tmp_path / "_kernel.c"
+    with open(_native._SOURCE, "rb") as f:
+        copy.write_bytes(f.read())
+    monkeypatch.setattr(_native, "_SOURCE", str(copy))
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native.subprocess, "run", lambda *a, **kw: pytest.fail("rebuilt"))
+    assert _native.kernel() is not None and len(os.listdir(cache)) == 1
+
+
 @pytest.mark.parametrize("breakage", ["no compiler", "build fails", "cache not a directory",
                                       "cache writable by others", "numpy library missing",
                                       "numpy library not an archive"])
