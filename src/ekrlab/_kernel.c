@@ -495,7 +495,7 @@ static u64 slot(const int64_t *set, int lg, int64_t x)
     return h;
 }
 
-/* hypergraph._floyd_ranks in place: draw[i] = t_j, j = N - m + i, stays,
+/* hypergraph._distinct_ranks in place: draw[i] = t_j, j = N - m + i, stays,
  * or becomes j when taken (j is not: every earlier rank is below it) */
 static int floyd(int64_t N, int64_t m, int64_t *draw)
 {
