@@ -619,12 +619,13 @@ static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *ran
 {
     int W = (int)((m + 63) / 64), status = DONE;
     int64_t found[3];
-    size_t stars = (size_t)64 * VW * W + 1;
-    u64 *star = malloc((stars + (size_t)m * W + m + 2) * sizeof(u64));
+    /* no adjacency or clique beyond the edge cap: m^2 / 8 bytes that no search reads */
+    size_t stars = (size_t)64 * VW * W + 1, adjw = m <= edge_cap ? (size_t)m * W + 1 : 0;
+    u64 *star = malloc((stars + adjw + (adjw ? (size_t)m + 1 : 0)) * sizeof(u64));
     result[4] = result[5] = -1;
     if (!star) return OUT_OF_MEMORY;
     u64 *adj = star + stars;
-    int32_t *clique = (int32_t *)(adj + (size_t)m * W + 1);
+    int32_t *clique = (int32_t *)(adj + adjw);
     memset(words, 0, (size_t)m * VW * sizeof(u64));
     for (int64_t e = 0; e < m; e++)
         for (int64_t i = 0, v = n, r = rank[e]; i < k; r -= col[i++ * n + v]) {

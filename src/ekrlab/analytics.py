@@ -132,18 +132,14 @@ def log_theta(n: int, k: int) -> float:
     return 2 * lg(n - k + 1) - lg(n - 2 * k + 1) - lg(n + 1)
 
 
-def intersection_probability(n: int, k: int, exact_mode: bool = True,
-                             allow_degenerate: bool = False):
+def intersection_probability(n: int, k: int, exact_mode: bool = True):
     """q = Pr(two independent uniform k-subsets of [n] intersect) = 1 - theta.
 
-    Requires n >= 2k (a disjoint pair must fit); with allow_degenerate the
-    n < 2k case returns the degenerate q = 1 instead of raising.
+    Requires n >= 2k (a disjoint pair must fit).
     """
     if k < 1 or n < 1:
         raise DomainError("need positive n, k")
     if n < 2 * k:
-        if allow_degenerate:
-            return Fraction(1) if exact_mode else 1.0
         raise DomainError(f"n={n} < 2k={2 * k}: disjoint pair impossible (q would be 1)")
     if exact_mode:
         return 1 - theta_exact(n, k)

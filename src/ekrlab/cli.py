@@ -6,8 +6,9 @@ flag argparse rejects), 3 resource cap, 4 parse error.  Only sample and
 sweep draw at random, so only they take --seed; EKRLAB_SEED is their seed
 fallback when it is not given.  Every flag a command accepts has an effect:
 sample takes no --psi, --eps-thr or --c-regime, and rejects the flags its
-sampler ignores (--m without --sampler independent; --phi, --p and
---edge-enum-cap with it).  All files UTF-8.
+sampler ignores (--m without --sampler independent, --edge-enum-cap
+without --sampler bernoulli, --phi and --p with --sampler independent).
+All files UTF-8.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="edge count for --sampler independent (only)")
     sp.add_argument("--edge-enum-cap", type=int, default=None, dest="enum_cap",
                     help="refuse to enumerate C(n,k) beyond this (default 10^7; "
-                         "not with --sampler independent)")
+                         "--sampler bernoulli only)")
 
     sp = sub.add_parser("verify", help="exact strong-EKR verdict for a hypergraph file")
     _add_output(sp)
@@ -183,7 +184,7 @@ def _cmd_calc(args) -> int:
 # the sample flags a sampler ignores: given with it, they exit 2
 _SAMPLE_UNUSED = {
     "bernoulli": (("m", "--m"),),
-    "conditioned": (("m", "--m"),),
+    "conditioned": (("m", "--m"), ("enum_cap", "--edge-enum-cap")),
     "independent": (("phi", "--phi"), ("p", "--p"), ("enum_cap", "--edge-enum-cap")),
 }
 
@@ -202,11 +203,11 @@ def _cmd_sample(args) -> int:
         H = sample_independent(args.n, args.k, args.m, seed)
     else:
         params = _params_from(args)
-        cap = DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
         if args.sampler == "bernoulli":
+            cap = DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
             H = sample_bernoulli(params.n, params.k, float(params.p), seed, cap=cap)
         else:
-            H, _ = sample_conditioned(params.n, params.k, float(params.p), seed, cap=cap)
+            H, _ = sample_conditioned(params.n, params.k, float(params.p), seed)
     _emit(dump_hypergraph(H), args.output)
     return EXIT_OK
 

@@ -181,17 +181,16 @@ def binom_tail_ge_float(M: int, p: float, t: int, mean: float | None = None) -> 
     return max(0.0, 1.0 - low)
 
 
-def binom_tail_ge(M: int, p, t: int, exact: bool | None = None,
-                  exact_cutoff: int = EXACT_TAIL_CUTOFF, mean: float | None = None):
+def binom_tail_ge(M: int, p, t: int, exact: bool | None = None, mean: float | None = None):
     """Pr(X >= t) for X ~ Bin(M, p); exact Fraction below the cutoff.
 
     exact=None picks exact mode automatically for rational p with
-    M <= exact_cutoff.  exact=True insists (and raises above the cutoff).
+    M <= EXACT_TAIL_CUTOFF.  exact=True insists (and raises above the cutoff).
     """
     if exact is None:
-        exact = isinstance(p, (int, Fraction)) and M <= exact_cutoff
+        exact = isinstance(p, (int, Fraction)) and M <= EXACT_TAIL_CUTOFF
     if exact:
-        if M > exact_cutoff:
-            raise ValueError(f"exact tail requested for M={M} > cutoff {exact_cutoff}")
+        if M > EXACT_TAIL_CUTOFF:
+            raise ValueError(f"exact tail requested for M={M} > cutoff {EXACT_TAIL_CUTOFF}")
         return binom_tail_ge_exact(M, p, t)
     return binom_tail_ge_float(M, float(p), t, mean=mean)

@@ -15,6 +15,9 @@ reproduces serial output bit for bit.  The Bernoulli and conditioned
 samplers unrank all drawn colex ranks in one vectorised pass, which returns
 the same edges, in the same order, as exact.colex_unrank rank by rank.
 Ranks are int64: C(n, k) >= 2**63 is refused with ResourceLimitError.
+Only the Bernoulli sampler enumerates: it draws one uniform per k-set and
+refuses C(n, k) above its cap (default 10**7).  The conditioned sampler draws
+the same law in O(m + n k) and refuses only p C(n, k) edges expected > 10**7.
 These two samplers are the reference for the compiled kernel's Monte Carlo
 trials (_native.trials), which re-derive their streams in C: numpy's
 SeedSequence key, Philox4x64-10 with numpy's buffering, and numpy's own
@@ -35,7 +38,7 @@ from . import exact
 from .errors import DomainError, ParseError, ResourceLimitError
 
 MAX_N = 256                 # bitset width ceiling
-DEFAULT_ENUM_CAP = 10**7    # refuse to enumerate C(n,k) beyond this
+DEFAULT_ENUM_CAP = 10**7    # the most k-sets a sampler enumerates or expects to draw
 MEMBERS_CACHE = 8192        # distinct k-sets whose bits and members are kept
 
 
@@ -251,17 +254,6 @@ def generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _check_enum_cap(n: int, k: int, cap: int, hint: str) -> int:
-    N = math.comb(n, k)
-    if N > cap:
-        raise ResourceLimitError(
-            f"C({n},{k}) = {N} exceeds the enumeration cap {cap}; {hint}")
-    if N >= 2**63:
-        raise ResourceLimitError(
-            f"C({n},{k}) = {N} is not below 2**63, the int64 limit of the sampled colex ranks")
-    return N
-
-
 @functools.lru_cache(maxsize=16)
 def _unrank_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(columns, vertex_bit) for _colex_unrank_bits at (n, k), read-only:
@@ -305,13 +297,24 @@ def _colex_unrank_bits(ranks, n: int, k: int) -> list[int]:
     return out.tolist()
 
 
-def _check_draws(n: int, k: int, p: float, cap: int) -> int:
-    """N = C(n, k), after the checks the bernoulli and conditioned samplers
-    make before they draw (montecarlo's native trials make them too)."""
+def _check_draws(n: int, k: int, p: float, cap: int | None = None) -> int:
+    """N = C(n, k), after the checks the samplers make before they draw (and
+    montecarlo's native trials): bernoulli's enumeration cap on N, or with
+    cap None (conditioned), p N <= DEFAULT_ENUM_CAP edges expected."""
     check_nk(n, k)
     if not 0 <= p <= 1:
         raise DomainError("p must lie in [0, 1]")
-    return _check_enum_cap(n, k, cap, "use sample_independent for graphs this large")
+    N = math.comb(n, k)
+    if cap is not None and N > cap:
+        raise ResourceLimitError(f"C({n},{k}) = {N} exceeds the enumeration cap {cap}; "
+                                 "--sampler conditioned draws the same law in O(m)")
+    if N >= 2**63:
+        raise ResourceLimitError(
+            f"C({n},{k}) = {N} is not below 2**63, the int64 limit of the sampled colex ranks")
+    if cap is None and p * N > DEFAULT_ENUM_CAP:
+        raise ResourceLimitError(f"the expected edge count p*C({n},{k}) = {p * N:.4g} "
+                                 f"exceeds {DEFAULT_ENUM_CAP}")
+    return N
 
 
 def sample_bernoulli(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP) -> Hypergraph:
@@ -355,14 +358,15 @@ def _distinct_ranks(rng: np.random.Generator, N: int, m: int) -> list[int]:
     return sorted(chosen)
 
 
-def sample_conditioned(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP,
+def sample_conditioned(n: int, k: int, p: float, seed,
                        psi: float | None = None) -> tuple[Hypergraph, bool]:
     """m ~ Bin(C(n,k), p), then m distinct uniform edges (colex order).
 
-    Same law as sample_bernoulli; also reports whether m landed inside the
-    window (mbar - psi sqrt(mbar), mbar + psi sqrt(mbar)).
+    Same law as sample_bernoulli, drawn in O(m + n k) at any C(n, k) < 2**63;
+    also reports whether m landed inside the window
+    (mbar - psi sqrt(mbar), mbar + psi sqrt(mbar)).
     """
-    N = _check_draws(n, k, p, cap)
+    N = _check_draws(n, k, p)
     rng = generator(seed)
     ranks = _distinct_ranks(rng, N, int(rng.binomial(N, p)))
     H = Hypergraph._unchecked(n, k, tuple(_colex_unrank_bits(ranks, n, k)))

@@ -243,11 +243,12 @@ def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]
     """Trials [lo, hi) of a bernoulli or conditioned context in one
     _native.trials batch, with a Hypergraph only for each failing trial."""
     n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
-    N = hypergraph._check_draws(n, k, p, hypergraph.DEFAULT_ENUM_CAP)
+    conditioned = ctx.sampler_mode == "conditioned"     # enumerates nothing: no cap
+    N = hypergraph._check_draws(n, k, p, None if conditioned else hypergraph.DEFAULT_ENUM_CAP)
     records = []
     for t, (m, Delta, maxima, omega, size, status, clique, edges) in enumerate(_native.trials(
             lib, ctx.master_seed, ctx.stream, lo, hi, n, k, N, p,
-            conditioned=ctx.sampler_mode == "conditioned", dense=n < 3 * k,
+            conditioned=conditioned, dense=n < 3 * k,
             edge_cap=ctx.edge_cap, node_budget=ctx.node_budget), lo):
         try:
             verifier._check_edge_cap(m, ctx.edge_cap)
@@ -529,14 +530,12 @@ class DeltaLawReport:
 def estimate_delta_law(params: ModelParams, trials: int, seed: int,
                        sampler_mode: str = "conditioned") -> DeltaLawReport:
     """Empirical Pr(Delta >= alpha[,2]) and Pr(Delta <= beta), with flags
-    when the desk-scale 0.9 sanity levels are missed (informational)."""
+    when the desk-scale 0.9 sanity levels are missed (informational), from
+    run_trials' records at edge cap 0, which read Delta and run no search."""
     ab = analytics.compute_alpha_beta(params)
     hist: dict[int, int] = {}
     ge_alpha = ge_alpha2 = le_beta = 0
-    for i in range(trials):
-        seed_seq = np.random.SeedSequence(seed, spawn_key=(i,))
-        H = _sample(params, sampler_mode, seed_seq)
-        Delta = verifier._Instance(H).Delta
+    for Delta in (r.Delta for r in run_trials(params, trials, sampler_mode, seed, edge_cap=0)):
         hist[Delta] = hist.get(Delta, 0) + 1
         ge_alpha += Delta >= ab.alpha
         ge_alpha2 += Delta >= ab.alpha2

@@ -38,7 +38,6 @@ def test_q_strictly_below_one_at_boundary():
 def test_q_domain_error_and_degenerate_flag():
     with pytest.raises(DomainError):
         an.intersection_probability(5, 3)
-    assert an.intersection_probability(5, 3, allow_degenerate=True) == 1
 
 
 def test_q_float_matches_exact():

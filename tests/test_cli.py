@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +98,8 @@ INDEPENDENT = ["sample", "--n", "10", "--k", "3", "--sampler", "independent", "-
     (CONDITIONED, ["--psi", "9"]),
     *[(INDEPENDENT, flag) for flag in (["--phi", "1"], ["--p", "0.2"],
                                        ["--edge-enum-cap", "5"], ["--eps-thr", "0.3"])],
+    # the conditioned sampler enumerates nothing: it has no enumeration cap
+    *[(CONDITIONED, ["--edge-enum-cap", cap]) for cap in ("120", "119", str(10**30))],
 ])
 def test_sample_rejects_flags_its_sampler_ignores(base, extra):
     # these flags used to be accepted and change no byte of the output
@@ -105,9 +108,11 @@ def test_sample_rejects_flags_its_sampler_ignores(base, extra):
 
 
 def test_sample_edge_enum_cap_still_applies():
-    for base in (BERNOULLI, CONDITIONED):
-        assert exit_code(base + ["--edge-enum-cap", "120"]) == 0     # C(10, 3) = 120
-        assert exit_code(base + ["--edge-enum-cap", "119"]) == 3
+    # bernoulli only: the conditioned sampler enumerates nothing, so the flag
+    # is one it ignores (test_sample_rejects_flags_its_sampler_ignores)
+    assert exit_code(BERNOULLI + ["--edge-enum-cap", "120"]) == 0     # C(10, 3) = 120
+    code, _, err = run_cli(BERNOULLI + ["--edge-enum-cap", "119"])
+    assert code == 3 and "--sampler conditioned" in err
 
 
 @pytest.mark.parametrize("n", ["256", "207"])         # C(207, 12) = 9.34e18: 2**63 < N < 2**64
@@ -115,8 +120,9 @@ def test_sample_edge_enum_cap_still_applies():
 def test_sample_refuses_ranks_beyond_int64(sampler, n):
     # C(n, 12) >= 2**63: this was a traceback (exit 1), an OverflowError in
     # rng.binomial or numpy's "Maximum allowed dimension exceeded"
+    cap = ["--edge-enum-cap", str(10**30)] if sampler == "bernoulli" else []
     code, _, err = run_cli(["sample", "--n", n, "--k", "12", "--phi", "5", "--sampler",
-                            sampler, "--edge-enum-cap", str(10**30), "--seed", "1"])
+                            sampler, "--seed", "1", *cap])
     assert code == 3 and "2**63" in err
 
 
@@ -336,3 +342,36 @@ def test_seed_rejected_where_nothing_is_drawn(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         cli.main(args + ["--seed", "1"])
     assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+
+
+# (n, k) across the documented domain, n <= 256, k <= 18: the paper's regime
+# k < sqrt(c n log n), c < 1/4, (100, 5) to (256, 18), small and boundary
+# shapes, and C(n, k) >= 2**63 from (256, 12) on
+EXIT_GRID = [(10, 3), (24, 3), (13, 6), (12, 6), (18, 18), (256, 1), (100, 5), (100, 10),
+             (256, 10), (207, 12), (256, 12), (256, 18)]
+
+
+@pytest.mark.parametrize("n, k", EXIT_GRID, ids=[f"{n}-{k}" for n, k in EXIT_GRID])
+def test_exit_codes_are_documented(n, k):
+    # every command ends in 0, 2 (n <= 2k, k = n) or 3 (a cap), never in a
+    # traceback (exit 1)
+    nk = ["--n", str(n), "--k", str(k)]
+    runs = {"calc": ["calc", *nk], "calc phi": ["calc", *nk, "--phi", "5"]}
+    for sampler in ("bernoulli", "conditioned"):
+        for degree in (["--phi", "0.5"], ["--phi", "20"], ["--p", "1"]):
+            runs[f"sample {sampler} {degree[1]}"] = ["sample", *nk, *degree,
+                                                     "--sampler", sampler, "--seed", "1"]
+        runs[f"sweep {sampler}"] = ["sweep", *nk, "--grid-start", "1", "--grid-stop", "20",
+                                    "--grid-points", "2", "--grid-scale", "log",
+                                    "--trials", "2", "--sampler", sampler, "--seed", "1"]
+    runs["sample independent"] = ["sample", *nk, "--sampler", "independent", "--m", "50"]
+    codes = {name: run_cli(args)[0] for name, args in runs.items()}
+    assert set(codes.values()) <= {0, 2, 3}, codes
+    if n > 2 * k and math.comb(n - 1, k - 1) >= 20:        # phi = 20 is a model
+        N = math.comb(n, k)
+        assert codes["calc phi"] == codes["sample independent"] == 0, codes
+        assert codes["sweep conditioned"] == codes["sample conditioned 20"] == (
+            0 if N < 2**63 else 3), codes
+        assert codes["sweep bernoulli"] == codes["sample bernoulli 20"] == (
+            0 if N <= 10**7 else 3), codes
+

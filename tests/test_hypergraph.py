@@ -341,6 +341,34 @@ def test_conditioned_edge_count_chi_square():
     assert pval > 0.01
 
 
+def test_conditioned_law_above_the_old_enumeration_cap():
+    # (100, 5), phi = 20: N = C(100, 5) = 7.5e7, beyond the 10**7 that
+    # bernoulli enumerates.  m ~ Bin(N, p): mean N p = 400 and variance
+    # N p (1 - p) within 5 standard errors over T trials (the variance's
+    # error is about var sqrt(2 / (T - 1))); each vertex's degree d(x) ~
+    # Bin(C(99, 4), p) has mean phi, within 5 standard errors sqrt(phi / T)
+    n, k, phi, T = 100, 5, 20.0, 500
+    N, p = math.comb(n, k), phi / math.comb(n - 1, k - 1)
+    ms, deg = [], np.zeros(n)
+    for t in range(T):
+        H, _ = hg.sample_conditioned(n, k, p, np.random.SeedSequence(21, spawn_key=(t,)))
+        assert not H.has_duplicates()
+        ms.append(H.m)
+        deg += np.bincount([v for b in H.edge_bits for v in hg.edge_members(b)], minlength=n)
+    mean, var = np.mean(ms), np.var(ms, ddof=1)
+    assert abs(mean - N * p) <= 5 * math.sqrt(N * p * (1 - p) / T)
+    assert abs(var - N * p * (1 - p)) <= 5 * N * p * (1 - p) * math.sqrt(2 / (T - 1))
+    assert np.abs(deg / T - phi).max() <= 5 * math.sqrt(phi / T)
+
+
+def test_conditioned_refuses_a_huge_expected_edge_count():
+    # it enumerates nothing, but p C(n, k) > 10**7 expected edges would take
+    # gigabytes: refused before any draw
+    for p in (0.5, 1.0001 * 10**7 / math.comb(100, 5)):
+        with pytest.raises(ResourceLimitError, match="expected edge count"):
+            hg.sample_conditioned(100, 5, p, 0)
+
+
 def test_conditioned_window_report():
     Hc, win = hg.sample_conditioned(10, 2, 0.0, 3)
     assert Hc.m == 0 and win   # degenerate collapse convention

@@ -207,13 +207,14 @@ def test_invalid_search_limits_rejected(limits):
 
 
 def test_no_trials_draw_nothing(kernels):
-    # C(100, 5) is above the enumeration cap: a trial would be refused, but
-    # a sweep of no trials draws nothing and checks no cap
+    # C(100, 5) is above bernoulli's enumeration cap: a trial would be
+    # refused, but a sweep of no trials draws nothing and checks no cap
     for kernel in kernels():
-        table = mc.estimate_ekr_curve(100, 5, [1.0, 2.0], trials=0, seed=0)
+        table = mc.estimate_ekr_curve(100, 5, [1.0, 2.0], trials=0, seed=0,
+                                      sampler_mode="bernoulli")
         assert [row.trials for row in table.rows] == [0, 0], kernel
-        with pytest.raises(ResourceLimitError):
-            mc.estimate_ekr_curve(100, 5, [1.0], trials=1, seed=0)
+        with pytest.raises(ResourceLimitError, match="--sampler conditioned"):
+            mc.estimate_ekr_curve(100, 5, [1.0], trials=1, seed=0, sampler_mode="bernoulli")
 
 
 def test_negative_seed_rejected():
@@ -280,6 +281,22 @@ def test_readme_sweep_golden_hash(kernels):
         table = mc.estimate_ekr_curve(24, 3, grid, trials=100, seed=1)
         csv = mc.sweep_table_to_csv(table).encode()
         assert hashlib.sha256(csv).hexdigest() == README_SWEEP_SEED1_SHA256, kernel
+
+
+# sha256 of sweep_table_to_csv for `ekrlab sweep --n 100 --k 5 --grid-start 1
+# --grid-stop 40 --grid-points 12 --grid-scale log --trials 20 --seed 1`:
+# C(100, 5) = 7.5e7, beyond bernoulli's enumeration cap; the paper's regime
+PAPER_SWEEP_SEED1_SHA256 = "2ee53aaf8729184a930b669cc6b5d89ec0fcc2c5942d17e70f2d1078b89d245c"
+
+
+def test_paper_regime_sweep_golden_hash(kernels):
+    ratio = 40.0 ** (1.0 / 11)
+    grid = [ratio**i for i in range(12)]
+    for kernel in kernels():
+        for workers in (1, 2):
+            table = mc.estimate_ekr_curve(100, 5, grid, trials=20, seed=1, workers=workers)
+            csv = mc.sweep_table_to_csv(table).encode()
+            assert hashlib.sha256(csv).hexdigest() == PAPER_SWEEP_SEED1_SHA256, (kernel, workers)
 
 
 # sha256 of trial_records_to_csv, the per-point CSVs concatenated: every

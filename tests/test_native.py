@@ -1,6 +1,8 @@
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -299,3 +301,23 @@ def test_native_trial_records_equal_the_python_path(kernels, monkeypatch, sample
     assert shows(records, Hs)
     # the native trial rebuilds a failing trial's sample from its words
     assert [H for H, _ in witnesses] == [H for H, r in zip(Hs, records) if r.ekr_holds is False]
+
+
+def test_trial_above_the_edge_cap_allocates_no_adjacency():
+    # p = 1/2 at (30, 6): m ~ 297k edges, far above the edge cap.  The trial
+    # reads Delta and runs no search, so it must not allocate the m x m
+    # adjacency (11 GB, a MemoryError); run with the address space held to
+    # 1 GiB above the loaded kernel's
+    code = """if True:
+        import os, resource, sys
+        from ekrlab import _native, cli
+        assert _native.kernel()
+        limit = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        resource.setrlimit(resource.RLIMIT_AS, (limit + (1 << 30),) * 2)
+        sys.exit(cli.main(["sweep", "--n", "30", "--k", "6", "--grid-start", "59377.5",
+                           "--grid-stop", "59377.5", "--grid-points", "1", "--trials", "1"]))
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1].startswith("30,6,59377.5,0.5,1,1,0,nan,")
