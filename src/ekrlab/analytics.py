@@ -79,7 +79,8 @@ class ModelParams:
             raise DomainError(f"phi must be finite; got {self.phi}")
         if self.phi < 0:
             raise DomainError("phi must be nonnegative")
-        if self.phi > self.M:
+        # p-space for a float phi: p = 1 gives phi = float(M), which may exceed M
+        if self.phi > self.M and (not isinstance(self.phi, float) or self.phi / self.M > 1):
             raise DomainError("phi > C(n-1, k-1) means p > 1")
 
     @classmethod

@@ -6,9 +6,10 @@ flag argparse rejects), 3 resource cap, 4 parse error.  Only sample and
 sweep draw at random, so only they take --seed; EKRLAB_SEED is their seed
 fallback when it is not given.  Every flag a command accepts has an effect:
 sample takes no --psi, --eps-thr or --c-regime, and rejects the flags its
-sampler ignores (--m without --sampler independent, --edge-enum-cap
-without --sampler bernoulli, --phi and --p with --sampler independent).
-All files UTF-8.
+sampler ignores (--m without --sampler independent, --phi and --p with it).
+sample and sweep exit 3 before drawing past 10**7 k-sets (bernoulli's
+C(n, k), other modes' p C(n, k) expected, or sample's --m) or, where colex
+ranks are drawn, at C(n, k) >= 2**63.  All files UTF-8.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import analytics, montecarlo, verifier, witnesses
+from . import analytics, hypergraph, montecarlo, verifier, witnesses
 from .analytics import ModelParams
 from .errors import DomainError, ParseError, ResourceLimitError
-from .hypergraph import (DEFAULT_ENUM_CAP, dump_hypergraph, read_hypergraph,
-                         sample_bernoulli, sample_conditioned, sample_independent)
+from .hypergraph import SAMPLER_MODES, dump_hypergraph, read_hypergraph
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -118,12 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_degree_flags(sp)
     _add_seed(sp)
     _add_output(sp)
-    sp.add_argument("--sampler", choices=montecarlo.SAMPLER_MODES, default="bernoulli")
+    sp.add_argument("--sampler", choices=SAMPLER_MODES, default="bernoulli")
     sp.add_argument("--m", type=int, default=None,
                     help="edge count for --sampler independent (only)")
-    sp.add_argument("--edge-enum-cap", type=int, default=None, dest="enum_cap",
-                    help="refuse to enumerate C(n,k) beyond this (default 10^7; "
-                         "--sampler bernoulli only)")
 
     sp = sub.add_parser("verify", help="exact strong-EKR verdict for a hypergraph file")
     _add_output(sp)
@@ -151,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-points", type=int, required=True)
     sp.add_argument("--grid-scale", choices=("linear", "log"), default="linear")
     sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--sampler", choices=montecarlo.SAMPLER_MODES, default="conditioned")
+    sp.add_argument("--sampler", choices=SAMPLER_MODES, default="conditioned")
     sp.add_argument("--workers", type=int, default=1,
                     help="worker processes (default 1 for bit-stable baselines)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -184,8 +179,8 @@ def _cmd_calc(args) -> int:
 # the sample flags a sampler ignores: given with it, they exit 2
 _SAMPLE_UNUSED = {
     "bernoulli": (("m", "--m"),),
-    "conditioned": (("m", "--m"), ("enum_cap", "--edge-enum-cap")),
-    "independent": (("phi", "--phi"), ("p", "--p"), ("enum_cap", "--edge-enum-cap")),
+    "conditioned": (("m", "--m"),),
+    "independent": (("phi", "--phi"), ("p", "--p")),
 }
 
 
@@ -200,14 +195,13 @@ def _cmd_sample(args) -> int:
             raise DomainError("--sampler independent needs --m")
         if args.n is None or args.k is None:
             raise DomainError("--n and --k are required")
-        H = sample_independent(args.n, args.k, args.m, seed)
+        hypergraph.check_nk(args.n, args.k)
+        if args.m > hypergraph.DRAW_CAP:
+            raise ResourceLimitError(f"--m {args.m} exceeds {hypergraph.DRAW_CAP} edges")
+        H = hypergraph.sample_independent(args.n, args.k, args.m, seed)
     else:
         params = _params_from(args)
-        if args.sampler == "bernoulli":
-            cap = DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
-            H = sample_bernoulli(params.n, params.k, float(params.p), seed, cap=cap)
-        else:
-            H, _ = sample_conditioned(params.n, params.k, float(params.p), seed)
+        H = hypergraph.sample(args.sampler, params.n, params.k, float(params.p), seed)
     _emit(dump_hypergraph(H), args.output)
     return EXIT_OK
 

@@ -156,6 +156,8 @@ def binom_tail_ge_float(M: int, p: float, t: int, mean: float | None = None) -> 
         return 1.0
     if t > M:
         return 0.0
+    if p >= 1.0:        # X = M: no Poisson limit holds, and its sum takes ~sqrt(M) steps
+        return 1.0
     if M > POISSON_SWITCH:
         # p itself may underflow double precision here; trust the mean
         if mean is None:
@@ -163,8 +165,6 @@ def binom_tail_ge_float(M: int, p: float, t: int, mean: float | None = None) -> 
         return poisson_tail_ge(mean, t)
     if p <= 0.0:
         return 0.0
-    if p >= 1.0:
-        return 1.0
     if mean is None:
         mean = M * p
     lg = math.lgamma

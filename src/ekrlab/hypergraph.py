@@ -14,15 +14,15 @@ substream derived from (master seed, trial index), so parallel execution
 reproduces serial output bit for bit.  The Bernoulli and conditioned
 samplers unrank all drawn colex ranks in one vectorised pass, which returns
 the same edges, in the same order, as exact.colex_unrank rank by rank.
-Ranks are int64: C(n, k) >= 2**63 is refused with ResourceLimitError.
-Only the Bernoulli sampler enumerates: it draws one uniform per k-set and
-refuses C(n, k) above its cap (default 10**7).  The conditioned sampler draws
-the same law in O(m + n k) and refuses only p C(n, k) edges expected > 10**7.
-These two samplers are the reference for the compiled kernel's Monte Carlo
-trials (_native.trials), which re-derive their streams in C: numpy's
+sample(mode, ...) draws a trial's family in each of SAMPLER_MODES, after
+_check_draws(mode, ...), the one guard run before any draw: C(n, k) < 2**63
+(ranks are int64) and at most DRAW_CAP = 10**7 draws, the C(n, k) uniforms
+bernoulli enumerates or the p C(n, k) edges expected of conditioned (the
+same law in O(m + n k)) and independent (an i.i.d. coupling).  The Bernoulli
+and conditioned samplers are the reference for the compiled kernel's Monte
+Carlo trials (_native.trials), which re-derive their streams in C: numpy's
 SeedSequence key, Philox4x64-10 with numpy's buffering, and numpy's own
 binomial and bounded-integer samplers, linked from its libnpyrandom.a.
-Without the kernel, trials run on these samplers.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from . import exact
 from .errors import DomainError, ParseError, ResourceLimitError
 
 MAX_N = 256                 # bitset width ceiling
-DEFAULT_ENUM_CAP = 10**7    # the most k-sets a sampler enumerates or expects to draw
+DRAW_CAP = 10**7            # the most k-sets a sampler enumerates or expects to draw
+SAMPLER_MODES = ("bernoulli", "conditioned", "independent")
 MEMBERS_CACHE = 8192        # distinct k-sets whose bits and members are kept
 
 
@@ -297,29 +298,31 @@ def _colex_unrank_bits(ranks, n: int, k: int) -> list[int]:
     return out.tolist()
 
 
-def _check_draws(n: int, k: int, p: float, cap: int | None = None) -> int:
-    """N = C(n, k), after the checks the samplers make before they draw (and
-    montecarlo's native trials): bernoulli's enumeration cap on N, or with
-    cap None (conditioned), p N <= DEFAULT_ENUM_CAP edges expected."""
+def _check_draws(mode: str, n: int, k: int, p: float) -> int:
+    """N = C(n, k), after the checks every sampler mode (and montecarlo's
+    native trials) makes before drawing: (n, k), p in [0, 1], N < 2**63, and
+    DRAW_CAP on bernoulli's N k-sets, or on any mode's p N edges expected."""
     check_nk(n, k)
+    if mode not in SAMPLER_MODES:
+        raise DomainError(f"unknown sampler mode {mode!r}; pick from {SAMPLER_MODES}")
     if not 0 <= p <= 1:
         raise DomainError("p must lie in [0, 1]")
     N = math.comb(n, k)
-    if cap is not None and N > cap:
-        raise ResourceLimitError(f"C({n},{k}) = {N} exceeds the enumeration cap {cap}; "
-                                 "--sampler conditioned draws the same law in O(m)")
     if N >= 2**63:
         raise ResourceLimitError(
             f"C({n},{k}) = {N} is not below 2**63, the int64 limit of the sampled colex ranks")
-    if cap is None and p * N > DEFAULT_ENUM_CAP:
+    if mode == "bernoulli" and N > DRAW_CAP:
+        raise ResourceLimitError(f"C({n},{k}) = {N} exceeds the enumeration cap {DRAW_CAP}; "
+                                 "--sampler conditioned draws the same law in O(m)")
+    if p * N > DRAW_CAP:
         raise ResourceLimitError(f"the expected edge count p*C({n},{k}) = {p * N:.4g} "
-                                 f"exceeds {DEFAULT_ENUM_CAP}")
+                                 f"exceeds {DRAW_CAP}")
     return N
 
 
-def sample_bernoulli(n: int, k: int, p: float, seed, cap: int = DEFAULT_ENUM_CAP) -> Hypergraph:
+def sample_bernoulli(n: int, k: int, p: float, seed) -> Hypergraph:
     """Each k-set independently present with probability p; colex edge order."""
-    N = _check_draws(n, k, p, cap)
+    N = _check_draws("bernoulli", n, k, p)
     if p in (0, 1):
         ranks = np.arange(N if p else 0)
     else:
@@ -366,12 +369,25 @@ def sample_conditioned(n: int, k: int, p: float, seed,
     also reports whether m landed inside the window
     (mbar - psi sqrt(mbar), mbar + psi sqrt(mbar)).
     """
-    N = _check_draws(n, k, p)
+    N = _check_draws("conditioned", n, k, p)
     rng = generator(seed)
     ranks = _distinct_ranks(rng, N, int(rng.binomial(N, p)))
     H = Hypergraph._unchecked(n, k, tuple(_colex_unrank_bits(ranks, n, k)))
     psi = math.log(n) if psi is None else psi
     return H, m_window(H.m, p * N, psi)
+
+
+def sample(mode: str, n: int, k: int, p: float, seed) -> Hypergraph:
+    """One Monte Carlo trial's family under a sampler mode (SAMPLER_MODES);
+    independent is the coupling m ~ Bin(C(n,k), p), then m i.i.d. edges,
+    deduplicated for the EKR verdict (repeats are o(1) here anyway)."""
+    if mode == "bernoulli":
+        return sample_bernoulli(n, k, p, seed)
+    if mode == "conditioned":
+        return sample_conditioned(n, k, p, seed)[0]
+    N = _check_draws(mode, n, k, p)
+    rng = generator(seed)
+    return sample_independent(n, k, int(rng.binomial(N, p)), rng).dedupped()
 
 
 # ---------------------------------------------------------------------------

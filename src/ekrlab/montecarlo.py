@@ -9,16 +9,19 @@ TrialContext in each worker, and a task carries only its (grid index, lo,
 hi) chunk of trials.  Per-trial resource errors (edge cap, search-node
 budget) are recorded in the row and excluded from the estimates with an
 explicit count, never fatal.  The node budget is deterministic on purpose; a wall-clock
-timeout would break reproducibility.
+timeout would break reproducibility.  The sampler's guard
+(hypergraph._check_draws: C(n, k) < 2**63 and at most 10**7 k-sets
+enumerated or edges expected) is fatal instead: it stops the run before
+the point draws.
 
 With the compiled kernel (see _native) a bernoulli or conditioned grid
 point's trials are one kernel call: the kernel seeds and draws each trial's
 sample as numpy would, dedups, unranks, reads Delta and event R's pair
 maxima and runs the searches, and a Hypergraph is built from its vertex
 words only to classify a failing clique.  The independent sampler, and
-every trial without the kernel, builds a Hypergraph and a
-verifier._Instance instead; that path is the reference, and both give the
-same records.
+every trial without the kernel, draws through hypergraph.sample and builds
+a verifier._Instance instead; that path is the reference, and both give
+the same records.
 
 Asymptotic "almost surely" claims are reported as finite-n frequencies with
 Wilson intervals and nothing more.
@@ -41,11 +44,9 @@ import numpy as np
 from . import _native, analytics, hypergraph, verifier, witnesses
 from .analytics import ModelParams
 from .errors import DomainError, ResourceLimitError
-from .hypergraph import (Hypergraph, _event_r, generator, sample_bernoulli,
-                         sample_conditioned, sample_independent)
+from .hypergraph import SAMPLER_MODES, Hypergraph, _event_r
 
 SCHEMA_VERSION = 1
-SAMPLER_MODES = ("bernoulli", "conditioned", "independent")
 
 _Z95 = 1.959963984540054
 
@@ -156,21 +157,6 @@ WITNESS_KINDS = ("generic", "hm", "eventA", "eventB", "eventC", "other")
 # Single trial
 # ---------------------------------------------------------------------------
 
-def _sample(params: ModelParams, mode: str, seed_seq) -> Hypergraph:
-    n, k, p = params.n, params.k, float(params.p)
-    if mode == "bernoulli":
-        return sample_bernoulli(n, k, p, seed_seq)
-    if mode == "conditioned":
-        return sample_conditioned(n, k, p, seed_seq, psi=params.psi)[0]
-    if mode == "independent":
-        # coupling model: m ~ Bin(C(n,k), p), then m i.i.d. edges; EKR is
-        # decided on the deduplicated family (repeats are o(1) here anyway)
-        rng = generator(seed_seq)
-        m = int(rng.binomial(math.comb(n, k), p))
-        return sample_independent(n, k, m, rng).dedupped()
-    raise DomainError(f"unknown sampler mode {mode!r}; pick from {SAMPLER_MODES}")
-
-
 @dataclass(frozen=True)
 class TrialContext:
     """Shared inputs of one grid point's trials, computed once.
@@ -243,12 +229,11 @@ def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]
     """Trials [lo, hi) of a bernoulli or conditioned context in one
     _native.trials batch, with a Hypergraph only for each failing trial."""
     n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
-    conditioned = ctx.sampler_mode == "conditioned"     # enumerates nothing: no cap
-    N = hypergraph._check_draws(n, k, p, None if conditioned else hypergraph.DEFAULT_ENUM_CAP)
+    N = hypergraph._check_draws(ctx.sampler_mode, n, k, p)
     records = []
     for t, (m, Delta, maxima, omega, size, status, clique, edges) in enumerate(_native.trials(
             lib, ctx.master_seed, ctx.stream, lo, hi, n, k, N, p,
-            conditioned=conditioned, dense=n < 3 * k,
+            conditioned=ctx.sampler_mode == "conditioned", dense=n < 3 * k,
             edge_cap=ctx.edge_cap, node_budget=ctx.node_budget), lo):
         try:
             verifier._check_edge_cap(m, ctx.edge_cap)
@@ -269,10 +254,11 @@ def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
     lib = _native.kernel()
     if lib and ctx.sampler_mode != "independent" and lo < hi:
         return _native_batch(lib, ctx, lo, hi)
+    n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
     records = []
     for t in range(lo, hi):
-        H = _sample(ctx.params, ctx.sampler_mode,
-                    np.random.SeedSequence(ctx.master_seed, spawn_key=(*ctx.stream, t)))
+        H = hypergraph.sample(ctx.sampler_mode, n, k, p,
+                              np.random.SeedSequence(ctx.master_seed, spawn_key=(*ctx.stream, t)))
         inst = verifier._Instance(H)
         try:
             verifier._check_edge_cap(H.m, ctx.edge_cap)

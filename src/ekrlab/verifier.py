@@ -48,13 +48,13 @@ on the first search and loaded through ctypes (see _native).  When it
 cannot be built or loaded they run on _branch_and_bound, which stays the
 reference: both kernels visit the same nodes and record the same cliques,
 so verdicts, witnesses, node counts and budget errors are identical.  With
-the native kernel an instance marshals the edges' vertex bitsets once, and
-the kernel builds the star words from them: one call in its STATS mode
-gives Delta, its lowest vertex and event R's pair maxima, and each search
-builds the adjacency and the omega relabel itself, so that path builds no
-Python star masks, member tuples or adjacency.  With the Python kernel the
-instance builds them from the members (read through
-hypergraph.edge_members) in big-int operations; that path is the reference.
+the native kernel an instance marshals the edges' vertex bitsets once, on
+first use, and the kernel builds the star words from them: one call in its
+STATS mode gives Delta, its lowest vertex and event R's pair maxima when
+first read, and each search builds the adjacency and the omega relabel
+itself, so that path builds no Python star masks, member tuples or
+adjacency.  With the Python kernel the instance builds them from the members
+(read through hypergraph.edge_members) in big-int operations, the reference.
 
 EKR is undefined for multisets: hypergraphs with repeated edges are
 rejected.
@@ -123,31 +123,35 @@ def intersection_adjacency(edge_bits) -> list[int]:
 
 
 class _Instance:
-    """A family's derived structure, built once and shared by the searches:
-    Delta, centre (the lowest vertex of degree Delta, -1 when m = 0) and
-    pair_maxima (max d(x, y) over x != y, max |W_x|), degrees counting
-    multiplicity.
+    """A family's derived structure, built once and shared by the searches,
+    each part on first use: Delta, centre (the lowest vertex of degree
+    Delta, -1 when m = 0) and pair_maxima (max d(x, y) over x != y,
+    max |W_x|), degrees counting multiplicity.
 
     With the native kernel these come from one STATS call on words, the
     edges' vertex bitsets marshalled once.  Otherwise they are read off the
     star masks, the reference.  members, stars, deg = the popcounts of the
-    stars, and the adjacency (m^2 bits) are built on first use, only by the
-    Python kernel and witnesses.find_hilton_milner; the adjacency is never
-    built for a family over the edge cap."""
+    stars, and the adjacency (m^2 bits) are built only by the Python kernel
+    and witnesses.find_hilton_milner; the adjacency is never built for a
+    family over the edge cap."""
 
     def __init__(self, H: Hypergraph):
         self.n, self.m = H.n, H.m
         self.dense_pairs = H.n < 3 * H.k        # see _make_coloring
         self.bits = H.edge_bits
+
+    @functools.cached_property
+    def _stats(self) -> tuple[int, int, Optional[tuple[int, int]]]:
+        """(Delta, centre, pair_maxima), the last None on the Python kernel."""
         kernel = _native.kernel()
         if kernel:
-            # the cached properties words and pair_maxima, filled in here
-            self.words = _native.vertex_words(self.bits)
-            self.Delta, self.centre, *maxima = _native.stats(kernel, self.words)
-            self.pair_maxima = tuple(maxima)
-        else:
-            self.Delta = max(self.deg, default=0)
-            self.centre = self.deg.index(self.Delta) if self.m else -1
+            Delta, centre, *maxima = _native.stats(kernel, self.words)
+            return Delta, centre, tuple(maxima)
+        Delta = max(self.deg, default=0)
+        return Delta, self.deg.index(Delta) if self.m else -1, None
+
+    Delta = property(lambda self: self._stats[0])
+    centre = property(lambda self: self._stats[1])
 
     @functools.cached_property
     def members(self) -> list[tuple[int, ...]]:
@@ -163,7 +167,7 @@ class _Instance:
 
     @functools.cached_property
     def pair_maxima(self) -> tuple[int, int]:
-        return _star_maxima(self.stars)
+        return self._stats[2] or _star_maxima(self.stars)
 
     @functools.cached_property
     def adj(self) -> list[int]:
@@ -432,10 +436,8 @@ def _max_clique(inst: _Instance, node_budget: int):
 
 def find_nontrivial_clique(H: Hypergraph, target: int,
                            node_budget: int = DEFAULT_NODE_BUDGET,
-                           initial_best: int | None = None,
-                           maximize: bool = False):
-    """Search for a clique of size target (or, with maximize, the largest
-    clique of size > initial_best) whose common intersection is empty.
+                           initial_best: int | None = None):
+    """Search for a clique of size target whose common intersection is empty.
 
     Prunes a branch when the partial clique plus its candidate set cannot
     reach the goal size (popcount and coloring bounds) and when every
@@ -444,16 +446,10 @@ def find_nontrivial_clique(H: Hypergraph, target: int,
     index order.
     """
     check_limits(node_budget=node_budget)
-    if maximize:
-        floor = initial_best if initial_best is not None else 2
-    else:
-        floor = initial_best if initial_best is not None else target - 1
     if H.m == 0 or target > H.m:
-        return (floor, None) if maximize else None
-    best, found, _ = _nontrivial_search(_Instance(H), math.inf if maximize else target,
-                                        node_budget, floor)
-    if maximize:
-        return best, (tuple(found) if found else None)
+        return None
+    floor = target - 1 if initial_best is None else initial_best
+    _, found, _ = _nontrivial_search(_Instance(H), target, node_budget, floor)
     if found is not None and len(found) >= target:
         return tuple(found)
     return None
@@ -494,8 +490,12 @@ def max_nontrivial_clique(H: Hypergraph, node_budget: int = DEFAULT_NODE_BUDGET,
     Size is reported as the initial floor (default 2: cliques that small
     always share a vertex) when nothing larger exists.
     """
-    return find_nontrivial_clique(H, target=3, node_budget=node_budget,
-                                  initial_best=initial_best, maximize=True)
+    check_limits(node_budget=node_budget)
+    floor = 2 if initial_best is None else initial_best
+    if H.m < 3:
+        return floor, None
+    best, found, _ = _nontrivial_search(_Instance(H), math.inf, node_budget, floor)
+    return best, (tuple(found) if found else None)
 
 
 def verify_ekr(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,

@@ -392,6 +392,17 @@ def test_model_params_validation():
         an.ModelParams.from_phi(10, 2, 1.0, eps_thr=0.0)
 
 
+def test_model_params_accept_p_1_beyond_float_precision():
+    # M = C(255, 9) > 2**53 and float(M) > M: p = 1 made phi = float(M) > M
+    M = math.comb(255, 9)
+    assert float(M) > M
+    assert an.ModelParams.from_p(256, 10, 1.0).p == 1.0
+    assert an.ModelParams.from_p(256, 10, 1).p == 1
+    for phi in (M + 1, Fraction(2 * M + 1, 2), float(M) * (1 + 2**-52)):
+        with pytest.raises(DomainError, match="p > 1"):
+            an.ModelParams.from_phi(256, 10, phi)
+
+
 def test_derive_consistency():
     params = an.ModelParams.from_p(12, 3, Fraction(1, 5))
     d = an.derive(params)

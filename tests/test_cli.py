@@ -91,15 +91,15 @@ INDEPENDENT = ["sample", "--n", "10", "--k", "3", "--sampler", "independent", "-
 
 @pytest.mark.parametrize("base, extra", [
     (BERNOULLI, ["--m", "5", "--eps-thr", "0.3", "--c-regime", "0.2", "--psi", "9"]),
-    (INDEPENDENT, ["--phi", "1", "--edge-enum-cap", "5"]),
+    (INDEPENDENT, ["--phi", "1", "--p", "0.2"]),
     *[(BERNOULLI, flag) for flag in (["--m", "5"], ["--eps-thr", "0.3"],
                                      ["--c-regime", "0.2"], ["--psi", "9"])],
     (CONDITIONED, ["--m", "5"]),
     (CONDITIONED, ["--psi", "9"]),
     *[(INDEPENDENT, flag) for flag in (["--phi", "1"], ["--p", "0.2"],
-                                       ["--edge-enum-cap", "5"], ["--eps-thr", "0.3"])],
-    # the conditioned sampler enumerates nothing: it has no enumeration cap
-    *[(CONDITIONED, ["--edge-enum-cap", cap]) for cap in ("120", "119", str(10**30))],
+                                       ["--psi", "9"], ["--eps-thr", "0.3"])],
+    # the retired enumeration-cap flag: the cap is a constant on every sampler
+    *[(base, ["--edge-enum-cap", "120"]) for base in (BERNOULLI, CONDITIONED, INDEPENDENT)],
 ])
 def test_sample_rejects_flags_its_sampler_ignores(base, extra):
     # these flags used to be accepted and change no byte of the output
@@ -108,22 +108,34 @@ def test_sample_rejects_flags_its_sampler_ignores(base, extra):
 
 
 def test_sample_edge_enum_cap_still_applies():
-    # bernoulli only: the conditioned sampler enumerates nothing, so the flag
-    # is one it ignores (test_sample_rejects_flags_its_sampler_ignores)
-    assert exit_code(BERNOULLI + ["--edge-enum-cap", "120"]) == 0     # C(10, 3) = 120
-    code, _, err = run_cli(BERNOULLI + ["--edge-enum-cap", "119"])
-    assert code == 3 and "--sampler conditioned" in err
+    # the cap is 10**7 k-sets for bernoulli, and no flag raises it:
+    # C(100, 5) = 7.5e7, which the conditioned sampler draws in O(m)
+    code, out, err = run_cli(["sample", "--n", "100", "--k", "5", "--phi", "1", "--seed", "1"])
+    assert code == 3 and out == "" and "--sampler conditioned" in err
+    assert exit_code(BERNOULLI + ["--edge-enum-cap", str(10**30)]) == 2
 
 
 @pytest.mark.parametrize("n", ["256", "207"])         # C(207, 12) = 9.34e18: 2**63 < N < 2**64
 @pytest.mark.parametrize("sampler", ["bernoulli", "conditioned"])
 def test_sample_refuses_ranks_beyond_int64(sampler, n):
     # C(n, 12) >= 2**63: this was a traceback (exit 1), an OverflowError in
-    # rng.binomial or numpy's "Maximum allowed dimension exceeded"
-    cap = ["--edge-enum-cap", str(10**30)] if sampler == "bernoulli" else []
+    # rng.binomial or numpy's "Maximum allowed dimension exceeded"; the int64
+    # check comes before bernoulli's enumeration cap
     code, _, err = run_cli(["sample", "--n", n, "--k", "12", "--phi", "5", "--sampler",
-                            sampler, "--seed", "1", *cap])
+                            sampler, "--seed", "1"])
     assert code == 3 and "2**63" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["sample", "--n", "10", "--k", "3", "--sampler", "independent", "--m", str(10**7 + 1)],
+    ["sweep", "--n", "100", "--k", "5", "--grid-start", "1e6", "--grid-stop", "1e6",
+     "--grid-points", "1", "--trials", "2", "--sampler", "independent"],
+], ids=["sample --m", "sweep phi"])
+def test_independent_draws_are_capped(args):
+    # both drew without bound: more than 10**7 edges asked for, or expected
+    # (p C(100, 5) = 1.9e7 at phi = 10**6), exit 3 before any draw
+    code, out, err = run_cli(args)
+    assert code == 3 and out == "" and "10000000" in err
 
 
 def test_env_seed_fallback(tmp_path):
@@ -357,21 +369,25 @@ def test_exit_codes_are_documented(n, k):
     # traceback (exit 1)
     nk = ["--n", str(n), "--k", str(k)]
     runs = {"calc": ["calc", *nk], "calc phi": ["calc", *nk, "--phi", "5"]}
+    runs["calc p 1"] = ["calc", *nk, "--p", "1"]
+    for sampler in ("bernoulli", "conditioned", "independent"):
+        runs[f"sweep {sampler}"] = ["sweep", *nk, "--grid-start", "1", "--grid-stop", "20",
+                                    "--grid-points", "2", "--grid-scale", "log",
+                                    "--trials", "2", "--sampler", sampler, "--seed", "1"]
     for sampler in ("bernoulli", "conditioned"):
         for degree in (["--phi", "0.5"], ["--phi", "20"], ["--p", "1"]):
             runs[f"sample {sampler} {degree[1]}"] = ["sample", *nk, *degree,
                                                      "--sampler", sampler, "--seed", "1"]
-        runs[f"sweep {sampler}"] = ["sweep", *nk, "--grid-start", "1", "--grid-stop", "20",
-                                    "--grid-points", "2", "--grid-scale", "log",
-                                    "--trials", "2", "--sampler", sampler, "--seed", "1"]
     runs["sample independent"] = ["sample", *nk, "--sampler", "independent", "--m", "50"]
     codes = {name: run_cli(args)[0] for name, args in runs.items()}
     assert set(codes.values()) <= {0, 2, 3}, codes
+    if n > 2 * k:       # p = 1 is a model; float(C(n-1, k-1)) may exceed it
+        assert codes["calc p 1"] == 0, codes
     if n > 2 * k and math.comb(n - 1, k - 1) >= 20:        # phi = 20 is a model
         N = math.comb(n, k)
         assert codes["calc phi"] == codes["sample independent"] == 0, codes
-        assert codes["sweep conditioned"] == codes["sample conditioned 20"] == (
-            0 if N < 2**63 else 3), codes
+        assert codes["sweep conditioned"] == codes["sample conditioned 20"] == codes[
+            "sweep independent"] == (0 if N < 2**63 else 3), codes
         assert codes["sweep bernoulli"] == codes["sample bernoulli 20"] == (
             0 if N <= 10**7 else 3), codes
 

@@ -105,6 +105,13 @@ def test_poisson_switch_for_huge_m():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_binom_tail_at_p_1_beyond_the_poisson_switch():
+    # X = M surely; the Poisson sum took ~sqrt(M) steps (calc at p = 1 hung)
+    M = math.comb(255, 11)
+    assert exact.binom_tail_ge(M, 1.0, M, mean=float(M)) == 1.0
+    assert exact.binom_tail_ge(M, 1.0, M + 1, mean=float(M)) == 0.0
+
+
 def test_poisson_tail_against_series():
     mu, t = 3.0, 7
     direct = 1.0 - sum(math.exp(-mu) * mu**j / math.factorial(j) for j in range(t))

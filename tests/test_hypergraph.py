@@ -111,7 +111,7 @@ def test_degree_stats_triangle_and_pairs():
 @given(st.integers(0, 60), st.integers(2, 8))
 def test_degree_stats_invariants(seed, n):
     k = 2 if n < 6 else 3
-    H = hg.sample_bernoulli(n, k, 0.3, seed, cap=10**6)
+    H = hg.sample_bernoulli(n, k, 0.3, seed)
     st_ = hg.degree_stats(H)
     assert sum(st_.deg) == k * H.m
     for (x, y), c in st_.pair_deg.items():
@@ -189,8 +189,11 @@ def test_bernoulli_endpoints():
 
 
 def test_bernoulli_cap():
-    with pytest.raises(ResourceLimitError):
-        hg.sample_bernoulli(60, 10, 0.01, 0, cap=10**6)
+    # C(n, k) <= 10**7 k-sets enumerated: C(33, 8) = 1.39e7 is refused
+    # before any draw, C(60, 10) = 7.5e10 too
+    for n, k in ((33, 8), (60, 10)):
+        with pytest.raises(ResourceLimitError, match="enumeration cap 10000000"):
+            hg.sample_bernoulli(n, k, 0.01, 0)
 
 
 def test_bernoulli_mean_count():
@@ -367,6 +370,30 @@ def test_conditioned_refuses_a_huge_expected_edge_count():
     for p in (0.5, 1.0001 * 10**7 / math.comb(100, 5)):
         with pytest.raises(ResourceLimitError, match="expected edge count"):
             hg.sample_conditioned(100, 5, p, 0)
+
+
+def test_independent_coupling_caps_the_expected_edge_count():
+    # it drew m ~ Bin(C(n, k), p) edges without bound; now as conditioned
+    N = math.comb(100, 5)
+    assert hg._check_draws("independent", 100, 5, 10**7 / N) == N
+    with pytest.raises(ResourceLimitError, match="expected edge count"):
+        hg._check_draws("independent", 100, 5, 2 * 10**7 / N)
+
+
+def test_sample_dispatches_to_each_sampler():
+    # one trial's family per mode; independent is the deduplicated coupling
+    def seq():
+        return np.random.SeedSequence(4, spawn_key=(2,))
+
+    assert hg.sample("bernoulli", 12, 3, 0.2, seq()) == hg.sample_bernoulli(12, 3, 0.2, seq())
+    assert hg.sample("conditioned", 12, 3, 0.2, seq()) == hg.sample_conditioned(
+        12, 3, 0.2, seq())[0]
+    rng = hg.generator(seq())
+    m = int(rng.binomial(math.comb(12, 3), 0.2))
+    assert hg.sample("independent", 12, 3, 0.2, seq()) == hg.sample_independent(
+        12, 3, m, rng).dedupped()
+    with pytest.raises(DomainError, match="unknown sampler mode"):
+        hg.sample("poisson", 12, 3, 0.2, seq())
 
 
 def test_conditioned_window_report():

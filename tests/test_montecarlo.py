@@ -110,7 +110,8 @@ def test_trials_fhat_matches_brute_force_oracle_same_seeds():
     recs = mc.run_trials(params, trials, "bernoulli", seed=seed)
     oracle_holds = 0
     for r in recs:
-        H = mc._sample(params, "bernoulli", np.random.SeedSequence(seed, spawn_key=(r.trial_index,)))
+        H = hg.sample("bernoulli", 5, 2, float(params.p),
+                      np.random.SeedSequence(seed, spawn_key=(r.trial_index,)))
         oracle = vf.brute_force_ekr(H)
         assert oracle.holds == r.ekr_holds
         oracle_holds += oracle.holds
@@ -138,7 +139,8 @@ def test_trial_over_edge_cap_skips_adjacency(monkeypatch):
     params = an.ModelParams.from_p(10, 3, 0.5)
     recs = mc.run_trials(params, 4, "bernoulli", seed=5, edge_cap=5)
     for r in recs:
-        H = mc._sample(params, "bernoulli", np.random.SeedSequence(5, spawn_key=(r.trial_index,)))
+        H = hg.sample("bernoulli", 10, 3, float(params.p),
+                      np.random.SeedSequence(5, spawn_key=(r.trial_index,)))
         assert r.error == f"|H| = {H.m} exceeds the edge cap 5" and r.omega == -1
         assert r.Delta == hg.degree_stats(H).Delta
 

@@ -184,6 +184,34 @@ def kernel_trials(sampler, n, k, p, seed, stream, lo, hi):
         keep_all=True)]
 
 
+def test_instances_read_their_statistics_on_first_use(kernels, monkeypatch):
+    # the witness searches read no Delta: generic runs its one search, and
+    # Hilton-Milner, which reads the Python star masks, calls no kernel;
+    # verify_ekr runs STATS, omega and nontrivial as before (omega = Delta)
+    H = hg.sample_bernoulli(25, 5, 10 / math.comb(24, 4), 1)
+    native = _native.kernel()
+    python_kernel = vf._branch_and_bound
+    calls = []
+    for module in (vf, wt):
+        monkeypatch.setattr(module, "_branch_and_bound",
+                            lambda *a, **kw: calls.append("search") or python_kernel(*a, **kw))
+    names = {_native.OMEGA: "omega", _native.NONTRIVIAL: "nontrivial",
+             _native.GENERIC: "generic", _native.STATS: "stats"}
+    for kernel in kernels():
+        if kernel == "native":
+            monkeypatch.setattr(_native, "_lib", _native.Kernel(
+                lambda mode, *a: calls.append(names[mode]) or native.ekr_search(mode, *a),
+                native.ekr_trials))
+        counts = []
+        for run in (lambda: wt.find_generic_clique(H, 7, 2), lambda: wt.find_hilton_milner(H, 3),
+                    lambda: vf.verify_ekr(H)):
+            calls.clear()
+            run()
+            counts.append(list(calls))
+        assert counts == ([["search"], [], ["search"] * 2] if kernel == "python" else
+                          [["generic"], [], ["stats", "omega", "nontrivial"]]), kernel
+
+
 @given(n=st.integers(1, 256), k=st.integers(1, 10), mean=st.integers(0, 300),
        seed=st.integers(0, 2**32))
 @example(n=6, k=2, mean=0, seed=1)          # m = 0
@@ -255,8 +283,8 @@ def test_native_trials_grow_their_output():
 
 
 def graphs(params, sampler, trials):
-    return [mc._sample(params, sampler, np.random.SeedSequence(7, spawn_key=(t,)))
-            for t in range(trials)]
+    return [hg.sample(sampler, params.n, params.k, float(params.p),
+                      np.random.SeedSequence(7, spawn_key=(t,))) for t in range(trials)]
 
 
 # (n, k, phi, run_trials limits, what the 20 trials must show)
