@@ -14,11 +14,10 @@ from .hypergraph import (DegreeStats, EventRReport, Hypergraph, check_event_r,
                          read_hypergraph, sample_bernoulli, sample_conditioned,
                          sample_independent, write_hypergraph)
 from .montecarlo import (NandSSummary, SweepRow, SweepTable, TrialRecord,
-                         estimate_condition_nands, estimate_delta_law,
-                         estimate_ekr_curve, run_trials, wilson_interval)
-from .verifier import (EkrVerdict, brute_force_ekr, is_trivial_clique,
-                       max_intersecting_family, max_nontrivial_clique,
-                       verify_ekr)
+                         estimate_condition_nands, estimate_ekr_curve, run_trials,
+                         wilson_interval)
+from .verifier import (EkrVerdict, is_trivial_clique, max_intersecting_family,
+                       max_nontrivial_clique, verify_ekr)
 from .witnesses import (CliqueProfile, HMWitness, classify_nontrivial_clique,
                         clique_profile, find_generic_clique,
                         find_hilton_milner, hm_count_bound, is_generic_clique)

@@ -10,10 +10,11 @@ Conventions used throughout (n > 2k, vertices [n]):
     Lambda(t) = C(mbar, t) * q^C(t,2)   expected count of "generic" t-cliques
     Lambda'(t) = 0 for t <= 2, else Lambda(t)
 
-plus the degree brackets alpha/beta (binomial-tail thresholds at levels
-psi/n and 1/(n psi)), the Chernoff-type tail bounds that remain valid under
-negative association, and the small-regime parameters phi*, gamma, tau,
-lambda, xi, r0.
+plus the degree brackets alpha1 = max{t : Pr(d >= t) >= psi/n} and
+beta = min{t : Pr(d > t) < 1/(n psi)} for d ~ Bin(M, p), which are one tail
+quantile max{t : Pr(d >= t) >= level} at two levels (tail_quantile), the
+Chernoff-type tail bounds that remain valid under negative association,
+and the small-regime parameters phi*, gamma, tau, lambda, xi, r0.
 
 Everything here is a pure function of its arguments; exact (big-rational)
 arithmetic is used below a configurable size cutoff and flagged log-space
@@ -149,14 +150,6 @@ def intersection_probability(n: int, k: int, exact_mode: bool = True):
     return -math.expm1(log_theta(n, k))
 
 
-def brute_force_intersection_probability(n: int, k: int) -> Fraction:
-    """Test oracle: fraction of intersecting ordered pairs over all C(n,k)^2."""
-    from itertools import combinations
-    masks = [exact.mask_from(c) for c in combinations(range(n), k)]
-    hits = sum(1 for a in masks for b in masks if a & b)
-    return Fraction(hits, len(masks) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # Lambda(t) and friends
 # ---------------------------------------------------------------------------
@@ -260,9 +253,12 @@ class AlphaBeta:
     exact: bool  # False when tails fell back to log-space floats
 
 
-def largest_t_tail_ge(M: int, p, level, exact_mode: bool = False,
-                      mean: float | None = None) -> int:
-    """max { t : Pr(Bin(M,p) >= t) >= level }; tail is decreasing in t."""
+def tail_quantile(M: int, p, level, exact_mode: bool = False,
+                  mean: float | None = None) -> int:
+    """max { t : Pr(Bin(M,p) >= t) >= level }, 0 when Pr(X >= 1) < level.
+
+    The tail is decreasing in t: gallop past the mean, then bisect.
+    """
     if mean is None:
         mean = float(M * Fraction(p)) if isinstance(p, (int, Fraction)) else M * p
 
@@ -284,30 +280,6 @@ def largest_t_tail_ge(M: int, p, level, exact_mode: bool = False,
     return lo
 
 
-def smallest_t_tail_gt_lt(M: int, p, level, exact_mode: bool = False,
-                          mean: float | None = None) -> int:
-    """min { t : Pr(Bin(M,p) > t) < level }."""
-    if mean is None:
-        mean = float(M * Fraction(p)) if isinstance(p, (int, Fraction)) else M * p
-
-    def ok(t):
-        return exact.binom_tail_ge(M, p, t + 1, exact=exact_mode, mean=mean) < level
-
-    if ok(0):
-        return 0
-    hi = 1
-    while not ok(hi):
-        hi = 2 * hi + int(mean)
-    lo = 0
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def alpha2_from_lambda(mbar: float, q: float, eps_thr: float) -> int:
     """min { t : Lambda(t) <= eps_thr }, scanning t upward from 0."""
     if not (0 < q < 1):
@@ -326,27 +298,18 @@ def compute_alpha_beta(params: ModelParams, q: float | None = None) -> AlphaBeta
 
     alpha1 is the largest t with Pr(d_v >= t) >= psi/n, beta the smallest t
     with Pr(d_v > t) < 1/(n psi), both with the strict/non-strict
-    inequalities exactly as stated; alpha2 is the first t with
+    inequalities exactly as stated.  They are one quantile at two levels:
+    the tail is decreasing, so Pr(d_v > t) = Pr(d_v >= t + 1) stays at or
+    above a level exactly while t + 1 <= tail_quantile(level), and beta is
+    tail_quantile(1/(n psi)).  alpha2 is the first t with
     Lambda(t) <= eps_thr.  The tails are exact for a rational p and
     M <= EXACT_TAIL_CUTOFF, floating point otherwise.
     """
-    M = params.M
-    p = params.p
+    M, p, n = params.M, params.p, params.n
     exact_mode = isinstance(p, (int, Fraction)) and M <= exact.EXACT_TAIL_CUTOFF
-    mean = float(params.phi)
-    if exact_mode:
-        psi_frac = Fraction(params.psi)  # the supplied float, taken exactly
-        lv_alpha = psi_frac / params.n
-        lv_beta = 1 / (params.n * psi_frac)
-    else:
-        lv_alpha = params.psi / params.n
-        lv_beta = 1.0 / (params.n * params.psi)
-    if mean == 0.0:
-        alpha1 = 0
-        beta = 0
-    else:
-        alpha1 = largest_t_tail_ge(M, p, lv_alpha, exact_mode, mean)
-        beta = smallest_t_tail_gt_lt(M, p, lv_beta, exact_mode, mean)
+    psi = Fraction(params.psi) if exact_mode else params.psi  # the supplied float, exactly
+    alpha1, beta = (tail_quantile(M, p, level, exact_mode, float(params.phi))
+                    for level in (psi / n, 1 / (n * psi)))
     if q is None:
         q = intersection_probability(params.n, params.k, exact_mode=False)
     alpha2 = alpha2_from_lambda(float(params.mbar), q, params.eps_thr)
@@ -416,18 +379,6 @@ def chernoff_mult_relaxed(rho: float, mu: float, K: float) -> float:
     return chernoff_mult(mu, K)
 
 
-def chernoff_mult_rescaled(rho: float, mu: float, K: float) -> float:
-    """The honest bound e^(K mu - rho) (K mu / rho)^(-K mu) behind the
-    relaxed corollary; decreasing in mu >= rho, equal to chernoff_mult at
-    mu = rho."""
-    if rho <= 0 or rho > mu:
-        raise DomainError("need 0 < rho <= mu")
-    if K <= 1:
-        raise DomainError("need K > 1")
-    Kmu = K * mu
-    return math.exp(Kmu - rho - Kmu * math.log(Kmu / rho))
-
-
 # ---------------------------------------------------------------------------
 # Perturbed intersection probability (conditioning on a small window W)
 # ---------------------------------------------------------------------------
@@ -451,24 +402,6 @@ def perturbed_intersection_bound(n: int, k: int, w_size: int,
     else:
         value = (1.0 + 2.0 * k * k * w_size / (q * n * n)) * q
     return PerturbedBound(value, w_size * math.log(n) < n)
-
-
-def exact_conditional_intersection(n: int, k: int, w: int, z: int, b_in_w: int) -> Fraction:
-    """Exact Pr(A meets B \\ W | A cap W = Z) by counting.
-
-    |W| = w, |Z| = z (Z subseteq W cap A), |B cap W| = b_in_w; A uniform
-    from the k-sets of [n].  Depends only on these sizes.
-    """
-    if not (0 <= z <= min(w, k) and 0 <= b_in_w <= min(w, k) and w < n):
-        raise DomainError("infeasible (w, z, b_in_w) configuration")
-    rest = k - z            # A \ Z drawn from V \ W
-    pool = n - w
-    b_out = k - b_in_w      # |B \ W|
-    total = math.comb(pool, rest)
-    if total == 0:
-        raise DomainError("no completion of A exists for this configuration")
-    avoid = math.comb(pool - b_out, rest) if pool - b_out >= rest else 0
-    return 1 - Fraction(avoid, total)
 
 
 # ---------------------------------------------------------------------------

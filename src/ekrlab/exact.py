@@ -3,7 +3,9 @@
 Falling factorials and generalized binomials (exact for int/Fraction
 arguments), colexicographic ranking of k-subsets, and binomial/Poisson tail
 probabilities that stay numerically honest from M = 10 up to astronomically
-large M.
+large M, or raise ResourceLimitError: past TAIL_TERM_CAP summed terms
+(about 9 standard deviations of them near the mean), or past POISSON_SWITCH
+Bernoulli summands with p above POISSON_MAX_P.
 """
 
 from __future__ import annotations
@@ -11,9 +13,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import ResourceLimitError
+
 # Above this many Bernoulli summands the binomial is computed through its
-# Poisson limit (the error is O(mean^2 / M), far below double precision here).
+# Poisson limit, off by at most p in total variation (Le Cam), for p <= 1e-8
+# only; every model the samplers' draw cap admits there has p < 5e-9.
 POISSON_SWITCH = 10**15
+POISSON_MAX_P = 1e-8
+TAIL_TERM_CAP = 10**6       # the most terms one float tail sums, ~0.5 s
 
 # Default ceiling for exact (big-rational) binomial tail summation.
 EXACT_TAIL_CUTOFF = 1000
@@ -117,7 +124,10 @@ def _tail_sum_from(log_start_pmf: float, ratio_fn, first_index: int, last_index,
     total = 1.0
     term = 1.0
     j = first_index
+    stop = first_index + step * TAIL_TERM_CAP
     while last_index is None or (step > 0 and j < last_index) or (step < 0 and j > last_index):
+        if j == stop:
+            raise ResourceLimitError(f"a tail sum needs more than {TAIL_TERM_CAP} terms")
         r = ratio_fn(j)
         if r <= 0.0:
             break
@@ -159,6 +169,9 @@ def binom_tail_ge_float(M: int, p: float, t: int, mean: float | None = None) -> 
     if p >= 1.0:        # X = M: no Poisson limit holds, and its sum takes ~sqrt(M) steps
         return 1.0
     if M > POISSON_SWITCH:
+        if p > POISSON_MAX_P:
+            raise ResourceLimitError(f"no tail of Bin({M}, {p:.4g}): too many summands to sum, "
+                                     f"and p > {POISSON_MAX_P} for the Poisson limit")
         # p itself may underflow double precision here; trust the mean
         if mean is None:
             mean = float(M * Fraction(p))

@@ -87,10 +87,6 @@ class Hypergraph:
                 raise DomainError("bitset has members >= n")
 
     @classmethod
-    def from_edge_bits(cls, n: int, k: int, bits_list) -> "Hypergraph":
-        return cls(n, k, tuple(bits_list))
-
-    @classmethod
     def _unchecked(cls, n: int, k: int, edge_bits: tuple[int, ...]) -> "Hypergraph":
         """A Hypergraph without __post_init__'s checks, for edges built valid
         (the samplers, dedupped and the native trials' words)."""

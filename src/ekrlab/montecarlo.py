@@ -11,8 +11,9 @@ budget) are recorded in the row and excluded from the estimates with an
 explicit count, never fatal.  The node budget is deterministic on purpose; a wall-clock
 timeout would break reproducibility.  The sampler's guard
 (hypergraph._check_draws: C(n, k) < 2**63 and at most 10**7 k-sets
-enumerated or edges expected) is fatal instead: it stops the run before
-the point draws.
+enumerated or edges expected) is fatal instead: a run of at least one
+trial checks it at every grid point before any point's degree tails are
+evaluated or anything is drawn.
 
 With the compiled kernel (see _native) a bernoulli or conditioned grid
 point's trials are one kernel call: the kernel seeds and draws each trial's
@@ -44,7 +45,7 @@ import numpy as np
 from . import _native, analytics, hypergraph, verifier, witnesses
 from .analytics import ModelParams
 from .errors import DomainError, ResourceLimitError
-from .hypergraph import SAMPLER_MODES, Hypergraph, _event_r
+from .hypergraph import Hypergraph, _event_r
 
 SCHEMA_VERSION = 1
 
@@ -90,14 +91,6 @@ class TrialRecord:
         return self.error is None
 
 
-TRIAL_CSV_FIELDS = (
-    "trial_index", "seed", "m", "delta", "omega", "ekr_holds",
-    "lambda_of_delta", "lambda_prime_of_delta",
-    "event_m_window", "event_delta_le_beta", "event_delta_ge_alpha",
-    "event_pair_deg_le_8", "event_wx_bounded", "witness_kind", "error",
-)
-
-
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -106,18 +99,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def trial_records_to_csv(records) -> str:
-    out = io.StringIO()
-    out.write(f"# ekrlab trials schema={SCHEMA_VERSION}\n")
-    out.write(",".join(TRIAL_CSV_FIELDS) + "\n")
-    for r in records:
-        row = (r.trial_index, r.seed, r.m, r.Delta, r.omega, r.ekr_holds,
-               r.lambda_of_Delta, r.lambda_prime_of_Delta, *r.eventR_conjuncts,
-               r.witness_kind, r.error)
-        out.write(",".join(_fmt(v) for v in row) + "\n")
-    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +170,6 @@ def make_trial_context(params: ModelParams, sampler_mode: str, seed: int,
                        edge_cap: int = verifier.DEFAULT_EDGE_CAP,
                        node_budget: int = verifier.DEFAULT_NODE_BUDGET,
                        stream: tuple[int, ...] = ()) -> TrialContext:
-    if sampler_mode not in SAMPLER_MODES:
-        raise DomainError(f"unknown sampler mode {sampler_mode!r}; pick from {SAMPLER_MODES}")
     q = analytics.intersection_probability(params.n, params.k, exact_mode=False)
     ab = analytics.compute_alpha_beta(params, q=q)
     regime = None
@@ -233,7 +212,7 @@ def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]
     records = []
     for t, (m, Delta, maxima, omega, size, status, clique, edges) in enumerate(_native.trials(
             lib, ctx.master_seed, ctx.stream, lo, hi, n, k, N, p,
-            conditioned=ctx.sampler_mode == "conditioned", dense=n < 3 * k,
+            conditioned=ctx.sampler_mode == "conditioned", dense=verifier._dense_pairs(n, k),
             edge_cap=ctx.edge_cap, node_budget=ctx.node_budget), lo):
         try:
             verifier._check_edge_cap(m, ctx.edge_cap)
@@ -323,12 +302,21 @@ def _trial_batches(contexts, trials: int, workers: int):
             yield [r for batch in islice(batches, -(-trials // size)) for r in batch]
 
 
+def _check_draws(points, sampler_mode: str, trials: int) -> None:
+    """hypergraph._check_draws at every point of a run of trials, before any
+    context evaluates its degree tails; no trials draw nothing, check nothing."""
+    if trials > 0:
+        for params in points:
+            hypergraph._check_draws(sampler_mode, params.n, params.k, float(params.p))
+
+
 def run_trials(params: ModelParams, trials: int, sampler_mode: str, seed: int,
                workers: int = 1, edge_cap: int = verifier.DEFAULT_EDGE_CAP,
                node_budget: int = verifier.DEFAULT_NODE_BUDGET,
                stream: tuple[int, ...] = ()) -> list[TrialRecord]:
     """Execute trials with independent derived seeds; records come back
     sorted by trial index regardless of the execution schedule."""
+    _check_draws([params], sampler_mode, trials)
     ctx = make_trial_context(params, sampler_mode, seed, edge_cap, node_budget, stream)
     (records,) = _trial_batches([ctx], trials, workers)     # drains: pool closed
     return records
@@ -397,11 +385,11 @@ def estimate_ekr_curve(n: int, k: int, phi_grid, trials: int, seed: int,
     """Every grid point's trials over one trial engine (spawn-key prefix
     (grid index,)); rows are summarized as each point's records arrive and
     emitted in input order."""
-    contexts = [
-        make_trial_context(ModelParams.from_phi(n, k, float(phi), psi=psi, eps_thr=eps_thr,
-                                                c_regime=c_regime),
-                           sampler_mode, seed, edge_cap, node_budget, stream=(gi,))
-        for gi, phi in enumerate(phi_grid)]
+    points = [ModelParams.from_phi(n, k, float(phi), psi=psi, eps_thr=eps_thr,
+                                   c_regime=c_regime) for phi in phi_grid]
+    _check_draws(points, sampler_mode, trials)
+    contexts = [make_trial_context(params, sampler_mode, seed, edge_cap, node_budget,
+                                   stream=(gi,)) for gi, params in enumerate(points)]
     batches = _trial_batches(contexts, trials, workers)
     # strict: zip then reads the engine to its end, which closes the pool
     rows = tuple(summarize_trials(ctx.params, recs)
@@ -491,52 +479,3 @@ def estimate_condition_nands(params: ModelParams, trials: int, seed: int,
             neither += 1
     return NandSSummary(both, cond_only, holds_only, neither, undecided,
                         params.eps_thr)
-
-
-# ---------------------------------------------------------------------------
-# Law of the maximum degree
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DeltaLawReport:
-    histogram: dict                  # Delta value -> count
-    trials: int
-    alpha: int
-    alpha2: int
-    beta: int
-    pr_delta_ge_alpha: float
-    pr_delta_ge_alpha_interval: tuple[float, float]
-    pr_delta_ge_alpha2: float
-    pr_delta_le_beta: float
-    pr_delta_le_beta_interval: tuple[float, float]
-    flag_le_beta_below_090: bool
-    flag_ge_alpha2_below_090: bool
-
-
-def estimate_delta_law(params: ModelParams, trials: int, seed: int,
-                       sampler_mode: str = "conditioned") -> DeltaLawReport:
-    """Empirical Pr(Delta >= alpha[,2]) and Pr(Delta <= beta), with flags
-    when the desk-scale 0.9 sanity levels are missed (informational), from
-    run_trials' records at edge cap 0, which read Delta and run no search."""
-    ab = analytics.compute_alpha_beta(params)
-    hist: dict[int, int] = {}
-    ge_alpha = ge_alpha2 = le_beta = 0
-    for Delta in (r.Delta for r in run_trials(params, trials, sampler_mode, seed, edge_cap=0)):
-        hist[Delta] = hist.get(Delta, 0) + 1
-        ge_alpha += Delta >= ab.alpha
-        ge_alpha2 += Delta >= ab.alpha2
-        le_beta += Delta <= ab.beta
-    pr_a = ge_alpha / trials if trials else math.nan
-    pr_a2 = ge_alpha2 / trials if trials else math.nan
-    pr_b = le_beta / trials if trials else math.nan
-    return DeltaLawReport(
-        histogram=dict(sorted(hist.items())), trials=trials,
-        alpha=ab.alpha, alpha2=ab.alpha2, beta=ab.beta,
-        pr_delta_ge_alpha=pr_a,
-        pr_delta_ge_alpha_interval=wilson_interval(ge_alpha, trials),
-        pr_delta_ge_alpha2=pr_a2,
-        pr_delta_le_beta=pr_b,
-        pr_delta_le_beta_interval=wilson_interval(le_beta, trials),
-        flag_le_beta_below_090=pr_b < 0.9,
-        flag_ge_alpha2_below_090=pr_a2 < 0.9,
-    )

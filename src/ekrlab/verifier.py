@@ -137,7 +137,7 @@ class _Instance:
 
     def __init__(self, H: Hypergraph):
         self.n, self.m = H.n, H.m
-        self.dense_pairs = H.n < 3 * H.k        # see _make_coloring
+        self.dense_pairs = _dense_pairs(H.n, H.k)
         self.bits = H.edge_bits
 
     @functools.cached_property
@@ -316,6 +316,10 @@ def _pair_color_order(cadj, P: int, kmin: int):
     return order, colors
 
 
+def _dense_pairs(n: int, k: int) -> bool:
+    return n < 3 * k        # no 3 disjoint k-sets: _make_coloring's pair coloring
+
+
 def _make_coloring(adj, m: int, dense_pairs: bool):
     """Pick the coloring bound: matching-based when independent sets of the
     intersection graph cannot exceed two edges (n < 3k), first-fit otherwise.
@@ -435,8 +439,7 @@ def _max_clique(inst: _Instance, node_budget: int):
 
 
 def find_nontrivial_clique(H: Hypergraph, target: int,
-                           node_budget: int = DEFAULT_NODE_BUDGET,
-                           initial_best: int | None = None):
+                           node_budget: int = DEFAULT_NODE_BUDGET):
     """Search for a clique of size target whose common intersection is empty.
 
     Prunes a branch when the partial clique plus its candidate set cannot
@@ -448,11 +451,8 @@ def find_nontrivial_clique(H: Hypergraph, target: int,
     check_limits(node_budget=node_budget)
     if H.m == 0 or target > H.m:
         return None
-    floor = target - 1 if initial_best is None else initial_best
-    _, found, _ = _nontrivial_search(_Instance(H), target, node_budget, floor)
-    if found is not None and len(found) >= target:
-        return tuple(found)
-    return None
+    _, found, _ = _nontrivial_search(_Instance(H), target, node_budget, target - 1)
+    return None if found is None else tuple(found)
 
 
 def _nontrivial_search(inst: _Instance, target, node_budget: int, floor: int):
@@ -520,45 +520,6 @@ def _decide(inst: _Instance, node_budget: int) -> EkrVerdict:
     _, found, _ = _nontrivial_search(inst, omega, node_budget, omega - 1)
     witness = None if found is None else tuple(found)
     return EkrVerdict(witness is None, omega, Delta, witness)
-
-
-def brute_force_ekr(H: Hypergraph, max_edges: int = 20) -> EkrVerdict:
-    """Test oracle: walk every clique of the subfamily lattice.
-
-    Identical contract to verify_ekr; guarded to |H| <= max_edges.
-    """
-    if H.m > max_edges:
-        raise ResourceLimitError(f"brute force limited to |H| <= {max_edges}")
-    if H.has_duplicates():
-        raise DomainError("EKR is undefined for multisets: duplicate edges present")
-    # Delta and the adjacency by direct counts, not from the star masks
-    bits = H.edge_bits
-    Delta = max((sum(b >> x & 1 for b in bits) for x in range(H.n)), default=0)
-    m = H.m
-    adj = [sum(1 << j for j in range(m) if j != i and bits[i] & bits[j])
-           for i in range(m)]
-    best = [0]                # omega
-    best_nontrivial = [0, None]
-
-    def walk(R: list, common: int, cand: int):
-        size = len(R)
-        best[0] = max(best[0], size)
-        if common == 0 and size > best_nontrivial[0]:
-            best_nontrivial[0] = size
-            best_nontrivial[1] = R.copy()
-        while cand:
-            b = cand & -cand
-            v = b.bit_length() - 1
-            cand ^= b
-            R.append(v)
-            walk(R, common & bits[v], cand & adj[v])
-            R.pop()
-
-    walk([], -1, (1 << m) - 1)
-    omega = best[0]
-    if best_nontrivial[0] == omega and omega >= 3:
-        return EkrVerdict(False, omega, Delta, tuple(best_nontrivial[1]))
-    return EkrVerdict(True, omega, Delta, None)
 
 
 def validate_witness(H: Hypergraph, verdict: EkrVerdict) -> bool:

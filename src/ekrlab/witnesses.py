@@ -55,22 +55,6 @@ def find_hilton_milner(H: Hypergraph, d: int) -> Optional[HMWitness]:
     return None
 
 
-def brute_force_hilton_milner(H: Hypergraph, d: int) -> bool:
-    """Oracle: literal scan over all (x, B0) pairs counting petals."""
-    if d <= 0:
-        raise DomainError("d must be a positive integer")
-    bits = H.edge_bits
-    for x in range(H.n):
-        for b0, e0 in enumerate(bits):
-            if e0 >> x & 1:
-                continue
-            count = sum(1 for i, e in enumerate(bits)
-                        if i != b0 and e >> x & 1 and e & e0)
-            if count >= d:
-                return True
-    return False
-
-
 def hm_count_bound(params, d: int) -> float:
     """Dominant union-bound term phi^(d+1) k^(2d-1) n^(-(d-2)) for the
     probability that a Hilton-Milner family of size d+1 appears."""
@@ -163,17 +147,6 @@ def _generic_search(inst: _Instance, size_t: int, zeta_cap: float, node_budget: 
 
     return _branch_and_bound(adj, node_budget, size_t - 1, size_t, (0, 0, 0),
                              accept=lambda P, _: True, branches=branches, child=child)
-
-
-def brute_force_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float) -> bool:
-    """Oracle: test every size_t subfamily directly."""
-    from itertools import combinations
-    bits = H.edge_bits
-    for idx in combinations(range(H.m), size_t):
-        if all(bits[a] & bits[b] for a, b in combinations(idx, 2)):
-            if is_generic_clique(H, idx, zeta_cap):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from ekrlab import hypergraph as hg
 from ekrlab import montecarlo as mc
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
+from oracles import (brute_force_ekr, brute_force_intersection_probability,
+                     exact_conditional_intersection)
 
 SEED_BANK = 20260808
 
@@ -47,7 +49,7 @@ def test_criterion_1_exact_q_oracle():
     for k in range(1, 5):
         for n in range(2 * k + 1, 13):
             assert an.intersection_probability(n, k) == \
-                an.brute_force_intersection_probability(n, k), (n, k)
+                brute_force_intersection_probability(n, k), (n, k)
     assert time.time() - t0 < 10.0
 
 
@@ -71,7 +73,7 @@ def test_criterion_2_ekr_oracle_equivalence():
             continue
         built += 1
         fast = vf.verify_ekr(H)
-        slow = vf.brute_force_ekr(H)
+        slow = brute_force_ekr(H)
         assert fast.holds == slow.holds, H.edge_bits
         assert fast.omega == slow.omega and fast.Delta == slow.Delta
         assert vf.validate_witness(H, fast) and vf.validate_witness(H, slow)
@@ -142,7 +144,7 @@ def test_criterion_5_bound_domination():
                     continue
                 for z in range(0, min(w, k) + 1):
                     for b_in_w in range(0, min(w, k) + 1):
-                        cond = an.exact_conditional_intersection(n, k, w, z, b_in_w)
+                        cond = exact_conditional_intersection(n, k, w, z, b_in_w)
                         assert pb.value >= cond, (n, k, w, z, b_in_w)
                         checked += 1
     assert checked >= 300

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from ekrlab import analytics as an
 from ekrlab.errors import DomainError
+from oracles import (brute_force_intersection_probability, chernoff_mult_rescaled,
+                     exact_conditional_intersection)
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +28,7 @@ def test_q_matches_brute_force_everywhere_small():
             if math.comb(n, k) > 500:
                 continue
             assert an.intersection_probability(n, k) == \
-                an.brute_force_intersection_probability(n, k), (n, k)
+                brute_force_intersection_probability(n, k), (n, k)
 
 
 def test_q_strictly_below_one_at_boundary():
@@ -138,14 +140,25 @@ def test_lambda_unimodal_rise_then_fall():
 # alpha / beta
 # ---------------------------------------------------------------------------
 
-def test_alpha1_beta_binomial_examples():
-    # Bin(10, 0.1): Pr(>=3) ~ 0.0702 >= 0.02 > Pr(>=4) ~ 0.0128
-    assert an.largest_t_tail_ge(10, Fraction(1, 10), Fraction(2, 100), exact_mode=True) == 3
-    # Pr(>4) ~ 0.0016 < 0.005 <= Pr(>3) ~ 0.0128
-    assert an.smallest_t_tail_gt_lt(10, Fraction(1, 10), Fraction(5, 1000), exact_mode=True) == 4
-    # float path agrees
-    assert an.largest_t_tail_ge(10, 0.1, 0.02) == 3
-    assert an.smallest_t_tail_gt_lt(10, 0.1, 0.005) == 4
+# Bin(10, 0.1): Pr(>=3) ~ 0.0702 >= 0.02 > Pr(>=4) ~ 0.0128, and
+# Pr(>=4) ~ 0.0128 >= 0.005 > Pr(>=5) ~ 0.0016; the float path agrees
+TAIL_QUANTILES = [(Fraction(1, 10), Fraction(2, 100), True, 3),
+                  (Fraction(1, 10), Fraction(5, 1000), True, 4),
+                  (0.1, 0.02, False, 3),
+                  (0.1, 0.005, False, 4)]
+
+
+@pytest.mark.parametrize("p, level, exact_mode, want", TAIL_QUANTILES,
+                         ids=["exact-alpha1", "exact-beta", "float-alpha1", "float-beta"])
+def test_alpha1_beta_binomial_examples(p, level, exact_mode, want):
+    # alpha1 = max{t : Pr(X >= t) >= level} and beta = min{t : Pr(X > t) <
+    # level} are the same quantile; check beta's definition directly too
+    t = an.tail_quantile(10, p, level, exact_mode=exact_mode)
+    assert t == want
+    tail = [float(1 - sum(math.comb(10, j) * Fraction(p) ** j * (1 - Fraction(p)) ** (10 - j)
+                          for j in range(s))) for s in range(12)]
+    assert tail[t] >= level > tail[t + 1]
+    assert min(s for s in range(11) if tail[s + 1] < level) == t
 
 
 def test_alpha_beta_degenerate_p0():
@@ -223,11 +236,11 @@ def test_chernoff_mult_relaxed_same_value_and_monotone():
     for mu in (5.0, 7.0, 10.0, 20.0, 50.0):
         val = an.chernoff_mult_relaxed(rho, mu, K)
         assert val == an.chernoff_mult(mu, K)
-        honest = an.chernoff_mult_rescaled(rho, mu, K)
+        honest = chernoff_mult_rescaled(rho, mu, K)
         assert honest <= val * (1 + 1e-12)
         assert honest <= prev * (1 + 1e-12)  # decreasing in mu >= rho
         prev = honest
-    assert an.chernoff_mult_rescaled(rho, rho, K) == pytest.approx(an.chernoff_mult(rho, K))
+    assert chernoff_mult_rescaled(rho, rho, K) == pytest.approx(an.chernoff_mult(rho, K))
     with pytest.raises(DomainError):
         an.chernoff_mult_relaxed(3.0, 2.0, 2.0)
 
@@ -257,7 +270,7 @@ def test_perturbed_bound_dominates_enumeration_formula():
                     continue
                 for z in range(0, min(w, k) + 1):
                     for b_in_w in range(0, min(w, k) + 1):
-                        cond = an.exact_conditional_intersection(n, k, w, z, b_in_w)
+                        cond = exact_conditional_intersection(n, k, w, z, b_in_w)
                         assert pb.value >= cond, (n, k, w, z, b_in_w)
                         checked += 1
     assert checked > 300
@@ -284,7 +297,7 @@ def test_perturbed_bound_dominates_set_level_enumeration():
                     cond = _brute_conditional(n, k, W, B, Z)
                     assert bound >= cond, (n, k, W, B, Z)
                     # the size-based formula agrees with raw enumeration
-                    cond2 = an.exact_conditional_intersection(
+                    cond2 = exact_conditional_intersection(
                         n, k, len(W), len(Z), len(set(B) & set(W)))
                     assert cond2 == cond
 

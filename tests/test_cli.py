@@ -359,6 +359,24 @@ def test_seed_rejected_where_nothing_is_drawn(tmp_path, capsys, command):
 # (n, k) across the documented domain, n <= 256, k <= 18: the paper's regime
 # k < sqrt(c n log n), c < 1/4, (100, 5) to (256, 18), small and boundary
 # shapes, and C(n, k) >= 2**63 from (256, 12) on
+@pytest.mark.parametrize("args", [
+    ["calc", "--n", "100", "--k", "10", "--p", "0.5"],
+    ["calc", "--n", "256", "--k", "10", "--p", "0.5"],
+    ["calc", "--n", "256", "--k", "10", "--phi", "1e15"],
+    ["sweep", "--n", "256", "--k", "10", "--grid-start", "1e15", "--grid-stop", "1e15",
+     "--grid-points", "1", "--trials", "1"],
+], ids=["calc-sum", "calc-poisson-p", "calc-poisson-phi", "sweep-guard"])
+def test_large_binomial_tails_end_at_once(args):
+    # each ran past 15 s: calc summed ~9 sigma tail terms, or ~sqrt(mean)
+    # through the Poisson limit, and the sweep evaluated those tails before
+    # the sampler's guard refused the point; a child process, killed at 10 s
+    out = subprocess.run([sys.executable, "-m", "ekrlab.cli", *args],
+                         capture_output=True, text=True, timeout=10)
+    assert out.returncode == 3, out.stderr
+    assert ("expected edge count" if args[0] == "sweep" else "tail") in out.stderr
+    assert out.stdout == ""
+
+
 EXIT_GRID = [(10, 3), (24, 3), (13, 6), (12, 6), (18, 18), (256, 1), (100, 5), (100, 10),
              (256, 10), (207, 12), (256, 12), (256, 18)]
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ekrlab import exact
+from ekrlab.errors import ResourceLimitError
 
 
 def test_falling_and_gen_binom():
@@ -110,6 +111,28 @@ def test_binom_tail_at_p_1_beyond_the_poisson_switch():
     M = math.comb(255, 11)
     assert exact.binom_tail_ge(M, 1.0, M, mean=float(M)) == 1.0
     assert exact.binom_tail_ge(M, 1.0, M + 1, mean=float(M)) == 0.0
+
+
+def test_tail_sums_are_capped():
+    # Bin(C(99, 9), 1/2) has sigma ~ 6.6e5: a tail near the mean sums ~9
+    # sigma terms, each a Python step, and calc there ran past 30 s
+    M = math.comb(99, 9)
+    with pytest.raises(ResourceLimitError, match="terms"):
+        exact.binom_tail_ge(M, 0.5, M // 2)
+    with pytest.raises(ResourceLimitError, match="terms"):
+        exact.poisson_tail_ge(1e11, 10**11)
+    # sigma ~ 1.6e4 needs ~1.4e5 terms: still summed
+    assert exact.binom_tail_ge(10**9, 0.5, 5 * 10**8) == pytest.approx(0.5, abs=1e-4)
+
+
+def test_poisson_limit_only_for_small_p():
+    # beyond POISSON_SWITCH summands the Poisson limit is off by up to p in
+    # total variation: a large p is refused, a small one still answered
+    M = math.comb(255, 9)
+    for p in (0.5, 1e15 / M, 2 * exact.POISSON_MAX_P):
+        with pytest.raises(ResourceLimitError, match="Poisson"):
+            exact.binom_tail_ge(M, p, 1)
+    assert exact.binom_tail_ge(M, 20 / M, 40, mean=20.0) == exact.poisson_tail_ge(20.0, 40)
 
 
 def test_poisson_tail_against_series():

@@ -12,6 +12,7 @@ from ekrlab import montecarlo as mc
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError, ResourceLimitError
+from oracles import TRIAL_CSV_FIELDS, brute_force_ekr, trial_records_to_csv
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +113,7 @@ def test_trials_fhat_matches_brute_force_oracle_same_seeds():
     for r in recs:
         H = hg.sample("bernoulli", 5, 2, float(params.p),
                       np.random.SeedSequence(seed, spawn_key=(r.trial_index,)))
-        oracle = vf.brute_force_ekr(H)
+        oracle = brute_force_ekr(H)
         assert oracle.holds == r.ekr_holds
         oracle_holds += oracle.holds
         # verifier-contract consistency on the record itself
@@ -176,14 +177,14 @@ def in_process_pools(monkeypatch) -> list:
 def test_pool_size_clamped_to_cpus_and_trials(monkeypatch):
     sizes = in_process_pools(monkeypatch)
     params = an.ModelParams.from_phi(10, 2, 1.5)
-    serial = mc.trial_records_to_csv(mc.run_trials(params, 6, "conditioned", seed=3))
+    serial = trial_records_to_csv(mc.run_trials(params, 6, "conditioned", seed=3))
     for cpus, trials, expect in ((3, 6, [3]), (8, 2, [2]), (1, 6, [])):
         sizes.clear()
         monkeypatch.setattr(mc, "_available_cpus", lambda: cpus)
         recs = mc.run_trials(params, trials, "conditioned", seed=3, workers=10_000)
         assert sizes == expect
         if trials == 6:
-            assert mc.trial_records_to_csv(recs) == serial
+            assert trial_records_to_csv(recs) == serial
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -314,11 +315,11 @@ def test_trial_csv_golden_hash(kernels):
     contexts = [mc.make_trial_context(an.ModelParams.from_phi(24, 3, 0.3 * ratio**i),
                                       "conditioned", 1, stream=(i,)) for i in range(12)]
     for kernel in kernels():
-        parts = [mc.trial_records_to_csv(recs) for recs in mc._trial_batches(contexts, 100, 1)]
+        parts = [trial_records_to_csv(recs) for recs in mc._trial_batches(contexts, 100, 1)]
         for mode in ("bernoulli", "independent"):
             for n, k, phi in TRIAL_PINS:
                 recs = mc.run_trials(an.ModelParams.from_phi(n, k, phi), 40, mode, 5)
-                parts.append(mc.trial_records_to_csv(recs))
+                parts.append(trial_records_to_csv(recs))
         assert hashlib.sha256("".join(parts).encode()).hexdigest() == TRIALS_SHA256, kernel
 
 
@@ -411,10 +412,10 @@ def test_sweep_row_counts_consistent():
 def test_trial_csv_schema_header():
     params = an.ModelParams.from_p(8, 2, 0.1)
     recs = mc.run_trials(params, 3, "bernoulli", seed=1)
-    text = mc.trial_records_to_csv(recs)
+    text = trial_records_to_csv(recs)
     lines = text.splitlines()
     assert lines[0] == "# ekrlab trials schema=1"
-    assert lines[1].split(",") == list(mc.TRIAL_CSV_FIELDS)
+    assert lines[1].split(",") == list(TRIAL_CSV_FIELDS)
     assert len(lines) == 2 + 3
 
 
@@ -456,19 +457,24 @@ def test_nands_disagreement_cells_below_threshold():
 # Delta law
 # ---------------------------------------------------------------------------
 
+def trial_deltas(params, trials, seed, sampler_mode="conditioned"):
+    """Each trial's Delta from run_trials' records at edge cap 0, which read
+    Delta and run no search."""
+    return [r.Delta for r in mc.run_trials(params, trials, sampler_mode, seed, edge_cap=0)]
+
+
 def test_delta_law_p0():
     params = an.ModelParams.from_p(10, 3, 0.0)
-    rep = mc.estimate_delta_law(params, 30, seed=8)
-    assert rep.histogram == {0: 30}
+    assert trial_deltas(params, 30, seed=8) == [0] * 30
 
 
 def test_delta_law_closed_form_pr_delta_ge_1():
     # Pr(Delta >= 1) = 1 - (1-p)^C(n,k) for any p; tiny-p instance
     n, k, p, T = 7, 3, 0.01, 2000
     params = an.ModelParams.from_p(n, k, p)
-    rep = mc.estimate_delta_law(params, T, seed=9, sampler_mode="bernoulli")
+    deltas = trial_deltas(params, T, seed=9, sampler_mode="bernoulli")
     want = 1.0 - (1.0 - p) ** math.comb(n, k)
-    got = 1.0 - rep.histogram.get(0, 0) / T
+    got = sum(d >= 1 for d in deltas) / T
     sigma = math.sqrt(want * (1 - want) / T)
     assert abs(got - want) <= 3 * sigma
 
@@ -478,19 +484,22 @@ def test_delta_law_beta_band_n60():
     # Harris gives (1-tail)^n as a lower bound, min_v as an upper bound
     n, k, phi, T = 60, 3, 3.0, 400
     params = an.ModelParams.from_phi(n, k, phi)
-    rep = mc.estimate_delta_law(params, T, seed=10, sampler_mode="bernoulli")
+    ab = an.compute_alpha_beta(params)
+    deltas = trial_deltas(params, T, seed=10, sampler_mode="bernoulli")
+    pr_le_beta = sum(d <= ab.beta for d in deltas) / T
     from ekrlab import exact
-    tail = exact.binom_tail_ge_float(params.M, float(params.p), rep.beta + 1)
+    tail = exact.binom_tail_ge_float(params.M, float(params.p), ab.beta + 1)
     harris_lb = (1.0 - tail) ** n
     upper = 1.0 - tail
-    sigma = math.sqrt(max(rep.pr_delta_le_beta * (1 - rep.pr_delta_le_beta), 0.25 / T) / T)
-    assert harris_lb - 3 * sigma <= rep.pr_delta_le_beta <= upper + 3 * sigma
-    assert rep.flag_le_beta_below_090 == (rep.pr_delta_le_beta < 0.9)
+    sigma = math.sqrt(max(pr_le_beta * (1 - pr_le_beta), 0.25 / T) / T)
+    assert harris_lb - 3 * sigma <= pr_le_beta <= upper + 3 * sigma
     # Delta >= alpha2 should be routine here
-    assert rep.pr_delta_ge_alpha2 >= 0.9
+    assert sum(d >= ab.alpha2 for d in deltas) / T >= 0.9
 
 
 def test_delta_law_histogram_sums():
+    # one Delta per trial, the same as a run that searches reads
     params = an.ModelParams.from_phi(20, 2, 2.0)
-    rep = mc.estimate_delta_law(params, 50, seed=11)
-    assert sum(rep.histogram.values()) == 50
+    deltas = trial_deltas(params, 50, seed=11)
+    assert len(deltas) == 50
+    assert deltas == [r.Delta for r in mc.run_trials(params, 50, "conditioned", 11)]

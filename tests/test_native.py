@@ -125,7 +125,7 @@ def test_limits_beyond_int64_act_as_their_clamps(kernels):
     runs = {}
     for kernel in kernels():
         runs[kernel] = (vf.max_nontrivial_clique(H, initial_best=10**30),
-                        vf.find_nontrivial_clique(H, 3, node_budget=10**30, initial_best=-10**30),
+                        vf.max_nontrivial_clique(H, node_budget=10**30, initial_best=-10**30),
                         wt.find_generic_clique(H, 4, 10**400),
                         wt.find_generic_clique(H, 3, -10**400))
     assert runs["python"] == runs["native"]

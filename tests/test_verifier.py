@@ -11,6 +11,7 @@ from ekrlab import hypergraph as hg
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError, ResourceLimitError
+from oracles import brute_force_ekr
 
 
 def H_from(n, k, edges):
@@ -383,7 +384,7 @@ def test_two_disjoint_edges_hold():
 
 
 def test_empty_holds():
-    v = vf.brute_force_ekr(H_from(6, 2, []))
+    v = brute_force_ekr(H_from(6, 2, []))
     assert v.holds and v.omega == 0 == v.Delta
 
 
@@ -402,12 +403,12 @@ def test_multiset_rejected():
     with pytest.raises(DomainError):
         vf.verify_ekr(H)
     with pytest.raises(DomainError):
-        vf.brute_force_ekr(H)
+        brute_force_ekr(H)
 
 
 def test_brute_force_guard():
     with pytest.raises(ResourceLimitError):
-        vf.brute_force_ekr(full_K(7, 2), max_edges=20)
+        brute_force_ekr(full_K(7, 2), max_edges=20)
 
 
 def test_is_trivial_clique():
@@ -424,7 +425,7 @@ def test_all_two_edge_hypergraphs_hold():
     for a in range(len(edges)):
         for b in range(a + 1, len(edges)):
             H = H_from(n, k, [edges[a], edges[b]])
-            assert vf.brute_force_ekr(H).holds
+            assert brute_force_ekr(H).holds
             assert vf.verify_ekr(H).holds
 
 
@@ -455,7 +456,7 @@ def _random_instances(count, seed0=1000):
 def test_oracle_equivalence_small_batch():
     for H in _random_instances(150):
         fast = vf.verify_ekr(H)
-        slow = vf.brute_force_ekr(H)
+        slow = brute_force_ekr(H)
         assert fast.holds == slow.holds, H.edge_bits
         assert fast.omega == slow.omega and fast.Delta == slow.Delta
         assert fast.omega >= fast.Delta      # every star is a clique
@@ -490,7 +491,7 @@ def test_oracle_equivalence_dense_regime():
             continue
         built += 1
         fast = vf.verify_ekr(H)
-        slow = vf.brute_force_ekr(H)
+        slow = brute_force_ekr(H)
         assert (fast.holds, fast.omega, fast.Delta) == (slow.holds, slow.omega, slow.Delta)
         assert vf.validate_witness(H, fast)
         # the nontrivial maximum agrees with the exhaustive walk too
@@ -523,7 +524,7 @@ def test_verify_matches_brute_force_in_every_regime(kernels, data):
     ranks = data.draw(st.lists(st.integers(0, N - 1), unique=True,
                                max_size=min(N, 12)), label="ranks")
     H = H_from(n, k, [exact.colex_unrank(r, k) for r in ranks])
-    slow = vf.brute_force_ekr(H)
+    slow = brute_force_ekr(H)
     for kernel in kernels():
         fast = vf.verify_ekr(H)
         assert (fast.holds, fast.omega, fast.Delta) == (slow.holds, slow.omega, slow.Delta), kernel

@@ -11,6 +11,7 @@ from ekrlab import hypergraph as hg
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError, ResourceLimitError
+from oracles import brute_force_generic_clique, brute_force_hilton_milner
 
 
 def H_from(n, k, edges):
@@ -75,7 +76,7 @@ def test_hm_vs_brute_force_random():
         built += 1
         for d in (1, 2, 3):
             assert (wt.find_hilton_milner(H, d) is not None) == \
-                wt.brute_force_hilton_milner(H, d), (H.edge_bits, d)
+                brute_force_hilton_milner(H, d), (H.edge_bits, d)
 
 
 def test_hm_count_bound_exponents():
@@ -139,7 +140,7 @@ def test_find_generic_vs_brute_force():
         for size in (2, 3, 4):
             for zeta in (0, 1, 3):
                 got = wt.find_generic_clique(H, size, zeta)
-                want = wt.brute_force_generic_clique(H, size, zeta)
+                want = brute_force_generic_clique(H, size, zeta)
                 assert (got is not None) == want, (H.edge_bits, size, zeta)
                 if got is not None:
                     assert wt.is_generic_clique(H, got, zeta)
