@@ -6,9 +6,12 @@ sweep; records are sorted by trial index, so results are byte-identical for
 any worker count.  With workers > 1 there is one pool per call; contexts
 sent once per worker: a pool initializer installs every grid point's
 TrialContext in each worker, and a task carries only its (grid index, lo,
-hi) chunk of trials.  Per-trial resource errors (edge cap, search-node
-budget) are recorded in the row and excluded from the estimates with an
-explicit count, never fatal.  The node budget is deterministic on purpose; a wall-clock
+hi) chunk of trials.  The chunks are guided: each takes a share of the
+trials still left, so they shrink toward the end, and none crosses a grid
+point.  The parent loads the kernel before the pool forks, so the workers
+inherit it and none builds or loads its own.  Per-trial resource errors
+(edge cap, search-node budget) are recorded in the row and excluded from
+the estimates with an explicit count, never fatal.  The node budget is deterministic on purpose; a wall-clock
 timeout would break reproducibility.  The sampler's guard
 (hypergraph._check_draws: C(n, k) < 2**63 and at most 10**7 k-sets
 enumerated or edges expected) is fatal instead: a run of at least one
@@ -37,7 +40,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -277,11 +279,16 @@ def _run_chunk(chunk: tuple[int, int, int]) -> list[TrialRecord]:
 def _trial_batches(contexts, trials: int, workers: int):
     """Yield each context's records, sorted by trial index, in context order.
 
-    Each context's trials are one _run_batch with one worker; otherwise
-    (context index, lo, hi) chunks of them run on one pool, whose
-    initializer sends the contexts to each worker once, and results are
-    consumed lazily, one context at a time.  The pool never exceeds the
-    available CPUs or the number of trials."""
+    Each context's trials are one _run_batch with one worker.  Otherwise
+    they run on one pool, whose initializer sends the contexts to each
+    worker once, as guided chunks (guided self-scheduling, Polychronopoulos
+    & Kuck 1987): taken in (context index, trial) order, each (context
+    index, lo, hi) chunk covers max(1, remaining // (2 * workers)) of the
+    trials still left and is cut at the end of its context.  The kernel is
+    loaded before the pool forks, so every worker inherits it.  Results are
+    consumed lazily: a context's records are yielded once its last chunk
+    arrives.  The pool never exceeds the available CPUs or the number of
+    trials."""
     if trials < 0:
         raise DomainError("trials must be nonnegative")
     if workers < 1:
@@ -292,14 +299,23 @@ def _trial_batches(contexts, trials: int, workers: int):
         for ctx in contexts:
             yield _run_batch(ctx, 0, trials)
         return
-    size = max(1, trials // (8 * workers))
-    chunks = [(gi, lo, min(lo + size, trials))
-              for gi in range(len(contexts)) for lo in range(0, trials, size)]
+    remaining, chunks = len(contexts) * trials, []
+    for gi in range(len(contexts)):
+        lo = 0
+        while lo < trials:
+            hi = min(lo + max(1, remaining // (2 * workers)), trials)
+            chunks.append((gi, lo, hi))
+            remaining -= hi - lo
+            lo = hi
+    _native.kernel()
     with ProcessPoolExecutor(max_workers=workers, initializer=_install_contexts,
                              initargs=(contexts,)) as pool:
-        batches = pool.map(_run_chunk, chunks)
-        for _ in contexts:
-            yield [r for batch in islice(batches, -(-trials // size)) for r in batch]
+        records = []
+        for (_, _, hi), batch in zip(chunks, pool.map(_run_chunk, chunks)):
+            records += batch
+            if hi == trials:
+                yield records
+                records = []
 
 
 def _check_draws(points, sampler_mode: str, trials: int) -> None:

@@ -147,11 +147,13 @@ def test_trial_over_edge_cap_skips_adjacency(monkeypatch):
 
 
 class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs the
-    initializer and the tasks in this process, starts nothing."""
+    """Stands in for ProcessPoolExecutor: records its size and the tasks
+    given to map, runs the initializer and the tasks in this process,
+    starts nothing."""
 
-    def __init__(self, sizes, max_workers, initializer=None, initargs=()):
+    def __init__(self, sizes, tasks, max_workers, initializer=None, initargs=()):
         sizes.append(max_workers)
+        self.tasks = tasks
         if initializer is not None:
             initializer(*initargs)
 
@@ -162,20 +164,23 @@ class InProcessPool:
         return False
 
     def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+        tasks = list(iterable)
+        self.tasks += tasks
+        return map(fn, tasks)
 
 
-def in_process_pools(monkeypatch) -> list:
-    """Patch in InProcessPool; returns the list of pool sizes it records."""
-    sizes = []
+def in_process_pools(monkeypatch) -> tuple[list, list]:
+    """Patch in InProcessPool; returns the lists of pool sizes and of tasks
+    it records."""
+    sizes, tasks = [], []
     monkeypatch.setattr(mc, "ProcessPoolExecutor",
-                        lambda **kw: InProcessPool(sizes, **kw))
+                        lambda **kw: InProcessPool(sizes, tasks, **kw))
     monkeypatch.setattr(mc, "_worker_contexts", ())
-    return sizes
+    return sizes, tasks
 
 
 def test_pool_size_clamped_to_cpus_and_trials(monkeypatch):
-    sizes = in_process_pools(monkeypatch)
+    sizes, _ = in_process_pools(monkeypatch)
     params = an.ModelParams.from_phi(10, 2, 1.5)
     serial = trial_records_to_csv(mc.run_trials(params, 6, "conditioned", seed=3))
     for cpus, trials, expect in ((3, 6, [3]), (8, 2, [2]), (1, 6, [])):
@@ -389,7 +394,7 @@ README_GRID = [0.3 * (20.0 / 0.3) ** (i / 11) for i in range(12)]
 def test_sweep_runs_on_one_pool(monkeypatch, n, k, grid, trials, node_budget, pools):
     serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(
         n, k, grid, trials=trials, seed=5, node_budget=node_budget))
-    sizes = in_process_pools(monkeypatch)
+    sizes, _ = in_process_pools(monkeypatch)
     monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
     table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5, workers=2,
                                   node_budget=node_budget)
@@ -398,6 +403,51 @@ def test_sweep_runs_on_one_pool(monkeypatch, n, k, grid, trials, node_budget, po
     assert [r.trials for r in table.rows] == [trials] * len(grid)
     if node_budget == 2:
         assert [r.undecided for r in table.rows] == [0, trials]
+
+
+@pytest.mark.parametrize("n, k, grid, trials, workers, max_tasks", [
+    (24, 3, README_GRID, 100, 2, 32),   # 204 fixed chunks of 6 trials before
+    (10, 3, [0.5 * (i + 1) for i in range(12)], 1, 2, 12),
+    (10, 3, [2.0], 7, 3, 7),
+])
+def test_sweep_chunks_are_guided(monkeypatch, n, k, grid, trials, workers, max_tasks):
+    serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5))
+    sizes, tasks = in_process_pools(monkeypatch)
+    monkeypatch.setattr(mc, "_available_cpus", lambda: workers)
+    table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5, workers=workers)
+    assert sizes == [workers]
+    assert mc.sweep_table_to_csv(table) == serial
+    assert len(tasks) <= max_tasks
+    # every (grid index, trial) exactly once, in order; no chunk crosses a point
+    assert [(gi, t) for gi, lo, hi in tasks for t in range(lo, hi)] == [
+        (gi, t) for gi in range(len(grid)) for t in range(trials)]
+    assert all(lo < hi <= trials for _, lo, hi in tasks)
+    # each chunk takes at most its share of the trials still left
+    remaining = len(grid) * trials
+    for _, lo, hi in tasks:
+        assert hi - lo <= max(1, remaining // (2 * workers))
+        remaining -= hi - lo
+
+
+def test_kernel_loads_before_the_pool(monkeypatch):
+    # the parent loads (on a cold cache, builds) the kernel before the pool
+    # forks, so the workers inherit it rather than each building their own
+    events, _ = in_process_pools(monkeypatch)
+    kernel = _native.kernel
+    monkeypatch.setattr(_native, "kernel", lambda: events.append("kernel") or kernel())
+    monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
+    mc.estimate_ekr_curve(10, 3, [1.0, 2.0], trials=4, seed=5, workers=2)
+    assert events[:2] == ["kernel", 2]
+
+
+def test_sweep_csv_invariant_on_a_real_pool_at_odd_shapes(monkeypatch):
+    # a real fork pool; 3 workers are asked for even on fewer CPUs, so the
+    # guided plan differs from the 2-worker one
+    monkeypatch.setattr(mc, "_available_cpus", lambda: 3)
+    grid = [0.5, 1.5, 2.5, 4.0, 8.0]
+    csvs = {workers: mc.sweep_table_to_csv(mc.estimate_ekr_curve(
+        12, 3, grid, trials=7, seed=17, workers=workers)) for workers in (1, 2, 3)}
+    assert csvs[1] == csvs[2] == csvs[3]
 
 
 def test_sweep_row_counts_consistent():
