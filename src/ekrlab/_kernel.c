@@ -27,7 +27,11 @@
  * and nontrivial searches of verifier._decide.
  *
  * Built with `gcc -O2 -shared -fPIC -I<numpy include>`, linked with numpy's
- * libnpyrandom.a and -lm, and called through ctypes (_native).
+ * libnpyrandom.a and -lm, and called through ctypes (_native).  ctypes
+ * releases the GIL for each call, and a sweep's thread pool calls
+ * ekr_trials from several threads at once, so the kernel keeps no mutable
+ * static or global state: every call works on its arguments and on memory
+ * it allocates and frees itself.
  */
 #include <stdint.h>
 #include <stdlib.h>

@@ -17,6 +17,11 @@ the cache directory cannot be written or is not private to the user; the
 searches then run on the Python kernel (verifier._branch_and_bound), which
 gives the same results, and a trial on the Python sampler and verifier.
 Nothing is built or loaded at import.
+
+The entry points are called through ctypes.CDLL, which releases the GIL
+for each call, so a sweep's thread pool (montecarlo._trial_batches) runs
+ekr_trials from several threads at once.  The kernel must therefore stay
+reentrant: no mutable static or global state, each call's memory its own.
 """
 
 from __future__ import annotations

@@ -3,16 +3,22 @@
 Contract: trials are independent work items with per-trial Philox substreams
 derived from (master seed, trial index), prefixed by the grid index in a
 sweep; records are sorted by trial index, so results are byte-identical for
-any worker count.  With workers > 1 there is one pool per call; contexts
-sent once per worker: a pool initializer installs every grid point's
-TrialContext in each worker, and a task carries only its (grid index, lo,
-hi) chunk of trials.  The chunks are guided: each takes a share of the
-trials still left, so they shrink toward the end, and none crosses a grid
-point.  The parent loads the kernel before the pool forks, so the workers
-inherit it and none builds or loads its own.  Per-trial resource errors
-(edge cap, search-node budget) are recorded in the row and excluded from
-the estimates with an explicit count, never fatal.  The node budget is deterministic on purpose; a wall-clock
-timeout would break reproducibility.  The sampler's guard
+any worker count.  With workers > 1 there is one pool per call, and a task
+carries only its (grid index, lo, hi) chunk of trials.  The chunks are
+guided: each takes a share of the trials still left, so they shrink toward
+the end, and none crosses a grid point.  When every chunk is a native batch
+(below), the pool is threads: a batch is one ctypes call, which releases
+the GIL, so the batches run in parallel in this process with nothing
+forked or pickled, and a task reads the call's own TrialContexts.
+Otherwise the chunks run the Python reference path, which the GIL would
+serialize on threads, so the pool is processes: its initializer installs
+every grid point's TrialContext in each worker once.  The kernel is loaded
+before either pool is made, since the pool's kind depends on it, so a
+process pool's workers inherit it and none builds or loads its own.
+Per-trial resource errors (edge cap, search-node budget) are recorded in
+the row and excluded from the estimates with an explicit count, never
+fatal.  The node budget is deterministic on purpose; a wall-clock timeout
+would break reproducibility.  The sampler's guard
 (hypergraph._check_draws: C(n, k) < 2**63 and at most 10**7 k-sets
 enumerated or edges expected) is fatal instead: a run of at least one
 trial checks it at every grid point before any point's degree tails are
@@ -38,7 +44,7 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -144,7 +150,9 @@ WITNESS_KINDS = ("generic", "hm", "eventA", "eventB", "eventC", "other")
 class TrialContext:
     """Shared inputs of one grid point's trials, computed once.
 
-    One pool per call; contexts sent once per worker (see _trial_batches)."""
+    One pool per call: a thread pool's tasks read the call's contexts, a
+    process pool's initializer sends them once per worker (see
+    _trial_batches)."""
 
     params: ModelParams
     sampler_mode: str
@@ -229,11 +237,17 @@ def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]
     return records
 
 
+def _native_batches(lib, sampler_mode: str) -> bool:
+    """Whether a batch of sampler_mode's trials is one kernel call: with the
+    kernel lib loaded, on the bernoulli or conditioned sampler."""
+    return bool(lib) and sampler_mode != "independent"
+
+
 def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
     """Trials [lo, hi) of ctx: one native batch, or with the independent
     sampler or no kernel, one Hypergraph and verifier._Instance per trial."""
     lib = _native.kernel()
-    if lib and ctx.sampler_mode != "independent" and lo < hi:
+    if _native_batches(lib, ctx.sampler_mode) and lo < hi:
         return _native_batch(lib, ctx, lo, hi)
     n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
     records = []
@@ -262,7 +276,8 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Set in each pool worker by its initializer, never in the parent.
+# Set in each process-pool worker by its initializer, never in the parent
+# and never by a thread.
 _worker_contexts: tuple[TrialContext, ...] = ()
 
 
@@ -271,20 +286,29 @@ def _install_contexts(contexts: tuple[TrialContext, ...]) -> None:
     _worker_contexts = contexts
 
 
-def _run_chunk(chunk: tuple[int, int, int]) -> list[TrialRecord]:
+def _run_chunk(contexts, chunk: tuple[int, int, int]) -> list[TrialRecord]:
     gi, lo, hi = chunk
-    return _run_batch(_worker_contexts[gi], lo, hi)
+    return _run_batch(contexts[gi], lo, hi)
+
+
+def _run_worker_chunk(chunk: tuple[int, int, int]) -> list[TrialRecord]:
+    return _run_chunk(_worker_contexts, chunk)
 
 
 def _trial_batches(contexts, trials: int, workers: int):
     """Yield each context's records, sorted by trial index, in context order.
 
     Each context's trials are one _run_batch with one worker.  Otherwise
-    they run on one pool, whose initializer sends the contexts to each
-    worker once, as guided chunks (guided self-scheduling, Polychronopoulos
-    & Kuck 1987): taken in (context index, trial) order, each (context
-    index, lo, hi) chunk covers max(1, remaining // (2 * workers)) of the
-    trials still left and is cut at the end of its context.  The kernel is
+    they run on one pool as guided chunks (guided self-scheduling,
+    Polychronopoulos & Kuck 1987): taken in (context index, trial) order,
+    each (context index, lo, hi) chunk covers max(1, remaining // (2 *
+    workers)) of the trials still left and is cut at the end of its context.
+    When every context's batches are native (_native_batches), the pool is
+    threads: a batch is one ctypes call, which releases the GIL, so the
+    batches run in parallel in this process, and a task reads the contexts
+    from this call.  Otherwise the chunks run the Python reference path,
+    which the GIL would serialize on threads, so the pool is processes: its
+    initializer sends the contexts to each worker once, and the kernel is
     loaded before the pool forks, so every worker inherits it.  Results are
     consumed lazily: a context's records are yielded once its last chunk
     arrives.  The pool never exceeds the available CPUs or the number of
@@ -307,11 +331,17 @@ def _trial_batches(contexts, trials: int, workers: int):
             chunks.append((gi, lo, hi))
             remaining -= hi - lo
             lo = hi
-    _native.kernel()
-    with ProcessPoolExecutor(max_workers=workers, initializer=_install_contexts,
-                             initargs=(contexts,)) as pool:
+    lib = _native.kernel()
+    if all(_native_batches(lib, ctx.sampler_mode) for ctx in contexts):
+        pool = ThreadPoolExecutor(max_workers=workers)
+        run = functools.partial(_run_chunk, contexts)
+    else:
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_install_contexts,
+                                   initargs=(contexts,))
+        run = _run_worker_chunk
+    with pool:
         records = []
-        for (_, _, hi), batch in zip(chunks, pool.map(_run_chunk, chunks)):
+        for (_, _, hi), batch in zip(chunks, pool.map(run, chunks)):
             records += batch
             if hi == trials:
                 yield records

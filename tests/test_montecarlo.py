@@ -147,12 +147,13 @@ def test_trial_over_edge_cap_skips_adjacency(monkeypatch):
 
 
 class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size and the tasks
-    given to map, runs the initializer and the tasks in this process,
-    starts nothing."""
+    """Stands in for ProcessPoolExecutor and ThreadPoolExecutor: records its
+    size, its kind and the tasks given to map, runs the initializer and the
+    tasks in this thread, starts nothing."""
 
-    def __init__(self, sizes, tasks, max_workers, initializer=None, initargs=()):
+    def __init__(self, sizes, kinds, tasks, kind, max_workers, initializer=None, initargs=()):
         sizes.append(max_workers)
+        kinds.append(kind)
         self.tasks = tasks
         if initializer is not None:
             initializer(*initargs)
@@ -169,27 +170,41 @@ class InProcessPool:
         return map(fn, tasks)
 
 
-def in_process_pools(monkeypatch) -> tuple[list, list]:
-    """Patch in InProcessPool; returns the lists of pool sizes and of tasks
-    it records."""
-    sizes, tasks = [], []
-    monkeypatch.setattr(mc, "ProcessPoolExecutor",
-                        lambda **kw: InProcessPool(sizes, tasks, **kw))
+def in_process_pools(monkeypatch) -> tuple[list, list, list]:
+    """Patch in InProcessPool for both executors; returns the lists of pool
+    sizes, of pool kinds ("process" or "thread") and of tasks it records."""
+    sizes, kinds, tasks = [], [], []
+    for kind, name in (("process", "ProcessPoolExecutor"), ("thread", "ThreadPoolExecutor")):
+        monkeypatch.setattr(mc, name, lambda kind=kind, **kw: InProcessPool(
+            sizes, kinds, tasks, kind, **kw))
     monkeypatch.setattr(mc, "_worker_contexts", ())
-    return sizes, tasks
+    return sizes, kinds, tasks
 
 
-def test_pool_size_clamped_to_cpus_and_trials(monkeypatch):
-    sizes, _ = in_process_pools(monkeypatch)
+SAMPLERS = ("conditioned", "bernoulli", "independent")
+
+
+def pool_kind(kernel: str, sampler: str) -> str:
+    """The pool a sweep with workers > 1 builds: threads for native batches,
+    processes for the Python reference path."""
+    return "thread" if kernel == "native" and sampler != "independent" else "process"
+
+
+def test_pool_size_clamped_to_cpus_and_trials(kernels, monkeypatch):
+    sizes, kinds, _ = in_process_pools(monkeypatch)
     params = an.ModelParams.from_phi(10, 2, 1.5)
-    serial = trial_records_to_csv(mc.run_trials(params, 6, "conditioned", seed=3))
-    for cpus, trials, expect in ((3, 6, [3]), (8, 2, [2]), (1, 6, [])):
-        sizes.clear()
-        monkeypatch.setattr(mc, "_available_cpus", lambda: cpus)
-        recs = mc.run_trials(params, trials, "conditioned", seed=3, workers=10_000)
-        assert sizes == expect
-        if trials == 6:
-            assert trial_records_to_csv(recs) == serial
+    for kernel in kernels():
+        for sampler in SAMPLERS:
+            serial = trial_records_to_csv(mc.run_trials(params, 6, sampler, seed=3))
+            for cpus, trials, expect in ((3, 6, [3]), (8, 2, [2]), (1, 6, [])):
+                sizes.clear()
+                kinds.clear()
+                monkeypatch.setattr(mc, "_available_cpus", lambda: cpus)
+                recs = mc.run_trials(params, trials, sampler, seed=3, workers=10_000)
+                assert sizes == expect
+                assert kinds == [pool_kind(kernel, sampler)] * len(expect), (kernel, sampler)
+                if trials == 6:
+                    assert trial_records_to_csv(recs) == serial
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -391,18 +406,28 @@ README_GRID = [0.3 * (20.0 / 0.3) ** (i / 11) for i in range(12)]
     (10, 3, [0.5, 8.0], 4, 2, [2]),      # budget 2 leaves phi = 8 undecided
     (24, 3, README_GRID, 0, vf.DEFAULT_NODE_BUDGET, []),    # no keys, no pool
 ])
-def test_sweep_runs_on_one_pool(monkeypatch, n, k, grid, trials, node_budget, pools):
-    serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(
-        n, k, grid, trials=trials, seed=5, node_budget=node_budget))
-    sizes, _ = in_process_pools(monkeypatch)
+def test_sweep_runs_on_one_pool(kernels, monkeypatch, n, k, grid, trials, node_budget, pools):
+    sizes, kinds, _ = in_process_pools(monkeypatch)
     monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
-    table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5, workers=2,
-                                  node_budget=node_budget)
-    assert sizes == pools
-    assert mc.sweep_table_to_csv(table) == serial
-    assert [r.trials for r in table.rows] == [trials] * len(grid)
-    if node_budget == 2:
-        assert [r.undecided for r in table.rows] == [0, trials]
+    for kernel in kernels():
+        for sampler in SAMPLERS:
+            serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(
+                n, k, grid, trials=trials, seed=5, sampler_mode=sampler,
+                node_budget=node_budget))
+            sizes.clear()
+            kinds.clear()
+            monkeypatch.setattr(mc, "_worker_contexts", ())
+            table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5,
+                                          sampler_mode=sampler, workers=2,
+                                          node_budget=node_budget)
+            assert sizes == pools
+            assert kinds == [pool_kind(kernel, sampler)] * len(pools), (kernel, sampler)
+            if kinds != ["process"]:    # a thread task reads its call's contexts
+                assert mc._worker_contexts == ()
+            assert mc.sweep_table_to_csv(table) == serial
+            assert [r.trials for r in table.rows] == [trials] * len(grid)
+            if node_budget == 2:
+                assert [r.undecided for r in table.rows] == [0, trials]
 
 
 @pytest.mark.parametrize("n, k, grid, trials, workers, max_tasks", [
@@ -410,44 +435,72 @@ def test_sweep_runs_on_one_pool(monkeypatch, n, k, grid, trials, node_budget, po
     (10, 3, [0.5 * (i + 1) for i in range(12)], 1, 2, 12),
     (10, 3, [2.0], 7, 3, 7),
 ])
-def test_sweep_chunks_are_guided(monkeypatch, n, k, grid, trials, workers, max_tasks):
-    serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5))
-    sizes, tasks = in_process_pools(monkeypatch)
+def test_sweep_chunks_are_guided(kernels, monkeypatch, n, k, grid, trials, workers, max_tasks):
+    sizes, kinds, tasks = in_process_pools(monkeypatch)
     monkeypatch.setattr(mc, "_available_cpus", lambda: workers)
-    table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5, workers=workers)
-    assert sizes == [workers]
-    assert mc.sweep_table_to_csv(table) == serial
-    assert len(tasks) <= max_tasks
-    # every (grid index, trial) exactly once, in order; no chunk crosses a point
-    assert [(gi, t) for gi, lo, hi in tasks for t in range(lo, hi)] == [
-        (gi, t) for gi in range(len(grid)) for t in range(trials)]
-    assert all(lo < hi <= trials for _, lo, hi in tasks)
-    # each chunk takes at most its share of the trials still left
-    remaining = len(grid) * trials
-    for _, lo, hi in tasks:
-        assert hi - lo <= max(1, remaining // (2 * workers))
-        remaining -= hi - lo
+    for kernel in kernels():
+        # the chunk plan is the same on both pools; without the kernel every
+        # sampler runs the Python path
+        for sampler in ("conditioned", "independent")[:2 if kernel == "native" else 1]:
+            serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(
+                n, k, grid, trials=trials, seed=5, sampler_mode=sampler))
+            sizes.clear()
+            kinds.clear()
+            tasks.clear()
+            table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5,
+                                          sampler_mode=sampler, workers=workers)
+            assert sizes == [workers]
+            assert kinds == [pool_kind(kernel, sampler)], (kernel, sampler)
+            assert mc.sweep_table_to_csv(table) == serial
+            assert len(tasks) <= max_tasks
+            # every (grid index, trial) exactly once, in order; no chunk
+            # crosses a point
+            assert [(gi, t) for gi, lo, hi in tasks for t in range(lo, hi)] == [
+                (gi, t) for gi in range(len(grid)) for t in range(trials)]
+            assert all(lo < hi <= trials for _, lo, hi in tasks)
+            # each chunk takes at most its share of the trials still left
+            remaining = len(grid) * trials
+            for _, lo, hi in tasks:
+                assert hi - lo <= max(1, remaining // (2 * workers))
+                remaining -= hi - lo
 
 
-def test_kernel_loads_before_the_pool(monkeypatch):
-    # the parent loads (on a cold cache, builds) the kernel before the pool
-    # forks, so the workers inherit it rather than each building their own
-    events, _ = in_process_pools(monkeypatch)
+def test_kernel_loads_before_the_pool(kernels, monkeypatch):
+    # the parent loads (on a cold cache, builds) the kernel before either
+    # pool is made: the pool's kind depends on it, and a process pool's
+    # workers inherit it rather than each building their own
+    events, kinds, _ = in_process_pools(monkeypatch)
     kernel = _native.kernel
     monkeypatch.setattr(_native, "kernel", lambda: events.append("kernel") or kernel())
     monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
-    mc.estimate_ekr_curve(10, 3, [1.0, 2.0], trials=4, seed=5, workers=2)
-    assert events[:2] == ["kernel", 2]
+    for name in kernels():
+        for sampler in ("conditioned", "independent"):
+            events.clear()
+            kinds.clear()
+            mc.estimate_ekr_curve(10, 3, [1.0, 2.0], trials=4, seed=5, sampler_mode=sampler,
+                                  workers=2)
+            assert events[:2] == ["kernel", 2]
+            assert kinds == [pool_kind(name, sampler)]
 
 
-def test_sweep_csv_invariant_on_a_real_pool_at_odd_shapes(monkeypatch):
-    # a real fork pool; 3 workers are asked for even on fewer CPUs, so the
-    # guided plan differs from the 2-worker one
+def test_sweep_csv_invariant_on_a_real_pool_at_odd_shapes(kernels, monkeypatch):
+    # real pools: threads for native batches, a fork pool for the Python
+    # path; 3 workers are asked for even on fewer CPUs, so the guided plan
+    # differs from the 2-worker one
     monkeypatch.setattr(mc, "_available_cpus", lambda: 3)
+    built = []
+    for kind, pool in (("thread", mc.ThreadPoolExecutor), ("process", mc.ProcessPoolExecutor)):
+        monkeypatch.setattr(mc, pool.__name__,
+                            lambda kind=kind, pool=pool, **kw: built.append(kind) or pool(**kw))
     grid = [0.5, 1.5, 2.5, 4.0, 8.0]
-    csvs = {workers: mc.sweep_table_to_csv(mc.estimate_ekr_curve(
-        12, 3, grid, trials=7, seed=17, workers=workers)) for workers in (1, 2, 3)}
-    assert csvs[1] == csvs[2] == csvs[3]
+    for kernel in kernels():
+        for sampler in ("conditioned", "independent"):
+            built.clear()
+            csvs = {workers: mc.sweep_table_to_csv(mc.estimate_ekr_curve(
+                12, 3, grid, trials=7, seed=17, sampler_mode=sampler, workers=workers))
+                for workers in (1, 2, 3)}
+            assert csvs[1] == csvs[2] == csvs[3], (kernel, sampler)
+            assert built == [pool_kind(kernel, sampler)] * 2, (kernel, sampler)
 
 
 def test_sweep_row_counts_consistent():

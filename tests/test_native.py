@@ -3,6 +3,8 @@ import os
 import stat
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -280,6 +282,62 @@ def test_native_trials_grow_their_output():
             for t in range(3)]
     assert kernel_trials("bernoulli", 20, 7, 0.5, 3, (), 0, 3) == [(H.m, H.edge_bits)
                                                                    for H in want]
+
+
+def test_native_trials_are_reentrant():
+    # ctypes releases the GIL for ekr_trials, and a sweep's thread pool calls
+    # it from several threads at once: four batches on different (seed,
+    # stream), started together, each equal to the same call made serially.
+    # (12, 3, phi = 2) has failing trials, so words and cliques come back too
+    lib = _native.kernel()
+    assert lib is not None, "the native search kernel did not build or load"
+    p = 2.0 / math.comb(11, 2)
+
+    def batch(seed, stream, conditioned):
+        return _native.trials(lib, seed, stream, 0, 400, 12, 3, math.comb(12, 3), p,
+                              conditioned=conditioned, dense=False,
+                              edge_cap=vf.DEFAULT_EDGE_CAP, node_budget=vf.DEFAULT_NODE_BUDGET)
+    jobs = [(1, (), True), (2, (0,), False), (3, (1, 5), True), (2**40, (7,), False)]
+    want = [batch(*job) for job in jobs]
+    assert any(row[4] > 0 for rows in want for row in rows)     # a failing clique
+    start = threading.Barrier(len(jobs), timeout=60)
+
+    def run(job):
+        start.wait()
+        return batch(*job)
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        assert list(pool.map(run, jobs, timeout=60)) == want
+
+
+def test_thread_pool_sweeps_run_at_once(monkeypatch):
+    # two 3-worker sweeps on the thread pool, each from its own thread at
+    # the same time, with more threads than CPUs and a short switch
+    # interval: each gives its serial CSV, so nothing on the thread path is
+    # shared between calls, and neither sets the workers' global
+    assert _native.kernel() is not None, "the native search kernel did not build or load"
+    monkeypatch.setattr(mc, "_available_cpus", lambda: 3)
+    readme_grid = [0.3 * (20.0 / 0.3) ** (i / 11) for i in range(12)]
+    cases = [(24, 3, readme_grid, 20, 1, "conditioned"),
+             (12, 3, [0.5, 2.0, 4.0], 30, 9, "bernoulli")]
+
+    def sweep(case, workers):
+        n, k, grid, trials, seed, sampler = case
+        return mc.sweep_table_to_csv(mc.estimate_ekr_curve(
+            n, k, grid, trials=trials, seed=seed, sampler_mode=sampler, workers=workers))
+    serial = [sweep(case, 1) for case in cases]
+    start = threading.Barrier(len(cases), timeout=60)
+
+    def run(case):
+        start.wait()
+        return sweep(case, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(cases)) as pool:
+            assert list(pool.map(run, cases, timeout=60)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert mc._worker_contexts == ()
 
 
 def graphs(params, sampler, trials):
