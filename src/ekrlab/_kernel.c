@@ -13,8 +13,13 @@
  * verifier._star_adjacency's rule, and for the omega search the relabel by
  * descending adjacency degree.  Edge bitsets take W = ceil(m/64) words.
  * The search runs on an explicit stack of m + 1 levels.  A level keeps its
- * candidate set, its state, and its candidates in branching order with the
- * start of each color class; colors are consecutive from the level's first.
+ * candidate set and its state.  An omega or nontrivial level also keeps its
+ * candidates in branching order with the start of each color class; colors
+ * are consecutive from the level's first.  A generic level keeps no order:
+ * greedy coloring is only its feasibility test (does anything outlast kmin
+ * classes?), and it branches on the lowest bit of its candidate set, cut
+ * once r + popcount <= best, which is what _generic_search's
+ * (None, range(1, |P| + 1)) encodes.
  *
  * A fourth mode, STATS, runs no search: from the same star words it returns
  * Delta, its lowest vertex, max d(x, y) and max |W_x| (verifier._Instance).
@@ -42,6 +47,7 @@
 typedef uint64_t u64;
 #define VW 4                            /* vertex bitset words, n <= 256 */
 #define BIT(v) (1ULL << ((v) & 63))
+#define SW (3 * VW)                     /* state words of a level: d1, d2, d3 */
 
 enum { OMEGA = 0, NONTRIVIAL = 1, GENERIC = 2, STATS = 3 };
 enum { DONE = 0, OUT_OF_BUDGET = 1, OUT_OF_MEMORY = 2 };
@@ -99,24 +105,42 @@ static int reserve(ivec *a, size_t extra)
 
 static inline void push(ivec *a, int32_t x) { a->v[a->len++] = x; }
 
-/* _color_order: first-fit classes in index order; those numbered > kmin
- * are appended, with their starts relative to the level's first candidate */
+/* takes the next first-fit class, in index order, out of rest (its lowest
+ * bit in word lo), appending it to order when keep */
+static inline void take_class(search *s, int lo, int keep)
+{
+    int W = s->W, v;
+    memcpy(s->avail + lo, s->rest + lo, (W - lo) * sizeof(u64));
+    while ((v = lowest(s->avail, W, &lo)) >= 0) {
+        const u64 *c = s->cadj + (size_t)v * W;
+        if (keep) push(&s->order, v);
+        for (int w = lo; w < W; w++) s->avail[w] &= c[w];
+        s->rest[v >> 6] &= ~BIT(v);
+    }
+}
+
+/* _first_classes: rest = P less the first kmin first-fit classes (empty
+ * when |P| <= kmin); returns whether any vertex is left */
+static int first_classes(search *s, const u64 *P, int64_t kmin)
+{
+    int W = s->W, lo = 0;
+    if (popcount(P, W) <= kmin) return 0;
+    memcpy(s->rest, P, W * sizeof(u64));
+    for (int64_t color = 0; color < kmin && lowest(s->rest, W, &lo) >= 0; color++)
+        take_class(s, lo, 0);
+    return lowest(s->rest, W, &lo) >= 0;
+}
+
+/* _color_order: the first-fit classes numbered > kmin are appended, with
+ * their starts relative to the level's first candidate */
 static void first_fit(search *s, const u64 *P, int64_t kmin)
 {
-    int W = s->W, rlo = 0;
+    int lo = 0;
     size_t base = s->order.len;
-    if (popcount(P, W) <= kmin) return;
-    memcpy(s->rest, P, W * sizeof(u64));
-    for (int64_t color = 1; lowest(s->rest, W, &rlo) >= 0; color++) {
-        int alo = rlo, keep = color > kmin, v;
-        memcpy(s->avail + rlo, s->rest + rlo, (W - rlo) * sizeof(u64));
-        if (keep) push(&s->starts, (int32_t)(s->order.len - base));
-        while ((v = lowest(s->avail, W, &alo)) >= 0) {
-            const u64 *c = s->cadj + (size_t)v * W;
-            if (keep) push(&s->order, v);
-            for (int w = alo; w < W; w++) s->avail[w] &= c[w];
-            s->rest[v >> 6] &= ~BIT(v);
-        }
+    if (!first_classes(s, P, kmin)) return;
+    while (lowest(s->rest, s->W, &lo) >= 0) {
+        push(&s->starts, (int32_t)(s->order.len - base));
+        take_class(s, lo, 1);
     }
 }
 
@@ -225,12 +249,18 @@ static void pair_color(search *s, const u64 *P, int64_t kmin)
 }
 
 /* the branches of a node at depth r: appends its candidates and classes
- * and fills in L */
+ * and fills in L.  A GENERIC node appends none: when greedy coloring needs
+ * more than kmin colors it branches on all of P, lowest first, idx of them
+ * left, else on none */
 static int branches(search *s, level *L, const u64 *P, const u64 *S, int64_t kmin)
 {
     int W = s->W, size = popcount(P, W);
     L->off = s->order.len;
     L->coff = s->starts.len;
+    if (s->mode == GENERIC) {
+        L->idx = first_classes(s, P, kmin) ? size : 0;
+        return 0;
+    }
     L->c0 = (kmin > 0 ? kmin : 0) + 1;
     if (reserve(&s->order, size) || reserve(&s->starts, size)) return -1;
     if (s->mode == NONTRIVIAL) {
@@ -247,20 +277,6 @@ static int branches(search *s, level *L, const u64 *P, const u64 *S, int64_t kmi
     }
     if (size && s->dense) pair_color(s, P, kmin);
     else if (size) first_fit(s, P, kmin);
-    if (s->mode == GENERIC && s->order.len > L->off) {
-        /* a feasible node branches on all of P in ascending index order;
-         * order[idx] leaves idx + 1 candidates */
-        s->order.len = L->off;
-        s->starts.len = L->coff;
-        for (int w = W - 1; w >= 0; w--)
-            for (u64 x = P[w]; x;) {
-                int hi = 63 - __builtin_clzll(x);
-                x ^= 1ULL << hi;
-                push(&s->starts, (int32_t)(s->order.len - L->off));
-                push(&s->order, w * 64 + hi);
-            }
-        L->c0 = 1;
-    }
     L->idx = (int64_t)(s->order.len - L->off);
     L->cls = (int64_t)(s->starts.len - L->coff) - 1;
     return 0;
@@ -288,6 +304,41 @@ static int child(const search *s, const u64 *S, u64 *C, int v)
         }
     }
     return 1;
+}
+
+/* The next node: the deepest level's next unpruned, feasible candidate v.
+ * Pushes v onto R and its candidates into the next P row, and returns the
+ * new depth, or -1 once every branch is done.  A generic level (a constant,
+ * so each mode gets its own copy of the loop) takes the lowest bit of its P
+ * row, which holds its idx candidates left, and is cut once r + idx <= best. */
+static inline __attribute__((always_inline)) int
+descend(search *s, level *lv, u64 *Ps, u64 *St, int32_t *R, int r, int64_t best, int generic)
+{
+    int W = s->W;
+    for (;;) {
+        level *L = &lv[r];
+        u64 *P = Ps + (size_t)r * W;
+        int64_t idx = L->idx - 1;
+        if (!generic && idx >= 0)
+            while (s->starts.v[L->coff + L->cls] > idx) L->cls--;
+        if (idx < 0 || r + (generic ? idx + 1 : L->c0 + L->cls) <= best) {
+            s->order.len = L->off;
+            s->starts.len = L->coff;
+            if (r == 0) return -1;
+            r--;
+            continue;
+        }
+        int lo = 0, v = generic ? lowest(P, W, &lo) : s->order.v[L->off + idx];
+        L->idx = idx;
+        if (child(s, St + (size_t)r * SW, St + (size_t)(r + 1) * SW, v)) {
+            const u64 *a = s->adj + (size_t)v * W;
+            for (int w = 0; w < W; w++) P[W + w] = P[w] & a[w];
+            P[v >> 6] &= ~BIT(v);
+            R[r] = v;
+            return r + 1;
+        }
+        P[v >> 6] &= ~BIT(v);
+    }
 }
 
 /* hypergraph._vertex_stars over the edge order e[i] = bits[perm[i]] (or
@@ -366,7 +417,7 @@ int ekr_search(int mode, int m, const u64 *bits, const u64 *adj0, int dense, int
                int64_t *result)
 {
     if (mode == STATS) return stats(m, (m + 63) / 64, bits, NULL, result);
-    int W = (m + 63) / 64, SW = 3 * VW, r = 0, status = DONE;
+    int W = (m + 63) / 64, r = 0, status = DONE;
     size_t rows = (size_t)m * W + 1;
     search s = {.m = m, .W = W, .mode = mode, .dense = dense, .bits = bits,
                 .zeta = zeta};
@@ -439,31 +490,9 @@ int ekr_search(int mode, int m, const u64 *bits, const u64 *adj0, int dense, int
             status = OUT_OF_MEMORY;
             goto out;
         }
-        /* next node: the deepest level's next unpruned, feasible candidate */
-        for (;;) {
-            level *L = &lv[r];
-            int64_t idx = L->idx - 1;
-            if (idx >= 0)
-                while (s.starts.v[L->coff + L->cls] > idx) L->cls--;
-            if (idx < 0 || r + L->c0 + L->cls <= best) {
-                s.order.len = L->off;
-                s.starts.len = L->coff;
-                if (r == 0) goto out;
-                r--;
-                continue;
-            }
-            int v = s.order.v[L->off + idx];
-            u64 *Pv = Ps + (size_t)r * W;
-            L->idx = idx;
-            if (child(&s, St + (size_t)r * SW, St + (size_t)(r + 1) * SW, v)) {
-                const u64 *a = s.adj + (size_t)v * W;
-                for (int w = 0; w < W; w++) Pv[W + w] = Pv[w] & a[w];
-                Pv[v >> 6] &= ~BIT(v);
-                R[r++] = v;
-                break;
-            }
-            Pv[v >> 6] &= ~BIT(v);
-        }
+        r = mode == GENERIC ? descend(&s, lv, Ps, St, R, r, best, 1)
+                            : descend(&s, lv, Ps, St, R, r, best, 0);
+        if (r < 0) goto out;
     }
 out:
     if (mode == OMEGA && status == DONE)

@@ -4,8 +4,8 @@ the per-vertex star masks, the structure the verifier prepares.
 Vertices are 0-based internally (0..n-1); the text file format and all JSON
 surfaces are 1-based.  A Hypergraph stores each edge only as a Python-int
 bitset (bit v for vertex v); edge_members reads an edge's vertices through
-one bounded cache keyed by the bitset, through which from_edges also makes
-equal parsed edges share one int object.
+one bounded cache keyed by the bitset, through which from_edges and
+parse_hypergraph also make equal edges share one int object.
 
 Sampling determinism contract: every sampler is a pure function of
 (parameters, seed).  Seeds feed a counter-based Philox generator through
@@ -51,8 +51,9 @@ def _shared(bits: int) -> tuple[int, tuple[int, ...]]:
     A least-recently-used cache of at most MEMBERS_CACHE = 8192 entries, key
     included ~270 bytes each at k <= 10 and ~2.2 KB at the k = 255 extreme
     (tracemalloc): ~2.2 MB and ~17.5 MB when full.  Hypergraph.from_edges
-    keeps the int held here, so equal edges of parsed families share one int
-    object and a family kept in memory costs one pointer per cached edge."""
+    and parse_hypergraph keep the int held here, so equal edges of parsed
+    families share one int object and a family kept in memory costs one
+    pointer per cached edge."""
     return bits, tuple(exact.bits_of(bits))
 
 
@@ -96,10 +97,8 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, n: int, k: int, member_lists) -> "Hypergraph":
-        # (n, k) first: a parsed vertex may be as large as the header's n.
-        # A negative member fails as a shift, and one >= n in __post_init__:
-        # a range check on every member would cost parse_hypergraph over a
-        # quarter of its time.
+        # (n, k) first: a member may be as large as n.  A negative member
+        # fails as a shift, and one >= n in __post_init__.
         check_nk(n, k)
         try:
             bits = tuple(_shared(exact.mask_from(m))[0] for m in member_lists)
@@ -412,22 +411,43 @@ def parse_hypergraph(text: str) -> Hypergraph:
     if len(body) != m:
         raise ParseError(f"header says m={m} but file has {len(body)} edge lines")
     edges = []
+    top = min(n, MAX_N)         # no shift past MAX_N: check_nk refuses such an n
     for idx, ln in enumerate(body, start=2):
         try:
             verts = [int(x) for x in ln.split()]
         except ValueError as exc:
             raise ParseError(f"line {idx}: non-integer vertex") from exc
-        if len(verts) != k:
-            raise ParseError(f"line {idx}: expected {k} vertices, got {len(verts)}")
-        if any(not 1 <= v <= n for v in verts):
-            raise ParseError(f"line {idx}: vertex out of range 1..{n}")
-        if any(a >= b for a, b in zip(verts, verts[1:])):
-            raise ParseError(f"line {idx}: vertices must be strictly increasing")
-        edges.append([v - 1 for v in verts])
+        # one pass builds the edge (bit v for 1-based v, shifted down once)
+        # while checking each vertex is above the last and at most top
+        bits = last = 0
+        for v in verts:
+            if not last < v <= top:
+                break
+            bits |= 1 << v
+            last = v
+        else:
+            if len(verts) == k:
+                edges.append(_shared(bits >> 1)[0])
+                continue
+        _check_line(idx, verts, n, k)
     try:
-        return Hypergraph.from_edges(n, k, edges)
+        check_nk(n, k)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
+    # k members strictly increasing in 1..n: each edge is valid for (n, k)
+    return Hypergraph._unchecked(n, k, tuple(edges))
+
+
+def _check_line(idx: int, verts: list[int], n: int, k: int) -> None:
+    """Raise the ParseError of an edge line that is not k strictly
+    increasing vertices in 1..n, its checks in their documented order.  A
+    line it passes has a vertex past MAX_N < n, and check_nk refuses n."""
+    if len(verts) != k:
+        raise ParseError(f"line {idx}: expected {k} vertices, got {len(verts)}")
+    if any(not 1 <= v <= n for v in verts):
+        raise ParseError(f"line {idx}: vertex out of range 1..{n}")
+    if any(a >= b for a, b in zip(verts, verts[1:])):
+        raise ParseError(f"line {idx}: vertices must be strictly increasing")
 
 
 def write_hypergraph(H: Hypergraph, path) -> None:

@@ -40,7 +40,12 @@ of node_budget; a search that needs more raises ResourceLimitError.  The
 kernel hands each node's pruning threshold kmin = best - |R| to the
 caller's branch ordering, which may omit every candidate colored at or
 below it (the kernel would cut those unvisited), as MCQ/MCS do.  Both
-colorings work on complement-adjacency bitsets built once per search.
+colorings work on complement-adjacency bitsets built once per search.  The
+generic search colors no further than kmin: a node is feasible when a
+candidate outlasts the first kmin first-fit classes (_first_classes, the
+loop _color_order starts with), and it then branches on all of P lowest
+first, read off the bitset with no order list (an order of None), as in
+San Segundo et al.'s BBMC (2011).
 
 The three searches run on a compiled twin of that kernel (_kernel.c, with
 the three callers' rules and both colorings), built with the system gcc
@@ -193,30 +198,39 @@ def _check_edge_cap(m: int, edge_cap: int) -> None:
         raise ResourceLimitError(f"|H| = {m} exceeds the edge cap {edge_cap}")
 
 
+def _first_classes(cadj, P: int, kmin: int) -> int:
+    """What is left of the candidate set P once greedy coloring in index
+    order has taken its first kmin classes (nothing when |P| <= kmin);
+    cadj[v] is the complement of v's closed neighbourhood (see
+    _complement_adjacency).  It is nonempty exactly when the coloring needs
+    more than kmin colors."""
+    if P.bit_count() <= kmin:
+        return 0
+    rest = P
+    for _ in range(kmin):
+        avail = rest
+        while avail:
+            b = avail & -avail
+            avail &= cadj[b.bit_length() - 1]
+            rest ^= b
+    return rest
+
+
 def _color_order(cadj, P: int, kmin: int):
-    """Greedy coloring of the candidate set P in index order; cadj[v] is the
-    complement of v's closed neighbourhood (see _make_coloring).
+    """Greedy coloring of the candidate set P in index order.
 
     Returns (vertices, colors), vertices grouped class by class, so colors is
     nondecreasing and colors[-1] is the clique-size upper bound for P.  The
-    classes numbered <= kmin are colored but not returned: a search cuts
-    their vertices anyway.
+    classes numbered <= kmin are colored (_first_classes) but not returned:
+    a search cuts their vertices anyway.
     """
     order = []
     colors = []
-    if P.bit_count() <= kmin:
-        return order, colors
-    color = 0
-    rest = P
+    rest = _first_classes(cadj, P, kmin)
+    color = max(kmin, 0)
     while rest:
         color += 1
         avail = rest
-        if color <= kmin:
-            while avail:
-                b = avail & -avail
-                avail &= cadj[b.bit_length() - 1]
-                rest ^= b
-            continue
         start = len(order)
         while avail:
             b = avail & -avail
@@ -324,14 +338,18 @@ def _make_coloring(adj, m: int, dense_pairs: bool):
     """Pick the coloring bound: matching-based when independent sets of the
     intersection graph cannot exceed two edges (n < 3k), first-fit otherwise.
 
-    Both color with the complement adjacency cadj[v] (the vertices neither
-    adjacent to nor equal to v), built once here.  The returned function
-    maps (P, kmin) to (order, colors).
+    Both color with the complement adjacency, built once here.  The returned
+    function maps (P, kmin) to (order, colors).
     """
-    full = (1 << m) - 1
-    cadj = [full & ~a & ~(1 << v) for v, a in enumerate(adj)]
+    cadj = _complement_adjacency(adj, m)
     color_order = _pair_color_order if dense_pairs else _color_order
     return lambda P, kmin: color_order(cadj, P, kmin)
+
+
+def _complement_adjacency(adj, m: int) -> list[int]:
+    """cadj[v] = the vertices neither adjacent to nor equal to v."""
+    full = (1 << m) - 1
+    return [full & ~a & ~(1 << v) for v, a in enumerate(adj)]
 
 
 def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
@@ -349,9 +367,12 @@ def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
     than colors[idx] vertices to R, so the node's remaining branches are cut
     once len(R) + colors[idx] <= best.  kmin = best - len(R) is that cut as
     it stands when the node is expanded (best only grows), so branches may
-    leave out every candidate whose colors entry would be <= kmin.
-    child(state, v) is the state of R + [v], or None to skip v.  Returns
-    (best, recorded clique or None, nodes visited).
+    leave out every candidate whose colors entry would be <= kmin.  An
+    order of None takes the lowest candidate of P left each time, so with
+    colors = range(1, |P| + 1) it branches on all of P, lowest first, cut
+    once len(R) + (candidates left) <= best.  child(state, v) is the state
+    of R + [v], or None to skip v.  Returns (best, recorded clique or None,
+    nodes visited).
     """
     R, best, found = [], floor, None
     left = node_budget
@@ -367,7 +388,7 @@ def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
             if best >= target:
                 break
         order, colors = branches(best - size, P, state)
-        stack.append([P, order, colors, len(order), state])
+        stack.append([P, order, colors, len(colors), state])
         # next node: the deepest frame's next unpruned, feasible candidate
         while stack:
             frame = stack[-1]
@@ -378,7 +399,7 @@ def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
                 if R:
                     R.pop()
                 continue
-            v = order[idx]
+            v = order[idx] if order is not None else (P & -P).bit_length() - 1
             frame[0] = P & ~(1 << v)
             frame[3] = idx
             state = child(state, v)

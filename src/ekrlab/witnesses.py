@@ -16,8 +16,8 @@ from .analytics import RegimeParams
 from .errors import DomainError
 from .exact import bits_of
 from .hypergraph import Hypergraph, edge_members
-from .verifier import DEFAULT_NODE_BUDGET, _branch_and_bound, _Instance, _make_coloring, \
-    check_limits, is_trivial_clique
+from .verifier import DEFAULT_NODE_BUDGET, _branch_and_bound, _complement_adjacency, \
+    _first_classes, _Instance, check_limits, is_trivial_clique
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +106,12 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
     the same result) over edge indices in ascending order.  A node carries
     the vertices of clique-degree >= 1, >= 2 and exactly 3 as bitsets; edge
     e is infeasible when it meets a degree-3 vertex or would raise the
-    degree-3 count above zeta_cap.  A branch dies when the candidate count
-    or coloring bound cannot reach size_t.
+    degree-3 count above zeta_cap.  A node branches only when the greedy
+    coloring of its candidates needs more than size_t - 1 - |R| colors,
+    which it tests by coloring that many classes and looking for a
+    candidate left (verifier._first_classes); it then takes its candidates
+    lowest first, and a branch dies once the candidates left cannot reach
+    size_t.
     """
     check_limits(node_budget=node_budget)
     if size_t < 0:
@@ -127,16 +131,14 @@ def _generic_search(inst: _Instance, size_t: int, zeta_cap: float, node_budget: 
         return _native.search(kernel, _native.GENERIC, inst.words, floor=size_t - 1,
                               target=size_t, zeta_cap=zeta_cap, node_budget=node_budget)
     bits, adj = inst.bits, inst.adj
-    coloring = _make_coloring(adj, inst.m, False)
+    cadj = _complement_adjacency(adj, inst.m)
 
     def branches(kmin, P, _):
         # kmin = size_t - 1 - len(R): the popcount and first-fit coloring
-        # bounds of P must exceed it
-        if not coloring(P, kmin)[0]:
+        # bounds of P must exceed it; then all of P, lowest first
+        if not _first_classes(cadj, P, kmin):
             return (), ()
-        # ascending index order; order[idx] leaves idx + 1 candidates
-        order = list(bits_of(P))[::-1]
-        return order, range(1, len(order) + 1)
+        return None, range(1, P.bit_count() + 1)
 
     def child(degrees, v):
         d1, d2, d3 = degrees

@@ -470,22 +470,49 @@ def test_file_round_trip_exact(tmp_path):
     assert path.read_text() == text   # bit-exact round trip
 
 
-@pytest.mark.parametrize("bad", [
-    "",                       # empty
-    "3 2\n1 2\n",             # short header
-    "x 2 1\n1 2\n",           # non-integer header
-    "6 2 2\n1 2\n",           # wrong edge count
-    "6 2 1\n1 2 3\n",         # wrong k
-    "6 2 1\n0 2\n",           # out of range (1-based)
-    "6 2 1\n2 2\n",           # not strictly increasing
-    "6 2 1\n2 1\n",           # not sorted
-    "6 2 1\n1 7\n",           # vertex > n
-    "6 7 0\n",                # k > n, with no edge to show it
-    "300 3 0\n",              # n past the bitset width cap
-])
+PARSE_ERRORS = [
+    ("", "empty hypergraph file"),
+    ("3 2\n1 2\n", "header must be 'n k m', got '3 2'"),              # short header
+    ("x 2 1\n1 2\n", "non-integer header field: 'x 2 1'"),
+    ("6 2 2\n1 2\n", "header says m=2 but file has 1 edge lines"),
+    ("6 2 1\n1 2 3\n", "line 2: expected 2 vertices, got 3"),         # wrong k
+    ("6 2 1\n0 2\n", "line 2: vertex out of range 1..6"),             # 1-based
+    ("6 2 1\n2 2\n", "line 2: vertices must be strictly increasing"),
+    ("6 2 1\n2 1\n", "line 2: vertices must be strictly increasing"), # not sorted
+    ("6 2 1\n1 7\n", "line 2: vertex out of range 1..6"),             # vertex > n
+    ("6 7 0\n", "need 0 < k <= n <= 256; got n=6, k=7"),    # k > n, with no edge to show it
+    ("300 3 0\n", "need 0 < k <= n <= 256; got n=300, k=3"),  # n past the bitset width cap
+]
+
+
+@pytest.mark.parametrize("bad", [bad for bad, _ in PARSE_ERRORS])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         hg.parse_hypergraph(bad)
+
+
+@pytest.mark.parametrize("bad, message", PARSE_ERRORS + [
+    # every line is checked, in order, before the header's (n, k)
+    ("300 3 2\n1 2 299\n1 1 1\n", "line 3: vertices must be strictly increasing"),
+    ("300 3 1\n1 2 299\n", "need 0 < k <= n <= 256; got n=300, k=3"),
+    (f"{10**15} 3 1\n1 2 {10**15 - 1}\n", f"need 0 < k <= n <= 256; got n={10**15}, k=3"),
+    ("6 7 1\n1 2\n", "line 2: expected 7 vertices, got 2"),
+    ("6 2 1\n1 99999999999999999\n", "line 2: vertex out of range 1..6"),
+    ("6 2 1\n-1 2\n", "line 2: vertex out of range 1..6"),
+    ("6 2 2\n1 2\n3 x\n", "line 3: non-integer vertex"),
+])
+def test_parse_error_messages(bad, message):
+    with pytest.raises(ParseError) as err:
+        hg.parse_hypergraph(bad)
+    assert str(err.value) == message
+
+
+def test_parse_builds_the_edges_from_edges_builds():
+    text = "256 3 4\n1 2 256\n\n4 5 6\n1 2 256\n+7 8 10\n"
+    H = hg.parse_hypergraph(text)
+    want = hg.Hypergraph.from_edges(256, 3, [(0, 1, 255), (3, 4, 5), (0, 1, 255), (6, 7, 9)])
+    assert (H.n, H.k, H.edge_bits) == (want.n, want.k, want.edge_bits)
+    assert H.edge_bits[0] is H.edge_bits[2]      # equal edges share one int
 
 
 def test_parse_multiset_allowed():

@@ -167,6 +167,36 @@ def test_generic_node_counts_pinned(kernels, seed, clique, nodes):
             wt.find_generic_clique(H, 7, 3, node_budget=nodes - 1)
 
 
+@pytest.mark.parametrize("seed", [None, 4, 26])
+def test_generic_search_edge_cases(kernels, seed):
+    # kmin = 0 (size_t = 1), an empty P (the empty family, size_t = m + 1),
+    # no feasible child (zeta_cap = -1) and no zeta cap at all, on both
+    # kernels: the same results and node counts, decided at exactly that
+    # many nodes
+    H = hg.Hypergraph(25, 5, ()) if seed is None else witness_sample(seed)
+    runs = {}
+    for kernel in kernels():
+        runs[kernel] = []
+        for size_t in (1, 2, H.m, H.m + 1):
+            for zeta in (-1, 0, 0.5, math.inf):
+                found = wt.find_generic_clique(H, size_t, zeta)
+                search = wt._generic_search(vf._Instance(H), size_t, zeta, vf.DEFAULT_NODE_BUDGET)
+                clique, nodes = search[1], search[2]
+                if size_t == 0:
+                    assert found == ()
+                else:
+                    assert found == (None if clique is None else tuple(clique))
+                assert wt._generic_search(vf._Instance(H), size_t, zeta, nodes) == search
+                with pytest.raises(ResourceLimitError):
+                    wt._generic_search(vf._Instance(H), size_t, zeta, nodes - 1)
+                if 1 <= size_t <= H.m and nodes > 1:
+                    assert wt.find_generic_clique(H, size_t, zeta, node_budget=nodes) == found
+                    with pytest.raises(ResourceLimitError):
+                        wt.find_generic_clique(H, size_t, zeta, node_budget=nodes - 1)
+                runs[kernel].append((size_t, zeta, found, search))
+    assert runs["python"] == runs["native"]
+
+
 @settings(max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**32 - 1))
 def test_kernels_agree_on_generic_search(kernels, seed):
