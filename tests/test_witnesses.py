@@ -182,10 +182,7 @@ def test_generic_search_edge_cases(kernels, seed):
                 found = wt.find_generic_clique(H, size_t, zeta)
                 search = wt._generic_search(vf._Instance(H), size_t, zeta, vf.DEFAULT_NODE_BUDGET)
                 clique, nodes = search[1], search[2]
-                if size_t == 0:
-                    assert found == ()
-                else:
-                    assert found == (None if clique is None else tuple(clique))
+                assert found == (None if clique is None else tuple(clique))
                 assert wt._generic_search(vf._Instance(H), size_t, zeta, nodes) == search
                 with pytest.raises(ResourceLimitError):
                     wt._generic_search(vf._Instance(H), size_t, zeta, nodes - 1)
