@@ -22,7 +22,7 @@
  * (None, range(1, |P| + 1)) encodes.
  *
  * A fourth mode, STATS, runs no search: from the same star words it returns
- * Delta, its lowest vertex, max d(x, y) and max |W_x| (verifier._Instance).
+ * Delta and its lowest vertex (verifier._Instance).
  *
  * A second entry point, ekr_trials, runs a batch of sweep trials.  It
  * re-derives each trial's numpy stream (numpy's SeedSequence key, Philox
@@ -373,33 +373,19 @@ static void adjacency(int m, int W, const u64 *bits, const int32_t *perm,
     }
 }
 
-/* STATS: Delta, its lowest vertex (-1 when m = 0), max d(x, y) over x != y
- * and max |W_x|, W_x = {y : d(x, y) >= 2}, into result[0..3], from the
- * star words, or when star is NULL its own; the pairs are those of the live
- * vertices, as in hypergraph._star_maxima */
+/* STATS: Delta and its lowest vertex (-1 when m = 0) into result[0..1], from
+ * the star words, or when star is NULL its own */
 static int stats(int m, int W, const u64 *bits, const u64 *star, int64_t *result)
 {
     u64 *own = star ? NULL : malloc((size_t)64 * VW * W * sizeof(u64) + sizeof(u64));
     if (!star && !own) return OUT_OF_MEMORY;
     if (own) vertex_stars(m, W, bits, NULL, own), star = own;
-    int live[64 * VW], wx[64 * VW] = {0}, L = 0;
-    result[0] = result[2] = result[3] = 0;
+    result[0] = 0;
     result[1] = -1;
     for (int x = 0; x < 64 * VW; x++) {
         int d = popcount(star + (size_t)x * W, W);
         if (d > result[0]) result[0] = d, result[1] = x;
-        if (d) live[L++] = x;
     }
-    for (int i = 0; i < L; i++)
-        for (int j = i + 1; j < L; j++) {
-            const u64 *a = star + (size_t)live[i] * W, *b = star + (size_t)live[j] * W;
-            int c = 0;
-            for (int w = 0; w < W; w++) c += popc(a[w] & b[w]);
-            if (c > result[2]) result[2] = c;
-            if (c >= 2) wx[i]++, wx[j]++;
-        }
-    for (int i = 0; i < L; i++)
-        if (wx[i] > result[3]) result[3] = wx[i];
     free(own);
     return DONE;
 }
@@ -644,8 +630,8 @@ static int grow(int64_t **a, int64_t *cap, int64_t need)
 /* The colex unrank (hypergraph._colex_unrank_bits) of m ascending ranks
  * into words: the i-th largest member of rank r is the largest v with
  * C(v, i) = col[(k - i) n + v] <= r (clipped at C(n, k)).  Then STATS into
- * result[0..3] and, when m <= edge_cap, verifier._decide's searches, each on
- * its own budget: result[4] = omega, result[5] = the size of the failing
+ * result[0..1] and, when m <= edge_cap, verifier._decide's searches, each on
+ * its own budget: result[2] = omega, result[3] = the size of the failing
  * clique, which follows the words, or -1 when EKR holds or is undecided. */
 static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *rank, int dense,
                  int64_t edge_cap, int64_t budget, u64 *words, int64_t *result)
@@ -655,7 +641,7 @@ static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *ran
     /* no adjacency or clique beyond the edge cap: m^2 / 8 bytes that no search reads */
     size_t stars = (size_t)64 * VW * W + 1, adjw = m <= edge_cap ? (size_t)m * W + 1 : 0;
     u64 *star = malloc((stars + adjw + (adjw ? (size_t)m + 1 : 0)) * sizeof(u64));
-    result[4] = result[5] = -1;
+    result[2] = result[3] = -1;
     if (!star) return OUT_OF_MEMORY;
     u64 *adj = star + stars;
     int32_t *clique = (int32_t *)(adj + adjw);
@@ -671,13 +657,13 @@ static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *ran
         adjacency((int)m, W, words, NULL, star, adj);
         status = ekr_search(OMEGA, (int)m, words, adj, dense, result[0], m + 1, 0, budget,
                             clique, found);
-        result[4] = found[0];
+        result[2] = found[0];
         if (!status && found[0] == result[0] && found[0] > 2)
             status = ekr_search(NONTRIVIAL, (int)m, words, adj, dense, found[0] - 1, found[0],
                                 0, budget, clique, found);
-        result[5] = status ? -1 : found[1];
+        result[3] = status ? -1 : found[1];
     }
-    for (int64_t j = 0; j < result[5]; j++) words[VW * m + j] = (u64)clique[j];
+    for (int64_t j = 0; j < result[3]; j++) words[VW * m + j] = (u64)clique[j];
     free(star);
     return status;
 }
@@ -701,7 +687,7 @@ int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int
     int64_t t, used = 0, dcap = 0, *draw = NULL;
     int status = DONE;
     for (t = lo; t < hi && status != OUT_OF_MEMORY; t++) {
-        int64_t m = 0, *row = rows + (t - lo) * 8;
+        int64_t m = 0, *row = rows + (t - lo) * 6;
         memset(&g, 0, sizeof g);
         g.pos = 4;
         seed_key(ent, len, (u64)t, g.key);
@@ -719,8 +705,8 @@ int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int
         }
         row[0] = m;
         if (status || used + (VW + 1) * m > cap) break;
-        status = row[7] = trial(n, k, col, m, draw, dense, edge_cap, budget, out + used, row + 1);
-        if (keep_all || row[6] >= 0) used += VW * m + (row[6] > 0 ? row[6] : 0);
+        status = row[5] = trial(n, k, col, m, draw, dense, edge_cap, budget, out + used, row + 1);
+        if (keep_all || row[4] >= 0) used += VW * m + (row[4] > 0 ? row[4] : 0);
     }
     free(draw);
     return status == OUT_OF_MEMORY ? -OUT_OF_MEMORY : t - lo;

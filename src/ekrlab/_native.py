@@ -2,11 +2,12 @@
 
 Its entry point ekr_search runs the omega, nontrivial or generic search
 (search()), or in a fourth mode, STATS, no search: it reads the edges'
-degree maxima (stats()).  Its second entry point, ekr_trials, runs a batch
-of bernoulli or conditioned Monte Carlo trials in one call (trials()).  It
-seeds and draws each trial as numpy would, with numpy's binomial and
-bounded-integer samplers from numpy's libnpyrandom.a, then dedups and
-unranks the draws and runs STATS and verifier._decide's searches.
+largest degree and its lowest vertex (stats()).  Its second entry point,
+ekr_trials, runs a batch of bernoulli or conditioned Monte Carlo trials in
+one call (trials()).  It seeds and draws each trial as numpy would, with
+numpy's binomial and bounded-integer samplers from numpy's libnpyrandom.a,
+then dedups and unranks the draws and runs STATS and verifier._decide's
+searches.
 
 kernel() builds the kernel on first use with the system gcc, linked with
 libnpyrandom.a, into a per-user cache directory ($XDG_CACHE_HOME/ekrlab or
@@ -181,13 +182,12 @@ def search(lib, mode: int, words, *, floor: int, target: int, node_budget: int,
     return best, clique[:size], nodes
 
 
-def stats(lib, words) -> tuple[int, int, int, int]:
-    """(Delta, the lowest vertex of degree Delta or -1 when there is no edge,
-    max d(x, y) over x != y, max |W_x| with W_x = {y : d(x, y) >= 2}) of the
-    edges in words, degrees counting multiplicity: the kernel's STATS mode,
-    read off its per-vertex star words, with no search."""
+def stats(lib, words) -> tuple[int, int]:
+    """(Delta, the lowest vertex of degree Delta or -1 when there is no edge)
+    of the edges in words, degrees counting multiplicity: the kernel's STATS
+    mode, read off its per-vertex star words, with no search."""
     m = len(words) * 8 // _VERTEX_BYTES
-    result = (ctypes.c_int64 * 4)()
+    result = (ctypes.c_int64 * 2)()
     if lib.ekr_search(STATS, m, words, None, 0, 0, 0, 0.0, 0, None, result):
         raise MemoryError("native kernel statistics")
     return tuple(result)
@@ -205,17 +205,16 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
     that hypergraph.sample_conditioned (or sample_bernoulli) draws under
     SeedSequence(seed >= 0, spawn_key=(*stream, t)), N = C(n, k) < 2**63.
 
-    Per trial: (m, Delta, (max d(x, y), max |W_x|), omega, size, status,
-    clique, edges), status DONE or OUT_OF_BUDGET (check()).  omega is -1
-    when m > edge_cap; size, the failing clique's, is -1 when EKR holds or
-    no search decided; edges are a failing trial's (any trial's with
-    keep_all) edge bitsets, else None.
+    Per trial: (m, Delta, omega, size, status, clique, edges), status DONE
+    or OUT_OF_BUDGET (check()).  omega is -1 when m > edge_cap; size, the
+    failing clique's, is -1 when EKR holds or no search decided; edges are
+    a failing trial's (any trial's with keep_all) edge bitsets, else None.
     """
     ent = _uint32_words(seed)
     ent += [0] * (4 - len(ent))             # as SeedSequence pads them when spawned
     ent = np.array(ent + [w for x in stream for w in _uint32_words(x)], dtype=np.uint32)
     columns = hypergraph._unrank_tables(n, k)[0]
-    rows = np.empty((hi - lo, 8), dtype=np.int64)
+    rows = np.empty((hi - lo, 6), dtype=np.int64)
     out = np.empty(1 << 16, dtype=np.uint64)
     done = []
     while lo < hi:
@@ -226,13 +225,13 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
         if count < 0:
             raise MemoryError("native kernel trials")
         at = 0
-        for m, Delta, _, pair, w, omega, size, status in rows[:count].tolist():
+        for m, Delta, _, omega, size, status in rows[:count].tolist():
             kept = keep_all or size >= 0
             edges = edge_bits(out[at:at + 4 * m]) if kept else None
             clique = out[at + 4 * m:at + 4 * m + size].tolist() if size > 0 else []
             if kept:
                 at += 4 * m + max(size, 0)
-            done.append((m, Delta, (pair, w), omega, size, status, clique, edges))
+            done.append((m, Delta, omega, size, status, clique, edges))
         lo += count
         if lo < hi:     # trial lo's words may not fit: grow out, go on from it
             out = np.empty(2 * max(len(out), 5 * rows[count, 0]), np.uint64)

@@ -48,6 +48,15 @@ def _is_exact(*values) -> bool:
 # Model parameters
 # ---------------------------------------------------------------------------
 
+def _float_M(n: int, k: int, M: int) -> float:
+    """float(M), M = C(n-1, k-1), for a float p = phi / M or phi = p M;
+    DomainError past the double range, where it would overflow."""
+    if M >= _FLOAT_MAX_INT:
+        raise DomainError(f"C(n-1, k-1) at n={n}, k={k} is past the double range: "
+                          "a float p = phi / C(n-1, k-1) would overflow")
+    return float(M)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Everything needed to evaluate the closed forms at one (n, k, phi).
@@ -81,7 +90,7 @@ class ModelParams:
         if self.phi < 0:
             raise DomainError("phi must be nonnegative")
         # p-space for a float phi: p = 1 gives phi = float(M), which may exceed M
-        if self.phi > self.M and (not isinstance(self.phi, float) or self.phi / self.M > 1):
+        if self.phi > self.M and (not isinstance(self.phi, float) or self.p > 1):
             raise DomainError("phi > C(n-1, k-1) means p > 1")
 
     @classmethod
@@ -95,7 +104,7 @@ class ModelParams:
         if p < 0 or p > 1:
             raise DomainError("p must lie in [0, 1]")
         M = math.comb(n - 1, k - 1)
-        phi = p * M if isinstance(p, (int, Fraction)) else float(p) * M
+        phi = p * M if isinstance(p, (int, Fraction)) else float(p) * _float_M(n, k, M)
         return cls(n, k, phi, math.log(n) if psi is None else psi, eps_thr, c_regime)
 
     @property
@@ -106,7 +115,7 @@ class ModelParams:
     def p(self) -> Number:
         if isinstance(self.phi, (int, Fraction)):
             return Fraction(self.phi, self.M)
-        return self.phi / self.M
+        return self.phi / _float_M(self.n, self.k, self.M)
 
     @property
     def mbar(self) -> Number:

@@ -30,6 +30,8 @@ EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
 EXIT_PARSE = 4
 
+T_MAX = 1024    # calc's largest --t-max: the Lambda table costs O(t_max^2) float steps
+
 
 def _seed_from(args) -> int:
     """--seed, else EKRLAB_SEED, else 0; SeedSequence takes no negative seed."""
@@ -110,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sp)
     _add_output(sp)
     sp.add_argument("--t-max", type=int, default=None, dest="t_max",
-                    help="largest t in the Lambda table")
+                    help=f"largest t in the Lambda table, 0..{T_MAX} "
+                         "(default min(max(beta + 2, 8), 64))")
 
     sp = sub.add_parser("sample", help="sample one hypergraph to the text format")
     _add_degree_flags(sp)
@@ -148,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--sampler", choices=SAMPLER_MODES, default="conditioned")
     sp.add_argument("--workers", type=int, default=1,
-                    help="worker processes (default 1 for bit-stable baselines)")
+                    help="parallel workers: threads for native batches, processes for "
+                         "the Python path; the output is byte-identical at any count")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--edge-cap", type=int, default=verifier.DEFAULT_EDGE_CAP)
     sp.add_argument("--node-budget", type=int, default=verifier.DEFAULT_NODE_BUDGET)
@@ -156,13 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_calc(args) -> int:
+    if args.t_max is not None and not 0 <= args.t_max <= T_MAX:
+        raise DomainError(f"--t-max must lie in 0..{T_MAX}; got {args.t_max}")
     if args.phi is None and args.p is None:
         # no degree parameter: the q-only report (valid down to n = 2k)
         if args.n is None or args.k is None:
             raise DomainError("--n and --k are required")
         n, k = args.n, args.k
         q = analytics.intersection_probability(n, k, exact_mode=False)
-        report = {"n": n, "k": k, "M": float(math.comb(n - 1, k - 1)),
+        M = math.comb(n - 1, k - 1)
+        report = {"n": n, "k": k, "M": float(M) if M < analytics._FLOAT_MAX_INT else math.inf,
                   "theta": 1.0 - q, "q": q}
         if 0 < q < 1:
             est = analytics.threshold_estimate(n, k, args.eps_thr)

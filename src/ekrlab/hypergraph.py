@@ -188,53 +188,25 @@ def m_window(m: int, mbar: float, psi: float) -> bool:
     return mbar - half < m < mbar + half
 
 
-def _star_maxima(stars) -> tuple[int, int]:
-    """(max d(x, y) over x != y, max |W_x|) from the star masks, with
-    W_x = {y : d(x, y) >= 2}: the two numbers event R reads, in one pass over
-    the pairs of live vertices (0 when there are none)."""
-    live = [s for s in stars if s]
-    w = [0] * len(live)
-    top = 0
-    for i, sx in enumerate(live):
-        for j in range(i + 1, len(live)):
-            c = (sx & live[j]).bit_count()
-            if c > top:
-                top = c
-            if c >= 2:
-                w[i] += 1
-                w[j] += 1
-    return top, max(w, default=0)
-
-
-def _event_r(m: int, Delta: int, max_pair: int, max_w: int, mbar: float, psi: float,
-             w_bound: float, alpha: int, beta: int) -> tuple[bool, bool, bool, bool, bool]:
-    """The conjuncts of event R, in EventRReport's order, from m, Delta,
-    max d(x, y) and max |W_x|, with mbar and w_bound as analytics.derive
-    gives them."""
-    return (m_window(m, mbar, psi), Delta <= beta, Delta >= alpha, max_pair <= 8,
-            max_w < w_bound)
-
-
 def check_event_r(H: Hypergraph, params, stats: DegreeStats | None = None,
                   alpha: int | None = None, beta: int | None = None) -> EventRReport:
-    """Evaluate each conjunct of the high-probability event R on one sample."""
+    """Evaluate each conjunct of the high-probability event R on one sample,
+    from stats, or from degree_stats(H) when none are given."""
     from . import analytics
 
     if alpha is None or beta is None:
         ab = analytics.compute_alpha_beta(params)
         alpha = ab.alpha if alpha is None else alpha
         beta = ab.beta if beta is None else beta
-    if stats is None:
-        stars = _vertex_stars(H.n, map(edge_members, H.edge_bits))
-        Delta = max((s.bit_count() for s in stars), default=0)
-        maxima = _star_maxima(stars)
-    else:
-        Delta = stats.Delta
-        maxima = (max(stats.pair_deg.values(), default=0),
-                  max((len(s) for s in stats.W.values()), default=0))
+    stats = stats or degree_stats(H)
     d = analytics.derive(params)
-    conj = _event_r(H.m, Delta, *maxima, float(d.mbar), params.psi, d.w, alpha, beta)
-    return EventRReport(*conj, m=H.m, Delta=Delta, alpha=alpha, beta=beta, w_bound=d.w)
+    return EventRReport(
+        m_in_window=m_window(H.m, float(d.mbar), params.psi),
+        delta_le_beta=stats.Delta <= beta,
+        delta_ge_alpha=stats.Delta >= alpha,
+        pair_deg_le_8=max(stats.pair_deg.values(), default=0) <= 8,
+        wx_bounded=max(map(len, stats.W.values()), default=0) < d.w,
+        m=H.m, Delta=stats.Delta, alpha=alpha, beta=beta, w_bound=d.w)
 
 
 # ---------------------------------------------------------------------------

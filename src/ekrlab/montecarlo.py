@@ -26,12 +26,11 @@ evaluated or anything is drawn.
 
 With the compiled kernel (see _native) a bernoulli or conditioned grid
 point's trials are one kernel call: the kernel seeds and draws each trial's
-sample as numpy would, dedups, unranks, reads Delta and event R's pair
-maxima and runs the searches, and a Hypergraph is built from its vertex
-words only to classify a failing clique.  The independent sampler, and
-every trial without the kernel, draws through hypergraph.sample and builds
-a verifier._Instance instead; that path is the reference, and both give
-the same records.
+sample as numpy would, dedups, unranks, reads Delta and runs the searches,
+and a Hypergraph is built from its vertex words only to classify a failing
+clique.  The independent sampler, and every trial without the kernel, draws
+through hypergraph.sample and builds a verifier._Instance instead; that path
+is the reference, and both give the same records.
 
 Asymptotic "almost surely" claims are reported as finite-n frequencies with
 Wilson intervals and nothing more.
@@ -53,7 +52,7 @@ import numpy as np
 from . import _native, analytics, hypergraph, verifier, witnesses
 from .analytics import ModelParams
 from .errors import DomainError, ResourceLimitError
-from .hypergraph import Hypergraph, _event_r
+from .hypergraph import Hypergraph
 
 SCHEMA_VERSION = 1
 
@@ -88,9 +87,7 @@ class TrialRecord:
     Delta: int
     omega: int
     ekr_holds: Optional[bool]       # None on a resource-errored trial
-    lambda_of_Delta: float
     lambda_prime_of_Delta: float
-    eventR_conjuncts: tuple[bool, bool, bool, bool, bool]
     witness_kind: Optional[str]
     error: Optional[str] = None
 
@@ -162,7 +159,6 @@ class TrialContext:
     alpha: int
     beta: int
     regime: Optional[analytics.RegimeParams]
-    w_bound: float                  # event R's bound on |W_x| (analytics.derive)
     edge_cap: int = verifier.DEFAULT_EDGE_CAP
     node_budget: int = verifier.DEFAULT_NODE_BUDGET
     stream: tuple[int, ...] = ()    # extra spawn-key prefix (e.g. grid index)
@@ -186,32 +182,26 @@ def make_trial_context(params: ModelParams, sampler_mode: str, seed: int,
     if 0 < q < 1:
         regime = analytics.regime_params(params, alpha=ab.alpha, q=q)
     return TrialContext(params, sampler_mode, seed, q, float(params.mbar), ab.alpha,
-                        ab.beta, regime, analytics.derive(params).w, edge_cap, node_budget,
-                        stream)
+                        ab.beta, regime, edge_cap, node_budget, stream)
 
 
 @functools.lru_cache(maxsize=1024)
-def _lambdas(mbar: float, q: float, Delta: int) -> tuple[float, float]:
-    """(Lambda(Delta), Lambda'(Delta)) as floats, kept per (mbar, q, Delta):
-    a grid point's trials share (mbar, q), and Delta takes few values."""
-    return (float(analytics.lambda_t(mbar, q, Delta)),
-            float(analytics.lambda_prime_t(mbar, q, Delta)))
+def _lambda_prime(mbar: float, q: float, Delta: int) -> float:
+    """Lambda'(Delta) as a float, kept per (mbar, q, Delta): a grid point's
+    trials share (mbar, q), and Delta takes few values."""
+    return float(analytics.lambda_prime_t(mbar, q, Delta))
 
 
-def _record(ctx: TrialContext, t: int, m: int, Delta: int, maxima, verdict,
+def _record(ctx: TrialContext, t: int, m: int, Delta: int, verdict,
             H: Optional[Hypergraph]) -> TrialRecord:
     """Trial t's record; verdict may be the ResourceLimitError that stopped
     it, and the sample H is read only to classify a failing clique."""
-    params = ctx.params
-    conj = _event_r(m, Delta, *maxima, ctx.mbar, params.psi, ctx.w_bound, ctx.alpha, ctx.beta)
-    lam, lam_p = _lambdas(ctx.mbar, ctx.q, Delta)
+    lam_p = _lambda_prime(ctx.mbar, ctx.q, Delta)
     if isinstance(verdict, ResourceLimitError):
-        return TrialRecord(t, ctx.master_seed, m, Delta, -1, None, lam, lam_p, conj, None,
-                           str(verdict))
-    kind = None if verdict.holds else classify_witness_kind(H, verdict.witness, params,
+        return TrialRecord(t, ctx.master_seed, m, Delta, -1, None, lam_p, None, str(verdict))
+    kind = None if verdict.holds else classify_witness_kind(H, verdict.witness, ctx.params,
                                                             ctx.regime)
-    return TrialRecord(t, ctx.master_seed, m, Delta, verdict.omega, verdict.holds, lam, lam_p,
-                       conj, kind)
+    return TrialRecord(t, ctx.master_seed, m, Delta, verdict.omega, verdict.holds, lam_p, kind)
 
 
 def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
@@ -220,7 +210,7 @@ def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]
     n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
     N = hypergraph._check_draws(ctx.sampler_mode, n, k, p)
     records = []
-    for t, (m, Delta, maxima, omega, size, status, clique, edges) in enumerate(_native.trials(
+    for t, (m, Delta, omega, size, status, clique, edges) in enumerate(_native.trials(
             lib, ctx.master_seed, ctx.stream, lo, hi, n, k, N, p,
             conditioned=ctx.sampler_mode == "conditioned", dense=verifier._dense_pairs(n, k),
             edge_cap=ctx.edge_cap, node_budget=ctx.node_budget), lo):
@@ -233,7 +223,7 @@ def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]
             witness = None if size < 0 else tuple(sorted(clique) if omega > Delta else clique)
             verdict = verifier.EkrVerdict(witness is None, omega, Delta, witness)
         H = None if edges is None else Hypergraph._unchecked(n, k, edges)
-        records.append(_record(ctx, t, m, Delta, maxima, verdict, H))
+        records.append(_record(ctx, t, m, Delta, verdict, H))
     return records
 
 
@@ -260,12 +250,12 @@ def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
             verdict = verifier._decide(inst, ctx.node_budget)
         except ResourceLimitError as exc:
             verdict = exc
-        records.append(_record(ctx, t, H.m, inst.Delta, inst.pair_maxima, verdict, H))
+        records.append(_record(ctx, t, H.m, inst.Delta, verdict, H))
     return records
 
 
 def run_one_trial(ctx: TrialContext, trial_index: int) -> TrialRecord:
-    """Event R, Delta and the verdict of one trial, a batch of one."""
+    """Delta, Lambda'(Delta) and the verdict of one trial, a batch of one."""
     return _run_batch(ctx, trial_index, trial_index + 1)[0]
 
 

@@ -23,12 +23,12 @@ Each family is prepared once (_Instance) from its edge bitsets.  Its
 degree structure is the per-vertex star masks (star[x] = the edge indices
 containing x): Delta is the largest popcount, the seed star is the star of
 the lowest vertex of that degree (listed only by max_intersecting_family,
-when no clique beats it), event R's pair maxima are popcounts of
-ANDs of stars, and the intersection adjacency (adj[i] = OR of star[x] over
-x in edge i, minus i) follows in O(m k) operations.  verify_ekr is its
-input checks plus _decide on that one structure; a Monte Carlo trial on
-the Python path hands _decide the instance it built for event R, and the
-native trials (_kernel.c's ekr_trials) run _decide's two searches themselves.
+when no clique beats it), and the intersection adjacency (adj[i] = OR of
+star[x] over x in edge i, minus i) follows in O(m k) operations.
+verify_ekr is its input checks plus _decide on that one structure; a Monte
+Carlo trial on the Python path reads Delta off the instance it hands
+_decide, and the native trials (_kernel.c's ekr_trials) run _decide's two
+searches themselves.
 
 Both searches, and the generic-clique search of the witnesses module, run
 on one branch-and-bound kernel (_branch_and_bound).  It walks cliques depth
@@ -55,11 +55,11 @@ reference: both kernels visit the same nodes and record the same cliques,
 so verdicts, witnesses, node counts and budget errors are identical.  With
 the native kernel an instance marshals the edges' vertex bitsets once, on
 first use, and the kernel builds the star words from them: one call in its
-STATS mode gives Delta, its lowest vertex and event R's pair maxima when
-first read, and each search builds the adjacency and the omega relabel
-itself, so that path builds no Python star masks, member tuples or
-adjacency.  With the Python kernel the instance builds them from the members
-(read through hypergraph.edge_members) in big-int operations, the reference.
+STATS mode gives Delta and its lowest vertex when first read, and each
+search builds the adjacency and the omega relabel itself, so that path
+builds no Python star masks, member tuples or adjacency.  With the Python
+kernel the instance builds them from the members (read through
+hypergraph.edge_members) in big-int operations, the reference.
 
 EKR is undefined for multisets: hypergraphs with repeated edges are
 rejected.
@@ -74,7 +74,7 @@ from typing import Optional
 
 from . import _native
 from .errors import DomainError, ResourceLimitError
-from .hypergraph import Hypergraph, _star_maxima, _vertex_stars, edge_members
+from .hypergraph import Hypergraph, _vertex_stars, edge_members
 
 DEFAULT_EDGE_CAP = 2000
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -129,11 +129,10 @@ def intersection_adjacency(edge_bits) -> list[int]:
 
 class _Instance:
     """A family's derived structure, built once and shared by the searches,
-    each part on first use: Delta, centre (the lowest vertex of degree
-    Delta, -1 when m = 0) and pair_maxima (max d(x, y) over x != y,
-    max |W_x|), degrees counting multiplicity.
+    each part on first use: Delta and centre (the lowest vertex of degree
+    Delta, -1 when m = 0), degrees counting multiplicity.
 
-    With the native kernel these come from one STATS call on words, the
+    With the native kernel both come from one STATS call on words, the
     edges' vertex bitsets marshalled once.  Otherwise they are read off the
     star masks, the reference.  members, stars, deg = the popcounts of the
     stars, and the adjacency (m^2 bits) are built only by the Python kernel
@@ -146,14 +145,13 @@ class _Instance:
         self.bits = H.edge_bits
 
     @functools.cached_property
-    def _stats(self) -> tuple[int, int, Optional[tuple[int, int]]]:
-        """(Delta, centre, pair_maxima), the last None on the Python kernel."""
+    def _stats(self) -> tuple[int, int]:
+        """(Delta, centre)."""
         kernel = _native.kernel()
         if kernel:
-            Delta, centre, *maxima = _native.stats(kernel, self.words)
-            return Delta, centre, tuple(maxima)
+            return _native.stats(kernel, self.words)
         Delta = max(self.deg, default=0)
-        return Delta, self.deg.index(Delta) if self.m else -1, None
+        return Delta, self.deg.index(Delta) if self.m else -1
 
     Delta = property(lambda self: self._stats[0])
     centre = property(lambda self: self._stats[1])
@@ -169,10 +167,6 @@ class _Instance:
     @functools.cached_property
     def deg(self) -> tuple[int, ...]:
         return tuple(s.bit_count() for s in self.stars)
-
-    @functools.cached_property
-    def pair_maxima(self) -> tuple[int, int]:
-        return self._stats[2] or _star_maxima(self.stars)
 
     @functools.cached_property
     def adj(self) -> list[int]:

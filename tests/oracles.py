@@ -135,9 +135,7 @@ def brute_force_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float) -> b
 
 TRIAL_CSV_FIELDS = (
     "trial_index", "seed", "m", "delta", "omega", "ekr_holds",
-    "lambda_of_delta", "lambda_prime_of_delta",
-    "event_m_window", "event_delta_le_beta", "event_delta_ge_alpha",
-    "event_pair_deg_le_8", "event_wx_bounded", "witness_kind", "error",
+    "lambda_prime_of_delta", "witness_kind", "error",
 )
 
 
@@ -149,7 +147,6 @@ def trial_records_to_csv(records) -> str:
     out.write(",".join(TRIAL_CSV_FIELDS) + "\n")
     for r in records:
         row = (r.trial_index, r.seed, r.m, r.Delta, r.omega, r.ekr_holds,
-               r.lambda_of_Delta, r.lambda_prime_of_Delta, *r.eventR_conjuncts,
-               r.witness_kind, r.error)
+               r.lambda_prime_of_Delta, r.witness_kind, r.error)
         out.write(",".join(_fmt(v) for v in row) + "\n")
     return out.getvalue()

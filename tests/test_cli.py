@@ -34,6 +34,9 @@ def test_calc_q_only_report():
     assert code == 0
     d = json.loads(out)
     assert d["q"] == pytest.approx(5 / 6)
+    # it needs no p, so an M past the double range reads inf
+    code, out, _ = run_cli(["calc", "--n", "3000", "--k", "1000"])
+    assert code == 0 and json.loads(out)["M"] == math.inf
 
 
 def test_calc_boundary_with_model_exits_2():
@@ -43,11 +46,13 @@ def test_calc_boundary_with_model_exits_2():
 
 
 def test_calc_phi0_lambda_table():
-    code, out, _ = run_cli(["calc", "--n", "5", "--k", "2", "--phi", "0"])
-    assert code == 0
-    d = json.loads(out)
-    assert d["lambda_t"][0] == 1.0
-    assert all(v == 0.0 for v in d["lambda_t"][1:])
+    # the default table, then both ends of --t-max's range
+    for t_max, size in (([], 9), (["--t-max", "0"], 1), (["--t-max", "1024"], 1025)):
+        code, out, _ = run_cli(["calc", "--n", "5", "--k", "2", "--phi", "0", *t_max])
+        assert code == 0
+        d = json.loads(out)
+        assert d["lambda_t"][0] == 1.0 and len(d["lambda_t"]) == size
+        assert all(v == 0.0 for v in d["lambda_t"][1:])
 
 
 def test_calc_full_report_fields():
@@ -334,11 +339,21 @@ def test_nan_phi_exits_2(args):
     (["sample", "--sampler", "independent", "--n", "10", "--k", "11", "--m", "1"],
      "0 < k <= n"),
     (["sample", "--n", "300", "--k", "3", "--phi", "1"], "n <= 256"),
+    (["calc", "--n", "3000", "--k", "1000", "--phi", "5"], "past the double range"),
+    (["calc", "--n", "3000", "--k", "1000", "--p", "0.5"], "past the double range"),
+    (["sample", "--n", "3000", "--k", "1000", "--p", "0.1"], "past the double range"),
+    (["sweep", "--n", "3000", "--k", "1000", "--grid-start", "1", "--grid-stop", "2",
+      "--grid-points", "2", "--trials", "1"], "past the double range"),
+    (["calc", "--n", "24", "--k", "3", "--phi", "5.1", "--t-max", "-1"], "--t-max must lie"),
+    (["calc", "--n", "24", "--k", "3", "--phi", "5.1", "--t-max", "1025"], "--t-max must lie"),
 ], ids=["log-grid-negative-stop", "log-grid-zero-stop", "sample-k-above-n",
-        "sample-n-above-256"])
+        "sample-n-above-256", "calc-phi-M-past-double", "calc-p-M-past-double",
+        "sample-M-past-double", "sweep-M-past-double", "calc-t-max-negative",
+        "calc-t-max-above-1024"])
 def test_out_of_domain_input_exits_2(args, message):
-    # a negative log-grid stop made the grid ratio complex (a TypeError), and
-    # k > n reached numpy's integers(0, 0) (a ValueError)
+    # a negative log-grid stop made the grid ratio complex (a TypeError), k > n
+    # reached numpy's integers(0, 0) (a ValueError), and C(n-1, k-1) past
+    # 2**1023 overflowed float(); --t-max had no bound on its quadratic table
     code, out, err = run_cli(args)
     assert code == 2 and out == "" and message in err
 

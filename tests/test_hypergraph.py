@@ -149,20 +149,21 @@ def test_degree_stats_matches_oracle(seed, n, m, family):
 
 @given(st.integers(0, 10**6), st.integers(3, 16), st.integers(0, 40),
        st.sampled_from(["set", "multiset", "empty"]))
-def test_star_maxima_match_degree_stats(seed, n, m, family):
-    # event R's one pass reads the maxima degree_stats reports
+def test_check_event_r_reads_degree_stats(seed, n, m, family):
+    # the same report with stats= or without (degree_stats(H)), its pair and
+    # |W_x| conjuncts as the per-edge oracle's maxima give them
     k = 1 + seed % min(5, n - 1)
     H = hg.sample_independent(n, k, 0 if family == "empty" else m, seed)
     if family == "set":
         H = H.dedupped()
-    stats = hg.degree_stats(H)
-    stars = hg._vertex_stars(n, [hg.edge_members(b) for b in H.edge_bits])
-    assert hg._star_maxima(stars) == (max(stats.pair_deg.values(), default=0),
-                                      max(len(w) for w in stats.W.values()))
     if n > 2 * k:
         params = an.ModelParams.from_phi(n, k, 1.0)
-        assert (hg.check_event_r(H, params, alpha=1, beta=3)
-                == hg.check_event_r(H, params, stats=stats, alpha=1, beta=3))
+        report = hg.check_event_r(H, params, alpha=1, beta=3)
+        assert report == hg.check_event_r(H, params, stats=hg.degree_stats(H), alpha=1, beta=3)
+        oracle = oracle_degree_stats(H)
+        assert report.Delta == oracle.Delta
+        assert report.pair_deg_le_8 == (max(oracle.pair_deg.values(), default=0) <= 8)
+        assert report.wx_bounded == (max(map(len, oracle.W.values())) < report.w_bound)
 
 
 def test_degree_stats_invariant_under_shuffle():

@@ -98,8 +98,7 @@ def test_trials_parallel_matches_serial():
     serial = mc.run_trials(params, 30, "bernoulli", seed=11, workers=1)
     parallel = mc.run_trials(params, 30, "bernoulli", seed=11, workers=3)
     strip = lambda rs: [(r.trial_index, r.m, r.Delta, r.omega, r.ekr_holds,
-                         r.lambda_of_Delta, r.eventR_conjuncts, r.witness_kind,
-                         r.error) for r in rs]
+                         r.lambda_prime_of_Delta, r.witness_kind, r.error) for r in rs]
     assert strip(serial) == strip(parallel)
 
 
@@ -134,8 +133,8 @@ def test_trials_resource_rows_not_fatal():
 
 
 def test_trial_over_edge_cap_skips_adjacency(monkeypatch):
-    # the row still carries m, Delta and event R; the m^2-bit adjacency of a
-    # family over the cap is never built
+    # the row still carries m and Delta; the m^2-bit adjacency of a family
+    # over the cap is never built
     monkeypatch.setattr(vf, "_star_adjacency", lambda *a: pytest.fail("adjacency built"))
     params = an.ModelParams.from_p(10, 3, 0.5)
     recs = mc.run_trials(params, 4, "bernoulli", seed=5, edge_cap=5)
@@ -324,10 +323,13 @@ def test_paper_regime_sweep_golden_hash(kernels):
 
 # sha256 of trial_records_to_csv, the per-point CSVs concatenated: every
 # record of the README sweep at seed 1, then 40 bernoulli and 40 independent
-# trials at each TRIAL_PINS point, seed 5.  Recorded with degree_stats' per-edge
-# pair loop and a second instance per verdict; pins event R, Delta and lambda
+# trials at each TRIAL_PINS point, seed 5.  It pins m, Delta, omega, the
+# verdict, Lambda'(Delta), the witness kind and the error of every trial; it
+# equals the hash of the earlier trial CSV with its Lambda(Delta) and five
+# event-R columns cut, taken with degree_stats' per-edge pair loop and a
+# second instance per verdict
 TRIAL_PINS = [(12, 3, 2), (40, 3, 0.5), (14, 3, 3), (18, 5, 20)]
-TRIALS_SHA256 = "e5f99082855637b4508108368355529b640afe2a24bd2f2dc2f10a1c10760687"
+TRIALS_SHA256 = "7e009b21246adea8d631d4f68d92d7dc8d1889916afc30f2c52089f20845ac1b"
 
 
 def test_trial_csv_golden_hash(kernels):
@@ -344,8 +346,8 @@ def test_trial_csv_golden_hash(kernels):
 
 
 def test_trial_builds_star_masks_once(kernels, monkeypatch):
-    # Python kernel: one build for event R, Delta and both searches, and the
-    # omega search's relabelled copy; native kernel: one ekr_trials call per
+    # Python kernel: one build for Delta and both searches, and the omega
+    # search's relabelled copy; native kernel: one ekr_trials call per
     # batch, a trial or a whole grid point's, which builds its own star
     # words, and no Hypergraph, member tuple or star mask unless a failing
     # clique must be classified (one Hypergraph per failing trial, from the
