@@ -27,9 +27,22 @@
  * A second entry point, ekr_trials, runs a batch of sweep trials.  It
  * re-derives each trial's numpy stream (numpy's SeedSequence key, Philox
  * with numpy's buffering, numpy's binomial and bounded-integer samplers from
- * its libnpyrandom.a), then runs Floyd's dedup, the colex unrank into vertex
- * words and, on star words and an adjacency built once, STATS and the omega
- * and nontrivial searches of verifier._decide.
+ * its libnpyrandom.a), then runs Floyd's dedup and an inlined sort, the
+ * colex unrank into vertex words (ranks ascend, so each edge's largest
+ * member starts from the last edge's) and, on star words and an adjacency
+ * built once, STATS and the omega and nontrivial searches of
+ * verifier._decide.  Star words are kept only for the live vertex rows:
+ * below n in a trial, below the highest vertex present in ekr_search.
+ *
+ * Memory.  Each search (an ekr_search call) allocates one block: its
+ * complement adjacency, its P and state stacks (not zeroed: only row 0 is
+ * set, and descend() and child() write every deeper row before it is
+ * read), its levels and int scratch, and where it builds a graph its star
+ * words and adjacency; its candidate orders grow as they fill.  An
+ * ekr_trials call grows its draws, Floyd's hash set and one block of star
+ * words, adjacency and clique to its largest trial so far, reuses them for
+ * every trial, and frees them on return; a trial above the edge cap grows
+ * the block by no adjacency.
  *
  * Built with `gcc -O2 -shared -fPIC -I<numpy include>`, linked with numpy's
  * libnpyrandom.a and -lm, and called through ctypes (_native).  ctypes
@@ -341,11 +354,25 @@ descend(search *s, level *lv, u64 *Ps, u64 *St, int32_t *R, int r, int64_t best,
     }
 }
 
-/* hypergraph._vertex_stars over the edge order e[i] = bits[perm[i]] (or
- * bits[i] without perm): star[x] has bit i when e[i] holds vertex x */
-static void vertex_stars(int m, int W, const u64 *bits, const int32_t *perm, u64 *star)
+/* one past the highest vertex of the m edges in bits, 0 when m = 0: the
+ * star rows that can be nonempty */
+static int live_rows(int m, const u64 *bits)
 {
-    memset(star, 0, (size_t)64 * VW * W * sizeof(u64));
+    u64 any[VW] = {0};
+    for (int i = 0; i < m; i++)
+        for (int w = 0; w < VW; w++) any[w] |= bits[(size_t)i * VW + w];
+    for (int w = VW - 1; w >= 0; w--)
+        if (any[w]) return 64 * w + 64 - __builtin_clzll(any[w]);
+    return 0;
+}
+
+/* hypergraph._vertex_stars over the edge order e[i] = bits[perm[i]] (or
+ * bits[i] without perm): star[x], x < rows, has bit i when e[i] holds
+ * vertex x; every vertex of the edges is below rows */
+static void vertex_stars(int m, int W, int rows, const u64 *bits, const int32_t *perm,
+                         u64 *star)
+{
+    memset(star, 0, (size_t)rows * W * sizeof(u64));
     for (int i = 0; i < m; i++) {
         const u64 *e = bits + (size_t)(perm ? perm[i] : i) * VW;
         for (int w = 0; w < VW; w++)
@@ -374,15 +401,15 @@ static void adjacency(int m, int W, const u64 *bits, const int32_t *perm,
 }
 
 /* STATS: Delta and its lowest vertex (-1 when m = 0) into result[0..1], from
- * the star words, or when star is NULL its own */
-static int stats(int m, int W, const u64 *bits, const u64 *star, int64_t *result)
+ * the star words of vertices below rows, or when star is NULL its own */
+static int stats(int m, int W, int rows, const u64 *bits, const u64 *star, int64_t *result)
 {
-    u64 *own = star ? NULL : malloc((size_t)64 * VW * W * sizeof(u64) + sizeof(u64));
+    u64 *own = star ? NULL : malloc((size_t)rows * W * sizeof(u64) + sizeof(u64));
     if (!star && !own) return OUT_OF_MEMORY;
-    if (own) vertex_stars(m, W, bits, NULL, own), star = own;
+    if (own) vertex_stars(m, W, rows, bits, NULL, own), star = own;
     result[0] = 0;
     result[1] = -1;
-    for (int x = 0; x < 64 * VW; x++) {
+    for (int x = 0; x < rows; x++) {
         int d = popcount(star + (size_t)x * W, W);
         if (d > result[0]) result[0] = d, result[1] = x;
     }
@@ -402,24 +429,26 @@ int ekr_search(int mode, int m, const u64 *bits, const u64 *adj0, int dense, int
                int64_t target, double zeta, int64_t budget, int32_t *clique,
                int64_t *result)
 {
-    if (mode == STATS) return stats(m, (m + 63) / 64, bits, NULL, result);
-    int W = (m + 63) / 64, r = 0, status = DONE;
+    int W = (m + 63) / 64, r = 0, status = DONE, live = live_rows(m, bits);
+    if (mode == STATS) return stats(m, W, live, bits, NULL, result);
     size_t rows = (size_t)m * W + 1;
     search s = {.m = m, .W = W, .mode = mode, .dense = dense, .bits = bits,
                 .zeta = zeta};
-    u64 *adj = malloc(rows * sizeof(u64));
-    u64 *star = malloc((size_t)64 * VW * W * sizeof(u64) + sizeof(u64));
-    u64 *cadj = malloc(rows * sizeof(u64));
-    u64 *Ps = calloc(((size_t)m + 1) * W + 1, sizeof(u64));
-    u64 *St = calloc(((size_t)m + 1) * SW, sizeof(u64));
-    u64 *scratch = malloc(4 * (size_t)(W + 1) * sizeof(u64));
-    int32_t *ints = malloc(8 * ((size_t)m + 2) * sizeof(int32_t));
-    level *lv = malloc(((size_t)m + 1) * sizeof(level));
+    /* one block (see the header): adj and star only where this call builds
+     * a graph, and of the stacks only row 0 set, below */
+    size_t own = adj0 && mode != OMEGA ? 0 : rows + (size_t)live * W + 1;
+    size_t pw = ((size_t)m + 1) * W + 1, sw = ((size_t)m + 1) * SW, xw = 4 * (size_t)(W + 1);
+    size_t lw = ((size_t)m + 1) * sizeof(level) / sizeof(u64), iw = 4 * ((size_t)m + 2);
+    u64 *block = malloc((own + rows + pw + sw + xw + lw + iw) * sizeof(u64));
     int64_t best = best0, found = -1, nodes = 0;
-    if (!adj || !star || !cadj || !Ps || !St || !scratch || !ints || !lv) {
+    if (!block) {
         status = OUT_OF_MEMORY;
         goto out;
     }
+    u64 *adj = block, *star = block + (own ? rows : 0), *cadj = block + own;
+    u64 *Ps = cadj + rows, *St = Ps + pw, *scratch = St + sw;
+    level *lv = (level *)(scratch + xw);
+    int32_t *ints = (int32_t *)(scratch + xw + lw);
     s.rest = scratch;
     s.avail = scratch + (W + 1);
     s.untaken = scratch + 2 * (W + 1);
@@ -432,7 +461,7 @@ int ekr_search(int mode, int m, const u64 *bits, const u64 *adj0, int dense, int
     s.fl = ints + 5 * (m + 2);
     int32_t *R = ints + 6 * (m + 2), *perm = ints + 7 * (m + 2);
     if (!adj0) {
-        vertex_stars(m, W, bits, NULL, star);
+        vertex_stars(m, W, live, bits, NULL, star);
         adjacency(m, W, bits, NULL, star, adj);
     }
     s.adj = adj0 = adj0 ? adj0 : adj;
@@ -446,7 +475,7 @@ int ekr_search(int mode, int m, const u64 *bits, const u64 *adj0, int dense, int
         }
         for (int d = 1; d < m; d++) s.hist[d] += s.hist[d - 1];
         for (int i = 0; i < m; i++) perm[s.hist[s.cnt[i]]++] = i;
-        vertex_stars(m, W, bits, perm, star);
+        vertex_stars(m, W, live, bits, perm, star);
         adjacency(m, W, bits, perm, star, adj);
         s.adj = adj;
     }
@@ -459,8 +488,9 @@ int ekr_search(int mode, int m, const u64 *bits, const u64 *adj0, int dense, int
         cadj[(size_t)v * W + (v >> 6)] &= ~BIT(v);
     }
     s.cadj = cadj;
+    memset(Ps, 0, W * sizeof(u64));
     for (int v = 0; v < m; v++) Ps[v >> 6] |= BIT(v);
-    if (mode == NONTRIVIAL) memset(St, 0xff, VW * sizeof(u64));
+    memset(St, mode == NONTRIVIAL ? 0xff : 0, SW * sizeof(u64));
     for (;;) {
         u64 *P = Ps + (size_t)r * W, *S = St + (size_t)r * SW;
         if (++nodes > budget) {
@@ -486,23 +516,33 @@ out:
     result[0] = best;
     result[1] = found;
     result[2] = nodes;
-    free(adj);
-    free(star);
-    free(cadj);
-    free(Ps);
-    free(St);
-    free(scratch);
-    free(ints);
-    free(lv);
+    free(block);
     free(s.order.v);
     free(s.starts.v);
     return status;
 }
 
-static int cmp64(const void *a, const void *b)
+/* a[0..m) ascending, tmp holding m more: insertion sort on runs of 16,
+ * then bottom-up merges, O(m log m) at worst */
+static void sort64(int64_t *a, int64_t m, int64_t *tmp)
 {
-    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
+    enum { RUN = 16 };
+    for (int64_t lo = 0; lo < m; lo += RUN)
+        for (int64_t i = lo + 1; i < m && i < lo + RUN; i++) {
+            int64_t x = a[i], j = i;
+            for (; j > lo && a[j - 1] > x; j--) a[j] = a[j - 1];
+            a[j] = x;
+        }
+    int64_t *src = a, *dst = tmp, *t;
+    for (int64_t w = RUN; w < m; w *= 2, t = src, src = dst, dst = t)
+        for (int64_t lo = 0; lo < m; lo += 2 * w) {
+            int64_t mid = lo + w < m ? lo + w : m, hi = lo + 2 * w < m ? lo + 2 * w : m;
+            int64_t i = lo, j = mid, o = lo;
+            while (i < mid && j < hi) dst[o++] = src[j] < src[i] ? src[j++] : src[i++];
+            while (i < mid) dst[o++] = src[i++];
+            while (j < hi) dst[o++] = src[j++];
+        }
+    if (src != a) memcpy(a, src, m * sizeof *a);
 }
 
 /* the slot of x in an open-addressing set of 2^lg ranks, or the empty
@@ -514,23 +554,18 @@ static u64 slot(const int64_t *set, int lg, int64_t x)
     return h;
 }
 
-/* hypergraph._distinct_ranks in place: draw[i] = t_j, j = N - m + i, stays,
- * or becomes j when taken (j is not: every earlier rank is below it) */
-static int floyd(int64_t N, int64_t m, int64_t *draw)
+/* hypergraph._distinct_ranks in place, then sorted: draw[i] = t_j,
+ * j = N - m + i, stays, or becomes j when taken (j is not: every earlier
+ * rank is below it).  set holds at least 2^lg >= 2m ranks, lg >= 1 */
+static void floyd(int64_t N, int64_t m, int64_t *draw, int lg, int64_t *set)
 {
-    int lg = 1;
-    while (((int64_t)1 << lg) < 2 * m) lg++;
-    int64_t *set = malloc(sizeof(int64_t) << lg);
-    if (!set) return OUT_OF_MEMORY;
     memset(set, 0xff, sizeof(int64_t) << lg);
     for (int64_t i = 0; i < m; i++) {
         u64 h = slot(set, lg, draw[i]);
         if (set[h] >= 0) h = slot(set, lg, draw[i] = N - m + i);
         set[h] = draw[i];
     }
-    free(set);
-    qsort(draw, m, sizeof *draw, cmp64);
-    return DONE;
+    sort64(draw, m, set);
 }
 
 /* numpy's SeedSequence (bit_generator.pyx), in uint32 arithmetic */
@@ -632,27 +667,33 @@ static int grow(int64_t **a, int64_t *cap, int64_t need)
  * C(v, i) = col[(k - i) n + v] <= r (clipped at C(n, k)).  Then STATS into
  * result[0..1] and, when m <= edge_cap, verifier._decide's searches, each on
  * its own budget: result[2] = omega, result[3] = the size of the failing
- * clique, which follows the words, or -1 when EKR holds or is undecided. */
+ * clique, which follows the words, or -1 when EKR holds or is undecided.
+ * The star words, adjacency and clique go to *block, grown to fit. */
 static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *rank, int dense,
-                 int64_t edge_cap, int64_t budget, u64 *words, int64_t *result)
+                 int64_t edge_cap, int64_t budget, u64 *words, int64_t *result,
+                 int64_t **block, int64_t *bcap)
 {
     int W = (int)((m + 63) / 64), status = DONE;
     int64_t found[3];
     /* no adjacency or clique beyond the edge cap: m^2 / 8 bytes that no search reads */
-    size_t stars = (size_t)64 * VW * W + 1, adjw = m <= edge_cap ? (size_t)m * W + 1 : 0;
-    u64 *star = malloc((stars + adjw + (adjw ? (size_t)m + 1 : 0)) * sizeof(u64));
+    size_t stars = (size_t)n * W + 1, adjw = m <= edge_cap ? (size_t)m * W + 1 : 0;
     result[2] = result[3] = -1;
-    if (!star) return OUT_OF_MEMORY;
-    u64 *adj = star + stars;
+    if (grow(block, bcap, stars + adjw + (adjw ? m + 1 : 0))) return OUT_OF_MEMORY;
+    u64 *star = (u64 *)*block, *adj = star + stars;
     int32_t *clique = (int32_t *)(adj + adjw);
     memset(words, 0, (size_t)m * VW * sizeof(u64));
-    for (int64_t e = 0; e < m; e++)
-        for (int64_t i = 0, v = n, r = rank[e]; i < k; r -= col[i++ * n + v]) {
+    /* ranks ascend, and so does the largest member, top (k >= 1, so
+     * col[0] = C(0, k) = 0): it climbs from the edge before's */
+    for (int64_t e = 0, top = 0; e < m; e++) {
+        int64_t r = rank[e];
+        while (top + 1 < n && col[top + 1] <= r) top++;
+        for (int64_t i = 0, v = top + 1; i < k; r -= col[i++ * n + v]) {
             do v--; while (col[i * n + v] > r);     /* below the member before */
             words[e * VW + (v >> 6)] |= BIT(v);
         }
-    vertex_stars((int)m, W, words, NULL, star);
-    stats((int)m, W, words, star, result);
+    }
+    vertex_stars((int)m, W, n, words, NULL, star);
+    stats((int)m, W, n, words, star, result);
     if (m <= edge_cap) {
         adjacency((int)m, W, words, NULL, star, adj);
         status = ekr_search(OMEGA, (int)m, words, adj, dense, result[0], m + 1, 0, budget,
@@ -664,7 +705,6 @@ static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *ran
         result[3] = status ? -1 : found[1];
     }
     for (int64_t j = 0; j < result[3]; j++) words[VW * m + j] = (u64)clique[j];
-    free(star);
     return status;
 }
 
@@ -676,7 +716,8 @@ static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *ran
  * status; trial() writes into out (cap words), where a failing trial's
  * words and clique stay (any trial's words with keep_all).  Returns the
  * trials done, fewer when the next one's words may not fit, or
- * -OUT_OF_MEMORY. */
+ * -OUT_OF_MEMORY.  The draws, Floyd's set and trial()'s block are the
+ * call's own, grown to the largest trial so far and freed on return. */
 int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int n, int k,
                    const int64_t *col, int64_t N, double p, int conditioned, int dense,
                    int64_t edge_cap, int64_t budget, int keep_all, int64_t *rows, u64 *out,
@@ -684,7 +725,7 @@ int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int
 {
     philox g;
     bitgen_t bg = {&g, next64, next32, next_double, next64};
-    int64_t t, used = 0, dcap = 0, *draw = NULL;
+    int64_t t, used = 0, dcap = 0, scap = 0, bcap = 0, *draw = NULL, *set = NULL, *block = NULL;
     int status = DONE;
     for (t = lo; t < hi && status != OUT_OF_MEMORY; t++) {
         int64_t m = 0, *row = rows + (t - lo) * 6;
@@ -693,11 +734,14 @@ int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int
         seed_key(ent, len, (u64)t, g.key);
         if (conditioned) {
             binomial_t b = {0};
+            int lg = 1;
             m = random_binomial(&bg, p, N, &b);
-            status = grow(&draw, &dcap, m);
+            while (((int64_t)1 << lg) < 2 * m) lg++;
+            status = grow(&draw, &dcap, m) || grow(&set, &scap, (int64_t)1 << lg)
+                         ? OUT_OF_MEMORY : DONE;
             for (int64_t i = 0; !status && i < m; i++)
                 draw[i] = (int64_t)random_bounded_uint64(&bg, 0, (u64)(N - m + i), 0, 0);
-            status = status ? status : floyd(N, m, draw);
+            if (!status) floyd(N, m, draw, lg, set);
         } else {
             status = DONE;
             for (int64_t r = 0; r < N && !status; r++)
@@ -705,9 +749,12 @@ int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int
         }
         row[0] = m;
         if (status || used + (VW + 1) * m > cap) break;
-        status = row[5] = trial(n, k, col, m, draw, dense, edge_cap, budget, out + used, row + 1);
+        status = row[5] = trial(n, k, col, m, draw, dense, edge_cap, budget, out + used, row + 1,
+                                &block, &bcap);
         if (keep_all || row[4] >= 0) used += VW * m + (row[4] > 0 ? row[4] : 0);
     }
     free(draw);
+    free(set);
+    free(block);
     return status == OUT_OF_MEMORY ? -OUT_OF_MEMORY : t - lo;
 }

@@ -6,7 +6,8 @@ flag argparse rejects), 3 resource cap, 4 parse error.  Only sample and
 sweep draw at random, so only they take --seed; EKRLAB_SEED is their seed
 fallback when it is not given.  Every flag a command accepts has an effect:
 sample takes no --psi, --eps-thr or --c-regime, and rejects the flags its
-sampler ignores (--m without --sampler independent, --phi and --p with it).
+sampler ignores (--m without --sampler independent, --phi and --p with it);
+calc without --phi / --p rejects --t-max, --psi and --c-regime.
 sample and sweep exit 3 before drawing past 10**7 k-sets (bernoulli's
 C(n, k), other modes' p C(n, k) expected, or sample's --m) or, where colex
 ranks are drawn, at C(n, k) >= 2**63.  All files UTF-8.
@@ -47,12 +48,17 @@ def _seed_from(args) -> int:
     return seed or 0
 
 
+def _model_kw(args) -> dict:
+    """The model flags given (sample takes none of them: no sampler reads
+    them), as ModelParams keywords; the rest keep ModelParams' defaults."""
+    return {name: getattr(args, name) for name in ("psi", "eps_thr", "c_regime")
+            if getattr(args, name, None) is not None}
+
+
 def _params_from(args) -> ModelParams:
     if args.n is None or args.k is None:
         raise DomainError("--n and --k are required")
-    # sample takes no --psi, --eps-thr or --c-regime: no sampler reads them
-    kw = {name: getattr(args, name) for name in ("psi", "eps_thr", "c_regime")
-          if name in args}
+    kw = _model_kw(args)
     if args.phi is not None and args.p is not None:
         raise DomainError("give exactly one of --phi / --p")
     if args.phi is not None:
@@ -87,8 +93,8 @@ def _add_model_flags(sp) -> None:
                     help="slowly growing auxiliary (default: log n)")
     sp.add_argument("--eps-thr", type=float, default=0.1, dest="eps_thr",
                     help="finite-n tolerance standing in for the o(1)s")
-    sp.add_argument("--c-regime", type=float, default=0.15, dest="c_regime",
-                    help="regime constant c in (0, 1/4); eps = 1/4 - c")
+    sp.add_argument("--c-regime", type=float, default=None, dest="c_regime",
+                    help="regime constant c in (0, 1/4); eps = 1/4 - c (default 0.15)")
 
 
 def _add_output(sp) -> None:
@@ -166,6 +172,11 @@ def _cmd_calc(args) -> int:
         # no degree parameter: the q-only report (valid down to n = 2k)
         if args.n is None or args.k is None:
             raise DomainError("--n and --k are required")
+        unused = [flag for name, flag in (("t_max", "--t-max"), ("psi", "--psi"),
+                                          ("c_regime", "--c-regime"))
+                  if getattr(args, name) is not None]
+        if unused:
+            raise DomainError(f"calc without --phi / --p takes no {' / '.join(unused)}")
         n, k = args.n, args.k
         q = analytics.intersection_probability(n, k, exact_mode=False)
         M = math.comb(n - 1, k - 1)
@@ -259,9 +270,8 @@ def _cmd_sweep(args) -> int:
         raise DomainError("--n and --k are required")
     table = montecarlo.estimate_ekr_curve(
         args.n, args.k, _grid(args), trials=args.trials, seed=_seed_from(args),
-        sampler_mode=args.sampler, workers=args.workers, psi=args.psi,
-        eps_thr=args.eps_thr, edge_cap=args.edge_cap, node_budget=args.node_budget,
-        c_regime=args.c_regime)
+        sampler_mode=args.sampler, workers=args.workers, edge_cap=args.edge_cap,
+        node_budget=args.node_budget, **_model_kw(args))
     text = (montecarlo.sweep_table_to_csv(table) if args.format == "csv"
             else montecarlo.sweep_table_to_json(table))
     _emit(text, args.output)

@@ -79,7 +79,7 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
 # Trial records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     trial_index: int
     seed: int                       # master seed the substream was derived from
@@ -192,21 +192,24 @@ def _lambda_prime(mbar: float, q: float, Delta: int) -> float:
     return float(analytics.lambda_prime_t(mbar, q, Delta))
 
 
-def _record(ctx: TrialContext, t: int, m: int, Delta: int, verdict,
-            H: Optional[Hypergraph]) -> TrialRecord:
-    """Trial t's record; verdict may be the ResourceLimitError that stopped
-    it, and the sample H is read only to classify a failing clique."""
+def _record(ctx: TrialContext, t: int, m: int, Delta: int, omega: int,
+            witness: Optional[tuple[int, ...]], H: Optional[Hypergraph],
+            error: Optional[str] = None) -> TrialRecord:
+    """Trial t's record: omega and the failing clique witness (None when EKR
+    holds), or the error that stopped the trial; the sample H is read only
+    to classify the witness."""
     lam_p = _lambda_prime(ctx.mbar, ctx.q, Delta)
-    if isinstance(verdict, ResourceLimitError):
-        return TrialRecord(t, ctx.master_seed, m, Delta, -1, None, lam_p, None, str(verdict))
-    kind = None if verdict.holds else classify_witness_kind(H, verdict.witness, ctx.params,
-                                                            ctx.regime)
-    return TrialRecord(t, ctx.master_seed, m, Delta, verdict.omega, verdict.holds, lam_p, kind)
+    if error is not None:
+        return TrialRecord(t, ctx.master_seed, m, Delta, -1, None, lam_p, None, error)
+    kind = None if witness is None else classify_witness_kind(H, witness, ctx.params,
+                                                              ctx.regime)
+    return TrialRecord(t, ctx.master_seed, m, Delta, omega, witness is None, lam_p, kind)
 
 
 def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
     """Trials [lo, hi) of a bernoulli or conditioned context in one
-    _native.trials batch, with a Hypergraph only for each failing trial."""
+    _native.trials batch, each record read straight off its kernel row,
+    with a Hypergraph only for each failing trial."""
     n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
     N = hypergraph._check_draws(ctx.sampler_mode, n, k, p)
     records = []
@@ -218,12 +221,13 @@ def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]
             verifier._check_edge_cap(m, ctx.edge_cap)
             _native.check(status)
         except ResourceLimitError as exc:
-            verdict = exc
-        else:       # verifier._max_clique sorts the omega search's clique
-            witness = None if size < 0 else tuple(sorted(clique) if omega > Delta else clique)
-            verdict = verifier.EkrVerdict(witness is None, omega, Delta, witness)
-        H = None if edges is None else Hypergraph._unchecked(n, k, edges)
-        records.append(_record(ctx, t, m, Delta, verdict, H))
+            records.append(_record(ctx, t, m, Delta, -1, None, None, str(exc)))
+            continue
+        witness = H = None
+        if size >= 0:       # verifier._max_clique sorts the omega search's clique
+            witness = tuple(sorted(clique) if omega > Delta else clique)
+            H = Hypergraph._unchecked(n, k, edges)
+        records.append(_record(ctx, t, m, Delta, omega, witness, H))
     return records
 
 
@@ -249,8 +253,9 @@ def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
             verifier._check_edge_cap(H.m, ctx.edge_cap)
             verdict = verifier._decide(inst, ctx.node_budget)
         except ResourceLimitError as exc:
-            verdict = exc
-        records.append(_record(ctx, t, H.m, inst.Delta, verdict, H))
+            records.append(_record(ctx, t, H.m, inst.Delta, -1, None, H, str(exc)))
+        else:
+            records.append(_record(ctx, t, H.m, inst.Delta, verdict.omega, verdict.witness, H))
     return records
 
 
@@ -377,7 +382,8 @@ class SweepRow:
     mean_delta: float
     mean_omega: float
     pr_lambda_prime_gt_eps: float
-    witness_counts: dict = field(default_factory=dict)
+    # compared, but left out of the hash: a dict has none
+    witness_counts: dict = field(default_factory=dict, hash=False)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,11 @@ def test_calc_q_only_report():
     # it needs no p, so an M past the double range reads inf
     code, out, _ = run_cli(["calc", "--n", "3000", "--k", "1000"])
     assert code == 0 and json.loads(out)["M"] == math.inf
+    # its threshold estimate reads --eps-thr
+    reports = [run_cli(["calc", "--n", "24", "--k", "3", *eps]) for eps in
+               ([], ["--eps-thr", "0.3"])]
+    assert [code for code, _, _ in reports] == [0, 0]
+    assert reports[0][1] != reports[1][1]
 
 
 def test_calc_boundary_with_model_exits_2():
@@ -346,14 +351,19 @@ def test_nan_phi_exits_2(args):
       "--grid-points", "2", "--trials", "1"], "past the double range"),
     (["calc", "--n", "24", "--k", "3", "--phi", "5.1", "--t-max", "-1"], "--t-max must lie"),
     (["calc", "--n", "24", "--k", "3", "--phi", "5.1", "--t-max", "1025"], "--t-max must lie"),
+    (["calc", "--n", "24", "--k", "3", "--t-max", "5"], "takes no --t-max"),
+    (["calc", "--n", "24", "--k", "3", "--psi", "9"], "takes no --psi"),
+    (["calc", "--n", "24", "--k", "3", "--c-regime", "0.2"], "takes no --c-regime"),
 ], ids=["log-grid-negative-stop", "log-grid-zero-stop", "sample-k-above-n",
         "sample-n-above-256", "calc-phi-M-past-double", "calc-p-M-past-double",
         "sample-M-past-double", "sweep-M-past-double", "calc-t-max-negative",
-        "calc-t-max-above-1024"])
+        "calc-t-max-above-1024", "calc-q-only-t-max", "calc-q-only-psi",
+        "calc-q-only-c-regime"])
 def test_out_of_domain_input_exits_2(args, message):
     # a negative log-grid stop made the grid ratio complex (a TypeError), k > n
     # reached numpy's integers(0, 0) (a ValueError), and C(n-1, k-1) past
-    # 2**1023 overflowed float(); --t-max had no bound on its quadratic table
+    # 2**1023 overflowed float(); --t-max had no bound on its quadratic table;
+    # the q-only calc ignored the flags only the model reads
     code, out, err = run_cli(args)
     assert code == 2 and out == "" and message in err
 

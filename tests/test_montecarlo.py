@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -130,6 +131,22 @@ def test_trials_resource_rows_not_fatal():
     assert all(r.error is not None and r.ekr_holds is None for r in recs)
     row = mc.summarize_trials(params, recs)
     assert row.undecided == 4 and math.isnan(row.f_hat)
+
+
+def test_records_pickle_hash_and_stay_frozen():
+    # a process pool sends its workers' TrialRecords (frozen and slotted)
+    # back pickled: a decided record, an errored one and a SweepTable each
+    # come back equal with an equal hash, and take no attribute assignment
+    params = an.ModelParams.from_phi(12, 3, 2.0)
+    decided = mc.run_trials(params, 1, "conditioned", seed=7)[0]
+    errored = mc.run_trials(params, 1, "conditioned", seed=7, edge_cap=1)[0]
+    table = mc.estimate_ekr_curve(12, 3, [1.0, 2.0], trials=5, seed=7)
+    assert decided.decided and not errored.decided
+    for obj, name in ((decided, "omega"), (errored, "error"), (table, "rows")):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj) and back is not obj
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(back, name, None)
 
 
 def test_trial_over_edge_cap_skips_adjacency(monkeypatch):

@@ -217,9 +217,14 @@ def test_instances_read_their_statistics_on_first_use(kernels, monkeypatch):
 @example(n=9, k=9, mean=1, seed=3)          # N = 1
 @example(n=9, k=9, mean=0, seed=3)
 @example(n=256, k=10, mean=300, seed=4)     # N = C(256, 10) ~ 2.8e17
+@example(n=16, k=4, mean=1, seed=0)         # m = 1
+@example(n=16, k=4, mean=2, seed=10)        # m = 2, drawn in descending order
+@example(n=16, k=4, mean=1820, seed=5)      # p = 1: Floyd collides at nearly every step
+@example(n=20, k=7, mean=38000, seed=6)     # m ~ 38,000: merges far past the short runs
 def test_native_floyd_dedup_matches_distinct_ranks(n, k, mean, seed):
     # a conditioned trial on the kernel's own draws: m ~ Bin(N, p), then
-    # Floyd's dedup and the colex unrank, against one scalar draw per step
+    # Floyd's dedup, the sort and the colex unrank, against one scalar draw
+    # per step
     k = min(k, n)
     N = math.comb(n, k)
     p = min(mean / N, 1.0)
@@ -383,6 +388,28 @@ def test_native_trial_records_equal_the_python_path(kernels, monkeypatch, sample
     assert shows(records, Hs)
     # the native trial rebuilds a failing trial's sample from its words
     assert [H for H, _ in witnesses] == [H for H, r in zip(Hs, records) if r.ekr_holds is False]
+
+
+def test_native_batch_reuses_its_scratch_across_the_edge_cap(kernels, monkeypatch):
+    # one kernel batch grows its star and adjacency block to its largest
+    # trial and reuses it.  At (24, 3, phi = 8), m ~ 64: with the edge cap at
+    # 66, trials fall above the cap (no search) and below it on both sides of
+    # W = ceil(m / 64) = 1 | 2, and each must equal a batch of one on the
+    # Python kernel
+    ctx = mc.make_trial_context(an.ModelParams.from_phi(24, 3, 8.0), "conditioned", 3,
+                                edge_cap=66)
+    batches = []
+    trials = _native.trials
+    monkeypatch.setattr(_native, "trials", lambda *a, **kw: batches.append(1) or trials(*a, **kw))
+    runs = {}
+    for kernel in kernels():
+        runs[kernel] = (mc._run_batch(ctx, 0, 40) if kernel == "native"
+                        else [mc.run_one_trial(ctx, t) for t in range(40)])
+    assert batches == [1]
+    assert runs["native"] == runs["python"]
+    ms = [r.m for r in runs["native"]]
+    assert {m > 66 for m in ms} == {True, False}
+    assert {(m + 63) // 64 for m in ms if m <= 66} == {1, 2}
 
 
 def test_trial_above_the_edge_cap_allocates_no_adjacency():
