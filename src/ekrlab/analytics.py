@@ -13,12 +13,13 @@ Conventions used throughout (n > 2k, vertices [n]):
 plus the degree brackets alpha1 = max{t : Pr(d >= t) >= psi/n} and
 beta = min{t : Pr(d > t) < 1/(n psi)} for d ~ Bin(M, p), which are one tail
 quantile max{t : Pr(d >= t) >= level} at two levels (tail_quantile), the
-Chernoff-type tail bounds that remain valid under negative association,
-and the small-regime parameters phi*, gamma, tau, lambda, xi, r0.
+Chernoff bracket beta*, the Chernoff-type tail bounds chernoff_upper and
+chernoff_mult (valid under negative association), and the small-regime
+parameters phi*, gamma, tau, lambda, xi, r0.
 
 Everything here is a pure function of its arguments; exact (big-rational)
-arithmetic is used below a configurable size cutoff and flagged log-space
-floats above it.
+arithmetic is used below a size cutoff (exact.exact_tails for the degree
+tails) and flagged log-space floats above it.
 """
 
 from __future__ import annotations
@@ -262,9 +263,9 @@ class AlphaBeta:
     exact: bool  # False when tails fell back to log-space floats
 
 
-def tail_quantile(M: int, p, level, exact_mode: bool = False,
-                  mean: float | None = None) -> int:
-    """max { t : Pr(Bin(M,p) >= t) >= level }, 0 when Pr(X >= 1) < level.
+def tail_quantile(M: int, p, level, mean: float | None = None) -> int:
+    """max { t : Pr(Bin(M,p) >= t) >= level }, 0 when Pr(X >= 1) < level,
+    on exact or float tails by exact.exact_tails(M, p).
 
     The tail is decreasing in t: gallop past the mean, then bisect.
     """
@@ -272,7 +273,7 @@ def tail_quantile(M: int, p, level, exact_mode: bool = False,
         mean = float(M * Fraction(p)) if isinstance(p, (int, Fraction)) else M * p
 
     def tail_ok(t):
-        return exact.binom_tail_ge(M, p, t, exact=exact_mode, mean=mean) >= level
+        return exact.binom_tail_ge(M, p, t, mean=mean) >= level
 
     if not tail_ok(1):
         return 0
@@ -311,13 +312,13 @@ def compute_alpha_beta(params: ModelParams, q: float | None = None) -> AlphaBeta
     the tail is decreasing, so Pr(d_v > t) = Pr(d_v >= t + 1) stays at or
     above a level exactly while t + 1 <= tail_quantile(level), and beta is
     tail_quantile(1/(n psi)).  alpha2 is the first t with
-    Lambda(t) <= eps_thr.  The tails are exact for a rational p and
-    M <= EXACT_TAIL_CUTOFF, floating point otherwise.
+    Lambda(t) <= eps_thr.  The tails are exact when exact.exact_tails(M, p),
+    floating point otherwise.
     """
     M, p, n = params.M, params.p, params.n
-    exact_mode = isinstance(p, (int, Fraction)) and M <= exact.EXACT_TAIL_CUTOFF
+    exact_mode = exact.exact_tails(M, p)
     psi = Fraction(params.psi) if exact_mode else params.psi  # the supplied float, exactly
-    alpha1, beta = (tail_quantile(M, p, level, exact_mode, float(params.phi))
+    alpha1, beta = (tail_quantile(M, p, level, float(params.phi))
                     for level in (psi / n, 1 / (n * psi)))
     if q is None:
         q = intersection_probability(params.n, params.k, exact_mode=False)
@@ -331,8 +332,7 @@ class BetaStar:
     """Chernoff upper bracket: beta <= beta* = ceil(phi + eta)."""
 
     value: int
-    eta: float
-    tail_bound: float  # exp[-eta^2 / (2(phi + eta/3))], equals 1/(n psi)
+    eta: float          # chernoff_upper(phi, eta) = 1/(n psi)
 
 
 def beta_star_bound(phi: float, n: float, psi: float) -> BetaStar:
@@ -344,8 +344,7 @@ def beta_star_bound(phi: float, n: float, psi: float) -> BetaStar:
     if L < 0:
         raise DomainError("need n * psi >= 1")
     eta = L / 3.0 + math.sqrt(L * L / 9.0 + 2.0 * phi * L)
-    bound = chernoff_upper(phi, eta)
-    return BetaStar(math.ceil(phi + eta), eta, bound)
+    return BetaStar(math.ceil(phi + eta), eta)
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +360,6 @@ def chernoff_upper(mu: float, lam: float) -> float:
     return math.exp(-lam * lam / (2.0 * (mu + lam / 3.0)))
 
 
-def chernoff_lower(mu: float, lam: float) -> float:
-    """Pr(X < mu - lam) < exp[-lam^2 / (2 mu)]."""
-    if mu < 0 or lam < 0:
-        raise DomainError("need mu >= 0 and lam >= 0")
-    if lam == 0.0:
-        return 1.0
-    if mu == 0.0:
-        return 0.0  # X >= 0 cannot go below an impossible level
-    return math.exp(-lam * lam / (2.0 * mu))
-
-
 def chernoff_mult(mu: float, K: float) -> float:
     """Pr(X > K mu) < [e^(K-1) K^(-K)]^mu."""
     if mu < 0:
@@ -379,13 +367,6 @@ def chernoff_mult(mu: float, K: float) -> float:
     if K <= 1:
         raise DomainError("need K > 1")
     return math.exp(mu * (K - 1 - K * math.log(K)))
-
-
-def chernoff_mult_relaxed(rho: float, mu: float, K: float) -> float:
-    """Same bound value as chernoff_mult(mu, K), valid whenever EX = rho <= mu."""
-    if rho > mu:
-        raise DomainError("relaxed bound needs rho <= mu")
-    return chernoff_mult(mu, K)
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +425,9 @@ def regime_from_scalars(log_n: float, q: float, alpha: int, phi: float,
     return RegimeParams(phi_star, alpha, gamma, tau, lam, xi, xi * phi, gamma / eps)
 
 
-def regime_params(params: ModelParams, alpha: int | None = None,
-                  q: float | None = None) -> RegimeParams:
+def regime_params(params: ModelParams, alpha: int, q: float | None = None) -> RegimeParams:
     if q is None:
         q = intersection_probability(params.n, params.k, exact_mode=False)
-    if alpha is None:
-        alpha = compute_alpha_beta(params, q=q).alpha
     return regime_from_scalars(math.log(params.n), q, alpha, float(params.phi),
                                params.eps)
 

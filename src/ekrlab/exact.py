@@ -1,11 +1,12 @@
 """Exact combinatorial kernels shared across the package.
 
 Falling factorials and generalized binomials (exact for int/Fraction
-arguments), colexicographic ranking of k-subsets, and binomial/Poisson tail
-probabilities that stay numerically honest from M = 10 up to astronomically
-large M, or raise ResourceLimitError: past TAIL_TERM_CAP summed terms
-(about 9 standard deviations of them near the mean), or past POISSON_SWITCH
-Bernoulli summands with p above POISSON_MAX_P.
+arguments), int-bitset helpers, and binomial/Poisson tail probabilities:
+exact Fractions for a rational p and M <= EXACT_TAIL_CUTOFF (exact_tails),
+floats otherwise that stay numerically honest from M = 10 up to
+astronomically large M, or raise ResourceLimitError: past TAIL_TERM_CAP
+summed terms (about 9 standard deviations of them near the mean), or past
+POISSON_SWITCH Bernoulli summands with p above POISSON_MAX_P.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ POISSON_SWITCH = 10**15
 POISSON_MAX_P = 1e-8
 TAIL_TERM_CAP = 10**6       # the most terms one float tail sums, ~0.5 s
 
-# Default ceiling for exact (big-rational) binomial tail summation.
+# Ceiling on M for exact (big-rational) binomial tail summation.
 EXACT_TAIL_CUTOFF = 1000
 
 
@@ -46,34 +47,7 @@ def gen_binom(a, t: int):
     fact = math.factorial(t)
     if isinstance(f, int):
         return f // fact if f % fact == 0 else Fraction(f, fact)
-    if isinstance(f, Fraction):
-        return f / fact
     return f / fact
-
-
-def colex_rank(members) -> int:
-    """Rank of a k-subset in colexicographic order (0-based vertices)."""
-    rank = 0
-    for i, v in enumerate(sorted(members)):
-        rank += math.comb(v, i + 1)
-    return rank
-
-
-def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
-    """Inverse of colex_rank: the k-subset at the given colex rank."""
-    if rank < 0 or k < 0:
-        raise ValueError("rank and k must be nonnegative")
-    out = []
-    r = rank
-    for i in range(k, 0, -1):
-        v = i - 1  # C(i-1, i) = 0 <= r always
-        while math.comb(v + 1, i) <= r:
-            v += 1
-        r -= math.comb(v, i)
-        out.append(v)
-    if r != 0:
-        raise ValueError("rank exceeds C(max_element+1, k)")
-    return tuple(reversed(out))
 
 
 def bits_of(mask: int):
@@ -194,16 +168,15 @@ def binom_tail_ge_float(M: int, p: float, t: int, mean: float | None = None) -> 
     return max(0.0, 1.0 - low)
 
 
-def binom_tail_ge(M: int, p, t: int, exact: bool | None = None, mean: float | None = None):
-    """Pr(X >= t) for X ~ Bin(M, p); exact Fraction below the cutoff.
+def exact_tails(M: int, p) -> bool:
+    """Whether Bin(M, p)'s tails are exact Fractions: p int or Fraction and
+    M <= EXACT_TAIL_CUTOFF; otherwise they are floats."""
+    return isinstance(p, (int, Fraction)) and M <= EXACT_TAIL_CUTOFF
 
-    exact=None picks exact mode automatically for rational p with
-    M <= EXACT_TAIL_CUTOFF.  exact=True insists (and raises above the cutoff).
-    """
-    if exact is None:
-        exact = isinstance(p, (int, Fraction)) and M <= EXACT_TAIL_CUTOFF
-    if exact:
-        if M > EXACT_TAIL_CUTOFF:
-            raise ValueError(f"exact tail requested for M={M} > cutoff {EXACT_TAIL_CUTOFF}")
+
+def binom_tail_ge(M: int, p, t: int, mean: float | None = None):
+    """Pr(X >= t) for X ~ Bin(M, p): a Fraction when exact_tails(M, p),
+    a float otherwise."""
+    if exact_tails(M, p):
         return binom_tail_ge_exact(M, p, t)
     return binom_tail_ge_float(M, float(p), t, mean=mean)

@@ -13,7 +13,7 @@ numpy's SeedSequence, and each trial of the Monte Carlo engine gets its own
 substream derived from (master seed, trial index), so parallel execution
 reproduces serial output bit for bit.  The Bernoulli and conditioned
 samplers unrank all drawn colex ranks in one vectorised pass, which returns
-the same edges, in the same order, as exact.colex_unrank rank by rank.
+the same edges, in the same order, as unranking them one by one.
 sample(mode, ...) draws a trial's family in each of SAMPLER_MODES, after
 _check_draws(mode, ...), the one guard run before any draw: C(n, k) < 2**63
 (ranks are int64) and at most DRAW_CAP = 10**7 draws, the C(n, k) uniforms
@@ -246,7 +246,7 @@ def _unrank_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _colex_unrank_bits(ranks, n: int, k: int) -> list[int]:
     """Edge bitsets of the k-subsets of [n] at the given colex ranks (< C(n, k)).
 
-    Vectorised exact.colex_unrank: for i = k..1 the i-th largest member is
+    Vectorised colex unranking: for i = k..1 the i-th largest member is
     the largest v with C(v, i) <= r, found by a searchsorted over the column
     C(v, i), v < n.  Column entries are clipped at C(n, k), which keeps them
     in int64 and changes no answer, since every remaining r is below it.
@@ -420,11 +420,6 @@ def _check_line(idx: int, verts: list[int], n: int, k: int) -> None:
         raise ParseError(f"line {idx}: vertex out of range 1..{n}")
     if any(a >= b for a, b in zip(verts, verts[1:])):
         raise ParseError(f"line {idx}: vertices must be strictly increasing")
-
-
-def write_hypergraph(H: Hypergraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_hypergraph(H))
 
 
 def read_hypergraph(path) -> Hypergraph:

@@ -4,17 +4,17 @@ Contract: trials are independent work items with per-trial Philox substreams
 derived from (master seed, trial index), prefixed by the grid index in a
 sweep; records are sorted by trial index, so results are byte-identical for
 any worker count.  With workers > 1 there is one pool per call, and a task
-carries only its (grid index, lo, hi) chunk of trials.  The chunks are
-guided: each takes a share of the trials still left, so they shrink toward
-the end, and none crosses a grid point.  When every chunk is a native batch
-(below), the pool is threads: a batch is one ctypes call, which releases
-the GIL, so the batches run in parallel in this process with nothing
-forked or pickled, and a task reads the call's own TrialContexts.
-Otherwise the chunks run the Python reference path, which the GIL would
-serialize on threads, so the pool is processes: its initializer installs
-every grid point's TrialContext in each worker once.  The kernel is loaded
-before either pool is made, since the pool's kind depends on it, so a
-process pool's workers inherit it and none builds or loads its own.
+is one _run_batch(ctx, lo, hi): a chunk of trials with its grid point's
+TrialContext.  The chunks are guided: each takes a share of the trials
+still left, so they shrink toward the end, and none crosses a grid point.
+When every chunk is a native batch (below), the pool is threads: a batch
+is one ctypes call, which releases the GIL, so the batches run in parallel
+in this process with nothing forked or pickled.  Otherwise the chunks run
+the Python reference path, which the GIL would serialize on threads, so
+the pool is processes, and each task pickles its context (~0.5 KB).  The
+kernel is loaded before either pool is made, since the pool's kind depends
+on it, so a process pool's workers inherit it and none builds or loads its
+own.
 Per-trial resource errors (edge cap, search-node budget) are recorded in
 the row and excluded from the estimates with an explicit count, never
 fatal.  The node budget is deterministic on purpose; a wall-clock timeout
@@ -129,11 +129,9 @@ def classify_witness_kind(H: Hypergraph, witness_indices, params: ModelParams,
             b0 = outside[0]
             if all(b & b0 for b in bits if b is not b0):
                 return "hm"
-    if regime is not None:
-        cls = witnesses.classify_nontrivial_clique(H, idx, regime, params.eps)
-        if cls.kind is not None:
-            return "event" + cls.kind
-    return "other"
+    kind = None if regime is None else witnesses.classify_nontrivial_clique(
+        H, idx, regime, params.eps)
+    return "other" if kind is None else "event" + kind
 
 
 WITNESS_KINDS = ("generic", "hm", "eventA", "eventB", "eventC", "other")
@@ -145,11 +143,8 @@ WITNESS_KINDS = ("generic", "hm", "eventA", "eventB", "eventC", "other")
 
 @dataclass(frozen=True)
 class TrialContext:
-    """Shared inputs of one grid point's trials, computed once.
-
-    One pool per call: a thread pool's tasks read the call's contexts, a
-    process pool's initializer sends them once per worker (see
-    _trial_batches)."""
+    """Shared inputs of one grid point's trials, computed once and carried
+    by each of its pool tasks (see _trial_batches)."""
 
     params: ModelParams
     sampler_mode: str
@@ -271,40 +266,20 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Set in each process-pool worker by its initializer, never in the parent
-# and never by a thread.
-_worker_contexts: tuple[TrialContext, ...] = ()
-
-
-def _install_contexts(contexts: tuple[TrialContext, ...]) -> None:
-    global _worker_contexts
-    _worker_contexts = contexts
-
-
-def _run_chunk(contexts, chunk: tuple[int, int, int]) -> list[TrialRecord]:
-    gi, lo, hi = chunk
-    return _run_batch(contexts[gi], lo, hi)
-
-
-def _run_worker_chunk(chunk: tuple[int, int, int]) -> list[TrialRecord]:
-    return _run_chunk(_worker_contexts, chunk)
-
-
 def _trial_batches(contexts, trials: int, workers: int):
     """Yield each context's records, sorted by trial index, in context order.
 
     Each context's trials are one _run_batch with one worker.  Otherwise
     they run on one pool as guided chunks (guided self-scheduling,
-    Polychronopoulos & Kuck 1987): taken in (context index, trial) order,
-    each (context index, lo, hi) chunk covers max(1, remaining // (2 *
-    workers)) of the trials still left and is cut at the end of its context.
-    When every context's batches are native (_native_batches), the pool is
+    Polychronopoulos & Kuck 1987): taken in (context, trial) order, each
+    task _run_batch(ctx, lo, hi) covers max(1, remaining // (2 * workers))
+    of the trials still left and is cut at the end of its context.  When
+    every context's batches are native (_native_batches), the pool is
     threads: a batch is one ctypes call, which releases the GIL, so the
-    batches run in parallel in this process, and a task reads the contexts
-    from this call.  Otherwise the chunks run the Python reference path,
-    which the GIL would serialize on threads, so the pool is processes: its
-    initializer sends the contexts to each worker once, and the kernel is
-    loaded before the pool forks, so every worker inherits it.  Results are
+    batches run in parallel in this process.  Otherwise the chunks run the
+    Python reference path, which the GIL would serialize on threads, so the
+    pool is processes, each task pickled with its context, and the kernel
+    is loaded before the pool forks, so every worker inherits it.  Results are
     consumed lazily: a context's records are yielded once its last chunk
     arrives.  The pool never exceeds the available CPUs or the number of
     trials."""
@@ -318,25 +293,19 @@ def _trial_batches(contexts, trials: int, workers: int):
         for ctx in contexts:
             yield _run_batch(ctx, 0, trials)
         return
-    remaining, chunks = len(contexts) * trials, []
-    for gi in range(len(contexts)):
+    remaining, tasks = len(contexts) * trials, []
+    for ctx in contexts:
         lo = 0
         while lo < trials:
             hi = min(lo + max(1, remaining // (2 * workers)), trials)
-            chunks.append((gi, lo, hi))
+            tasks.append((ctx, lo, hi))
             remaining -= hi - lo
             lo = hi
     lib = _native.kernel()
-    if all(_native_batches(lib, ctx.sampler_mode) for ctx in contexts):
-        pool = ThreadPoolExecutor(max_workers=workers)
-        run = functools.partial(_run_chunk, contexts)
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_install_contexts,
-                                   initargs=(contexts,))
-        run = _run_worker_chunk
-    with pool:
+    native = all(_native_batches(lib, ctx.sampler_mode) for ctx in contexts)
+    with (ThreadPoolExecutor if native else ProcessPoolExecutor)(max_workers=workers) as pool:
         records = []
-        for (_, _, hi), batch in zip(chunks, pool.map(run, chunks)):
+        for (_, _, hi), batch in zip(tasks, pool.map(_run_batch, *zip(*tasks))):
             records += batch
             if hi == trials:
                 yield records

@@ -1,13 +1,11 @@
 """Structured obstructions to EKR: Hilton-Milner families, generic cliques,
-sequential degree profiles, and the A/B/C event taxonomy for nontrivial
-cliques.
+and the A/B/C event taxonomy for nontrivial cliques.
 
 Multisets are allowed everywhere in this module; degrees count multiplicity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -152,80 +150,13 @@ def _generic_search(inst: _Instance, size_t: int, zeta_cap: float, node_budget: 
 
 
 # ---------------------------------------------------------------------------
-# Sequential degree profile of an ordered clique
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CliqueProfile:
-    """Edge-by-edge revelation stats: W_i (degree exactly 2), Z_i (>= 3),
-    U_i = union; s_i = |A_i cap W_{i-1}|, r_i = |A_i cap Z_{i-1}|.
-
-    Identities: s = |Z| and r = sum over Z of (d_v - 3); if every degree is
-    <= lambda_cap then Psi = sum over Z of [C(d_v,2) - 1] <= X(r, s).
-    """
-
-    w_sizes: tuple[int, ...]
-    z_sizes: tuple[int, ...]
-    u_sizes: tuple[int, ...]
-    s_vec: tuple[int, ...]
-    r_vec: tuple[int, ...]
-    s: int
-    r: int
-    psi: int
-    x_rs: float
-    max_deg: int
-    num_deg3: int      # vertices with final degree exactly 3
-
-
-def x_rs(r: int, s: int, lambda_cap: float) -> float:
-    """X(r, s) = (lambda_cap + 2) r / 2 + 2 s."""
-    return (lambda_cap + 2.0) * r / 2.0 + 2.0 * s
-
-
-def clique_profile(H: Hypergraph, ordered_indices, lambda_cap: float) -> CliqueProfile:
-    deg: dict[int, int] = {}
-    W: set[int] = set()
-    Z: set[int] = set()
-    w_sizes, z_sizes, u_sizes, s_vec, r_vec = [], [], [], [], []
-    for i in ordered_indices:
-        mem = edge_members(H.edge_bits[i])
-        s_vec.append(sum(1 for v in mem if v in W))
-        r_vec.append(sum(1 for v in mem if v in Z))
-        for v in mem:
-            c = deg.get(v, 0) + 1
-            deg[v] = c
-            if c == 2:
-                W.add(v)
-            elif c == 3:
-                W.discard(v)
-                Z.add(v)
-        w_sizes.append(len(W))
-        z_sizes.append(len(Z))
-        u_sizes.append(len(W) + len(Z))
-    s = sum(s_vec)
-    r = sum(r_vec)
-    psi = sum(math.comb(deg[v], 2) - 1 for v in Z)
-    return CliqueProfile(
-        tuple(w_sizes), tuple(z_sizes), tuple(u_sizes), tuple(s_vec), tuple(r_vec),
-        s, r, psi, x_rs(r, s, lambda_cap),
-        max(deg.values()) if deg else 0,
-        sum(1 for c in deg.values() if c == 3),
-    )
-
-
-# ---------------------------------------------------------------------------
 # A/B/C event taxonomy for nontrivial cliques
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CliqueClassification:
-    kind: Optional[str]                 # "A", "B", "C", or None
-    vertices: tuple[int, ...]           # certifying vertex/vertices
-
-
 def classify_nontrivial_clique(H: Hypergraph, clique_indices, regime: RegimeParams,
-                               eps: float) -> CliqueClassification:
-    """Which of the three unlikely-event shapes the clique realizes.
+                               eps: float) -> Optional[str]:
+    """Which of the three unlikely-event shapes the clique realizes: "A",
+    "B", "C", or None.
 
     Checked in fixed priority order (the shapes overlap; the derivation only
     needs "at least one", so determinism requires an order):
@@ -244,20 +175,17 @@ def classify_nontrivial_clique(H: Hypergraph, clique_indices, regime: RegimePara
     cdeg = _clique_degrees(H, idx)
     size = len(idx)
     # (A); d(x) in H is counted only for the x that reach the test
-    for x in sorted(cdeg):
-        if (cdeg[x] >= regime.tau and size >= sum(b >> x & 1 for b in H.edge_bits)
-                and (size >= regime.alpha or size - cdeg[x] >= 2.0 / eps)):
-            return CliqueClassification("A", (x,))
+    if any(c >= regime.tau and size >= sum(b >> x & 1 for b in H.edge_bits)
+           and (size >= regime.alpha or size - c >= 2.0 / eps) for x, c in cdeg.items()):
+        return "A"
     # (B)
-    heavy = sorted(v for v, c in cdeg.items() if c >= regime.lam)
-    if len(heavy) >= 2:
-        return CliqueClassification("B", tuple(heavy[:2]))
+    if sum(1 for c in cdeg.values() if c >= regime.lam) >= 2:
+        return "B"
     # (C)
-    over_lambda = [v for v, c in cdeg.items() if c > regime.lam]
-    if (size >= regime.gamma and len(over_lambda) <= 1
+    if (size >= regime.gamma and sum(1 for c in cdeg.values() if c > regime.lam) <= 1
             and max(cdeg.values()) < regime.tau):
-        return CliqueClassification("C", tuple(sorted(over_lambda)))
-    return CliqueClassification(None, ())
+        return "C"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,35 @@ def exact_conditional_intersection(n: int, k: int, w: int, z: int, b_in_w: int) 
 
 
 # ---------------------------------------------------------------------------
+# colex ranking: the reference for the samplers' and the kernel's unrank
+# ---------------------------------------------------------------------------
+
+def colex_rank(members) -> int:
+    """Rank of a k-subset in colexicographic order (0-based vertices)."""
+    rank = 0
+    for i, v in enumerate(sorted(members)):
+        rank += math.comb(v, i + 1)
+    return rank
+
+
+def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
+    """Inverse of colex_rank: the k-subset at the given colex rank."""
+    if rank < 0 or k < 0:
+        raise ValueError("rank and k must be nonnegative")
+    out = []
+    r = rank
+    for i in range(k, 0, -1):
+        v = i - 1  # C(i-1, i) = 0 <= r always
+        while math.comb(v + 1, i) <= r:
+            v += 1
+        r -= math.comb(v, i)
+        out.append(v)
+    if r != 0:
+        raise ValueError("rank exceeds C(max_element+1, k)")
+    return tuple(reversed(out))
+
+
+# ---------------------------------------------------------------------------
 # verifier and witnesses
 # ---------------------------------------------------------------------------
 

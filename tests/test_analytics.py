@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ekrlab import analytics as an
+from ekrlab import exact
 from ekrlab.errors import DomainError
 from oracles import (brute_force_intersection_probability, chernoff_mult_rescaled,
                      exact_conditional_intersection)
@@ -141,24 +142,40 @@ def test_lambda_unimodal_rise_then_fall():
 # ---------------------------------------------------------------------------
 
 # Bin(10, 0.1): Pr(>=3) ~ 0.0702 >= 0.02 > Pr(>=4) ~ 0.0128, and
-# Pr(>=4) ~ 0.0128 >= 0.005 > Pr(>=5) ~ 0.0016; the float path agrees
-TAIL_QUANTILES = [(Fraction(1, 10), Fraction(2, 100), True, 3),
-                  (Fraction(1, 10), Fraction(5, 1000), True, 4),
-                  (0.1, 0.02, False, 3),
-                  (0.1, 0.005, False, 4)]
+# Pr(>=4) ~ 0.0128 >= 0.005 > Pr(>=5) ~ 0.0016; the float path agrees.
+# p's type picks the tails: a Fraction's are exact, a float's are not
+TAIL_QUANTILES = [(Fraction(1, 10), Fraction(2, 100), 3),
+                  (Fraction(1, 10), Fraction(5, 1000), 4),
+                  (0.1, 0.02, 3),
+                  (0.1, 0.005, 4)]
 
 
-@pytest.mark.parametrize("p, level, exact_mode, want", TAIL_QUANTILES,
+@pytest.mark.parametrize("p, level, want", TAIL_QUANTILES,
                          ids=["exact-alpha1", "exact-beta", "float-alpha1", "float-beta"])
-def test_alpha1_beta_binomial_examples(p, level, exact_mode, want):
+def test_alpha1_beta_binomial_examples(p, level, want):
     # alpha1 = max{t : Pr(X >= t) >= level} and beta = min{t : Pr(X > t) <
     # level} are the same quantile; check beta's definition directly too
-    t = an.tail_quantile(10, p, level, exact_mode=exact_mode)
+    assert exact.exact_tails(10, p) == isinstance(p, Fraction)
+    t = an.tail_quantile(10, p, level)
     assert t == want
     tail = [float(1 - sum(math.comb(10, j) * Fraction(p) ** j * (1 - Fraction(p)) ** (10 - j)
                           for j in range(s))) for s in range(12)]
     assert tail[t] >= level > tail[t + 1]
     assert min(s for s in range(11) if tail[s + 1] < level) == t
+
+
+def test_exact_tails_end_at_the_cutoff():
+    # k = 2 makes M = C(n-1, 1) = n - 1: a Fraction p's tails are exact up to
+    # M = EXACT_TAIL_CUTOFF and floats one past it, and either way alpha1
+    # and beta equal those of the same p as a float
+    cutoff = exact.EXACT_TAIL_CUTOFF
+    for M, exact_mode in ((cutoff, True), (cutoff + 1, False)):
+        tail = exact.binom_tail_ge(M, Fraction(1, 2), M // 2)
+        assert isinstance(tail, Fraction if exact_mode else float)
+        ab = an.compute_alpha_beta(an.ModelParams.from_p(M + 1, 2, Fraction(1, 2)))
+        ab_float = an.compute_alpha_beta(an.ModelParams.from_p(M + 1, 2, 0.5))
+        assert (ab.exact, ab_float.exact) == (exact_mode, False)
+        assert (ab.alpha1, ab.beta) == (ab_float.alpha1, ab_float.beta)
 
 
 def test_alpha_beta_degenerate_p0():
@@ -209,7 +226,7 @@ def test_beta_star_matches_bisection(phi, n, psi):
     eta = _eta_bisect(phi, math.log(n) + math.log(psi))
     assert bs.eta == pytest.approx(eta, abs=1e-9 * max(1.0, eta))
     assert bs.value == math.ceil(phi + bs.eta)
-    assert bs.tail_bound == pytest.approx(1.0 / (n * psi), rel=1e-9)
+    assert an.chernoff_upper(phi, bs.eta) == pytest.approx(1.0 / (n * psi), rel=1e-9)
 
 
 def test_beta_star_zero_log_degenerate():
@@ -225,24 +242,20 @@ def test_beta_star_zero_log_degenerate():
 def test_chernoff_closed_forms():
     assert an.chernoff_upper(100, 30) == pytest.approx(math.exp(-900 / 220))
     assert an.chernoff_upper(5, 0) == 1.0
-    assert an.chernoff_lower(10, 5) == pytest.approx(math.exp(-25 / 20))
-    assert an.chernoff_lower(0, 3) == 0.0
     assert an.chernoff_mult(10, 2) == pytest.approx((math.e / 4) ** 10)
 
 
 def test_chernoff_mult_relaxed_same_value_and_monotone():
+    # the relaxed corollary: chernoff_mult(mu, K) still bounds Pr(X > K mu)
+    # when EX = rho <= mu, as the honest rescaled bound shows
     rho, K = 5.0, 2.0
     prev = math.inf
     for mu in (5.0, 7.0, 10.0, 20.0, 50.0):
-        val = an.chernoff_mult_relaxed(rho, mu, K)
-        assert val == an.chernoff_mult(mu, K)
         honest = chernoff_mult_rescaled(rho, mu, K)
-        assert honest <= val * (1 + 1e-12)
+        assert honest <= an.chernoff_mult(mu, K) * (1 + 1e-12)
         assert honest <= prev * (1 + 1e-12)  # decreasing in mu >= rho
         prev = honest
     assert chernoff_mult_rescaled(rho, rho, K) == pytest.approx(an.chernoff_mult(rho, K))
-    with pytest.raises(DomainError):
-        an.chernoff_mult_relaxed(3.0, 2.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +453,6 @@ def test_empirical_na_tail_domination():
         emp = float(np.mean(x > mu + lam))
         slack = 3.0 * math.sqrt(bound * (1 - bound) / T)
         assert emp <= bound + slack, (lam, emp, bound)
-    for lam in (3.0, 6.0, 9.0):
-        bound = an.chernoff_lower(mu, lam)
-        emp = float(np.mean(x < mu - lam))
-        slack = 3.0 * math.sqrt(bound * (1 - bound) / T)
-        assert emp <= bound + slack
     for K in (1.2, 1.5, 2.0):
         bound = an.chernoff_mult(mu, K)
         emp = float(np.mean(x > K * mu))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import pickle
 
@@ -164,15 +165,13 @@ def test_trial_over_edge_cap_skips_adjacency(monkeypatch):
 
 class InProcessPool:
     """Stands in for ProcessPoolExecutor and ThreadPoolExecutor: records its
-    size, its kind and the tasks given to map, runs the initializer and the
-    tasks in this thread, starts nothing."""
+    size, its kind and the (ctx, lo, hi) tasks given to map, runs the tasks
+    in this thread, starts nothing."""
 
-    def __init__(self, sizes, kinds, tasks, kind, max_workers, initializer=None, initargs=()):
+    def __init__(self, sizes, kinds, tasks, kind, max_workers):
         sizes.append(max_workers)
         kinds.append(kind)
         self.tasks = tasks
-        if initializer is not None:
-            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -180,10 +179,10 @@ class InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
-        tasks = list(iterable)
+    def map(self, fn, *iterables, chunksize=1):
+        tasks = list(zip(*iterables))
         self.tasks += tasks
-        return map(fn, tasks)
+        return itertools.starmap(fn, tasks)
 
 
 def in_process_pools(monkeypatch) -> tuple[list, list, list]:
@@ -193,7 +192,6 @@ def in_process_pools(monkeypatch) -> tuple[list, list, list]:
     for kind, name in (("process", "ProcessPoolExecutor"), ("thread", "ThreadPoolExecutor")):
         monkeypatch.setattr(mc, name, lambda kind=kind, **kw: InProcessPool(
             sizes, kinds, tasks, kind, **kw))
-    monkeypatch.setattr(mc, "_worker_contexts", ())
     return sizes, kinds, tasks
 
 
@@ -435,14 +433,11 @@ def test_sweep_runs_on_one_pool(kernels, monkeypatch, n, k, grid, trials, node_b
                 node_budget=node_budget))
             sizes.clear()
             kinds.clear()
-            monkeypatch.setattr(mc, "_worker_contexts", ())
             table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5,
                                           sampler_mode=sampler, workers=2,
                                           node_budget=node_budget)
             assert sizes == pools
             assert kinds == [pool_kind(kernel, sampler)] * len(pools), (kernel, sampler)
-            if kinds != ["process"]:    # a thread task reads its call's contexts
-                assert mc._worker_contexts == ()
             assert mc.sweep_table_to_csv(table) == serial
             assert [r.trials for r in table.rows] == [trials] * len(grid)
             if node_budget == 2:
@@ -473,13 +468,15 @@ def test_sweep_chunks_are_guided(kernels, monkeypatch, n, k, grid, trials, worke
             assert mc.sweep_table_to_csv(table) == serial
             assert len(tasks) <= max_tasks
             # every (grid index, trial) exactly once, in order; no chunk
-            # crosses a point
-            assert [(gi, t) for gi, lo, hi in tasks for t in range(lo, hi)] == [
+            # crosses a point; a task carries its point's context
+            chunks = [(ctx.stream[0], lo, hi) for ctx, lo, hi in tasks]
+            assert [ctx.params.phi for ctx, _, _ in tasks] == [grid[gi] for gi, _, _ in chunks]
+            assert [(gi, t) for gi, lo, hi in chunks for t in range(lo, hi)] == [
                 (gi, t) for gi in range(len(grid)) for t in range(trials)]
-            assert all(lo < hi <= trials for _, lo, hi in tasks)
+            assert all(lo < hi <= trials for _, lo, hi in chunks)
             # each chunk takes at most its share of the trials still left
             remaining = len(grid) * trials
-            for _, lo, hi in tasks:
+            for _, lo, hi in chunks:
                 assert hi - lo <= max(1, remaining // (2 * workers))
                 remaining -= hi - lo
 

@@ -208,56 +208,6 @@ def test_kernels_agree_on_generic_search(kernels, seed):
 
 
 # ---------------------------------------------------------------------------
-# clique profile
-# ---------------------------------------------------------------------------
-
-def test_profile_single_center():
-    H = H_from(10, 3, [(0, 1, 2), (0, 3, 4), (0, 5, 6)])
-    p = wt.clique_profile(H, [0, 1, 2], lambda_cap=5)
-    assert (p.s, p.r, p.psi) == (1, 0, 2)
-    assert p.z_sizes[-1] == 1 and p.num_deg3 == 1
-    assert p.max_deg == 3
-
-
-def test_profile_degree_four():
-    H = H_from(12, 3, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8)])
-    p = wt.clique_profile(H, [0, 1, 2, 3], lambda_cap=5)
-    assert (p.s, p.r, p.psi) == (1, 1, 5)
-    assert p.r_vec == (0, 0, 0, 1)
-
-
-def _profile_identities(H, order, lam_cap):
-    p = wt.clique_profile(H, order, lam_cap)
-    deg = {}
-    for i in order:
-        for v in hg.edge_members(H.edge_bits[i]):
-            deg[v] = deg.get(v, 0) + 1
-    Z = {v for v, c in deg.items() if c >= 3}
-    assert p.s == len(Z)
-    assert p.r == sum(deg[v] - 3 for v in Z)
-    assert p.psi == sum(math.comb(deg[v], 2) - 1 for v in Z)
-    if p.max_deg <= lam_cap:
-        assert p.psi <= p.x_rs + 1e-9
-    return p
-
-
-@given(st.integers(0, 400))
-def test_profile_identities_random_cliques(seed):
-    # grow a clique greedily from a random instance, profile it in two orders
-    H = hg.sample_independent(12, 4, 12, np.random.SeedSequence(3, spawn_key=(seed,)))
-    bits = H.edge_bits
-    clique = []
-    for i in range(H.m):
-        if all(bits[i] & bits[j] for j in clique):
-            clique.append(i)
-    lam_cap = max(3, seed % 7)
-    p1 = _profile_identities(H, clique, lam_cap)
-    p2 = _profile_identities(H, list(reversed(clique)), lam_cap)
-    # s, r, psi are order-invariant even though the vectors are not
-    assert (p1.s, p1.r, p1.psi) == (p2.s, p2.r, p2.psi)
-
-
-# ---------------------------------------------------------------------------
 # A/B/C classification
 # ---------------------------------------------------------------------------
 
@@ -285,8 +235,7 @@ def test_classify_event_a():
     H = _hm_clique()
     # d_C(0) = 6 >= tau = 4.5, |C| = 7 >= d_H(0) = 6, |C| >= alpha = 5
     reg = _regime(alpha=5, phi_star=15.0, lam=20.0)   # lam high: B never fires
-    out = wt.classify_nontrivial_clique(H, range(H.m), reg, eps=0.1)
-    assert out.kind == "A" and out.vertices == (0,)
+    assert wt.classify_nontrivial_clique(H, range(H.m), reg, eps=0.1) == "A"
 
 
 def test_classify_event_b():
@@ -294,24 +243,21 @@ def test_classify_event_b():
     edges = [(0, 2, 3), (0, 4, 5), (1, 2, 4), (1, 3, 5)]
     H = H_from(12, 3, edges)
     reg = _regime(alpha=30, phi_star=90.0, lam=2.0)   # tau = 27: A impossible
-    out = wt.classify_nontrivial_clique(H, range(len(edges)), reg, eps=0.1)
-    assert out.kind == "B" and out.vertices == (0, 1)
+    assert wt.classify_nontrivial_clique(H, range(len(edges)), reg, eps=0.1) == "B"
 
 
 def test_classify_event_c():
     # triangle: no vertex above lam = 3, max degree 2 < tau, size >= gamma
     H = H_from(6, 2, [(0, 1), (0, 2), (1, 2)])
     reg = _regime(alpha=3, phi_star=30.0, lam=3.0)
-    out = wt.classify_nontrivial_clique(H, [0, 1, 2], reg, eps=0.1)
-    assert out.kind == "C"
+    assert wt.classify_nontrivial_clique(H, [0, 1, 2], reg, eps=0.1) == "C"
 
 
 def test_classify_priority_a_over_b():
     # both A and B shapes present: A wins by the fixed priority
     H = _hm_clique()
     reg = _regime(alpha=5, phi_star=15.0, lam=1.0)    # 0 and 1 both reach lam
-    out = wt.classify_nontrivial_clique(H, range(H.m), reg, eps=0.1)
-    assert out.kind == "A"
+    assert wt.classify_nontrivial_clique(H, range(H.m), reg, eps=0.1) == "A"
 
 
 def test_classify_lambda_boundary_strictness():
@@ -320,12 +266,10 @@ def test_classify_lambda_boundary_strictness():
     edges = [(0, 2, 3), (0, 4, 5), (1, 2, 4), (1, 3, 5)]
     H = H_from(12, 3, edges)
     reg = _regime(alpha=30, phi_star=90.0, lam=2.0)   # d_C(0) = d_C(1) = 2 = lam
-    out = wt.classify_nontrivial_clique(H, range(4), reg, eps=0.1)
-    assert out.kind == "B"
+    assert wt.classify_nontrivial_clique(H, range(4), reg, eps=0.1) == "B"
     # with lam above every degree, only C can match
     reg2 = _regime(alpha=4, phi_star=90.0, lam=2.5)
-    out2 = wt.classify_nontrivial_clique(H, range(4), reg2, eps=0.1)
-    assert out2.kind == "C" and out2.vertices == ()
+    assert wt.classify_nontrivial_clique(H, range(4), reg2, eps=0.1) == "C"
 
 
 def test_trichotomy_coverage_on_sampled_instances():
@@ -345,6 +289,6 @@ def test_trichotomy_coverage_on_sampled_instances():
             continue
         reg = an.regime_params(params, alpha=ab.alpha)
         out = wt.classify_nontrivial_clique(H, v.witness, reg, params.eps)
-        assert out.kind in ("A", "B", "C"), (H.edge_bits, v)
+        assert out in ("A", "B", "C"), (H.edge_bits, v)
         checked += 1
     assert checked >= 10
