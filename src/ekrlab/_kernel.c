@@ -19,7 +19,14 @@
  * greedy coloring is only its feasibility test (does anything outlast kmin
  * classes?), and it branches on the lowest bit of its candidate set, cut
  * once r + popcount <= best, which is what _generic_search's
- * (None, range(1, |P| + 1)) encodes.
+ * (None, range(1, |P| + 1)) encodes.  A generic child's candidate set also
+ * loses every edge that child() rejects there (narrow()): those through a
+ * degree-3 vertex, and once |d3| + 1 > zeta those through a degree-2 one.
+ * d2 and d3 only grow down the tree, so such an edge is rejected at every
+ * node below: no clique the search can record is lost, candidates are still
+ * taken lowest first, and the first generic clique found, the first in
+ * index order, is unchanged, while the popcount cut and the coloring test
+ * see fewer candidates.
  *
  * A fourth mode, STATS, runs no search: from the same star words it returns
  * Delta and its lowest vertex (verifier._Instance).
@@ -79,6 +86,7 @@ typedef struct {
     ivec order, starts;   /* every level's candidates and class starts */
     u64 *rest, *avail, *untaken, *free;
     int32_t *mate, *cnt, *vs, *sorted, *hist, *fl;
+    const u64 *star;      /* GENERIC: the star words, W per vertex */
 } search;
 
 static inline int popc(u64 x) { return __builtin_popcountll(x); }
@@ -319,6 +327,26 @@ static int child(const search *s, const u64 *S, u64 *C, int v)
     return 1;
 }
 
+/* GENERIC: clears from the child's candidates Q the edges child() rejects
+ * there and below (see the header): those through its degree-3 vertices,
+ * or its degree-2 ones once |d3| + 1 > zeta.  The parent's P (state S)
+ * lacks those through the parent's, so only the vertices the child adds to
+ * that set have their stars cleared. */
+static inline void narrow(const search *s, u64 *Q, const u64 *S)
+{
+    const u64 *C = S + SW;
+    int W = s->W, d3 = 0, c3 = 0;
+    for (int w = 0; w < VW; w++)     /* popc is a libgcc call: skip empty words */
+        if (C[2 * VW + w]) d3 += popc(S[2 * VW + w]), c3 += popc(C[2 * VW + w]);
+    const u64 *done = S + (d3 + 1 > s->zeta ? VW : 2 * VW);
+    const u64 *drop = C + (c3 + 1 > s->zeta ? VW : 2 * VW);
+    for (int w = 0; w < VW; w++)
+        for (u64 x = drop[w] & ~done[w]; x; x &= x - 1) {
+            const u64 *st = s->star + (size_t)(w * 64 + __builtin_ctzll(x)) * W;
+            for (int j = 0; j < W; j++) Q[j] &= ~st[j];
+        }
+}
+
 /* The next node: the deepest level's next unpruned, feasible candidate v.
  * Pushes v onto R and its candidates into the next P row, and returns the
  * new depth, or -1 once every branch is done.  A generic level (a constant,
@@ -346,6 +374,7 @@ descend(search *s, level *lv, u64 *Ps, u64 *St, int32_t *R, int r, int64_t best,
         if (child(s, St + (size_t)r * SW, St + (size_t)(r + 1) * SW, v)) {
             const u64 *a = s->adj + (size_t)v * W;
             for (int w = 0; w < W; w++) P[W + w] = P[w] & a[w];
+            if (generic) narrow(s, P + W, St + (size_t)r * SW);
             P[v >> 6] &= ~BIT(v);
             R[r] = v;
             return r + 1;
@@ -424,7 +453,8 @@ static int stats(int m, int W, int rows, const u64 *bits, const u64 *star, int64
  * its clique is mapped back to the old indices.  Writes best, the recorded
  * clique's size (-1 for none) and the nodes used to result[0..2] and the
  * clique to clique[]; returns DONE, OUT_OF_BUDGET or OUT_OF_MEMORY.  Mode
- * STATS runs stats() instead. */
+ * STATS runs stats() instead.  GENERIC reads the star words built here, so
+ * it takes adj0 NULL. */
 int ekr_search(int mode, int m, const u64 *bits, const u64 *adj0, int dense, int64_t best0,
                int64_t target, double zeta, int64_t budget, int32_t *clique,
                int64_t *result)
@@ -465,6 +495,7 @@ int ekr_search(int mode, int m, const u64 *bits, const u64 *adj0, int dense, int
         adjacency(m, W, bits, NULL, star, adj);
     }
     s.adj = adj0 = adj0 ? adj0 : adj;
+    s.star = star;
     if (mode == OMEGA) {
         /* sorted(range(m), key=(-degree, index)) as a stable counting sort
          * on m - 1 - degree, then the graph again in that order */

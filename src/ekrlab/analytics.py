@@ -555,7 +555,6 @@ def analytics_report(params: ModelParams, t_max: int | None = None) -> dict:
         "alpha": ab.alpha,
         "beta": ab.beta,
         "alpha_le_beta": ab.alpha_le_beta,
-        "exact_tails": ab.exact,
     }
     bs = beta_star_bound(float(params.phi), params.n, params.psi) if params.phi > 0 else None
     out["beta_star"] = bs.value if bs else 0

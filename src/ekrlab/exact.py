@@ -70,7 +70,10 @@ def mask_from(members) -> int:
 # ---------------------------------------------------------------------------
 
 def binom_tail_ge_exact(M: int, p, t: int) -> Fraction:
-    """Exact Pr(X >= t) as a reduced Fraction; intended for small M."""
+    """Exact Pr(X >= t) as a reduced Fraction; intended for small M.
+
+    With p = a/b, every term C(M, j) p^j (1-p)^(M-j) is an integer over
+    b^M, so the numerators are summed as ints and divided once."""
     p = Fraction(p)
     if t <= 0:
         return Fraction(1)
@@ -80,17 +83,13 @@ def binom_tail_ge_exact(M: int, p, t: int) -> Fraction:
         return Fraction(0)
     if p == 1:
         return Fraction(1)
-    qp = 1 - p
-    # Sum whichever side has fewer terms.
-    if t <= M * p:
-        acc = Fraction(0)
-        for j in range(t):
-            acc += math.comb(M, j) * p**j * qp ** (M - j)
-        return 1 - acc
-    acc = Fraction(0)
-    for j in range(t, M + 1):
-        acc += math.comb(M, j) * p**j * qp ** (M - j)
-    return acc
+    a, b = p.numerator, p.denominator
+    total = b**M
+    # the terms below t when t is at most the mean, else those from t up
+    low = t <= M * p
+    s = sum(math.comb(M, j) * a**j * (b - a) ** (M - j)
+            for j in (range(t) if low else range(t, M + 1)))
+    return Fraction(total - s if low else s, total)
 
 
 def _tail_sum_from(log_start_pmf: float, ratio_fn, first_index: int, last_index, step: int) -> float:

@@ -45,7 +45,8 @@ generic search colors no further than kmin: a node is feasible when a
 candidate outlasts the first kmin first-fit classes (_first_classes, the
 loop _color_order starts with), and it then branches on all of P lowest
 first, read off the bitset with no order list (an order of None), as in
-San Segundo et al.'s BBMC (2011).
+San Segundo et al.'s BBMC (2011); it also narrows each child's candidate
+set to the edges the child can still take (narrow).
 
 The three searches run on a compiled twin of that kernel (_kernel.c, with
 the three callers' rules and both colorings), built with the system gcc
@@ -347,7 +348,7 @@ def _complement_adjacency(adj, m: int) -> list[int]:
 
 
 def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
-                      accept, branches, child):
+                      accept, branches, child, narrow=None):
     """Depth-first branch and bound over the cliques of the graph adj, on an
     explicit stack.
 
@@ -365,8 +366,10 @@ def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
     order of None takes the lowest candidate of P left each time, so with
     colors = range(1, |P| + 1) it branches on all of P, lowest first, cut
     once len(R) + (candidates left) <= best.  child(state, v) is the state
-    of R + [v], or None to skip v.  Returns (best, recorded clique or None,
-    nodes visited).
+    of R + [v], or None to skip v.  narrow(P, state, new), when given, cuts
+    the child's candidate set P & adj[v] further, from the parent's state
+    and the child's; the child's frame holds what it returns.  Returns
+    (best, recorded clique or None, nodes visited).
     """
     R, best, found = [], floor, None
     left = node_budget
@@ -396,10 +399,13 @@ def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
             v = order[idx] if order is not None else (P & -P).bit_length() - 1
             frame[0] = P & ~(1 << v)
             frame[3] = idx
-            state = child(state, v)
-            if state is not None:
+            new = child(state, v)
+            if new is not None:
                 R.append(v)
                 P &= adj[v]
+                if narrow is not None:
+                    P = narrow(P, state, new)
+                state = new
                 break
         else:
             break       # the stack is empty: every branch is done

@@ -104,12 +104,17 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
     the same result) over edge indices in ascending order.  A node carries
     the vertices of clique-degree >= 1, >= 2 and exactly 3 as bitsets; edge
     e is infeasible when it meets a degree-3 vertex or would raise the
-    degree-3 count above zeta_cap.  A node branches only when the greedy
-    coloring of its candidates needs more than size_t - 1 - |R| colors,
-    which it tests by coloring that many classes and looking for a
-    candidate left (verifier._first_classes); it then takes its candidates
-    lowest first, and a branch dies once the candidates left cannot reach
-    size_t.
+    degree-3 count above zeta_cap.  d2 and d3 only grow down the tree, so
+    a child drops from its candidates every edge that is infeasible there:
+    those through a degree-3 vertex and, once |d3| + 1 > zeta_cap, those
+    through a degree-2 one.  A node branches only when the greedy coloring
+    of its candidates needs more than size_t - 1 - |R| colors, which it
+    tests by coloring that many classes and looking for a candidate left
+    (verifier._first_classes); it then takes its candidates lowest first,
+    and a branch dies once the candidates left cannot reach size_t.  A
+    dropped edge extends no generic clique of the node's, and the order is
+    lowest first, so the clique returned is the first generic one in
+    combinations(range(m), size_t) order.
     """
     check_limits(node_budget=node_budget)
     if size_t < 0:
@@ -128,7 +133,7 @@ def _generic_search(inst: _Instance, size_t: int, zeta_cap: float, node_budget: 
     if kernel:
         return _native.search(kernel, _native.GENERIC, inst.words, floor=size_t - 1,
                               target=size_t, zeta_cap=zeta_cap, node_budget=node_budget)
-    bits, adj = inst.bits, inst.adj
+    bits, adj, stars = inst.bits, inst.adj, inst.stars
     cadj = _complement_adjacency(adj, inst.m)
 
     def branches(kmin, P, _):
@@ -145,8 +150,19 @@ def _generic_search(inst: _Instance, size_t: int, zeta_cap: float, node_budget: 
             return None
         return d1 | e, d2 | e & d1, d3 | e & d2
 
+    def narrow(P, before, after):
+        # drop the edges that child() rejects here, which stay rejected
+        # below: through a degree-3 vertex, and through a degree-2 one once
+        # |d3| + 1 > zeta_cap.  P lacks those of before's vertices already
+        done = before[1] if before[2].bit_count() + 1 > zeta_cap else before[2]
+        drop = after[1] if after[2].bit_count() + 1 > zeta_cap else after[2]
+        for x in bits_of(drop & ~done):
+            P &= ~stars[x]
+        return P
+
     return _branch_and_bound(adj, node_budget, size_t - 1, size_t, (0, 0, 0),
-                             accept=lambda P, _: True, branches=branches, child=child)
+                             accept=lambda P, _: True, branches=branches, child=child,
+                             narrow=narrow)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,22 @@ def exact_conditional_intersection(n: int, k: int, w: int, z: int, b_in_w: int) 
     return 1 - Fraction(avoid, total)
 
 
+def binom_tail_ge_fractions(M: int, p, t: int) -> Fraction:
+    """Pr(X >= t), X ~ Bin(M, p), as a sum of Fraction terms
+    C(M, j) p^j (1-p)^(M-j) over the side exact.binom_tail_ge_exact sums:
+    its formula before it summed integer numerators."""
+    p = Fraction(p)
+    if t <= 0:
+        return Fraction(1)
+    if t > M or p == 0:
+        return Fraction(0)
+    if p == 1:
+        return Fraction(1)
+    if t <= M * p:
+        return 1 - sum(math.comb(M, j) * p**j * (1 - p) ** (M - j) for j in range(t))
+    return sum(math.comb(M, j) * p**j * (1 - p) ** (M - j) for j in range(t, M + 1))
+
+
 # ---------------------------------------------------------------------------
 # colex ranking: the reference for the samplers' and the kernel's unrank
 # ---------------------------------------------------------------------------
@@ -148,14 +164,16 @@ def brute_force_hilton_milner(H: Hypergraph, d: int) -> bool:
     return False
 
 
-def brute_force_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float) -> bool:
-    """Test every size_t subfamily directly."""
+def brute_force_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float):
+    """The first size_t subfamily in combinations(range(m), size_t) order
+    that is a generic clique, as a tuple of edge indices, or None: each is
+    tested directly."""
     bits = H.edge_bits
     for idx in combinations(range(H.m), size_t):
         if all(bits[a] & bits[b] for a, b in combinations(idx, 2)):
             if is_generic_clique(H, idx, zeta_cap):
-                return True
-    return False
+                return idx
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,9 @@ def test_calc_full_report_fields():
                   "phi_star", "gamma", "tau", "lambda", "xi", "r0", "w", "qhat",
                   "threshold_phi0", "threshold_reference"):
         assert field in d, field
+    # cli parses --phi and --p as floats, so the tails are never exact Fractions
+    # there: calc reports no exact_tails flag, which could only read false
+    assert "exact_tails" not in d
 
 
 def test_sample_p0_empty(tmp_path):

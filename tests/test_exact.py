@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ekrlab import exact
 from ekrlab.errors import ResourceLimitError
-from oracles import colex_rank, colex_unrank
+from oracles import binom_tail_ge_fractions, colex_rank, colex_unrank
 
 
 def test_falling_and_gen_binom():
@@ -82,6 +82,26 @@ def _tail_oracle(M, p, t):
 def test_binom_tail_exact_matches_enumeration(M, p):
     for t in range(M + 2):
         assert exact.binom_tail_ge_exact(M, p, t) == _tail_oracle(M, p, t)
+
+
+@pytest.mark.parametrize("M,p,ts", [
+    (1, Fraction(1, 3), range(-1, 3)),
+    (7, Fraction(2, 5), range(9)),
+    (30, Fraction(0.25), range(32)),
+    (30, Fraction(0), range(3)),
+    (30, Fraction(1), (0, 30, 31)),
+    # M = EXACT_TAIL_CUTOFF on each side of the mean, and at it: 15 <= 15.625 < 16,
+    # 1 <= 1 < 2, 428 <= 428.57 < 429
+    (exact.EXACT_TAIL_CUTOFF, Fraction(1, 64), (15, 16, 40)),
+    (exact.EXACT_TAIL_CUTOFF, Fraction(1, 1000), (1, 2)),
+    (exact.EXACT_TAIL_CUTOFF, Fraction(3, 7), (428, 429)),
+])
+def test_binom_tail_exact_matches_fraction_terms(M, p, ts):
+    # the integer-numerator sum gives the very Fraction the term-by-term
+    # Fraction sum over the same side gave
+    for t in ts:
+        got = exact.binom_tail_ge_exact(M, p, t)
+        assert type(got) is Fraction and got == binom_tail_ge_fractions(M, p, t), t
 
 
 @pytest.mark.parametrize("M,p", [(10, 0.1), (100, 0.03), (400, 0.3), (50, 0.9)])
