@@ -10,8 +10,13 @@
  *
  * The kernel builds its own graph from each edge's vertex bitset (VW words,
  * n <= 256): per-vertex star words, then the intersection adjacency by
- * verifier._star_adjacency's rule, and for the omega search the relabel by
- * descending adjacency degree.  Edge bitsets take W = ceil(m/64) words.
+ * verifier._star_adjacency's rule.  The omega and nontrivial searches run
+ * on its relabel by descending adjacency degree, ties by index (MCQ's
+ * initial order, as verifier._Instance.relabel): the relabelled edges'
+ * words, star words and adjacency, built once per instance, and each
+ * recorded clique is mapped back to ascending original indices.  The
+ * generic search keeps index order, by which its first clique is defined.
+ * Edge bitsets take W = ceil(m/64) words.
  * The search runs on an explicit stack of m + 1 levels.  A level keeps its
  * candidate set and its state.  An omega or nontrivial level also keeps its
  * candidates in branching order with the start of each color class; colors
@@ -36,20 +41,23 @@
  * with numpy's buffering, numpy's binomial and bounded-integer samplers from
  * its libnpyrandom.a), then runs Floyd's dedup and an inlined sort, the
  * colex unrank into vertex words (ranks ascend, so each edge's largest
- * member starts from the last edge's) and, on star words and an adjacency
- * built once, STATS and the omega and nontrivial searches of
- * verifier._decide.  Star words are kept only for the live vertex rows:
- * below n in a trial, below the highest vertex present in ekr_search.
+ * member starts from the last edge's), the star words (and STATS from
+ * them) and, within the edge cap, the adjacency and its relabel, once, on
+ * which the omega and nontrivial searches of verifier._decide both run.
+ * Star words are kept only for the live vertex rows: below n in a trial,
+ * below the highest vertex present in ekr_search.
  *
- * Memory.  Each search (an ekr_search call) allocates one block: its
+ * Memory.  A search (run()) works in a workspace its caller hands it: its
  * complement adjacency, its P and state stacks (not zeroed: only row 0 is
  * set, and descend() and child() write every deeper row before it is
- * read), its levels and int scratch, and where it builds a graph its star
- * words and adjacency; its candidate orders grow as they fill.  An
- * ekr_trials call grows its draws, Floyd's hash set and one block of star
- * words, adjacency and clique to its largest trial so far, reuses them for
- * every trial, and frees them on return; a trial above the edge cap grows
- * the block by no adjacency.
+ * read), its levels and int scratch; only its candidate orders are its own,
+ * grown as they fill.  An ekr_search call allocates one block for that
+ * workspace, its star words, adjacency and relabel.  An ekr_trials call
+ * grows its draws, Floyd's hash set and one block of star words,
+ * adjacency, relabel, clique and workspace to its largest trial so far,
+ * reuses them for every trial and both of its searches, and frees them on
+ * return; a trial above the edge cap grows the block by no adjacency,
+ * relabel or workspace.
  *
  * Built with `gcc -O2 -shared -fPIC -I<numpy include>`, linked with numpy's
  * libnpyrandom.a and -lm, and called through ctypes (_native).  ctypes
@@ -395,29 +403,26 @@ static int live_rows(int m, const u64 *bits)
     return 0;
 }
 
-/* hypergraph._vertex_stars over the edge order e[i] = bits[perm[i]] (or
- * bits[i] without perm): star[x], x < rows, has bit i when e[i] holds
- * vertex x; every vertex of the edges is below rows */
-static void vertex_stars(int m, int W, int rows, const u64 *bits, const int32_t *perm,
-                         u64 *star)
+/* hypergraph._vertex_stars: star[x], x < rows, has bit i when edge i
+ * (bits[i]) holds vertex x; every vertex of the edges is below rows */
+static void vertex_stars(int m, int W, int rows, const u64 *bits, u64 *star)
 {
     memset(star, 0, (size_t)rows * W * sizeof(u64));
     for (int i = 0; i < m; i++) {
-        const u64 *e = bits + (size_t)(perm ? perm[i] : i) * VW;
+        const u64 *e = bits + (size_t)i * VW;
         for (int w = 0; w < VW; w++)
             for (u64 x = e[w]; x; x &= x - 1)
                 star[(size_t)(w * 64 + __builtin_ctzll(x)) * W + (i >> 6)] |= BIT(i);
     }
 }
 
-/* verifier._star_adjacency over that edge order, from its star words:
- * adj[i] is the OR of the stars of e[i]'s vertices minus bit i, so repeated
- * edges stay adjacent */
-static void adjacency(int m, int W, const u64 *bits, const int32_t *perm,
-                      const u64 *star, u64 *adj)
+/* verifier._star_adjacency from the edges' star words: adj[i] is the OR
+ * of the stars of edge i's vertices minus bit i, so repeated edges stay
+ * adjacent */
+static void adjacency(int m, int W, const u64 *bits, const u64 *star, u64 *adj)
 {
     for (int i = 0; i < m; i++) {
-        const u64 *e = bits + (size_t)(perm ? perm[i] : i) * VW;
+        const u64 *e = bits + (size_t)i * VW;
         u64 *a = adj + (size_t)i * W;
         memset(a, 0, W * sizeof(u64));
         for (int w = 0; w < VW; w++)
@@ -435,7 +440,7 @@ static int stats(int m, int W, int rows, const u64 *bits, const u64 *star, int64
 {
     u64 *own = star ? NULL : malloc((size_t)rows * W * sizeof(u64) + sizeof(u64));
     if (!star && !own) return OUT_OF_MEMORY;
-    if (own) vertex_stars(m, W, rows, bits, NULL, own), star = own;
+    if (own) vertex_stars(m, W, rows, bits, own), star = own;
     result[0] = 0;
     result[1] = -1;
     for (int x = 0; x < rows; x++) {
@@ -446,37 +451,68 @@ static int stats(int m, int W, int rows, const u64 *bits, const u64 *star, int64
     return DONE;
 }
 
-/* One search over the intersection graph of m edges, bits holding each
- * edge's vertex bitset (VW words), on its adjacency adj0 or, when adj0 is
- * NULL, one built here.  The omega search runs on that graph relabelled by
- * descending degree, ties by index (vertex i is old vertex perm[i]), and
- * its clique is mapped back to the old indices.  Writes best, the recorded
- * clique's size (-1 for none) and the nodes used to result[0..2] and the
- * clique to clique[]; returns DONE, OUT_OF_BUDGET or OUT_OF_MEMORY.  Mode
- * STATS runs stats() instead.  GENERIC reads the star words built here, so
- * it takes adj0 NULL. */
-int ekr_search(int mode, int m, const u64 *bits, const u64 *adj0, int dense, int64_t best0,
-               int64_t target, double zeta, int64_t budget, int32_t *clique,
-               int64_t *result)
+/* The relabel the omega and nontrivial searches run on: new edge i is old
+ * edge perm[i], perm = sorted(range(m), key=(-degree, index)) as a stable
+ * counting sort on m - 1 - degree (MCQ's initial order).  From the old
+ * edges' words bits and their star words and adjacency, writes the new
+ * edges' words to rbits and their star words (rows of them) and adjacency
+ * over star and adj.  tmp holds 2m + 1 ints. */
+static void relabel(int m, int W, int rows, const u64 *bits, u64 *star, u64 *adj,
+                    int32_t *perm, u64 *rbits, int32_t *tmp)
 {
-    int W = (m + 63) / 64, r = 0, status = DONE, live = live_rows(m, bits);
-    if (mode == STATS) return stats(m, W, live, bits, NULL, result);
-    size_t rows = (size_t)m * W + 1;
-    search s = {.m = m, .W = W, .mode = mode, .dense = dense, .bits = bits,
-                .zeta = zeta};
-    /* one block (see the header): adj and star only where this call builds
-     * a graph, and of the stacks only row 0 set, below */
-    size_t own = adj0 && mode != OMEGA ? 0 : rows + (size_t)live * W + 1;
-    size_t pw = ((size_t)m + 1) * W + 1, sw = ((size_t)m + 1) * SW, xw = 4 * (size_t)(W + 1);
-    size_t lw = ((size_t)m + 1) * sizeof(level) / sizeof(u64), iw = 4 * ((size_t)m + 2);
-    u64 *block = malloc((own + rows + pw + sw + xw + lw + iw) * sizeof(u64));
-    int64_t best = best0, found = -1, nodes = 0;
-    if (!block) {
-        status = OUT_OF_MEMORY;
-        goto out;
+    int32_t *key = tmp, *hist = tmp + m;
+    memset(hist, 0, ((size_t)m + 1) * sizeof *hist);
+    for (int i = 0; i < m; i++) {
+        key[i] = m - 1 - popcount(adj + (size_t)i * W, W);
+        hist[key[i] + 1]++;
     }
-    u64 *adj = block, *star = block + (own ? rows : 0), *cadj = block + own;
-    u64 *Ps = cadj + rows, *St = Ps + pw, *scratch = St + sw;
+    for (int d = 1; d < m; d++) hist[d] += hist[d - 1];
+    for (int i = 0; i < m; i++) perm[hist[key[i]]++] = i;
+    for (int i = 0; i < m; i++)
+        memcpy(rbits + (size_t)i * VW, bits + (size_t)perm[i] * VW, VW * sizeof(u64));
+    vertex_stars(m, W, rows, rbits, star);
+    adjacency(m, W, rbits, star, adj);
+}
+
+/* a clique of size vertices of the relabelled graph as the old edges
+ * perm[v], ascending (an insertion sort as they are mapped) */
+static void map_back(int32_t *clique, int64_t size, const int32_t *perm)
+{
+    for (int64_t j = 0; j < size; j++) {
+        int32_t x = perm[clique[j]];
+        int64_t i = j;
+        for (; i > 0 && clique[i - 1] > x; i--) clique[i] = clique[i - 1];
+        clique[i] = x;
+    }
+}
+
+/* the words of run()'s workspace for m edges: its complement adjacency, P
+ * and state stacks, word scratch, levels and int scratch */
+static size_t work_words(int m)
+{
+    size_t M = (size_t)m, W = (M + 63) / 64;
+    return M * W + 1 + (M + 1) * W + 1 + (M + 1) * SW + 4 * (W + 1)
+           + (M + 1) * sizeof(level) / sizeof(u64) + (7 * (M + 2) + 1) / 2;
+}
+
+/* One search over the intersection graph of m edges: bits holds each
+ * edge's vertex bitset (VW words), adj its adjacency and star its star
+ * words (read by GENERIC only); block holds work_words(m), of whose stacks
+ * only row 0 is set, below.  Writes best, the recorded clique's size (-1
+ * for none) and the nodes used to result[0..2] and the clique, in this
+ * graph's edge indices, to clique[]; returns DONE, OUT_OF_BUDGET or
+ * OUT_OF_MEMORY. */
+static int run(int mode, int m, const u64 *bits, const u64 *star, const u64 *adj, int dense,
+               int64_t best0, int64_t target, double zeta, int64_t budget, int32_t *clique,
+               int64_t *result, u64 *block)
+{
+    int W = (m + 63) / 64, r = 0, status = DONE;
+    search s = {.m = m, .W = W, .mode = mode, .dense = dense, .bits = bits, .adj = adj,
+                .star = star, .zeta = zeta};
+    size_t rows = (size_t)m * W + 1, pw = ((size_t)m + 1) * W + 1, sw = ((size_t)m + 1) * SW;
+    size_t xw = 4 * (size_t)(W + 1), lw = ((size_t)m + 1) * sizeof(level) / sizeof(u64);
+    int64_t best = best0, found = -1, nodes = 0;
+    u64 *cadj = block, *Ps = cadj + rows, *St = Ps + pw, *scratch = St + sw;
     level *lv = (level *)(scratch + xw);
     int32_t *ints = (int32_t *)(scratch + xw + lw);
     s.rest = scratch;
@@ -489,32 +525,12 @@ int ekr_search(int mode, int m, const u64 *bits, const u64 *adj0, int dense, int
     s.sorted = ints + 3 * (m + 2);
     s.hist = ints + 4 * (m + 2);
     s.fl = ints + 5 * (m + 2);
-    int32_t *R = ints + 6 * (m + 2), *perm = ints + 7 * (m + 2);
-    if (!adj0) {
-        vertex_stars(m, W, live, bits, NULL, star);
-        adjacency(m, W, bits, NULL, star, adj);
-    }
-    s.adj = adj0 = adj0 ? adj0 : adj;
-    s.star = star;
-    if (mode == OMEGA) {
-        /* sorted(range(m), key=(-degree, index)) as a stable counting sort
-         * on m - 1 - degree, then the graph again in that order */
-        memset(s.hist, 0, ((size_t)m + 1) * sizeof(int32_t));
-        for (int i = 0; i < m; i++) {
-            s.cnt[i] = m - 1 - popcount(adj0 + (size_t)i * W, W);
-            s.hist[s.cnt[i] + 1]++;
-        }
-        for (int d = 1; d < m; d++) s.hist[d] += s.hist[d - 1];
-        for (int i = 0; i < m; i++) perm[s.hist[s.cnt[i]]++] = i;
-        vertex_stars(m, W, live, bits, perm, star);
-        adjacency(m, W, bits, perm, star, adj);
-        s.adj = adj;
-    }
+    int32_t *R = ints + 6 * (m + 2);
     for (int v = 0; v < m; v++) {
         for (int w = 0; w < W; w++) {
             int top = m - 64 * w;
             u64 full = top >= 64 ? ~0ULL : (1ULL << top) - 1;
-            cadj[(size_t)v * W + w] = full & ~s.adj[(size_t)v * W + w];
+            cadj[(size_t)v * W + w] = full & ~adj[(size_t)v * W + w];
         }
         cadj[(size_t)v * W + (v >> 6)] &= ~BIT(v);
     }
@@ -542,14 +558,48 @@ int ekr_search(int mode, int m, const u64 *bits, const u64 *adj0, int dense, int
         if (r < 0) goto out;
     }
 out:
-    if (mode == OMEGA && status == DONE)
-        for (int64_t j = 0; j < found; j++) clique[j] = perm[clique[j]];
     result[0] = best;
     result[1] = found;
     result[2] = nodes;
-    free(block);
     free(s.order.v);
     free(s.starts.v);
+    return status;
+}
+
+/* One search over the intersection graph of m edges, bits holding each
+ * edge's vertex bitset (VW words), on the star words and adjacency built
+ * here, in one block with run()'s workspace.  The omega and nontrivial searches run on their relabel (relabel())
+ * and map the clique back to ascending old indices; GENERIC keeps index
+ * order, which its first clique is defined by.  result[] and clique[] as
+ * run() writes them.  Mode STATS runs stats() instead. */
+int ekr_search(int mode, int m, const u64 *bits, int dense, int64_t best0, int64_t target,
+               double zeta, int64_t budget, int32_t *clique, int64_t *result)
+{
+    int W = (m + 63) / 64, live = live_rows(m, bits), status = OUT_OF_MEMORY;
+    if (mode == STATS) return stats(m, W, live, bits, NULL, result);
+    /* the workspace, star words, adjacency, and for a relabel its words,
+     * perm and 2m + 1 ints of scratch */
+    size_t ww = work_words(m), sw = (size_t)live * W, aw = (size_t)m * W;
+    size_t rw = mode == GENERIC ? 0 : (size_t)m * VW + (3 * (size_t)m + 2) / 2;
+    u64 *block = malloc((ww + sw + aw + rw + 1) * sizeof(u64));
+    result[0] = best0;
+    result[1] = -1;
+    result[2] = 0;
+    if (block) {
+        u64 *star = block + ww, *adj = star + sw, *rbits = adj + aw;
+        int32_t *perm = NULL;
+        vertex_stars(m, W, live, bits, star);
+        adjacency(m, W, bits, star, adj);
+        if (mode != GENERIC) {
+            perm = (int32_t *)(rbits + (size_t)m * VW);
+            relabel(m, W, live, bits, star, adj, perm, rbits, perm + m);
+            bits = rbits;
+        }
+        status = run(mode, m, bits, star, adj, dense, best0, target, zeta, budget, clique,
+                     result, block);
+        if (mode != GENERIC && status == DONE) map_back(clique, result[1], perm);
+    }
+    free(block);
     return status;
 }
 
@@ -697,21 +747,24 @@ static int grow(int64_t **a, int64_t *cap, int64_t need)
  * into words: the i-th largest member of rank r is the largest v with
  * C(v, i) = col[(k - i) n + v] <= r (clipped at C(n, k)).  Then STATS into
  * result[0..1] and, when m <= edge_cap, verifier._decide's searches, each on
- * its own budget: result[2] = omega, result[3] = the size of the failing
- * clique, which follows the words, or -1 when EKR holds or is undecided.
- * The star words, adjacency and clique go to *block, grown to fit. */
+ * its own budget and both on one relabel (relabel()): result[2] = omega,
+ * result[3] = the size of the failing clique, which follows the words in
+ * ascending edge indices, or -1 when EKR holds or is undecided.  The star
+ * words, adjacency, relabel and clique go to *block, grown to fit. */
 static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *rank, int dense,
                  int64_t edge_cap, int64_t budget, u64 *words, int64_t *result,
                  int64_t **block, int64_t *bcap)
 {
     int W = (int)((m + 63) / 64), status = DONE;
     int64_t found[3];
-    /* no adjacency or clique beyond the edge cap: m^2 / 8 bytes that no search reads */
+    /* within the edge cap, the adjacency, the relabel's words, 4m + 2 ints
+     * (the clique, perm and relabel()'s scratch) and run()'s workspace;
+     * beyond it none of them, m^2 / 8 bytes that no search reads */
     size_t stars = (size_t)n * W + 1, adjw = m <= edge_cap ? (size_t)m * W + 1 : 0;
+    size_t relw = adjw ? (size_t)m * VW + 2 * (size_t)m + 1 + work_words((int)m) : 0;
     result[2] = result[3] = -1;
-    if (grow(block, bcap, stars + adjw + (adjw ? m + 1 : 0))) return OUT_OF_MEMORY;
-    u64 *star = (u64 *)*block, *adj = star + stars;
-    int32_t *clique = (int32_t *)(adj + adjw);
+    if (grow(block, bcap, stars + adjw + relw)) return OUT_OF_MEMORY;
+    u64 *star = (u64 *)*block, *adj = star + stars, *rbits = adj + adjw;
     memset(words, 0, (size_t)m * VW * sizeof(u64));
     /* ranks ascend, and so does the largest member, top (k >= 1, so
      * col[0] = C(0, k) = 0): it climbs from the edge before's */
@@ -723,18 +776,21 @@ static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *ran
             words[e * VW + (v >> 6)] |= BIT(v);
         }
     }
-    vertex_stars((int)m, W, n, words, NULL, star);
+    vertex_stars((int)m, W, n, words, star);
     stats((int)m, W, n, words, star, result);
-    if (m <= edge_cap) {
-        adjacency((int)m, W, words, NULL, star, adj);
-        status = ekr_search(OMEGA, (int)m, words, adj, dense, result[0], m + 1, 0, budget,
-                            clique, found);
-        result[2] = found[0];
-        if (!status && found[0] == result[0] && found[0] > 2)
-            status = ekr_search(NONTRIVIAL, (int)m, words, adj, dense, found[0] - 1, found[0],
-                                0, budget, clique, found);
-        result[3] = status ? -1 : found[1];
-    }
+    if (m > edge_cap) return DONE;
+    int32_t *clique = (int32_t *)(rbits + (size_t)m * VW), *perm = clique + m + 1;
+    u64 *work = rbits + (size_t)m * VW + 2 * (size_t)m + 1;
+    adjacency((int)m, W, words, star, adj);
+    relabel((int)m, W, n, words, star, adj, perm, rbits, perm + m);
+    status = run(OMEGA, (int)m, rbits, star, adj, dense, result[0], m + 1, 0, budget, clique,
+                 found, work);
+    result[2] = found[0];
+    if (!status && found[0] == result[0] && found[0] > 2)
+        status = run(NONTRIVIAL, (int)m, rbits, star, adj, dense, found[0] - 1, found[0], 0,
+                     budget, clique, found, work);
+    result[3] = status ? -1 : found[1];
+    map_back(clique, result[3], perm);
     for (int64_t j = 0; j < result[3]; j++) words[VW * m + j] = (u64)clique[j];
     return status;
 }

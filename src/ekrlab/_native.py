@@ -126,8 +126,8 @@ def _load():
         return None
     i64, u64p, i32p = ctypes.c_int64, ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int32)
     cint, ptr = ctypes.c_int, ctypes.c_void_p
-    lib.ekr_search.argtypes = [cint, cint, u64p, u64p, cint, i64, i64, ctypes.c_double, i64,
-                               i32p, ctypes.POINTER(i64)]
+    lib.ekr_search.argtypes = [cint, cint, u64p, cint, i64, i64, ctypes.c_double, i64, i32p,
+                               ctypes.POINTER(i64)]
     lib.ekr_search.restype = cint
     lib.ekr_trials.argtypes = [ptr, i64, i64, i64, cint, cint, ptr, i64, ctypes.c_double, cint,
                                cint, i64, i64, cint, ptr, ptr, i64]
@@ -163,9 +163,10 @@ def search(lib, mode: int, words, *, floor: int, target: int, node_budget: int,
     for one of the three searches, on the native kernel.
 
     words holds the edges' vertex_words; the kernel builds the intersection
-    adjacency from them, and for the omega search its relabel by descending
-    degree, whose clique comes back in the original edge indices.  The
-    fourth mode, STATS, is stats(), not a search.
+    adjacency from them, and for the omega and nontrivial searches its
+    relabel by descending degree, whose clique comes back as ascending
+    original edge indices.  The fourth mode, STATS, is stats(), not a
+    search.
     """
     m = len(words) * 8 // _VERTEX_BYTES
     clique = (ctypes.c_int32 * max(m, 1))()
@@ -173,7 +174,7 @@ def search(lib, mode: int, words, *, floor: int, target: int, node_budget: int,
     # beyond these ranges a value acts as its clamp: best <= m, so a floor of
     # m or more records nothing and a target above m is never met; a clique
     # has at most MAX_N vertices of degree 3
-    check(lib.ekr_search(mode, m, words, None, dense, max(min(floor, m), -1),
+    check(lib.ekr_search(mode, m, words, dense, max(min(floor, m), -1),
                          min(target, m + 1), float(max(min(zeta_cap, 256), -1)),
                          min(node_budget, 2**62), clique, result))
     best, size, nodes = result
@@ -188,7 +189,7 @@ def stats(lib, words) -> tuple[int, int]:
     mode, read off its per-vertex star words, with no search."""
     m = len(words) * 8 // _VERTEX_BYTES
     result = (ctypes.c_int64 * 2)()
-    if lib.ekr_search(STATS, m, words, None, 0, 0, 0, 0.0, 0, None, result):
+    if lib.ekr_search(STATS, m, words, 0, 0, 0, 0.0, 0, None, result):
         raise MemoryError("native kernel statistics")
     return tuple(result)
 
@@ -207,8 +208,9 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
 
     Per trial: (m, Delta, omega, size, status, clique, edges), status DONE
     or OUT_OF_BUDGET (check()).  omega is -1 when m > edge_cap; size, the
-    failing clique's, is -1 when EKR holds or no search decided; edges are
-    a failing trial's (any trial's with keep_all) edge bitsets, else None.
+    failing clique's, is -1 when EKR holds or no search decided, and clique
+    holds its ascending edge indices; edges are a failing trial's (any
+    trial's with keep_all) edge bitsets, else None.
     """
     ent = _uint32_words(seed)
     ent += [0] * (4 - len(ent))             # as SeedSequence pads them when spawned

@@ -219,8 +219,8 @@ def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]
             records.append(_record(ctx, t, m, Delta, -1, None, None, str(exc)))
             continue
         witness = H = None
-        if size >= 0:       # verifier._max_clique sorts the omega search's clique
-            witness = tuple(sorted(clique) if omega > Delta else clique)
+        if size >= 0:
+            witness = tuple(clique)
             H = Hypergraph._unchecked(n, k, edges)
         records.append(_record(ctx, t, m, Delta, omega, witness, H))
     return records

@@ -24,7 +24,15 @@ degree structure is the per-vertex star masks (star[x] = the edge indices
 containing x): Delta is the largest popcount, the seed star is the star of
 the lowest vertex of that degree (listed only by max_intersecting_family,
 when no clique beats it), and the intersection adjacency (adj[i] = OR of
-star[x] over x in edge i, minus i) follows in O(m k) operations.
+star[x] over x in edge i, minus i) follows in O(m k) operations.  Both
+searches run on one relabel of that graph (_Instance.relabel): the edges
+sorted by descending intersection degree, ties by index, as in MCQ's
+initial order (Tomita & Seki 2003), so that the colorings, which take
+candidates in index order, bound tighter.  Each search maps the clique it
+records back to ascending original edge indices.  On hard families, where
+omega = Delta and the nontrivial search does most of the work, that order
+visits far fewer of its nodes than the original index order (see README's
+"Search kernel").
 verify_ekr is its input checks plus _decide on that one structure; a Monte
 Carlo trial on the Python path reads Delta off the instance it hands
 _decide, and the native trials (_kernel.c's ekr_trials) run _decide's two
@@ -57,10 +65,11 @@ so verdicts, witnesses, node counts and budget errors are identical.  With
 the native kernel an instance marshals the edges' vertex bitsets once, on
 first use, and the kernel builds the star words from them: one call in its
 STATS mode gives Delta and its lowest vertex when first read, and each
-search builds the adjacency and the omega relabel itself, so that path
-builds no Python star masks, member tuples or adjacency.  With the Python
-kernel the instance builds them from the members (read through
-hypergraph.edge_members) in big-int operations, the reference.
+search builds the adjacency and, for omega and nontrivial, the relabel
+itself, so that path builds no Python star masks, member tuples or
+adjacency.  With the Python kernel the instance builds them from the
+members (read through hypergraph.edge_members) in big-int operations, the
+reference.
 
 EKR is undefined for multisets: hypergraphs with repeated edges are
 rejected.
@@ -137,8 +146,8 @@ class _Instance:
     edges' vertex bitsets marshalled once.  Otherwise they are read off the
     star masks, the reference.  members, stars, deg = the popcounts of the
     stars, and the adjacency (m^2 bits) are built only by the Python kernel
-    and witnesses.find_hilton_milner; the adjacency is never built for a
-    family over the edge cap."""
+    and witnesses.find_hilton_milner, the relabel only by the Python
+    kernel; the adjacency is never built for a family over the edge cap."""
 
     def __init__(self, H: Hypergraph):
         self.n, self.m = H.n, H.m
@@ -176,6 +185,18 @@ class _Instance:
     @functools.cached_property
     def words(self):
         return _native.vertex_words(self.bits)
+
+    @functools.cached_property
+    def relabel(self) -> tuple[list[int], list[int], list[int]]:
+        """(perm, bits, adj) of the graph the Python kernel's omega and
+        nontrivial searches share: edge i of it is edge perm[i], perm
+        sorted by descending intersection degree, ties by index, and bits
+        and adj are its edge bitsets and its adjacency, built the same way
+        as the originals."""
+        perm = sorted(range(self.m), key=lambda i: (-self.adj[i].bit_count(), i))
+        members = [self.members[old] for old in perm]
+        return (perm, [self.bits[old] for old in perm],
+                _star_adjacency(members, _vertex_stars(self.n, members)))
 
 
 def check_limits(edge_cap: int = DEFAULT_EDGE_CAP,
@@ -438,25 +459,22 @@ def _max_clique(inst: _Instance, node_budget: int):
     kernel = _native.kernel()
     if kernel:
         # the kernel relabels by degree itself and maps the clique back
-        omega, clique, nodes = _native.search(
-            kernel, _native.OMEGA, inst.words, dense=inst.dense_pairs,
-            floor=inst.Delta, target=m + 1, node_budget=node_budget)
-    else:
-        # relabel by descending degree for better coloring bounds: the stars
-        # and adjacency of the permuted edge order, built the same way as
-        # the originals
-        perm = sorted(range(m), key=lambda i: (-inst.adj[i].bit_count(), i))
-        members = [inst.members[old] for old in perm]
-        radj = _star_adjacency(members, _vertex_stars(inst.n, members))
-        coloring = _make_coloring(radj, m, inst.dense_pairs)
-        omega, clique, nodes = _branch_and_bound(
-            radj, node_budget, inst.Delta, math.inf, 0,
-            accept=lambda P, _: not P,
-            branches=lambda kmin, P, _: coloring(P, kmin),
-            child=lambda state, v: state)
-        if clique is not None:
-            clique = [perm[v] for v in clique]
-    return omega, None if clique is None else sorted(clique), nodes
+        return _native.search(kernel, _native.OMEGA, inst.words, dense=inst.dense_pairs,
+                              floor=inst.Delta, target=m + 1, node_budget=node_budget)
+    perm, _, adj = inst.relabel
+    coloring = _make_coloring(adj, m, inst.dense_pairs)
+    omega, clique, nodes = _branch_and_bound(
+        adj, node_budget, inst.Delta, math.inf, 0,
+        accept=lambda P, _: not P,
+        branches=lambda kmin, P, _: coloring(P, kmin),
+        child=lambda state, v: state)
+    return omega, _mapped_back(perm, clique), nodes
+
+
+def _mapped_back(perm, clique):
+    """A clique of the relabelled graph as ascending original edge indices
+    (None stays None)."""
+    return None if clique is None else sorted(perm[v] for v in clique)
 
 
 def find_nontrivial_clique(H: Hypergraph, target: int,
@@ -466,8 +484,9 @@ def find_nontrivial_clique(H: Hypergraph, target: int,
     Prunes a branch when the partial clique plus its candidate set cannot
     reach the goal size (popcount and coloring bounds) and when every
     completion keeps some vertex common (AND over partial clique and all
-    remaining candidates nonempty).  Deterministic: candidates explored in
-    index order.
+    remaining candidates nonempty).  Deterministic: it searches the edges
+    relabelled by descending intersection degree, as the omega search does,
+    and returns the first clique it finds as ascending edge indices.
     """
     check_limits(node_budget=node_budget)
     if H.m == 0 or target > H.m:
@@ -477,16 +496,17 @@ def find_nontrivial_clique(H: Hypergraph, target: int,
 
 
 def _nontrivial_search(inst: _Instance, target, node_budget: int, floor: int):
-    """(best, first clique recorded, nodes visited): the search records a
-    clique with empty common intersection whenever it beats best (from
-    floor) and stops once best >= target."""
+    """(best, first clique recorded as ascending edge indices, nodes
+    visited): the search records a clique with empty common intersection
+    whenever it beats best (from floor) and stops once best >= target.  It
+    runs on the omega search's relabel by descending degree."""
     kernel = _native.kernel()
     if kernel:
         return _native.search(kernel, _native.NONTRIVIAL, inst.words,
                               dense=inst.dense_pairs, floor=floor, target=target,
                               node_budget=node_budget)
-    bits = inst.bits
-    coloring = _make_coloring(inst.adj, inst.m, inst.dense_pairs)
+    perm, bits, adj = inst.relabel
+    coloring = _make_coloring(adj, inst.m, inst.dense_pairs)
 
     def branches(kmin, P, common):
         c, rest = common, P
@@ -497,11 +517,12 @@ def _nontrivial_search(inst: _Instance, target, node_budget: int, floor: int):
         # with c != 0 every extension of R from P keeps a common vertex
         return ((), ()) if c else coloring(P, kmin)
 
-    return _branch_and_bound(
-        inst.adj, node_budget, floor, target, -1,
+    best, found, nodes = _branch_and_bound(
+        adj, node_budget, floor, target, -1,
         accept=lambda P, common: not common,
         branches=branches,
         child=lambda common, v: common & bits[v])
+    return best, _mapped_back(perm, found), nodes
 
 
 def max_nontrivial_clique(H: Hypergraph, node_budget: int = DEFAULT_NODE_BUDGET,

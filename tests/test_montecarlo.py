@@ -339,12 +339,15 @@ def test_paper_regime_sweep_golden_hash(kernels):
 # sha256 of trial_records_to_csv, the per-point CSVs concatenated: every
 # record of the README sweep at seed 1, then 40 bernoulli and 40 independent
 # trials at each TRIAL_PINS point, seed 5.  It pins m, Delta, omega, the
-# verdict, Lambda'(Delta), the witness kind and the error of every trial; it
-# equals the hash of the earlier trial CSV with its Lambda(Delta) and five
-# event-R columns cut, taken with degree_stats' per-edge pair loop and a
-# second instance per verdict
+# verdict, Lambda'(Delta), the witness kind and the error of every trial.
+# The earlier trial CSV, with its Lambda(Delta) and five event-R columns cut
+# and taken with degree_stats' per-edge pair loop and a second instance per
+# verdict, differs from it in three witness kinds only, at (18, 5, 20): the
+# nontrivial search now walks the omega search's degree order, and finds
+# another failing clique in bernoulli trial 38 and independent trials 4
+# and 34
 TRIAL_PINS = [(12, 3, 2), (40, 3, 0.5), (14, 3, 3), (18, 5, 20)]
-TRIALS_SHA256 = "7e009b21246adea8d631d4f68d92d7dc8d1889916afc30f2c52089f20845ac1b"
+TRIALS_SHA256 = "08997aae9ff6bd05ebaef87e9f5338209407f422547229c5aa00f63a78caaf8c"
 
 
 def test_trial_csv_golden_hash(kernels):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ekrlab import analytics as an
 from ekrlab import exact
 from ekrlab import hypergraph as hg
 from ekrlab import verifier as vf
@@ -241,11 +242,11 @@ def sampled(n, k, phi, seed):
 # visited clique), which are the least budgets at which they decide.  None:
 # verify_ekr skips the second search because omega > Delta.
 NODE_PINS = [
-    ((14, 5, 60, 1), False, 72, 121, 97),       # dense (n < 3k), witness found
+    ((14, 5, 60, 1), False, 72, 121, 185),      # dense (n < 3k), witness found
     ((14, 5, 60, 37), False, 67, 128, None),    # dense, omega > Delta
-    ((18, 5, 60, 3), True, 70, 216, 551),       # sparse, star is the maximum
-    ((14, 5, 60, 2), True, 78, 99, 1168),       # dense, star is the maximum
-    ((18, 5, 60, 10), True, 70, 150, 1233),     # sparse, star is the maximum
+    ((18, 5, 60, 3), True, 70, 216, 292),       # sparse, star is the maximum
+    ((14, 5, 60, 2), True, 78, 99, 222),        # dense, star is the maximum
+    ((18, 5, 60, 10), True, 70, 150, 233),      # sparse, star is the maximum
 ]
 OUT_OF_BUDGET = "^branch-and-bound node budget exceeded$"
 
@@ -273,6 +274,69 @@ def test_search_node_counts_pinned(kernels, key, holds, omega, omega_nodes, nont
         assert vf.verify_ekr(H, node_budget=budget).holds is holds
         with pytest.raises(ResourceLimitError, match=OUT_OF_BUDGET):
             vf.verify_ekr(H, node_budget=budget - 1)
+
+
+# families whose omega-target nontrivial search finds a witness (omega =
+# Delta, EKR fails): dense (14, 5, 60) under the pair coloring, sparse
+# (24, 3, 3) and (12, 4, 30) under first-fit
+WITNESS_FAMILIES = [(14, 5, 60, 1), (14, 5, 60, 4), (14, 5, 60, 10), (24, 3, 3, 0),
+                    (24, 3, 3, 5), (24, 3, 3, 8), (12, 4, 30, 6)]
+
+
+@pytest.mark.parametrize("key", WITNESS_FAMILIES)
+def test_nontrivial_witness_is_ascending_and_valid(kernels, key):
+    # the search runs on the degree relabel; both kernels map its witness
+    # back to the same ascending edge indices, and it re-validates
+    H = sampled(*key)
+    runs = {}
+    for kernel in kernels():
+        v = vf.verify_ekr(H)
+        assert not v.holds and v.omega == v.Delta, kernel
+        assert list(v.witness) == sorted(set(v.witness)) and vf.validate_witness(H, v), kernel
+        assert vf.find_nontrivial_clique(H, v.omega) == v.witness, kernel
+        size, widest = vf.max_nontrivial_clique(H)
+        assert size == len(widest) >= v.omega and list(widest) == sorted(set(widest)), kernel
+        runs[kernel] = v, widest
+    assert runs["python"] == runs["native"]
+
+
+def frontier_instance(n, k, phi, seed):
+    """`ekrlab sample --n n --k k --phi phi --sampler conditioned --seed seed`."""
+    return hg.sample("conditioned", n, k, float(an.ModelParams.from_phi(n, k, phi).p), seed)
+
+
+# the frontier (ROADMAP item 6): conditioned samples where omega = Delta
+# arrives early and the nontrivial search decides.  (n, k, phi, seed) ->
+# verdict, omega = Delta, and the nodes of the omega and nontrivial searches
+FRONTIER_PINS = [
+    ((16, 5, 80, 0), True, 84, 5119, 7005),
+    ((16, 5, 80, 1), True, 97, 331, 469),
+    ((16, 5, 80, 2), True, 86, 2996, 4105),
+    ((16, 5, 80, 3), True, 96, 477, 636),
+    ((16, 5, 120, 0), True, 132, 3219, 4035),
+    ((16, 5, 120, 1), True, 131, 9795, 12406),
+    ((16, 5, 120, 2), True, 137, 2708, 3404),
+    ((16, 5, 120, 3), True, 134, 2823, 3552),
+    ((18, 6, 100, 0), False, 115, 9966, 11282),
+    ((18, 6, 100, 1), True, 118, 36355, 55490),
+]
+
+
+@pytest.mark.parametrize("key, holds, omega, omega_nodes, nontrivial_nodes", FRONTIER_PINS)
+def test_frontier_instances_decided(kernels, key, holds, omega, omega_nodes, nontrivial_nodes):
+    H = frontier_instance(*key)
+    runs = {}
+    for kernel in kernels():
+        inst = vf._Instance(H)
+        got, clique, nodes = vf._max_clique(inst, vf.DEFAULT_NODE_BUDGET)
+        assert (inst.Delta, got, clique, nodes) == (omega, omega, None, omega_nodes), kernel
+        _, found, nodes = vf._nontrivial_search(inst, omega, vf.DEFAULT_NODE_BUDGET, omega - 1)
+        assert (found is None, nodes) == (holds, nontrivial_nodes), kernel
+        runs[kernel] = found
+    assert runs["python"] == runs["native"]
+    if not holds:
+        v = vf.EkrVerdict(False, omega, omega, tuple(runs["native"]))
+        assert list(v.witness) == sorted(set(v.witness)) and vf.validate_witness(H, v)
 
 
 def search_outcome(search, *args):
