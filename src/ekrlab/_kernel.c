@@ -33,31 +33,32 @@
  * index order, is unchanged, while the popcount cut and the coloring test
  * see fewer candidates.
  *
- * A fourth mode, STATS, runs no search: from the same star words it returns
- * Delta and its lowest vertex (verifier._Instance).
+ * decide() is verifier._decide: Delta from the star words, then within the
+ * edge cap the adjacency and relabel, once, for the omega search (floored
+ * at Delta) and, when omega = Delta > 2, the nontrivial search.  ekr_search
+ * runs it as its fourth mode, DECIDE, and ekr_trials on every trial.  Its
+ * lone omega search floors itself at Delta too and, when no clique beats
+ * that, returns the star of the lowest vertex of degree Delta.
  *
  * A second entry point, ekr_trials, runs a batch of sweep trials.  It
  * re-derives each trial's numpy stream (numpy's SeedSequence key, Philox
  * with numpy's buffering, numpy's binomial and bounded-integer samplers from
  * its libnpyrandom.a), then runs Floyd's dedup and an inlined sort, the
  * colex unrank into vertex words (ranks ascend, so each edge's largest
- * member starts from the last edge's), the star words (and STATS from
- * them) and, within the edge cap, the adjacency and its relabel, once, on
- * which the omega and nontrivial searches of verifier._decide both run.
- * Star words are kept only for the live vertex rows: below n in a trial,
- * below the highest vertex present in ekr_search.
+ * member starts from the last edge's) and decide().  Star words are kept
+ * only for the live vertex rows: below n in a trial, below the highest
+ * vertex present in ekr_search.
  *
  * Memory.  A search (run()) works in a workspace its caller hands it: its
  * complement adjacency, its P and state stacks (not zeroed: only row 0 is
  * set, and descend() and child() write every deeper row before it is
  * read), its levels and int scratch; only its candidate orders are its own,
- * grown as they fill.  An ekr_search call allocates one block for that
- * workspace, its star words, adjacency and relabel.  An ekr_trials call
- * grows its draws, Floyd's hash set and one block of star words,
- * adjacency, relabel, clique and workspace to its largest trial so far,
- * reuses them for every trial and both of its searches, and frees them on
- * return; a trial above the edge cap grows the block by no adjacency,
- * relabel or workspace.
+ * grown as they fill.  A graph's block (graph_words()) holds its star
+ * words, adjacency, relabel and that workspace: an ekr_search call
+ * allocates one, and an ekr_trials call grows one (with the clique, its
+ * draws and Floyd's hash set) to its largest trial so far, reuses it for
+ * every trial and search, and frees it on return.  A trial above the edge
+ * cap grows it by star words only.
  *
  * Built with `gcc -O2 -shared -fPIC -I<numpy include>`, linked with numpy's
  * libnpyrandom.a and -lm, and called through ctypes (_native).  ctypes
@@ -77,7 +78,7 @@ typedef uint64_t u64;
 #define BIT(v) (1ULL << ((v) & 63))
 #define SW (3 * VW)                     /* state words of a level: d1, d2, d3 */
 
-enum { OMEGA = 0, NONTRIVIAL = 1, GENERIC = 2, STATS = 3 };
+enum { OMEGA = 0, NONTRIVIAL = 1, GENERIC = 2, DECIDE = 3 };
 enum { DONE = 0, OUT_OF_BUDGET = 1, OUT_OF_MEMORY = 2 };
 
 typedef struct { int32_t *v; size_t len, cap; } ivec;
@@ -434,46 +435,6 @@ static void adjacency(int m, int W, const u64 *bits, const u64 *star, u64 *adj)
     }
 }
 
-/* STATS: Delta and its lowest vertex (-1 when m = 0) into result[0..1], from
- * the star words of vertices below rows, or when star is NULL its own */
-static int stats(int m, int W, int rows, const u64 *bits, const u64 *star, int64_t *result)
-{
-    u64 *own = star ? NULL : malloc((size_t)rows * W * sizeof(u64) + sizeof(u64));
-    if (!star && !own) return OUT_OF_MEMORY;
-    if (own) vertex_stars(m, W, rows, bits, own), star = own;
-    result[0] = 0;
-    result[1] = -1;
-    for (int x = 0; x < rows; x++) {
-        int d = popcount(star + (size_t)x * W, W);
-        if (d > result[0]) result[0] = d, result[1] = x;
-    }
-    free(own);
-    return DONE;
-}
-
-/* The relabel the omega and nontrivial searches run on: new edge i is old
- * edge perm[i], perm = sorted(range(m), key=(-degree, index)) as a stable
- * counting sort on m - 1 - degree (MCQ's initial order).  From the old
- * edges' words bits and their star words and adjacency, writes the new
- * edges' words to rbits and their star words (rows of them) and adjacency
- * over star and adj.  tmp holds 2m + 1 ints. */
-static void relabel(int m, int W, int rows, const u64 *bits, u64 *star, u64 *adj,
-                    int32_t *perm, u64 *rbits, int32_t *tmp)
-{
-    int32_t *key = tmp, *hist = tmp + m;
-    memset(hist, 0, ((size_t)m + 1) * sizeof *hist);
-    for (int i = 0; i < m; i++) {
-        key[i] = m - 1 - popcount(adj + (size_t)i * W, W);
-        hist[key[i] + 1]++;
-    }
-    for (int d = 1; d < m; d++) hist[d] += hist[d - 1];
-    for (int i = 0; i < m; i++) perm[hist[key[i]]++] = i;
-    for (int i = 0; i < m; i++)
-        memcpy(rbits + (size_t)i * VW, bits + (size_t)perm[i] * VW, VW * sizeof(u64));
-    vertex_stars(m, W, rows, rbits, star);
-    adjacency(m, W, rbits, star, adj);
-}
-
 /* a clique of size vertices of the relabelled graph as the old edges
  * perm[v], ascending (an insertion sort as they are mapped) */
 static void map_back(int32_t *clique, int64_t size, const int32_t *perm)
@@ -486,33 +447,84 @@ static void map_back(int32_t *clique, int64_t size, const int32_t *perm)
     }
 }
 
-/* the words of run()'s workspace for m edges: its complement adjacency, P
- * and state stacks, word scratch, levels and int scratch */
-static size_t work_words(int m)
+/* An intersection graph of m edges over the vertices below rows, in a
+ * block of graph_words(): the star words, then for a search the adjacency,
+ * the relabel's words (rbits), perm and 2m + 1 ints of scratch, and run()'s
+ * workspace.  bits are the edges' words the searches read: the caller's,
+ * or rbits once relabelled.  centre is the lowest vertex of degree Delta. */
+typedef struct {
+    int m, W, rows, centre;
+    int64_t Delta;
+    const u64 *bits;
+    u64 *star, *adj, *rbits, *work;
+    int32_t *perm;
+} graph;
+
+static size_t graph_words(int64_t m, int rows, int search)
 {
     size_t M = (size_t)m, W = (M + 63) / 64;
-    return M * W + 1 + (M + 1) * W + 1 + (M + 1) * SW + 4 * (W + 1)
-           + (M + 1) * sizeof(level) / sizeof(u64) + (7 * (M + 2) + 1) / 2;
+    return (size_t)rows * W + 1 + (search ? M * W + 1 + M * VW + (3 * M + 2) / 2 + M * W + 1
+           + (M + 1) * W + 1 + (M + 1) * SW + 4 * (W + 1)
+           + (M + 1) * sizeof(level) / sizeof(u64) + (7 * (M + 2) + 1) / 2 : 0);
 }
 
-/* One search over the intersection graph of m edges: bits holds each
- * edge's vertex bitset (VW words), adj its adjacency and star its star
- * words (read by GENERIC only); block holds work_words(m), of whose stacks
- * only row 0 is set, below.  Writes best, the recorded clique's size (-1
- * for none) and the nodes used to result[0..2] and the clique, in this
- * graph's edge indices, to clique[]; returns DONE, OUT_OF_BUDGET or
- * OUT_OF_MEMORY. */
-static int run(int mode, int m, const u64 *bits, const u64 *star, const u64 *adj, int dense,
-               int64_t best0, int64_t target, double zeta, int64_t budget, int32_t *clique,
-               int64_t *result, u64 *block)
+/* the graph of the m edges in bits over block: its star words and Delta */
+static graph stars(int m, int rows, const u64 *bits, u64 *block)
 {
-    int W = (m + 63) / 64, r = 0, status = DONE;
-    search s = {.m = m, .W = W, .mode = mode, .dense = dense, .bits = bits, .adj = adj,
-                .star = star, .zeta = zeta};
+    graph g = {.m = m, .W = (m + 63) / 64, .rows = rows, .centre = -1, .bits = bits,
+               .star = block};
+    vertex_stars(m, g.W, rows, bits, g.star);
+    for (int x = 0; x < rows; x++) {
+        int d = popcount(g.star + (size_t)x * g.W, g.W);
+        if (d > g.Delta) g.Delta = d, g.centre = x;
+    }
+    return g;
+}
+
+/* The adjacency of g from its star words, and when asked the relabel the
+ * omega and nontrivial searches run on: new edge i is old edge perm[i],
+ * perm = sorted(range(m), key=(-degree, index)) as a stable counting sort
+ * on m - 1 - degree (MCQ's initial order), whose words go to rbits, and
+ * whose star words and adjacency overwrite the old. */
+static void connect(graph *g, int relabelled)
+{
+    int m = g->m, W = g->W;
+    g->adj = g->star + (size_t)g->rows * W + 1;
+    g->rbits = g->adj + (size_t)m * W + 1;
+    g->perm = (int32_t *)(g->rbits + (size_t)m * VW);
+    g->work = g->rbits + (size_t)m * VW + (3 * (size_t)m + 2) / 2;
+    adjacency(m, W, g->bits, g->star, g->adj);
+    if (!relabelled) return;
+    int32_t *key = g->perm + m, *hist = key + m;
+    memset(hist, 0, ((size_t)m + 1) * sizeof *hist);
+    for (int i = 0; i < m; i++) {
+        key[i] = m - 1 - popcount(g->adj + (size_t)i * W, W);
+        hist[key[i] + 1]++;
+    }
+    for (int d = 1; d < m; d++) hist[d] += hist[d - 1];
+    for (int i = 0; i < m; i++) g->perm[hist[key[i]]++] = i;
+    for (int i = 0; i < m; i++)
+        memcpy(g->rbits + (size_t)i * VW, g->bits + (size_t)g->perm[i] * VW, VW * sizeof(u64));
+    g->bits = g->rbits;
+    vertex_stars(m, W, g->rows, g->bits, g->star);
+    adjacency(m, W, g->bits, g->star, g->adj);
+}
+
+/* One search over g (its adjacency built, and read with its star words by
+ * GENERIC only), in g's workspace, of whose stacks only row 0 is set,
+ * below.  Writes best, the recorded clique's size (-1 for none) and the
+ * nodes used to result[0..2] and the clique, in g's edge indices, to
+ * clique[]; returns DONE, OUT_OF_BUDGET or OUT_OF_MEMORY. */
+static int run(int mode, const graph *g, int dense, int64_t best0, int64_t target, double zeta,
+               int64_t budget, int32_t *clique, int64_t *result)
+{
+    int m = g->m, W = g->W, r = 0, status = DONE;
+    search s = {.m = m, .W = W, .mode = mode, .dense = dense, .bits = g->bits, .adj = g->adj,
+                .star = g->star, .zeta = zeta};
     size_t rows = (size_t)m * W + 1, pw = ((size_t)m + 1) * W + 1, sw = ((size_t)m + 1) * SW;
     size_t xw = 4 * (size_t)(W + 1), lw = ((size_t)m + 1) * sizeof(level) / sizeof(u64);
     int64_t best = best0, found = -1, nodes = 0;
-    u64 *cadj = block, *Ps = cadj + rows, *St = Ps + pw, *scratch = St + sw;
+    u64 *cadj = g->work, *Ps = cadj + rows, *St = Ps + pw, *scratch = St + sw;
     level *lv = (level *)(scratch + xw);
     int32_t *ints = (int32_t *)(scratch + xw + lw);
     s.rest = scratch;
@@ -530,7 +542,7 @@ static int run(int mode, int m, const u64 *bits, const u64 *star, const u64 *adj
         for (int w = 0; w < W; w++) {
             int top = m - 64 * w;
             u64 full = top >= 64 ? ~0ULL : (1ULL << top) - 1;
-            cadj[(size_t)v * W + w] = full & ~adj[(size_t)v * W + w];
+            cadj[(size_t)v * W + w] = full & ~g->adj[(size_t)v * W + w];
         }
         cadj[(size_t)v * W + (v >> 6)] &= ~BIT(v);
     }
@@ -566,38 +578,50 @@ out:
     return status;
 }
 
-/* One search over the intersection graph of m edges, bits holding each
- * edge's vertex bitset (VW words), on the star words and adjacency built
- * here, in one block with run()'s workspace.  The omega and nontrivial searches run on their relabel (relabel())
- * and map the clique back to ascending old indices; GENERIC keeps index
- * order, which its first clique is defined by.  result[] and clique[] as
- * run() writes them.  Mode STATS runs stats() instead. */
+/* verifier._decide on g, its star words built: Delta, omega and the size
+ * of the failing clique (-1 when EKR holds or a search ran out; both -1
+ * when m > edge_cap) into result[0..2], the clique, as ascending edge
+ * indices, into clique[].  Each search runs on its own budget. */
+static int decide(graph *g, int dense, int64_t edge_cap, int64_t budget, int32_t *clique,
+                  int64_t *result)
+{
+    int m = g->m, status;
+    int64_t found[3];
+    result[0] = g->Delta;
+    result[1] = result[2] = -1;
+    if (m > edge_cap) return DONE;
+    connect(g, 1);
+    status = run(OMEGA, g, dense, result[0], m + 1, 0, budget, clique, found);
+    result[1] = found[0];
+    if (!status && found[0] == result[0] && found[0] > 2)
+        status = run(NONTRIVIAL, g, dense, found[0] - 1, found[0], 0, budget, clique, found);
+    result[2] = status ? -1 : found[1];
+    map_back(clique, result[2], g->perm);
+    return status;
+}
+
+/* One call on the graph of the m edges whose vertex bitsets (VW words
+ * each) are bits, in one block: DECIDE runs decide() with no edge cap, any
+ * other mode one search (run()).  OMEGA floors it at Delta, not best0, and
+ * records the star of g.centre when no clique beats that.  The omega and
+ * nontrivial searches' cliques come back as ascending old indices. */
 int ekr_search(int mode, int m, const u64 *bits, int dense, int64_t best0, int64_t target,
                double zeta, int64_t budget, int32_t *clique, int64_t *result)
 {
-    int W = (m + 63) / 64, live = live_rows(m, bits), status = OUT_OF_MEMORY;
-    if (mode == STATS) return stats(m, W, live, bits, NULL, result);
-    /* the workspace, star words, adjacency, and for a relabel its words,
-     * perm and 2m + 1 ints of scratch */
-    size_t ww = work_words(m), sw = (size_t)live * W, aw = (size_t)m * W;
-    size_t rw = mode == GENERIC ? 0 : (size_t)m * VW + (3 * (size_t)m + 2) / 2;
-    u64 *block = malloc((ww + sw + aw + rw + 1) * sizeof(u64));
-    result[0] = best0;
-    result[1] = -1;
-    result[2] = 0;
-    if (block) {
-        u64 *star = block + ww, *adj = star + sw, *rbits = adj + aw;
-        int32_t *perm = NULL;
-        vertex_stars(m, W, live, bits, star);
-        adjacency(m, W, bits, star, adj);
-        if (mode != GENERIC) {
-            perm = (int32_t *)(rbits + (size_t)m * VW);
-            relabel(m, W, live, bits, star, adj, perm, rbits, perm + m);
-            bits = rbits;
-        }
-        status = run(mode, m, bits, star, adj, dense, best0, target, zeta, budget, clique,
-                     result, block);
-        if (mode != GENERIC && status == DONE) map_back(clique, result[1], perm);
+    int rows = live_rows(m, bits), status;
+    u64 *block = malloc(graph_words(m, rows, 1) * sizeof(u64));
+    if (!block) return OUT_OF_MEMORY;
+    graph g = stars(m, rows, bits, block);
+    if (mode == DECIDE) {
+        status = decide(&g, dense, m, budget, clique, result);
+    } else {
+        connect(&g, mode != GENERIC);
+        status = run(mode, &g, dense, mode == OMEGA ? g.Delta : best0, target, zeta, budget,
+                     clique, result);
+        if (mode == OMEGA && !status && result[1] < 0 && g.centre >= 0)
+            for (int i = result[1] = 0; i < m; i++)     /* list the star */
+                if (g.star[(size_t)g.centre * g.W + (i >> 6)] & BIT(i)) clique[result[1]++] = i;
+        if (mode != GENERIC && !status) map_back(clique, result[1], g.perm);
     }
     free(block);
     return status;
@@ -745,26 +769,16 @@ static int grow(int64_t **a, int64_t *cap, int64_t need)
 
 /* The colex unrank (hypergraph._colex_unrank_bits) of m ascending ranks
  * into words: the i-th largest member of rank r is the largest v with
- * C(v, i) = col[(k - i) n + v] <= r (clipped at C(n, k)).  Then STATS into
- * result[0..1] and, when m <= edge_cap, verifier._decide's searches, each on
- * its own budget and both on one relabel (relabel()): result[2] = omega,
- * result[3] = the size of the failing clique, which follows the words in
- * ascending edge indices, or -1 when EKR holds or is undecided.  The star
- * words, adjacency, relabel and clique go to *block, grown to fit. */
+ * C(v, i) = col[(k - i) n + v] <= r (clipped at C(n, k)), then decide(),
+ * whose clique follows the words.  *block, grown to fit, takes the graph
+ * and, within the edge cap only, the clique. */
 static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *rank, int dense,
                  int64_t edge_cap, int64_t budget, u64 *words, int64_t *result,
                  int64_t **block, int64_t *bcap)
 {
-    int W = (int)((m + 63) / 64), status = DONE;
-    int64_t found[3];
-    /* within the edge cap, the adjacency, the relabel's words, 4m + 2 ints
-     * (the clique, perm and relabel()'s scratch) and run()'s workspace;
-     * beyond it none of them, m^2 / 8 bytes that no search reads */
-    size_t stars = (size_t)n * W + 1, adjw = m <= edge_cap ? (size_t)m * W + 1 : 0;
-    size_t relw = adjw ? (size_t)m * VW + 2 * (size_t)m + 1 + work_words((int)m) : 0;
-    result[2] = result[3] = -1;
-    if (grow(block, bcap, stars + adjw + relw)) return OUT_OF_MEMORY;
-    u64 *star = (u64 *)*block, *adj = star + stars, *rbits = adj + adjw;
+    size_t gw = graph_words(m, n, m <= edge_cap);
+    if (grow(block, bcap, gw + (m <= edge_cap ? (m + 2) / 2 : 0))) return OUT_OF_MEMORY;
+    int32_t *clique = (int32_t *)((u64 *)*block + gw);
     memset(words, 0, (size_t)m * VW * sizeof(u64));
     /* ranks ascend, and so does the largest member, top (k >= 1, so
      * col[0] = C(0, k) = 0): it climbs from the edge before's */
@@ -776,22 +790,9 @@ static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *ran
             words[e * VW + (v >> 6)] |= BIT(v);
         }
     }
-    vertex_stars((int)m, W, n, words, star);
-    stats((int)m, W, n, words, star, result);
-    if (m > edge_cap) return DONE;
-    int32_t *clique = (int32_t *)(rbits + (size_t)m * VW), *perm = clique + m + 1;
-    u64 *work = rbits + (size_t)m * VW + 2 * (size_t)m + 1;
-    adjacency((int)m, W, words, star, adj);
-    relabel((int)m, W, n, words, star, adj, perm, rbits, perm + m);
-    status = run(OMEGA, (int)m, rbits, star, adj, dense, result[0], m + 1, 0, budget, clique,
-                 found, work);
-    result[2] = found[0];
-    if (!status && found[0] == result[0] && found[0] > 2)
-        status = run(NONTRIVIAL, (int)m, rbits, star, adj, dense, found[0] - 1, found[0], 0,
-                     budget, clique, found, work);
-    result[3] = status ? -1 : found[1];
-    map_back(clique, result[3], perm);
-    for (int64_t j = 0; j < result[3]; j++) words[VW * m + j] = (u64)clique[j];
+    graph g = stars((int)m, n, words, (u64 *)*block);
+    int status = decide(&g, dense, edge_cap, budget, clique, result);
+    for (int64_t j = 0; j < result[2]; j++) words[VW * m + j] = (u64)clique[j];
     return status;
 }
 
@@ -799,8 +800,8 @@ static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *ran
  * < 2^63.  Trial t draws from Philox keyed by seed_key(ent, len, t) what
  * numpy's Generator would: m = random_binomial(N, p), then Floyd's t_j on
  * [0, j], j = N - m .. N - 1 (conditioned), or the ranks r < N whose
- * next_double < p (bernoulli).  Row t - lo takes m, trial()'s result and
- * status; trial() writes into out (cap words), where a failing trial's
+ * next_double < p (bernoulli).  Row t - lo takes m, trial()'s result
+ * (Delta, omega, the failing clique's size) and status; trial() writes into out (cap words), where a failing trial's
  * words and clique stay (any trial's words with keep_all).  Returns the
  * trials done, fewer when the next one's words may not fit, or
  * -OUT_OF_MEMORY.  The draws, Floyd's set and trial()'s block are the
@@ -815,7 +816,7 @@ int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int
     int64_t t, used = 0, dcap = 0, scap = 0, bcap = 0, *draw = NULL, *set = NULL, *block = NULL;
     int status = DONE;
     for (t = lo; t < hi && status != OUT_OF_MEMORY; t++) {
-        int64_t m = 0, *row = rows + (t - lo) * 6;
+        int64_t m = 0, *row = rows + (t - lo) * 5;
         memset(&g, 0, sizeof g);
         g.pos = 4;
         seed_key(ent, len, (u64)t, g.key);
@@ -836,9 +837,9 @@ int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int
         }
         row[0] = m;
         if (status || used + (VW + 1) * m > cap) break;
-        status = row[5] = trial(n, k, col, m, draw, dense, edge_cap, budget, out + used, row + 1,
+        status = row[4] = trial(n, k, col, m, draw, dense, edge_cap, budget, out + used, row + 1,
                                 &block, &bcap);
-        if (keep_all || row[4] >= 0) used += VW * m + (row[4] > 0 ? row[4] : 0);
+        if (keep_all || row[3] >= 0) used += VW * m + (row[3] > 0 ? row[3] : 0);
     }
     free(draw);
     free(set);

@@ -1,13 +1,13 @@
 """The compiled search kernel (_kernel.c): build, cache, load and call.
 
 Its entry point ekr_search runs the omega, nontrivial or generic search
-(search()), or in a fourth mode, STATS, no search: it reads the edges'
-largest degree and its lowest vertex (stats()).  Its second entry point,
-ekr_trials, runs a batch of bernoulli or conditioned Monte Carlo trials in
-one call (trials()).  It seeds and draws each trial as numpy would, with
-numpy's binomial and bounded-integer samplers from numpy's libnpyrandom.a,
-then dedups and unranks the draws and runs STATS and verifier._decide's
-searches.
+(search()), or in a fourth mode, DECIDE, verifier._decide: Delta, then the
+omega and nontrivial searches on one graph (decide()).  Its second entry
+point, ekr_trials, runs a batch of bernoulli or conditioned Monte Carlo
+trials in one call (trials()).  It seeds and draws each trial as numpy
+would, with numpy's binomial and bounded-integer samplers from numpy's
+libnpyrandom.a, then dedups and unranks the draws and runs the same
+decision on each.
 
 kernel() builds the kernel on first use with the system gcc, linked with
 libnpyrandom.a, into a per-user cache directory ($XDG_CACHE_HOME/ekrlab or
@@ -39,7 +39,7 @@ import numpy as np
 from . import hypergraph
 from .errors import ResourceLimitError
 
-OMEGA, NONTRIVIAL, GENERIC, STATS = 0, 1, 2, 3
+OMEGA, NONTRIVIAL, GENERIC, DECIDE = 0, 1, 2, 3
 DONE, OUT_OF_BUDGET, OUT_OF_MEMORY = 0, 1, 2
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
@@ -157,17 +157,9 @@ def check(status: int) -> None:
         raise MemoryError("native kernel")
 
 
-def search(lib, mode: int, words, *, floor: int, target: int, node_budget: int,
-           dense: bool = False, zeta_cap: float = 0.0):
-    """verifier._branch_and_bound's (best, recorded clique or None, nodes)
-    for one of the three searches, on the native kernel.
-
-    words holds the edges' vertex_words; the kernel builds the intersection
-    adjacency from them, and for the omega and nontrivial searches its
-    relabel by descending degree, whose clique comes back as ascending
-    original edge indices.  The fourth mode, STATS, is stats(), not a
-    search.
-    """
+def _ekr_search(lib, mode: int, words, dense: bool, floor: int, target: int,
+                zeta_cap: float, node_budget: int):
+    """ekr_search's result[0..2] and clique buffer, its status checked."""
     m = len(words) * 8 // _VERTEX_BYTES
     clique = (ctypes.c_int32 * max(m, 1))()
     result = (ctypes.c_int64 * 3)()
@@ -177,21 +169,32 @@ def search(lib, mode: int, words, *, floor: int, target: int, node_budget: int,
     check(lib.ekr_search(mode, m, words, dense, max(min(floor, m), -1),
                          min(target, m + 1), float(max(min(zeta_cap, 256), -1)),
                          min(node_budget, 2**62), clique, result))
-    best, size, nodes = result
-    if size < 0:
-        return floor, None, nodes
-    return best, clique[:size], nodes
+    return tuple(result), clique
 
 
-def stats(lib, words) -> tuple[int, int]:
-    """(Delta, the lowest vertex of degree Delta or -1 when there is no edge)
-    of the edges in words, degrees counting multiplicity: the kernel's STATS
-    mode, read off its per-vertex star words, with no search."""
-    m = len(words) * 8 // _VERTEX_BYTES
-    result = (ctypes.c_int64 * 2)()
-    if lib.ekr_search(STATS, m, words, 0, 0, 0, 0.0, 0, None, result):
-        raise MemoryError("native kernel statistics")
-    return tuple(result)
+def search(lib, mode: int, words, *, floor: int, target: int, node_budget: int,
+           dense: bool = False, zeta_cap: float = 0.0):
+    """verifier._branch_and_bound's (best, recorded clique or None, nodes)
+    for one of the three searches, on the native kernel.
+
+    words holds the edges' vertex_words; the kernel builds the intersection
+    adjacency from them, and for the omega and nontrivial searches its
+    relabel by descending degree, whose clique comes back as ascending
+    original edge indices.  The omega search floors itself at Delta, not
+    floor, and returns the star of the lowest vertex of that degree when no
+    clique beats it.
+    """
+    (best, size, nodes), clique = _ekr_search(lib, mode, words, dense, floor, target,
+                                              zeta_cap, node_budget)
+    return (floor, None, nodes) if size < 0 else (best, clique[:size], nodes)
+
+
+def decide(lib, words, *, dense: bool, node_budget: int):
+    """verifier._decide on the native kernel, in one call: (Delta, omega,
+    failing clique as ascending edge indices or None) of the distinct edges
+    in words, each search on its own node budget."""
+    (Delta, omega, size), clique = _ekr_search(lib, DECIDE, words, dense, 0, 0, 0, node_budget)
+    return Delta, omega, (tuple(clique[:size]) if size >= 0 else None)
 
 
 def _uint32_words(x: int) -> list[int]:
@@ -216,7 +219,7 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
     ent += [0] * (4 - len(ent))             # as SeedSequence pads them when spawned
     ent = np.array(ent + [w for x in stream for w in _uint32_words(x)], dtype=np.uint32)
     columns = hypergraph._unrank_tables(n, k)[0]
-    rows = np.empty((hi - lo, 6), dtype=np.int64)
+    rows = np.empty((hi - lo, 5), dtype=np.int64)
     out = np.empty(1 << 16, dtype=np.uint64)
     done = []
     while lo < hi:
@@ -227,7 +230,7 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
         if count < 0:
             raise MemoryError("native kernel trials")
         at = 0
-        for m, Delta, _, omega, size, status in rows[:count].tolist():
+        for m, Delta, omega, size, status in rows[:count].tolist():
             kept = keep_all or size >= 0
             edges = edge_bits(out[at:at + 4 * m]) if kept else None
             clique = out[at + 4 * m:at + 4 * m + size].tolist() if size > 0 else []

@@ -26,11 +26,11 @@ evaluated or anything is drawn.
 
 With the compiled kernel (see _native) a bernoulli or conditioned grid
 point's trials are one kernel call: the kernel seeds and draws each trial's
-sample as numpy would, dedups, unranks, reads Delta and runs the searches,
-and a Hypergraph is built from its vertex words only to classify a failing
-clique.  The independent sampler, and every trial without the kernel, draws
-through hypergraph.sample and builds a verifier._Instance instead; that path
-is the reference, and both give the same records.
+sample as numpy would, dedups, unranks and decides it, and a Hypergraph is
+built from its vertex words only to classify a failing clique.  The
+independent sampler, and every trial without the kernel, draws through
+hypergraph.sample and decides a verifier._Instance (one kernel call when
+loaded); that path is the reference, and both give the same records.
 
 Asymptotic "almost surely" claims are reported as finite-n frequencies with
 Wilson intervals and nothing more.
@@ -250,7 +250,7 @@ def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
         except ResourceLimitError as exc:
             records.append(_record(ctx, t, H.m, inst.Delta, -1, None, H, str(exc)))
         else:
-            records.append(_record(ctx, t, H.m, inst.Delta, verdict.omega, verdict.witness, H))
+            records.append(_record(ctx, t, H.m, verdict.Delta, verdict.omega, verdict.witness, H))
     return records
 
 

@@ -22,21 +22,19 @@ intersection.  Cliques of size <= 2 always share a vertex, so omega <= 2
 Each family is prepared once (_Instance) from its edge bitsets.  Its
 degree structure is the per-vertex star masks (star[x] = the edge indices
 containing x): Delta is the largest popcount, the seed star is the star of
-the lowest vertex of that degree (listed only by max_intersecting_family,
-when no clique beats it), and the intersection adjacency (adj[i] = OR of
-star[x] over x in edge i, minus i) follows in O(m k) operations.  Both
-searches run on one relabel of that graph (_Instance.relabel): the edges
-sorted by descending intersection degree, ties by index, as in MCQ's
-initial order (Tomita & Seki 2003), so that the colorings, which take
-candidates in index order, bound tighter.  Each search maps the clique it
-records back to ascending original edge indices.  On hard families, where
-omega = Delta and the nontrivial search does most of the work, that order
-visits far fewer of its nodes than the original index order (see README's
-"Search kernel").
-verify_ekr is its input checks plus _decide on that one structure; a Monte
-Carlo trial on the Python path reads Delta off the instance it hands
-_decide, and the native trials (_kernel.c's ekr_trials) run _decide's two
-searches themselves.
+the lowest vertex of that degree (what the omega search returns when no
+clique beats it), and the intersection adjacency (adj[i] = OR of star[x]
+over x in edge i, minus i) follows in O(m k) operations.  Both searches run
+on one relabel of that graph (_Instance.relabel): the edges sorted by
+descending intersection degree, ties by index, as in MCQ's initial order
+(Tomita & Seki 2003), so that the colorings, which take candidates in
+index order, bound tighter.  Each search maps the clique it records back
+to ascending original edge indices.  On hard families, where omega = Delta
+and the nontrivial search does most of the work, that order visits far
+fewer of its nodes than the original index order (see README's "Search
+kernel").
+verify_ekr is its input checks plus _decide on that one structure, and a
+Monte Carlo trial on the Python path calls _decide too.
 
 Both searches, and the generic-clique search of the witnesses module, run
 on one branch-and-bound kernel (_branch_and_bound).  It walks cliques depth
@@ -63,13 +61,12 @@ cannot be built or loaded they run on _branch_and_bound, which stays the
 reference: both kernels visit the same nodes and record the same cliques,
 so verdicts, witnesses, node counts and budget errors are identical.  With
 the native kernel an instance marshals the edges' vertex bitsets once, on
-first use, and the kernel builds the star words from them: one call in its
-STATS mode gives Delta and its lowest vertex when first read, and each
-search builds the adjacency and, for omega and nontrivial, the relabel
-itself, so that path builds no Python star masks, member tuples or
-adjacency.  With the Python kernel the instance builds them from the
-members (read through hypergraph.edge_members) in big-int operations, the
-reference.
+first use, and the kernel derives the rest: _decide is one call (its
+DECIDE mode, the decide() a native sweep trial runs), and the omega search
+alone one call that reads Delta and returns the seed star itself, so that
+path builds no Python star masks, member tuples or adjacency.  The Python
+kernel builds them from the members (hypergraph.edge_members) in big-int
+operations, the reference.
 
 EKR is undefined for multisets: hypergraphs with repeated edges are
 rejected.
@@ -84,6 +81,7 @@ from typing import Optional
 
 from . import _native
 from .errors import DomainError, ResourceLimitError
+from .exact import bits_of
 from .hypergraph import Hypergraph, _vertex_stars, edge_members
 
 DEFAULT_EDGE_CAP = 2000
@@ -139,32 +137,19 @@ def intersection_adjacency(edge_bits) -> list[int]:
 
 class _Instance:
     """A family's derived structure, built once and shared by the searches,
-    each part on first use: Delta and centre (the lowest vertex of degree
-    Delta, -1 when m = 0), degrees counting multiplicity.
-
-    With the native kernel both come from one STATS call on words, the
-    edges' vertex bitsets marshalled once.  Otherwise they are read off the
-    star masks, the reference.  members, stars, deg = the popcounts of the
-    stars, and the adjacency (m^2 bits) are built only by the Python kernel
-    and witnesses.find_hilton_milner, the relabel only by the Python
-    kernel; the adjacency is never built for a family over the edge cap."""
+    each part on first use: with the native kernel only words, the edges'
+    vertex bitsets.  members, stars, deg = the popcounts of the stars,
+    Delta (degrees counting multiplicity) and the adjacency (m^2 bits) are
+    built only by the Python kernel, witnesses.find_hilton_milner and a
+    trial that a limit stopped, the relabel only by the Python kernel; the
+    adjacency is never built for a family over the edge cap."""
 
     def __init__(self, H: Hypergraph):
         self.n, self.m = H.n, H.m
         self.dense_pairs = _dense_pairs(H.n, H.k)
         self.bits = H.edge_bits
 
-    @functools.cached_property
-    def _stats(self) -> tuple[int, int]:
-        """(Delta, centre)."""
-        kernel = _native.kernel()
-        if kernel:
-            return _native.stats(kernel, self.words)
-        Delta = max(self.deg, default=0)
-        return Delta, self.deg.index(Delta) if self.m else -1
-
-    Delta = property(lambda self: self._stats[0])
-    centre = property(lambda self: self._stats[1])
+    Delta = property(lambda self: max(self.deg, default=0))
 
     @functools.cached_property
     def members(self) -> list[tuple[int, ...]]:
@@ -439,28 +424,26 @@ def max_intersecting_family(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
 
     Branch and bound over edge indices ordered by descending intersection
     degree (ties by index, i.e. input/colex order), greedy-coloring bounds,
-    lower bound seeded with the largest star.
+    lower bound seeded with the largest star, which is the witness when no
+    clique beats it.
     """
     check_limits(edge_cap, node_budget)
     _check_edge_cap(H.m, edge_cap)
-    inst = _Instance(H)
-    omega, clique, _ = _max_clique(inst, node_budget)
-    if clique is None:       # no clique beats the largest star: return it
-        return omega, [i for i, b in enumerate(H.edge_bits) if b >> inst.centre & 1]
-    return omega, clique
+    return _max_clique(_Instance(H), node_budget)[:2]
 
 
 def _max_clique(inst: _Instance, node_budget: int):
-    """(omega, clique as ascending edge indices, nodes visited); the clique
-    is None when none beats the largest star, of size Delta."""
+    """(omega, a maximum clique as ascending edge indices, nodes visited):
+    when none beats the largest star, of size Delta, the star of the lowest
+    vertex of that degree."""
     m = inst.m
     if m == 0:
         return 0, [], 0
     kernel = _native.kernel()
     if kernel:
-        # the kernel relabels by degree itself and maps the clique back
+        # the kernel reads Delta, relabels by degree and maps back, or lists the star
         return _native.search(kernel, _native.OMEGA, inst.words, dense=inst.dense_pairs,
-                              floor=inst.Delta, target=m + 1, node_budget=node_budget)
+                              floor=0, target=m + 1, node_budget=node_budget)
     perm, _, adj = inst.relabel
     coloring = _make_coloring(adj, m, inst.dense_pairs)
     omega, clique, nodes = _branch_and_bound(
@@ -468,6 +451,8 @@ def _max_clique(inst: _Instance, node_budget: int):
         accept=lambda P, _: not P,
         branches=lambda kmin, P, _: coloring(P, kmin),
         child=lambda state, v: state)
+    if clique is None:
+        return omega, list(bits_of(inst.stars[inst.deg.index(inst.Delta)])), nodes
     return omega, _mapped_back(perm, clique), nodes
 
 
@@ -552,6 +537,11 @@ def verify_ekr(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
 
 def _decide(inst: _Instance, node_budget: int) -> EkrVerdict:
     """verify_ekr's verdict on a prepared family of distinct edges."""
+    kernel = _native.kernel()
+    if kernel:
+        Delta, omega, witness = _native.decide(kernel, inst.words, dense=inst.dense_pairs,
+                                               node_budget=node_budget)
+        return EkrVerdict(witness is None, omega, Delta, witness)
     Delta = inst.Delta
     omega, clique, _ = _max_clique(inst, node_budget)
     if omega > Delta:

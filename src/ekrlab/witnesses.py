@@ -87,6 +87,8 @@ def _require_clique(H: Hypergraph, indices) -> None:
 def is_generic_clique(H: Hypergraph, indices, zeta_cap: float) -> bool:
     """Max vertex degree <= 3 and at most zeta_cap vertices of degree
     exactly 3, degrees counted with multiplicity; input must be a clique."""
+    if zeta_cap != zeta_cap:        # NaN: every count compares false with it
+        raise DomainError("zeta cap must be a number, got nan")
     _require_clique(H, indices)
     deg = _clique_degrees(H, indices)
     if not deg:
@@ -117,6 +119,8 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
     combinations(range(m), size_t) order.
     """
     check_limits(node_budget=node_budget)
+    if zeta_cap != zeta_cap:        # NaN: the search would run with no cap
+        raise DomainError("zeta cap must be a number, got nan")
     if size_t < 0:
         raise DomainError("size_t must be nonnegative")
     if size_t == 0:

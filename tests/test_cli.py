@@ -237,6 +237,17 @@ def test_invalid_limits_exit_2(tmp_path, flags, message):
             assert code == 2 and out == "" and message in err
 
 
+def test_witness_nan_zeta_cap_exits_2(tmp_path, kernels):
+    # it exited 0 with a "generic" clique that is_generic_clique rejects
+    path = tmp_path / "h.txt"
+    assert run_cli(["sample", "--n", "25", "--k", "5", "--phi", "10", "--seed", "26",
+                    "--output", str(path)])[0] == 0
+    for kernel in kernels():
+        code, out, err = run_cli(["witness", str(path), "--generic-size", "7",
+                                  "--zeta-cap", "nan"])
+        assert code == 2 and out == "" and "zeta cap" in err, kernel
+
+
 def test_witness_detectors(tmp_path):
     path = tmp_path / "tri.txt"
     path.write_text(TRIANGLE)

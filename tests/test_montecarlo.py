@@ -163,6 +163,30 @@ def test_trial_over_edge_cap_skips_adjacency(monkeypatch):
         assert r.Delta == hg.degree_stats(H).Delta
 
 
+def test_errored_independent_trials_read_delta(kernels, monkeypatch):
+    # an independent-sampler trial reads Delta off its verdict, with the
+    # kernel one decide call; only a trial that the edge cap or the node
+    # budget stopped reads it off the instance
+    params = an.ModelParams.from_phi(12, 3, 3.0)
+    native, kernel_calls = _native.kernel(), []
+    for kernel in kernels():
+        for limits, error in (({"edge_cap": 3}, "exceeds the edge cap 3"),
+                              ({"node_budget": 1}, "node budget exceeded")):
+            for r in mc.run_trials(params, 12, "independent", seed=3, **limits):
+                H = hg.sample("independent", 12, 3, float(params.p),
+                              np.random.SeedSequence(3, spawn_key=(r.trial_index,)))
+                assert r.Delta == hg.degree_stats(H).Delta, kernel
+                assert error in r.error and r.omega == -1 and r.ekr_holds is None, kernel
+    monkeypatch.setattr(_native, "_lib", _native.Kernel(
+        lambda *a: kernel_calls.append(1) or native.ekr_search(*a), native.ekr_trials))
+    monkeypatch.setattr(vf, "_vertex_stars", lambda *a: pytest.fail("Python star masks built"))
+    ctx = mc.make_trial_context(params, "independent", 3)
+    for t in range(12):
+        kernel_calls.clear()
+        r = mc.run_one_trial(ctx, t)
+        assert r.decided and kernel_calls == [1], t
+
+
 class InProcessPool:
     """Stands in for ProcessPoolExecutor and ThreadPoolExecutor: records its
     size, its kind and the (ctx, lo, hi) tasks given to map, runs the tasks

@@ -166,11 +166,19 @@ def stats_families():
 
 @pytest.mark.parametrize("H", stats_families())
 def test_native_stats_match_the_star_masks(kernels, H):
-    want = reference_stats(H)
-    assert _native.stats(_native.kernel(), _native.vertex_words(H.edge_bits)) == want
+    # the native kernel reads Delta and its lowest vertex off its own star
+    # words: Delta is verify_ekr's (on distinct edges) and DECIDE's (on any
+    # family), and when no clique beats it the omega search returns the
+    # star of that vertex
+    Delta, centre = reference_stats(H)
+    star = [i for i, b in enumerate(H.edge_bits) if b >> centre & 1]
+    assert _native.decide(_native.kernel(), _native.vertex_words(H.edge_bits),
+                          dense=vf._dense_pairs(H.n, H.k), node_budget=10**6)[0] == Delta
     for kernel in kernels():
-        inst = vf._Instance(H)
-        assert (inst.Delta, inst.centre) == want, kernel
+        if not H.has_duplicates():
+            assert vf.verify_ekr(H).Delta == Delta, kernel
+        omega, family = vf.max_intersecting_family(H)
+        assert omega > Delta or family == star, kernel
 
 
 def kernel_trials(sampler, n, k, p, seed, stream, lo, hi):
@@ -184,17 +192,22 @@ def kernel_trials(sampler, n, k, p, seed, stream, lo, hi):
 
 def test_instances_read_their_statistics_on_first_use(kernels, monkeypatch):
     # the witness searches read no Delta: generic runs its one search, and
-    # Hilton-Milner, which reads the Python star masks, calls no kernel;
-    # verify_ekr runs STATS, omega and nontrivial as before (omega = Delta)
+    # Hilton-Milner, which reads the Python star masks, calls no kernel.
+    # On the native kernel verify_ekr is one DECIDE call (omega = Delta
+    # here, so both searches run inside it) and max_intersecting_family one
+    # OMEGA call, which returns the largest star itself: neither builds a
+    # Python star mask
     H = hg.sample_bernoulli(25, 5, 10 / math.comb(24, 4), 1)
     native = _native.kernel()
-    python_kernel = vf._branch_and_bound
+    python_kernel, vertex_stars = vf._branch_and_bound, vf._vertex_stars
     calls = []
     for module in (vf, wt):
         monkeypatch.setattr(module, "_branch_and_bound",
                             lambda *a, **kw: calls.append("search") or python_kernel(*a, **kw))
+    monkeypatch.setattr(vf, "_vertex_stars",
+                        lambda *a: calls.append("stars") or vertex_stars(*a))
     names = {_native.OMEGA: "omega", _native.NONTRIVIAL: "nontrivial",
-             _native.GENERIC: "generic", _native.STATS: "stats"}
+             _native.GENERIC: "generic", _native.DECIDE: "decide"}
     for kernel in kernels():
         if kernel == "native":
             monkeypatch.setattr(_native, "_lib", _native.Kernel(
@@ -202,12 +215,15 @@ def test_instances_read_their_statistics_on_first_use(kernels, monkeypatch):
                 native.ekr_trials))
         counts = []
         for run in (lambda: wt.find_generic_clique(H, 7, 2), lambda: wt.find_hilton_milner(H, 3),
-                    lambda: vf.verify_ekr(H)):
+                    lambda: vf.verify_ekr(H), lambda: vf.max_intersecting_family(H)):
             calls.clear()
             run()
             counts.append(list(calls))
-        assert counts == ([["search"], [], ["search"] * 2] if kernel == "python" else
-                          [["generic"], [], ["stats", "omega", "nontrivial"]]), kernel
+        assert counts == ([["stars", "search"], ["stars"], ["stars", "stars", "search", "search"],
+                           ["stars", "stars", "search"]] if kernel == "python" else
+                          [["generic"], ["stars"], ["decide"], ["omega"]]), kernel
+    v = vf.verify_ekr(H)
+    assert v.holds and v.omega == v.Delta > 2
 
 
 @given(n=st.integers(1, 256), k=st.integers(1, 10), mean=st.integers(0, 300),

@@ -329,7 +329,9 @@ def test_frontier_instances_decided(kernels, key, holds, omega, omega_nodes, non
     for kernel in kernels():
         inst = vf._Instance(H)
         got, clique, nodes = vf._max_clique(inst, vf.DEFAULT_NODE_BUDGET)
-        assert (inst.Delta, got, clique, nodes) == (omega, omega, None, omega_nodes), kernel
+        assert (inst.Delta, got, nodes) == (omega, omega, omega_nodes), kernel
+        # no clique beats the largest star: the search returns that star
+        assert clique == list(exact.bits_of(inst.stars[inst.deg.index(omega)])), kernel
         _, found, nodes = vf._nontrivial_search(inst, omega, vf.DEFAULT_NODE_BUDGET, omega - 1)
         assert (found is None, nodes) == (holds, nontrivial_nodes), kernel
         runs[kernel] = found

@@ -114,6 +114,19 @@ def test_generic_requires_clique():
         wt.is_generic_clique(H, [0, 1], 5)
 
 
+def test_generic_nan_zeta_cap_rejected(kernels):
+    # NaN passes no comparison: the search ran with no cap and returned a
+    # clique that is_generic_clique(H, g, nan) rejected
+    tri = H_from(6, 2, [(0, 1), (0, 2), (1, 2)])
+    for kernel in kernels():
+        for size_t in (0, 3):
+            with pytest.raises(DomainError, match="zeta cap"):
+                wt.find_generic_clique(tri, size_t, math.nan)
+        with pytest.raises(DomainError, match="zeta cap"):
+            wt.is_generic_clique(tri, [0, 1, 2], math.nan)
+        assert wt.find_generic_clique(tri, 3, math.inf) == (0, 1, 2), kernel
+
+
 @pytest.mark.parametrize("budget", [0, -5])
 def test_find_generic_rejects_invalid_budget(budget):
     H = hg.Hypergraph.from_edges(6, 2, [(0, 1), (0, 2), (1, 2)])
