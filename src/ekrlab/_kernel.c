@@ -31,7 +31,11 @@
  * node below: no clique the search can record is lost, candidates are still
  * taken lowest first, and the first generic clique found, the first in
  * index order, is unchanged, while the popcount cut and the coloring test
- * see fewer candidates.
+ * see fewer candidates.  A generic child that cannot reach the target,
+ * r + 1 + |P_child| <= best after narrow(), is never pushed (MCS's test
+ * before expansion): its subtree records nothing, so only node counts and
+ * budget errors change.  The omega and nontrivial searches keep no such
+ * test, since their colorings already cut those children.
  *
  * decide() is verifier._decide: Delta from the star words, then within the
  * edge cap the adjacency and relabel, once, for the omega search (floored
@@ -60,12 +64,14 @@
  * every trial and search, and frees it on return.  A trial above the edge
  * cap grows it by star words only.
  *
- * Built with `gcc -O2 -shared -fPIC -I<numpy include>`, linked with numpy's
- * libnpyrandom.a and -lm, and called through ctypes (_native).  ctypes
- * releases the GIL for each call, and a sweep's thread pool calls
- * ekr_trials from several threads at once, so the kernel keeps no mutable
- * static or global state: every call works on its arguments and on memory
- * it allocates and frees itself.
+ * Built with `gcc -O2 -shared -fPIC [-mpopcnt] -I<numpy include>`, linked
+ * with numpy's libnpyrandom.a and -lm, and called through ctypes (_native),
+ * which adds -mpopcnt on an x86-64 CPU that reports POPCNT: every
+ * __builtin_popcountll is then one popcnt instruction, not a call to
+ * libgcc's table-based __popcountdi2.  ctypes releases the GIL for each
+ * call, and a sweep's thread pool calls ekr_trials from several threads at
+ * once, so the kernel keeps no mutable static or global state: every call
+ * works on its arguments and on memory it allocates and frees itself.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -345,7 +351,8 @@ static inline void narrow(const search *s, u64 *Q, const u64 *S)
 {
     const u64 *C = S + SW;
     int W = s->W, d3 = 0, c3 = 0;
-    for (int w = 0; w < VW; w++)     /* popc is a libgcc call: skip empty words */
+    /* most d3 words are empty: skipping them pays even with popcnt */
+    for (int w = 0; w < VW; w++)
         if (C[2 * VW + w]) d3 += popc(S[2 * VW + w]), c3 += popc(C[2 * VW + w]);
     const u64 *done = S + (d3 + 1 > s->zeta ? VW : 2 * VW);
     const u64 *drop = C + (c3 + 1 > s->zeta ? VW : 2 * VW);
@@ -360,7 +367,9 @@ static inline void narrow(const search *s, u64 *Q, const u64 *S)
  * Pushes v onto R and its candidates into the next P row, and returns the
  * new depth, or -1 once every branch is done.  A generic level (a constant,
  * so each mode gets its own copy of the loop) takes the lowest bit of its P
- * row, which holds its idx candidates left, and is cut once r + idx <= best. */
+ * row, which holds its idx candidates left, and is cut once r + idx <= best;
+ * its child is skipped, as an infeasible one is, when r + 1 + |P_child| <=
+ * best (verifier._branch_and_bound's cut when narrow is given). */
 static inline __attribute__((always_inline)) int
 descend(search *s, level *lv, u64 *Ps, u64 *St, int32_t *R, int r, int64_t best, int generic)
 {
@@ -380,15 +389,20 @@ descend(search *s, level *lv, u64 *Ps, u64 *St, int32_t *R, int r, int64_t best,
         }
         int lo = 0, v = generic ? lowest(P, W, &lo) : s->order.v[L->off + idx];
         L->idx = idx;
-        if (child(s, St + (size_t)r * SW, St + (size_t)(r + 1) * SW, v)) {
-            const u64 *a = s->adj + (size_t)v * W;
-            for (int w = 0; w < W; w++) P[W + w] = P[w] & a[w];
-            if (generic) narrow(s, P + W, St + (size_t)r * SW);
-            P[v >> 6] &= ~BIT(v);
-            R[r] = v;
-            return r + 1;
-        }
         P[v >> 6] &= ~BIT(v);
+        const u64 *a = s->adj + (size_t)v * W;
+        int left = 0;
+        for (int w = 0; w < W; w++) left += popc(P[W + w] = P[w] & a[w]);
+        /* a generic child dead on arrival is skipped: sooner when P & adj[v]
+         * is already too small, so child() and narrow() never run for it */
+        if (generic && r + 1 + left <= best) continue;
+        if (!child(s, St + (size_t)r * SW, St + (size_t)(r + 1) * SW, v)) continue;
+        if (generic) {
+            narrow(s, P + W, St + (size_t)r * SW);
+            if (r + 1 + popcount(P + W, W) <= best) continue;
+        }
+        R[r] = v;
+        return r + 1;
     }
 }
 

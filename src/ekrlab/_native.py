@@ -9,10 +9,13 @@ would, with numpy's binomial and bounded-integer samplers from numpy's
 libnpyrandom.a, then dedups and unranks the draws and runs the same
 decision on each.
 
-kernel() builds the kernel on first use with the system gcc, linked with
-libnpyrandom.a, into a per-user cache directory ($XDG_CACHE_HOME/ekrlab or
-~/.cache/ekrlab, mode 0700), under a name keyed by the sha256 of the
-source, the library and the build command, and loads it through ctypes.
+kernel() builds the kernel on first use with the system gcc (-O2, plus
+-mpopcnt on an x86-64 CPU whose /proc/cpuinfo flags report POPCNT, so that
+every popcount is one instruction), linked with libnpyrandom.a, into a
+per-user cache directory ($XDG_CACHE_HOME/ekrlab or ~/.cache/ekrlab, mode
+0700), under a name keyed by the sha256 of the source, the library and the
+build command, flags included, so that hosts sharing a home directory each
+load their own build, and loads it through ctypes.
 It returns None when there is no compiler or library, the build fails, or
 the cache directory cannot be written or is not private to the user; the
 searches then run on the Python kernel (verifier._branch_and_bound), which
@@ -89,23 +92,53 @@ def _sha256(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
+def _cpu_flags() -> list[str]:
+    """The first flags line of /proc/cpuinfo, split; empty where there is none."""
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as f:
+            for line in f:
+                if line.startswith("flags"):
+                    return line.split(":", 1)[-1].split()
+    except OSError:
+        pass
+    return []
+
+
+def _command(cc: str) -> list[str]:
+    """The compile command, less its output and source.  It adds -mpopcnt on
+    an x86-64 CPU that reports POPCNT, so that every popcount is one
+    instruction, not a call to libgcc's __popcountdi2; on a CPU without
+    POPCNT that instruction would die with SIGILL, so any other host builds
+    without it."""
+    popcnt = os.uname().machine == "x86_64" and "popcnt" in _cpu_flags()
+    return [cc, *_CFLAGS, *(["-mpopcnt"] if popcnt else []), "-I", np.get_include()]
+
+
+def _library_name(args: list[str]) -> str:
+    """The cached build's file name: keyed by the sha256 of the source, of
+    numpy's library and of the build arguments, so a host whose command
+    differs loads its own build.  The source's path stays out of the name,
+    so checkouts share a build."""
+    data = b""
+    for path in (_SOURCE, _NPYRANDOM):
+        with open(path, "rb") as f:
+            data += f.read()
+    key = _sha256(data + " ".join(args + [os.uname().machine]).encode())
+    return f"kernel-{key[:24]}.so"
+
+
 def _load():
     cc = shutil.which(_CC) if os.name == "posix" else None
     if cc is None:
         return None
-    # the source's path stays out of the name: checkouts share a build
-    command, link = [cc, *_CFLAGS, "-I", np.get_include()], [_NPYRANDOM, "-lm"]
+    command, link = _command(cc), [_NPYRANDOM, "-lm"]
     try:
-        data = b""
-        for path in (_SOURCE, _NPYRANDOM):
-            with open(path, "rb") as f:
-                data += f.read()
-        key = _sha256(data + " ".join(command + link + [os.uname().machine]).encode())
+        name = _library_name(command + link)
         cache = _cache_dir()
         os.makedirs(cache, mode=0o700, exist_ok=True)
         if not _private(cache):
             return None
-        path = os.path.join(cache, f"kernel-{key[:24]}.so")
+        path = os.path.join(cache, name)
         if not os.path.exists(path):
             # build beside the target and rename, so a process building at the
             # same time never loads a half-written library

@@ -2,9 +2,9 @@
 
 Every subcommand is a pure function of (flags, input files, seed); repeated
 invocations are byte-identical.  Exit codes: 0 ok, 2 domain error (or a
-flag argparse rejects), 3 resource cap, 4 parse error.  Only sample and
-sweep draw at random, so only they take --seed; EKRLAB_SEED is their seed
-fallback when it is not given.  Every flag a command accepts has an effect:
+flag argparse rejects), 3 resource cap or out of memory, 4 parse error.
+Only sample and sweep draw at random, so only they take --seed; EKRLAB_SEED
+is their seed fallback when it is not given.  Every flag a command accepts has an effect:
 sample takes no --psi, --eps-thr or --c-regime, and rejects the flags its
 sampler ignores (--m without --sampler independent, --phi and --p with it);
 calc without --phi / --p rejects --t-max, --psi and --c-regime.
@@ -297,6 +297,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ResourceLimitError as exc:
         print(f"ekrlab: resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("ekrlab: resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except DomainError as exc:
         print(f"ekrlab: domain error: {exc}", file=sys.stderr)

@@ -52,7 +52,9 @@ candidate outlasts the first kmin first-fit classes (_first_classes, the
 loop _color_order starts with), and it then branches on all of P lowest
 first, read off the bitset with no order list (an order of None), as in
 San Segundo et al.'s BBMC (2011); it also narrows each child's candidate
-set to the edges the child can still take (narrow).
+set to the edges the child can still take (narrow), and skips a child whose
+narrowed set cannot reach the target, as MCS (Tomita et al., 2010) skips a
+vertex that cannot beat the incumbent.
 
 The three searches run on a compiled twin of that kernel (_kernel.c, with
 the three callers' rules and both colorings), built with the system gcc
@@ -374,8 +376,11 @@ def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
     once len(R) + (candidates left) <= best.  child(state, v) is the state
     of R + [v], or None to skip v.  narrow(P, state, new), when given, cuts
     the child's candidate set P & adj[v] further, from the parent's state
-    and the child's; the child's frame holds what it returns.  Returns
-    (best, recorded clique or None, nodes visited).
+    and the child's; the child's frame holds what it returns, and a child
+    left with len(R) + 1 + |P| <= best candidates is skipped like an
+    infeasible one, unvisited and uncounted (MCS's test before expansion):
+    it could record no clique above best.  Returns (best, recorded clique
+    or None, nodes visited).
     """
     R, best, found = [], floor, None
     left = node_budget
@@ -407,11 +412,13 @@ def _branch_and_bound(adj, node_budget: int, floor: int, target, root,
             frame[3] = idx
             new = child(state, v)
             if new is not None:
-                R.append(v)
-                P &= adj[v]
+                Q = P & adj[v]
                 if narrow is not None:
-                    P = narrow(P, state, new)
-                state = new
+                    Q = narrow(Q, state, new)
+                    if len(R) + 1 + Q.bit_count() <= best:
+                        continue
+                R.append(v)
+                P, state = Q, new
                 break
         else:
             break       # the stack is empty: every branch is done

@@ -113,10 +113,11 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
     of its candidates needs more than size_t - 1 - |R| colors, which it
     tests by coloring that many classes and looking for a candidate left
     (verifier._first_classes); it then takes its candidates lowest first,
-    and a branch dies once the candidates left cannot reach size_t.  A
-    dropped edge extends no generic clique of the node's, and the order is
-    lowest first, so the clique returned is the first generic one in
-    combinations(range(m), size_t) order.
+    and a branch dies once the candidates left cannot reach size_t.  A child
+    whose narrowed candidates cannot reach size_t is not made at all: it
+    costs no node.  A dropped edge or child extends no generic clique of the
+    node's, and the order is lowest first, so the clique returned is the
+    first generic one in combinations(range(m), size_t) order.
     """
     check_limits(node_budget=node_budget)
     if zeta_cap != zeta_cap:        # NaN: the search would run with no cap

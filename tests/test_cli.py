@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -246,6 +247,30 @@ def test_witness_nan_zeta_cap_exits_2(tmp_path, kernels):
         code, out, err = run_cli(["witness", str(path), "--generic-size", "7",
                                   "--zeta-cap", "nan"])
         assert code == 2 and out == "" and "zeta cap" in err, kernel
+
+
+@pytest.mark.parametrize("detector", [["--generic-size", "7", "--zeta-cap", "3"],
+                                      ["--hm-d", "5"]])
+def test_witness_out_of_memory_exits_3(tmp_path, detector):
+    # all 42,504 5-subsets of [24] with the address space held to 128 MiB
+    # above the loaded kernel's: the generic search's native block and the
+    # Hilton-Milner detector's Python adjacency (~225 MB each) cannot be
+    # allocated, which raised MemoryError with a traceback (exit 1)
+    path = tmp_path / "big.txt"
+    edges = combinations(range(1, 25), 5)
+    path.write_text("24 5 42504\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges))
+    code = f"""if True:
+        import os, resource, sys
+        from ekrlab import _native, cli
+        assert _native.kernel()
+        limit = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        resource.setrlimit(resource.RLIMIT_AS, (limit + (128 << 20),) * 2)
+        sys.exit(cli.main(["witness", {str(path)!r}, *{detector!r}]))
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        3, "", "ekrlab: resource limit: out of memory\n")
 
 
 def test_witness_detectors(tmp_path):

@@ -92,6 +92,46 @@ def test_kernel_cache_name_ignores_the_source_path(reload, monkeypatch, tmp_path
     assert _native.kernel() is not None and len(os.listdir(cache)) == 1
 
 
+def numpy_cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__     # numpy >= 2
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.parametrize("machine", ["x86_64", "aarch64"])
+def test_build_command_carries_popcnt_where_the_cpu_has_it(monkeypatch, machine):
+    # -mpopcnt exactly on an x86-64 CPU that reports POPCNT (a lookalike
+    # flag is not it), and it is part of the cached build's name
+    uname = os.uname()
+    monkeypatch.setattr(os, "uname", lambda: os.uname_result((*uname[:4], machine)))
+    link = [_native._NPYRANDOM, "-lm"]
+    names = {}
+    for flags in (["fpu", "popcnt", "sse4_2"], ["fpu", "avx512_vpopcntdq"], []):
+        monkeypatch.setattr(_native, "_cpu_flags", lambda: flags)
+        command = _native._command("gcc")
+        assert ("-mpopcnt" in command) == (machine == "x86_64" and "popcnt" in flags)
+        names["popcnt" in flags] = _native._library_name(command + link)
+    assert (names[True] != names[False]) == (machine == "x86_64")
+
+
+def test_loaded_kernel_uses_the_hardware_popcount(reload):
+    # the CPU's answer agrees with numpy's own feature probe; on a POPCNT
+    # host the build calls no libgcc __popcountdi2, and elsewhere it is
+    # built without -mpopcnt
+    cache, _, _ = reload
+    has = "popcnt" in _native._cpu_flags()
+    if os.uname().machine == "x86_64":
+        assert has == bool(numpy_cpu_features()["POPCNT"])
+    assert _native.kernel() is not None
+    (lib,) = os.listdir(cache)
+    popcnt = os.uname().machine == "x86_64" and has
+    assert ("-mpopcnt" in _native._command("gcc")) == popcnt
+    if popcnt:
+        assert b"__popcountdi2" not in (cache / lib).read_bytes()
+
+
 @pytest.mark.parametrize("breakage", ["no compiler", "build fails", "cache not a directory",
                                       "cache writable by others", "numpy library missing",
                                       "numpy library not an archive"])

@@ -164,8 +164,8 @@ def witness_sample(seed):
 # the nodes the search visits (one per visited clique), which are the least
 # budget at which it decides
 @pytest.mark.parametrize("seed, clique, nodes", [
-    (4, None, 7906),
-    (26, (10, 14, 16, 18, 34, 38, 41), 5423),
+    (4, None, 3453),
+    (26, (10, 14, 16, 18, 34, 38, 41), 1997),
 ])
 def test_generic_node_counts_pinned(kernels, seed, clique, nodes):
     H = witness_sample(seed)
@@ -175,6 +175,33 @@ def test_generic_node_counts_pinned(kernels, seed, clique, nodes):
         assert wt.find_generic_clique(H, 7, 3, node_budget=nodes) == clique
         with pytest.raises(ResourceLimitError, match="^branch-and-bound node budget exceeded$"):
             wt.find_generic_clique(H, 7, 3, node_budget=nodes - 1)
+
+
+@pytest.mark.parametrize("seed, clique", [
+    (4, None),
+    (26, (10, 14, 16, 18, 34, 38, 41)),
+])
+def test_generic_search_makes_no_dead_children(monkeypatch, seed, clique):
+    # a child whose narrowed candidates cannot reach t = 7 is never made: at
+    # every node below the root |P| > kmin = t - 1 - |R|; the clique found
+    # is the one the node pins name, on the Python kernel
+    monkeypatch.setattr(wt._native, "_lib", False)
+    seen = []
+    search = vf._branch_and_bound
+
+    def counting(*args, branches, **kw):
+        def wrapped(kmin, P, state):
+            seen.append((state != (0, 0, 0), kmin, P.bit_count()))
+            return branches(kmin, P, state)
+        return search(*args, branches=wrapped, **kw)
+
+    monkeypatch.setattr(wt, "_branch_and_bound", counting)
+    _, found, nodes = wt._generic_search(vf._Instance(witness_sample(seed)), 7, 3,
+                                         vf.DEFAULT_NODE_BUDGET)
+    assert (found and tuple(found)) == clique
+    assert len(seen) == nodes - (found is not None)     # a recording node stops first
+    below = [(kmin, size) for child, kmin, size in seen if child]
+    assert below and all(size > kmin for kmin, size in below)
 
 
 @pytest.mark.parametrize("seed", [None, 4, 26])
