@@ -38,11 +38,19 @@
  * test, since their colorings already cut those children.
  *
  * decide() is verifier._decide: Delta from the star words, then within the
- * edge cap the adjacency and relabel, once, for the omega search (floored
- * at Delta) and, when omega = Delta > 2, the nontrivial search.  ekr_search
- * runs it as its fourth mode, DECIDE, and ekr_trials on every trial.  Its
- * lone omega search floors itself at Delta too and, when no clique beats
- * that, returns the star of the lowest vertex of degree Delta.
+ * edge cap the adjacency and relabel, once, for the nontrivial search and,
+ * only when that one records a clique or runs out, the omega search.  A
+ * clique above Delta edges has no common vertex, and one of Delta edges
+ * with a common vertex x is the star of x, so EKR holds exactly when no
+ * clique of t = max(Delta, 3) or more edges has an empty intersection
+ * (cliques of two edges always share a vertex): the nontrivial search,
+ * floored at t - 1 with target t, decides a family that holds alone, and
+ * omega = Delta there.  The omega search (floored at Delta) then tells
+ * omega > Delta, whose maximum clique is the witness, from omega = Delta,
+ * where the nontrivial clique is.  ekr_search runs decide() as its fourth
+ * mode, DECIDE, and ekr_trials on every trial.  Its lone omega search
+ * floors itself at Delta too and, when no clique beats that, returns the
+ * star of the lowest vertex of degree Delta.
  *
  * A second entry point, ekr_trials, runs a batch of sweep trials.  It
  * re-derives each trial's numpy stream (numpy's SeedSequence key, Philox
@@ -527,8 +535,9 @@ static void connect(graph *g, int relabelled)
 /* One search over g (its adjacency built, and read with its star words by
  * GENERIC only), in g's workspace, of whose stacks only row 0 is set,
  * below.  Writes best, the recorded clique's size (-1 for none) and the
- * nodes used to result[0..2] and the clique, in g's edge indices, to
- * clique[]; returns DONE, OUT_OF_BUDGET or OUT_OF_MEMORY. */
+ * nodes visited (budget when it ran out) to result[0..2] and the clique,
+ * in g's edge indices, to clique[]; returns DONE, OUT_OF_BUDGET or
+ * OUT_OF_MEMORY. */
 static int run(int mode, const graph *g, int dense, int64_t best0, int64_t target, double zeta,
                int64_t budget, int32_t *clique, int64_t *result)
 {
@@ -586,39 +595,60 @@ static int run(int mode, const graph *g, int dense, int64_t best0, int64_t targe
 out:
     result[0] = best;
     result[1] = found;
-    result[2] = nodes;
+    result[2] = status == OUT_OF_BUDGET ? budget : nodes;
     free(s.order.v);
     free(s.starts.v);
     return status;
 }
 
-/* verifier._decide on g, its star words built: Delta, omega and the size
- * of the failing clique (-1 when EKR holds or a search ran out; both -1
- * when m > edge_cap) into result[0..2], the clique, as ascending edge
- * indices, into clique[].  Each search runs on its own budget. */
+/* verifier._decide on g, its star words built: Delta, omega, the size of
+ * the failing clique (-1 when EKR holds or no search decided; omega and
+ * size -1 when m > edge_cap) and the nodes of both searches into
+ * result[0..3], the clique, as ascending edge indices, into clique[].
+ * The nontrivial search, floor t - 1 and target t = max(Delta, 3), runs
+ * first (see the header): when it records nothing EKR holds and omega =
+ * Delta.  Otherwise the omega search, floored at Delta, decides: omega >
+ * Delta fails with its clique, omega = Delta with the nontrivial clique,
+ * or is undecided when that search ran out.  Floored at Delta, the omega
+ * search writes clique[] only for a clique above Delta, so the nontrivial
+ * clique stays in place.  Each search runs on its own budget. */
 static int decide(graph *g, int dense, int64_t edge_cap, int64_t budget, int32_t *clique,
                   int64_t *result)
 {
-    int m = g->m, status;
-    int64_t found[3];
+    int m = g->m, status = DONE, omega_status;
+    int64_t t = g->Delta > 3 ? g->Delta : 3, found[3] = {0, -1, 0};
     result[0] = g->Delta;
     result[1] = result[2] = -1;
+    result[3] = 0;
     if (m > edge_cap) return DONE;
-    connect(g, 1);
-    status = run(OMEGA, g, dense, result[0], m + 1, 0, budget, clique, found);
-    result[1] = found[0];
-    if (!status && found[0] == result[0] && found[0] > 2)
-        status = run(NONTRIVIAL, g, dense, found[0] - 1, found[0], 0, budget, clique, found);
+    result[1] = g->Delta;
+    if (t <= m) {                       /* else no clique is that large */
+        connect(g, 1);
+        status = run(NONTRIVIAL, g, dense, t - 1, t, 0, budget, clique, found);
+    }
     result[2] = status ? -1 : found[1];
+    result[3] = found[2];
+    if (status == OUT_OF_MEMORY || (!status && found[1] < 0)) return status;
+    omega_status = run(OMEGA, g, dense, g->Delta, m + 1, 0, budget, clique, found);
+    result[3] += found[2];
+    if (omega_status) {
+        result[2] = -1;
+        return omega_status;
+    }
+    if (found[1] >= 0) {
+        result[1] = result[2] = found[1];
+        status = DONE;
+    }
     map_back(clique, result[2], g->perm);
     return status;
 }
 
 /* One call on the graph of the m edges whose vertex bitsets (VW words
- * each) are bits, in one block: DECIDE runs decide() with no edge cap, any
- * other mode one search (run()).  OMEGA floors it at Delta, not best0, and
- * records the star of g.centre when no clique beats that.  The omega and
- * nontrivial searches' cliques come back as ascending old indices. */
+ * each) are bits, in one block: DECIDE runs decide() with no edge cap
+ * (result[0..3]), any other mode one search (run(), result[0..2]).  OMEGA
+ * floors it at Delta, not best0, and records the star of g.centre when no
+ * clique beats that.  The omega and nontrivial searches' cliques come back
+ * as ascending old indices. */
 int ekr_search(int mode, int m, const u64 *bits, int dense, int64_t best0, int64_t target,
                double zeta, int64_t budget, int32_t *clique, int64_t *result)
 {
@@ -784,8 +814,9 @@ static int grow(int64_t **a, int64_t *cap, int64_t need)
 /* The colex unrank (hypergraph._colex_unrank_bits) of m ascending ranks
  * into words: the i-th largest member of rank r is the largest v with
  * C(v, i) = col[(k - i) n + v] <= r (clipped at C(n, k)), then decide(),
- * whose clique follows the words.  *block, grown to fit, takes the graph
- * and, within the edge cap only, the clique. */
+ * whose Delta, omega and clique size go to result[0..2] and whose clique
+ * follows the words.  *block, grown to fit, takes the graph and, within
+ * the edge cap only, the clique. */
 static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *rank, int dense,
                  int64_t edge_cap, int64_t budget, u64 *words, int64_t *result,
                  int64_t **block, int64_t *bcap)
@@ -805,8 +836,10 @@ static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *ran
         }
     }
     graph g = stars((int)m, n, words, (u64 *)*block);
-    int status = decide(&g, dense, edge_cap, budget, clique, result);
-    for (int64_t j = 0; j < result[2]; j++) words[VW * m + j] = (u64)clique[j];
+    int64_t res[4];
+    int status = decide(&g, dense, edge_cap, budget, clique, res);
+    memcpy(result, res, 3 * sizeof *res);
+    for (int64_t j = 0; j < res[2]; j++) words[VW * m + j] = (u64)clique[j];
     return status;
 }
 

@@ -2,12 +2,12 @@
 
 Its entry point ekr_search runs the omega, nontrivial or generic search
 (search()), or in a fourth mode, DECIDE, verifier._decide: Delta, then the
-omega and nontrivial searches on one graph (decide()).  Its second entry
-point, ekr_trials, runs a batch of bernoulli or conditioned Monte Carlo
-trials in one call (trials()).  It seeds and draws each trial as numpy
-would, with numpy's binomial and bounded-integer samplers from numpy's
-libnpyrandom.a, then dedups and unranks the draws and runs the same
-decision on each.
+nontrivial search and, only on a family it does not decide, the omega
+search, on one graph (decide()).  Its second entry point, ekr_trials, runs
+a batch of bernoulli or conditioned Monte Carlo trials in one call
+(trials()).  It seeds and draws each trial as numpy would, with numpy's
+binomial and bounded-integer samplers from numpy's libnpyrandom.a, then
+dedups and unranks the draws and runs the same decision on each.
 
 kernel() builds the kernel on first use with the system gcc (-O2, plus
 -mpopcnt on an x86-64 CPU whose /proc/cpuinfo flags report POPCNT, so that
@@ -192,10 +192,11 @@ def check(status: int) -> None:
 
 def _ekr_search(lib, mode: int, words, dense: bool, floor: int, target: int,
                 zeta_cap: float, node_budget: int):
-    """ekr_search's result[0..2] and clique buffer, its status checked."""
+    """ekr_search's result (four slots, of which one search fills three)
+    and clique buffer, its status checked."""
     m = len(words) * 8 // _VERTEX_BYTES
     clique = (ctypes.c_int32 * max(m, 1))()
-    result = (ctypes.c_int64 * 3)()
+    result = (ctypes.c_int64 * 4)()
     # beyond these ranges a value acts as its clamp: best <= m, so a floor of
     # m or more records nothing and a target above m is never met; a clique
     # has at most MAX_N vertices of degree 3
@@ -217,17 +218,28 @@ def search(lib, mode: int, words, *, floor: int, target: int, node_budget: int,
     floor, and returns the star of the lowest vertex of that degree when no
     clique beats it.
     """
-    (best, size, nodes), clique = _ekr_search(lib, mode, words, dense, floor, target,
-                                              zeta_cap, node_budget)
+    (best, size, nodes, _), clique = _ekr_search(lib, mode, words, dense, floor, target,
+                                                 zeta_cap, node_budget)
     return (floor, None, nodes) if size < 0 else (best, clique[:size], nodes)
 
 
 def decide(lib, words, *, dense: bool, node_budget: int):
     """verifier._decide on the native kernel, in one call: (Delta, omega,
-    failing clique as ascending edge indices or None) of the distinct edges
-    in words, each search on its own node budget."""
-    (Delta, omega, size), clique = _ekr_search(lib, DECIDE, words, dense, 0, 0, 0, node_budget)
-    return Delta, omega, (tuple(clique[:size]) if size >= 0 else None)
+    failing clique as ascending edge indices or None, nodes of both
+    searches) of the distinct edges in words, each search on its own node
+    budget.
+
+    The nontrivial search runs first, for a clique of t = max(Delta, 3) or
+    more edges with an empty intersection.  A clique above Delta has no
+    common vertex, so when it finds none EKR holds, omega = Delta, and no
+    omega search runs.  When it finds one or runs out, the omega search
+    decides: omega > Delta fails with its maximum clique; omega = Delta
+    fails with the nontrivial clique, or is undecided if that search ran
+    out.
+    """
+    (Delta, omega, size, nodes), clique = _ekr_search(lib, DECIDE, words, dense, 0, 0, 0,
+                                                      node_budget)
+    return Delta, omega, (tuple(clique[:size]) if size >= 0 else None), nodes
 
 
 def _uint32_words(x: int) -> list[int]:

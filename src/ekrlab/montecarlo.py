@@ -246,7 +246,7 @@ def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
         inst = verifier._Instance(H)
         try:
             verifier._check_edge_cap(H.m, ctx.edge_cap)
-            verdict = verifier._decide(inst, ctx.node_budget)
+            verdict, _ = verifier._decide(inst, ctx.node_budget)
         except ResourceLimitError as exc:
             records.append(_record(ctx, t, H.m, inst.Delta, -1, None, H, str(exc)))
         else:

@@ -2,13 +2,17 @@
 
 A family is strong-EKR when every maximum intersecting subfamily (clique in
 the intersection graph of the edges) is a full star.  The decision reduces
-to two exact searches:
+to at most two exact searches (branch and bound, greedy-coloring upper
+bounds) on the graph on edge indices with adjacency "edges intersect":
 
-  1. omega = maximum clique in the graph on edge indices with adjacency
-     "edges intersect" (branch and bound, greedy-coloring upper bounds,
-     seeded by the largest star, so the lower bound starts at Delta);
-  2. if omega == Delta, a second branch and bound looking for one
-     omega-clique whose common intersection (bitwise AND) is empty.
+  1. the nontrivial search: one clique of t = max(Delta, 3) or more edges
+     whose common intersection (bitwise AND) is empty.  If there is none,
+     EKR holds and omega = Delta, and no other search runs;
+  2. only if it finds one, or runs out of budget, the omega search: omega =
+     maximum clique, seeded by the largest star, so the lower bound starts
+     at Delta.  omega > Delta fails with that maximum clique; omega = Delta
+     fails with the nontrivial clique, or is undecided when the first
+     search ran out.
 
 Why that is equivalent to "every largest clique is a star": stars are
 cliques, so omega >= Delta.  A maximum clique C with a common vertex x has
@@ -16,8 +20,15 @@ cliques, so omega >= Delta.  A maximum clique C with a common vertex x has
 full star of x.  Hence every maximum clique is either a full star or has
 empty common intersection, and EKR fails exactly when omega > Delta (such a
 maximum clique cannot have a common vertex) or some omega-clique has empty
-intersection.  Cliques of size <= 2 always share a vertex, so omega <= 2
-(including the empty hypergraph) verdicts "holds".
+intersection.  Either way some clique of t or more edges has an empty
+intersection: omega > Delta means omega >= 3, since cliques of size <= 2
+always share a vertex (an intersecting pair already puts a vertex at
+degree 2).  Conversely, such a clique has more than Delta edges, so omega >
+Delta, or exactly Delta, and then omega > Delta or it is an omega-clique.
+So EKR holds exactly when search 1 finds nothing, and on a family that
+holds it is the only search: the omega search would only re-prove omega =
+Delta.  A family of fewer than t edges (the empty one included) holds with
+no search at all.
 
 Each family is prepared once (_Instance) from its edge bitsets.  Its
 degree structure is the per-vertex star masks (star[x] = the edge indices
@@ -32,7 +43,9 @@ index order, bound tighter.  Each search maps the clique it records back
 to ascending original edge indices.  On hard families, where omega = Delta
 and the nontrivial search does most of the work, that order visits far
 fewer of its nodes than the original index order (see README's "Search
-kernel").
+kernel").  The nontrivial search at floor t - 1 and target t is the one
+the omega-first order ran when omega = Delta >= 3, so a failing family's
+witness is the same clique.
 verify_ekr is its input checks plus _decide on that one structure, and a
 Monte Carlo trial on the Python path calls _decide too.
 
@@ -140,10 +153,10 @@ def intersection_adjacency(edge_bits) -> list[int]:
 class _Instance:
     """A family's derived structure, built once and shared by the searches,
     each part on first use: with the native kernel only words, the edges'
-    vertex bitsets.  members, stars, deg = the popcounts of the stars,
-    Delta (degrees counting multiplicity) and the adjacency (m^2 bits) are
-    built only by the Python kernel, witnesses.find_hilton_milner and a
-    trial that a limit stopped, the relabel only by the Python kernel; the
+    vertex bitsets.  members, stars, deg = the popcounts of the stars and
+    Delta (degrees counting multiplicity) are built only by the Python
+    kernel, witnesses.find_hilton_milner and a trial that a limit stopped,
+    the adjacency (m^2 bits) and the relabel only by the Python kernel; the
     adjacency is never built for a family over the edge cap."""
 
     def __init__(self, H: Hypergraph):
@@ -539,26 +552,39 @@ def verify_ekr(H: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP,
         raise DomainError("EKR is undefined for multisets: duplicate edges present")
     check_limits(edge_cap, node_budget)
     _check_edge_cap(H.m, edge_cap)
-    return _decide(_Instance(H), node_budget)
+    return _decide(_Instance(H), node_budget)[0]
 
 
-def _decide(inst: _Instance, node_budget: int) -> EkrVerdict:
-    """verify_ekr's verdict on a prepared family of distinct edges."""
+def _decide(inst: _Instance, node_budget: int) -> tuple[EkrVerdict, int]:
+    """verify_ekr's verdict on a prepared family of distinct edges, and the
+    nodes its searches visited: the nontrivial search first, the omega
+    search only when that one finds a clique or runs out (see the module
+    docstring), each on its own node_budget."""
     kernel = _native.kernel()
     if kernel:
-        Delta, omega, witness = _native.decide(kernel, inst.words, dense=inst.dense_pairs,
-                                               node_budget=node_budget)
-        return EkrVerdict(witness is None, omega, Delta, witness)
+        Delta, omega, witness, nodes = _native.decide(kernel, inst.words,
+                                                      dense=inst.dense_pairs,
+                                                      node_budget=node_budget)
+        return EkrVerdict(witness is None, omega, Delta, witness), nodes
     Delta = inst.Delta
-    omega, clique, _ = _max_clique(inst, node_budget)
+    t = max(Delta, 3)
+    if t > inst.m:
+        return EkrVerdict(True, Delta, Delta, None), 0
+    try:
+        _, found, nodes = _nontrivial_search(inst, t, node_budget, t - 1)
+    except ResourceLimitError as exc:
+        out_of_budget, found, nodes = exc, None, node_budget
+    else:
+        if found is None:
+            return EkrVerdict(True, Delta, Delta, None), nodes
+        out_of_budget = None
+    omega, clique, more = _max_clique(inst, node_budget)
     if omega > Delta:
         # cannot have a common vertex: |C| <= d(x) <= Delta < omega
-        return EkrVerdict(False, omega, Delta, tuple(clique))
-    if omega <= 2:
-        return EkrVerdict(True, omega, Delta, None)
-    _, found, _ = _nontrivial_search(inst, omega, node_budget, omega - 1)
-    witness = None if found is None else tuple(found)
-    return EkrVerdict(witness is None, omega, Delta, witness)
+        return EkrVerdict(False, omega, Delta, tuple(clique)), nodes + more
+    if out_of_budget is not None:
+        raise out_of_budget
+    return EkrVerdict(False, omega, Delta, tuple(found)), nodes + more
 
 
 def validate_witness(H: Hypergraph, verdict: EkrVerdict) -> bool:

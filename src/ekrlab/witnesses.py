@@ -37,17 +37,29 @@ class HMWitness:
 
 
 def find_hilton_milner(H: Hypergraph, d: int) -> Optional[HMWitness]:
-    """First (x ascending, B0 by edge index) witness with >= d petals, or None."""
+    """First (x ascending, B0 by edge index) witness with >= d petals, or None.
+
+    The petals are star[x] & adj[B0].  Only the rows of the adjacency that
+    are read are built, each the first time, as the OR of B0's vertex stars
+    (star[x] lacks B0, so its own bit does not matter), and kept for the
+    later x: the full adjacency is m^2 bits.
+    """
     if d <= 0:
         raise DomainError("d must be a positive integer")
     inst = _Instance(H)
-    for x, star in enumerate(inst.stars):
+    stars, adj = inst.stars, [None] * H.m
+    for x, star in enumerate(stars):
         if star.bit_count() < d:
             continue
         for b0 in range(H.m):
             if star >> b0 & 1:
                 continue
-            petals = star & inst.adj[b0]
+            if adj[b0] is None:
+                row = 0
+                for v in inst.members[b0]:
+                    row |= stars[v]
+                adj[b0] = row
+            petals = star & adj[b0]
             if petals.bit_count() >= d:
                 return HMWitness(x, b0, tuple(bits_of(petals)))
     return None

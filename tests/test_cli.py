@@ -249,13 +249,10 @@ def test_witness_nan_zeta_cap_exits_2(tmp_path, kernels):
         assert code == 2 and out == "" and "zeta cap" in err, kernel
 
 
-@pytest.mark.parametrize("detector", [["--generic-size", "7", "--zeta-cap", "3"],
-                                      ["--hm-d", "5"]])
-def test_witness_out_of_memory_exits_3(tmp_path, detector):
-    # all 42,504 5-subsets of [24] with the address space held to 128 MiB
-    # above the loaded kernel's: the generic search's native block and the
-    # Hilton-Milner detector's Python adjacency (~225 MB each) cannot be
-    # allocated, which raised MemoryError with a traceback (exit 1)
+def witness_in_128_mib(tmp_path, detector):
+    """(exit code, stdout, stderr) of `witness` with the detector on all
+    42,504 5-subsets of [24], the address space held to 128 MiB above the
+    loaded kernel's."""
     path = tmp_path / "big.txt"
     edges = combinations(range(1, 25), 5)
     path.write_text("24 5 42504\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges))
@@ -269,8 +266,27 @@ def test_witness_out_of_memory_exits_3(tmp_path, detector):
     """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (out.returncode, out.stdout, out.stderr) == (
+    return out.returncode, out.stdout, out.stderr
+
+
+@pytest.mark.parametrize("detector", [["--generic-size", "7", "--zeta-cap", "3"]])
+def test_witness_out_of_memory_exits_3(tmp_path, detector):
+    # the generic search's native block (~225 MB) cannot be allocated,
+    # which raised MemoryError with a traceback (exit 1)
+    assert witness_in_128_mib(tmp_path, detector) == (
         3, "", "ekrlab: resource limit: out of memory\n")
+
+
+def test_witness_hilton_milner_fits_in_128_mib(tmp_path):
+    # the detector builds only the adjacency rows it reads; the whole
+    # adjacency (~225 MB) ran out of memory (exit 3).  Vertex 1's petals are
+    # the 8855 - C(18, 4) = 5795 edges through 1 that meet {2, ..., 6}
+    code, out, err = witness_in_128_mib(tmp_path, ["--hm-d", "5"])
+    assert (code, err) == (0, "")
+    (w,) = json.loads(out)["witnesses"]
+    b0, *petals = w["witness"]
+    assert (w["kind"], w["center"], b0, len(petals)) == ("hm", 1, [2, 3, 4, 5, 6], 5795)
+    assert all(1 in e and set(e) & set(b0) for e in petals)
 
 
 def test_witness_detectors(tmp_path):

@@ -240,7 +240,8 @@ def sampled(n, k, phi, seed):
 # (n, k, phi, seed) of H_k(n, p) -> verdict, omega, and the nodes the omega
 # search and the omega-target empty-intersection search visit (one node per
 # visited clique), which are the least budgets at which they decide.  None:
-# verify_ekr skips the second search because omega > Delta.
+# omega > Delta, so verify_ekr runs no omega-target search (its nontrivial
+# search has target Delta; see DECIDE_PINS).
 NODE_PINS = [
     ((14, 5, 60, 1), False, 72, 121, 185),      # dense (n < 3k), witness found
     ((14, 5, 60, 37), False, 67, 128, None),    # dense, omega > Delta
@@ -274,6 +275,74 @@ def test_search_node_counts_pinned(kernels, key, holds, omega, omega_nodes, nont
         assert vf.verify_ekr(H, node_budget=budget).holds is holds
         with pytest.raises(ResourceLimitError, match=OUT_OF_BUDGET):
             vf.verify_ekr(H, node_budget=budget - 1)
+
+
+# (n, k, phi, seed) of NODE_PINS -> the nodes of verify_ekr's decide: the
+# nontrivial search (target max(Delta, 3)) runs first, and the omega search
+# only when that one records a clique.  A family that holds costs its
+# nontrivial nodes alone; (14, 5, 60, 1) fails with omega = Delta at
+# 185 + 121; in (14, 5, 60, 37), omega > Delta, the Delta-target search
+# records at node 69, then the omega search takes its 128
+DECIDE_PINS = [
+    ((14, 5, 60, 1), 185 + 121),
+    ((14, 5, 60, 37), 69 + 128),
+    ((18, 5, 60, 3), 292),
+    ((14, 5, 60, 2), 222),
+    ((18, 5, 60, 10), 233),
+]
+
+
+@pytest.mark.parametrize("key, nodes", DECIDE_PINS)
+def test_decide_node_counts_pinned(kernels, key, nodes):
+    H = sampled(*key)
+    runs = {}
+    for kernel in kernels():
+        runs[kernel] = vf._decide(vf._Instance(H), vf.DEFAULT_NODE_BUDGET)
+        assert runs[kernel][1] == nodes, kernel
+    assert runs["python"] == runs["native"]
+    assert runs["native"][0] == vf.verify_ekr(H)
+
+
+def test_omega_search_decides_when_the_nontrivial_search_runs_out(kernels):
+    # Delta = 24 < omega = 25: the nontrivial search records its clique at
+    # node 93, the omega search needs 78.  At 78 the first runs out and the
+    # second still decides: EKR fails with the omega clique.  At 77 both
+    # run out
+    H = sampled(12, 4, 20, 40)
+    for kernel in kernels():
+        v = vf.verify_ekr(H)
+        assert (v.holds, v.omega, v.Delta) == (False, 25, 24), kernel
+        assert vf.verify_ekr(H, node_budget=78) == v and vf.validate_witness(H, v), kernel
+        with pytest.raises(ResourceLimitError, match=OUT_OF_BUDGET):
+            vf.verify_ekr(H, node_budget=77)
+        assert vf.find_nontrivial_clique(H, 24, node_budget=93) is not None, kernel
+        with pytest.raises(ResourceLimitError, match=OUT_OF_BUDGET):
+            vf.find_nontrivial_clique(H, 24, node_budget=92)
+        assert vf.max_intersecting_family(H, node_budget=78)[0] == 25
+
+
+def decide_outcome(H, node_budget):
+    """(verdict, nodes) of the decide under node_budget, or the error text."""
+    try:
+        return vf._decide(vf._Instance(H), node_budget)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+@settings(max_examples=24, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from([(8, 3, 6), (9, 3, 6), (10, 4, 10), (12, 4, 20)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernels_agree_on_decide_under_every_budget(kernels, key, seed):
+    # dense (n < 3k) and sparse families that hold, fail with omega = Delta
+    # and fail with omega > Delta: at each budget up to the decide's nodes
+    # both kernels give the same verdict and nodes, or both run out
+    H = sampled(*key, seed)
+    _, nodes = vf._decide(vf._Instance(H), vf.DEFAULT_NODE_BUDGET)
+    runs = {}
+    for kernel in kernels():
+        runs[kernel] = [decide_outcome(H, budget) for budget in range(1, nodes + 1)]
+    assert runs["python"] == runs["native"]
+    assert runs["native"][-1] == decide_outcome(H, vf.DEFAULT_NODE_BUDGET)
 
 
 # families whose omega-target nontrivial search finds a witness (omega =
@@ -332,12 +401,17 @@ def test_frontier_instances_decided(kernels, key, holds, omega, omega_nodes, non
         assert (inst.Delta, got, nodes) == (omega, omega, omega_nodes), kernel
         # no clique beats the largest star: the search returns that star
         assert clique == list(exact.bits_of(inst.stars[inst.deg.index(omega)])), kernel
-        _, found, nodes = vf._nontrivial_search(inst, omega, vf.DEFAULT_NODE_BUDGET, omega - 1)
-        assert (found is None, nodes) == (holds, nontrivial_nodes), kernel
-        runs[kernel] = found
+        # the decide's first search is the nontrivial one at target omega =
+        # Delta, and its omega search runs only on the family that fails
+        v, nodes = vf._decide(inst, vf.DEFAULT_NODE_BUDGET)
+        assert (v.holds, v.omega, v.Delta, v.witness is None) == (holds, omega, omega, holds), \
+            kernel
+        assert nodes == nontrivial_nodes + (0 if holds else omega_nodes), kernel
+        runs[kernel] = v
     assert runs["python"] == runs["native"]
+    v = runs["native"]
+    assert v == vf.verify_ekr(H)
     if not holds:
-        v = vf.EkrVerdict(False, omega, omega, tuple(runs["native"]))
         assert list(v.witness) == sorted(set(v.witness)) and vf.validate_witness(H, v)
 
 
