@@ -55,7 +55,9 @@
  * A second entry point, ekr_trials, runs a batch of sweep trials.  It
  * re-derives each trial's numpy stream (numpy's SeedSequence key, Philox
  * with numpy's buffering, numpy's binomial and bounded-integer samplers from
- * its libnpyrandom.a), then runs Floyd's dedup and an inlined sort, the
+ * its libnpyrandom.a), then runs Floyd's dedup and a bucket sort of its
+ * ranks (one counting pass into buckets monotone in the rank, then one
+ * insertion pass: expected O(m), as the ranks are a uniform m-subset), the
  * colex unrank into vertex words (ranks ascend, so each edge's largest
  * member starts from the last edge's) and decide().  Star words are kept
  * only for the live vertex rows: below n in a trial, below the highest
@@ -671,29 +673,6 @@ int ekr_search(int mode, int m, const u64 *bits, int dense, int64_t best0, int64
     return status;
 }
 
-/* a[0..m) ascending, tmp holding m more: insertion sort on runs of 16,
- * then bottom-up merges, O(m log m) at worst */
-static void sort64(int64_t *a, int64_t m, int64_t *tmp)
-{
-    enum { RUN = 16 };
-    for (int64_t lo = 0; lo < m; lo += RUN)
-        for (int64_t i = lo + 1; i < m && i < lo + RUN; i++) {
-            int64_t x = a[i], j = i;
-            for (; j > lo && a[j - 1] > x; j--) a[j] = a[j - 1];
-            a[j] = x;
-        }
-    int64_t *src = a, *dst = tmp, *t;
-    for (int64_t w = RUN; w < m; w *= 2, t = src, src = dst, dst = t)
-        for (int64_t lo = 0; lo < m; lo += 2 * w) {
-            int64_t mid = lo + w < m ? lo + w : m, hi = lo + 2 * w < m ? lo + 2 * w : m;
-            int64_t i = lo, j = mid, o = lo;
-            while (i < mid && j < hi) dst[o++] = src[j] < src[i] ? src[j++] : src[i++];
-            while (i < mid) dst[o++] = src[i++];
-            while (j < hi) dst[o++] = src[j++];
-        }
-    if (src != a) memcpy(a, src, m * sizeof *a);
-}
-
 /* the slot of x in an open-addressing set of 2^lg ranks, or the empty
  * (-1) slot where x goes */
 static u64 slot(const int64_t *set, int lg, int64_t x)
@@ -703,9 +682,23 @@ static u64 slot(const int64_t *set, int lg, int64_t x)
     return h;
 }
 
+/* rank r's bucket of m: floor(r m / N) as the float product r scale,
+ * scale = m / N, clamped to m - 1; monotone in r, as rounding is */
+static inline int64_t bucket(int64_t r, double scale, int64_t m)
+{
+    int64_t b = (int64_t)((double)r * scale);
+    return b < m - 1 ? b : m - 1;
+}
+
 /* hypergraph._distinct_ranks in place, then sorted: draw[i] = t_j,
  * j = N - m + i, stays, or becomes j when taken (j is not: every earlier
- * rank is below it).  set holds at least 2^lg >= 2m ranks, lg >= 1 */
+ * rank is below it).  set holds at least 2^lg >= 2m + 1 int64s, lg >= 1.
+ * The sort is one bucket pass: rank r goes to bucket(r), monotone, so
+ * every bucket's ranks lie below the next one's.  A counting pass (counts
+ * in set[m..2m]) places the buckets in order in set[0..m), and one
+ * insertion pass copies them back, sorted: it sorts any order, and the
+ * buckets keep its moves within a bucket.  The m ranks are a uniform
+ * m-subset of [0, N), so a bucket holds O(1) of them in expectation. */
 static void floyd(int64_t N, int64_t m, int64_t *draw, int lg, int64_t *set)
 {
     memset(set, 0xff, sizeof(int64_t) << lg);
@@ -714,7 +707,17 @@ static void floyd(int64_t N, int64_t m, int64_t *draw, int lg, int64_t *set)
         if (set[h] >= 0) h = slot(set, lg, draw[i] = N - m + i);
         set[h] = draw[i];
     }
-    sort64(draw, m, set);
+    int64_t *start = set + m;
+    double scale = (double)m / (double)N;
+    memset(start, 0, (size_t)(m + 1) * sizeof *start);
+    for (int64_t i = 0; i < m; i++) start[bucket(draw[i], scale, m) + 1]++;
+    for (int64_t b = 0; b < m; b++) start[b + 1] += start[b];
+    for (int64_t i = 0; i < m; i++) set[start[bucket(draw[i], scale, m)]++] = draw[i];
+    for (int64_t i = 0; i < m; i++) {
+        int64_t x = set[i], j = i;
+        for (; j > 0 && draw[j - 1] > x; j--) draw[j] = draw[j - 1];
+        draw[j] = x;
+    }
 }
 
 /* numpy's SeedSequence (bit_generator.pyx), in uint32 arithmetic */
@@ -871,7 +874,7 @@ int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int
             binomial_t b = {0};
             int lg = 1;
             m = random_binomial(&bg, p, N, &b);
-            while (((int64_t)1 << lg) < 2 * m) lg++;
+            while (((int64_t)1 << lg) < 2 * m + 1) lg++;
             status = grow(&draw, &dcap, m) || grow(&set, &scap, (int64_t)1 << lg)
                          ? OUT_OF_MEMORY : DONE;
             for (int64_t i = 0; !status && i < m; i++)

@@ -254,11 +254,13 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
     that hypergraph.sample_conditioned (or sample_bernoulli) draws under
     SeedSequence(seed >= 0, spawn_key=(*stream, t)), N = C(n, k) < 2**63.
 
-    Per trial: (m, Delta, omega, size, status, clique, edges), status DONE
-    or OUT_OF_BUDGET (check()).  omega is -1 when m > edge_cap; size, the
-    failing clique's, is -1 when EKR holds or no search decided, and clique
-    holds its ascending edge indices; edges are a failing trial's (any
-    trial's with keep_all) edge bitsets, else None.
+    Per trial a row, the list [m, Delta, omega, size, status] straight from
+    the kernel, status DONE or OUT_OF_BUDGET (check()).  omega is -1 when
+    m > edge_cap; size, the failing clique's, is -1 when EKR holds or no
+    search decided.  A failing trial's row (any trial's with keep_all) goes
+    on with its clique, as ascending edge indices, and its edge bitsets:
+    [m, Delta, omega, size, status, clique, edges].  Python reads only
+    those rows one by one; the others are left as tolist() gives them.
     """
     ent = _uint32_words(seed)
     ent += [0] * (4 - len(ent))             # as SeedSequence pads them when spawned
@@ -274,14 +276,14 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
                                out.ctypes.data, len(out))
         if count < 0:
             raise MemoryError("native kernel trials")
+        batch = rows[:count].tolist()
         at = 0
-        for m, Delta, omega, size, status in rows[:count].tolist():
-            kept = keep_all or size >= 0
-            edges = edge_bits(out[at:at + 4 * m]) if kept else None
-            clique = out[at + 4 * m:at + 4 * m + size].tolist() if size > 0 else []
-            if kept:
-                at += 4 * m + max(size, 0)
-            done.append((m, Delta, omega, size, status, clique, edges))
+        for row in batch if keep_all else [row for row in batch if row[3] >= 0]:
+            m, size = row[0], max(row[3], 0)
+            row += (tuple(out[at + 4 * m:at + 4 * m + size].tolist()),
+                    edge_bits(out[at:at + 4 * m]))
+            at += 4 * m + size
+        done += batch
         lo += count
         if lo < hi:     # trial lo's words may not fit: grow out, go on from it
             out = np.empty(2 * max(len(out), 5 * rows[count, 0]), np.uint64)

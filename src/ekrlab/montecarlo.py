@@ -2,7 +2,7 @@
 
 Contract: trials are independent work items with per-trial Philox substreams
 derived from (master seed, trial index), prefixed by the grid index in a
-sweep; records are sorted by trial index, so results are byte-identical for
+sweep; results are sorted by trial index, so they are byte-identical for
 any worker count.  With workers > 1 there is one pool per call, and a task
 is one _run_batch(ctx, lo, hi): a chunk of trials with its grid point's
 TrialContext.  The chunks are guided: each takes a share of the trials
@@ -15,6 +15,13 @@ the pool is processes, and each task pickles its context (~0.5 KB).  The
 kernel is loaded before either pool is made, since the pool's kind depends
 on it, so a process pool's workers inherit it and none builds or loads its
 own.
+A task returns one row per trial (see _run_batch): the kernel's m, Delta,
+omega, failing-clique size and status, and for a failing trial its clique
+and witness kind.  A sweep summarizes each grid point straight from its
+rows (_summarize: integer sums and counts, Lambda'(Delta) once per
+distinct Delta) and builds no TrialRecord; run_trials and run_one_trial
+build records from the same rows, and summarize_trials turns records back
+into rows for the same summarizer.
 Per-trial resource errors (edge cap, search-node budget) are recorded in
 the row and excluded from the estimates with an explicit count, never
 fatal.  The node budget is deterministic on purpose; a wall-clock timeout
@@ -26,11 +33,13 @@ evaluated or anything is drawn.
 
 With the compiled kernel (see _native) a bernoulli or conditioned grid
 point's trials are one kernel call: the kernel seeds and draws each trial's
-sample as numpy would, dedups, unranks and decides it, and a Hypergraph is
-built from its vertex words only to classify a failing clique.  The
-independent sampler, and every trial without the kernel, draws through
-hypergraph.sample and decides a verifier._Instance (one kernel call when
-loaded); that path is the reference, and both give the same records.
+sample as numpy would, dedups, unranks and decides it.  In a sweep, a trial
+that holds costs no Python beyond its kernel row; for a sweep and for
+records alike, a Hypergraph is built from a trial's vertex words only to
+classify a failing clique.  The independent sampler, and every trial without the
+kernel, draws through hypergraph.sample and decides a verifier._Instance
+(one kernel call when loaded); that path is the reference, and both give
+the same rows.
 
 Asymptotic "almost surely" claims are reported as finite-n frequencies with
 Wilson intervals and nothing more.
@@ -38,10 +47,12 @@ Wilson intervals and nothing more.
 
 from __future__ import annotations
 
+import collections
 import functools
 import io
 import json
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -187,43 +198,21 @@ def _lambda_prime(mbar: float, q: float, Delta: int) -> float:
     return float(analytics.lambda_prime_t(mbar, q, Delta))
 
 
-def _record(ctx: TrialContext, t: int, m: int, Delta: int, omega: int,
-            witness: Optional[tuple[int, ...]], H: Optional[Hypergraph],
-            error: Optional[str] = None) -> TrialRecord:
-    """Trial t's record: omega and the failing clique witness (None when EKR
-    holds), or the error that stopped the trial; the sample H is read only
-    to classify the witness."""
-    lam_p = _lambda_prime(ctx.mbar, ctx.q, Delta)
-    if error is not None:
-        return TrialRecord(t, ctx.master_seed, m, Delta, -1, None, lam_p, None, error)
-    kind = None if witness is None else classify_witness_kind(H, witness, ctx.params,
-                                                              ctx.regime)
-    return TrialRecord(t, ctx.master_seed, m, Delta, omega, witness is None, lam_p, kind)
-
-
-def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
+def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list:
     """Trials [lo, hi) of a bernoulli or conditioned context in one
-    _native.trials batch, each record read straight off its kernel row,
-    with a Hypergraph only for each failing trial."""
+    _native.trials batch, a Hypergraph only for each failing trial, to
+    classify its clique."""
     n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
     N = hypergraph._check_draws(ctx.sampler_mode, n, k, p)
-    records = []
-    for t, (m, Delta, omega, size, status, clique, edges) in enumerate(_native.trials(
-            lib, ctx.master_seed, ctx.stream, lo, hi, n, k, N, p,
-            conditioned=ctx.sampler_mode == "conditioned", dense=verifier._dense_pairs(n, k),
-            edge_cap=ctx.edge_cap, node_budget=ctx.node_budget), lo):
-        try:
-            verifier._check_edge_cap(m, ctx.edge_cap)
-            _native.check(status)
-        except ResourceLimitError as exc:
-            records.append(_record(ctx, t, m, Delta, -1, None, None, str(exc)))
-            continue
-        witness = H = None
-        if size >= 0:
-            witness = tuple(clique)
-            H = Hypergraph._unchecked(n, k, edges)
-        records.append(_record(ctx, t, m, Delta, omega, witness, H))
-    return records
+    rows = _native.trials(lib, ctx.master_seed, ctx.stream, lo, hi, n, k, N, p,
+                          conditioned=ctx.sampler_mode == "conditioned",
+                          dense=verifier._dense_pairs(n, k), edge_cap=ctx.edge_cap,
+                          node_budget=ctx.node_budget)
+    for row in rows:
+        if row[3] >= 0:
+            row[6] = classify_witness_kind(Hypergraph._unchecked(n, k, row[6]), row[5],
+                                           ctx.params, ctx.regime)
+    return rows
 
 
 def _native_batches(lib, sampler_mode: str) -> bool:
@@ -232,31 +221,62 @@ def _native_batches(lib, sampler_mode: str) -> bool:
     return bool(lib) and sampler_mode != "independent"
 
 
-def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list[TrialRecord]:
-    """Trials [lo, hi) of ctx: one native batch, or with the independent
-    sampler or no kernel, one Hypergraph and verifier._Instance per trial."""
+def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list:
+    """The rows of trials [lo, hi) of ctx, one per trial: the kernel's
+    [m, Delta, omega, size, status] (_native.trials), where omega is -1
+    above the edge cap and size, the failing clique's, is -1 unless EKR
+    fails, and a failing trial's row goes on with its clique and witness
+    kind.  A trial is decided when omega >= 0 and its status is DONE.
+    One native batch, or with the independent sampler or no kernel, one
+    Hypergraph and verifier._Instance per trial, whose row is the one the
+    kernel gives (out of budget, omega = Delta, as the kernel leaves it)."""
     lib = _native.kernel()
     if _native_batches(lib, ctx.sampler_mode) and lo < hi:
         return _native_batch(lib, ctx, lo, hi)
     n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
-    records = []
+    rows = []
     for t in range(lo, hi):
         H = hypergraph.sample(ctx.sampler_mode, n, k, p,
                               np.random.SeedSequence(ctx.master_seed, spawn_key=(*ctx.stream, t)))
         inst = verifier._Instance(H)
+        if H.m > ctx.edge_cap:
+            rows.append([H.m, inst.Delta, -1, -1, _native.DONE])
+            continue
         try:
-            verifier._check_edge_cap(H.m, ctx.edge_cap)
             verdict, _ = verifier._decide(inst, ctx.node_budget)
+        except ResourceLimitError:
+            rows.append([H.m, inst.Delta, inst.Delta, -1, _native.OUT_OF_BUDGET])
+            continue
+        row = [H.m, verdict.Delta, verdict.omega, -1, _native.DONE]
+        if verdict.witness is not None:
+            row[3] = len(verdict.witness)
+            row += (verdict.witness,
+                    classify_witness_kind(H, verdict.witness, ctx.params, ctx.regime))
+        rows.append(row)
+    return rows
+
+
+def _records(ctx: TrialContext, rows, lo: int = 0) -> list[TrialRecord]:
+    """The TrialRecords of trials lo, lo + 1, ... from their rows: Lambda'(Delta),
+    the verdict and witness kind, or the error that stopped the trial."""
+    records = []
+    for t, (m, Delta, omega, size, status, *failing) in enumerate(rows, lo):
+        lam_p = _lambda_prime(ctx.mbar, ctx.q, Delta)
+        try:
+            verifier._check_edge_cap(m, ctx.edge_cap)
+            _native.check(status)
         except ResourceLimitError as exc:
-            records.append(_record(ctx, t, H.m, inst.Delta, -1, None, H, str(exc)))
-        else:
-            records.append(_record(ctx, t, H.m, verdict.Delta, verdict.omega, verdict.witness, H))
+            records.append(TrialRecord(t, ctx.master_seed, m, Delta, -1, None, lam_p, None,
+                                       str(exc)))
+            continue
+        kind = failing[1] if size >= 0 else None
+        records.append(TrialRecord(t, ctx.master_seed, m, Delta, omega, size < 0, lam_p, kind))
     return records
 
 
 def run_one_trial(ctx: TrialContext, trial_index: int) -> TrialRecord:
     """Delta, Lambda'(Delta) and the verdict of one trial, a batch of one."""
-    return _run_batch(ctx, trial_index, trial_index + 1)[0]
+    return _records(ctx, _run_batch(ctx, trial_index, trial_index + 1), trial_index)[0]
 
 
 def _available_cpus() -> int:
@@ -267,7 +287,7 @@ def _available_cpus() -> int:
 
 
 def _trial_batches(contexts, trials: int, workers: int):
-    """Yield each context's records, sorted by trial index, in context order.
+    """Yield each context's rows, sorted by trial index, in context order.
 
     Each context's trials are one _run_batch with one worker.  Otherwise
     they run on one pool as guided chunks (guided self-scheduling,
@@ -280,7 +300,7 @@ def _trial_batches(contexts, trials: int, workers: int):
     Python reference path, which the GIL would serialize on threads, so the
     pool is processes, each task pickled with its context, and the kernel
     is loaded before the pool forks, so every worker inherits it.  Results are
-    consumed lazily: a context's records are yielded once its last chunk
+    consumed lazily: a context's rows are yielded once its last chunk
     arrives.  The pool never exceeds the available CPUs or the number of
     trials."""
     if trials < 0:
@@ -304,12 +324,12 @@ def _trial_batches(contexts, trials: int, workers: int):
     lib = _native.kernel()
     native = all(_native_batches(lib, ctx.sampler_mode) for ctx in contexts)
     with (ThreadPoolExecutor if native else ProcessPoolExecutor)(max_workers=workers) as pool:
-        records = []
+        rows = []
         for (_, _, hi), batch in zip(tasks, pool.map(_run_batch, *zip(*tasks))):
-            records += batch
+            rows += batch
             if hi == trials:
-                yield records
-                records = []
+                yield rows
+                rows = []
 
 
 def _check_draws(points, sampler_mode: str, trials: int) -> None:
@@ -328,8 +348,8 @@ def run_trials(params: ModelParams, trials: int, sampler_mode: str, seed: int,
     sorted by trial index regardless of the execution schedule."""
     _check_draws([params], sampler_mode, trials)
     ctx = make_trial_context(params, sampler_mode, seed, edge_cap, node_budget, stream)
-    (records,) = _trial_batches([ctx], trials, workers)     # drains: pool closed
-    return records
+    (rows,) = _trial_batches([ctx], trials, workers)        # drains: pool closed
+    return _records(ctx, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -363,28 +383,42 @@ class SweepTable:
     sampler_mode: str
 
 
-def summarize_trials(params: ModelParams, records) -> SweepRow:
-    decided = [r for r in records if r.decided]
+def _summarize(params: ModelParams, rows, lambda_prime) -> SweepRow:
+    """A grid point's SweepRow from its trials' rows (see _run_batch):
+    integer sums and counts over the decided trials, and
+    lambda_prime(Delta) once per distinct Delta."""
+    decided = [row for row in rows if row[2] >= 0 and row[4] == _native.DONE]
     n_dec = len(decided)
-    holds = sum(1 for r in decided if r.ekr_holds)
+    deltas = collections.Counter(map(operator.itemgetter(1), decided))
+    kinds = [row[6] for row in decided if row[3] >= 0]
+    holds = n_dec - len(kinds)
     lo, hi = wilson_interval(holds, n_dec)
-    wc = {kind: 0 for kind in WITNESS_KINDS}
-    for r in decided:
-        if r.witness_kind is not None:
-            wc[r.witness_kind] = wc.get(r.witness_kind, 0) + 1
+    wc = dict.fromkeys(WITNESS_KINDS, 0)
+    wc.update(collections.Counter(kinds))
+
+    def share(count: int) -> float:
+        return count / n_dec if n_dec else math.nan
     return SweepRow(
         n=params.n, k=params.k, phi=float(params.phi), p=float(params.p),
-        trials=len(records), undecided=len(records) - n_dec,
+        trials=len(rows), undecided=len(rows) - n_dec,
         holds_count=holds,
-        f_hat=holds / n_dec if n_dec else math.nan,
+        f_hat=share(holds),
         wilson_lo=lo, wilson_hi=hi,
-        mean_delta=sum(r.Delta for r in decided) / n_dec if n_dec else math.nan,
-        mean_omega=sum(r.omega for r in decided) / n_dec if n_dec else math.nan,
-        pr_lambda_prime_gt_eps=(sum(1 for r in decided
-                                    if r.lambda_prime_of_Delta > params.eps_thr) / n_dec
-                                if n_dec else math.nan),
+        mean_delta=share(sum(Delta * c for Delta, c in deltas.items())),
+        mean_omega=share(sum(map(operator.itemgetter(2), decided))),
+        pr_lambda_prime_gt_eps=share(sum(c for Delta, c in deltas.items()
+                                         if lambda_prime(Delta) > params.eps_thr)),
         witness_counts=wc,
     )
+
+
+def summarize_trials(params: ModelParams, records) -> SweepRow:
+    """A grid point's SweepRow from its TrialRecords, through their rows."""
+    rows = [[r.m, r.Delta, r.omega if r.decided else -1,
+             r.omega if r.ekr_holds is False else -1, _native.DONE, None, r.witness_kind]
+            for r in records]
+    lam = {r.Delta: r.lambda_prime_of_Delta for r in records}
+    return _summarize(params, rows, lam.__getitem__)
 
 
 def estimate_ekr_curve(n: int, k: int, phi_grid, trials: int, seed: int,
@@ -394,8 +428,8 @@ def estimate_ekr_curve(n: int, k: int, phi_grid, trials: int, seed: int,
                        node_budget: int = verifier.DEFAULT_NODE_BUDGET,
                        c_regime: float = 0.15) -> SweepTable:
     """Every grid point's trials over one trial engine (spawn-key prefix
-    (grid index,)); rows are summarized as each point's records arrive and
-    emitted in input order."""
+    (grid index,)); each point is summarized from its trials' rows as they
+    arrive, with no TrialRecord, and emitted in input order."""
     points = [ModelParams.from_phi(n, k, float(phi), psi=psi, eps_thr=eps_thr,
                                    c_regime=c_regime) for phi in phi_grid]
     _check_draws(points, sampler_mode, trials)
@@ -403,8 +437,9 @@ def estimate_ekr_curve(n: int, k: int, phi_grid, trials: int, seed: int,
                                    stream=(gi,)) for gi, params in enumerate(points)]
     batches = _trial_batches(contexts, trials, workers)
     # strict: zip then reads the engine to its end, which closes the pool
-    rows = tuple(summarize_trials(ctx.params, recs)
-                 for ctx, recs in zip(contexts, batches, strict=True))
+    rows = tuple(_summarize(ctx.params, batch,
+                            functools.partial(_lambda_prime, ctx.mbar, ctx.q))
+                 for ctx, batch in zip(contexts, batches, strict=True))
     return SweepTable(rows, eps_thr, seed, sampler_mode)
 
 

@@ -39,27 +39,26 @@ class HMWitness:
 def find_hilton_milner(H: Hypergraph, d: int) -> Optional[HMWitness]:
     """First (x ascending, B0 by edge index) witness with >= d petals, or None.
 
-    The petals are star[x] & adj[B0].  Only the rows of the adjacency that
-    are read are built, each the first time, as the OR of B0's vertex stars
-    (star[x] lacks B0, so its own bit does not matter), and kept for the
-    later x: the full adjacency is m^2 bits.
+    The petals are star[x] & adj[B0], the OR over B0's vertices v of the
+    pair star star[x] & star[v] (star[x] lacks B0, so its own bit does not
+    matter).  The pair stars are built once for each x of degree >= d and
+    dropped after it, so the detector holds O(n m) bits, never the m^2 of
+    the adjacency.
     """
     if d <= 0:
         raise DomainError("d must be a positive integer")
     inst = _Instance(H)
-    stars, adj = inst.stars, [None] * H.m
+    stars = inst.stars
     for x, star in enumerate(stars):
         if star.bit_count() < d:
             continue
-        for b0 in range(H.m):
-            if star >> b0 & 1:
+        pairs = [star & s for s in stars]
+        for b0, members in enumerate(inst.members):
+            if x in members:        # B0 is in star[x]
                 continue
-            if adj[b0] is None:
-                row = 0
-                for v in inst.members[b0]:
-                    row |= stars[v]
-                adj[b0] = row
-            petals = star & adj[b0]
+            petals = 0
+            for v in members:
+                petals |= pairs[v]
             if petals.bit_count() >= d:
                 return HMWitness(x, b0, tuple(bits_of(petals)))
     return None

@@ -289,6 +289,16 @@ def test_witness_hilton_milner_fits_in_128_mib(tmp_path):
     assert all(1 in e and set(e) & set(b0) for e in petals)
 
 
+def test_witness_hilton_milner_without_a_witness_fits_in_128_mib(tmp_path):
+    # every vertex has degree 8855 >= d, but at most 5795 petals: no
+    # witness, after every (x, B0) is tried.  The detector kept each
+    # adjacency row it built, all m of them by the end (~225 MB, exit 3);
+    # it now holds one vertex's pair stars at a time
+    code, out, err = witness_in_128_mib(tmp_path, ["--hm-d", "6000"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["witnesses"] == []
+
+
 def test_witness_detectors(tmp_path):
     path = tmp_path / "tri.txt"
     path.write_text(TRIANGLE)

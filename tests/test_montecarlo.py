@@ -379,7 +379,8 @@ def test_trial_csv_golden_hash(kernels):
     contexts = [mc.make_trial_context(an.ModelParams.from_phi(24, 3, 0.3 * ratio**i),
                                       "conditioned", 1, stream=(i,)) for i in range(12)]
     for kernel in kernels():
-        parts = [trial_records_to_csv(recs) for recs in mc._trial_batches(contexts, 100, 1)]
+        parts = [trial_records_to_csv(mc._records(ctx, rows))
+                 for ctx, rows in zip(contexts, mc._trial_batches(contexts, 100, 1))]
         for mode in ("bernoulli", "independent"):
             for n, k, phi in TRIAL_PINS:
                 recs = mc.run_trials(an.ModelParams.from_phi(n, k, phi), 40, mode, 5)
@@ -430,9 +431,30 @@ def test_trial_builds_star_masks_once(kernels, monkeypatch):
         assert None in kinds and len(kinds) > 1     # holding and failing trials
     for seen in (kernel_calls, built, calls, members):
         seen.clear()
-    (records,) = mc._trial_batches([ctx], 30, 1)
+    (rows,) = mc._trial_batches([ctx], 30, 1)
+    records = mc._records(ctx, rows)
     assert kernel_calls == [1] and calls == [] and members == []
     assert len(built) == sum(1 for r in records if r.ekr_holds is False)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_native_sweep_builds_no_trial_record(monkeypatch, workers):
+    # a native sweep summarizes each grid point straight from its kernel
+    # rows: it builds no TrialRecord, and one Hypergraph per failing trial,
+    # from the kernel's words, only to classify its clique
+    assert _native.kernel() is not None, "the native search kernel did not build or load"
+    monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
+    records, built = [], []
+    monkeypatch.setattr(mc, "TrialRecord", lambda *a: records.append(a))
+    post_init, unchecked = hg.Hypergraph.__post_init__, hg.Hypergraph._unchecked
+    monkeypatch.setattr(hg.Hypergraph, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(hg.Hypergraph, "_unchecked",
+                        lambda *a: built.append(1) or unchecked(*a))
+    table = mc.estimate_ekr_curve(12, 3, [0.5, 2.0, 4.0], trials=30, seed=1, workers=workers)
+    failing = sum(r.trials - r.undecided - r.holds_count for r in table.rows)
+    assert records == [] and len(built) == failing > 0
+    assert sum(r.holds_count for r in table.rows) > 0
 
 
 def test_sweep_csv_worker_count_invariance():

@@ -269,18 +269,21 @@ def test_instances_read_their_statistics_on_first_use(kernels, monkeypatch):
 @given(n=st.integers(1, 256), k=st.integers(1, 10), mean=st.integers(0, 300),
        seed=st.integers(0, 2**32))
 @example(n=6, k=2, mean=0, seed=1)          # m = 0
-@example(n=6, k=2, mean=15, seed=2)         # p = 1: m = N = 15
+@example(n=6, k=2, mean=15, seed=2)         # p = 1: m = N = 15, one rank per bucket
+@example(n=4, k=2, mean=6, seed=7)          # p = 1: m = N = 6, one rank per bucket
 @example(n=9, k=9, mean=1, seed=3)          # N = 1
 @example(n=9, k=9, mean=0, seed=3)
 @example(n=256, k=10, mean=300, seed=4)     # N = C(256, 10) ~ 2.8e17
 @example(n=16, k=4, mean=1, seed=0)         # m = 1
 @example(n=16, k=4, mean=2, seed=10)        # m = 2, drawn in descending order
 @example(n=16, k=4, mean=1820, seed=5)      # p = 1: Floyd collides at nearly every step
-@example(n=20, k=7, mean=38000, seed=6)     # m ~ 38,000: merges far past the short runs
+@example(n=20, k=7, mean=38000, seed=6)     # m ~ 38,000
+@example(n=16, k=4, mean=12, seed=9)        # m = 11: five ranks share one bucket
+@example(n=66, k=33, mean=300, seed=8)      # N ~ 7.2e18 >= 2**62: r m overflows 64 bits
 def test_native_floyd_dedup_matches_distinct_ranks(n, k, mean, seed):
     # a conditioned trial on the kernel's own draws: m ~ Bin(N, p), then
-    # Floyd's dedup, the sort and the colex unrank, against one scalar draw
-    # per step
+    # Floyd's dedup, the bucket sort (bucket floor(r m / N)) and the colex
+    # unrank, against one scalar draw per step
     k = min(k, n)
     N = math.comb(n, k)
     p = min(mean / N, 1.0)
@@ -432,14 +435,17 @@ def test_native_trial_records_equal_the_python_path(kernels, monkeypatch, sample
     classify = mc.classify_witness_kind
     monkeypatch.setattr(mc, "classify_witness_kind",
                         lambda H, w, *a: classified.append((H, w)) or classify(H, w, *a))
-    runs = {}
+    ctx = mc.make_trial_context(params, sampler, 7, **limits)
+    runs, rows = {}, {}
     for kernel in kernels():
         classified.clear()
         runs[kernel] = mc.run_trials(params, 20, sampler, 7, **limits), list(classified)
+        rows[kernel] = mc._run_batch(ctx, 0, 20)
     assert runs["native"] == runs["python"]
+    assert rows["native"] == rows["python"]     # one row format on both paths
     (records, witnesses), Hs = runs["native"], graphs(params, sampler, 20)
     # a batch that starts mid-way, on the native kernel
-    assert mc._run_batch(mc.make_trial_context(params, sampler, 7, **limits), 7, 20) == records[7:]
+    assert mc._records(ctx, mc._run_batch(ctx, 7, 20), 7) == records[7:]
     assert shows(records, Hs)
     # the native trial rebuilds a failing trial's sample from its words
     assert [H for H, _ in witnesses] == [H for H, r in zip(Hs, records) if r.ekr_holds is False]
@@ -458,7 +464,7 @@ def test_native_batch_reuses_its_scratch_across_the_edge_cap(kernels, monkeypatc
     monkeypatch.setattr(_native, "trials", lambda *a, **kw: batches.append(1) or trials(*a, **kw))
     runs = {}
     for kernel in kernels():
-        runs[kernel] = (mc._run_batch(ctx, 0, 40) if kernel == "native"
+        runs[kernel] = (mc._records(ctx, mc._run_batch(ctx, 0, 40)) if kernel == "native"
                         else [mc.run_one_trial(ctx, t) for t in range(40)])
     assert batches == [1]
     assert runs["native"] == runs["python"]
