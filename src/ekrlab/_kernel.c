@@ -1,18 +1,19 @@
 /* Compiled branch-and-bound kernel for ekrlab's three clique searches.
  *
- * A line-by-line twin of verifier._branch_and_bound together with the rules
- * its callers supply: the omega search (accept an empty candidate set), the
- * nontrivial search (accept an empty common intersection; no branches while
- * the AND over R and all of P is nonempty) and the generic search (degree
- * bitsets d1/d2/d3, zeta_cap).  The colorings reproduce _color_order and
- * _pair_color_order class for class, so visited cliques, node counts and the
- * recorded clique are those of the Python kernel.
+ * The library's only search.  It has a line-by-line Python twin in the
+ * tests (tests/oracles.py: branch_and_bound together with the rules its
+ * callers supply), which it is checked against: the omega search (accept an
+ * empty candidate set), the nontrivial search (accept an empty common
+ * intersection; no branches while the AND over R and all of P is nonempty)
+ * and the generic search (degree bitsets d1/d2/d3, zeta_cap).  The colorings
+ * reproduce the twin's color_order and pair_color_order class for class, so
+ * visited cliques, node counts and the recorded clique are the twin's.
  *
  * The kernel builds its own graph from each edge's vertex bitset (VW words,
  * n <= 256): per-vertex star words, then the intersection adjacency by
  * verifier._star_adjacency's rule.  The omega and nontrivial searches run
  * on its relabel by descending adjacency degree, ties by index (MCQ's
- * initial order, as verifier._Instance.relabel): the relabelled edges'
+ * initial order, as the twin's relabel): the relabelled edges'
  * words, star words and adjacency, built once per instance, and each
  * recorded clique is mapped back to ascending original indices.  The
  * generic search keeps index order, by which its first clique is defined.
@@ -23,7 +24,7 @@
  * are consecutive from the level's first.  A generic level keeps no order:
  * greedy coloring is only its feasibility test (does anything outlast kmin
  * classes?), and it branches on the lowest bit of its candidate set, cut
- * once r + popcount <= best, which is what _generic_search's
+ * once r + popcount <= best, which is what the twin's generic_search's
  * (None, range(1, |P| + 1)) encodes.  A generic child's candidate set also
  * loses every edge that child() rejects there (narrow()): those through a
  * degree-3 vertex, and once |d3| + 1 > zeta those through a degree-2 one.
@@ -165,8 +166,8 @@ static inline void take_class(search *s, int lo, int keep)
     }
 }
 
-/* _first_classes: rest = P less the first kmin first-fit classes (empty
- * when |P| <= kmin); returns whether any vertex is left */
+/* the twin's first_classes: rest = P less the first kmin first-fit
+ * classes (empty when |P| <= kmin); returns whether any vertex is left */
 static int first_classes(search *s, const u64 *P, int64_t kmin)
 {
     int W = s->W, lo = 0;
@@ -177,8 +178,8 @@ static int first_classes(search *s, const u64 *P, int64_t kmin)
     return lowest(s->rest, W, &lo) >= 0;
 }
 
-/* _color_order: the first-fit classes numbered > kmin are appended, with
- * their starts relative to the level's first candidate */
+/* the twin's color_order: the first-fit classes numbered > kmin are
+ * appended, with their starts relative to the level's first candidate */
 static void first_fit(search *s, const u64 *P, int64_t kmin)
 {
     int lo = 0;
@@ -201,9 +202,10 @@ static int lowest_and(const u64 *a, const u64 *b, int skip, int W)
     return -1;
 }
 
-/* _pair_color_order: a greedy maximal matching of the disjointness graph
- * (fewest partners first, ties by index), length-3 augmentation sweeps over
- * the free vertices ascending; pairs by lower vertex, then singletons */
+/* the twin's pair_color_order: a greedy maximal matching of the
+ * disjointness graph (fewest partners first, ties by index), length-3
+ * augmentation sweeps over the free vertices ascending; pairs by lower
+ * vertex, then singletons */
 static void pair_color(search *s, const u64 *P, int64_t kmin)
 {
     int W = s->W, size = popcount(P, W), n = 0, lo = 0, v, npairs = 0, nfree = 0;
@@ -379,7 +381,7 @@ static inline void narrow(const search *s, u64 *Q, const u64 *S)
  * so each mode gets its own copy of the loop) takes the lowest bit of its P
  * row, which holds its idx candidates left, and is cut once r + idx <= best;
  * its child is skipped, as an infeasible one is, when r + 1 + |P_child| <=
- * best (verifier._branch_and_bound's cut when narrow is given). */
+ * best (the twin's branch_and_bound cut when narrow is given). */
 static inline __attribute__((always_inline)) int
 descend(search *s, level *lv, u64 *Ps, u64 *St, int32_t *R, int r, int64_t best, int generic)
 {

@@ -1,13 +1,14 @@
 """The compiled search kernel (_kernel.c): build, cache, load and call.
 
-Its entry point ekr_search runs the omega, nontrivial or generic search
-(search()), or in a fourth mode, DECIDE, verifier._decide: Delta, then the
-nontrivial search and, only on a family it does not decide, the omega
-search, on one graph (decide()).  Its second entry point, ekr_trials, runs
-a batch of bernoulli or conditioned Monte Carlo trials in one call
-(trials()).  It seeds and draws each trial as numpy would, with numpy's
-binomial and bounded-integer samplers from numpy's libnpyrandom.a, then
-dedups and unranks the draws and runs the same decision on each.
+It is the library's one implementation of the exact searches.  Its entry
+point ekr_search runs the omega, nontrivial or generic search (search()),
+or in a fourth mode, DECIDE, verifier._decide: Delta, then the nontrivial
+search and, only on a family it does not decide, the omega search, on one
+graph (decide()).  Its second entry point, ekr_trials, runs a batch of
+bernoulli or conditioned Monte Carlo trials in one call (trials()).  It
+seeds and draws each trial as numpy would, with numpy's binomial and
+bounded-integer samplers from numpy's libnpyrandom.a, then dedups and
+unranks the draws and runs the same decision on each.
 
 kernel() builds the kernel on first use with the system gcc (-O2, plus
 -mpopcnt on an x86-64 CPU whose /proc/cpuinfo flags report POPCNT, so that
@@ -16,11 +17,11 @@ per-user cache directory ($XDG_CACHE_HOME/ekrlab or ~/.cache/ekrlab, mode
 0700), under a name keyed by the sha256 of the source, the library and the
 build command, flags included, so that hosts sharing a home directory each
 load their own build, and loads it through ctypes.
-It returns None when there is no compiler or library, the build fails, or
-the cache directory cannot be written or is not private to the user; the
-searches then run on the Python kernel (verifier._branch_and_bound), which
-gives the same results, and a trial on the Python sampler and verifier.
-Nothing is built or loaded at import.
+Where there is no compiler or library, the build fails, or the cache
+directory cannot be made or is not private to the user, it raises
+ResourceLimitError with one line that names the cause, so every command
+that searches exits 3 there; the closed forms and the samplers need no
+kernel.  Nothing is built or loaded at import.
 
 The entry points are called through ctypes.CDLL, which releases the GIL
 for each call, so a sweep's thread pool (montecarlo._trial_batches) runs
@@ -51,7 +52,7 @@ _CC = "gcc"
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 _VERTEX_BYTES = 32                      # 4 words: n <= hypergraph.MAX_N = 256
 
-_lib = None     # the kernel's entry points once loaded; False if they cannot be
+_lib = None     # the loaded Kernel
 
 
 class Kernel(NamedTuple):
@@ -61,12 +62,17 @@ class Kernel(NamedTuple):
     ekr_trials: object
 
 
-def kernel():
-    """The native Kernel, or None when it cannot be built or loaded."""
+def kernel() -> Kernel:
+    """The native Kernel, built and loaded on first use.  ResourceLimitError
+    where it cannot be, naming the cause; a later call tries again."""
     global _lib
     if _lib is None:
-        _lib = _load() or False
-    return _lib or None
+        _lib = _load()
+    return _lib
+
+
+def _unavailable(cause: str) -> ResourceLimitError:
+    return ResourceLimitError(f"no search kernel: {cause}")
 
 
 def _cache_dir() -> str:
@@ -127,18 +133,24 @@ def _library_name(args: list[str]) -> str:
     return f"kernel-{key[:24]}.so"
 
 
-def _load():
+def _load() -> Kernel:
     cc = shutil.which(_CC) if os.name == "posix" else None
     if cc is None:
-        return None
+        raise _unavailable(f"no C compiler ({_CC}) on the PATH")
+    for what, path in (("the kernel source", _SOURCE), ("numpy's libnpyrandom.a", _NPYRANDOM)):
+        if not os.path.isfile(path):
+            raise _unavailable(f"{what} is missing ({path})")
     command, link = _command(cc), [_NPYRANDOM, "-lm"]
+    cache = _cache_dir()
     try:
-        name = _library_name(command + link)
-        cache = _cache_dir()
         os.makedirs(cache, mode=0o700, exist_ok=True)
-        if not _private(cache):
-            return None
-        path = os.path.join(cache, name)
+        private = _private(cache)
+    except OSError as exc:
+        raise _unavailable(f"cannot make the cache directory {cache}: {exc.strerror}") from None
+    if not private:
+        raise _unavailable(f"the cache directory {cache} is not private to this user")
+    path = os.path.join(cache, _library_name(command + link))
+    try:
         if not os.path.exists(path):
             # build beside the target and rename, so a process building at the
             # same time never loads a half-written library
@@ -153,10 +165,16 @@ def _load():
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         if not _private(path):
-            return None
+            raise _unavailable(f"the cached build {path} is not private to this user")
         lib = ctypes.CDLL(path)
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.decode(errors="replace").strip().splitlines()
+        raise _unavailable("the build failed: " + (
+            lines[0] if lines else f"{_CC} exited with status {exc.returncode}")) from None
+    except subprocess.TimeoutExpired as exc:
+        raise _unavailable(f"the build ran past {exc.timeout} s") from None
+    except OSError as exc:
+        raise _unavailable(f"cannot build or load {path}: {exc}") from None
     i64, u64p, i32p = ctypes.c_int64, ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int32)
     cint, ptr = ctypes.c_int, ctypes.c_void_p
     lib.ekr_search.argtypes = [cint, cint, u64p, cint, i64, i64, ctypes.c_double, i64, i32p,
@@ -208,8 +226,13 @@ def _ekr_search(lib, mode: int, words, dense: bool, floor: int, target: int,
 
 def search(lib, mode: int, words, *, floor: int, target: int, node_budget: int,
            dense: bool = False, zeta_cap: float = 0.0):
-    """verifier._branch_and_bound's (best, recorded clique or None, nodes)
-    for one of the three searches, on the native kernel.
+    """(best, recorded clique or None, nodes visited) of one of the three
+    searches: a clique is recorded when it beats best, from floor, and is
+    accepted (omega: maximal; nontrivial: empty common intersection;
+    generic: degrees <= 3 with at most zeta_cap of degree 3), and the
+    search stops once best >= target.  Each visited clique, the empty one
+    included, costs one of node_budget's nodes; a search that needs more
+    raises ResourceLimitError (check()).
 
     words holds the edges' vertex_words; the kernel builds the intersection
     adjacency from them, and for the omega and nontrivial searches its
@@ -224,7 +247,7 @@ def search(lib, mode: int, words, *, floor: int, target: int, node_budget: int,
 
 
 def decide(lib, words, *, dense: bool, node_budget: int):
-    """verifier._decide on the native kernel, in one call: (Delta, omega,
+    """verifier._decide's decision in one call: (Delta, omega,
     failing clique as ascending edge indices or None, nodes of both
     searches) of the distinct edges in words, each search on its own node
     budget.

@@ -10,7 +10,10 @@ sampler ignores (--m without --sampler independent, --phi and --p with it);
 calc without --phi / --p rejects --t-max, --psi and --c-regime.
 sample and sweep exit 3 before drawing past 10**7 k-sets (bernoulli's
 C(n, k), other modes' p C(n, k) expected, or sample's --m) or, where colex
-ranks are drawn, at C(n, k) >= 2**63.  All files UTF-8.
+ranks are drawn, at C(n, k) >= 2**63.  verify, witness --generic-size and
+sweep search on the compiled kernel, and exit 3 with one line naming the
+cause where it cannot be built; calc and sample need no kernel.  All files
+UTF-8.
 """
 
 from __future__ import annotations
@@ -157,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--sampler", choices=SAMPLER_MODES, default="conditioned")
     sp.add_argument("--workers", type=int, default=1,
-                    help="parallel workers: threads for native batches, processes for "
-                         "the Python path; the output is byte-identical at any count")
+                    help="parallel workers: threads, or processes for --sampler "
+                         "independent; the output is byte-identical at any count")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--edge-cap", type=int, default=verifier.DEFAULT_EDGE_CAP)
     sp.add_argument("--node-budget", type=int, default=verifier.DEFAULT_NODE_BUDGET)

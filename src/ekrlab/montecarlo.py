@@ -9,12 +9,12 @@ TrialContext.  The chunks are guided: each takes a share of the trials
 still left, so they shrink toward the end, and none crosses a grid point.
 When every chunk is a native batch (below), the pool is threads: a batch
 is one ctypes call, which releases the GIL, so the batches run in parallel
-in this process with nothing forked or pickled.  Otherwise the chunks run
-the Python reference path, which the GIL would serialize on threads, so
-the pool is processes, and each task pickles its context (~0.5 KB).  The
-kernel is loaded before either pool is made, since the pool's kind depends
-on it, so a process pool's workers inherit it and none builds or loads its
-own.
+in this process with nothing forked or pickled.  The independent sampler
+draws in Python, which the GIL would serialize on threads, so its pool is
+processes, and each task pickles its context (~0.5 KB).  The kernel is
+loaded before either pool is made, so a host without it fails before any
+pool starts, and a process pool's workers inherit it and none builds or
+loads its own.
 A task returns one row per trial (see _run_batch): the kernel's m, Delta,
 omega, failing-clique size and status, and for a failing trial its clique
 and witness kind.  A sweep summarizes each grid point straight from its
@@ -31,15 +31,15 @@ enumerated or edges expected) is fatal instead: a run of at least one
 trial checks it at every grid point before any point's degree tails are
 evaluated or anything is drawn.
 
-With the compiled kernel (see _native) a bernoulli or conditioned grid
-point's trials are one kernel call: the kernel seeds and draws each trial's
-sample as numpy would, dedups, unranks and decides it.  In a sweep, a trial
-that holds costs no Python beyond its kernel row; for a sweep and for
-records alike, a Hypergraph is built from a trial's vertex words only to
-classify a failing clique.  The independent sampler, and every trial without the
-kernel, draws through hypergraph.sample and decides a verifier._Instance
-(one kernel call when loaded); that path is the reference, and both give
-the same rows.
+Every trial is decided on the compiled kernel (see _native); where it
+cannot be built, a run of at least one trial raises ResourceLimitError.  A
+bernoulli or conditioned grid point's trials are one kernel call: the
+kernel seeds and draws each trial's sample as numpy would, dedups, unranks
+and decides it.  In a sweep, a trial that holds costs no Python beyond its
+kernel row; for a sweep and for records alike, a Hypergraph is built from
+a trial's vertex words only to classify a failing clique.  The independent
+sampler draws through hypergraph.sample and decides a verifier._Instance in
+one kernel call, with the same rows.
 
 Asymptotic "almost surely" claims are reported as finite-n frequencies with
 Wilson intervals and nothing more.
@@ -215,23 +215,21 @@ def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list:
     return rows
 
 
-def _native_batches(lib, sampler_mode: str) -> bool:
-    """Whether a batch of sampler_mode's trials is one kernel call: with the
-    kernel lib loaded, on the bernoulli or conditioned sampler."""
-    return bool(lib) and sampler_mode != "independent"
-
-
 def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list:
     """The rows of trials [lo, hi) of ctx, one per trial: the kernel's
     [m, Delta, omega, size, status] (_native.trials), where omega is -1
     above the edge cap and size, the failing clique's, is -1 unless EKR
     fails, and a failing trial's row goes on with its clique and witness
     kind.  A trial is decided when omega >= 0 and its status is DONE.
-    One native batch, or with the independent sampler or no kernel, one
-    Hypergraph and verifier._Instance per trial, whose row is the one the
-    kernel gives (out of budget, omega = Delta, as the kernel leaves it)."""
+    One native batch, or with the independent sampler one Hypergraph and
+    verifier._Instance per trial, whose row is the one the kernel gives (out
+    of budget, omega = Delta, as the kernel leaves it).  A batch of trials
+    loads the kernel first, so a host without it raises ResourceLimitError
+    here, never a row."""
+    if lo >= hi:
+        return []
     lib = _native.kernel()
-    if _native_batches(lib, ctx.sampler_mode) and lo < hi:
+    if ctx.sampler_mode != "independent":
         return _native_batch(lib, ctx, lo, hi)
     n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
     rows = []
@@ -294,12 +292,12 @@ def _trial_batches(contexts, trials: int, workers: int):
     Polychronopoulos & Kuck 1987): taken in (context, trial) order, each
     task _run_batch(ctx, lo, hi) covers max(1, remaining // (2 * workers))
     of the trials still left and is cut at the end of its context.  When
-    every context's batches are native (_native_batches), the pool is
-    threads: a batch is one ctypes call, which releases the GIL, so the
-    batches run in parallel in this process.  Otherwise the chunks run the
-    Python reference path, which the GIL would serialize on threads, so the
-    pool is processes, each task pickled with its context, and the kernel
-    is loaded before the pool forks, so every worker inherits it.  Results are
+    every context's batches are native (any sampler but independent), the
+    pool is threads: a batch is one ctypes call, which releases the GIL, so
+    the batches run in parallel in this process.  The independent sampler
+    draws in Python, which the GIL would serialize on threads, so its pool
+    is processes, each task pickled with its context, and the kernel is
+    loaded before the pool forks, so every worker inherits it.  Results are
     consumed lazily: a context's rows are yielded once its last chunk
     arrives.  The pool never exceeds the available CPUs or the number of
     trials."""
@@ -321,8 +319,8 @@ def _trial_batches(contexts, trials: int, workers: int):
             tasks.append((ctx, lo, hi))
             remaining -= hi - lo
             lo = hi
-    lib = _native.kernel()
-    native = all(_native_batches(lib, ctx.sampler_mode) for ctx in contexts)
+    _native.kernel()
+    native = all(ctx.sampler_mode != "independent" for ctx in contexts)
     with (ThreadPoolExecutor if native else ProcessPoolExecutor)(max_workers=workers) as pool:
         rows = []
         for (_, _, hi), batch in zip(tasks, pool.map(_run_batch, *zip(*tasks))):

@@ -2,6 +2,9 @@
 and the A/B/C event taxonomy for nontrivial cliques.
 
 Multisets are allowed everywhere in this module; degrees count multiplicity.
+The generic-clique search runs on the compiled kernel (_native), so where
+that cannot be built find_generic_clique raises ResourceLimitError; the
+Hilton-Milner detector and the classifiers are Python and need no kernel.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from .analytics import RegimeParams
 from .errors import DomainError
 from .exact import bits_of
 from .hypergraph import Hypergraph, edge_members
-from .verifier import DEFAULT_NODE_BUDGET, _branch_and_bound, _complement_adjacency, \
-    _first_classes, _Instance, check_limits, is_trivial_clique
+from .verifier import DEFAULT_NODE_BUDGET, _Instance, check_limits, is_trivial_clique
 
 
 # ---------------------------------------------------------------------------
@@ -113,21 +115,21 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
                         node_budget: int = DEFAULT_NODE_BUDGET) -> Optional[tuple[int, ...]]:
     """First generic clique of the given size in deterministic (index) order.
 
-    Runs the verifier's branch-and-bound kernel (native or Python, with
-    the same result) over edge indices in ascending order.  A node carries
-    the vertices of clique-degree >= 1, >= 2 and exactly 3 as bitsets; edge
-    e is infeasible when it meets a degree-3 vertex or would raise the
-    degree-3 count above zeta_cap.  d2 and d3 only grow down the tree, so
-    a child drops from its candidates every edge that is infeasible there:
+    Runs the verifier's branch-and-bound search on the compiled kernel
+    (_native) over edge indices in ascending order.  A node carries the
+    vertices of clique-degree >= 1, >= 2 and exactly 3 as bitsets; edge e
+    is infeasible when it meets a degree-3 vertex or would raise the
+    degree-3 count above zeta_cap.  d2 and d3 only grow down the tree, so a
+    child drops from its candidates every edge that is infeasible there:
     those through a degree-3 vertex and, once |d3| + 1 > zeta_cap, those
     through a degree-2 one.  A node branches only when the greedy coloring
     of its candidates needs more than size_t - 1 - |R| colors, which it
-    tests by coloring that many classes and looking for a candidate left
-    (verifier._first_classes); it then takes its candidates lowest first,
-    and a branch dies once the candidates left cannot reach size_t.  A child
-    whose narrowed candidates cannot reach size_t is not made at all: it
-    costs no node.  A dropped edge or child extends no generic clique of the
-    node's, and the order is lowest first, so the clique returned is the
+    tests by coloring that many classes and looking for a candidate left;
+    it then takes its candidates lowest first, and a branch dies once the
+    candidates left cannot reach size_t.  A child whose narrowed candidates
+    cannot reach size_t is not made at all: it costs no node.  A dropped
+    edge or child extends no generic clique of the node's, and the order is
+    lowest first, so the clique returned is the
     first generic one in combinations(range(m), size_t) order.
     """
     check_limits(node_budget=node_budget)
@@ -145,40 +147,8 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
 
 def _generic_search(inst: _Instance, size_t: int, zeta_cap: float, node_budget: int):
     """find_generic_clique's search: (best, clique or None, nodes visited)."""
-    kernel = _native.kernel()
-    if kernel:
-        return _native.search(kernel, _native.GENERIC, inst.words, floor=size_t - 1,
-                              target=size_t, zeta_cap=zeta_cap, node_budget=node_budget)
-    bits, adj, stars = inst.bits, inst.adj, inst.stars
-    cadj = _complement_adjacency(adj, inst.m)
-
-    def branches(kmin, P, _):
-        # kmin = size_t - 1 - len(R): the popcount and first-fit coloring
-        # bounds of P must exceed it; then all of P, lowest first
-        if not _first_classes(cadj, P, kmin):
-            return (), ()
-        return None, range(1, P.bit_count() + 1)
-
-    def child(degrees, v):
-        d1, d2, d3 = degrees
-        e = bits[v]
-        if e & d3 or (d3 | e & d2).bit_count() > zeta_cap:
-            return None
-        return d1 | e, d2 | e & d1, d3 | e & d2
-
-    def narrow(P, before, after):
-        # drop the edges that child() rejects here, which stay rejected
-        # below: through a degree-3 vertex, and through a degree-2 one once
-        # |d3| + 1 > zeta_cap.  P lacks those of before's vertices already
-        done = before[1] if before[2].bit_count() + 1 > zeta_cap else before[2]
-        drop = after[1] if after[2].bit_count() + 1 > zeta_cap else after[2]
-        for x in bits_of(drop & ~done):
-            P &= ~stars[x]
-        return P
-
-    return _branch_and_bound(adj, node_budget, size_t - 1, size_t, (0, 0, 0),
-                             accept=lambda P, _: True, branches=branches, child=child,
-                             narrow=narrow)
+    return _native.search(_native.kernel(), _native.GENERIC, inst.words, floor=size_t - 1,
+                          target=size_t, zeta_cap=zeta_cap, node_budget=node_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Reference implementations that only the tests call: brute-force
 enumerations the library's searches and closed forms are checked against,
-each a literal reading of its definition, small and slow on purpose, and
-the per-trial CSV that pins every field of a trial record.
+each a literal reading of its definition, small and slow on purpose; the
+Python twin of the compiled search kernel, which the kernel is checked
+against node for node; and the per-trial CSV that pins every field of a
+trial record.
 """
 
 from __future__ import annotations
@@ -10,12 +12,16 @@ import io
 import math
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 from ekrlab import exact
+from ekrlab import verifier as vf
+from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError, ResourceLimitError
-from ekrlab.hypergraph import Hypergraph
+from ekrlab.exact import bits_of
+from ekrlab.hypergraph import Hypergraph, _vertex_stars
 from ekrlab.montecarlo import SCHEMA_VERSION, _fmt
-from ekrlab.verifier import EkrVerdict
+from ekrlab.verifier import EkrVerdict, _star_adjacency
 from ekrlab.witnesses import is_generic_clique
 
 
@@ -175,6 +181,372 @@ def brute_force_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float):
                 return idx
     return None
 
+
+# ---------------------------------------------------------------------------
+# search kernel: the Python twin of _kernel.c's searches
+# ---------------------------------------------------------------------------
+#
+# Each search visits the same nodes in the same order as the compiled
+# kernel and records the same cliques, so the tests compare verdicts,
+# cliques, node counts and node-budget errors one for one.  The searches
+# take a verifier._Instance and read its members, stars and Delta; they
+# build the intersection adjacency and the degree relabel from the stars
+# in big-int operations.
+
+def first_classes(cadj, P: int, kmin: int) -> int:
+    """What is left of the candidate set P once greedy coloring in index
+    order has taken its first kmin classes (nothing when |P| <= kmin);
+    cadj[v] is the complement of v's closed neighbourhood (see
+    complement_adjacency).  It is nonempty exactly when the coloring needs
+    more than kmin colors."""
+    if P.bit_count() <= kmin:
+        return 0
+    rest = P
+    for _ in range(kmin):
+        avail = rest
+        while avail:
+            b = avail & -avail
+            avail &= cadj[b.bit_length() - 1]
+            rest ^= b
+    return rest
+
+
+def color_order(cadj, P: int, kmin: int):
+    """Greedy coloring of the candidate set P in index order.
+
+    Returns (vertices, colors), vertices grouped class by class, so colors is
+    nondecreasing and colors[-1] is the clique-size upper bound for P.  The
+    classes numbered <= kmin are colored (first_classes) but not returned:
+    a search cuts their vertices anyway.
+    """
+    order = []
+    colors = []
+    rest = first_classes(cadj, P, kmin)
+    color = max(kmin, 0)
+    while rest:
+        color += 1
+        avail = rest
+        start = len(order)
+        while avail:
+            b = avail & -avail
+            v = b.bit_length() - 1
+            order.append(v)
+            avail &= cadj[v]
+            rest ^= b
+        colors += [color] * (len(order) - start)
+    return order, colors
+
+
+def pair_color_order(cadj, P: int, kmin: int):
+    """Matching-based coloring for the dense regime (n < 3k), where every
+    independent set of the intersection graph has at most two members.
+
+    Classes are the pairs of a greedy maximal matching on the disjointness
+    graph, improved by length-3 augmentation sweeps, plus singletons; the
+    class count |P| - matching size is a much tighter clique bound here than
+    first-fit coloring.  Pairs come first, by lower vertex, then singletons
+    ascending; as in color_order, classes numbered <= kmin are not returned.
+    """
+    size = P.bit_count()
+    if size <= kmin:
+        return [], []
+    # the matching only grows, so once it has size - kmin pairs every class
+    # is numbered <= kmin
+    need = size - kmin
+    # seed: fewest remaining partners first, so hard-to-pair vertices go
+    # early; key = (partners, v) packed into one int, v < width
+    width = P.bit_length()
+    keys = [(cadj[v] & P).bit_count() * width + v
+            for v, bit in enumerate(reversed(bin(P))) if bit == "1"]
+    keys.sort()
+    mate = {}
+    free = 0                # bitmask of the unmatched vertices
+    free_list = []
+    untaken = P
+    for key in keys:
+        v = key % width
+        if not untaken >> v & 1:
+            continue
+        avail = cadj[v] & untaken
+        if avail:
+            wb = avail & -avail
+            w = wb.bit_length() - 1
+            mate[v] = w
+            mate[w] = v
+            untaken ^= (1 << v) | wb
+        else:
+            free |= 1 << v
+            free_list.append(v)
+            untaken ^= 1 << v
+    if len(mate) // 2 >= need:
+        return [], []
+    free_list.sort()
+    changed = True
+    while changed and len(free_list) > 1:
+        changed = False
+        for u in free_list:
+            if not free >> u & 1:
+                continue
+            ub = 1 << u
+            amask = cadj[u] & P
+            while amask:
+                ab = amask & -amask
+                a = ab.bit_length() - 1
+                amask ^= ab
+                # the matching is maximal (no two free vertices are disjoint,
+                # and augmenting keeps it so), hence a is matched: a takes u,
+                # and a's mate takes the lowest free vertex it misses
+                bp = mate[a]
+                wmask = cadj[bp] & free & ~ub
+                if wmask:
+                    wb = wmask & -wmask
+                    w = wb.bit_length() - 1
+                    mate[u] = a
+                    mate[a] = u
+                    mate[bp] = w
+                    mate[w] = bp
+                    free ^= ub | wb
+                    changed = True
+                    break
+        free_list = [u for u in free_list if free >> u & 1]
+    npairs = len(mate) // 2
+    if npairs >= need:
+        return [], []
+    pairs = [v for v in sorted(mate) if v < mate[v]]
+    order = []
+    colors = []
+    for c in range(max(kmin, 0), npairs):
+        v = pairs[c]
+        order += (v, mate[v])
+        colors += (c + 1, c + 1)
+    skip = max(kmin - npairs, 0)
+    order += free_list[skip:]
+    colors += range(npairs + skip + 1, npairs + len(free_list) + 1)
+    return order, colors
+
+
+def make_coloring(adj, m: int, dense_pairs: bool):
+    """Pick the coloring bound: matching-based when independent sets of the
+    intersection graph cannot exceed two edges (n < 3k), first-fit otherwise.
+
+    Both color with the complement adjacency, built once here.  The returned
+    function maps (P, kmin) to (order, colors).
+    """
+    cadj = complement_adjacency(adj, m)
+    coloring = pair_color_order if dense_pairs else color_order
+    return lambda P, kmin: coloring(cadj, P, kmin)
+
+
+def complement_adjacency(adj, m: int) -> list[int]:
+    """cadj[v] = the vertices neither adjacent to nor equal to v."""
+    full = (1 << m) - 1
+    return [full & ~a & ~(1 << v) for v, a in enumerate(adj)]
+
+
+def branch_and_bound(adj, node_budget: int, floor: int, target, root,
+                      accept, branches, child, narrow=None):
+    """Depth-first branch and bound over the cliques of the graph adj, on an
+    explicit stack.
+
+    A node is a clique R, its candidate set P (vertices adjacent to all of
+    R and not yet branched on) and a caller state (root for the empty
+    clique).  Visiting a node costs one unit of node_budget.  The node is
+    recorded when len(R) > best and accept(P, state), best starting at
+    floor; the search stops once best >= target.  branches(kmin, P, state)
+    returns (order, colors): candidates are taken from the back of order,
+    and order[idx] together with every candidate before it cannot add more
+    than colors[idx] vertices to R, so the node's remaining branches are cut
+    once len(R) + colors[idx] <= best.  kmin = best - len(R) is that cut as
+    it stands when the node is expanded (best only grows), so branches may
+    leave out every candidate whose colors entry would be <= kmin.  An
+    order of None takes the lowest candidate of P left each time, so with
+    colors = range(1, |P| + 1) it branches on all of P, lowest first, cut
+    once len(R) + (candidates left) <= best.  child(state, v) is the state
+    of R + [v], or None to skip v.  narrow(P, state, new), when given, cuts
+    the child's candidate set P & adj[v] further, from the parent's state
+    and the child's; the child's frame holds what it returns, and a child
+    left with len(R) + 1 + |P| <= best candidates is skipped like an
+    infeasible one, unvisited and uncounted (MCS's test before expansion):
+    it could record no clique above best.  Returns (best, recorded clique
+    or None, nodes visited).
+    """
+    R, best, found = [], floor, None
+    left = node_budget
+    stack = []
+    P, state = (1 << len(adj)) - 1, root
+    while True:
+        left -= 1
+        if left < 0:
+            raise ResourceLimitError("branch-and-bound node budget exceeded")
+        size = len(R)
+        if size > best and accept(P, state):
+            best, found = size, R.copy()
+            if best >= target:
+                break
+        order, colors = branches(best - size, P, state)
+        stack.append([P, order, colors, len(colors), state])
+        # next node: the deepest frame's next unpruned, feasible candidate
+        while stack:
+            frame = stack[-1]
+            P, order, colors, idx, state = frame
+            idx -= 1
+            if idx < 0 or len(R) + colors[idx] <= best:
+                stack.pop()
+                if R:
+                    R.pop()
+                continue
+            v = order[idx] if order is not None else (P & -P).bit_length() - 1
+            frame[0] = P & ~(1 << v)
+            frame[3] = idx
+            new = child(state, v)
+            if new is not None:
+                Q = P & adj[v]
+                if narrow is not None:
+                    Q = narrow(Q, state, new)
+                    if len(R) + 1 + Q.bit_count() <= best:
+                        continue
+                R.append(v)
+                P, state = Q, new
+                break
+        else:
+            break       # the stack is empty: every branch is done
+    return best, found, node_budget - left
+
+def relabel(inst):
+    """(perm, bits, adj) of the graph the omega and nontrivial searches
+    share: edge i of it is edge perm[i] of inst (a verifier._Instance),
+    perm sorted by descending intersection degree, ties by index, and bits
+    and adj are its edge bitsets and its adjacency, built the same way as
+    the originals'."""
+    adj = _star_adjacency(inst.members, inst.stars)
+    perm = sorted(range(inst.m), key=lambda i: (-adj[i].bit_count(), i))
+    members = [inst.members[old] for old in perm]
+    return (perm, [inst.bits[old] for old in perm],
+            _star_adjacency(members, _vertex_stars(inst.n, members)))
+
+
+def mapped_back(perm, clique):
+    """A clique of the relabelled graph as ascending original edge indices
+    (None stays None)."""
+    return None if clique is None else sorted(perm[v] for v in clique)
+
+
+def max_clique(inst, node_budget: int):
+    """verifier._max_clique: (omega, a maximum clique as ascending edge
+    indices, nodes visited), the star of the lowest vertex of degree Delta
+    when no clique beats it."""
+    m = inst.m
+    if m == 0:
+        return 0, [], 0
+    perm, _, adj = relabel(inst)
+    coloring = make_coloring(adj, m, inst.dense_pairs)
+    omega, clique, nodes = branch_and_bound(
+        adj, node_budget, inst.Delta, math.inf, 0,
+        accept=lambda P, _: not P,
+        branches=lambda kmin, P, _: coloring(P, kmin),
+        child=lambda state, v: state)
+    if clique is None:
+        deg = [s.bit_count() for s in inst.stars]
+        return omega, list(bits_of(inst.stars[deg.index(inst.Delta)])), nodes
+    return omega, mapped_back(perm, clique), nodes
+
+
+def nontrivial_search(inst, target, node_budget: int, floor: int):
+    """verifier._nontrivial_search: (best, first clique recorded as
+    ascending edge indices, nodes visited), recording a clique with empty
+    common intersection whenever it beats best (from floor), stopping once
+    best >= target, on max_clique's relabel."""
+    perm, bits, adj = relabel(inst)
+    coloring = make_coloring(adj, inst.m, inst.dense_pairs)
+
+    def branches(kmin, P, common):
+        c, rest = common, P
+        while rest and c:
+            b = rest & -rest
+            c &= bits[b.bit_length() - 1]
+            rest ^= b
+        # with c != 0 every extension of R from P keeps a common vertex
+        return ((), ()) if c else coloring(P, kmin)
+
+    best, found, nodes = branch_and_bound(
+        adj, node_budget, floor, target, -1,
+        accept=lambda P, common: not common,
+        branches=branches,
+        child=lambda common, v: common & bits[v])
+    return best, mapped_back(perm, found), nodes
+
+
+def decide(inst, node_budget: int) -> tuple[EkrVerdict, int]:
+    """verifier._decide: the verdict and the nodes its searches visited.
+    The nontrivial search runs first, at target t = max(Delta, 3); the
+    omega search only when that one finds a clique or runs out, each on its
+    own node_budget."""
+    Delta = inst.Delta
+    t = max(Delta, 3)
+    if t > inst.m:
+        return EkrVerdict(True, Delta, Delta, None), 0
+    try:
+        _, found, nodes = nontrivial_search(inst, t, node_budget, t - 1)
+    except ResourceLimitError as exc:
+        out_of_budget, found, nodes = exc, None, node_budget
+    else:
+        if found is None:
+            return EkrVerdict(True, Delta, Delta, None), nodes
+        out_of_budget = None
+    omega, clique, more = max_clique(inst, node_budget)
+    if omega > Delta:
+        # cannot have a common vertex: |C| <= d(x) <= Delta < omega
+        return EkrVerdict(False, omega, Delta, tuple(clique)), nodes + more
+    if out_of_budget is not None:
+        raise out_of_budget
+    return EkrVerdict(False, omega, Delta, tuple(found)), nodes + more
+
+
+def generic_search(inst, size_t: int, zeta_cap: float, node_budget: int):
+    """witnesses._generic_search: (best, the first generic clique of size_t
+    edges in index order or None, nodes visited)."""
+    bits, stars = inst.bits, inst.stars
+    adj = _star_adjacency(inst.members, stars)
+    cadj = complement_adjacency(adj, inst.m)
+
+    def branches(kmin, P, _):
+        # kmin = size_t - 1 - len(R): the popcount and first-fit coloring
+        # bounds of P must exceed it; then all of P, lowest first
+        if not first_classes(cadj, P, kmin):
+            return (), ()
+        return None, range(1, P.bit_count() + 1)
+
+    def child(degrees, v):
+        d1, d2, d3 = degrees
+        e = bits[v]
+        if e & d3 or (d3 | e & d2).bit_count() > zeta_cap:
+            return None
+        return d1 | e, d2 | e & d1, d3 | e & d2
+
+    def narrow(P, before, after):
+        # drop the edges that child() rejects here, which stay rejected
+        # below: through a degree-3 vertex, and through a degree-2 one once
+        # |d3| + 1 > zeta_cap.  P lacks those of before's vertices already
+        done = before[1] if before[2].bit_count() + 1 > zeta_cap else before[2]
+        drop = after[1] if after[2].bit_count() + 1 > zeta_cap else after[2]
+        for x in bits_of(drop & ~done):
+            P &= ~stars[x]
+        return P
+
+    return branch_and_bound(adj, node_budget, size_t - 1, size_t, (0, 0, 0),
+                            accept=lambda P, _: True, branches=branches, child=child,
+                            narrow=narrow)
+
+
+
+# each kernel's searches, called alike on a verifier._Instance: the
+# library's, on the compiled kernel, and their Python twin above
+KERNELS = {
+    "native": SimpleNamespace(max_clique=vf._max_clique, nontrivial_search=vf._nontrivial_search,
+                              decide=vf._decide, generic_search=wt._generic_search),
+    "python": SimpleNamespace(max_clique=max_clique, nontrivial_search=nontrivial_search,
+                              decide=decide, generic_search=generic_search),
+}
 
 # ---------------------------------------------------------------------------
 # montecarlo

@@ -163,20 +163,19 @@ def test_trial_over_edge_cap_skips_adjacency(monkeypatch):
         assert r.Delta == hg.degree_stats(H).Delta
 
 
-def test_errored_independent_trials_read_delta(kernels, monkeypatch):
-    # an independent-sampler trial reads Delta off its verdict, with the
-    # kernel one decide call; only a trial that the edge cap or the node
-    # budget stopped reads it off the instance
+def test_errored_independent_trials_read_delta(monkeypatch):
+    # an independent-sampler trial reads Delta off its verdict, one kernel
+    # decide call; only a trial that the edge cap or the node budget
+    # stopped reads it off the instance
     params = an.ModelParams.from_phi(12, 3, 3.0)
     native, kernel_calls = _native.kernel(), []
-    for kernel in kernels():
-        for limits, error in (({"edge_cap": 3}, "exceeds the edge cap 3"),
-                              ({"node_budget": 1}, "node budget exceeded")):
-            for r in mc.run_trials(params, 12, "independent", seed=3, **limits):
-                H = hg.sample("independent", 12, 3, float(params.p),
-                              np.random.SeedSequence(3, spawn_key=(r.trial_index,)))
-                assert r.Delta == hg.degree_stats(H).Delta, kernel
-                assert error in r.error and r.omega == -1 and r.ekr_holds is None, kernel
+    for limits, error in (({"edge_cap": 3}, "exceeds the edge cap 3"),
+                          ({"node_budget": 1}, "node budget exceeded")):
+        for r in mc.run_trials(params, 12, "independent", seed=3, **limits):
+            H = hg.sample("independent", 12, 3, float(params.p),
+                          np.random.SeedSequence(3, spawn_key=(r.trial_index,)))
+            assert r.Delta == hg.degree_stats(H).Delta
+            assert error in r.error and r.omega == -1 and r.ekr_holds is None
     monkeypatch.setattr(_native, "_lib", _native.Kernel(
         lambda *a: kernel_calls.append(1) or native.ekr_search(*a), native.ekr_trials))
     monkeypatch.setattr(vf, "_vertex_stars", lambda *a: pytest.fail("Python star masks built"))
@@ -222,27 +221,26 @@ def in_process_pools(monkeypatch) -> tuple[list, list, list]:
 SAMPLERS = ("conditioned", "bernoulli", "independent")
 
 
-def pool_kind(kernel: str, sampler: str) -> str:
+def pool_kind(sampler: str) -> str:
     """The pool a sweep with workers > 1 builds: threads for native batches,
-    processes for the Python reference path."""
-    return "thread" if kernel == "native" and sampler != "independent" else "process"
+    processes for the independent sampler, which draws in Python."""
+    return "process" if sampler == "independent" else "thread"
 
 
-def test_pool_size_clamped_to_cpus_and_trials(kernels, monkeypatch):
+def test_pool_size_clamped_to_cpus_and_trials(monkeypatch):
     sizes, kinds, _ = in_process_pools(monkeypatch)
     params = an.ModelParams.from_phi(10, 2, 1.5)
-    for kernel in kernels():
-        for sampler in SAMPLERS:
-            serial = trial_records_to_csv(mc.run_trials(params, 6, sampler, seed=3))
-            for cpus, trials, expect in ((3, 6, [3]), (8, 2, [2]), (1, 6, [])):
-                sizes.clear()
-                kinds.clear()
-                monkeypatch.setattr(mc, "_available_cpus", lambda: cpus)
-                recs = mc.run_trials(params, trials, sampler, seed=3, workers=10_000)
-                assert sizes == expect
-                assert kinds == [pool_kind(kernel, sampler)] * len(expect), (kernel, sampler)
-                if trials == 6:
-                    assert trial_records_to_csv(recs) == serial
+    for sampler in SAMPLERS:
+        serial = trial_records_to_csv(mc.run_trials(params, 6, sampler, seed=3))
+        for cpus, trials, expect in ((3, 6, [3]), (8, 2, [2]), (1, 6, [])):
+            sizes.clear()
+            kinds.clear()
+            monkeypatch.setattr(mc, "_available_cpus", lambda: cpus)
+            recs = mc.run_trials(params, trials, sampler, seed=3, workers=10_000)
+            assert sizes == expect
+            assert kinds == [pool_kind(sampler)] * len(expect), sampler
+            if trials == 6:
+                assert trial_records_to_csv(recs) == serial
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -267,15 +265,14 @@ def test_invalid_search_limits_rejected(limits):
         dataclasses.replace(mc.make_trial_context(params, "bernoulli", 0), **limits)
 
 
-def test_no_trials_draw_nothing(kernels):
+def test_no_trials_draw_nothing():
     # C(100, 5) is above bernoulli's enumeration cap: a trial would be
     # refused, but a sweep of no trials draws nothing and checks no cap
-    for kernel in kernels():
-        table = mc.estimate_ekr_curve(100, 5, [1.0, 2.0], trials=0, seed=0,
-                                      sampler_mode="bernoulli")
-        assert [row.trials for row in table.rows] == [0, 0], kernel
-        with pytest.raises(ResourceLimitError, match="--sampler conditioned"):
-            mc.estimate_ekr_curve(100, 5, [1.0], trials=1, seed=0, sampler_mode="bernoulli")
+    table = mc.estimate_ekr_curve(100, 5, [1.0, 2.0], trials=0, seed=0,
+                                  sampler_mode="bernoulli")
+    assert [row.trials for row in table.rows] == [0, 0]
+    with pytest.raises(ResourceLimitError, match="--sampler conditioned"):
+        mc.estimate_ekr_curve(100, 5, [1.0], trials=1, seed=0, sampler_mode="bernoulli")
 
 
 def test_negative_seed_rejected():
@@ -335,13 +332,12 @@ def test_sweep_csv_deterministic_and_seed_sensitive():
 README_SWEEP_SEED1_SHA256 = "cade037b378236e2d0f47203e1c193adf15a1ef8f313b8971d81ffd1496ffc5e"
 
 
-def test_readme_sweep_golden_hash(kernels):
+def test_readme_sweep_golden_hash():
     ratio = (20.0 / 0.3) ** (1.0 / 11)
     grid = [0.3 * ratio**i for i in range(12)]
-    for kernel in kernels():
-        table = mc.estimate_ekr_curve(24, 3, grid, trials=100, seed=1)
-        csv = mc.sweep_table_to_csv(table).encode()
-        assert hashlib.sha256(csv).hexdigest() == README_SWEEP_SEED1_SHA256, kernel
+    table = mc.estimate_ekr_curve(24, 3, grid, trials=100, seed=1)
+    csv = mc.sweep_table_to_csv(table).encode()
+    assert hashlib.sha256(csv).hexdigest() == README_SWEEP_SEED1_SHA256
 
 
 # sha256 of sweep_table_to_csv for `ekrlab sweep --n 100 --k 5 --grid-start 1
@@ -350,14 +346,13 @@ def test_readme_sweep_golden_hash(kernels):
 PAPER_SWEEP_SEED1_SHA256 = "2ee53aaf8729184a930b669cc6b5d89ec0fcc2c5942d17e70f2d1078b89d245c"
 
 
-def test_paper_regime_sweep_golden_hash(kernels):
+def test_paper_regime_sweep_golden_hash():
     ratio = 40.0 ** (1.0 / 11)
     grid = [ratio**i for i in range(12)]
-    for kernel in kernels():
-        for workers in (1, 2):
-            table = mc.estimate_ekr_curve(100, 5, grid, trials=20, seed=1, workers=workers)
-            csv = mc.sweep_table_to_csv(table).encode()
-            assert hashlib.sha256(csv).hexdigest() == PAPER_SWEEP_SEED1_SHA256, (kernel, workers)
+    for workers in (1, 2):
+        table = mc.estimate_ekr_curve(100, 5, grid, trials=20, seed=1, workers=workers)
+        csv = mc.sweep_table_to_csv(table).encode()
+        assert hashlib.sha256(csv).hexdigest() == PAPER_SWEEP_SEED1_SHA256, workers
 
 
 # sha256 of trial_records_to_csv, the per-point CSVs concatenated: every
@@ -374,27 +369,25 @@ TRIAL_PINS = [(12, 3, 2), (40, 3, 0.5), (14, 3, 3), (18, 5, 20)]
 TRIALS_SHA256 = "08997aae9ff6bd05ebaef87e9f5338209407f422547229c5aa00f63a78caaf8c"
 
 
-def test_trial_csv_golden_hash(kernels):
+def test_trial_csv_golden_hash():
     ratio = (20.0 / 0.3) ** (1.0 / 11)
     contexts = [mc.make_trial_context(an.ModelParams.from_phi(24, 3, 0.3 * ratio**i),
                                       "conditioned", 1, stream=(i,)) for i in range(12)]
-    for kernel in kernels():
-        parts = [trial_records_to_csv(mc._records(ctx, rows))
-                 for ctx, rows in zip(contexts, mc._trial_batches(contexts, 100, 1))]
-        for mode in ("bernoulli", "independent"):
-            for n, k, phi in TRIAL_PINS:
-                recs = mc.run_trials(an.ModelParams.from_phi(n, k, phi), 40, mode, 5)
-                parts.append(trial_records_to_csv(recs))
-        assert hashlib.sha256("".join(parts).encode()).hexdigest() == TRIALS_SHA256, kernel
+    parts = [trial_records_to_csv(mc._records(ctx, rows))
+             for ctx, rows in zip(contexts, mc._trial_batches(contexts, 100, 1))]
+    for mode in ("bernoulli", "independent"):
+        for n, k, phi in TRIAL_PINS:
+            recs = mc.run_trials(an.ModelParams.from_phi(n, k, phi), 40, mode, 5)
+            parts.append(trial_records_to_csv(recs))
+    assert hashlib.sha256("".join(parts).encode()).hexdigest() == TRIALS_SHA256
 
 
-def test_trial_builds_star_masks_once(kernels, monkeypatch):
-    # Python kernel: one build for Delta and both searches, and the omega
-    # search's relabelled copy; native kernel: one ekr_trials call per
-    # batch, a trial or a whole grid point's, which builds its own star
-    # words, and no Hypergraph, member tuple or star mask unless a failing
-    # clique must be classified (one Hypergraph per failing trial, from the
-    # kernel's words); degree_stats (hypergraph's own build) never runs
+def test_trial_builds_star_masks_once(monkeypatch):
+    # one ekr_trials call per batch, a trial or a whole grid point's, which
+    # builds its own star words, and no Hypergraph, member tuple or star
+    # mask unless a failing clique must be classified (one Hypergraph per
+    # failing trial, from the kernel's words); degree_stats (hypergraph's
+    # own build) never runs
     calls, members, built, kernel_calls = [], [], [], []
     stars, edge_members = vf._vertex_stars, hg.edge_members
     monkeypatch.setattr(vf, "_vertex_stars",
@@ -409,26 +402,21 @@ def test_trial_builds_star_masks_once(kernels, monkeypatch):
     monkeypatch.setattr(hg.Hypergraph, "_unchecked",
                         lambda *a: built.append(1) or unchecked(*a))
     ctx = mc.make_trial_context(an.ModelParams.from_phi(12, 3, 2.0), "conditioned", 1)
-    for kernel in kernels():
-        if kernel == "native":
-            monkeypatch.setattr(_native, "_lib", _native.Kernel(*[
-                lambda *a, f=f: kernel_calls.append(1) or f(*a) for f in _native._lib]))
-        kinds = set()
-        for t in range(30):
-            calls.clear()
-            members.clear()
-            built.clear()
-            kernel_calls.clear()
-            cached = hg._shared.cache_info()
-            rec = mc.run_one_trial(ctx, t)
-            kinds.add(rec.witness_kind)
-            if kernel == "native":
-                assert calls == [] and members == [], (t, calls, len(members))
-                assert hg._shared.cache_info() == cached, t
-                assert kernel_calls == [1] and built == ([] if rec.ekr_holds else [1]), t
-            else:
-                assert calls == ([rec.m] * 2 if rec.m else [0]), (t, calls)
-        assert None in kinds and len(kinds) > 1     # holding and failing trials
+    monkeypatch.setattr(_native, "_lib", _native.Kernel(*[
+        lambda *a, f=f: kernel_calls.append(1) or f(*a) for f in _native.kernel()]))
+    kinds = set()
+    for t in range(30):
+        calls.clear()
+        members.clear()
+        built.clear()
+        kernel_calls.clear()
+        cached = hg._shared.cache_info()
+        rec = mc.run_one_trial(ctx, t)
+        kinds.add(rec.witness_kind)
+        assert calls == [] and members == [], (t, calls, len(members))
+        assert hg._shared.cache_info() == cached, t
+        assert kernel_calls == [1] and built == ([] if rec.ekr_holds else [1]), t
+    assert None in kinds and len(kinds) > 1     # holding and failing trials
     for seen in (kernel_calls, built, calls, members):
         seen.clear()
     (rows,) = mc._trial_batches([ctx], 30, 1)
@@ -442,7 +430,6 @@ def test_native_sweep_builds_no_trial_record(monkeypatch, workers):
     # a native sweep summarizes each grid point straight from its kernel
     # rows: it builds no TrialRecord, and one Hypergraph per failing trial,
     # from the kernel's words, only to classify its clique
-    assert _native.kernel() is not None, "the native search kernel did not build or load"
     monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
     records, built = [], []
     monkeypatch.setattr(mc, "TrialRecord", lambda *a: records.append(a))
@@ -472,25 +459,24 @@ README_GRID = [0.3 * (20.0 / 0.3) ** (i / 11) for i in range(12)]
     (10, 3, [0.5, 8.0], 4, 2, [2]),      # budget 2 leaves phi = 8 undecided
     (24, 3, README_GRID, 0, vf.DEFAULT_NODE_BUDGET, []),    # no keys, no pool
 ])
-def test_sweep_runs_on_one_pool(kernels, monkeypatch, n, k, grid, trials, node_budget, pools):
+def test_sweep_runs_on_one_pool(monkeypatch, n, k, grid, trials, node_budget, pools):
     sizes, kinds, _ = in_process_pools(monkeypatch)
     monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
-    for kernel in kernels():
-        for sampler in SAMPLERS:
-            serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(
-                n, k, grid, trials=trials, seed=5, sampler_mode=sampler,
-                node_budget=node_budget))
-            sizes.clear()
-            kinds.clear()
-            table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5,
-                                          sampler_mode=sampler, workers=2,
-                                          node_budget=node_budget)
-            assert sizes == pools
-            assert kinds == [pool_kind(kernel, sampler)] * len(pools), (kernel, sampler)
-            assert mc.sweep_table_to_csv(table) == serial
-            assert [r.trials for r in table.rows] == [trials] * len(grid)
-            if node_budget == 2:
-                assert [r.undecided for r in table.rows] == [0, trials]
+    for sampler in SAMPLERS:
+        serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(
+            n, k, grid, trials=trials, seed=5, sampler_mode=sampler,
+            node_budget=node_budget))
+        sizes.clear()
+        kinds.clear()
+        table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5,
+                                      sampler_mode=sampler, workers=2,
+                                      node_budget=node_budget)
+        assert sizes == pools
+        assert kinds == [pool_kind(sampler)] * len(pools), sampler
+        assert mc.sweep_table_to_csv(table) == serial
+        assert [r.trials for r in table.rows] == [trials] * len(grid)
+        if node_budget == 2:
+            assert [r.undecided for r in table.rows] == [0, trials]
 
 
 @pytest.mark.parametrize("n, k, grid, trials, workers, max_tasks", [
@@ -498,74 +484,70 @@ def test_sweep_runs_on_one_pool(kernels, monkeypatch, n, k, grid, trials, node_b
     (10, 3, [0.5 * (i + 1) for i in range(12)], 1, 2, 12),
     (10, 3, [2.0], 7, 3, 7),
 ])
-def test_sweep_chunks_are_guided(kernels, monkeypatch, n, k, grid, trials, workers, max_tasks):
+def test_sweep_chunks_are_guided(monkeypatch, n, k, grid, trials, workers, max_tasks):
     sizes, kinds, tasks = in_process_pools(monkeypatch)
     monkeypatch.setattr(mc, "_available_cpus", lambda: workers)
-    for kernel in kernels():
-        # the chunk plan is the same on both pools; without the kernel every
-        # sampler runs the Python path
-        for sampler in ("conditioned", "independent")[:2 if kernel == "native" else 1]:
-            serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(
-                n, k, grid, trials=trials, seed=5, sampler_mode=sampler))
-            sizes.clear()
-            kinds.clear()
-            tasks.clear()
-            table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5,
-                                          sampler_mode=sampler, workers=workers)
-            assert sizes == [workers]
-            assert kinds == [pool_kind(kernel, sampler)], (kernel, sampler)
-            assert mc.sweep_table_to_csv(table) == serial
-            assert len(tasks) <= max_tasks
-            # every (grid index, trial) exactly once, in order; no chunk
-            # crosses a point; a task carries its point's context
-            chunks = [(ctx.stream[0], lo, hi) for ctx, lo, hi in tasks]
-            assert [ctx.params.phi for ctx, _, _ in tasks] == [grid[gi] for gi, _, _ in chunks]
-            assert [(gi, t) for gi, lo, hi in chunks for t in range(lo, hi)] == [
-                (gi, t) for gi in range(len(grid)) for t in range(trials)]
-            assert all(lo < hi <= trials for _, lo, hi in chunks)
-            # each chunk takes at most its share of the trials still left
-            remaining = len(grid) * trials
-            for _, lo, hi in chunks:
-                assert hi - lo <= max(1, remaining // (2 * workers))
-                remaining -= hi - lo
+    # the chunk plan is the same on both pools
+    for sampler in ("conditioned", "independent"):
+        serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(
+            n, k, grid, trials=trials, seed=5, sampler_mode=sampler))
+        sizes.clear()
+        kinds.clear()
+        tasks.clear()
+        table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5,
+                                      sampler_mode=sampler, workers=workers)
+        assert sizes == [workers]
+        assert kinds == [pool_kind(sampler)], sampler
+        assert mc.sweep_table_to_csv(table) == serial
+        assert len(tasks) <= max_tasks
+        # every (grid index, trial) exactly once, in order; no chunk
+        # crosses a point; a task carries its point's context
+        chunks = [(ctx.stream[0], lo, hi) for ctx, lo, hi in tasks]
+        assert [ctx.params.phi for ctx, _, _ in tasks] == [grid[gi] for gi, _, _ in chunks]
+        assert [(gi, t) for gi, lo, hi in chunks for t in range(lo, hi)] == [
+            (gi, t) for gi in range(len(grid)) for t in range(trials)]
+        assert all(lo < hi <= trials for _, lo, hi in chunks)
+        # each chunk takes at most its share of the trials still left
+        remaining = len(grid) * trials
+        for _, lo, hi in chunks:
+            assert hi - lo <= max(1, remaining // (2 * workers))
+            remaining -= hi - lo
 
 
-def test_kernel_loads_before_the_pool(kernels, monkeypatch):
+def test_kernel_loads_before_the_pool(monkeypatch):
     # the parent loads (on a cold cache, builds) the kernel before either
-    # pool is made: the pool's kind depends on it, and a process pool's
-    # workers inherit it rather than each building their own
+    # pool is made: a host without it fails before any pool starts, and a
+    # process pool's workers inherit it rather than each building their own
     events, kinds, _ = in_process_pools(monkeypatch)
     kernel = _native.kernel
     monkeypatch.setattr(_native, "kernel", lambda: events.append("kernel") or kernel())
     monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
-    for name in kernels():
-        for sampler in ("conditioned", "independent"):
-            events.clear()
-            kinds.clear()
-            mc.estimate_ekr_curve(10, 3, [1.0, 2.0], trials=4, seed=5, sampler_mode=sampler,
-                                  workers=2)
-            assert events[:2] == ["kernel", 2]
-            assert kinds == [pool_kind(name, sampler)]
+    for sampler in ("conditioned", "independent"):
+        events.clear()
+        kinds.clear()
+        mc.estimate_ekr_curve(10, 3, [1.0, 2.0], trials=4, seed=5, sampler_mode=sampler,
+                              workers=2)
+        assert events[:2] == ["kernel", 2]
+        assert kinds == [pool_kind(sampler)]
 
 
-def test_sweep_csv_invariant_on_a_real_pool_at_odd_shapes(kernels, monkeypatch):
-    # real pools: threads for native batches, a fork pool for the Python
-    # path; 3 workers are asked for even on fewer CPUs, so the guided plan
-    # differs from the 2-worker one
+def test_sweep_csv_invariant_on_a_real_pool_at_odd_shapes(monkeypatch):
+    # real pools: threads for native batches, a fork pool for the
+    # independent sampler; 3 workers are asked for even on fewer CPUs, so
+    # the guided plan differs from the 2-worker one
     monkeypatch.setattr(mc, "_available_cpus", lambda: 3)
     built = []
     for kind, pool in (("thread", mc.ThreadPoolExecutor), ("process", mc.ProcessPoolExecutor)):
         monkeypatch.setattr(mc, pool.__name__,
                             lambda kind=kind, pool=pool, **kw: built.append(kind) or pool(**kw))
     grid = [0.5, 1.5, 2.5, 4.0, 8.0]
-    for kernel in kernels():
-        for sampler in ("conditioned", "independent"):
-            built.clear()
-            csvs = {workers: mc.sweep_table_to_csv(mc.estimate_ekr_curve(
-                12, 3, grid, trials=7, seed=17, sampler_mode=sampler, workers=workers))
-                for workers in (1, 2, 3)}
-            assert csvs[1] == csvs[2] == csvs[3], (kernel, sampler)
-            assert built == [pool_kind(kernel, sampler)] * 2, (kernel, sampler)
+    for sampler in ("conditioned", "independent"):
+        built.clear()
+        csvs = {workers: mc.sweep_table_to_csv(mc.estimate_ekr_curve(
+            12, 3, grid, trials=7, seed=17, sampler_mode=sampler, workers=workers))
+            for workers in (1, 2, 3)}
+        assert csvs[1] == csvs[2] == csvs[3], sampler
+        assert built == [pool_kind(sampler)] * 2, sampler
 
 
 def test_sweep_row_counts_consistent():

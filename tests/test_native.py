@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import KERNELS
+from test_cli import run_cli
 from test_hypergraph import scalar_distinct_ranks
 
 from ekrlab import _native
@@ -18,6 +20,7 @@ from ekrlab import hypergraph as hg
 from ekrlab import montecarlo as mc
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
+from ekrlab.errors import ResourceLimitError
 
 
 def frontier_sample():
@@ -28,25 +31,18 @@ def frontier_sample():
 @pytest.fixture
 def reload(monkeypatch, tmp_path):
     """Forget the loaded kernel and point the cache at a fresh directory;
-    returns (cache directory, the Python kernel's calls, the native kernel)."""
+    returns (cache directory, the kernel loaded before)."""
     native = _native.kernel()
-    assert native is not None, "the native search kernel did not build or load"
     monkeypatch.setattr(_native, "_lib", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    calls = []
-    python_kernel = vf._branch_and_bound
-    for module in (vf, wt):
-        monkeypatch.setattr(module, "_branch_and_bound",
-                            lambda *a, **kw: calls.append(1) or python_kernel(*a, **kw))
-    return tmp_path / "ekrlab", calls, native
+    return tmp_path / "ekrlab", native
 
 
 def test_kernel_builds_into_a_private_cache(reload, monkeypatch):
-    cache, calls, _ = reload
+    cache, _ = reload
     H = frontier_sample()
-    assert _native.kernel() is not None
-    v = vf.verify_ekr(H)
-    assert not v.holds and not calls
+    _native.kernel()
+    assert not vf.verify_ekr(H).holds
     (lib,) = os.listdir(cache)          # the library alone: no temporary left
     assert lib.startswith("kernel-") and lib.endswith(".so")
     assert stat.S_IMODE(os.stat(cache).st_mode) == 0o700
@@ -54,13 +50,14 @@ def test_kernel_builds_into_a_private_cache(reload, monkeypatch):
     # a second process loads the cached build without compiling
     monkeypatch.setattr(_native, "_lib", None)
     monkeypatch.setattr(_native.subprocess, "run", lambda *a, **kw: pytest.fail("rebuilt"))
-    assert _native.kernel() is not None and os.listdir(cache) == [lib]
+    _native.kernel()
+    assert os.listdir(cache) == [lib]
 
 
 def test_kernel_cache_name_covers_numpys_library(reload, monkeypatch, tmp_path):
     # a numpy upgrade that changes libnpyrandom.a builds a new kernel, never
     # loads one linked against the old samplers
-    cache, _, _ = reload
+    cache, _ = reload
     with open(_native._NPYRANDOM, "rb") as f:
         data = f.read()
     data += b"\n" * (len(data) % 2)         # archive members start on even offsets
@@ -74,22 +71,23 @@ def test_kernel_cache_name_covers_numpys_library(reload, monkeypatch, tmp_path):
     for extra in (b"", member):         # a member no symbol needs: links the same
         library.write_bytes(data + extra)
         monkeypatch.setattr(_native, "_lib", None)
-        assert _native.kernel() is not None
+        _native.kernel()
         names.append(set(os.listdir(cache)))
     assert len(names[0]) == 1 and len(names[1]) == 2 and names[0] < names[1]
 
 
 def test_kernel_cache_name_ignores_the_source_path(reload, monkeypatch, tmp_path):
     # another checkout of the same source loads the cached build
-    cache, _, _ = reload
-    assert _native.kernel() is not None
+    cache, _ = reload
+    _native.kernel()
     copy = tmp_path / "_kernel.c"
     with open(_native._SOURCE, "rb") as f:
         copy.write_bytes(f.read())
     monkeypatch.setattr(_native, "_SOURCE", str(copy))
     monkeypatch.setattr(_native, "_lib", None)
     monkeypatch.setattr(_native.subprocess, "run", lambda *a, **kw: pytest.fail("rebuilt"))
-    assert _native.kernel() is not None and len(os.listdir(cache)) == 1
+    _native.kernel()
+    assert len(os.listdir(cache)) == 1
 
 
 def numpy_cpu_features() -> dict:
@@ -120,11 +118,11 @@ def test_loaded_kernel_uses_the_hardware_popcount(reload):
     # the CPU's answer agrees with numpy's own feature probe; on a POPCNT
     # host the build calls no libgcc __popcountdi2, and elsewhere it is
     # built without -mpopcnt
-    cache, _, _ = reload
+    cache, _ = reload
     has = "popcnt" in _native._cpu_flags()
     if os.uname().machine == "x86_64":
         assert has == bool(numpy_cpu_features()["POPCNT"])
-    assert _native.kernel() is not None
+    _native.kernel()
     (lib,) = os.listdir(cache)
     popcnt = os.uname().machine == "x86_64" and has
     assert ("-mpopcnt" in _native._command("gcc")) == popcnt
@@ -132,15 +130,30 @@ def test_loaded_kernel_uses_the_hardware_popcount(reload):
         assert b"__popcountdi2" not in (cache / lib).read_bytes()
 
 
-@pytest.mark.parametrize("breakage", ["no compiler", "build fails", "cache not a directory",
-                                      "cache writable by others", "numpy library missing",
-                                      "numpy library not an archive"])
-def test_fallback_to_python_kernel(reload, monkeypatch, breakage):
-    cache, calls, native = reload
-    H = frontier_sample()
-    _native._lib = native
-    want = vf.verify_ekr(H), wt.find_generic_clique(H, 4, 1)
-    _native._lib = None
+# each way the kernel can fail to build or load, and the cause its error names
+NO_KERNEL = {
+    "no compiler": "no C compiler (ekrlab-no-such-compiler) on the PATH",
+    "build fails": "the build failed: false exited with status 1",
+    "cache not a directory": "cannot make the cache directory",
+    "cache writable by others": "is not private to this user",
+    "numpy library missing": "numpy's libnpyrandom.a is missing",
+    "numpy library not an archive": "the build failed: ",
+}
+
+
+@pytest.mark.parametrize("breakage", list(NO_KERNEL))
+def test_commands_without_a_kernel(reload, monkeypatch, tmp_path, breakage):
+    # the commands that search exit 3 with one line naming the cause; calc
+    # and sample, which search nothing, print what they print with the
+    # kernel; no library or temporary is left in the cache
+    cache, native = reload
+    path = tmp_path / "h.txt"
+    path.write_text(hg.dump_hypergraph(frontier_sample()))
+    pure = [["calc", "--n", "24", "--k", "3", "--phi", "3"],
+            ["sample", "--n", "12", "--k", "3", "--phi", "2", "--seed", "4"]]
+    monkeypatch.setattr(_native, "_lib", native)
+    want = [run_cli(args) for args in pure]
+    monkeypatch.setattr(_native, "_lib", None)
     if breakage == "no compiler":
         monkeypatch.setattr(_native, "_CC", "ekrlab-no-such-compiler")
     elif breakage == "build fails":
@@ -156,22 +169,35 @@ def test_fallback_to_python_kernel(reload, monkeypatch, breakage):
     else:
         (cache.parent / "libnpyrandom.a").write_text("not an archive\n")
         monkeypatch.setattr(_native, "_NPYRANDOM", str(cache.parent / "libnpyrandom.a"))
-    assert (vf.verify_ekr(H), wt.find_generic_clique(H, 4, 1)) == want
-    assert len(calls) == 3 and _native._lib is False
+    for args in (["verify", str(path)], ["witness", str(path), "--generic-size", "4"],
+                 ["sweep", "--n", "12", "--k", "3", "--grid-start", "1", "--grid-stop", "2",
+                  "--grid-points", "2", "--trials", "3"]):
+        code, out, err = run_cli(args)
+        assert (code, out) == (3, ""), (args, err)
+        assert err.startswith("ekrlab: resource limit: no search kernel: ") and err.count("\n") == 1
+        assert NO_KERNEL[breakage] in err, err
+    assert [run_cli(args) for args in pure] == want and want[0][0] == want[1][0] == 0
+    assert _native._lib is None
     if cache.is_dir():
         assert os.listdir(cache) == []      # no library, no temporary
 
 
-def test_limits_beyond_int64_act_as_their_clamps(kernels):
+def test_limits_beyond_int64_act_as_their_clamps():
     H = frontier_sample()
     runs = {}
-    for kernel in kernels():
-        runs[kernel] = (vf.max_nontrivial_clique(H, initial_best=10**30),
-                        vf.max_nontrivial_clique(H, node_budget=10**30, initial_best=-10**30),
-                        wt.find_generic_clique(H, 4, 10**400),
-                        wt.find_generic_clique(H, 3, -10**400))
+    for name, kernel in KERNELS.items():
+        inst, budget = vf._Instance(H), vf.DEFAULT_NODE_BUDGET
+        runs[name] = (kernel.nontrivial_search(inst, math.inf, budget, 10**30),
+                      kernel.nontrivial_search(inst, math.inf, 10**30, -10**30),
+                      kernel.generic_search(inst, 4, 10**400, budget),
+                      kernel.generic_search(inst, 3, -10**400, budget))
     assert runs["python"] == runs["native"]
-    assert runs["native"][0] == (10**30, None) and runs["native"][3] is None
+    widest, generic = runs["native"][1], runs["native"][2]
+    assert vf.max_nontrivial_clique(H, initial_best=10**30) == (10**30, None)
+    assert vf.max_nontrivial_clique(H, node_budget=10**30, initial_best=-10**30) == (
+        widest[0], tuple(widest[1]))
+    assert wt.find_generic_clique(H, 4, 10**400) == tuple(generic[1])
+    assert wt.find_generic_clique(H, 3, -10**400) is None
 
 
 def reference_stats(H):
@@ -205,7 +231,7 @@ def stats_families():
 
 
 @pytest.mark.parametrize("H", stats_families())
-def test_native_stats_match_the_star_masks(kernels, H):
+def test_native_stats_match_the_star_masks(H):
     # the native kernel reads Delta and its lowest vertex off its own star
     # words: Delta is verify_ekr's (on distinct edges) and DECIDE's (on any
     # family), and when no clique beats it the omega search returns the
@@ -214,11 +240,10 @@ def test_native_stats_match_the_star_masks(kernels, H):
     star = [i for i, b in enumerate(H.edge_bits) if b >> centre & 1]
     assert _native.decide(_native.kernel(), _native.vertex_words(H.edge_bits),
                           dense=vf._dense_pairs(H.n, H.k), node_budget=10**6)[0] == Delta
-    for kernel in kernels():
-        if not H.has_duplicates():
-            assert vf.verify_ekr(H).Delta == Delta, kernel
-        omega, family = vf.max_intersecting_family(H)
-        assert omega > Delta or family == star, kernel
+    if not H.has_duplicates():
+        assert vf.verify_ekr(H).Delta == Delta
+    omega, family = vf.max_intersecting_family(H)
+    assert omega > Delta or family == star
 
 
 def kernel_trials(sampler, n, k, p, seed, stream, lo, hi):
@@ -230,38 +255,29 @@ def kernel_trials(sampler, n, k, p, seed, stream, lo, hi):
         keep_all=True)]
 
 
-def test_instances_read_their_statistics_on_first_use(kernels, monkeypatch):
+def test_instances_read_their_statistics_on_first_use(monkeypatch):
     # the witness searches read no Delta: generic runs its one search, and
     # Hilton-Milner, which reads the Python star masks, calls no kernel.
-    # EKR holds here, so verify_ekr runs the nontrivial search alone: on
-    # the native kernel it is one DECIDE call.  max_intersecting_family is
-    # one OMEGA call, which returns the largest star itself: neither builds
-    # a Python star mask
+    # EKR holds here, so verify_ekr runs the nontrivial search alone: one
+    # DECIDE call.  max_intersecting_family is one OMEGA call, which returns
+    # the largest star itself: neither builds a Python star mask
     H = hg.sample_bernoulli(25, 5, 10 / math.comb(24, 4), 1)
-    native = _native.kernel()
-    python_kernel, vertex_stars = vf._branch_and_bound, vf._vertex_stars
+    native, vertex_stars = _native.kernel(), vf._vertex_stars
     calls = []
-    for module in (vf, wt):
-        monkeypatch.setattr(module, "_branch_and_bound",
-                            lambda *a, **kw: calls.append("search") or python_kernel(*a, **kw))
     monkeypatch.setattr(vf, "_vertex_stars",
                         lambda *a: calls.append("stars") or vertex_stars(*a))
     names = {_native.OMEGA: "omega", _native.NONTRIVIAL: "nontrivial",
              _native.GENERIC: "generic", _native.DECIDE: "decide"}
-    for kernel in kernels():
-        if kernel == "native":
-            monkeypatch.setattr(_native, "_lib", _native.Kernel(
-                lambda mode, *a: calls.append(names[mode]) or native.ekr_search(mode, *a),
-                native.ekr_trials))
-        counts = []
-        for run in (lambda: wt.find_generic_clique(H, 7, 2), lambda: wt.find_hilton_milner(H, 3),
-                    lambda: vf.verify_ekr(H), lambda: vf.max_intersecting_family(H)):
-            calls.clear()
-            run()
-            counts.append(list(calls))
-        assert counts == ([["stars", "search"], ["stars"], ["stars", "stars", "search"],
-                           ["stars", "stars", "search"]] if kernel == "python" else
-                          [["generic"], ["stars"], ["decide"], ["omega"]]), kernel
+    monkeypatch.setattr(_native, "_lib", _native.Kernel(
+        lambda mode, *a: calls.append(names[mode]) or native.ekr_search(mode, *a),
+        native.ekr_trials))
+    counts = []
+    for run in (lambda: wt.find_generic_clique(H, 7, 2), lambda: wt.find_hilton_milner(H, 3),
+                lambda: vf.verify_ekr(H), lambda: vf.max_intersecting_family(H)):
+        calls.clear()
+        run()
+        counts.append(list(calls))
+    assert counts == [["generic"], ["stars"], ["decide"], ["omega"]]
     v = vf.verify_ekr(H)
     assert v.holds and v.omega == v.Delta > 2
 
@@ -350,7 +366,6 @@ def test_native_trials_are_reentrant():
     # stream), started together, each equal to the same call made serially.
     # (12, 3, phi = 2) has failing trials, so words and cliques come back too
     lib = _native.kernel()
-    assert lib is not None, "the native search kernel did not build or load"
     p = 2.0 / math.comb(11, 2)
 
     def batch(seed, stream, conditioned):
@@ -374,7 +389,6 @@ def test_thread_pool_sweeps_run_at_once(monkeypatch):
     # the same time, with more threads than CPUs and a short switch
     # interval: each gives its serial CSV, so nothing on the thread path is
     # shared between calls
-    assert _native.kernel() is not None, "the native search kernel did not build or load"
     monkeypatch.setattr(mc, "_available_cpus", lambda: 3)
     readme_grid = [0.3 * (20.0 / 0.3) ** (i / 11) for i in range(12)]
     cases = [(24, 3, readme_grid, 20, 1, "conditioned"),
@@ -404,6 +418,32 @@ def graphs(params, sampler, trials):
                       np.random.SeedSequence(7, spawn_key=(t,))) for t in range(trials)]
 
 
+def reference_rows(ctx, lo, hi):
+    """The rows of trials [lo, hi) of ctx (see montecarlo._run_batch) from
+    the Python samplers and the Python twin's decide, one trial at a time:
+    the rows a native batch must give."""
+    rows = []
+    for t in range(lo, hi):
+        H = hg.sample(ctx.sampler_mode, ctx.params.n, ctx.params.k, float(ctx.params.p),
+                      np.random.SeedSequence(ctx.master_seed, spawn_key=(*ctx.stream, t)))
+        inst = vf._Instance(H)
+        if H.m > ctx.edge_cap:
+            rows.append([H.m, inst.Delta, -1, -1, _native.DONE])
+            continue
+        try:
+            verdict, _ = KERNELS["python"].decide(inst, ctx.node_budget)
+        except ResourceLimitError:
+            rows.append([H.m, inst.Delta, inst.Delta, -1, _native.OUT_OF_BUDGET])
+            continue
+        row = [H.m, verdict.Delta, verdict.omega, -1, _native.DONE]
+        if verdict.witness is not None:
+            row[3] = len(verdict.witness)
+            row += (verdict.witness,
+                    mc.classify_witness_kind(H, verdict.witness, ctx.params, ctx.regime))
+        rows.append(row)
+    return rows
+
+
 # (n, k, phi, run_trials limits, what the 20 trials must show)
 TRIAL_CASES = [
     pytest.param(24, 3, 0.05, {}, lambda recs, Hs: any(H.m == 0 for H in Hs), id="m = 0"),
@@ -428,47 +468,43 @@ TRIAL_CASES = [
 
 @pytest.mark.parametrize("sampler", ["bernoulli", "conditioned"])
 @pytest.mark.parametrize("n, k, phi, limits, shows", TRIAL_CASES)
-def test_native_trial_records_equal_the_python_path(kernels, monkeypatch, sampler, n, k, phi,
-                                                    limits, shows):
+def test_native_trial_records_equal_the_python_path(monkeypatch, sampler, n, k, phi, limits,
+                                                    shows):
     params = an.ModelParams.from_phi(n, k, phi)
+    ctx = mc.make_trial_context(params, sampler, 7, **limits)
+    want = reference_rows(ctx, 0, 20)
     classified = []
     classify = mc.classify_witness_kind
     monkeypatch.setattr(mc, "classify_witness_kind",
                         lambda H, w, *a: classified.append((H, w)) or classify(H, w, *a))
-    ctx = mc.make_trial_context(params, sampler, 7, **limits)
-    runs, rows = {}, {}
-    for kernel in kernels():
-        classified.clear()
-        runs[kernel] = mc.run_trials(params, 20, sampler, 7, **limits), list(classified)
-        rows[kernel] = mc._run_batch(ctx, 0, 20)
-    assert runs["native"] == runs["python"]
-    assert rows["native"] == rows["python"]     # one row format on both paths
-    (records, witnesses), Hs = runs["native"], graphs(params, sampler, 20)
-    # a batch that starts mid-way, on the native kernel
+    records = mc.run_trials(params, 20, sampler, 7, **limits)
+    witnesses = list(classified)
+    assert records == mc._records(ctx, want)
+    assert mc._run_batch(ctx, 0, 20) == want    # one row format on both paths
+    Hs = graphs(params, sampler, 20)
+    # a batch that starts mid-way
     assert mc._records(ctx, mc._run_batch(ctx, 7, 20), 7) == records[7:]
     assert shows(records, Hs)
     # the native trial rebuilds a failing trial's sample from its words
     assert [H for H, _ in witnesses] == [H for H, r in zip(Hs, records) if r.ekr_holds is False]
 
 
-def test_native_batch_reuses_its_scratch_across_the_edge_cap(kernels, monkeypatch):
+def test_native_batch_reuses_its_scratch_across_the_edge_cap(monkeypatch):
     # one kernel batch grows its star and adjacency block to its largest
     # trial and reuses it.  At (24, 3, phi = 8), m ~ 64: with the edge cap at
     # 66, trials fall above the cap (no search) and below it on both sides of
-    # W = ceil(m / 64) = 1 | 2, and each must equal a batch of one on the
-    # Python kernel
+    # W = ceil(m / 64) = 1 | 2, and each must equal its trial on the Python
+    # sampler and search
     ctx = mc.make_trial_context(an.ModelParams.from_phi(24, 3, 8.0), "conditioned", 3,
                                 edge_cap=66)
+    want = mc._records(ctx, reference_rows(ctx, 0, 40))
     batches = []
     trials = _native.trials
     monkeypatch.setattr(_native, "trials", lambda *a, **kw: batches.append(1) or trials(*a, **kw))
-    runs = {}
-    for kernel in kernels():
-        runs[kernel] = (mc._records(ctx, mc._run_batch(ctx, 0, 40)) if kernel == "native"
-                        else [mc.run_one_trial(ctx, t) for t in range(40)])
+    records = mc._records(ctx, mc._run_batch(ctx, 0, 40))
     assert batches == [1]
-    assert runs["native"] == runs["python"]
-    ms = [r.m for r in runs["native"]]
+    assert records == want
+    ms = [r.m for r in records]
     assert {m > 66 for m in ms} == {True, False}
     assert {(m + 63) // 64 for m in ms if m <= 66} == {1, 2}
 
@@ -481,7 +517,7 @@ def test_trial_above_the_edge_cap_allocates_no_adjacency():
     code = """if True:
         import os, resource, sys
         from ekrlab import _native, cli
-        assert _native.kernel()
+        _native.kernel()
         limit = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
         resource.setrlimit(resource.RLIMIT_AS, (limit + (1 << 30),) * 2)
         sys.exit(cli.main(["sweep", "--n", "30", "--k", "6", "--grid-start", "59377.5",

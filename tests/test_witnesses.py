@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ekrlab import analytics as an
@@ -11,7 +11,8 @@ from ekrlab import hypergraph as hg
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError, ResourceLimitError
-from oracles import brute_force_generic_clique, brute_force_hilton_milner
+import oracles
+from oracles import KERNELS, brute_force_generic_clique, brute_force_hilton_milner
 
 
 def H_from(n, k, edges):
@@ -114,17 +115,16 @@ def test_generic_requires_clique():
         wt.is_generic_clique(H, [0, 1], 5)
 
 
-def test_generic_nan_zeta_cap_rejected(kernels):
+def test_generic_nan_zeta_cap_rejected():
     # NaN passes no comparison: the search ran with no cap and returned a
     # clique that is_generic_clique(H, g, nan) rejected
     tri = H_from(6, 2, [(0, 1), (0, 2), (1, 2)])
-    for kernel in kernels():
-        for size_t in (0, 3):
-            with pytest.raises(DomainError, match="zeta cap"):
-                wt.find_generic_clique(tri, size_t, math.nan)
+    for size_t in (0, 3):
         with pytest.raises(DomainError, match="zeta cap"):
-            wt.is_generic_clique(tri, [0, 1, 2], math.nan)
-        assert wt.find_generic_clique(tri, 3, math.inf) == (0, 1, 2), kernel
+            wt.find_generic_clique(tri, size_t, math.nan)
+    with pytest.raises(DomainError, match="zeta cap"):
+        wt.is_generic_clique(tri, [0, 1, 2], math.nan)
+    assert wt.find_generic_clique(tri, 3, math.inf) == (0, 1, 2)
 
 
 @pytest.mark.parametrize("budget", [0, -5])
@@ -141,9 +141,9 @@ def test_find_generic_examples():
     assert wt.find_generic_clique(star, 4, 99) is None
 
 
-def test_find_generic_vs_brute_force(kernels):
+def test_find_generic_vs_brute_force():
     # the search takes candidates lowest first and drops only edges it can
-    # never take, so on both kernels it returns the first generic clique of
+    # never take, so it returns the first generic clique of
     # combinations(range(m), t), whatever zeta_cap
     for i in range(40):
         n, m = 7 + i % 4, 8 + i % 13
@@ -151,9 +151,8 @@ def test_find_generic_vs_brute_force(kernels):
         for size in (2, 3, 4, 5):
             for zeta in (-1, 0, 0.5, 1, 3, math.inf):
                 want = brute_force_generic_clique(H, size, zeta)
-                for kernel in kernels():
-                    got = wt.find_generic_clique(H, size, zeta)
-                    assert got == want, (kernel, H.edge_bits, size, zeta)
+                got = wt.find_generic_clique(H, size, zeta)
+                assert got == want, (H.edge_bits, size, zeta)
 
 
 def witness_sample(seed):
@@ -167,14 +166,14 @@ def witness_sample(seed):
     (4, None, 3453),
     (26, (10, 14, 16, 18, 34, 38, 41), 1997),
 ])
-def test_generic_node_counts_pinned(kernels, seed, clique, nodes):
+def test_generic_node_counts_pinned(seed, clique, nodes):
     H = witness_sample(seed)
-    for kernel in kernels():
-        _, found, used = wt._generic_search(vf._Instance(H), 7, 3, vf.DEFAULT_NODE_BUDGET)
-        assert (found and tuple(found), used) == (clique, nodes), kernel
-        assert wt.find_generic_clique(H, 7, 3, node_budget=nodes) == clique
-        with pytest.raises(ResourceLimitError, match="^branch-and-bound node budget exceeded$"):
-            wt.find_generic_clique(H, 7, 3, node_budget=nodes - 1)
+    for name, kernel in KERNELS.items():
+        _, found, used = kernel.generic_search(vf._Instance(H), 7, 3, vf.DEFAULT_NODE_BUDGET)
+        assert (found and tuple(found), used) == (clique, nodes), name
+    assert wt.find_generic_clique(H, 7, 3, node_budget=nodes) == clique
+    with pytest.raises(ResourceLimitError, match="^branch-and-bound node budget exceeded$"):
+        wt.find_generic_clique(H, 7, 3, node_budget=nodes - 1)
 
 
 @pytest.mark.parametrize("seed, clique", [
@@ -184,10 +183,10 @@ def test_generic_node_counts_pinned(kernels, seed, clique, nodes):
 def test_generic_search_makes_no_dead_children(monkeypatch, seed, clique):
     # a child whose narrowed candidates cannot reach t = 7 is never made: at
     # every node below the root |P| > kmin = t - 1 - |R|; the clique found
-    # is the one the node pins name, on the Python kernel
-    monkeypatch.setattr(wt._native, "_lib", False)
+    # is the one the node pins name, on the Python twin, which visits the
+    # compiled kernel's nodes
     seen = []
-    search = vf._branch_and_bound
+    search = oracles.branch_and_bound
 
     def counting(*args, branches, **kw):
         def wrapped(kmin, P, state):
@@ -195,9 +194,9 @@ def test_generic_search_makes_no_dead_children(monkeypatch, seed, clique):
             return branches(kmin, P, state)
         return search(*args, branches=wrapped, **kw)
 
-    monkeypatch.setattr(wt, "_branch_and_bound", counting)
-    _, found, nodes = wt._generic_search(vf._Instance(witness_sample(seed)), 7, 3,
-                                         vf.DEFAULT_NODE_BUDGET)
+    monkeypatch.setattr(oracles, "branch_and_bound", counting)
+    _, found, nodes = oracles.generic_search(vf._Instance(witness_sample(seed)), 7, 3,
+                                             vf.DEFAULT_NODE_BUDGET)
     assert (found and tuple(found)) == clique
     assert len(seen) == nodes - (found is not None)     # a recording node stops first
     below = [(kmin, size) for child, kmin, size in seen if child]
@@ -205,42 +204,44 @@ def test_generic_search_makes_no_dead_children(monkeypatch, seed, clique):
 
 
 @pytest.mark.parametrize("seed", [None, 4, 26])
-def test_generic_search_edge_cases(kernels, seed):
+def test_generic_search_edge_cases(seed):
     # kmin = 0 (size_t = 1), an empty P (the empty family, size_t = m + 1),
     # no feasible child (zeta_cap = -1) and no zeta cap at all, on both
     # kernels: the same results and node counts, decided at exactly that
     # many nodes
     H = hg.Hypergraph(25, 5, ()) if seed is None else witness_sample(seed)
     runs = {}
-    for kernel in kernels():
-        runs[kernel] = []
+    for name, kernel in KERNELS.items():
+        runs[name] = []
         for size_t in (1, 2, H.m, H.m + 1):
             for zeta in (-1, 0, 0.5, math.inf):
-                found = wt.find_generic_clique(H, size_t, zeta)
-                search = wt._generic_search(vf._Instance(H), size_t, zeta, vf.DEFAULT_NODE_BUDGET)
-                clique, nodes = search[1], search[2]
-                assert found == (None if clique is None else tuple(clique))
-                assert wt._generic_search(vf._Instance(H), size_t, zeta, nodes) == search
+                search = kernel.generic_search(vf._Instance(H), size_t, zeta,
+                                               vf.DEFAULT_NODE_BUDGET)
+                nodes = search[2]
+                assert kernel.generic_search(vf._Instance(H), size_t, zeta, nodes) == search
                 with pytest.raises(ResourceLimitError):
-                    wt._generic_search(vf._Instance(H), size_t, zeta, nodes - 1)
-                if 1 <= size_t <= H.m and nodes > 1:
-                    assert wt.find_generic_clique(H, size_t, zeta, node_budget=nodes) == found
-                    with pytest.raises(ResourceLimitError):
-                        wt.find_generic_clique(H, size_t, zeta, node_budget=nodes - 1)
-                runs[kernel].append((size_t, zeta, found, search))
+                    kernel.generic_search(vf._Instance(H), size_t, zeta, nodes - 1)
+                runs[name].append((size_t, zeta, search))
     assert runs["python"] == runs["native"]
+    for size_t, zeta, (_, clique, nodes) in runs["native"]:
+        found = wt.find_generic_clique(H, size_t, zeta)
+        assert found == (None if clique is None else tuple(clique))
+        if 1 <= size_t <= H.m and nodes > 1:
+            assert wt.find_generic_clique(H, size_t, zeta, node_budget=nodes) == found
+            with pytest.raises(ResourceLimitError):
+                wt.find_generic_clique(H, size_t, zeta, node_budget=nodes - 1)
 
 
-@settings(max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=12)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_kernels_agree_on_generic_search(kernels, seed):
+def test_kernels_agree_on_generic_search(seed):
     H = witness_sample(seed)
     runs = {}
-    for kernel in kernels():
+    for name, kernel in KERNELS.items():
         try:
-            runs[kernel] = wt._generic_search(vf._Instance(H), 7, 3, 5_000)
+            runs[name] = kernel.generic_search(vf._Instance(H), 7, 3, 5_000)
         except ResourceLimitError as exc:
-            runs[kernel] = str(exc)
+            runs[name] = str(exc)
     assert runs["python"] == runs["native"]
 
 
