@@ -53,16 +53,19 @@
  * floors itself at Delta too and, when no clique beats that, returns the
  * star of the lowest vertex of degree Delta.
  *
- * A second entry point, ekr_trials, runs a batch of sweep trials.  It
- * re-derives each trial's numpy stream (numpy's SeedSequence key, Philox
- * with numpy's buffering, numpy's binomial and bounded-integer samplers from
- * its libnpyrandom.a), then runs Floyd's dedup and a bucket sort of its
- * ranks (one counting pass into buckets monotone in the rank, then one
- * insertion pass: expected O(m), as the ranks are a uniform m-subset), the
- * colex unrank into vertex words (ranks ascend, so each edge's largest
- * member starts from the last edge's) and decide().  Star words are kept
- * only for the live vertex rows: below n in a trial, below the highest
- * vertex present in ekr_search.
+ * A second entry point, ekr_trials, runs a batch of sweep trials under any
+ * of the three samplers.  It re-derives each trial's numpy stream (numpy's
+ * SeedSequence key, Philox with numpy's buffering, numpy's binomial and
+ * bounded-integer samplers from its libnpyrandom.a).  A bernoulli or
+ * conditioned trial's ranks ascend: the conditioned ones after Floyd's
+ * dedup and a bucket sort (one counting pass into buckets monotone in the
+ * rank, then one insertion pass: expected O(m), as the ranks are a uniform
+ * m-subset), and both are colex unranked into vertex words (each edge's
+ * largest member starts from the last edge's).  An independent trial draws
+ * each edge's words by partial Fisher-Yates and keeps the first copy of
+ * each, in draw order, by its colex rank in Floyd's hash set.  Every trial
+ * then runs decide().  Star words are kept only for the live vertex rows:
+ * below n in a trial, below the highest vertex present in ekr_search.
  *
  * Memory.  A search (run()) works in a workspace its caller hands it: its
  * complement adjacency, its P and state stacks (not zeroed: only row 0 is
@@ -97,6 +100,7 @@ typedef uint64_t u64;
 
 enum { OMEGA = 0, NONTRIVIAL = 1, GENERIC = 2, DECIDE = 3 };
 enum { DONE = 0, OUT_OF_BUDGET = 1, OUT_OF_MEMORY = 2 };
+enum { BERNOULLI = 0, CONDITIONED = 1, INDEPENDENT = 2 };    /* hypergraph.SAMPLER_MODES */
 
 typedef struct { int32_t *v; size_t len, cap; } ivec;
 
@@ -818,17 +822,9 @@ static int grow(int64_t **a, int64_t *cap, int64_t need)
 
 /* The colex unrank (hypergraph._colex_unrank_bits) of m ascending ranks
  * into words: the i-th largest member of rank r is the largest v with
- * C(v, i) = col[(k - i) n + v] <= r (clipped at C(n, k)), then decide(),
- * whose Delta, omega and clique size go to result[0..2] and whose clique
- * follows the words.  *block, grown to fit, takes the graph and, within
- * the edge cap only, the clique. */
-static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *rank, int dense,
-                 int64_t edge_cap, int64_t budget, u64 *words, int64_t *result,
-                 int64_t **block, int64_t *bcap)
+ * C(v, i) = col[(k - i) n + v] <= r (clipped at C(n, k)). */
+static void unrank(int n, int k, const int64_t *col, int64_t m, const int64_t *rank, u64 *words)
 {
-    size_t gw = graph_words(m, n, m <= edge_cap);
-    if (grow(block, bcap, gw + (m <= edge_cap ? (m + 2) / 2 : 0))) return OUT_OF_MEMORY;
-    int32_t *clique = (int32_t *)((u64 *)*block + gw);
     memset(words, 0, (size_t)m * VW * sizeof(u64));
     /* ranks ascend, and so does the largest member, top (k >= 1, so
      * col[0] = C(0, k) = 0): it climbs from the edge before's */
@@ -840,6 +836,48 @@ static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *ran
             words[e * VW + (v >> 6)] |= BIT(v);
         }
     }
+}
+
+/* hypergraph.sample_independent's m draws, then Hypergraph.dedupped, into
+ * words; returns the edges kept.  Each edge is a partial Fisher-Yates over
+ * one pool of [n] kept for the whole trial, step j a bounded draw on
+ * [0, n - j - 1], as rng.integers(0, n - j).  An edge is kept when its
+ * colex rank (C(v, i) summed over its i-th smallest members v) is new to
+ * set (2^lg >= 2m + 1 int64s); a repeat is overwritten by the next draw. */
+static int64_t draw_edges(bitgen_t *bg, int n, int k, const int64_t *col, int64_t m, int lg,
+                          int64_t *set, u64 *words)
+{
+    uint8_t pool[VW * 64];
+    int64_t kept = 0;
+    for (int v = 0; v < n; v++) pool[v] = (uint8_t)v;
+    memset(set, 0xff, sizeof(int64_t) << lg);
+    for (int64_t e = 0; e < m; e++) {
+        u64 *w = words + kept * VW;
+        int64_t r = 0;
+        memset(w, 0, VW * sizeof(u64));
+        for (int j = 0; j < k; j++) {
+            int t = j + (int)random_bounded_uint64(bg, 0, (u64)(n - j - 1), 0, 0);
+            uint8_t v = pool[t];
+            pool[t] = pool[j], pool[j] = v;
+            w[v >> 6] |= BIT(v);
+        }
+        for (int x = 0, i = 1; x < VW; x++)
+            for (u64 b = w[x]; b; b &= b - 1) r += col[(k - i++) * n + 64 * x + __builtin_ctzll(b)];
+        u64 h = slot(set, lg, r);
+        if (set[h] < 0) set[h] = r, kept++;
+    }
+    return kept;
+}
+
+/* decide() on the m edges in words, whose Delta, omega and clique size go
+ * to result[0..2] and whose clique follows the words.  *block, grown to
+ * fit, takes the graph and, within the edge cap only, the clique. */
+static int trial(int n, int64_t m, int dense, int64_t edge_cap, int64_t budget, u64 *words,
+                 int64_t *result, int64_t **block, int64_t *bcap)
+{
+    size_t gw = graph_words(m, n, m <= edge_cap);
+    if (grow(block, bcap, gw + (m <= edge_cap ? (m + 2) / 2 : 0))) return OUT_OF_MEMORY;
+    int32_t *clique = (int32_t *)((u64 *)*block + gw);
     graph g = stars((int)m, n, words, (u64 *)*block);
     int64_t res[4];
     int status = decide(&g, dense, edge_cap, budget, clique, res);
@@ -849,17 +887,19 @@ static int trial(int n, int k, const int64_t *col, int64_t m, const int64_t *ran
 }
 
 /* Trials [lo, hi) of montecarlo.run_one_trial on k-sets of [n], N = C(n, k)
- * < 2^63.  Trial t draws from Philox keyed by seed_key(ent, len, t) what
- * numpy's Generator would: m = random_binomial(N, p), then Floyd's t_j on
- * [0, j], j = N - m .. N - 1 (conditioned), or the ranks r < N whose
- * next_double < p (bernoulli).  Row t - lo takes m, trial()'s result
- * (Delta, omega, the failing clique's size) and status; trial() writes into out (cap words), where a failing trial's
- * words and clique stay (any trial's words with keep_all).  Returns the
- * trials done, fewer when the next one's words may not fit, or
- * -OUT_OF_MEMORY.  The draws, Floyd's set and trial()'s block are the
+ * < 2^63, drawn as hypergraph.sample(SAMPLER_MODES[sampler]) would from
+ * Philox keyed by seed_key(ent, len, t): the ranks r < N whose next_double
+ * < p (bernoulli), or m = random_binomial(N, p), then Floyd's t_j on
+ * [0, j], j = N - m .. N - 1 (conditioned) or m i.i.d. edges
+ * (independent, draw_edges()).  Row t - lo takes the distinct edges' m,
+ * trial()'s result (Delta, omega, the failing clique's size) and status.
+ * The words go into out (cap words), where a failing trial's words and
+ * clique stay (any trial's with keep_all).  Returns the trials done, fewer
+ * when the next one's m draws may not fit (its row then holds that m), or
+ * -OUT_OF_MEMORY.  The draws, the hash set and trial()'s block are the
  * call's own, grown to the largest trial so far and freed on return. */
 int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int n, int k,
-                   const int64_t *col, int64_t N, double p, int conditioned, int dense,
+                   const int64_t *col, int64_t N, double p, int sampler, int dense,
                    int64_t edge_cap, int64_t budget, int keep_all, int64_t *rows, u64 *out,
                    int64_t cap)
 {
@@ -869,28 +909,30 @@ int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int
     int status = DONE;
     for (t = lo; t < hi && status != OUT_OF_MEMORY; t++) {
         int64_t m = 0, *row = rows + (t - lo) * 5;
+        int lg = 1;
         memset(&g, 0, sizeof g);
         g.pos = 4;
         seed_key(ent, len, (u64)t, g.key);
-        if (conditioned) {
-            binomial_t b = {0};
-            int lg = 1;
-            m = random_binomial(&bg, p, N, &b);
-            while (((int64_t)1 << lg) < 2 * m + 1) lg++;
-            status = grow(&draw, &dcap, m) || grow(&set, &scap, (int64_t)1 << lg)
-                         ? OUT_OF_MEMORY : DONE;
-            for (int64_t i = 0; !status && i < m; i++)
-                draw[i] = (int64_t)random_bounded_uint64(&bg, 0, (u64)(N - m + i), 0, 0);
-            if (!status) floyd(N, m, draw, lg, set);
-        } else {
-            status = DONE;
+        status = DONE;
+        if (sampler == BERNOULLI) {
             for (int64_t r = 0; r < N && !status; r++)
                 if (next_double(&g) < p && !(status = grow(&draw, &dcap, m + 1))) draw[m++] = r;
+        } else {
+            binomial_t b = {0};
+            m = random_binomial(&bg, p, N, &b);
+            while (((int64_t)1 << lg) < 2 * m + 1) lg++;
+            status = grow(&set, &scap, (int64_t)1 << lg);
+            if (sampler == CONDITIONED && !status && !(status = grow(&draw, &dcap, m))) {
+                for (int64_t i = 0; i < m; i++)
+                    draw[i] = (int64_t)random_bounded_uint64(&bg, 0, (u64)(N - m + i), 0, 0);
+                floyd(N, m, draw, lg, set);
+            }
         }
         row[0] = m;
         if (status || used + (VW + 1) * m > cap) break;
-        status = row[4] = trial(n, k, col, m, draw, dense, edge_cap, budget, out + used, row + 1,
-                                &block, &bcap);
+        if (sampler == INDEPENDENT) row[0] = m = draw_edges(&bg, n, k, col, m, lg, set, out + used);
+        else unrank(n, k, col, m, draw, out + used);
+        status = row[4] = trial(n, m, dense, edge_cap, budget, out + used, row + 1, &block, &bcap);
         if (keep_all || row[3] >= 0) used += VW * m + (row[3] > 0 ? row[3] : 0);
     }
     free(draw);

@@ -5,10 +5,10 @@ point ekr_search runs the omega, nontrivial or generic search (search()),
 or in a fourth mode, DECIDE, verifier._decide: Delta, then the nontrivial
 search and, only on a family it does not decide, the omega search, on one
 graph (decide()).  Its second entry point, ekr_trials, runs a batch of
-bernoulli or conditioned Monte Carlo trials in one call (trials()).  It
-seeds and draws each trial as numpy would, with numpy's binomial and
-bounded-integer samplers from numpy's libnpyrandom.a, then dedups and
-unranks the draws and runs the same decision on each.
+Monte Carlo trials of any sampler mode in one call (trials()).  It seeds
+and draws each trial as hypergraph.sample would, with numpy's binomial and
+bounded-integer samplers from numpy's libnpyrandom.a, then dedups the
+draws into edges and runs the same decision on each.
 
 kernel() builds the kernel on first use with the system gcc (-O2, plus
 -mpopcnt on an x86-64 CPU whose /proc/cpuinfo flags report POPCNT, so that
@@ -271,30 +271,31 @@ def _uint32_words(x: int) -> list[int]:
 
 
 def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: float, *,
-           conditioned: bool, dense: bool, edge_cap: int, node_budget: int,
+           sampler: str, dense: bool, edge_cap: int, node_budget: int,
            keep_all: bool = False):
     """Trials [lo, hi) of montecarlo.run_one_trial, each on the k-sets of [n]
-    that hypergraph.sample_conditioned (or sample_bernoulli) draws under
-    SeedSequence(seed >= 0, spawn_key=(*stream, t)), N = C(n, k) < 2**63.
+    that hypergraph.sample(sampler, ...) draws under SeedSequence(seed >= 0,
+    spawn_key=(*stream, t)), N = C(n, k) < 2**63.
 
     Per trial a row, the list [m, Delta, omega, size, status] straight from
-    the kernel, status DONE or OUT_OF_BUDGET (check()).  omega is -1 when
-    m > edge_cap; size, the failing clique's, is -1 when EKR holds or no
-    search decided.  A failing trial's row (any trial's with keep_all) goes
-    on with its clique, as ascending edge indices, and its edge bitsets:
-    [m, Delta, omega, size, status, clique, edges].  Python reads only
-    those rows one by one; the others are left as tolist() gives them.
+    the kernel, status DONE or OUT_OF_BUDGET (check()).  m counts distinct
+    edges; omega is -1 when m > edge_cap; size, the failing clique's, is -1
+    when EKR holds or no search decided.  A failing trial's row (any
+    trial's with keep_all) goes on with its clique, as ascending edge
+    indices, and its edge bitsets: [m, Delta, omega, size, status, clique,
+    edges].  Python reads only those rows one by one; the others are left
+    as tolist() gives them.
     """
     ent = _uint32_words(seed)
     ent += [0] * (4 - len(ent))             # as SeedSequence pads them when spawned
     ent = np.array(ent + [w for x in stream for w in _uint32_words(x)], dtype=np.uint32)
-    columns = hypergraph._unrank_tables(n, k)[0]
+    columns, mode = hypergraph._unrank_tables(n, k)[0], hypergraph.SAMPLER_MODES.index(sampler)
     rows = np.empty((hi - lo, 5), dtype=np.int64)
     out = np.empty(1 << 16, dtype=np.uint64)
     done = []
     while lo < hi:
         count = lib.ekr_trials(ent.ctypes.data, len(ent), lo, hi, n, k, columns.ctypes.data, N, p,
-                               conditioned, dense, min(edge_cap, 2**62),
+                               mode, dense, min(edge_cap, 2**62),
                                min(node_budget, 2**62), keep_all, rows.ctypes.data,
                                out.ctypes.data, len(out))
         if count < 0:
@@ -308,6 +309,6 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
             at += 4 * m + size
         done += batch
         lo += count
-        if lo < hi:     # trial lo's words may not fit: grow out, go on from it
+        if lo < hi:     # trial lo's m draws may not fit: grow out, go on from it
             out = np.empty(2 * max(len(out), 5 * rows[count, 0]), np.uint64)
     return done

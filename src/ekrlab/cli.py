@@ -160,8 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--sampler", choices=SAMPLER_MODES, default="conditioned")
     sp.add_argument("--workers", type=int, default=1,
-                    help="parallel workers: threads, or processes for --sampler "
-                         "independent; the output is byte-identical at any count")
+                    help="parallel worker threads; the output is byte-identical at any count")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--edge-cap", type=int, default=verifier.DEFAULT_EDGE_CAP)
     sp.add_argument("--node-budget", type=int, default=verifier.DEFAULT_NODE_BUDGET)

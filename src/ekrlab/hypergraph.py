@@ -18,11 +18,11 @@ sample(mode, ...) draws a trial's family in each of SAMPLER_MODES, after
 _check_draws(mode, ...), the one guard run before any draw: C(n, k) < 2**63
 (ranks are int64) and at most DRAW_CAP = 10**7 draws, the C(n, k) uniforms
 bernoulli enumerates or the p C(n, k) edges expected of conditioned (the
-same law in O(m + n k)) and independent (an i.i.d. coupling).  The Bernoulli
-and conditioned samplers are the reference for the compiled kernel's Monte
-Carlo trials (_native.trials), which re-derive their streams in C: numpy's
-SeedSequence key, Philox4x64-10 with numpy's buffering, and numpy's own
-binomial and bounded-integer samplers, linked from its libnpyrandom.a.
+same law in O(m + n k)) and independent (an i.i.d. coupling).  They serve
+`ekrlab sample`, and sample is the reference for the kernel's Monte Carlo
+trials (_native.trials) in every mode, which re-derive its streams in C:
+numpy's SeedSequence key, Philox4x64-10 with numpy's buffering, and numpy's
+own binomial and bounded-integer samplers, linked from its libnpyrandom.a.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ MAX_N = 256                 # bitset width ceiling
 DRAW_CAP = 10**7            # the most k-sets a sampler enumerates or expects to draw
 SAMPLER_MODES = ("bernoulli", "conditioned", "independent")
 MEMBERS_CACHE = 8192        # distinct k-sets whose bits and members are kept
+_FY_CHUNK = 1 << 16         # Fisher-Yates steps sample_independent draws per call
 
 
 @functools.lru_cache(maxsize=MEMBERS_CACHE)
@@ -297,25 +298,29 @@ def sample_bernoulli(n: int, k: int, p: float, seed) -> Hypergraph:
     return Hypergraph._unchecked(n, k, tuple(_colex_unrank_bits(ranks, n, k)))
 
 
-def _uniform_edge_bits(rng: np.random.Generator, n: int, k: int, pool: list[int]) -> int:
-    # partial Fisher-Yates: first k entries of a uniformly shuffled [n]
-    bits = 0
-    for j in range(k):
-        t = j + int(rng.integers(0, n - j))
-        pool[j], pool[t] = pool[t], pool[j]
-        bits |= 1 << pool[j]
-    return bits
-
-
 def sample_independent(n: int, k: int, m: int, seed) -> Hypergraph:
-    """m edges i.i.d. uniform from C([n],k); duplicates possible; draw order."""
+    """m edges i.i.d. uniform from C([n],k); duplicates possible; draw order.
+
+    An edge is the first k entries of one pool of [n] after a partial
+    Fisher-Yates, step j swapping in entry j + rng.integers(0, n - j); a
+    chunk of edges' steps is one call, with the values and generator state
+    of scalar draws."""
     check_nk(n, k)
     if m < 0:
         raise DomainError("m must be nonnegative")
     rng = generator(seed)
-    pool = list(range(n))
-    bits = tuple(_uniform_edge_bits(rng, n, k, pool) for _ in range(m))
-    return Hypergraph._unchecked(n, k, bits)
+    pool, bits, per = list(range(n)), [], max(1, _FY_CHUNK // k)
+    for lo in range(0, m, per):
+        count = min(per, m - lo)
+        steps = iter(rng.integers(0, np.tile(np.arange(n, n - k, -1), count)).tolist())
+        for _ in range(count):
+            b = 0
+            for j in range(k):
+                t = j + next(steps)
+                pool[j], pool[t] = pool[t], pool[j]
+                b |= 1 << pool[j]
+            bits.append(b)
+    return Hypergraph._unchecked(n, k, tuple(bits))
 
 
 def _distinct_ranks(rng: np.random.Generator, N: int, m: int) -> list[int]:

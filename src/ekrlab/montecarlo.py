@@ -7,14 +7,10 @@ any worker count.  With workers > 1 there is one pool per call, and a task
 is one _run_batch(ctx, lo, hi): a chunk of trials with its grid point's
 TrialContext.  The chunks are guided: each takes a share of the trials
 still left, so they shrink toward the end, and none crosses a grid point.
-When every chunk is a native batch (below), the pool is threads: a batch
-is one ctypes call, which releases the GIL, so the batches run in parallel
-in this process with nothing forked or pickled.  The independent sampler
-draws in Python, which the GIL would serialize on threads, so its pool is
-processes, and each task pickles its context (~0.5 KB).  The kernel is
-loaded before either pool is made, so a host without it fails before any
-pool starts, and a process pool's workers inherit it and none builds or
-loads its own.
+The pool is threads: a chunk is one kernel batch (below), one ctypes call,
+which releases the GIL, so the batches run in parallel in this process.
+The kernel is loaded before the pool is made, so a host without it fails
+before any pool starts.
 A task returns one row per trial (see _run_batch): the kernel's m, Delta,
 omega, failing-clique size and status, and for a failing trial its clique
 and witness kind.  A sweep summarizes each grid point straight from its
@@ -33,13 +29,11 @@ evaluated or anything is drawn.
 
 Every trial is decided on the compiled kernel (see _native); where it
 cannot be built, a run of at least one trial raises ResourceLimitError.  A
-bernoulli or conditioned grid point's trials are one kernel call: the
-kernel seeds and draws each trial's sample as numpy would, dedups, unranks
-and decides it.  In a sweep, a trial that holds costs no Python beyond its
-kernel row; for a sweep and for records alike, a Hypergraph is built from
-a trial's vertex words only to classify a failing clique.  The independent
-sampler draws through hypergraph.sample and decides a verifier._Instance in
-one kernel call, with the same rows.
+grid point's trials, under any sampler mode, are one kernel call: the
+kernel seeds and draws each trial's sample as hypergraph.sample would,
+dedups it and decides it.  In a sweep, a trial that holds costs no Python
+beyond its kernel row; for a sweep and for records alike, a Hypergraph is
+built from a trial's vertex words only to classify a failing clique.
 
 Asymptotic "almost surely" claims are reported as finite-n frequencies with
 Wilson intervals and nothing more.
@@ -54,11 +48,9 @@ import json
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from . import _native, analytics, hypergraph, verifier, witnesses
 from .analytics import ModelParams
@@ -198,59 +190,27 @@ def _lambda_prime(mbar: float, q: float, Delta: int) -> float:
     return float(analytics.lambda_prime_t(mbar, q, Delta))
 
 
-def _native_batch(lib, ctx: TrialContext, lo: int, hi: int) -> list:
-    """Trials [lo, hi) of a bernoulli or conditioned context in one
-    _native.trials batch, a Hypergraph only for each failing trial, to
-    classify its clique."""
+def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list:
+    """The rows of trials [lo, hi) of ctx, one per trial, from one
+    _native.trials batch: the kernel's [m, Delta, omega, size, status],
+    where omega is -1 above the edge cap and size, the failing clique's, is
+    -1 unless EKR fails (out of budget, omega = Delta, as the kernel leaves
+    it), and a failing trial's row goes on with its clique and witness kind,
+    classified on a Hypergraph of its words.  A trial is decided when omega
+    >= 0 and its status is DONE.  A batch of trials loads the kernel first,
+    so a host without it raises ResourceLimitError here, never a row."""
+    if lo >= hi:
+        return []
+    lib = _native.kernel()
     n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
     N = hypergraph._check_draws(ctx.sampler_mode, n, k, p)
     rows = _native.trials(lib, ctx.master_seed, ctx.stream, lo, hi, n, k, N, p,
-                          conditioned=ctx.sampler_mode == "conditioned",
-                          dense=verifier._dense_pairs(n, k), edge_cap=ctx.edge_cap,
-                          node_budget=ctx.node_budget)
+                          sampler=ctx.sampler_mode, dense=verifier._dense_pairs(n, k),
+                          edge_cap=ctx.edge_cap, node_budget=ctx.node_budget)
     for row in rows:
         if row[3] >= 0:
             row[6] = classify_witness_kind(Hypergraph._unchecked(n, k, row[6]), row[5],
                                            ctx.params, ctx.regime)
-    return rows
-
-
-def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list:
-    """The rows of trials [lo, hi) of ctx, one per trial: the kernel's
-    [m, Delta, omega, size, status] (_native.trials), where omega is -1
-    above the edge cap and size, the failing clique's, is -1 unless EKR
-    fails, and a failing trial's row goes on with its clique and witness
-    kind.  A trial is decided when omega >= 0 and its status is DONE.
-    One native batch, or with the independent sampler one Hypergraph and
-    verifier._Instance per trial, whose row is the one the kernel gives (out
-    of budget, omega = Delta, as the kernel leaves it).  A batch of trials
-    loads the kernel first, so a host without it raises ResourceLimitError
-    here, never a row."""
-    if lo >= hi:
-        return []
-    lib = _native.kernel()
-    if ctx.sampler_mode != "independent":
-        return _native_batch(lib, ctx, lo, hi)
-    n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
-    rows = []
-    for t in range(lo, hi):
-        H = hypergraph.sample(ctx.sampler_mode, n, k, p,
-                              np.random.SeedSequence(ctx.master_seed, spawn_key=(*ctx.stream, t)))
-        inst = verifier._Instance(H)
-        if H.m > ctx.edge_cap:
-            rows.append([H.m, inst.Delta, -1, -1, _native.DONE])
-            continue
-        try:
-            verdict, _ = verifier._decide(inst, ctx.node_budget)
-        except ResourceLimitError:
-            rows.append([H.m, inst.Delta, inst.Delta, -1, _native.OUT_OF_BUDGET])
-            continue
-        row = [H.m, verdict.Delta, verdict.omega, -1, _native.DONE]
-        if verdict.witness is not None:
-            row[3] = len(verdict.witness)
-            row += (verdict.witness,
-                    classify_witness_kind(H, verdict.witness, ctx.params, ctx.regime))
-        rows.append(row)
     return rows
 
 
@@ -291,16 +251,12 @@ def _trial_batches(contexts, trials: int, workers: int):
     they run on one pool as guided chunks (guided self-scheduling,
     Polychronopoulos & Kuck 1987): taken in (context, trial) order, each
     task _run_batch(ctx, lo, hi) covers max(1, remaining // (2 * workers))
-    of the trials still left and is cut at the end of its context.  When
-    every context's batches are native (any sampler but independent), the
+    of the trials still left and is cut at the end of its context.  The
     pool is threads: a batch is one ctypes call, which releases the GIL, so
-    the batches run in parallel in this process.  The independent sampler
-    draws in Python, which the GIL would serialize on threads, so its pool
-    is processes, each task pickled with its context, and the kernel is
-    loaded before the pool forks, so every worker inherits it.  Results are
-    consumed lazily: a context's rows are yielded once its last chunk
-    arrives.  The pool never exceeds the available CPUs or the number of
-    trials."""
+    the batches run in parallel in this process.  The kernel is loaded
+    before the pool is made.  Results are consumed lazily: a context's rows
+    are yielded once its last chunk arrives.  The pool never exceeds the
+    available CPUs or the number of trials."""
     if trials < 0:
         raise DomainError("trials must be nonnegative")
     if workers < 1:
@@ -320,8 +276,7 @@ def _trial_batches(contexts, trials: int, workers: int):
             remaining -= hi - lo
             lo = hi
     _native.kernel()
-    native = all(ctx.sampler_mode != "independent" for ctx in contexts)
-    with (ThreadPoolExecutor if native else ProcessPoolExecutor)(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = []
         for (_, _, hi), batch in zip(tasks, pool.map(_run_batch, *zip(*tasks))):
             rows += batch

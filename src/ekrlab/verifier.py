@@ -49,8 +49,8 @@ its nodes than the original index order (see README's "Search kernel").
 The nontrivial search at floor t - 1 and target t is the one the
 omega-first order ran when omega = Delta >= 3, so a failing family's
 witness is the same clique.  verify_ekr is its input checks plus _decide,
-one kernel call (its DECIDE mode, the decide() a native sweep trial runs),
-and an independent-sampler Monte Carlo trial calls _decide too.
+one kernel call (its DECIDE mode, the decide() every Monte Carlo trial
+runs inside the kernel's trial batches).
 
 Both searches, and the generic-clique search of the witnesses module, are
 one branch-and-bound routine that walks cliques depth first on an explicit
@@ -141,16 +141,13 @@ def intersection_adjacency(edge_bits) -> list[int]:
 class _Instance:
     """A family's derived structure, built once and shared by the searches,
     each part on first use: words, the edges' vertex bitsets as the kernel
-    reads them, for every search; members, stars and Delta (the largest
-    star, degrees counting multiplicity) only for
-    witnesses.find_hilton_milner and a trial that a limit stopped."""
+    reads them, for every search; members and stars only for
+    witnesses.find_hilton_milner."""
 
     def __init__(self, H: Hypergraph):
         self.n, self.m = H.n, H.m
         self.dense_pairs = _dense_pairs(H.n, H.k)
         self.bits = H.edge_bits
-
-    Delta = property(lambda self: max((s.bit_count() for s in self.stars), default=0))
 
     @functools.cached_property
     def members(self) -> list[tuple[int, ...]]:

@@ -189,9 +189,15 @@ def brute_force_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float):
 # Each search visits the same nodes in the same order as the compiled
 # kernel and records the same cliques, so the tests compare verdicts,
 # cliques, node counts and node-budget errors one for one.  The searches
-# take a verifier._Instance and read its members, stars and Delta; they
-# build the intersection adjacency and the degree relabel from the stars
-# in big-int operations.
+# take a verifier._Instance and read its members and stars, and Delta from
+# them (delta); they build the intersection adjacency and the degree
+# relabel from the stars in big-int operations.
+
+def delta(inst) -> int:
+    """Delta of a verifier._Instance: its largest star, degrees counting
+    multiplicity."""
+    return max((s.bit_count() for s in inst.stars), default=0)
+
 
 def first_classes(cadj, P: int, kmin: int) -> int:
     """What is left of the candidate set P once greedy coloring in index
@@ -441,13 +447,13 @@ def max_clique(inst, node_budget: int):
     perm, _, adj = relabel(inst)
     coloring = make_coloring(adj, m, inst.dense_pairs)
     omega, clique, nodes = branch_and_bound(
-        adj, node_budget, inst.Delta, math.inf, 0,
+        adj, node_budget, delta(inst), math.inf, 0,
         accept=lambda P, _: not P,
         branches=lambda kmin, P, _: coloring(P, kmin),
         child=lambda state, v: state)
     if clique is None:
         deg = [s.bit_count() for s in inst.stars]
-        return omega, list(bits_of(inst.stars[deg.index(inst.Delta)])), nodes
+        return omega, list(bits_of(inst.stars[deg.index(delta(inst))])), nodes
     return omega, mapped_back(perm, clique), nodes
 
 
@@ -481,7 +487,7 @@ def decide(inst, node_budget: int) -> tuple[EkrVerdict, int]:
     The nontrivial search runs first, at target t = max(Delta, 3); the
     omega search only when that one finds a clique or runs out, each on its
     own node_budget."""
-    Delta = inst.Delta
+    Delta = delta(inst)
     t = max(Delta, 3)
     if t > inst.m:
         return EkrVerdict(True, Delta, Delta, None), 0

@@ -316,6 +316,34 @@ def test_distinct_ranks_match_scalar_draws(N, m):
         assert repr(fast.bit_generator.state) == repr(slow.bit_generator.state), seed
 
 
+def scalar_independent_bits(rng, n, k, m):
+    """Reference for sample_independent: partial Fisher-Yates over one pool
+    of [n], one scalar draw per step."""
+    pool, bits = list(range(n)), []
+    for _ in range(m):
+        b = 0
+        for j in range(k):
+            t = j + int(rng.integers(0, n - j))
+            pool[j], pool[t] = pool[t], pool[j]
+            b |= 1 << pool[j]
+        bits.append(b)
+    return tuple(bits)
+
+
+@pytest.mark.parametrize("n, k, m", [(9, 3, 0), (9, 3, 1), (12, 3, 200), (7, 7, 5),
+                                     (256, 256, 3), (256, 5, 40), (30, 1, 500),
+                                     (20, 6, hg._FY_CHUNK // 6 + 1),     # two chunks
+                                     (256, 255, hg._FY_CHUNK // 255 + 3)])
+def test_independent_matches_scalar_draws(n, k, m):
+    # the chunked draws give the same edges, in order, and leave the
+    # generator in the same state as one scalar draw per step
+    for seed in range(3):
+        fast, slow = hg.generator(seed), hg.generator(seed)
+        assert hg.sample_independent(n, k, m, fast).edge_bits == scalar_independent_bits(
+            slow, n, k, m), seed
+        assert repr(fast.bit_generator.state) == repr(slow.bit_generator.state), seed
+
+
 def _rank_mask(H):
     mask = 0
     for b in H.edge_bits:

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -135,9 +138,9 @@ def test_trials_resource_rows_not_fatal():
 
 
 def test_records_pickle_hash_and_stay_frozen():
-    # a process pool sends its workers' TrialRecords (frozen and slotted)
-    # back pickled: a decided record, an errored one and a SweepTable each
-    # come back equal with an equal hash, and take no attribute assignment
+    # TrialRecords (frozen and slotted) and SweepTables are public values: a
+    # decided record, an errored one and a SweepTable each come back from
+    # pickle equal with an equal hash, and take no attribute assignment
     params = an.ModelParams.from_phi(12, 3, 2.0)
     decided = mc.run_trials(params, 1, "conditioned", seed=7)[0]
     errored = mc.run_trials(params, 1, "conditioned", seed=7, edge_cap=1)[0]
@@ -164,9 +167,9 @@ def test_trial_over_edge_cap_skips_adjacency(monkeypatch):
 
 
 def test_errored_independent_trials_read_delta(monkeypatch):
-    # an independent-sampler trial reads Delta off its verdict, one kernel
-    # decide call; only a trial that the edge cap or the node budget
-    # stopped reads it off the instance
+    # an independent-sampler trial, errored or not, reads Delta off its
+    # kernel row: one ekr_trials call, no ekr_search call, and no Python
+    # star mask
     params = an.ModelParams.from_phi(12, 3, 3.0)
     native, kernel_calls = _native.kernel(), []
     for limits, error in (({"edge_cap": 3}, "exceeds the edge cap 3"),
@@ -177,23 +180,23 @@ def test_errored_independent_trials_read_delta(monkeypatch):
             assert r.Delta == hg.degree_stats(H).Delta
             assert error in r.error and r.omega == -1 and r.ekr_holds is None
     monkeypatch.setattr(_native, "_lib", _native.Kernel(
-        lambda *a: kernel_calls.append(1) or native.ekr_search(*a), native.ekr_trials))
+        lambda *a: kernel_calls.append("search") or native.ekr_search(*a),
+        lambda *a: kernel_calls.append("trials") or native.ekr_trials(*a)))
     monkeypatch.setattr(vf, "_vertex_stars", lambda *a: pytest.fail("Python star masks built"))
-    ctx = mc.make_trial_context(params, "independent", 3)
-    for t in range(12):
-        kernel_calls.clear()
-        r = mc.run_one_trial(ctx, t)
-        assert r.decided and kernel_calls == [1], t
+    for limits in ({}, {"edge_cap": 3}, {"node_budget": 1}):
+        ctx = mc.make_trial_context(params, "independent", 3, **limits)
+        for t in range(12):
+            kernel_calls.clear()
+            r = mc.run_one_trial(ctx, t)
+            assert r.decided == (not limits) and kernel_calls == ["trials"], (limits, t)
 
 
 class InProcessPool:
-    """Stands in for ProcessPoolExecutor and ThreadPoolExecutor: records its
-    size, its kind and the (ctx, lo, hi) tasks given to map, runs the tasks
-    in this thread, starts nothing."""
+    """Stands in for ThreadPoolExecutor: records its size and the (ctx, lo,
+    hi) tasks given to map, runs the tasks in this thread, starts nothing."""
 
-    def __init__(self, sizes, kinds, tasks, kind, max_workers):
+    def __init__(self, sizes, tasks, max_workers):
         sizes.append(max_workers)
-        kinds.append(kind)
         self.tasks = tasks
 
     def __enter__(self):
@@ -208,37 +211,27 @@ class InProcessPool:
         return itertools.starmap(fn, tasks)
 
 
-def in_process_pools(monkeypatch) -> tuple[list, list, list]:
-    """Patch in InProcessPool for both executors; returns the lists of pool
-    sizes, of pool kinds ("process" or "thread") and of tasks it records."""
-    sizes, kinds, tasks = [], [], []
-    for kind, name in (("process", "ProcessPoolExecutor"), ("thread", "ThreadPoolExecutor")):
-        monkeypatch.setattr(mc, name, lambda kind=kind, **kw: InProcessPool(
-            sizes, kinds, tasks, kind, **kw))
-    return sizes, kinds, tasks
+def in_process_pools(monkeypatch) -> tuple[list, list]:
+    """Patch in InProcessPool for the thread pool; returns the lists of pool
+    sizes and of tasks it records."""
+    sizes, tasks = [], []
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", lambda **kw: InProcessPool(sizes, tasks, **kw))
+    return sizes, tasks
 
 
 SAMPLERS = ("conditioned", "bernoulli", "independent")
 
 
-def pool_kind(sampler: str) -> str:
-    """The pool a sweep with workers > 1 builds: threads for native batches,
-    processes for the independent sampler, which draws in Python."""
-    return "process" if sampler == "independent" else "thread"
-
-
 def test_pool_size_clamped_to_cpus_and_trials(monkeypatch):
-    sizes, kinds, _ = in_process_pools(monkeypatch)
+    sizes, _ = in_process_pools(monkeypatch)
     params = an.ModelParams.from_phi(10, 2, 1.5)
     for sampler in SAMPLERS:
         serial = trial_records_to_csv(mc.run_trials(params, 6, sampler, seed=3))
         for cpus, trials, expect in ((3, 6, [3]), (8, 2, [2]), (1, 6, [])):
             sizes.clear()
-            kinds.clear()
             monkeypatch.setattr(mc, "_available_cpus", lambda: cpus)
             recs = mc.run_trials(params, trials, sampler, seed=3, workers=10_000)
-            assert sizes == expect
-            assert kinds == [pool_kind(sampler)] * len(expect), sampler
+            assert sizes == expect, sampler
             if trials == 6:
                 assert trial_records_to_csv(recs) == serial
 
@@ -330,6 +323,13 @@ def test_sweep_csv_deterministic_and_seed_sensitive():
 # per-edge unranking and pairwise adjacency; sampling draws, verdicts and
 # witness kinds must reproduce it byte for byte
 README_SWEEP_SEED1_SHA256 = "cade037b378236e2d0f47203e1c193adf15a1ef8f313b8971d81ffd1496ffc5e"
+README_GRID = [0.3 * (20.0 / 0.3) ** (i / 11) for i in range(12)]
+
+
+def cli_log_grid(start: float, stop: float, points: int) -> list[float]:
+    """The grid of `sweep --grid-scale log`, float for float."""
+    ratio = (stop / start) ** (1.0 / (points - 1))
+    return [start * ratio**i for i in range(points)]
 
 
 def test_readme_sweep_golden_hash():
@@ -353,6 +353,26 @@ def test_paper_regime_sweep_golden_hash():
         table = mc.estimate_ekr_curve(100, 5, grid, trials=20, seed=1, workers=workers)
         csv = mc.sweep_table_to_csv(table).encode()
         assert hashlib.sha256(csv).hexdigest() == PAPER_SWEEP_SEED1_SHA256, workers
+
+
+# sha256 of sweep_table_to_csv for `ekrlab sweep ... --sampler independent
+# --seed 1` on the README grid at 100 trials and on the paper grid above at
+# 20, taken when the independent sampler drew in Python and decided each
+# trial in its own kernel call: the kernel's own draws reproduce them
+INDEPENDENT_SWEEP_PINS = [
+    ((24, 3, cli_log_grid(0.3, 20.0, 12), 100),
+     "665b830e7967d7b33eca49f421ad137d96a2e4f36c7f61e04b33ee32f385d55b"),
+    ((100, 5, cli_log_grid(1.0, 40.0, 12), 20),
+     "a60265cc5ed935df45a9c5d014a474ae50648de074d5b6a14e1d2716b64a6810"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_independent_sweep_golden_hashes(workers):
+    for (n, k, grid, trials), want in INDEPENDENT_SWEEP_PINS:
+        table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=1,
+                                      sampler_mode="independent", workers=workers)
+        assert hashlib.sha256(mc.sweep_table_to_csv(table).encode()).hexdigest() == want, n
 
 
 # sha256 of trial_records_to_csv, the per-point CSVs concatenated: every
@@ -451,28 +471,23 @@ def test_sweep_csv_worker_count_invariance():
     assert mc.sweep_table_to_csv(t1) == mc.sweep_table_to_csv(t2)
 
 
-README_GRID = [0.3 * (20.0 / 0.3) ** (i / 11) for i in range(12)]
-
-
 @pytest.mark.parametrize("n, k, grid, trials, node_budget, pools", [
     (24, 3, README_GRID, 5, vf.DEFAULT_NODE_BUDGET, [2]),   # 12 points
     (10, 3, [0.5, 8.0], 4, 2, [2]),      # budget 2 leaves phi = 8 undecided
     (24, 3, README_GRID, 0, vf.DEFAULT_NODE_BUDGET, []),    # no keys, no pool
 ])
 def test_sweep_runs_on_one_pool(monkeypatch, n, k, grid, trials, node_budget, pools):
-    sizes, kinds, _ = in_process_pools(monkeypatch)
+    sizes, _ = in_process_pools(monkeypatch)
     monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
     for sampler in SAMPLERS:
         serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(
             n, k, grid, trials=trials, seed=5, sampler_mode=sampler,
             node_budget=node_budget))
         sizes.clear()
-        kinds.clear()
         table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5,
                                       sampler_mode=sampler, workers=2,
                                       node_budget=node_budget)
-        assert sizes == pools
-        assert kinds == [pool_kind(sampler)] * len(pools), sampler
+        assert sizes == pools, sampler
         assert mc.sweep_table_to_csv(table) == serial
         assert [r.trials for r in table.rows] == [trials] * len(grid)
         if node_budget == 2:
@@ -485,19 +500,17 @@ def test_sweep_runs_on_one_pool(monkeypatch, n, k, grid, trials, node_budget, po
     (10, 3, [2.0], 7, 3, 7),
 ])
 def test_sweep_chunks_are_guided(monkeypatch, n, k, grid, trials, workers, max_tasks):
-    sizes, kinds, tasks = in_process_pools(monkeypatch)
+    sizes, tasks = in_process_pools(monkeypatch)
     monkeypatch.setattr(mc, "_available_cpus", lambda: workers)
-    # the chunk plan is the same on both pools
+    # the chunk plan is the same for every sampler
     for sampler in ("conditioned", "independent"):
         serial = mc.sweep_table_to_csv(mc.estimate_ekr_curve(
             n, k, grid, trials=trials, seed=5, sampler_mode=sampler))
         sizes.clear()
-        kinds.clear()
         tasks.clear()
         table = mc.estimate_ekr_curve(n, k, grid, trials=trials, seed=5,
                                       sampler_mode=sampler, workers=workers)
-        assert sizes == [workers]
-        assert kinds == [pool_kind(sampler)], sampler
+        assert sizes == [workers], sampler
         assert mc.sweep_table_to_csv(table) == serial
         assert len(tasks) <= max_tasks
         # every (grid index, trial) exactly once, in order; no chunk
@@ -515,31 +528,25 @@ def test_sweep_chunks_are_guided(monkeypatch, n, k, grid, trials, workers, max_t
 
 
 def test_kernel_loads_before_the_pool(monkeypatch):
-    # the parent loads (on a cold cache, builds) the kernel before either
-    # pool is made: a host without it fails before any pool starts, and a
-    # process pool's workers inherit it rather than each building their own
-    events, kinds, _ = in_process_pools(monkeypatch)
+    # the kernel is loaded (on a cold cache, built) before the pool is made,
+    # so a host without it fails before any pool starts
+    events, _ = in_process_pools(monkeypatch)
     kernel = _native.kernel
     monkeypatch.setattr(_native, "kernel", lambda: events.append("kernel") or kernel())
     monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
     for sampler in ("conditioned", "independent"):
         events.clear()
-        kinds.clear()
         mc.estimate_ekr_curve(10, 3, [1.0, 2.0], trials=4, seed=5, sampler_mode=sampler,
                               workers=2)
-        assert events[:2] == ["kernel", 2]
-        assert kinds == [pool_kind(sampler)]
+        assert events[:2] == ["kernel", 2], sampler
 
 
 def test_sweep_csv_invariant_on_a_real_pool_at_odd_shapes(monkeypatch):
-    # real pools: threads for native batches, a fork pool for the
-    # independent sampler; 3 workers are asked for even on fewer CPUs, so
-    # the guided plan differs from the 2-worker one
+    # a real thread pool for every sampler; 3 workers are asked for even on
+    # fewer CPUs, so the guided plan differs from the 2-worker one
     monkeypatch.setattr(mc, "_available_cpus", lambda: 3)
-    built = []
-    for kind, pool in (("thread", mc.ThreadPoolExecutor), ("process", mc.ProcessPoolExecutor)):
-        monkeypatch.setattr(mc, pool.__name__,
-                            lambda kind=kind, pool=pool, **kw: built.append(kind) or pool(**kw))
+    built, pool = [], mc.ThreadPoolExecutor
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", lambda **kw: built.append(1) or pool(**kw))
     grid = [0.5, 1.5, 2.5, 4.0, 8.0]
     for sampler in ("conditioned", "independent"):
         built.clear()
@@ -547,7 +554,18 @@ def test_sweep_csv_invariant_on_a_real_pool_at_odd_shapes(monkeypatch):
             12, 3, grid, trials=7, seed=17, sampler_mode=sampler, workers=workers))
             for workers in (1, 2, 3)}
         assert csvs[1] == csvs[2] == csvs[3], sampler
-        assert built == [pool_kind(sampler)] * 2, sampler
+        assert built == [1, 1], sampler
+
+
+def test_cli_imports_no_process_pool():
+    # every sweep runs on threads: importing the CLI loads neither
+    # multiprocessing nor concurrent.futures' process pool
+    code = ("import sys, ekrlab.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_sweep_row_counts_consistent():

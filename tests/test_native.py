@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import KERNELS
+from oracles import KERNELS, delta
 from test_cli import run_cli
 from test_hypergraph import scalar_distinct_ranks
 
@@ -251,8 +251,7 @@ def kernel_trials(sampler, n, k, p, seed, stream, lo, hi):
     trial's words; edge cap 0, so no search runs."""
     return [(m, edges) for m, *_, edges in _native.trials(
         _native.kernel(), seed, stream, lo, hi, n, k, math.comb(n, k), p,
-        conditioned=sampler == "conditioned", dense=False, edge_cap=0, node_budget=1,
-        keep_all=True)]
+        sampler=sampler, dense=False, edge_cap=0, node_budget=1, keep_all=True)]
 
 
 def test_instances_read_their_statistics_on_first_use(monkeypatch):
@@ -314,6 +313,29 @@ def test_native_floyd_dedup_matches_distinct_ranks(n, k, mean, seed):
         (m, tuple(hg._colex_unrank_bits(want, n, k)))]
 
 
+@given(n=st.integers(1, 256), small=st.integers(1, 10), near_n=st.booleans(),
+       mean=st.integers(0, 300), seed=st.integers(0, 2**32), t=st.integers(0, 2**40))
+@example(n=6, small=2, near_n=False, mean=0, seed=1, t=0)          # m = 0
+@example(n=9, small=3, near_n=False, mean=84, seed=2, t=2**32)     # p = 1: 84 draws repeat
+@example(n=4, small=2, near_n=False, mean=6, seed=7, t=2**32 + 9)  # p = 1: 6 draws of 6 sets
+@example(n=7, small=1, near_n=True, mean=1, seed=3, t=0)           # k = n: N = 1
+@example(n=256, small=1, near_n=True, mean=1, seed=3, t=2**33 + 5)     # k = n = 256
+@example(n=256, small=10, near_n=False, mean=300, seed=4, t=1)     # N = C(256, 10)
+@example(n=256, small=2, near_n=False, mean=300, seed=5, t=2**33)  # vertex 255, four words
+@example(n=256, small=4, near_n=True, mean=50, seed=6, t=7)        # k = 253: long pools
+@example(n=66, small=33, near_n=False, mean=300, seed=8, t=0)      # N ~ 7.2e18: ranks near 2**63
+def test_native_independent_draws_match_the_sampler(n, small, near_n, mean, seed, t):
+    # an independent trial on the kernel's own draws: m ~ Bin(N, p), then m
+    # partial Fisher-Yates edges over one pool, keeping the first copy of
+    # each (by colex rank), against hypergraph.sample; t >= 2**32 takes the
+    # extra word of seed_key.  k is small or near n, so N < 2**63
+    k = max(1, min(n - small + 1 if near_n else small, n))
+    N = math.comb(n, k)
+    p = min(mean / N, 1.0)
+    H = hg.sample("independent", n, k, p, np.random.SeedSequence(seed, spawn_key=(t,)))
+    assert kernel_trials("independent", n, k, p, seed, (), t, t + 1) == [(H.m, H.edge_bits)]
+
+
 def with_examples(*examples):
     def decorate(test):
         for kw in examples:
@@ -337,16 +359,14 @@ STREAM_EXAMPLES = [
        seed=st.integers(0, 2**70), stream=st.lists(st.integers(0, 2**40), max_size=2).map(tuple),
        lo=st.integers(0, 2**40), count=st.integers(1, 3))
 @with_examples(*STREAM_EXAMPLES)
-@pytest.mark.parametrize("sampler", ["bernoulli", "conditioned"])
+@pytest.mark.parametrize("sampler", ["bernoulli", "conditioned", "independent"])
 def test_native_trials_draw_numpys_streams(sampler, n, k, p, seed, stream, lo, count):
     # the kernel seeds each trial itself: its m and edges are the Python
     # sampler's under SeedSequence(seed, spawn_key=(*stream, t))
     k = min(k, n)
     want = []
     for t in range(lo, lo + count):
-        seed_seq = np.random.SeedSequence(seed, spawn_key=(*stream, t))
-        H = (hg.sample_bernoulli(n, k, p, seed_seq) if sampler == "bernoulli"
-             else hg.sample_conditioned(n, k, p, seed_seq)[0])
+        H = hg.sample(sampler, n, k, p, np.random.SeedSequence(seed, spawn_key=(*stream, t)))
         want.append((H.m, H.edge_bits))
     assert kernel_trials(sampler, n, k, p, seed, stream, lo, lo + count) == want
 
@@ -362,17 +382,19 @@ def test_native_trials_grow_their_output():
 
 def test_native_trials_are_reentrant():
     # ctypes releases the GIL for ekr_trials, and a sweep's thread pool calls
-    # it from several threads at once: four batches on different (seed,
-    # stream), started together, each equal to the same call made serially.
-    # (12, 3, phi = 2) has failing trials, so words and cliques come back too
+    # it from several threads at once: five batches on different (seed,
+    # stream) and all three samplers, started together, each equal to the
+    # same call made serially.  (12, 3, phi = 2) has failing trials, so
+    # words and cliques come back too
     lib = _native.kernel()
     p = 2.0 / math.comb(11, 2)
 
-    def batch(seed, stream, conditioned):
+    def batch(seed, stream, sampler):
         return _native.trials(lib, seed, stream, 0, 400, 12, 3, math.comb(12, 3), p,
-                              conditioned=conditioned, dense=False,
+                              sampler=sampler, dense=False,
                               edge_cap=vf.DEFAULT_EDGE_CAP, node_budget=vf.DEFAULT_NODE_BUDGET)
-    jobs = [(1, (), True), (2, (0,), False), (3, (1, 5), True), (2**40, (7,), False)]
+    jobs = [(1, (), "conditioned"), (2, (0,), "bernoulli"), (3, (1, 5), "conditioned"),
+            (2**40, (7,), "bernoulli"), (5, (2,), "independent")]
     want = [batch(*job) for job in jobs]
     assert any(row[3] > 0 for rows in want for row in rows)     # a failing clique
     start = threading.Barrier(len(jobs), timeout=60)
@@ -428,12 +450,12 @@ def reference_rows(ctx, lo, hi):
                       np.random.SeedSequence(ctx.master_seed, spawn_key=(*ctx.stream, t)))
         inst = vf._Instance(H)
         if H.m > ctx.edge_cap:
-            rows.append([H.m, inst.Delta, -1, -1, _native.DONE])
+            rows.append([H.m, delta(inst), -1, -1, _native.DONE])
             continue
         try:
             verdict, _ = KERNELS["python"].decide(inst, ctx.node_budget)
         except ResourceLimitError:
-            rows.append([H.m, inst.Delta, inst.Delta, -1, _native.OUT_OF_BUDGET])
+            rows.append([H.m, delta(inst), delta(inst), -1, _native.OUT_OF_BUDGET])
             continue
         row = [H.m, verdict.Delta, verdict.omega, -1, _native.DONE]
         if verdict.witness is not None:
@@ -444,29 +466,34 @@ def reference_rows(ctx, lo, hi):
     return rows
 
 
-# (n, k, phi, run_trials limits, what the 20 trials must show)
+# (n, k, phi, run_trials limits, what the 20 trials must show, given the
+# sampler); at p = 1 the independent sampler's 84 i.i.d. draws repeat, and
+# every trial keeps fewer distinct edges
 TRIAL_CASES = [
-    pytest.param(24, 3, 0.05, {}, lambda recs, Hs: any(H.m == 0 for H in Hs), id="m = 0"),
-    pytest.param(9, 3, 28, {}, lambda recs, Hs: all(H.m == 84 for H in Hs),
+    pytest.param(24, 3, 0.05, {}, lambda recs, Hs, _: any(H.m == 0 for H in Hs), id="m = 0"),
+    pytest.param(9, 3, 28, {},
+                 lambda recs, Hs, sampler: all((H.m == 84) == (sampler != "independent")
+                                               for H in Hs),
                  id="p = 1, two edge words"),
     pytest.param(256, 2, 3.0, {},
-                 lambda recs, Hs: any(b >> 255 & 1 for H in Hs for b in H.edge_bits),
+                 lambda recs, Hs, _: any(b >> 255 & 1 for H in Hs for b in H.edge_bits),
                  id="(256, 2), vertex 255"),
-    pytest.param(12, 3, 2.0, {}, lambda recs, Hs: any(r.omega > r.Delta for r in recs),
+    pytest.param(12, 3, 2.0, {}, lambda recs, Hs, _: any(r.omega > r.Delta for r in recs),
                  id="omega > Delta"),
     pytest.param(7, 3, 10, {},
-                 lambda recs, Hs: any(r.ekr_holds is False and r.omega == r.Delta for r in recs),
+                 lambda recs, Hs, _: any(r.ekr_holds is False and r.omega == r.Delta
+                                         for r in recs),
                  id="dense, nontrivial witnesses"),
     pytest.param(24, 3, 8.0, {"edge_cap": 64},
-                 lambda recs, Hs: {r.error is None for r in recs} == {True, False},
+                 lambda recs, Hs, _: {r.error is None for r in recs} == {True, False},
                  id="edge cap below m"),
     *[pytest.param(12, 3, 2.0, {"node_budget": b},
-                   lambda recs, Hs: any(not r.decided for r in recs),
+                   lambda recs, Hs, _: any(not r.decided for r in recs),
                    id=f"node budget {b}") for b in (1, 2)],
 ]
 
 
-@pytest.mark.parametrize("sampler", ["bernoulli", "conditioned"])
+@pytest.mark.parametrize("sampler", ["bernoulli", "conditioned", "independent"])
 @pytest.mark.parametrize("n, k, phi, limits, shows", TRIAL_CASES)
 def test_native_trial_records_equal_the_python_path(monkeypatch, sampler, n, k, phi, limits,
                                                     shows):
@@ -484,7 +511,7 @@ def test_native_trial_records_equal_the_python_path(monkeypatch, sampler, n, k, 
     Hs = graphs(params, sampler, 20)
     # a batch that starts mid-way
     assert mc._records(ctx, mc._run_batch(ctx, 7, 20), 7) == records[7:]
-    assert shows(records, Hs)
+    assert shows(records, Hs, sampler)
     # the native trial rebuilds a failing trial's sample from its words
     assert [H for H, _ in witnesses] == [H for H, r in zip(Hs, records) if r.ekr_holds is False]
 

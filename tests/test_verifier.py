@@ -12,7 +12,7 @@ from ekrlab import hypergraph as hg
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError, ResourceLimitError
-from oracles import KERNELS, brute_force_ekr, colex_unrank, make_coloring
+from oracles import KERNELS, brute_force_ekr, colex_unrank, delta, make_coloring
 
 
 def H_from(n, k, edges):
@@ -409,7 +409,7 @@ def test_frontier_instances_decided(key, holds, omega, omega_nodes, nontrivial_n
     for name, kernel in KERNELS.items():
         inst = vf._Instance(H)
         got, clique, nodes = kernel.max_clique(inst, vf.DEFAULT_NODE_BUDGET)
-        assert (inst.Delta, got, nodes) == (omega, omega, omega_nodes), name
+        assert (delta(inst), got, nodes) == (omega, omega, omega_nodes), name
         # no clique beats the largest star: the search returns that star
         deg = [star.bit_count() for star in inst.stars]
         assert clique == list(exact.bits_of(inst.stars[deg.index(omega)])), name
@@ -446,7 +446,7 @@ def test_kernels_agree_on_sampled_families(key, seed):
     for name, kernel in KERNELS.items():
         inst = vf._Instance(H)
         omega = search_outcome(kernel.max_clique, inst, 20_000)
-        target = omega[0] if isinstance(omega, tuple) else inst.Delta
+        target = omega[0] if isinstance(omega, tuple) else delta(inst)
         runs[name] = (omega,
                       search_outcome(kernel.nontrivial_search, inst, target, 20_000, target - 1),
                       search_outcome(kernel.nontrivial_search, inst, math.inf, 2_000, 2))
@@ -490,7 +490,7 @@ def test_kernels_agree_on_the_graph_the_native_kernel_builds(family):
                       search_outcome(kernel.generic_search, inst, 3, 0, vf.DEFAULT_NODE_BUDGET))
     assert runs["python"] == runs["native"]
     (omega, clique, _), *_ = runs["native"]
-    assert omega > vf._Instance(H).Delta and len(clique) == omega == len(set(clique))
+    assert omega > delta(vf._Instance(H)) and len(clique) == omega == len(set(clique))
     assert all(H.edge_bits[i] & H.edge_bits[j] for i in clique for j in clique)
     assert wt.find_generic_clique(H, 3, 0) == tuple(runs["native"][-1][1])
 
