@@ -1,12 +1,13 @@
-/* Compiled branch-and-bound kernel for ekrlab's three clique searches.
+/* Compiled kernel for ekrlab's three clique searches and three samplers.
  *
- * The library's only search.  It has a line-by-line Python twin in the
- * tests (tests/oracles.py: branch_and_bound together with the rules its
- * callers supply), which it is checked against: the omega search (accept an
- * empty candidate set), the nontrivial search (accept an empty common
- * intersection; no branches while the AND over R and all of P is nonempty)
- * and the generic search (degree bitsets d1/d2/d3, zeta_cap).  The colorings
- * reproduce the twin's color_order and pair_color_order class for class, so
+ * The library's only search and only sampler.  The search has a
+ * line-by-line Python twin in the tests (tests/oracles.py: branch_and_bound
+ * together with the rules its callers supply), which it is checked against:
+ * the omega search (accept an empty candidate set), the nontrivial search
+ * (accept an empty common intersection; no branches while the AND over R
+ * and all of P is nonempty) and the generic search (degree bitsets
+ * d1/d2/d3, zeta_cap).  The colorings reproduce the twin's color_order and
+ * pair_color_order class for class, so
  * visited cliques, node counts and the recorded clique are the twin's.
  *
  * The kernel builds its own graph from each edge's vertex bitset (VW words,
@@ -53,19 +54,20 @@
  * floors itself at Delta too and, when no clique beats that, returns the
  * star of the lowest vertex of degree Delta.
  *
- * A second entry point, ekr_trials, runs a batch of sweep trials under any
- * of the three samplers.  It re-derives each trial's numpy stream (numpy's
- * SeedSequence key, Philox with numpy's buffering, numpy's binomial and
- * bounded-integer samplers from its libnpyrandom.a).  A bernoulli or
- * conditioned trial's ranks ascend: the conditioned ones after Floyd's
- * dedup and a bucket sort (one counting pass into buckets monotone in the
- * rank, then one insertion pass: expected O(m), as the ranks are a uniform
- * m-subset), and both are colex unranked into vertex words (each edge's
- * largest member starts from the last edge's).  An independent trial draws
- * each edge's words by partial Fisher-Yates and keeps the first copy of
- * each, in draw order, by its colex rank in Floyd's hash set.  Every trial
- * then runs decide().  Star words are kept only for the live vertex rows:
- * below n in a trial, below the highest vertex present in ekr_search.
+ * The samplers re-derive numpy's streams (its SeedSequence key, Philox with
+ * its buffering, its binomial and bounded-integer samplers from
+ * libnpyrandom.a), edge for edge those of the numpy samplers in
+ * tests/oracles.py.  draw() draws one family.  Bernoulli and conditioned
+ * ranks ascend: the conditioned ones after Floyd's dedup and a bucket sort
+ * (one counting pass into buckets monotone in the rank, then one insertion
+ * pass: expected O(m), as the ranks are a uniform m-subset), and both are
+ * colex unranked into vertex words (each edge's largest member starts from
+ * the last edge's).  An independent family draws each edge by partial
+ * Fisher-Yates; a trial keeps the first copy of each, in draw order, by its
+ * colex rank in Floyd's hash set.  ekr_trials draws a batch of sweep trials
+ * on their spawned streams and runs decide() on each, and ekr_draw draws
+ * one family.  Star words are kept only for the live vertex rows: below n
+ * in a trial, below the highest vertex present in ekr_search.
  *
  * Memory.  A search (run()) works in a workspace its caller hands it: its
  * complement adjacency, its P and state stacks (not zeroed: only row 0 is
@@ -696,7 +698,7 @@ static inline int64_t bucket(int64_t r, double scale, int64_t m)
     return b < m - 1 ? b : m - 1;
 }
 
-/* hypergraph._distinct_ranks in place, then sorted: draw[i] = t_j,
+/* oracles.distinct_ranks (tests) in place, then sorted: draw[i] = t_j,
  * j = N - m + i, stays, or becomes j when taken (j is not: every earlier
  * rank is below it).  set holds at least 2^lg >= 2m + 1 int64s, lg >= 1.
  * The sort is one bucket pass: rank r goes to bucket(r), monotone, so
@@ -741,25 +743,6 @@ static uint32_t mix(uint32_t x, uint32_t y)
     return r ^ r >> 16;
 }
 
-/* SeedSequence(seed, spawn_key=(*stream, t)).generate_state(2, uint64) into
- * key: ent[0..len) holds its entropy words (the seed's, padded to 4, then
- * the stream's), and t's words follow */
-static void seed_key(const uint32_t *ent, int64_t len, u64 t, u64 *key)
-{
-    uint32_t pool[4], tw[2] = {(uint32_t)t, (uint32_t)(t >> 32)}, h = 0x43b0d7e5;
-    for (int i = 0; i < 4; i++) pool[i] = hashmix(ent[i], &h, 0x931e8875);
-    for (int i = 0; i < 4; i++)
-        for (int j = 0; j < 4; j++)
-            if (i != j) pool[j] = mix(pool[j], hashmix(pool[i], &h, 0x931e8875));
-    for (int64_t i = 4; i < len + 1 + (t >> 32 != 0); i++)
-        for (int j = 0; j < 4; j++)
-            pool[j] = mix(pool[j], hashmix(i < len ? ent[i] : tw[i - len], &h, 0x931e8875));
-    h = 0x8b51f9dd;
-    key[0] = key[1] = 0;
-    for (int i = 0; i < 4; i++)
-        key[i / 2] |= (u64)hashmix(pool[i], &h, 0x58f38ded) << 32 * (i % 2);
-}
-
 /* Philox4x64-10 (Salmon et al., SC'11) buffered as numpy's philox.h: the
  * counter is bumped before each block of four words, and a 32-bit draw
  * takes the low half of a word first, keeping the high half */
@@ -797,6 +780,27 @@ static uint32_t next32(void *st)
 
 static double next_double(void *st) { return (next64(st) >> 11) * (1.0 / 9007199254740992.0); }
 
+/* g as numpy's Philox(SeedSequence(...)) starts: keyed by generate_state(2,
+ * uint64) of the SeedSequence whose assembled entropy is the len >= 4 words
+ * ent (a seed's words, padded to 4 as numpy pads them before a spawn key,
+ * then the spawn key's) followed by the nt words tail */
+static void seed(philox *g, const uint32_t *ent, int64_t len, const uint32_t *tail, int nt)
+{
+    uint32_t pool[4], h = 0x43b0d7e5;
+    memset(g, 0, sizeof *g);
+    g->pos = 4;
+    for (int i = 0; i < 4; i++) pool[i] = hashmix(ent[i], &h, 0x931e8875);
+    for (int i = 0; i < 4; i++)
+        for (int j = 0; j < 4; j++)
+            if (i != j) pool[j] = mix(pool[j], hashmix(pool[i], &h, 0x931e8875));
+    for (int64_t i = 4; i < len + nt; i++)
+        for (int j = 0; j < 4; j++)
+            pool[j] = mix(pool[j], hashmix(i < len ? ent[i] : tail[i - len], &h, 0x931e8875));
+    h = 0x8b51f9dd;
+    for (int i = 0; i < 4; i++)
+        g->key[i / 2] |= (u64)hashmix(pool[i], &h, 0x58f38ded) << 32 * (i % 2);
+}
+
 /* numpy/random/distributions.h's binomial_t and two of its samplers, linked
  * from numpy's libnpyrandom.a */
 typedef struct {
@@ -820,12 +824,31 @@ static int grow(int64_t **a, int64_t *cap, int64_t need)
     return p ? DONE : OUT_OF_MEMORY;
 }
 
-/* The colex unrank (hypergraph._colex_unrank_bits) of m ascending ranks
- * into words: the i-th largest member of rank r is the largest v with
- * C(v, i) = col[(k - i) n + v] <= r (clipped at C(n, k)). */
-static void unrank(int n, int k, const int64_t *col, int64_t m, const int64_t *rank, u64 *words)
+/* The colex column table, or NULL: col[(k - i) n + v] = min(C(v, i), N),
+ * N = C(n, k) < 2^63, for 1 <= i <= k and v < n, by the hockey stick
+ * C(v, i) = sum of C(u, i - 1) over u < v, each partial sum clipped at N */
+static int64_t *columns(int n, int k, int64_t N)
 {
-    memset(words, 0, (size_t)m * VW * sizeof(u64));
+    int64_t *col = malloc((size_t)k * n * sizeof *col);
+    for (int i = 1; col && i <= k; i++) {
+        int64_t *c = col + (size_t)(k - i) * n;
+        u64 s = 0;
+        for (int v = 0; v < n; v++) {
+            c[v] = (int64_t)s;
+            s += i == 1 ? 1 : (u64)c[n + v];    /* C(v, i - 1), one row down */
+            if (s > (u64)N) s = (u64)N;
+        }
+    }
+    return col;
+}
+
+/* The colex unrank of m ascending ranks into words, ew words an edge: the
+ * i-th largest member of rank r is the largest v with
+ * C(v, i) = col[(k - i) n + v] <= r. */
+static void unrank(int n, int k, const int64_t *col, int64_t m, const int64_t *rank, int ew,
+                   u64 *words)
+{
+    memset(words, 0, (size_t)m * ew * sizeof(u64));
     /* ranks ascend, and so does the largest member, top (k >= 1, so
      * col[0] = C(0, k) = 0): it climbs from the edge before's */
     for (int64_t e = 0, top = 0; e < m; e++) {
@@ -833,40 +856,83 @@ static void unrank(int n, int k, const int64_t *col, int64_t m, const int64_t *r
         while (top + 1 < n && col[top + 1] <= r) top++;
         for (int64_t i = 0, v = top + 1; i < k; r -= col[i++ * n + v]) {
             do v--; while (col[i * n + v] > r);     /* below the member before */
-            words[e * VW + (v >> 6)] |= BIT(v);
+            words[e * ew + (v >> 6)] |= BIT(v);
         }
     }
 }
 
-/* hypergraph.sample_independent's m draws, then Hypergraph.dedupped, into
- * words; returns the edges kept.  Each edge is a partial Fisher-Yates over
- * one pool of [n] kept for the whole trial, step j a bounded draw on
- * [0, n - j - 1], as rng.integers(0, n - j).  An edge is kept when its
- * colex rank (C(v, i) summed over its i-th smallest members v) is new to
- * set (2^lg >= 2m + 1 int64s); a repeat is overwritten by the next draw. */
+/* m i.i.d. edges into words, ew words an edge, each a partial Fisher-Yates
+ * over one pool of [n] kept for the whole draw, step j a bounded draw on
+ * [0, n - j - 1], as rng.integers(0, n - j); returns the edges kept.  With
+ * col, a repeat, by its colex rank (C(v, i) summed over its i-th smallest
+ * members v) in set (2^lg >= 2m + 1 int64s), is overwritten by the next. */
 static int64_t draw_edges(bitgen_t *bg, int n, int k, const int64_t *col, int64_t m, int lg,
-                          int64_t *set, u64 *words)
+                          int64_t *set, int ew, u64 *words)
 {
     uint8_t pool[VW * 64];
     int64_t kept = 0;
     for (int v = 0; v < n; v++) pool[v] = (uint8_t)v;
-    memset(set, 0xff, sizeof(int64_t) << lg);
+    if (col) memset(set, 0xff, sizeof(int64_t) << lg);
     for (int64_t e = 0; e < m; e++) {
-        u64 *w = words + kept * VW;
+        u64 *w = words + kept * ew;
         int64_t r = 0;
-        memset(w, 0, VW * sizeof(u64));
+        memset(w, 0, ew * sizeof(u64));
         for (int j = 0; j < k; j++) {
             int t = j + (int)random_bounded_uint64(bg, 0, (u64)(n - j - 1), 0, 0);
             uint8_t v = pool[t];
             pool[t] = pool[j], pool[j] = v;
             w[v >> 6] |= BIT(v);
         }
-        for (int x = 0, i = 1; x < VW; x++)
+        if (!col) {
+            kept++;
+            continue;
+        }
+        for (int x = 0, i = 1; x < ew; x++)
             for (u64 b = w[x]; b; b &= b - 1) r += col[(k - i++) * n + 64 * x + __builtin_ctzll(b)];
         u64 h = slot(set, lg, r);
         if (set[h] < 0) set[h] = r, kept++;
     }
     return kept;
+}
+
+/* Floyd's draws and hash set, each grown to the largest draw so far */
+typedef struct { int64_t *draw, *set, dcap, scap; } scratch;
+
+/* One family from g into words, ew words an edge, as the sampler
+ * SAMPLER_MODES[sampler] draws it: the ranks r < N whose next_double < p
+ * (bernoulli), or m = random_binomial(N, p) and then Floyd's t_j on [0, j],
+ * j = N - m .. N - 1 (conditioned), or m edges, deduplicated (independent,
+ * draw_edges()); without col, *m independent edges, repeats kept, at any N.
+ * *m becomes the edges drawn, written only when they fit in room edges.
+ * Returns DONE or OUT_OF_MEMORY. */
+static int draw(philox *g, int sampler, int n, int k, const int64_t *col, int64_t N, double p,
+                int64_t *m, int64_t room, int ew, u64 *words, scratch *s)
+{
+    bitgen_t bg = {g, next64, next32, next_double, next64};
+    int lg = 1;
+    if (sampler == BERNOULLI) {
+        *m = 0;
+        for (int64_t r = 0; r < N; r++)
+            if (next_double(g) < p) {
+                if (grow(&s->draw, &s->dcap, *m + 1)) return OUT_OF_MEMORY;
+                s->draw[(*m)++] = r;
+            }
+    } else if (col) {
+        binomial_t b = {0};
+        *m = random_binomial(&bg, p, N, &b);
+        while (((int64_t)1 << lg) < 2 * *m + 1) lg++;
+        if (grow(&s->set, &s->scap, (int64_t)1 << lg)) return OUT_OF_MEMORY;
+        if (sampler == CONDITIONED) {
+            if (grow(&s->draw, &s->dcap, *m)) return OUT_OF_MEMORY;
+            for (int64_t i = 0; i < *m; i++)
+                s->draw[i] = (int64_t)random_bounded_uint64(&bg, 0, (u64)(N - *m + i), 0, 0);
+            floyd(N, *m, s->draw, lg, s->set);
+        }
+    }
+    if (*m > room) return DONE;
+    if (sampler == INDEPENDENT) *m = draw_edges(&bg, n, k, col, *m, lg, s->set, ew, words);
+    else unrank(n, k, col, *m, s->draw, ew, words);
+    return DONE;
 }
 
 /* decide() on the m edges in words, whose Delta, omega and clique size go
@@ -887,56 +953,56 @@ static int trial(int n, int64_t m, int dense, int64_t edge_cap, int64_t budget, 
 }
 
 /* Trials [lo, hi) of montecarlo.run_one_trial on k-sets of [n], N = C(n, k)
- * < 2^63, drawn as hypergraph.sample(SAMPLER_MODES[sampler]) would from
- * Philox keyed by seed_key(ent, len, t): the ranks r < N whose next_double
- * < p (bernoulli), or m = random_binomial(N, p), then Floyd's t_j on
- * [0, j], j = N - m .. N - 1 (conditioned) or m i.i.d. edges
- * (independent, draw_edges()).  Row t - lo takes the distinct edges' m,
- * trial()'s result (Delta, omega, the failing clique's size) and status.
- * The words go into out (cap words), where a failing trial's words and
- * clique stay (any trial's with keep_all).  Returns the trials done, fewer
- * when the next one's m draws may not fit (its row then holds that m), or
- * -OUT_OF_MEMORY.  The draws, the hash set and trial()'s block are the
- * call's own, grown to the largest trial so far and freed on return. */
+ * < 2^63, each drawn by draw() on the stream of SeedSequence(seed,
+ * spawn_key=(*stream, t)): seed() on ent, the words of (seed, stream),
+ * then t's.  Row t - lo takes the distinct edges' m, trial()'s result (Delta,
+ * omega, the failing clique's size) and status.  The words go into out (cap
+ * words), where a failing trial's words and clique stay (any trial's with
+ * keep_all).  Returns the trials done, fewer when the next one's m draws
+ * may not fit (its row then holds that m), or -OUT_OF_MEMORY.  The column
+ * table, draw()'s scratch and trial()'s block are the call's own, grown to
+ * the largest trial so far and freed on return. */
 int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int n, int k,
-                   const int64_t *col, int64_t N, double p, int sampler, int dense,
-                   int64_t edge_cap, int64_t budget, int keep_all, int64_t *rows, u64 *out,
-                   int64_t cap)
+                   int64_t N, double p, int sampler, int dense, int64_t edge_cap, int64_t budget,
+                   int keep_all, int64_t *rows, u64 *out, int64_t cap)
 {
     philox g;
-    bitgen_t bg = {&g, next64, next32, next_double, next64};
-    int64_t t, used = 0, dcap = 0, scap = 0, bcap = 0, *draw = NULL, *set = NULL, *block = NULL;
-    int status = DONE;
-    for (t = lo; t < hi && status != OUT_OF_MEMORY; t++) {
-        int64_t m = 0, *row = rows + (t - lo) * 5;
-        int lg = 1;
-        memset(&g, 0, sizeof g);
-        g.pos = 4;
-        seed_key(ent, len, (u64)t, g.key);
-        status = DONE;
-        if (sampler == BERNOULLI) {
-            for (int64_t r = 0; r < N && !status; r++)
-                if (next_double(&g) < p && !(status = grow(&draw, &dcap, m + 1))) draw[m++] = r;
-        } else {
-            binomial_t b = {0};
-            m = random_binomial(&bg, p, N, &b);
-            while (((int64_t)1 << lg) < 2 * m + 1) lg++;
-            status = grow(&set, &scap, (int64_t)1 << lg);
-            if (sampler == CONDITIONED && !status && !(status = grow(&draw, &dcap, m))) {
-                for (int64_t i = 0; i < m; i++)
-                    draw[i] = (int64_t)random_bounded_uint64(&bg, 0, (u64)(N - m + i), 0, 0);
-                floyd(N, m, draw, lg, set);
-            }
-        }
+    scratch s = {0};
+    int64_t t = lo, used = 0, bcap = 0, *block = NULL, *col = columns(n, k, N);
+    int status = col ? DONE : OUT_OF_MEMORY;
+    for (; t < hi && status != OUT_OF_MEMORY; t++) {
+        int64_t m = -1, *row = rows + (t - lo) * 5, room = (cap - used) / (VW + 1);
+        uint32_t tw[2] = {(uint32_t)t, (uint32_t)(t >> 32)};
+        seed(&g, ent, len, tw, 1 + (t >> 32 != 0));
+        status = draw(&g, sampler, n, k, col, N, p, &m, room, VW, out + used, &s);
         row[0] = m;
-        if (status || used + (VW + 1) * m > cap) break;
-        if (sampler == INDEPENDENT) row[0] = m = draw_edges(&bg, n, k, col, m, lg, set, out + used);
-        else unrank(n, k, col, m, draw, out + used);
+        if (status || m > room) break;
         status = row[4] = trial(n, m, dense, edge_cap, budget, out + used, row + 1, &block, &bcap);
         if (keep_all || row[3] >= 0) used += VW * m + (row[3] > 0 ? row[3] : 0);
     }
-    free(draw);
-    free(set);
+    free(col);
+    free(s.draw);
+    free(s.set);
     free(block);
     return status == OUT_OF_MEMORY ? -OUT_OF_MEMORY : t - lo;
+}
+
+/* One family, draw() on the stream of the SeedSequence whose words are ent
+ * (no trial index), into out, ceil(n / 64) words an edge: the public
+ * samplers' draw.  m >= 0 independent edges need no column table and no
+ * N < 2^63.  Returns the edges drawn, written only when they fit in cap
+ * words, or -OUT_OF_MEMORY. */
+int64_t ekr_draw(const uint32_t *ent, int64_t len, int n, int k, int64_t N, double p,
+                 int sampler, int64_t m, u64 *out, int64_t cap)
+{
+    philox g;
+    scratch s = {0};
+    int ew = (n + 63) / 64, given = sampler == INDEPENDENT && m >= 0, status = OUT_OF_MEMORY;
+    int64_t *col = given ? NULL : columns(n, k, N);
+    seed(&g, ent, len, NULL, 0);
+    if (given || col) status = draw(&g, sampler, n, k, col, N, p, &m, cap / ew, ew, out, &s);
+    free(col);
+    free(s.draw);
+    free(s.set);
+    return status ? -OUT_OF_MEMORY : m;
 }

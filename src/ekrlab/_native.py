@@ -1,14 +1,14 @@
-"""The compiled search kernel (_kernel.c): build, cache, load and call.
+"""The compiled kernel (_kernel.c): build, cache, load and call.
 
-It is the library's one implementation of the exact searches.  Its entry
-point ekr_search runs the omega, nontrivial or generic search (search()),
-or in a fourth mode, DECIDE, verifier._decide: Delta, then the nontrivial
-search and, only on a family it does not decide, the omega search, on one
-graph (decide()).  Its second entry point, ekr_trials, runs a batch of
-Monte Carlo trials of any sampler mode in one call (trials()).  It seeds
-and draws each trial as hypergraph.sample would, with numpy's binomial and
-bounded-integer samplers from numpy's libnpyrandom.a, then dedups the
-draws into edges and runs the same decision on each.
+It is the library's one implementation of the exact searches and of the
+samplers.  ekr_search runs the omega, nontrivial or generic search
+(search()), or in a fourth mode, DECIDE, verifier._decide: Delta, then the
+nontrivial search and, only on a family it does not decide, the omega
+search, on one graph (decide()).  ekr_trials runs a batch of Monte Carlo
+trials of any sampler mode in one call (trials()), each drawn as the numpy
+samplers of tests/oracles.py draw it (with numpy's binomial and
+bounded-integer samplers from its libnpyrandom.a), deduplicated and
+decided.  ekr_draw draws one family for hypergraph's samplers (draw()).
 
 kernel() builds the kernel on first use with the system gcc (-O2, plus
 -mpopcnt on an x86-64 CPU whose /proc/cpuinfo flags report POPCNT, so that
@@ -19,9 +19,9 @@ build command, flags included, so that hosts sharing a home directory each
 load their own build, and loads it through ctypes.
 Where there is no compiler or library, the build fails, or the cache
 directory cannot be made or is not private to the user, it raises
-ResourceLimitError with one line that names the cause, so every command
-that searches exits 3 there; the closed forms and the samplers need no
-kernel.  Nothing is built or loaded at import.
+ResourceLimitError with one line that names the cause, so sample, verify,
+witness --generic-size and sweep exit 3 there.  Nothing is built or loaded
+at import.
 
 The entry points are called through ctypes.CDLL, which releases the GIL
 for each call, so a sweep's thread pool (montecarlo._trial_batches) runs
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hypergraph
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 
 OMEGA, NONTRIVIAL, GENERIC, DECIDE = 0, 1, 2, 3
 DONE, OUT_OF_BUDGET, OUT_OF_MEMORY = 0, 1, 2
@@ -56,10 +56,11 @@ _lib = None     # the loaded Kernel
 
 
 class Kernel(NamedTuple):
-    """The loaded kernel's two entry points, as ctypes functions."""
+    """The loaded kernel's three entry points, as ctypes functions."""
 
     ekr_search: object
     ekr_trials: object
+    ekr_draw: object
 
 
 def kernel() -> Kernel:
@@ -72,7 +73,7 @@ def kernel() -> Kernel:
 
 
 def _unavailable(cause: str) -> ResourceLimitError:
-    return ResourceLimitError(f"no search kernel: {cause}")
+    return ResourceLimitError(f"no kernel: {cause}")
 
 
 def _cache_dir() -> str:
@@ -180,10 +181,11 @@ def _load() -> Kernel:
     lib.ekr_search.argtypes = [cint, cint, u64p, cint, i64, i64, ctypes.c_double, i64, i32p,
                                ctypes.POINTER(i64)]
     lib.ekr_search.restype = cint
-    lib.ekr_trials.argtypes = [ptr, i64, i64, i64, cint, cint, ptr, i64, ctypes.c_double, cint,
-                               cint, i64, i64, cint, ptr, ptr, i64]
-    lib.ekr_trials.restype = i64
-    return Kernel(lib.ekr_search, lib.ekr_trials)
+    lib.ekr_trials.argtypes = [ptr, i64, i64, i64, cint, cint, i64, ctypes.c_double, cint, cint,
+                               i64, i64, cint, ptr, ptr, i64]
+    lib.ekr_draw.argtypes = [ptr, i64, cint, cint, i64, ctypes.c_double, cint, i64, ptr, i64]
+    lib.ekr_trials.restype = lib.ekr_draw.restype = i64
+    return Kernel(lib.ekr_search, lib.ekr_trials, lib.ekr_draw)
 
 
 def vertex_words(bits):
@@ -193,11 +195,11 @@ def vertex_words(bits):
     return (ctypes.c_uint64 * (len(data) // 8)).from_buffer_copy(data)
 
 
-def edge_bits(words) -> tuple[int, ...]:
-    """The edge bitsets (ints) of vertex_words' layout, its inverse."""
-    data = bytes(words)
-    return tuple(int.from_bytes(data[i:i + _VERTEX_BYTES], "little")
-                 for i in range(0, len(data), _VERTEX_BYTES))
+def edge_bits(words, size: int = _VERTEX_BYTES) -> tuple[int, ...]:
+    """The edge bitsets (ints) of words holding size bytes an edge, little
+    endian: vertex_words' layout by default, its inverse."""
+    data = memoryview(words).cast("B")
+    return tuple(int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size))
 
 
 def check(status: int) -> None:
@@ -270,12 +272,49 @@ def _uint32_words(x: int) -> list[int]:
     return [x >> s & 0xFFFFFFFF for s in range(0, max(x.bit_length(), 1), 32)]
 
 
+def _entropy(seed, stream=()) -> np.ndarray:
+    """The words SeedSequence(seed) assembles (the seed's, padded to 4, then
+    its spawn key's), then stream's: an int seed >= 0 or a SeedSequence of
+    one with pool_size 4, else DomainError, never another stream."""
+    spawn, pool = (), 4
+    # an int seed never touches np.random: numpy >= 2 loads it on first use, ~6 MB
+    if not isinstance(seed, int) and isinstance(seed, np.random.SeedSequence):
+        seed, spawn, pool = seed.entropy, seed.spawn_key, seed.pool_size
+    if not isinstance(seed, (int, np.integer)) or seed < 0 or pool != 4:
+        raise DomainError("seed must be an int >= 0, or a SeedSequence of one with pool_size 4, "
+                          "for the kernel to re-derive its stream")
+    ent = _uint32_words(int(seed))
+    ent += [0] * (4 - len(ent))             # as SeedSequence pads them before a spawn key
+    return np.array(ent + [w for x in (*spawn, *stream) for w in _uint32_words(int(x))],
+                    dtype=np.uint32)
+
+
+def _room(N: int, p: float) -> int:     # draw()'s first room, in edges: mean p N + 4 sd + 16
+    return int(p * N + 4 * (p * N) ** 0.5) + 16
+
+
+def draw(lib, seed, n: int, k: int, N: int, p: float, sampler: str, m: int = -1):
+    """One family's edge bitsets, drawn on SeedSequence(seed)'s own stream:
+    sampler at p, N = C(n, k) < 2**63, or m >= 0 independent edges, repeats
+    kept in draw order.  Drawn again into m edges when m outgrows the room."""
+    ent, ew = _entropy(seed), (n + 63) // 64
+    got = m if m >= 0 else _room(N, p)
+    while True:
+        out = np.empty(max(got, 1) * ew, dtype=np.uint64)
+        got = lib.ekr_draw(ent.ctypes.data, len(ent), n, k, N, p,
+                           hypergraph.SAMPLER_MODES.index(sampler), m, out.ctypes.data, len(out))
+        if got < 0:
+            raise MemoryError("native kernel draw")
+        if got * ew <= len(out):
+            return edge_bits(out[:got * ew], 8 * ew)
+
+
 def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: float, *,
            sampler: str, dense: bool, edge_cap: int, node_budget: int,
            keep_all: bool = False):
     """Trials [lo, hi) of montecarlo.run_one_trial, each on the k-sets of [n]
-    that hypergraph.sample(sampler, ...) draws under SeedSequence(seed >= 0,
-    spawn_key=(*stream, t)), N = C(n, k) < 2**63.
+    that tests/oracles.sample(sampler, ...) draws under SeedSequence(seed
+    >= 0, spawn_key=(*stream, t)), N = C(n, k) < 2**63.
 
     Per trial a row, the list [m, Delta, omega, size, status] straight from
     the kernel, status DONE or OUT_OF_BUDGET (check()).  m counts distinct
@@ -286,18 +325,14 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
     edges].  Python reads only those rows one by one; the others are left
     as tolist() gives them.
     """
-    ent = _uint32_words(seed)
-    ent += [0] * (4 - len(ent))             # as SeedSequence pads them when spawned
-    ent = np.array(ent + [w for x in stream for w in _uint32_words(x)], dtype=np.uint32)
-    columns, mode = hypergraph._unrank_tables(n, k)[0], hypergraph.SAMPLER_MODES.index(sampler)
+    ent, mode = _entropy(seed, stream), hypergraph.SAMPLER_MODES.index(sampler)
     rows = np.empty((hi - lo, 5), dtype=np.int64)
     out = np.empty(1 << 16, dtype=np.uint64)
     done = []
     while lo < hi:
-        count = lib.ekr_trials(ent.ctypes.data, len(ent), lo, hi, n, k, columns.ctypes.data, N, p,
-                               mode, dense, min(edge_cap, 2**62),
-                               min(node_budget, 2**62), keep_all, rows.ctypes.data,
-                               out.ctypes.data, len(out))
+        count = lib.ekr_trials(ent.ctypes.data, len(ent), lo, hi, n, k, N, p, mode, dense,
+                               min(edge_cap, 2**62), min(node_budget, 2**62), keep_all,
+                               rows.ctypes.data, out.ctypes.data, len(out))
         if count < 0:
             raise MemoryError("native kernel trials")
         batch = rows[:count].tolist()

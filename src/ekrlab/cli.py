@@ -9,11 +9,11 @@ sample takes no --psi, --eps-thr or --c-regime, and rejects the flags its
 sampler ignores (--m without --sampler independent, --phi and --p with it);
 calc without --phi / --p rejects --t-max, --psi and --c-regime.
 sample and sweep exit 3 before drawing past 10**7 k-sets (bernoulli's
-C(n, k), other modes' p C(n, k) expected, or sample's --m) or, where colex
-ranks are drawn, at C(n, k) >= 2**63.  verify, witness --generic-size and
-sweep search on the compiled kernel, and exit 3 with one line naming the
-cause where it cannot be built; calc and sample need no kernel.  All files
-UTF-8.
+C(n, k), other modes' p C(n, k) expected, or sample's --m), past 5 * 10**7
+vertices (sample's --m times --k) or, where colex ranks are drawn, at
+C(n, k) >= 2**63.  sample draws, and verify, witness --generic-size and
+sweep search, on the compiled kernel, and exit 3 with one line naming the
+cause where it cannot be built; calc needs no kernel.  All files UTF-8.
 """
 
 from __future__ import annotations
@@ -215,13 +215,12 @@ def _cmd_sample(args) -> int:
             raise DomainError("--sampler independent needs --m")
         if args.n is None or args.k is None:
             raise DomainError("--n and --k are required")
-        hypergraph.check_nk(args.n, args.k)
-        if args.m > hypergraph.DRAW_CAP:
-            raise ResourceLimitError(f"--m {args.m} exceeds {hypergraph.DRAW_CAP} edges")
         H = hypergraph.sample_independent(args.n, args.k, args.m, seed)
     else:
         params = _params_from(args)
-        H = hypergraph.sample(args.sampler, params.n, params.k, float(params.p), seed)
+        n, k, p = params.n, params.k, float(params.p)
+        H = (hypergraph.sample_bernoulli(n, k, p, seed) if args.sampler == "bernoulli"
+             else hypergraph.sample_conditioned(n, k, p, seed)[0])
     _emit(dump_hypergraph(H), args.output)
     return EXIT_OK
 

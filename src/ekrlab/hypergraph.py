@@ -8,21 +8,15 @@ one bounded cache keyed by the bitset, through which from_edges and
 parse_hypergraph also make equal edges share one int object.
 
 Sampling determinism contract: every sampler is a pure function of
-(parameters, seed).  Seeds feed a counter-based Philox generator through
-numpy's SeedSequence, and each trial of the Monte Carlo engine gets its own
-substream derived from (master seed, trial index), so parallel execution
-reproduces serial output bit for bit.  The Bernoulli and conditioned
-samplers unrank all drawn colex ranks in one vectorised pass, which returns
-the same edges, in the same order, as unranking them one by one.
-sample(mode, ...) draws a trial's family in each of SAMPLER_MODES, after
-_check_draws(mode, ...), the one guard run before any draw: C(n, k) < 2**63
-(ranks are int64) and at most DRAW_CAP = 10**7 draws, the C(n, k) uniforms
-bernoulli enumerates or the p C(n, k) edges expected of conditioned (the
-same law in O(m + n k)) and independent (an i.i.d. coupling).  They serve
-`ekrlab sample`, and sample is the reference for the kernel's Monte Carlo
-trials (_native.trials) in every mode, which re-derive its streams in C:
-numpy's SeedSequence key, Philox4x64-10 with numpy's buffering, and numpy's
-own binomial and bounded-integer samplers, linked from its libnpyrandom.a.
+(parameters, seed), an int >= 0 or a SeedSequence of one, and each Monte
+Carlo trial gets its own substream derived from (master seed, trial index),
+so parallel execution reproduces serial output bit for bit.  The compiled
+kernel (_native) is the samplers' one implementation: it re-derives numpy's
+Philox streams, edge for edge those of the numpy samplers kept in
+tests/oracles.py as its reference; a seed it cannot re-derive is a
+DomainError.  _check_draws(mode, ...) guards every draw at p: C(n, k) <
+2**63 (ranks are int64) and at most DRAW_CAP = 10**7 draws, the C(n, k)
+uniforms bernoulli enumerates or the p C(n, k) edges expected otherwise.
 """
 
 from __future__ import annotations
@@ -30,18 +24,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-
-import numpy as np
 
 from . import exact
 from .errors import DomainError, ParseError, ResourceLimitError
 
 MAX_N = 256                 # bitset width ceiling
 DRAW_CAP = 10**7            # the most k-sets a sampler enumerates or expects to draw
+VERTEX_DRAW_CAP = 5 * 10**7  # the most vertices sample_independent draws, m k
 SAMPLER_MODES = ("bernoulli", "conditioned", "independent")
 MEMBERS_CACHE = 8192        # distinct k-sets whose bits and members are kept
-_FY_CHUNK = 1 << 16         # Fisher-Yates steps sample_independent draws per call
 
 
 @functools.lru_cache(maxsize=MEMBERS_CACHE)
@@ -214,58 +205,6 @@ def check_event_r(H: Hypergraph, params, stats: DegreeStats | None = None,
 # Samplers
 # ---------------------------------------------------------------------------
 
-def generator(seed) -> np.random.Generator:
-    """Philox generator from an int seed, SeedSequence, or pass-through."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(seed))
-
-
-@functools.lru_cache(maxsize=16)
-def _unrank_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(columns, vertex_bit) for _colex_unrank_bits at (n, k), read-only:
-    the k x n int64 array columns has row k - i holding C(v, i) for v < n,
-    clipped at N = C(n, k), and vertex_bit[v] = 1 << v.  Each entry is
-    O(n k) words."""
-    N = math.comb(n, k)
-    vertex_bit = np.array([1 << v for v in range(n)], dtype=object)
-    col = [1] * n                        # C(v, 0)
-    columns = []
-    for _ in range(k):
-        # hockey stick: C(v, i) = sum_{u < v} C(u, i - 1); clipping each
-        # partial sum at N leaves min(C(v, i), N) exact
-        col = list(accumulate(col[:-1], lambda a, b: min(a + b, N), initial=0))
-        columns.append(col)
-    columns = np.array(columns[::-1], dtype=np.int64)
-    for table in (columns, vertex_bit):
-        table.flags.writeable = False
-    return columns, vertex_bit
-
-
-def _colex_unrank_bits(ranks, n: int, k: int) -> list[int]:
-    """Edge bitsets of the k-subsets of [n] at the given colex ranks (< C(n, k)).
-
-    Vectorised colex unranking: for i = k..1 the i-th largest member is
-    the largest v with C(v, i) <= r, found by a searchsorted over the column
-    C(v, i), v < n.  Column entries are clipped at C(n, k), which keeps them
-    in int64 and changes no answer, since every remaining r is below it.
-    Memory is O(m + n k); no table of all C(n, k) sets is built, and the
-    columns are built once per (n, k) (_unrank_tables).
-    """
-    r = np.asarray(ranks, dtype=np.int64)
-    if not r.size:
-        return []
-    columns, vertex_bit = _unrank_tables(n, k)
-    out = np.zeros(r.shape, dtype=object)    # Python-int zeros
-    for column in columns:
-        v = np.searchsorted(column, r, side="right") - 1
-        r = r - column[v]
-        out |= vertex_bit[v]
-    return out.tolist()
-
-
 def _check_draws(mode: str, n: int, k: int, p: float) -> int:
     """N = C(n, k), after the checks every sampler mode (and montecarlo's
     native trials) makes before drawing: (n, k), p in [0, 1], N < 2**63, and
@@ -288,78 +227,38 @@ def _check_draws(mode: str, n: int, k: int, p: float) -> int:
     return N
 
 
+def _draw(mode: str, n: int, k: int, N: int, p: float, seed, m: int = -1) -> tuple[int, ...]:
+    from . import _native       # it imports numpy, which this module does not
+    return _native.draw(_native.kernel(), seed, n, k, N, p, mode, m)
+
+
 def sample_bernoulli(n: int, k: int, p: float, seed) -> Hypergraph:
     """Each k-set independently present with probability p; colex edge order."""
     N = _check_draws("bernoulli", n, k, p)
-    if p in (0, 1):
-        ranks = np.arange(N if p else 0)
-    else:
-        ranks = np.flatnonzero(generator(seed).random(N) < p)
-    return Hypergraph._unchecked(n, k, tuple(_colex_unrank_bits(ranks, n, k)))
+    return Hypergraph._unchecked(n, k, _draw("bernoulli", n, k, N, p, seed))
 
 
 def sample_independent(n: int, k: int, m: int, seed) -> Hypergraph:
     """m edges i.i.d. uniform from C([n],k); duplicates possible; draw order.
-
-    An edge is the first k entries of one pool of [n] after a partial
-    Fisher-Yates, step j swapping in entry j + rng.integers(0, n - j); a
-    chunk of edges' steps is one call, with the values and generator state
-    of scalar draws."""
+    At most DRAW_CAP edges and VERTEX_DRAW_CAP vertices (m k) are drawn."""
     check_nk(n, k)
     if m < 0:
         raise DomainError("m must be nonnegative")
-    rng = generator(seed)
-    pool, bits, per = list(range(n)), [], max(1, _FY_CHUNK // k)
-    for lo in range(0, m, per):
-        count = min(per, m - lo)
-        steps = iter(rng.integers(0, np.tile(np.arange(n, n - k, -1), count)).tolist())
-        for _ in range(count):
-            b = 0
-            for j in range(k):
-                t = j + next(steps)
-                pool[j], pool[t] = pool[t], pool[j]
-                b |= 1 << pool[j]
-            bits.append(b)
-    return Hypergraph._unchecked(n, k, tuple(bits))
-
-
-def _distinct_ranks(rng: np.random.Generator, N: int, m: int) -> list[int]:
-    """Floyd's uniform m-subset of {0..N-1}, ascending, from rng: t_j uniform
-    on [0, j] for j = N-m .. N-1, all m in one call (the same values and
-    generator state as m scalar draws); keep t_j, or j when t_j is taken."""
-    chosen = set()
-    for j, t in zip(range(N - m, N), rng.integers(0, np.arange(N - m + 1, N + 1)).tolist()):
-        chosen.add(t if t not in chosen else j)
-    return sorted(chosen)
+    if m > DRAW_CAP or m * k > VERTEX_DRAW_CAP:
+        raise ResourceLimitError(f"m = {m} edges of {k} vertices exceed {DRAW_CAP} edges or "
+                                 f"{VERTEX_DRAW_CAP} vertex draws")
+    return Hypergraph._unchecked(n, k, _draw("independent", n, k, 0, 0.0, seed, m))
 
 
 def sample_conditioned(n: int, k: int, p: float, seed,
                        psi: float | None = None) -> tuple[Hypergraph, bool]:
-    """m ~ Bin(C(n,k), p), then m distinct uniform edges (colex order).
-
-    Same law as sample_bernoulli, drawn in O(m + n k) at any C(n, k) < 2**63;
-    also reports whether m landed inside the window
-    (mbar - psi sqrt(mbar), mbar + psi sqrt(mbar)).
+    """m ~ Bin(C(n,k), p), then m distinct uniform edges (colex order): the
+    law of sample_bernoulli in O(m + n k) at any C(n, k) < 2**63, and whether
+    m landed inside the window (mbar - psi sqrt(mbar), mbar + psi sqrt(mbar)).
     """
     N = _check_draws("conditioned", n, k, p)
-    rng = generator(seed)
-    ranks = _distinct_ranks(rng, N, int(rng.binomial(N, p)))
-    H = Hypergraph._unchecked(n, k, tuple(_colex_unrank_bits(ranks, n, k)))
-    psi = math.log(n) if psi is None else psi
-    return H, m_window(H.m, p * N, psi)
-
-
-def sample(mode: str, n: int, k: int, p: float, seed) -> Hypergraph:
-    """One Monte Carlo trial's family under a sampler mode (SAMPLER_MODES);
-    independent is the coupling m ~ Bin(C(n,k), p), then m i.i.d. edges,
-    deduplicated for the EKR verdict (repeats are o(1) here anyway)."""
-    if mode == "bernoulli":
-        return sample_bernoulli(n, k, p, seed)
-    if mode == "conditioned":
-        return sample_conditioned(n, k, p, seed)[0]
-    N = _check_draws(mode, n, k, p)
-    rng = generator(seed)
-    return sample_independent(n, k, int(rng.binomial(N, p)), rng).dedupped()
+    H = Hypergraph._unchecked(n, k, _draw("conditioned", n, k, N, p, seed))
+    return H, m_window(H.m, p * N, math.log(n) if psi is None else psi)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ evaluated or anything is drawn.
 Every trial is decided on the compiled kernel (see _native); where it
 cannot be built, a run of at least one trial raises ResourceLimitError.  A
 grid point's trials, under any sampler mode, are one kernel call: the
-kernel seeds and draws each trial's sample as hypergraph.sample would,
+kernel seeds and draws each trial's sample (as tests/oracles.sample does),
 dedups it and decides it.  In a sweep, a trial that holds costs no Python
 beyond its kernel row; for a sweep and for records alike, a Hypergraph is
 built from a trial's vertex words only to classify a failing clique.

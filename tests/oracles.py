@@ -1,25 +1,29 @@
 """Reference implementations that only the tests call: brute-force
 enumerations the library's searches and closed forms are checked against,
 each a literal reading of its definition, small and slow on purpose; the
-Python twin of the compiled search kernel, which the kernel is checked
-against node for node; and the per-trial CSV that pins every field of a
-trial record.
+numpy samplers, whose streams the compiled kernel's draws are checked
+against byte for byte; the Python twin of the compiled search kernel, which
+the kernel is checked against node for node; and the per-trial CSV that
+pins every field of a trial record.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from types import SimpleNamespace
+
+import numpy as np
 
 from ekrlab import exact
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError, ResourceLimitError
 from ekrlab.exact import bits_of
-from ekrlab.hypergraph import Hypergraph, _vertex_stars
+from ekrlab.hypergraph import Hypergraph, _check_draws, _vertex_stars, check_nk, m_window
 from ekrlab.montecarlo import SCHEMA_VERSION, _fmt
 from ekrlab.verifier import EkrVerdict, _star_adjacency
 from ekrlab.witnesses import is_generic_clique
@@ -109,6 +113,126 @@ def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
     if r != 0:
         raise ValueError("rank exceeds C(max_element+1, k)")
     return tuple(reversed(out))
+
+
+# ---------------------------------------------------------------------------
+# samplers: numpy's streams, the reference for the kernel's draws
+# ---------------------------------------------------------------------------
+
+FY_CHUNK = 1 << 16          # Fisher-Yates steps sample_independent draws per call
+
+
+def generator(seed) -> np.random.Generator:
+    """Philox generator from an int seed, SeedSequence, or pass-through."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.Generator(np.random.Philox(seed))
+
+
+@functools.lru_cache(maxsize=16)
+def _unrank_columns(n: int, k: int) -> np.ndarray:
+    """The k x n int64 array whose row k - i holds C(v, i) for v < n,
+    clipped at N = C(n, k), read-only."""
+    N = math.comb(n, k)
+    col = [1] * n                        # C(v, 0)
+    columns = []
+    for _ in range(k):
+        # hockey stick: C(v, i) = sum_{u < v} C(u, i - 1); clipping each
+        # partial sum at N leaves min(C(v, i), N) exact
+        col = list(accumulate(col[:-1], lambda a, b: min(a + b, N), initial=0))
+        columns.append(col)
+    columns = np.array(columns[::-1], dtype=np.int64)
+    columns.flags.writeable = False
+    return columns
+
+
+def colex_unrank_bits(ranks, n: int, k: int) -> list[int]:
+    """Edge bitsets of the k-subsets of [n] at the given colex ranks (< C(n, k)),
+    vectorised: for i = k..1 the i-th largest member is the largest v with
+    C(v, i) <= r, a searchsorted over the column C(v, i), v < n."""
+    r = np.asarray(ranks, dtype=np.int64)
+    if not r.size:
+        return []
+    vertex_bit = np.array([1 << v for v in range(n)], dtype=object)
+    out = np.zeros(r.shape, dtype=object)    # Python-int zeros
+    for column in _unrank_columns(n, k):
+        v = np.searchsorted(column, r, side="right") - 1
+        r = r - column[v]
+        out |= vertex_bit[v]
+    return out.tolist()
+
+
+def sample_bernoulli(n: int, k: int, p: float, seed) -> Hypergraph:
+    """Each k-set independently present with probability p; colex edge order."""
+    N = _check_draws("bernoulli", n, k, p)
+    if p in (0, 1):
+        ranks = np.arange(N if p else 0)
+    else:
+        ranks = np.flatnonzero(generator(seed).random(N) < p)
+    return Hypergraph._unchecked(n, k, tuple(colex_unrank_bits(ranks, n, k)))
+
+
+def sample_independent(n: int, k: int, m: int, seed) -> Hypergraph:
+    """m edges i.i.d. uniform from C([n],k); duplicates possible; draw order.
+
+    An edge is the first k entries of one pool of [n] after a partial
+    Fisher-Yates, step j swapping in entry j + rng.integers(0, n - j); a
+    chunk of edges' steps is one call, with the values and generator state
+    of scalar draws."""
+    check_nk(n, k)
+    if m < 0:
+        raise DomainError("m must be nonnegative")
+    rng = generator(seed)
+    pool, bits, per = list(range(n)), [], max(1, FY_CHUNK // k)
+    for lo in range(0, m, per):
+        count = min(per, m - lo)
+        steps = iter(rng.integers(0, np.tile(np.arange(n, n - k, -1), count)).tolist())
+        for _ in range(count):
+            b = 0
+            for j in range(k):
+                t = j + next(steps)
+                pool[j], pool[t] = pool[t], pool[j]
+                b |= 1 << pool[j]
+            bits.append(b)
+    return Hypergraph._unchecked(n, k, tuple(bits))
+
+
+def distinct_ranks(rng: np.random.Generator, N: int, m: int) -> list[int]:
+    """Floyd's uniform m-subset of {0..N-1}, ascending, from rng: t_j uniform
+    on [0, j] for j = N-m .. N-1, all m in one call (the same values and
+    generator state as m scalar draws); keep t_j, or j when t_j is taken."""
+    chosen = set()
+    for j, t in zip(range(N - m, N), rng.integers(0, np.arange(N - m + 1, N + 1)).tolist()):
+        chosen.add(t if t not in chosen else j)
+    return sorted(chosen)
+
+
+def sample_conditioned(n: int, k: int, p: float, seed,
+                       psi: float | None = None) -> tuple[Hypergraph, bool]:
+    """m ~ Bin(C(n,k), p), then m distinct uniform edges (colex order), and
+    whether m landed inside the window (mbar - psi sqrt(mbar), mbar + psi sqrt(mbar))."""
+    N = _check_draws("conditioned", n, k, p)
+    rng = generator(seed)
+    ranks = distinct_ranks(rng, N, int(rng.binomial(N, p)))
+    H = Hypergraph._unchecked(n, k, tuple(colex_unrank_bits(ranks, n, k)))
+    psi = math.log(n) if psi is None else psi
+    return H, m_window(H.m, p * N, psi)
+
+
+def sample(mode: str, n: int, k: int, p: float, seed) -> Hypergraph:
+    """One Monte Carlo trial's family under a sampler mode (SAMPLER_MODES),
+    as the kernel's trials draw it; independent is the coupling
+    m ~ Bin(C(n,k), p), then m i.i.d. edges, deduplicated for the EKR
+    verdict (repeats are o(1) here anyway)."""
+    if mode == "bernoulli":
+        return sample_bernoulli(n, k, p, seed)
+    if mode == "conditioned":
+        return sample_conditioned(n, k, p, seed)[0]
+    N = _check_draws(mode, n, k, p)
+    rng = generator(seed)
+    return sample_independent(n, k, int(rng.binomial(N, p)), rng).dedupped()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -142,14 +143,74 @@ def test_sample_refuses_ranks_beyond_int64(sampler, n):
 
 @pytest.mark.parametrize("args", [
     ["sample", "--n", "10", "--k", "3", "--sampler", "independent", "--m", str(10**7 + 1)],
+    ["sample", "--n", "256", "--k", "256", "--sampler", "independent", "--m", str(10**7)],
     ["sweep", "--n", "100", "--k", "5", "--grid-start", "1e6", "--grid-stop", "1e6",
      "--grid-points", "1", "--trials", "2", "--sampler", "independent"],
-], ids=["sample --m", "sweep phi"])
+], ids=["sample --m", "sample --m --k", "sweep phi"])
 def test_independent_draws_are_capped(args):
-    # both drew without bound: more than 10**7 edges asked for, or expected
-    # (p C(100, 5) = 1.9e7 at phi = 10**6), exit 3 before any draw
+    # each drew without bound: more than 10**7 edges asked for, or expected
+    # (p C(100, 5) = 1.9e7 at phi = 10**6), or 2.56e9 vertices (~9 GB of
+    # output at k = 256), exit 3 before any draw
     code, out, err = run_cli(args)
     assert code == 3 and out == "" and "10000000" in err
+
+
+# sha256 of `ekrlab sample` stdout, taken when the numpy samplers (now
+# tests/oracles.py) drew it: all three samplers, n = 256, k = n, n across
+# the 64-bit word boundary, p = 0 and p = 1, and a large --m
+SAMPLE_SHA256 = [
+    ("bernoulli", "10 3 --p 0.2 --seed 1",
+     "876fb3fe8edccec5920f07228f4098d850f262f60f9bc425dfe9a8d66f2d8f14"),
+    ("bernoulli", "24 3 --phi 3 --seed 7",
+     "1d13fba82c12dd4e2d02307edcb5db2d90d8f291bda5c6fc963f7b5454c0f66e"),
+    ("bernoulli", "256 2 --phi 4 --seed 5",
+     "28362f657bf5d21192cb8e66e9a102196beda8b22dea98695edbdd82e75dd5fb"),
+    ("bernoulli", "64 3 --phi 6 --seed 0",
+     "4f14605cc76be4df6431379652aa502e5ee555b1de7ad664f36cfa0bc73f3496"),
+    ("bernoulli", "8 2 --p 0 --seed 3",
+     "469e7b8f3889b661a57937ffeb2854eb19f5fa62dc7de9312ccceb9617130788"),
+    ("bernoulli", "9 3 --p 1 --seed 3",
+     "bd5199bdc3f8993433da523ee1ec07e5abcd21ffba825d35897ed0bee99d1cef"),
+    ("conditioned", "14 5 --phi 60 --seed 1",
+     "6b35c0c450e7eec793483cf6e6eba0bb88ce39d47150680de766a198cb6449f6"),
+    ("conditioned", "65 3 --phi 10 --seed 5",
+     "bafd439766425b7d69e4dd95821364ea2d03a79c332d26ba7bfcfc58d10e7340"),
+    ("conditioned", "100 5 --phi 20 --seed 4",
+     "f9a260efde97733d374ed5eaff9eb06c6466bbb2cda247e0453d8da5753706e8"),
+    ("conditioned", "256 3 --phi 5 --seed 2",
+     "21f33407b218e9a043b943e335b85a12e1937de683f755ce630b6a8f518dcc3e"),
+    ("conditioned", "256 11 --phi 3 --seed 9",
+     "fa411e1395d91340c44ede055dec5d0542116a4688cd1dc9db28dc2a8b874cac"),
+    ("conditioned", "12 3 --p 0 --seed 3",
+     "bccc2d472ce24af9ef02a1276aea8c245da6ec8dfaea7c98cf3c907e5b5458fe"),
+    ("conditioned", "12 3 --p 1 --seed 3",
+     "7e4afc47ce640654a559815cf875b6ea9ee2067a12c3c4449910c017297090a8"),
+    ("independent", "10 3 --m 0 --seed 1",
+     "e2aafa2c10d24d2fad848c46a24fb9bebea3aa54da724cb5062cc25369caeb54"),
+    ("independent", "10 3 --m 40 --seed 1",
+     "744f002750d7d396ee305ea1ea4041bb01e6b4590a4079a684c474e0fab3e23e"),
+    ("independent", "64 8 --m 300 --seed 4",
+     "7c530f1620050e759f7b963d4bebb35920936c8e885738f2d53ae16ce3490a6b"),
+    ("independent", "100 5 --m 500 --seed 6",
+     "10ad7a468d798b2fb36a810f196833ee4f331c1da9499d0864771a4ccf873394"),
+    ("independent", "256 18 --m 200 --seed 3",
+     "53ed46de129e378aa269cfdb00d7d0f7b907757a1948f83a17e63eebddafa51c"),
+    ("independent", "7 7 --m 5 --seed 0",
+     "2cb511fe87b8090e30fd14784602e25654c58e8266c0cffdb2d976833352aae9"),
+    ("independent", "256 256 --m 30 --seed 8",
+     "675b125229f7c3fa7a499ed5ce4413c883f07200dbf87be2ff53ed7648417eb3"),
+    ("independent", "10 3 --m 1000000 --seed 2",
+     "9f4e149282c4c144e3a8db2ca02b354cc12b66d6ae4bca3f96ce684d3ba34290"),
+]
+
+
+@pytest.mark.parametrize("sampler, args, digest", SAMPLE_SHA256,
+                         ids=[f"{sampler} {args}" for sampler, args, _ in SAMPLE_SHA256])
+def test_sample_output_pinned(sampler, args, digest):
+    n, k, *rest = args.split()
+    code, out, err = run_cli(["sample", "--n", n, "--k", k, *rest, "--sampler", sampler])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_env_seed_fallback(tmp_path):

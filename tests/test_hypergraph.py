@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 from collections import Counter
 from itertools import combinations
@@ -11,6 +13,7 @@ from ekrlab import analytics as an
 from ekrlab import exact
 from ekrlab import hypergraph as hg
 from ekrlab.errors import DomainError, ParseError, ResourceLimitError
+import oracles
 from oracles import colex_rank, colex_unrank
 
 
@@ -76,11 +79,12 @@ def test_hypergraph_dedupped():
 
 @pytest.mark.parametrize("n, k", [(10, 11), (300, 3), (5, 0)])
 def test_samplers_check_n_k_before_drawing(n, k):
-    # the rule Hypergraph applies, before a single draw
+    # the rule Hypergraph applies, before a single draw, and before the seed
+    # is read: a Generator is no seed the samplers take
     for sample in (lambda rng: hg.sample_independent(n, k, 1, rng),
                    lambda rng: hg.sample_bernoulli(n, k, 0.5, rng),
                    lambda rng: hg.sample_conditioned(n, k, 0.5, rng)):
-        rng = hg.generator(0)
+        rng = oracles.generator(0)
         state = repr(rng.bit_generator.state)
         with pytest.raises(DomainError, match="0 < k <= n <= 256"):
             sample(rng)
@@ -216,16 +220,18 @@ def test_determinism_same_seed_bit_identical():
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (9, 1), (9, 8), (10, 4), (12, 6),
-                                 (24, 20), (70, 2)])
+                                 (24, 20), (70, 2), (256, 2), (256, 255)])
 def test_batch_unrank_matches_colex_unrank(n, k):
     # (24, 20): columns C(v, i) for i < k exceed C(24, 20) and get clipped;
-    # (70, 2): edge bitsets wider than 64 bits
+    # (70, 2) and (256, 2): edge bitsets wider than 64 bits.  The kernel
+    # unranks every rank at p = 1, on the column table it builds in C
     N = math.comb(n, k)
     expect = [exact.mask_from(colex_unrank(r, k)) for r in range(N)]
-    assert hg._colex_unrank_bits(np.arange(N), n, k) == expect
+    assert list(hg.sample_bernoulli(n, k, 1.0, 0).edge_bits) == expect
+    assert oracles.colex_unrank_bits(np.arange(N), n, k) == expect
     shuffled = np.random.Generator(np.random.Philox(n * 100 + k)).permutation(N)
-    assert hg._colex_unrank_bits(shuffled, n, k) == [expect[r] for r in shuffled]
-    assert hg._colex_unrank_bits([], n, k) == []
+    assert oracles.colex_unrank_bits(shuffled, n, k) == [expect[r] for r in shuffled]
+    assert oracles.colex_unrank_bits([], n, k) == []
 
 
 def test_independent_m0_empty():
@@ -270,7 +276,7 @@ def test_conditioned_matches_bernoulli_law():
     # small enough that the pure sampling-noise floor sits below the 0.02 bar
     n, k, p, T = 6, 2, 0.04, 100_000
     N = math.comb(n, k)
-    rng = hg.generator(10)
+    rng = oracles.generator(10)
     draws = rng.random((T, N)) < p
     weights = 1 << np.arange(N, dtype=np.uint64)
     cb = Counter((draws * weights).sum(axis=1).tolist())
@@ -296,8 +302,8 @@ def test_sampler_output_passes_the_public_constructor():
 
 
 def scalar_distinct_ranks(rng, N, m):
-    """Reference for _distinct_ranks: Floyd's algorithm, one scalar draw
-    per step."""
+    """Reference for oracles.distinct_ranks: Floyd's algorithm, one scalar
+    draw per step."""
     chosen = set()
     for j in range(N - m, N):
         t = int(rng.integers(0, j + 1))
@@ -311,14 +317,14 @@ def scalar_distinct_ranks(rng, N, m):
 def test_distinct_ranks_match_scalar_draws(N, m):
     # the same ranks, and the generator left in the same state
     for seed in range(30):
-        fast, slow = hg.generator(seed), hg.generator(seed)
-        assert hg._distinct_ranks(fast, N, m) == scalar_distinct_ranks(slow, N, m), seed
+        fast, slow = oracles.generator(seed), oracles.generator(seed)
+        assert oracles.distinct_ranks(fast, N, m) == scalar_distinct_ranks(slow, N, m), seed
         assert repr(fast.bit_generator.state) == repr(slow.bit_generator.state), seed
 
 
 def scalar_independent_bits(rng, n, k, m):
-    """Reference for sample_independent: partial Fisher-Yates over one pool
-    of [n], one scalar draw per step."""
+    """Reference for oracles.sample_independent: partial Fisher-Yates over
+    one pool of [n], one scalar draw per step."""
     pool, bits = list(range(n)), []
     for _ in range(m):
         b = 0
@@ -332,16 +338,18 @@ def scalar_independent_bits(rng, n, k, m):
 
 @pytest.mark.parametrize("n, k, m", [(9, 3, 0), (9, 3, 1), (12, 3, 200), (7, 7, 5),
                                      (256, 256, 3), (256, 5, 40), (30, 1, 500),
-                                     (20, 6, hg._FY_CHUNK // 6 + 1),     # two chunks
-                                     (256, 255, hg._FY_CHUNK // 255 + 3)])
+                                     (20, 6, oracles.FY_CHUNK // 6 + 1),     # two chunks
+                                     (256, 255, oracles.FY_CHUNK // 255 + 3)])
 def test_independent_matches_scalar_draws(n, k, m):
-    # the chunked draws give the same edges, in order, and leave the
-    # generator in the same state as one scalar draw per step
+    # the oracle's chunked draws give the same edges, in order, and leave
+    # the generator in the same state as one scalar draw per step; the
+    # kernel's draws are the same edges
     for seed in range(3):
-        fast, slow = hg.generator(seed), hg.generator(seed)
-        assert hg.sample_independent(n, k, m, fast).edge_bits == scalar_independent_bits(
-            slow, n, k, m), seed
+        fast, slow = oracles.generator(seed), oracles.generator(seed)
+        want = scalar_independent_bits(slow, n, k, m)
+        assert oracles.sample_independent(n, k, m, fast).edge_bits == want, seed
         assert repr(fast.bit_generator.state) == repr(slow.bit_generator.state), seed
+        assert hg.sample_independent(n, k, m, seed).edge_bits == want, seed
 
 
 def _rank_mask(H):
@@ -409,19 +417,44 @@ def test_independent_coupling_caps_the_expected_edge_count():
 
 
 def test_sample_dispatches_to_each_sampler():
-    # one trial's family per mode; independent is the deduplicated coupling
+    # the oracle's trial family per mode, the public samplers' draws;
+    # independent is the deduplicated coupling
     def seq():
         return np.random.SeedSequence(4, spawn_key=(2,))
 
-    assert hg.sample("bernoulli", 12, 3, 0.2, seq()) == hg.sample_bernoulli(12, 3, 0.2, seq())
-    assert hg.sample("conditioned", 12, 3, 0.2, seq()) == hg.sample_conditioned(
+    assert oracles.sample("bernoulli", 12, 3, 0.2, seq()) == hg.sample_bernoulli(
+        12, 3, 0.2, seq())
+    assert oracles.sample("conditioned", 12, 3, 0.2, seq()) == hg.sample_conditioned(
         12, 3, 0.2, seq())[0]
-    rng = hg.generator(seq())
+    rng = oracles.generator(seq())
     m = int(rng.binomial(math.comb(12, 3), 0.2))
-    assert hg.sample("independent", 12, 3, 0.2, seq()) == hg.sample_independent(
+    assert oracles.sample("independent", 12, 3, 0.2, seq()) == oracles.sample_independent(
         12, 3, m, rng).dedupped()
     with pytest.raises(DomainError, match="unknown sampler mode"):
-        hg.sample("poisson", 12, 3, 0.2, seq())
+        oracles.sample("poisson", 12, 3, 0.2, seq())
+
+
+def test_hypergraph_imports_no_numpy():
+    # the samplers draw in the kernel: no import of hypergraph's, at the top
+    # or in a function, names numpy
+    tree = ast.parse(inspect.getsource(hg))
+    modules = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not [m for m in modules if m and m.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("seed", [
+    oracles.generator(0), np.random.SeedSequence([1, 2]), np.random.SeedSequence(5, pool_size=8),
+    -1, 2.5, None], ids=["Generator", "two-int entropy", "pool_size 8", "-1", "float", "None"])
+def test_samplers_refuse_seeds_the_kernel_cannot_rederive(seed):
+    # the kernel keys Philox on one int >= 0 and a spawn key, pool_size 4:
+    # any other seed is refused before a draw, never drawn on another stream
+    for sample in (lambda: hg.sample_bernoulli(9, 3, 0.5, seed),
+                   lambda: hg.sample_conditioned(9, 3, 0.5, seed),
+                   lambda: hg.sample_independent(9, 3, 4, seed)):
+        with pytest.raises(DomainError, match="seed"):
+            sample()
 
 
 def test_conditioned_window_report():

@@ -17,6 +17,7 @@ from ekrlab import montecarlo as mc
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError, ResourceLimitError
+import oracles
 from oracles import TRIAL_CSV_FIELDS, brute_force_ekr, trial_records_to_csv
 
 
@@ -115,8 +116,8 @@ def test_trials_fhat_matches_brute_force_oracle_same_seeds():
     recs = mc.run_trials(params, trials, "bernoulli", seed=seed)
     oracle_holds = 0
     for r in recs:
-        H = hg.sample("bernoulli", 5, 2, float(params.p),
-                      np.random.SeedSequence(seed, spawn_key=(r.trial_index,)))
+        H = oracles.sample("bernoulli", 5, 2, float(params.p),
+                           np.random.SeedSequence(seed, spawn_key=(r.trial_index,)))
         oracle = brute_force_ekr(H)
         assert oracle.holds == r.ekr_holds
         oracle_holds += oracle.holds
@@ -160,8 +161,8 @@ def test_trial_over_edge_cap_skips_adjacency(monkeypatch):
     params = an.ModelParams.from_p(10, 3, 0.5)
     recs = mc.run_trials(params, 4, "bernoulli", seed=5, edge_cap=5)
     for r in recs:
-        H = hg.sample("bernoulli", 10, 3, float(params.p),
-                      np.random.SeedSequence(5, spawn_key=(r.trial_index,)))
+        H = oracles.sample("bernoulli", 10, 3, float(params.p),
+                           np.random.SeedSequence(5, spawn_key=(r.trial_index,)))
         assert r.error == f"|H| = {H.m} exceeds the edge cap 5" and r.omega == -1
         assert r.Delta == hg.degree_stats(H).Delta
 
@@ -175,13 +176,13 @@ def test_errored_independent_trials_read_delta(monkeypatch):
     for limits, error in (({"edge_cap": 3}, "exceeds the edge cap 3"),
                           ({"node_budget": 1}, "node budget exceeded")):
         for r in mc.run_trials(params, 12, "independent", seed=3, **limits):
-            H = hg.sample("independent", 12, 3, float(params.p),
-                          np.random.SeedSequence(3, spawn_key=(r.trial_index,)))
+            H = oracles.sample("independent", 12, 3, float(params.p),
+                               np.random.SeedSequence(3, spawn_key=(r.trial_index,)))
             assert r.Delta == hg.degree_stats(H).Delta
             assert error in r.error and r.omega == -1 and r.ekr_holds is None
     monkeypatch.setattr(_native, "_lib", _native.Kernel(
         lambda *a: kernel_calls.append("search") or native.ekr_search(*a),
-        lambda *a: kernel_calls.append("trials") or native.ekr_trials(*a)))
+        lambda *a: kernel_calls.append("trials") or native.ekr_trials(*a), native.ekr_draw))
     monkeypatch.setattr(vf, "_vertex_stars", lambda *a: pytest.fail("Python star masks built"))
     for limits in ({}, {"edge_cap": 3}, {"node_budget": 1}):
         ctx = mc.make_trial_context(params, "independent", 3, **limits)
@@ -555,6 +556,21 @@ def test_sweep_csv_invariant_on_a_real_pool_at_odd_shapes(monkeypatch):
             for workers in (1, 2, 3)}
         assert csvs[1] == csvs[2] == csvs[3], sampler
         assert built == [1, 1], sampler
+
+
+def test_int_seeds_load_no_numpy_random():
+    # numpy >= 2 loads numpy.random (~6 MB RSS) on first use: a sweep keys
+    # its trials, and `sample --seed` its draw, on int seeds, so neither
+    # touches it (numpy 1.x loads it with numpy, which leaves nothing to see)
+    code = ("import io, sys, contextlib, numpy; lazy = 'numpy.random' not in sys.modules; "
+            "from ekrlab import cli, montecarlo; "
+            "montecarlo.estimate_ekr_curve(12, 3, [1.0, 2.0], trials=3, seed=1); "
+            "out = io.StringIO(); "
+            "contextlib.redirect_stdout(out).__enter__(); "
+            "code = cli.main(['sample', '--n', '9', '--k', '3', '--p', '0.5', '--seed', '2']); "
+            "sys.exit(code or (lazy and 'numpy.random' in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_imports_no_process_pool():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+import oracles
 from oracles import KERNELS, delta
 from test_cli import run_cli
 from test_hypergraph import scalar_distinct_ranks
@@ -143,15 +144,14 @@ NO_KERNEL = {
 
 @pytest.mark.parametrize("breakage", list(NO_KERNEL))
 def test_commands_without_a_kernel(reload, monkeypatch, tmp_path, breakage):
-    # the commands that search exit 3 with one line naming the cause; calc
-    # and sample, which search nothing, print what they print with the
+    # the commands that draw or search exit 3 with one line naming the
+    # cause; calc, which does neither, prints what it prints with the
     # kernel; no library or temporary is left in the cache
     cache, native = reload
     path = tmp_path / "h.txt"
-    path.write_text(hg.dump_hypergraph(frontier_sample()))
-    pure = [["calc", "--n", "24", "--k", "3", "--phi", "3"],
-            ["sample", "--n", "12", "--k", "3", "--phi", "2", "--seed", "4"]]
+    pure = [["calc", "--n", "24", "--k", "3", "--phi", "3"]]
     monkeypatch.setattr(_native, "_lib", native)
+    path.write_text(hg.dump_hypergraph(frontier_sample()))
     want = [run_cli(args) for args in pure]
     monkeypatch.setattr(_native, "_lib", None)
     if breakage == "no compiler":
@@ -169,14 +169,15 @@ def test_commands_without_a_kernel(reload, monkeypatch, tmp_path, breakage):
     else:
         (cache.parent / "libnpyrandom.a").write_text("not an archive\n")
         monkeypatch.setattr(_native, "_NPYRANDOM", str(cache.parent / "libnpyrandom.a"))
-    for args in (["verify", str(path)], ["witness", str(path), "--generic-size", "4"],
+    for args in (["sample", "--n", "12", "--k", "3", "--phi", "2", "--seed", "4"],
+                 ["verify", str(path)], ["witness", str(path), "--generic-size", "4"],
                  ["sweep", "--n", "12", "--k", "3", "--grid-start", "1", "--grid-stop", "2",
                   "--grid-points", "2", "--trials", "3"]):
         code, out, err = run_cli(args)
         assert (code, out) == (3, ""), (args, err)
-        assert err.startswith("ekrlab: resource limit: no search kernel: ") and err.count("\n") == 1
+        assert err.startswith("ekrlab: resource limit: no kernel: ") and err.count("\n") == 1
         assert NO_KERNEL[breakage] in err, err
-    assert [run_cli(args) for args in pure] == want and want[0][0] == want[1][0] == 0
+    assert [run_cli(args) for args in pure] == want and want[0][0] == 0
     assert _native._lib is None
     if cache.is_dir():
         assert os.listdir(cache) == []      # no library, no temporary
@@ -269,7 +270,7 @@ def test_instances_read_their_statistics_on_first_use(monkeypatch):
              _native.GENERIC: "generic", _native.DECIDE: "decide"}
     monkeypatch.setattr(_native, "_lib", _native.Kernel(
         lambda mode, *a: calls.append(names[mode]) or native.ekr_search(mode, *a),
-        native.ekr_trials))
+        native.ekr_trials, native.ekr_draw))
     counts = []
     for run in (lambda: wt.find_generic_clique(H, 7, 2), lambda: wt.find_hilton_milner(H, 3),
                 lambda: vf.verify_ekr(H), lambda: vf.max_intersecting_family(H)):
@@ -298,19 +299,22 @@ def test_instances_read_their_statistics_on_first_use(monkeypatch):
 def test_native_floyd_dedup_matches_distinct_ranks(n, k, mean, seed):
     # a conditioned trial on the kernel's own draws: m ~ Bin(N, p), then
     # Floyd's dedup, the bucket sort (bucket floor(r m / N)) and the colex
-    # unrank, against one scalar draw per step
+    # unrank, against one scalar draw per step; and the public sampler's
+    # draw, on the same stream
     k = min(k, n)
     N = math.comb(n, k)
     p = min(mean / N, 1.0)
 
     def drawn():        # trial 0's generator after its binomial draw, and m
-        rng = hg.generator(np.random.SeedSequence(seed, spawn_key=(0,)))
+        rng = oracles.generator(np.random.SeedSequence(seed, spawn_key=(0,)))
         return rng, int(rng.binomial(N, p))
     rng, m = drawn()
     want = scalar_distinct_ranks(rng, N, m)
-    assert hg._distinct_ranks(drawn()[0], N, m) == want
-    assert kernel_trials("conditioned", n, k, p, seed, (), 0, 1) == [
-        (m, tuple(hg._colex_unrank_bits(want, n, k)))]
+    assert oracles.distinct_ranks(drawn()[0], N, m) == want
+    edges = tuple(oracles.colex_unrank_bits(want, n, k))
+    assert kernel_trials("conditioned", n, k, p, seed, (), 0, 1) == [(m, edges)]
+    assert hg.sample_conditioned(n, k, p, np.random.SeedSequence(seed, spawn_key=(0,)))[
+        0].edge_bits == edges
 
 
 @given(n=st.integers(1, 256), small=st.integers(1, 10), near_n=st.booleans(),
@@ -327,13 +331,16 @@ def test_native_floyd_dedup_matches_distinct_ranks(n, k, mean, seed):
 def test_native_independent_draws_match_the_sampler(n, small, near_n, mean, seed, t):
     # an independent trial on the kernel's own draws: m ~ Bin(N, p), then m
     # partial Fisher-Yates edges over one pool, keeping the first copy of
-    # each (by colex rank), against hypergraph.sample; t >= 2**32 takes the
-    # extra word of seed_key.  k is small or near n, so N < 2**63
+    # each (by colex rank), against the oracle's sample; t >= 2**32 takes
+    # the extra word of seed_key.  k is small or near n, so N < 2**63.  The
+    # public sampler's mean draws on the same stream keep their repeats
     k = max(1, min(n - small + 1 if near_n else small, n))
     N = math.comb(n, k)
     p = min(mean / N, 1.0)
-    H = hg.sample("independent", n, k, p, np.random.SeedSequence(seed, spawn_key=(t,)))
+    seq = np.random.SeedSequence(seed, spawn_key=(t,))
+    H = oracles.sample("independent", n, k, p, seq)
     assert kernel_trials("independent", n, k, p, seed, (), t, t + 1) == [(H.m, H.edge_bits)]
+    assert hg.sample_independent(n, k, mean, seq) == oracles.sample_independent(n, k, mean, seq)
 
 
 def with_examples(*examples):
@@ -361,23 +368,53 @@ STREAM_EXAMPLES = [
 @with_examples(*STREAM_EXAMPLES)
 @pytest.mark.parametrize("sampler", ["bernoulli", "conditioned", "independent"])
 def test_native_trials_draw_numpys_streams(sampler, n, k, p, seed, stream, lo, count):
-    # the kernel seeds each trial itself: its m and edges are the Python
-    # sampler's under SeedSequence(seed, spawn_key=(*stream, t))
+    # the kernel seeds each trial itself: its m and edges are the oracle
+    # sampler's under SeedSequence(seed, spawn_key=(*stream, t)), and so are
+    # the public sampler's, given that SeedSequence (independent: 3 n edges)
     k = min(k, n)
     want = []
     for t in range(lo, lo + count):
-        H = hg.sample(sampler, n, k, p, np.random.SeedSequence(seed, spawn_key=(*stream, t)))
+        seq = np.random.SeedSequence(seed, spawn_key=(*stream, t))
+        H = oracles.sample(sampler, n, k, p, seq)
         want.append((H.m, H.edge_bits))
+        if sampler == "bernoulli":
+            assert hg.sample_bernoulli(n, k, p, seq) == H
+        elif sampler == "conditioned":
+            assert hg.sample_conditioned(n, k, p, seq)[0] == H
+        else:
+            assert hg.sample_independent(n, k, 3 * n, seq) == oracles.sample_independent(
+                n, k, 3 * n, seq)
     assert kernel_trials(sampler, n, k, p, seed, stream, lo, lo + count) == want
 
 
 def test_native_trials_grow_their_output():
     # m ~ 38,760 edges: each trial's words outgrow the output buffer, and
     # the batch goes on from the trial that did not fit
-    want = [hg.sample_bernoulli(20, 7, 0.5, np.random.SeedSequence(3, spawn_key=(t,)))
+    want = [oracles.sample_bernoulli(20, 7, 0.5, np.random.SeedSequence(3, spawn_key=(t,)))
             for t in range(3)]
     assert kernel_trials("bernoulli", 20, 7, 0.5, 3, (), 0, 3) == [(H.m, H.edge_bits)
                                                                    for H in want]
+
+
+@pytest.mark.parametrize("sampler", ["bernoulli", "conditioned"])
+def test_native_draw_reports_m_when_its_output_is_short(sampler, monkeypatch):
+    # p = 1 at (9, 3): 84 edges, one word each.  Short of room, ekr_draw
+    # writes nothing and returns m, so draw() grows its buffer and draws
+    # again, to the oracle's edges
+    lib, ent = _native.kernel(), _native._entropy(5)
+    out = np.zeros(83, dtype=np.uint64)
+    mode = hg.SAMPLER_MODES.index(sampler)
+    assert lib.ekr_draw(ent.ctypes.data, len(ent), 9, 3, 84, 1.0, mode, -1, out.ctypes.data,
+                        len(out)) == 84
+    assert not out.any()
+    # draw()'s first room is one edge here: the kernel refuses it, and
+    # draw() draws again into 84
+    rooms = []
+    monkeypatch.setattr(_native, "_room", lambda N, p: 1)
+    short = lib._replace(ekr_draw=lambda *a: rooms.append(a[-1]) or lib.ekr_draw(*a))
+    want = oracles.sample(sampler, 9, 3, 1.0, 5)
+    assert _native.draw(short, 5, 9, 3, 84, 1.0, sampler) == want.edge_bits and want.m == 84
+    assert rooms == [1, 84]
 
 
 def test_native_trials_are_reentrant():
@@ -436,8 +473,9 @@ def test_thread_pool_sweeps_run_at_once(monkeypatch):
 
 
 def graphs(params, sampler, trials):
-    return [hg.sample(sampler, params.n, params.k, float(params.p),
-                      np.random.SeedSequence(7, spawn_key=(t,))) for t in range(trials)]
+    return [oracles.sample(sampler, params.n, params.k, float(params.p),
+                           np.random.SeedSequence(7, spawn_key=(t,)))
+            for t in range(trials)]
 
 
 def reference_rows(ctx, lo, hi):
@@ -446,8 +484,8 @@ def reference_rows(ctx, lo, hi):
     the rows a native batch must give."""
     rows = []
     for t in range(lo, hi):
-        H = hg.sample(ctx.sampler_mode, ctx.params.n, ctx.params.k, float(ctx.params.p),
-                      np.random.SeedSequence(ctx.master_seed, spawn_key=(*ctx.stream, t)))
+        seq = np.random.SeedSequence(ctx.master_seed, spawn_key=(*ctx.stream, t))
+        H = oracles.sample(ctx.sampler_mode, ctx.params.n, ctx.params.k, float(ctx.params.p), seq)
         inst = vf._Instance(H)
         if H.m > ctx.edge_cap:
             rows.append([H.m, delta(inst), -1, -1, _native.DONE])

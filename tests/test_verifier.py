@@ -382,7 +382,7 @@ def test_nontrivial_witness_is_ascending_and_valid(key):
 
 def frontier_instance(n, k, phi, seed):
     """`ekrlab sample --n n --k k --phi phi --sampler conditioned --seed seed`."""
-    return hg.sample("conditioned", n, k, float(an.ModelParams.from_phi(n, k, phi).p), seed)
+    return hg.sample_conditioned(n, k, float(an.ModelParams.from_phi(n, k, phi).p), seed)[0]
 
 
 # the frontier (ROADMAP item 6): conditioned samples where omega = Delta
