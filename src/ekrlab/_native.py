@@ -321,9 +321,10 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
     edges; omega is -1 when m > edge_cap; size, the failing clique's, is -1
     when EKR holds or no search decided.  A failing trial's row (any
     trial's with keep_all) goes on with its clique, as ascending edge
-    indices, and its edge bitsets: [m, Delta, omega, size, status, clique,
-    edges].  Python reads only those rows one by one; the others are left
-    as tolist() gives them.
+    indices, and its family's vertex words as one bytes value (vertex_words'
+    layout; edge_bits decodes them): [m, Delta, omega, size, status,
+    clique, words].  Python reads only those rows one by one; the others
+    are left as tolist() gives them.
     """
     ent, mode = _entropy(seed, stream), hypergraph.SAMPLER_MODES.index(sampler)
     rows = np.empty((hi - lo, 5), dtype=np.int64)
@@ -340,7 +341,7 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
         for row in batch if keep_all else [row for row in batch if row[3] >= 0]:
             m, size = row[0], max(row[3], 0)
             row += (tuple(out[at + 4 * m:at + 4 * m + size].tolist()),
-                    edge_bits(out[at:at + 4 * m]))
+                    out[at:at + 4 * m].tobytes())
             at += 4 * m + size
         done += batch
         lo += count

@@ -315,16 +315,35 @@ def compute_alpha_beta(params: ModelParams, q: float | None = None) -> AlphaBeta
     Lambda(t) <= eps_thr.  The tails are exact when exact.exact_tails(M, p),
     floating point otherwise.
     """
+    alpha1, beta = _degree_quantile(params, upper=False), degree_beta(params)
+    alpha2 = _alpha2(params, q)
+    alpha = max(alpha1, alpha2)
+    return AlphaBeta(alpha1, alpha2, alpha, beta, alpha <= beta,
+                     exact.exact_tails(params.M, params.p))
+
+
+def _degree_quantile(params: ModelParams, upper: bool) -> int:
+    """alpha1 (level psi/n) or, upper, beta (level 1/(n psi)): one tail
+    quantile of d_v ~ Bin(M, p)."""
     M, p, n = params.M, params.p, params.n
-    exact_mode = exact.exact_tails(M, p)
-    psi = Fraction(params.psi) if exact_mode else params.psi  # the supplied float, exactly
-    alpha1, beta = (tail_quantile(M, p, level, float(params.phi))
-                    for level in (psi / n, 1 / (n * psi)))
+    psi = Fraction(params.psi) if exact.exact_tails(M, p) else params.psi  # the float, exactly
+    return tail_quantile(M, p, 1 / (n * psi) if upper else psi / n, float(params.phi))
+
+
+def _alpha2(params: ModelParams, q: float | None) -> int:
     if q is None:
         q = intersection_probability(params.n, params.k, exact_mode=False)
-    alpha2 = alpha2_from_lambda(float(params.mbar), q, params.eps_thr)
-    alpha = max(alpha1, alpha2)
-    return AlphaBeta(alpha1, alpha2, alpha, beta, alpha <= beta, exact_mode)
+    return alpha2_from_lambda(float(params.mbar), q, params.eps_thr)
+
+
+def degree_alpha(params: ModelParams, q: float | None = None) -> int:
+    """compute_alpha_beta(params, q).alpha, without beta's tail."""
+    return max(_degree_quantile(params, upper=False), _alpha2(params, q))
+
+
+def degree_beta(params: ModelParams) -> int:
+    """compute_alpha_beta(params).beta, without alpha's tail or Lambda scan."""
+    return _degree_quantile(params, upper=True)
 
 
 @dataclass(frozen=True)

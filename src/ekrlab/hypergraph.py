@@ -33,6 +33,7 @@ DRAW_CAP = 10**7            # the most k-sets a sampler enumerates or expects to
 VERTEX_DRAW_CAP = 5 * 10**7  # the most vertices sample_independent draws, m k
 SAMPLER_MODES = ("bernoulli", "conditioned", "independent")
 MEMBERS_CACHE = 8192        # distinct k-sets whose bits and members are kept
+DUMP_BLOCK = 1 << 16        # edges dump_hypergraph writes per block
 
 
 @functools.lru_cache(maxsize=MEMBERS_CACHE)
@@ -266,10 +267,16 @@ def sample_conditioned(n: int, k: int, p: float, seed,
 # ---------------------------------------------------------------------------
 
 def dump_hypergraph(H: Hypergraph) -> str:
-    lines = [f"{H.n} {H.k} {H.m}"]
-    for b in H.edge_bits:
-        lines.append(" ".join(str(v + 1) for v in edge_members(b)))
-    return "\n".join(lines) + "\n"
+    """The file text.  The edges go in blocks of DUMP_BLOCK: a block builds
+    the line of each distinct edge in it once, so sample_independent's
+    repeated draws cost a lookup each, and the text is built block by block,
+    never as one str per edge."""
+    parts = [f"{H.n} {H.k} {H.m}\n"]
+    for lo in range(0, H.m, DUMP_BLOCK):
+        block = H.edge_bits[lo:lo + DUMP_BLOCK]
+        line = {b: " ".join([str(v + 1) for v in exact.bits_of(b)]) for b in set(block)}
+        parts.append("\n".join(map(line.__getitem__, block)) + "\n")
+    return "".join(parts)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

@@ -24,16 +24,21 @@ fatal.  The node budget is deterministic on purpose; a wall-clock timeout
 would break reproducibility.  The sampler's guard
 (hypergraph._check_draws: C(n, k) < 2**63 and at most 10**7 k-sets
 enumerated or edges expected) is fatal instead: a run of at least one
-trial checks it at every grid point before any point's degree tails are
-evaluated or anything is drawn.
+trial checks it at every grid point before anything is drawn.
 
 Every trial is decided on the compiled kernel (see _native); where it
 cannot be built, a run of at least one trial raises ResourceLimitError.  A
 grid point's trials, under any sampler mode, are one kernel call: the
 kernel seeds and draws each trial's sample (as tests/oracles.sample does),
 dedups it and decides it.  In a sweep, a trial that holds costs no Python
-beyond its kernel row; for a sweep and for records alike, a Hypergraph is
-built from a trial's vertex words only to classify a failing clique.
+beyond its kernel row.  A failing trial's row carries its vertex words;
+only its clique's edges are decoded from them, and its witness kind is read
+off their bitsets, so for a sweep and for records alike a Hypergraph is
+built from a trial's vertex words only to classify a failing clique, and
+only when the event classifier must read its degrees.  A grid point's
+degree brackets are evaluated on first read (TrialContext): a sweep never
+evaluates beta, and alpha only at a point with a failing clique that needs
+its zeta cap or the event classifier.
 
 Asymptotic "almost surely" claims are reported as finite-n frequencies with
 Wilson intervals and nothing more.
@@ -123,15 +128,30 @@ def classify_witness_kind(H: Hypergraph, witness_indices, params: ModelParams,
             return "generic"
     except DomainError:
         return "other"
-    # Hilton-Milner shape: a single member B0 missing some vertex x that all
-    # other members share, every x-member meeting B0.
-    bits = [H.edge_bits[i] for i in idx]
-    for x in range(H.n):
-        outside = [b for b in bits if not (b >> x) & 1]
-        if len(outside) == 1:
-            b0 = outside[0]
-            if all(b & b0 for b in bits if b is not b0):
-                return "hm"
+    if _hilton_milner_shape([H.edge_bits[i] for i in idx], H.n):
+        return "hm"
+    return _event_kind(H, idx, params, regime)
+
+
+def _hilton_milner_shape(bits, n: int) -> bool:
+    """Whether some vertex x < n lies in every member of a clique but one,
+    B0, given the members' bitsets (they meet pairwise, so every x-member
+    meets B0): the ANDs of the members before and after each B0 find x."""
+    after = [(1 << n) - 1] * (len(bits) + 1)
+    for j in range(len(bits) - 1, -1, -1):
+        after[j] = after[j + 1] & bits[j]
+    before = after[-1]
+    for j, b0 in enumerate(bits):
+        if before & after[j + 1] & ~b0:
+            return True
+        before &= b0
+    return False
+
+
+def _event_kind(H: Optional[Hypergraph], idx, params: ModelParams,
+                regime: Optional[analytics.RegimeParams]) -> str:
+    """eventA/B/C by the event classifier on H, or other; H may be None
+    when regime is."""
     kind = None if regime is None else witnesses.classify_nontrivial_clique(
         H, idx, regime, params.eps)
     return "other" if kind is None else "event" + kind
@@ -146,17 +166,21 @@ WITNESS_KINDS = ("generic", "hm", "eventA", "eventB", "eventC", "other")
 
 @dataclass(frozen=True)
 class TrialContext:
-    """Shared inputs of one grid point's trials, computed once and carried
-    by each of its pool tasks (see _trial_batches)."""
+    """Shared inputs of one grid point's trials, made once and carried by
+    each of its pool tasks (see _trial_batches).
+
+    The degree brackets alpha and beta, and the regime, which reads alpha,
+    are computed on first read (functools.cached_property).  A sweep reads
+    alpha only to classify a failing clique that has a vertex of degree 3
+    (its zeta cap) or reaches the event classifier, and never reads beta.
+    Each is a pure function of the grid point, so pool threads that race on
+    a first read at worst compute it twice."""
 
     params: ModelParams
     sampler_mode: str
     master_seed: int
     q: float
     mbar: float
-    alpha: int
-    beta: int
-    regime: Optional[analytics.RegimeParams]
     edge_cap: int = verifier.DEFAULT_EDGE_CAP
     node_budget: int = verifier.DEFAULT_NODE_BUDGET
     stream: tuple[int, ...] = ()    # extra spawn-key prefix (e.g. grid index)
@@ -169,18 +193,28 @@ class TrialContext:
         if any(x < 0 for x in self.stream):
             raise DomainError(f"stream entries must be >= 0, got {self.stream}")
 
+    @functools.cached_property
+    def alpha(self) -> int:
+        return analytics.degree_alpha(self.params, q=self.q)
+
+    @functools.cached_property
+    def beta(self) -> int:
+        return analytics.degree_beta(self.params)
+
+    @functools.cached_property
+    def regime(self) -> Optional[analytics.RegimeParams]:
+        if not 0 < self.q < 1:
+            return None
+        return analytics.regime_params(self.params, alpha=self.alpha, q=self.q)
+
 
 def make_trial_context(params: ModelParams, sampler_mode: str, seed: int,
                        edge_cap: int = verifier.DEFAULT_EDGE_CAP,
                        node_budget: int = verifier.DEFAULT_NODE_BUDGET,
                        stream: tuple[int, ...] = ()) -> TrialContext:
     q = analytics.intersection_probability(params.n, params.k, exact_mode=False)
-    ab = analytics.compute_alpha_beta(params, q=q)
-    regime = None
-    if 0 < q < 1:
-        regime = analytics.regime_params(params, alpha=ab.alpha, q=q)
-    return TrialContext(params, sampler_mode, seed, q, float(params.mbar), ab.alpha,
-                        ab.beta, regime, edge_cap, node_budget, stream)
+    return TrialContext(params, sampler_mode, seed, q, float(params.mbar), edge_cap,
+                        node_budget, stream)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -196,9 +230,10 @@ def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list:
     where omega is -1 above the edge cap and size, the failing clique's, is
     -1 unless EKR fails (out of budget, omega = Delta, as the kernel leaves
     it), and a failing trial's row goes on with its clique and witness kind,
-    classified on a Hypergraph of its words.  A trial is decided when omega
-    >= 0 and its status is DONE.  A batch of trials loads the kernel first,
-    so a host without it raises ResourceLimitError here, never a row."""
+    classified from the row's words (_failing_kind).  A trial is decided
+    when omega >= 0 and its status is DONE.  A batch of trials loads the
+    kernel first, so a host without it raises ResourceLimitError here,
+    never a row."""
     if lo >= hi:
         return []
     lib = _native.kernel()
@@ -209,9 +244,31 @@ def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list:
                           edge_cap=ctx.edge_cap, node_budget=ctx.node_budget)
     for row in rows:
         if row[3] >= 0:
-            row[6] = classify_witness_kind(Hypergraph._unchecked(n, k, row[6]), row[5],
-                                           ctx.params, ctx.regime)
+            row[6] = _failing_kind(ctx, row[5], row[6])
     return rows
+
+
+def _failing_kind(ctx: TrialContext, clique, words: bytes) -> str:
+    """classify_witness_kind of a failing trial's clique from its row's
+    words, of which only the clique's edges are decoded.  The zeta cap, and
+    with it ctx.regime, is read only for a clique with a vertex of degree
+    3: it is gamma / eps or the clique's size, never below 0.  A Hypergraph
+    of all the words is built only for the event classifier, which reads
+    the degrees in H."""
+    size, n = _native._VERTEX_BYTES, ctx.params.n
+    bits = [int.from_bytes(words[size * i:size * (i + 1)], "little") for i in clique]
+    try:
+        d3, over = witnesses._degree_sets(clique, bits)
+    except DomainError:
+        return "other"
+    if not over and (not d3 or d3.bit_count() <= (
+            len(clique) if ctx.regime is None else ctx.regime.zeta_cap)):
+        return "generic"
+    if _hilton_milner_shape(bits, n):
+        return "hm"
+    H = None if ctx.regime is None else Hypergraph._unchecked(n, ctx.params.k,
+                                                              _native.edge_bits(words))
+    return _event_kind(H, clique, ctx.params, ctx.regime)
 
 
 def _records(ctx: TrialContext, rows, lo: int = 0) -> list[TrialRecord]:
@@ -287,7 +344,7 @@ def _trial_batches(contexts, trials: int, workers: int):
 
 def _check_draws(points, sampler_mode: str, trials: int) -> None:
     """hypergraph._check_draws at every point of a run of trials, before any
-    context evaluates its degree tails; no trials draw nothing, check nothing."""
+    is drawn; no trials draw nothing, check nothing."""
     if trials > 0:
         for params in points:
             hypergraph._check_draws(sampler_mode, params.n, params.k, float(params.p))

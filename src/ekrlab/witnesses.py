@@ -87,14 +87,27 @@ def _clique_degrees(H: Hypergraph, indices) -> dict[int, int]:
     return deg
 
 
-def _require_clique(H: Hypergraph, indices) -> None:
-    idx = list(indices)
-    bits = H.edge_bits
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if not bits[idx[a]] & bits[idx[b]]:
-                raise DomainError(
-                    f"not a clique: edges {idx[a]} and {idx[b]} are disjoint")
+def _require_clique(idx, bits) -> None:
+    """DomainError unless the edge bitsets bits (of edges idx) meet pairwise."""
+    for a in range(len(bits)):
+        for b in range(a + 1, len(bits)):
+            if not bits[a] & bits[b]:
+                raise DomainError(f"not a clique: edges {idx[a]} and {idx[b]} are disjoint")
+
+
+def _degree_sets(idx, bits) -> tuple[int, int]:
+    """(d3, over): the vertices of clique-degree exactly 3 and of clique-degree
+    4 or more, as bitsets, of the clique whose edges idx have the bitsets
+    bits; DomainError unless they meet pairwise.  The degrees are counted
+    bit-sliced, as the generic search's d1/d2/d3 state."""
+    _require_clique(idx, bits)
+    d1 = d2 = d3 = over = 0
+    for b in bits:
+        over |= d3 & b
+        d3 |= d2 & b
+        d2 |= d1 & b
+        d1 |= b
+    return d3 & ~over, over
 
 
 def is_generic_clique(H: Hypergraph, indices, zeta_cap: float) -> bool:
@@ -102,13 +115,9 @@ def is_generic_clique(H: Hypergraph, indices, zeta_cap: float) -> bool:
     exactly 3, degrees counted with multiplicity; input must be a clique."""
     if zeta_cap != zeta_cap:        # NaN: every count compares false with it
         raise DomainError("zeta cap must be a number, got nan")
-    _require_clique(H, indices)
-    deg = _clique_degrees(H, indices)
-    if not deg:
-        return True
-    if max(deg.values()) > 3:
-        return False
-    return sum(1 for c in deg.values() if c == 3) <= zeta_cap
+    idx = list(indices)
+    d3, over = _degree_sets(idx, [H.edge_bits[i] for i in idx])
+    return not idx or (not over and d3.bit_count() <= zeta_cap)
 
 
 def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
@@ -170,7 +179,7 @@ def classify_nontrivial_clique(H: Hypergraph, clique_indices, regime: RegimePara
          lambda (strict, as opposed to B's non-strict), max degree < tau.
     """
     idx = list(clique_indices)
-    _require_clique(H, idx)
+    _require_clique(idx, [H.edge_bits[i] for i in idx])
     trivial, _ = is_trivial_clique(H.edge_bits[i] for i in idx)
     if trivial:
         raise DomainError("taxonomy applies to nontrivial cliques only")

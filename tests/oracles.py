@@ -3,8 +3,9 @@ enumerations the library's searches and closed forms are checked against,
 each a literal reading of its definition, small and slow on purpose; the
 numpy samplers, whose streams the compiled kernel's draws are checked
 against byte for byte; the Python twin of the compiled search kernel, which
-the kernel is checked against node for node; and the per-trial CSV that
-pins every field of a trial record.
+the kernel is checked against node for node; the witness classifier on a
+clique's degree table, which the library's bit-sliced one is checked
+against; and the per-trial CSV that pins every field of a trial record.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from ekrlab.exact import bits_of
 from ekrlab.hypergraph import Hypergraph, _check_draws, _vertex_stars, check_nk, m_window
 from ekrlab.montecarlo import SCHEMA_VERSION, _fmt
 from ekrlab.verifier import EkrVerdict, _star_adjacency
-from ekrlab.witnesses import is_generic_clique
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +292,57 @@ def brute_force_hilton_milner(H: Hypergraph, d: int) -> bool:
             if count >= d:
                 return True
     return False
+
+
+def clique_degrees(H: Hypergraph, indices) -> dict[int, int]:
+    """Each vertex's degree in the clique, with multiplicity, where nonzero."""
+    deg: dict[int, int] = {}
+    for i in indices:
+        for v in bits_of(H.edge_bits[i]):
+            deg[v] = deg.get(v, 0) + 1
+    return deg
+
+
+def is_generic_clique(H: Hypergraph, indices, zeta_cap: float) -> bool:
+    """witnesses.is_generic_clique read off the clique's degree table: max
+    degree <= 3 and at most zeta_cap vertices of degree exactly 3;
+    DomainError on a NaN zeta_cap or a non-clique."""
+    if zeta_cap != zeta_cap:
+        raise DomainError("zeta cap must be a number, got nan")
+    idx = list(indices)
+    for a, b in combinations(idx, 2):
+        if not H.edge_bits[a] & H.edge_bits[b]:
+            raise DomainError(f"not a clique: edges {a} and {b} are disjoint")
+    deg = clique_degrees(H, idx)
+    if not deg:
+        return True
+    if max(deg.values()) > 3:
+        return False
+    return sum(1 for c in deg.values() if c == 3) <= zeta_cap
+
+
+def classify_witness_kind(H: Hypergraph, witness_indices, params, regime) -> str:
+    """montecarlo.classify_witness_kind read literally: generic (the degree
+    table's check, other on its DomainError), then the Hilton-Milner shape
+    by a pass over every vertex, then the event classifier."""
+    idx = list(witness_indices)
+    zeta = regime.zeta_cap if regime is not None else len(idx)
+    try:
+        if is_generic_clique(H, idx, zeta):
+            return "generic"
+    except DomainError:
+        return "other"
+    # a single member B0 missing some vertex x that all other members
+    # share, every x-member meeting B0
+    bits = [H.edge_bits[i] for i in idx]
+    for x in range(H.n):
+        outside = [b for b in bits if not (b >> x) & 1]
+        if len(outside) == 1:
+            b0 = outside[0]
+            if all(b & b0 for b in bits if b is not b0):
+                return "hm"
+    kind = None if regime is None else wt.classify_nontrivial_clique(H, idx, regime, params.eps)
+    return "other" if kind is None else "event" + kind
 
 
 def brute_force_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float):

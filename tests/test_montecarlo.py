@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ekrlab import _native
 from ekrlab import analytics as an
@@ -19,6 +21,7 @@ from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError, ResourceLimitError
 import oracles
 from oracles import TRIAL_CSV_FIELDS, brute_force_ekr, trial_records_to_csv
+from test_witnesses import _regime
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +408,11 @@ def test_trial_csv_golden_hash():
 
 def test_trial_builds_star_masks_once(monkeypatch):
     # one ekr_trials call per batch, a trial or a whole grid point's, which
-    # builds its own star words, and no Hypergraph, member tuple or star
-    # mask unless a failing clique must be classified (one Hypergraph per
-    # failing trial, from the kernel's words); degree_stats (hypergraph's
-    # own build) never runs
-    calls, members, built, kernel_calls = [], [], [], []
+    # builds its own star words, and no member tuple or star mask; a
+    # Hypergraph, from the kernel's words, only when the event classifier
+    # must read a failing trial's degrees; degree_stats (hypergraph's own
+    # build) never runs
+    calls, members, built, kernel_calls, events = [], [], [], [], []
     stars, edge_members = vf._vertex_stars, hg.edge_members
     monkeypatch.setattr(vf, "_vertex_stars",
                         lambda n, mem: calls.append(len(mem)) or stars(n, mem))
@@ -422,35 +425,39 @@ def test_trial_builds_star_masks_once(monkeypatch):
                         lambda self: built.append(1) or post_init(self))
     monkeypatch.setattr(hg.Hypergraph, "_unchecked",
                         lambda *a: built.append(1) or unchecked(*a))
+    classify = wt.classify_nontrivial_clique
+    monkeypatch.setattr(wt, "classify_nontrivial_clique",
+                        lambda *a: events.append(1) or classify(*a))
     ctx = mc.make_trial_context(an.ModelParams.from_phi(12, 3, 2.0), "conditioned", 1)
     monkeypatch.setattr(_native, "_lib", _native.Kernel(*[
         lambda *a, f=f: kernel_calls.append(1) or f(*a) for f in _native.kernel()]))
     kinds = set()
     for t in range(30):
-        calls.clear()
-        members.clear()
-        built.clear()
-        kernel_calls.clear()
+        for seen in (calls, members, built, kernel_calls, events):
+            seen.clear()
         cached = hg._shared.cache_info()
         rec = mc.run_one_trial(ctx, t)
         kinds.add(rec.witness_kind)
         assert calls == [] and members == [], (t, calls, len(members))
         assert hg._shared.cache_info() == cached, t
-        assert kernel_calls == [1] and built == ([] if rec.ekr_holds else [1]), t
-    assert None in kinds and len(kinds) > 1     # holding and failing trials
-    for seen in (kernel_calls, built, calls, members):
+        assert kernel_calls == [1] and built == events, t
+        assert events == ([] if rec.witness_kind in (None, "generic", "hm") else [1]), t
+    assert {None, "generic", "hm", "eventC"} <= kinds   # holding and failing trials
+    for seen in (kernel_calls, built, calls, members, events):
         seen.clear()
     (rows,) = mc._trial_batches([ctx], 30, 1)
     records = mc._records(ctx, rows)
     assert kernel_calls == [1] and calls == [] and members == []
-    assert len(built) == sum(1 for r in records if r.ekr_holds is False)
+    assert len(built) == len(events) == sum(1 for r in records
+                                            if r.witness_kind not in (None, "generic", "hm"))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_native_sweep_builds_no_trial_record(monkeypatch, workers):
     # a native sweep summarizes each grid point straight from its kernel
-    # rows: it builds no TrialRecord, and one Hypergraph per failing trial,
-    # from the kernel's words, only to classify its clique
+    # rows: it builds no TrialRecord, and a Hypergraph, from the kernel's
+    # words, only for a failing trial whose clique reaches the event
+    # classifier (tagged eventA/B/C or other)
     monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
     records, built = [], []
     monkeypatch.setattr(mc, "TrialRecord", lambda *a: records.append(a))
@@ -461,7 +468,9 @@ def test_native_sweep_builds_no_trial_record(monkeypatch, workers):
                         lambda *a: built.append(1) or unchecked(*a))
     table = mc.estimate_ekr_curve(12, 3, [0.5, 2.0, 4.0], trials=30, seed=1, workers=workers)
     failing = sum(r.trials - r.undecided - r.holds_count for r in table.rows)
-    assert records == [] and len(built) == failing > 0
+    events = sum(c for r in table.rows for kind, c in r.witness_counts.items()
+                 if kind not in ("generic", "hm"))
+    assert records == [] and len(built) == events > 0 and failing > events
     assert sum(r.holds_count for r in table.rows) > 0
 
 
@@ -610,6 +619,133 @@ def test_sweep_json_schema():
     assert payload["schema"] == 1
     assert len(payload["rows"]) == 1
     assert payload["rows"][0]["trials"] == 10
+
+
+# ---------------------------------------------------------------------------
+# Witness classification
+# ---------------------------------------------------------------------------
+
+def _sweep_kind(H, witness, params, regime):
+    """The sweep's classifier (montecarlo._failing_kind) on H's words, its
+    context's cached regime set to regime."""
+    ctx = mc.make_trial_context(params, "conditioned", 0)
+    ctx.__dict__["regime"] = regime
+    return mc._failing_kind(ctx, tuple(witness), bytes(_native.vertex_words(H.edge_bits)))
+
+
+FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+HM_CLIQUE = [(1, 2, 3), (0, 1, 4), (0, 2, 5), (0, 3, 6), (0, 1, 7), (0, 2, 8), (0, 3, 9)]
+BOWTIE = [(0, 2, 3), (0, 4, 5), (1, 2, 4), (1, 3, 5)]
+
+# (n, k, edges, regime, kind): the Fano plane is a nontrivial clique whose 7
+# vertices all have degree 3, so it is generic at zeta = 7 and reaches the
+# event classifier at zeta = 6; HM_CLIQUE and BOWTIE and the triangle are
+# test_witnesses' event A, B and C families
+CLASSIFY_CASES = [
+    pytest.param(12, 3, HM_CLIQUE[:5], _regime(), "hm", id="a degree-4 vertex"),
+    pytest.param(7, 3, FANO, _regime(zeta_cap=7), "generic", id="7 of degree 3, zeta 7"),
+    pytest.param(7, 3, FANO, _regime(zeta_cap=6), "eventB", id="7 of degree 3, zeta 6"),
+    pytest.param(7, 3, FANO, None, "generic", id="regime None, zeta = size"),
+    pytest.param(20, 3, HM_CLIQUE, None, "hm", id="regime None, Hilton-Milner"),
+    pytest.param(20, 3, HM_CLIQUE, _regime(alpha=5, phi_star=15.0, lam=20.0), "hm",
+                 id="event A family: Hilton-Milner"),
+    pytest.param(12, 3, BOWTIE, _regime(alpha=30, phi_star=90.0, lam=2.0), "generic",
+                 id="event B family"),
+    pytest.param(6, 2, [(0, 1), (0, 2), (1, 2)], _regime(alpha=3, phi_star=30.0, lam=3.0),
+                 "generic", id="event C family"),
+    pytest.param(7, 3, FANO, _regime(alpha=3, lam=20.0, zeta_cap=0), "eventA", id="eventA"),
+    pytest.param(7, 3, FANO, _regime(alpha=4, lam=20.0, zeta_cap=0), "eventC", id="eventC"),
+    pytest.param(7, 3, FANO, _regime(alpha=10, lam=20.0, zeta_cap=0), "other",
+                 id="no event: other"),
+    pytest.param(6, 2, [(0, 1), (2, 3)], _regime(), "other", id="not a clique"),
+]
+
+
+@pytest.mark.parametrize("n, k, edges, regime, kind", CLASSIFY_CASES)
+def test_classify_witness_kind_examples(n, k, edges, regime, kind):
+    H, params = hg.Hypergraph.from_edges(n, k, edges), an.ModelParams.from_phi(n, k, 1.0)
+    w = range(H.m)
+    assert oracles.classify_witness_kind(H, w, params, regime) == kind
+    assert mc.classify_witness_kind(H, w, params, regime) == kind
+    assert _sweep_kind(H, w, params, regime) == kind
+
+
+def test_classify_witness_kind_nan_zeta_is_other():
+    # is_generic_clique's DomainError; a context's zeta is never NaN
+    for n, k, edges in ((7, 3, FANO), (6, 2, [(0, 1), (0, 2), (1, 2)])):
+        H, params = hg.Hypergraph.from_edges(n, k, edges), an.ModelParams.from_phi(n, k, 1.0)
+        for classify in (oracles.classify_witness_kind, mc.classify_witness_kind):
+            assert classify(H, range(H.m), params, _regime(zeta_cap=math.nan)) == "other"
+
+
+@given(shape=st.sampled_from([(7, 3), (8, 3), (11, 4), (10, 3), (12, 3), (13, 4)]),
+       phi=st.floats(0.5, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_classifier_matches_the_oracle_on_sampled_witnesses(shape, phi, seed):
+    # verify_ekr's witnesses of small families, n < 3k (dense) and n >= 3k,
+    # under the grid point's regime and under none: the public classifier,
+    # the sweep's and the oracle agree
+    n, k = shape
+    params = an.ModelParams.from_phi(n, k, phi)
+    regime = mc.make_trial_context(params, "conditioned", 0).regime
+    for t in range(6):
+        seq = np.random.SeedSequence(seed, spawn_key=(t,))
+        H = hg.sample_conditioned(n, k, float(params.p), seq)[0]
+        v = vf.verify_ekr(H)
+        if v.witness is None:
+            continue
+        want = oracles.classify_witness_kind(H, v.witness, params, regime)
+        assert mc.classify_witness_kind(H, v.witness, params, regime) == want, H.edge_bits
+        assert _sweep_kind(H, v.witness, params, regime) == want, H.edge_bits
+        assert (mc.classify_witness_kind(H, v.witness, params, None)
+                == oracles.classify_witness_kind(H, v.witness, params, None))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_evaluates_alpha_only_where_a_clique_reads_it(monkeypatch, workers):
+    # a README sweep never evaluates beta's tail, and alpha's only at the
+    # points where a failing clique has a vertex of degree 3 (and none
+    # above) or reaches the event classifier; a context's brackets then
+    # equal compute_alpha_beta's, and its regime regime_params'
+    monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
+    tails, contexts = [], []
+    tail, make = an.tail_quantile, mc.make_trial_context
+    monkeypatch.setattr(an, "tail_quantile",
+                        lambda M, p, level, mean=None: tails.append((p, level))
+                        or tail(M, p, level, mean))
+    monkeypatch.setattr(mc, "make_trial_context",
+                        lambda *a, **kw: contexts.append(make(*a, **kw)) or contexts[-1])
+    table = mc.estimate_ekr_curve(24, 3, cli_log_grid(0.3, 20.0, 12), trials=100, seed=1,
+                                  workers=workers)
+    assert hashlib.sha256(mc.sweep_table_to_csv(table).encode()).hexdigest() \
+        == README_SWEEP_SEED1_SHA256
+    evaluated = list(tails)
+    psi = math.log(24)
+    assert {level for _, level in evaluated} == {psi / 24}      # alpha1's level only
+    need = []
+    for ctx in contexts:
+        n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
+        rows = _native.trials(_native.kernel(), 1, ctx.stream, 0, 100, n, k, math.comb(n, k),
+                              p, sampler="conditioned", dense=vf._dense_pairs(n, k),
+                              edge_cap=ctx.edge_cap, node_budget=ctx.node_budget)
+        reads = False
+        for *_, clique, words in (row for row in rows if row[3] >= 0):
+            H = hg.Hypergraph._unchecked(n, k, _native.edge_bits(words))
+            deg = oracles.clique_degrees(H, clique).values()
+            kind = oracles.classify_witness_kind(H, clique, ctx.params, ctx.regime)
+            reads |= max(deg) == 3 or kind not in ("generic", "hm")
+        need.append(reads)
+    assert {p for p, _ in evaluated} == {ctx.params.p for ctx, r in zip(contexts, need) if r}
+    assert sum(need) == 7
+    # nor at a point whose failing cliques are generic with no vertex of
+    # degree 3 (phi = 0.2), or Hilton-Milner with one above 3 (phi = 5)
+    tails.clear()
+    extra = mc.estimate_ekr_curve(24, 3, [0.2, 5.0], trials=100, seed=1, workers=workers)
+    assert [(r.witness_counts["generic"], r.witness_counts["hm"]) for r in extra.rows] \
+        == [(2, 0), (0, 1)] and tails == []
+    for ctx in contexts:
+        ab = an.compute_alpha_beta(ctx.params)
+        assert (ctx.alpha, ctx.beta) == (ab.alpha, ab.beta)
+        assert ctx.regime == an.regime_params(ctx.params, alpha=ab.alpha)
 
 
 # ---------------------------------------------------------------------------

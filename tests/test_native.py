@@ -250,7 +250,7 @@ def test_native_stats_match_the_star_masks(H):
 def kernel_trials(sampler, n, k, p, seed, stream, lo, hi):
     """(m, edges) of trials [lo, hi) from one native batch that keeps every
     trial's words; edge cap 0, so no search runs."""
-    return [(m, edges) for m, *_, edges in _native.trials(
+    return [(m, _native.edge_bits(words)) for m, *_, words in _native.trials(
         _native.kernel(), seed, stream, lo, hi, n, k, math.comb(n, k), p,
         sampler=sampler, dense=False, edge_cap=0, node_budget=1, keep_all=True)]
 
@@ -499,7 +499,7 @@ def reference_rows(ctx, lo, hi):
         if verdict.witness is not None:
             row[3] = len(verdict.witness)
             row += (verdict.witness,
-                    mc.classify_witness_kind(H, verdict.witness, ctx.params, ctx.regime))
+                    oracles.classify_witness_kind(H, verdict.witness, ctx.params, ctx.regime))
         rows.append(row)
     return rows
 
@@ -537,11 +537,13 @@ def test_native_trial_records_equal_the_python_path(monkeypatch, sampler, n, k, 
                                                     shows):
     params = an.ModelParams.from_phi(n, k, phi)
     ctx = mc.make_trial_context(params, sampler, 7, **limits)
-    want = reference_rows(ctx, 0, 20)
     classified = []
-    classify = mc.classify_witness_kind
-    monkeypatch.setattr(mc, "classify_witness_kind",
-                        lambda H, w, *a: classified.append((H, w)) or classify(H, w, *a))
+    classify = wt.classify_nontrivial_clique
+    monkeypatch.setattr(wt, "classify_nontrivial_clique",
+                        lambda H, w, *a: classified.append((H, tuple(w))) or classify(H, w, *a))
+    want = reference_rows(ctx, 0, 20)
+    oracle_events = list(classified)
+    classified.clear()
     records = mc.run_trials(params, 20, sampler, 7, **limits)
     witnesses = list(classified)
     assert records == mc._records(ctx, want)
@@ -550,8 +552,10 @@ def test_native_trial_records_equal_the_python_path(monkeypatch, sampler, n, k, 
     # a batch that starts mid-way
     assert mc._records(ctx, mc._run_batch(ctx, 7, 20), 7) == records[7:]
     assert shows(records, Hs, sampler)
-    # the native trial rebuilds a failing trial's sample from its words
-    assert [H for H, _ in witnesses] == [H for H, r in zip(Hs, records) if r.ekr_holds is False]
+    # the native trial rebuilds a failing trial's sample from its words only
+    # for the event classifier, on the cliques the oracle classifies there
+    assert witnesses == oracle_events
+    assert {H for H, _ in witnesses} <= {H for H, r in zip(Hs, records) if r.ekr_holds is False}
 
 
 def test_native_batch_reuses_its_scratch_across_the_edge_cap(monkeypatch):

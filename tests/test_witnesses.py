@@ -249,10 +249,11 @@ def test_kernels_agree_on_generic_search(seed):
 # A/B/C classification
 # ---------------------------------------------------------------------------
 
-def _regime(alpha=6, phi_star=30.0, lam=3.0, log_n=3.0, phi=4.0, eps=0.1):
+def _regime(alpha=6, phi_star=30.0, lam=3.0, log_n=3.0, phi=4.0, eps=0.1, zeta_cap=None):
+    # zeta_cap = gamma / eps unless given
     gamma = int(min(alpha, phi_star / 3))
     return an.RegimeParams(phi_star, alpha, gamma, (1 - eps) * gamma, lam,
-                           0.05, 0.05 * phi, gamma / eps)
+                           0.05, 0.05 * phi, gamma / eps if zeta_cap is None else zeta_cap)
 
 
 def test_classify_rejects_trivial():
