@@ -37,7 +37,17 @@
  * r + 1 + |P_child| <= best after narrow(), is never pushed (MCS's test
  * before expansion): its subtree records nothing, so only node counts and
  * budget errors change.  The omega and nontrivial searches keep no such
- * test, since their colorings already cut those children.
+ * test, since their colorings already cut those children.  Nor is a
+ * generic child pushed that fails the pair-coverage bound (covers()), and
+ * a root that fails it gets no candidates: every two edges of a clique
+ * share a vertex, so R's r edges and the target's t - r others make
+ * r (t - r) + C(t - r, 2) pairs that the others' (t - r) k vertex
+ * incidences must cover, k the fewest vertices of an edge.  Raising a
+ * vertex from degree j to j + 1 covers j new pairs, and degrees stay <= 3
+ * with at most floor(zeta) of them 3, so the most those incidences cover
+ * has a closed form in R's counts of vertices of degree 1, 2 and 3.  A
+ * cut R extends to no generic t-clique, so only node counts and budget
+ * errors change.
  *
  * decide() is verifier._decide: Delta from the star words, then within the
  * edge cap the adjacency and relabel, once, for the nontrivial search and,
@@ -119,6 +129,8 @@ typedef struct {
     u64 *rest, *avail, *untaken, *free;
     int32_t *mate, *cnt, *vs, *sorted, *hist, *fl;
     const u64 *star;      /* GENERIC: the star words, W per vertex */
+    int64_t target;       /* GENERIC: the clique size sought, and for */
+    int k, zfloor;        /* covers() an edge's fewest vertices, floor(zeta) */
 } search;
 
 static inline int popc(u64 x) { return __builtin_popcountll(x); }
@@ -360,6 +372,33 @@ static int child(const search *s, const u64 *S, u64 *C, int v)
     return 1;
 }
 
+/* GENERIC: whether R, r edges with state S, passes the pair-coverage bound
+ * (see the header): can the I = (t - r) k incidences of its missing edges
+ * cover the r (t - r) + C(t - r, 2) pairs those edges make?  Among the I,
+ * x steps 1 -> 2 cover a pair each and y steps 2 -> 3 two, with y <=
+ * floor(zeta) - |d3|, y <= n2 + x and x <= n1 + z, z = I - x - y steps
+ * 0 -> 1, n1 and n2 R's vertices of degree exactly 1 and 2.  For a given y
+ * the largest x is min(I - y, (n1 + I - y) / 2), and x + 2y then grows with
+ * y, so the most is at the largest y that fits: min(floor(zeta) - |d3|, I,
+ * (I + n2) / 2, (n1 + 2 n2 + I) / 3).  O(1), not a loop over y. */
+static inline int covers(const search *s, const u64 *S, int64_t r)
+{
+    const u64 *d1 = S, *d2 = S + VW, *d3 = S + 2 * VW;
+    int64_t n1 = 0, n2 = 0, y = s->zfloor, left = s->target - r, I = left * s->k;
+    for (int w = 0; w < VW; w++) {
+        if (!d1[w]) continue;           /* d1 holds d2 and d3 */
+        n1 += popc(d1[w] & ~d2[w]);
+        n2 += popc(d2[w] & ~d3[w]);
+        y -= popc(d3[w]);
+    }
+    if (y < 0) return 0;
+    if (y > I) y = I;
+    if (y > (I + n2) / 2) y = (I + n2) / 2;
+    if (y > (n1 + 2 * n2 + I) / 3) y = (n1 + 2 * n2 + I) / 3;
+    int64_t x = I - y < (n1 + I - y) / 2 ? I - y : (n1 + I - y) / 2;
+    return x + 2 * y >= r * left + left * (left - 1) / 2;
+}
+
 /* GENERIC: clears from the child's candidates Q the edges child() rejects
  * there and below (see the header): those through its degree-3 vertices,
  * or its degree-2 ones once |d3| + 1 > zeta.  The parent's P (state S)
@@ -386,8 +425,9 @@ static inline void narrow(const search *s, u64 *Q, const u64 *S)
  * new depth, or -1 once every branch is done.  A generic level (a constant,
  * so each mode gets its own copy of the loop) takes the lowest bit of its P
  * row, which holds its idx candidates left, and is cut once r + idx <= best;
- * its child is skipped, as an infeasible one is, when r + 1 + |P_child| <=
- * best (the twin's branch_and_bound cut when narrow is given). */
+ * its child is skipped, as an infeasible one is, when it fails covers() or
+ * r + 1 + |P_child| <= best (the twin's branch_and_bound cut when narrow is
+ * given). */
 static inline __attribute__((always_inline)) int
 descend(search *s, level *lv, u64 *Ps, u64 *St, int32_t *R, int r, int64_t best, int generic)
 {
@@ -416,6 +456,7 @@ descend(search *s, level *lv, u64 *Ps, u64 *St, int32_t *R, int r, int64_t best,
         if (generic && r + 1 + left <= best) continue;
         if (!child(s, St + (size_t)r * SW, St + (size_t)(r + 1) * SW, v)) continue;
         if (generic) {
+            if (!covers(s, St + (size_t)(r + 1) * SW, r + 1)) continue;
             narrow(s, P + W, St + (size_t)r * SW);
             if (r + 1 + popcount(P + W, W) <= best) continue;
         }
@@ -581,8 +622,21 @@ static int run(int mode, const graph *g, int dense, int64_t best0, int64_t targe
     }
     s.cadj = cadj;
     memset(Ps, 0, W * sizeof(u64));
-    for (int v = 0; v < m; v++) Ps[v >> 6] |= BIT(v);
     memset(St, mode == NONTRIVIAL ? 0xff : 0, SW * sizeof(u64));
+    if (mode == GENERIC) {
+        s.target = target;
+        s.zfloor = zeta < 0 ? -1 : zeta > 256 ? 256 : (int)zeta;
+        s.k = 64 * VW;
+        for (int v = 0; v < m; v++) {
+            int size = popcount(g->bits + (size_t)v * VW, VW);
+            if (size < s.k) s.k = size;
+        }
+    }
+    /* a root that fails the pair-coverage bound has no candidates.  Its
+     * children would each fail it too (a child's steps, with its edge's,
+     * are the parent's), so this only spares their m tests */
+    if (mode != GENERIC || covers(&s, St, 0))
+        for (int v = 0; v < m; v++) Ps[v >> 6] |= BIT(v);
     for (;;) {
         u64 *P = Ps + (size_t)r * W, *S = St + (size_t)r * SW;
         if (++nodes > budget) {

@@ -305,8 +305,14 @@ def draw(lib, seed, n: int, k: int, N: int, p: float, sampler: str, m: int = -1)
                            hypergraph.SAMPLER_MODES.index(sampler), m, out.ctypes.data, len(out))
         if got < 0:
             raise MemoryError("native kernel draw")
-        if got * ew <= len(out):
+        if got * ew > len(out):
+            continue
+        if ew > 1:
             return edge_bits(out[:got * ew], 8 * ew)
+        # a one-word edge (n <= 64) is its own bitset, which tolist() gives as
+        # an int; out is dropped first, so it and the tuple are never both held
+        edges, out = out[:got].tolist(), None
+        return tuple(edges)
 
 
 def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: float, *,

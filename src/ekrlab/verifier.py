@@ -68,7 +68,9 @@ it then branches on all of its candidates lowest first, as in San Segundo
 et al.'s BBMC (2011); it also narrows each child's candidate set to the
 edges the child can still take, and skips a child whose narrowed set
 cannot reach the target, as MCS (Tomita et al., 2010) skips a vertex that
-cannot beat the incumbent.  tests/oracles.py holds a Python twin of the
+cannot beat the incumbent, or whose missing edges' vertex incidences
+cannot, at degree <= 3, make every pair of the target's edges meet (the
+pair-coverage bound; a root that fails it has no branches).  tests/oracles.py holds a Python twin of the
 kernel that visits the same nodes and records the same cliques; the tests
 check the kernel against it node for node.
 

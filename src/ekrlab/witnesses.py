@@ -136,10 +136,16 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
     tests by coloring that many classes and looking for a candidate left;
     it then takes its candidates lowest first, and a branch dies once the
     candidates left cannot reach size_t.  A child whose narrowed candidates
-    cannot reach size_t is not made at all: it costs no node.  A dropped
-    edge or child extends no generic clique of the node's, and the order is
-    lowest first, so the clique returned is the
-    first generic one in combinations(range(m), size_t) order.
+    cannot reach size_t is not made at all: it costs no node.  Nor is a
+    child that fails the pair-coverage bound: its r edges lack r (size_t -
+    r) + C(size_t - r, 2) meeting pairs, which the (size_t - r) k vertex
+    incidences still to come must cover, a step from degree 1 to 2 covering
+    one and a step from 2 to 3 (at most zeta_cap - |d3| of them) two.  The
+    root is tested too, and a root that fails ends the search (size_t = 7
+    of 5-sets needs zeta_cap >= 3).  A dropped edge or child extends no
+    generic clique of the node's, and the order is lowest first, so the
+    clique returned is the first generic one in combinations(range(m),
+    size_t) order.
     """
     check_limits(node_budget=node_budget)
     if zeta_cap != zeta_cap:        # NaN: the search would run with no cap

@@ -683,12 +683,48 @@ def decide(inst, node_budget: int) -> tuple[EkrVerdict, int]:
     return EkrVerdict(False, omega, Delta, tuple(found)), nodes + more
 
 
+def pair_cover(n1: int, n2: int, n3: int, incidences: int, zeta_cap: float) -> int:
+    """The most vertex-sharing edge pairs that `incidences` more vertex
+    incidences can make, every degree kept <= 3 and at most zeta_cap
+    vertices of degree 3, from n1 vertices of degree 1, n2 of degree 2 and
+    n3 of degree 3; -1 when n3 > zeta_cap.  The kernel's covers() in closed
+    form: a step from degree j to j + 1 makes j pairs, so this is the
+    largest x + 2y over x steps 1 -> 2, y steps 2 -> 3 and z steps 0 -> 1
+    with x + y + z = incidences, y <= zeta - n3, y <= n2 + x and
+    x <= n1 + z, zeta clamped to [-1, 256] as the kernel's is (a family has
+    at most 256 vertices, so n3 + y <= 256 holds anyway)."""
+    y = math.floor(max(min(zeta_cap, 256), -1)) - n3
+    if y < 0:
+        return -1
+    y = min(y, incidences, (incidences + n2) // 2, (n1 + 2 * n2 + incidences) // 3)
+    return min(incidences - y, (n1 + incidences - y) // 2) + 2 * y
+
+
+def covers(degrees, r: int, size_t: int, k: int, zeta_cap: float) -> bool:
+    """The pair-coverage bound: whether a clique R of r edges of at least
+    k vertices each, whose vertices of degree >= 1, >= 2 and 3 are the
+    bitsets degrees, can cover the r (size_t - r) + C(size_t - r, 2) edge
+    pairs it lacks with the (size_t - r) k incidences of its missing edges.
+    Every generic clique of size_t edges passes it at each of its
+    prefixes."""
+    d1, d2, d3 = degrees
+    left = size_t - r
+    most = pair_cover((d1 & ~d2).bit_count(), (d2 & ~d3).bit_count(), d3.bit_count(),
+                      left * k, zeta_cap)
+    return most >= r * left + math.comb(left, 2)
+
+
 def generic_search(inst, size_t: int, zeta_cap: float, node_budget: int):
     """witnesses._generic_search: (best, the first generic clique of size_t
     edges in index order or None, nodes visited)."""
     bits, stars = inst.bits, inst.stars
     adj = _star_adjacency(inst.members, stars)
     cadj = complement_adjacency(adj, inst.m)
+    k = min((b.bit_count() for b in bits), default=256)
+
+    def bound(degrees):
+        # a family is k-uniform, so R's edges make r k incidences
+        return covers(degrees, sum(d.bit_count() for d in degrees) // k, size_t, k, zeta_cap)
 
     def branches(kmin, P, _):
         # kmin = size_t - 1 - len(R): the popcount and first-fit coloring
@@ -702,7 +738,10 @@ def generic_search(inst, size_t: int, zeta_cap: float, node_budget: int):
         e = bits[v]
         if e & d3 or (d3 | e & d2).bit_count() > zeta_cap:
             return None
-        return d1 | e, d2 | e & d1, d3 | e & d2
+        # the pair-coverage bound; the kernel also tests the root, which
+        # changes no node count, as every child of a root that fails it fails
+        new = d1 | e, d2 | e & d1, d3 | e & d2
+        return new if bound(new) else None
 
     def narrow(P, before, after):
         # drop the edges that child() rejects here, which stay rejected

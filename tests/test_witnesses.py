@@ -163,8 +163,8 @@ def witness_sample(seed):
 # the nodes the search visits (one per visited clique), which are the least
 # budget at which it decides
 @pytest.mark.parametrize("seed, clique, nodes", [
-    (4, None, 3453),
-    (26, (10, 14, 16, 18, 34, 38, 41), 1997),
+    (4, None, 2034),
+    (26, (10, 14, 16, 18, 34, 38, 41), 1098),
 ])
 def test_generic_node_counts_pinned(seed, clique, nodes):
     H = witness_sample(seed)
@@ -243,6 +243,81 @@ def test_kernels_agree_on_generic_search(seed):
         except ResourceLimitError as exc:
             runs[name] = str(exc)
     assert runs["python"] == runs["native"]
+
+
+def test_pair_cover_closed_form_is_the_exhaustive_max():
+    # the kernel's closed form against every split of the incidences into
+    # x steps 1 -> 2, y steps 2 -> 3 and z steps 0 -> 1
+    for n1, n2, n3, incidences in np.ndindex(6, 6, 4, 13):
+        for zeta in (-1, -0.5, 0, 0.5, 1, 2, 3, 5, math.inf):
+            y_cap = incidences if zeta == math.inf else math.floor(zeta) - n3
+            most = max((x + 2 * y for x in range(incidences + 1)
+                        for y in range(min(y_cap, incidences - x) + 1)
+                        if y <= n2 + x and x <= n1 + incidences - x - y), default=-1)
+            assert oracles.pair_cover(n1, n2, n3, incidences, zeta) == most, \
+                (n1, n2, n3, incidences, zeta)
+
+
+def _degree_sets(bits):
+    d1 = d2 = d3 = 0
+    for b in bits:
+        d3 |= d2 & b
+        d2 |= d1 & b
+        d1 |= b
+    return d1, d2, d3
+
+
+def test_pair_coverage_bound_passes_every_generic_clique():
+    # soundness: every generic t-clique passes the bound at each prefix in
+    # index order (the cliques the search makes on the way to it), so the
+    # bound cuts none of them; and on the same families the kernel, which
+    # holds its own copy of the closed form, visits the twin's nodes
+    checked = 0
+    for i in range(24):
+        n, k = 7 + i % 6, 3 + i // 6 % 3
+        H = hg.sample_independent(n, k, 10 + i % 5, np.random.SeedSequence(33, spawn_key=(i,)))
+        bits = H.edge_bits
+        for t in (3, 4, 5, 6):
+            cliques = [idx for idx in combinations(range(H.m), t)
+                       if all(bits[a] & bits[b] for a, b in combinations(idx, 2))]
+            for zeta in (-1, 0, 0.5, 1, 3, math.inf):
+                for idx in cliques:
+                    if not oracles.is_generic_clique(H, idx, zeta):
+                        continue
+                    checked += 1
+                    for r in range(t + 1):
+                        state = _degree_sets([bits[j] for j in idx[:r]])
+                        assert oracles.covers(state, r, t, k, zeta), (bits, idx, r, zeta)
+                runs = [kernel.generic_search(vf._Instance(H), t, zeta, vf.DEFAULT_NODE_BUDGET)
+                        for kernel in KERNELS.values()]
+                assert runs[0] == runs[1], (bits, t, zeta)
+    assert checked > 1000
+
+
+def test_pair_coverage_root_rule():
+    # 7 edges of 5 vertices make C(7, 2) = 21 pairs from 35 incidences, so
+    # a generic 7-clique needs 3 vertices of degree 3: at zeta = 2 the root
+    # fails the bound and the search decides at its one node.  Edges 0-6
+    # are a generic 7-clique with exactly 3: points 0, 1, 2 lie on the
+    # triangles {0, 1, 2}, {0, 3, 4} and {0, 5, 6} of edges, points 3-14 on
+    # the other 12 pairs of edges, points 15 and 16 on edge 0 alone
+    triangles = [(0, 1, 2), (0, 3, 4), (0, 5, 6)]
+    pairs = [(a, b) for a, b in combinations(range(7), 2)
+             if not any(a in tri and b in tri for tri in triangles)]
+    clique = [[x for x, tri in enumerate(triangles) if e in tri]
+              + [3 + j for j, pair in enumerate(pairs) if e in pair] for e in range(7)]
+    clique[0] += [15, 16]
+    rng = np.random.default_rng(33)
+    extra = [sorted(rng.choice(17, 5, replace=False).tolist()) for _ in range(8)]
+    H = H_from(17, 5, clique + extra)
+    for zeta, want in ((2, None), (3, tuple(range(7)))):
+        assert brute_force_generic_clique(H, 7, zeta) == want
+        assert wt.find_generic_clique(H, 7, zeta) == want
+    for sample in (H, witness_sample(4), witness_sample(26)):
+        for name, kernel in KERNELS.items():
+            assert kernel.generic_search(vf._Instance(sample), 7, 2, 1) == (6, None, 1), name
+            assert kernel.generic_search(vf._Instance(sample), 7, 3, vf.DEFAULT_NODE_BUDGET)[2] > 1
+        assert wt.find_generic_clique(sample, 7, 2, node_budget=1) is None
 
 
 # ---------------------------------------------------------------------------
