@@ -9,6 +9,11 @@
  * d1/d2/d3, zeta_cap).  The colorings reproduce the twin's color_order and
  * pair_color_order class for class, so
  * visited cliques, node counts and the recorded clique are the twin's.
+ * A node counts its candidates once, in branches(), for its coloring, and
+ * pair_color (the dense regime's matching, n < 3k) and the nontrivial
+ * search's common-vertex test walk a candidate set's words bit by bit
+ * (x &= x - 1, as BBMC, San Segundo et al., C&OR 38, 2011), never a copy
+ * of it rescanned from its lowest word.
  *
  * The kernel builds its own graph from each edge's vertex bitset (VW words,
  * n <= 256): per-vertex star words, then the intersection adjacency by
@@ -184,12 +189,13 @@ static inline void take_class(search *s, int lo, int keep)
     }
 }
 
-/* the twin's first_classes: rest = P less the first kmin first-fit
- * classes (empty when |P| <= kmin); returns whether any vertex is left */
-static int first_classes(search *s, const u64 *P, int64_t kmin)
+/* the twin's first_classes: rest = P (size vertices) less the first kmin
+ * first-fit classes (empty when size <= kmin); returns whether any vertex
+ * is left */
+static int first_classes(search *s, const u64 *P, int size, int64_t kmin)
 {
     int W = s->W, lo = 0;
-    if (popcount(P, W) <= kmin) return 0;
+    if (size <= kmin) return 0;
     memcpy(s->rest, P, W * sizeof(u64));
     for (int64_t color = 0; color < kmin && lowest(s->rest, W, &lo) >= 0; color++)
         take_class(s, lo, 0);
@@ -198,60 +204,61 @@ static int first_classes(search *s, const u64 *P, int64_t kmin)
 
 /* the twin's color_order: the first-fit classes numbered > kmin are
  * appended, with their starts relative to the level's first candidate */
-static void first_fit(search *s, const u64 *P, int64_t kmin)
+static void first_fit(search *s, const u64 *P, int size, int64_t kmin)
 {
     int lo = 0;
     size_t base = s->order.len;
-    if (!first_classes(s, P, kmin)) return;
+    if (!first_classes(s, P, size, kmin)) return;
     while (lowest(s->rest, s->W, &lo) >= 0) {
         push(&s->starts, (int32_t)(s->order.len - base));
         take_class(s, lo, 1);
     }
 }
 
-/* lowest vertex of a & b & ~bit(skip), or -1 */
-static int lowest_and(const u64 *a, const u64 *b, int skip, int W)
+/* lowest vertex of a & b, or -1 */
+static inline int lowest_and(const u64 *a, const u64 *b, int W)
 {
-    for (int w = 0; w < W; w++) {
-        u64 x = a[w] & b[w];
-        if (w == skip >> 6) x &= ~BIT(skip);
-        if (x) return w * 64 + __builtin_ctzll(x);
-    }
+    for (int w = 0; w < W; w++)
+        if (a[w] & b[w]) return w * 64 + __builtin_ctzll(a[w] & b[w]);
     return -1;
 }
 
-/* the twin's pair_color_order: a greedy maximal matching of the
- * disjointness graph (fewest partners first, ties by index), length-3
- * augmentation sweeps over the free vertices ascending; pairs by lower
- * vertex, then singletons */
-static void pair_color(search *s, const u64 *P, int64_t kmin)
+/* the twin's pair_color_order on P, size vertices: a greedy maximal
+ * matching of the disjointness graph (fewest partners first, ties by
+ * index), length-3 augmentation sweeps over the free vertices ascending;
+ * pairs by lower vertex, then singletons.  Each phase walks the set bits
+ * of P, of free or of P & cadj[u] word by word (x &= x - 1). */
+static void pair_color(search *s, const u64 *P, int size, int64_t kmin)
 {
-    int W = s->W, size = popcount(P, W), n = 0, lo = 0, v, npairs = 0, nfree = 0;
+    int W = s->W, n = 0, v, npairs = 0, nfree = 0;
+    const u64 *cadj = s->cadj;
     size_t base = s->order.len;
     if (size <= kmin) return;
     int64_t need = size - kmin;
-    memcpy(s->rest, P, W * sizeof(u64));
     memcpy(s->untaken, P, W * sizeof(u64));
     memset(s->free, 0, W * sizeof(u64));
     memset(s->hist, 0, (size + 1) * sizeof(int32_t));
-    while ((v = lowest(s->rest, W, &lo)) >= 0) {
-        const u64 *c = s->cadj + (size_t)v * W;
-        int k = 0;
-        for (int w = 0; w < W; w++) k += popc(c[w] & P[w]);
-        s->rest[v >> 6] &= ~BIT(v);
-        s->vs[n++] = v;
-        s->cnt[v] = k;
-        s->mate[v] = -1;
-        s->hist[k + 1]++;
-    }
+    for (int w = 0; w < W; w++)
+        for (u64 x = P[w]; x; x &= x - 1) {
+            v = w * 64 + __builtin_ctzll(x);
+            const u64 *c = cadj + (size_t)v * W;
+            int k = 0;
+            for (int j = 0; j < W; j++) k += popc(c[j] & P[j]);
+            s->vs[n++] = v;
+            s->cnt[v] = k;
+            s->mate[v] = -1;
+            s->hist[k + 1]++;
+        }
     /* counting sort by partner count, stable, so ties stay ascending */
     for (int k = 1; k <= size; k++) s->hist[k] += s->hist[k - 1];
     for (int i = 0; i < n; i++) s->sorted[s->hist[s->cnt[s->vs[i]]]++] = s->vs[i];
+    /* v takes the lowest untaken vertex it misses: no cadj row holds its
+     * own vertex (run() clears it), so v needs no skip */
     for (int i = 0; i < n; i++) {
         v = s->sorted[i];
         if (!(s->untaken[v >> 6] & BIT(v))) continue;
-        int w = lowest_and(s->cadj + (size_t)v * W, s->untaken, v, W);
         s->untaken[v >> 6] &= ~BIT(v);
+        int w = lowest_and(cadj + (size_t)v * W, s->untaken, W);
         if (w >= 0) {
             s->mate[v] = w;
             s->mate[w] = v;
@@ -262,36 +269,35 @@ static void pair_color(search *s, const u64 *P, int64_t kmin)
         }
     }
     if (npairs >= need) return;
-    lo = 0;
-    memcpy(s->rest, s->free, W * sizeof(u64));
-    while ((v = lowest(s->rest, W, &lo)) >= 0) {
-        s->fl[nfree++] = v;
-        s->rest[v >> 6] &= ~BIT(v);
-    }
+    for (int w = 0; w < W; w++)
+        for (u64 x = s->free[w]; x; x &= x - 1) s->fl[nfree++] = w * 64 + __builtin_ctzll(x);
     for (int changed = 1; changed && nfree > 1;) {
         changed = 0;
         for (int i = 0; i < nfree; i++) {
-            int u = s->fl[i], alo = 0, a;
+            int u = s->fl[i];
             if (!(s->free[u >> 6] & BIT(u))) continue;
-            for (int w = 0; w < W; w++) s->avail[w] = s->cadj[(size_t)u * W + w] & P[w];
-            /* the matching is maximal, so a is matched: a takes u, and a's
-             * mate takes the lowest free vertex it misses */
-            while ((a = lowest(s->avail, W, &alo)) >= 0) {
-                s->avail[a >> 6] &= ~BIT(a);
-                int bp = s->mate[a];
-                int w = lowest_and(s->cadj + (size_t)bp * W, s->free, u, W);
-                if (w >= 0) {
-                    s->mate[u] = a;
-                    s->mate[a] = u;
-                    s->mate[bp] = w;
-                    s->mate[w] = bp;
-                    s->free[u >> 6] &= ~BIT(u);
-                    s->free[w >> 6] &= ~BIT(w);
-                    npairs++;
-                    changed = 1;
-                    break;
+            /* u leaves free while its sweep runs, so that no mate takes it.
+             * The matching is maximal, so each a that u misses is matched:
+             * a takes u, and a's mate takes the lowest free vertex it misses */
+            s->free[u >> 6] &= ~BIT(u);
+            const u64 *cu = cadj + (size_t)u * W;
+            for (int j = 0; j < W; j++)
+                for (u64 x = cu[j] & P[j]; x; x &= x - 1) {
+                    int a = j * 64 + __builtin_ctzll(x), bp = s->mate[a];
+                    int w = lowest_and(cadj + (size_t)bp * W, s->free, W);
+                    if (w >= 0) {
+                        s->mate[u] = a;
+                        s->mate[a] = u;
+                        s->mate[bp] = w;
+                        s->mate[w] = bp;
+                        s->free[w >> 6] &= ~BIT(w);
+                        npairs++;
+                        changed = 1;
+                        goto matched;
+                    }
                 }
-            }
+            s->free[u >> 6] |= BIT(u);
+        matched:;
         }
         int kept = 0;
         for (int i = 0; i < nfree; i++)
@@ -324,7 +330,7 @@ static int branches(search *s, level *L, const u64 *P, const u64 *S, int64_t kmi
     L->off = s->order.len;
     L->coff = s->starts.len;
     if (s->mode == GENERIC) {
-        L->idx = first_classes(s, P, kmin) ? size : 0;
+        L->idx = first_classes(s, P, size, kmin) ? size : 0;
         return 0;
     }
     L->c0 = (kmin > 0 ? kmin : 0) + 1;
@@ -332,17 +338,16 @@ static int branches(search *s, level *L, const u64 *P, const u64 *S, int64_t kmi
     if (s->mode == NONTRIVIAL) {
         /* with a common vertex left every extension of R from P keeps one */
         u64 c[VW];
-        int lo = 0, v;
         memcpy(c, S, sizeof c);
-        memcpy(s->rest, P, W * sizeof(u64));
-        while (!zero(c, VW) && (v = lowest(s->rest, W, &lo)) >= 0) {
-            for (int w = 0; w < VW; w++) c[w] &= s->bits[(size_t)v * VW + w];
-            s->rest[v >> 6] &= ~BIT(v);
-        }
+        for (int j = 0; j < W && !zero(c, VW); j++)
+            for (u64 x = P[j]; x && !zero(c, VW); x &= x - 1) {
+                const u64 *e = s->bits + (size_t)(j * 64 + __builtin_ctzll(x)) * VW;
+                for (int w = 0; w < VW; w++) c[w] &= e[w];
+            }
         if (!zero(c, VW)) size = 0;
     }
-    if (size && s->dense) pair_color(s, P, kmin);
-    else if (size) first_fit(s, P, kmin);
+    if (size && s->dense) pair_color(s, P, size, kmin);
+    else if (size) first_fit(s, P, size, kmin);
     L->idx = (int64_t)(s->order.len - L->off);
     L->cls = (int64_t)(s->starts.len - L->coff) - 1;
     return 0;

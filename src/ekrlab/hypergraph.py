@@ -280,7 +280,17 @@ def dump_hypergraph(H: Hypergraph) -> str:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    lines = [ln for ln in text.splitlines()]
+    """The Hypergraph of a file's text: the header "n k m", then m edge
+    lines of k strictly increasing vertices in 1..n.  Blank lines are
+    skipped, and an error names the line's number in the file.
+
+    A line whose tokens are all canonical vertex names "1" .. str(top), top
+    = min(n, MAX_N), is built from the table {str(v): 1 << (v - 1)}: its
+    bits are powers of two, so the vertices strictly increase exactly when
+    each bit is above the OR of those before it.  Any other line ("05",
+    "+7", Unicode digits, a vertex out of range, a repeat, a short line)
+    goes through int() in _parse_line, which raises its error."""
+    lines = text.splitlines()
     if not lines:
         raise ParseError("empty hypergraph file")
     head = lines[0].split()
@@ -290,29 +300,28 @@ def parse_hypergraph(text: str) -> Hypergraph:
         n, k, m = (int(x) for x in head)
     except ValueError as exc:
         raise ParseError(f"non-integer header field: {lines[0]!r}") from exc
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(idx, ln) for idx, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != m:
         raise ParseError(f"header says m={m} but file has {len(body)} edge lines")
-    edges = []
     top = min(n, MAX_N)         # no shift past MAX_N: check_nk refuses such an n
-    for idx, ln in enumerate(body, start=2):
-        try:
-            verts = [int(x) for x in ln.split()]
-        except ValueError as exc:
-            raise ParseError(f"line {idx}: non-integer vertex") from exc
-        # one pass builds the edge (bit v for 1-based v, shifted down once)
-        # while checking each vertex is above the last and at most top
-        bits = last = 0
-        for v in verts:
-            if not last < v <= top:
-                break
-            bits |= 1 << v
-            last = v
-        else:
-            if len(verts) == k:
-                edges.append(_shared(bits >> 1)[0])
-                continue
-        _check_line(idx, verts, n, k)
+    token_bit = {str(v): 1 << (v - 1) for v in range(1, top + 1)}
+    edges = []
+    for idx, ln in body:
+        tokens = ln.split()
+        if len(tokens) == k:
+            bits = 0
+            try:
+                for t in tokens:
+                    b = token_bit[t]
+                    if b <= bits:
+                        break
+                    bits |= b
+                else:
+                    edges.append(_shared(bits)[0])
+                    continue
+            except KeyError:
+                pass
+        edges.append(_parse_line(idx, tokens, n, k, top))
     try:
         check_nk(n, k)
     except DomainError as exc:
@@ -321,16 +330,33 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return Hypergraph._unchecked(n, k, tuple(edges))
 
 
-def _check_line(idx: int, verts: list[int], n: int, k: int) -> None:
-    """Raise the ParseError of an edge line that is not k strictly
-    increasing vertices in 1..n, its checks in their documented order.  A
-    line it passes has a vertex past MAX_N < n, and check_nk refuses n."""
+def _parse_line(idx: int, tokens: list[str], n: int, k: int, top: int) -> int:
+    """The edge bitset of line idx's tokens read by int(), or the ParseError
+    of a line that is not k strictly increasing vertices in 1..n, its
+    checks in their documented order.  A line that passes them with a
+    vertex in MAX_N < v <= n gives 0, and check_nk then refuses n."""
+    try:
+        verts = [int(x) for x in tokens]
+    except ValueError as exc:
+        raise ParseError(f"line {idx}: non-integer vertex") from exc
+    # one pass builds the edge (bit v for 1-based v, shifted down once)
+    # while checking each vertex is above the last and at most top
+    bits = last = 0
+    for v in verts:
+        if not last < v <= top:
+            break
+        bits |= 1 << v
+        last = v
+    else:
+        if len(verts) == k:
+            return _shared(bits >> 1)[0]
     if len(verts) != k:
         raise ParseError(f"line {idx}: expected {k} vertices, got {len(verts)}")
     if any(not 1 <= v <= n for v in verts):
         raise ParseError(f"line {idx}: vertex out of range 1..{n}")
     if any(a >= b for a, b in zip(verts, verts[1:])):
         raise ParseError(f"line {idx}: vertices must be strictly increasing")
+    return 0
 
 
 def read_hypergraph(path) -> Hypergraph:

@@ -22,9 +22,10 @@ import numpy as np
 from ekrlab import exact
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
-from ekrlab.errors import DomainError, ResourceLimitError
+from ekrlab.errors import DomainError, ParseError, ResourceLimitError
 from ekrlab.exact import bits_of
-from ekrlab.hypergraph import Hypergraph, _check_draws, _vertex_stars, check_nk, m_window
+from ekrlab.hypergraph import (MAX_N, Hypergraph, _check_draws, _vertex_stars, check_nk,
+                               m_window)
 from ekrlab.montecarlo import SCHEMA_VERSION, _fmt
 from ekrlab.verifier import EkrVerdict, _star_adjacency
 
@@ -236,6 +237,48 @@ def sample(mode: str, n: int, k: int, p: float, seed) -> Hypergraph:
 
 
 # ---------------------------------------------------------------------------
+# file format: every line through int(), the reference for the parser's
+# token table
+# ---------------------------------------------------------------------------
+
+def parse_hypergraph(text: str) -> Hypergraph:
+    """hypergraph.parse_hypergraph with every edge line read by int(): the
+    same Hypergraph, or the same ParseError text, on any text."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty hypergraph file")
+    head = lines[0].split()
+    if len(head) != 3:
+        raise ParseError(f"header must be 'n k m', got {lines[0]!r}")
+    try:
+        n, k, m = (int(x) for x in head)
+    except ValueError as exc:
+        raise ParseError(f"non-integer header field: {lines[0]!r}") from exc
+    body = [(idx, ln) for idx, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    if len(body) != m:
+        raise ParseError(f"header says m={m} but file has {len(body)} edge lines")
+    edges = []
+    for idx, ln in body:
+        try:
+            verts = [int(x) for x in ln.split()]
+        except ValueError as exc:
+            raise ParseError(f"line {idx}: non-integer vertex") from exc
+        if len(verts) != k:
+            raise ParseError(f"line {idx}: expected {k} vertices, got {len(verts)}")
+        if any(not 1 <= v <= n for v in verts):
+            raise ParseError(f"line {idx}: vertex out of range 1..{n}")
+        if any(a >= b for a, b in zip(verts, verts[1:])):
+            raise ParseError(f"line {idx}: vertices must be strictly increasing")
+        if n <= MAX_N:
+            edges.append(sum(1 << (v - 1) for v in verts))
+    try:
+        check_nk(n, k)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
+    return Hypergraph(n, k, tuple(edges))
+
+
+# ---------------------------------------------------------------------------
 # verifier and witnesses
 # ---------------------------------------------------------------------------
 
@@ -276,6 +319,40 @@ def brute_force_ekr(H: Hypergraph, max_edges: int = 20) -> EkrVerdict:
     if best_nontrivial[0] == omega and omega >= 3:
         return EkrVerdict(False, omega, Delta, tuple(best_nontrivial[1]))
     return EkrVerdict(True, omega, Delta, None)
+
+
+def bron_kerbosch_ekr(H: Hypergraph) -> tuple[bool, int]:
+    """(EKR holds, omega) by Bron-Kerbosch with Tomita's pivot over int
+    bitsets (Bron & Kerbosch, CACM 16(9), 1973; Tomita, Tanaka & Takahashi,
+    TCS 363, 2006): it enumerates the maximal cliques of the intersection
+    graph, cut only where |R| + |P| < best, and EKR fails exactly when some
+    clique of omega >= 3 edges has an empty common intersection.  It shares
+    no bound with the kernel: no coloring, no relabel, no Delta floor, and
+    its own adjacency, so it reads only H.  Practical to m ~ 90."""
+    bits, m = H.edge_bits, H.m
+    adj = [sum(1 << j for j in range(m) if j != i and bits[i] & bits[j]) for i in range(m)]
+    best = [0, False]       # omega so far, and whether a clique of that size is nontrivial
+
+    def expand(size: int, common: int, P: int, X: int) -> None:
+        if not P and not X:
+            if size > best[0]:
+                best[:] = [size, not common]
+            elif size == best[0]:
+                best[1] = best[1] or not common
+            return
+        if size + P.bit_count() < best[0]:
+            return
+        pivot = max(bits_of(P | X), key=lambda u: (P & adj[u]).bit_count())
+        for v in bits_of(P & ~adj[pivot]):
+            if size + P.bit_count() < best[0]:
+                return
+            expand(size + 1, common & bits[v], P & adj[v], X & adj[v])
+            P &= ~(1 << v)
+            X |= 1 << v
+
+    expand(0, (1 << H.n) - 1, (1 << m) - 1, 0)
+    omega, nontrivial = best
+    return not (omega >= 3 and nontrivial), omega
 
 
 def brute_force_hilton_milner(H: Hypergraph, d: int) -> bool:

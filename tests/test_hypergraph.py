@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ekrlab import analytics as an
@@ -562,11 +562,68 @@ def test_parse_errors(bad):
     ("6 2 1\n1 99999999999999999\n", "line 2: vertex out of range 1..6"),
     ("6 2 1\n-1 2\n", "line 2: vertex out of range 1..6"),
     ("6 2 2\n1 2\n3 x\n", "line 3: non-integer vertex"),
+    # a line's number counts the blank lines before it
+    ("6 2 2\n\n1 2\n3 x\n", "line 4: non-integer vertex"),
+    ("6 2 2\n1 2\n\n  \n3 3\n", "line 5: vertices must be strictly increasing"),
 ])
 def test_parse_error_messages(bad, message):
     with pytest.raises(ParseError) as err:
         hg.parse_hypergraph(bad)
     assert str(err.value) == message
+
+
+# tokens the token table does not hold, which the parser reads by int():
+# a leading zero or sign, an Arabic-Indic 3, an underscore, out of range,
+# not an integer
+OFF_TABLE_TOKENS = ["05", "+7", "\u0663", "1_0", "0", "-1", str(10**18), "1.5"]
+SEPARATORS = [" "] * 4 + ["\t", "\xa0"]
+LINE_SEPARATORS = SEPARATORS + ["\x0b", "\x0c"]     # str.splitlines ends a line at these
+
+
+@st.composite
+def hypergraph_texts(draw):
+    """Files of canonical edges, some lines flawed: an off-table token or
+    n + 1, a repeat, descending, short or long; tokens split by any
+    whitespace (\\x0b and \\x0c also end a line), blank lines, \\r\\n
+    line ends, and n past MAX_N."""
+    n = draw(st.sampled_from([3, 6, 9, 14, 64, 65, 256, 257, 300]))
+    k = draw(st.integers(1, 4))
+    separators = draw(st.sampled_from([SEPARATORS] * 3 + [LINE_SEPARATORS]))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        tokens = [str(v) for v in sorted(draw(st.sets(st.integers(1, n), min_size=min(k, n),
+                                                          max_size=min(k, n))))]
+        flaw = draw(st.sampled_from([None] * 5 + ["off", "repeat", "descending", "short", "long"]))
+        i = draw(st.integers(0, len(tokens) - 1))
+        if flaw == "off":
+            tokens[i] = draw(st.sampled_from(OFF_TABLE_TOKENS + [str(n + 1)]))
+        elif flaw == "repeat" and i:
+            tokens[i] = tokens[i - 1]
+        elif flaw == "descending":
+            tokens.reverse()
+        elif flaw == "short":
+            tokens.pop()
+        elif flaw == "long":
+            tokens.append(str(draw(st.integers(1, n))))
+        line = "".join(tok + draw(st.sampled_from(separators)) for tok in tokens)
+        lines += [line.rstrip(" ")] + [" "] * draw(st.integers(0, 1))
+    m = len([ln for ln in lines if ln.strip()]) + draw(st.sampled_from([0] * 10 + [-1, 1]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([f"{n} {k} {m}"] + lines) + end
+
+
+def parsed(parse, text):
+    try:
+        H = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return H.n, H.k, H.edge_bits
+
+
+@settings(max_examples=400)
+@given(hypergraph_texts())
+def test_parse_matches_the_int_parser(text):
+    assert parsed(hg.parse_hypergraph, text) == parsed(oracles.parse_hypergraph, text)
 
 
 def test_parse_builds_the_edges_from_edges_builds():

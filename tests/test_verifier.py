@@ -1,4 +1,8 @@
+import functools
 import math
+import operator
+import types
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +16,9 @@ from ekrlab import hypergraph as hg
 from ekrlab import verifier as vf
 from ekrlab import witnesses as wt
 from ekrlab.errors import DomainError, ResourceLimitError
-from oracles import KERNELS, brute_force_ekr, colex_unrank, delta, make_coloring
+import oracles
+from oracles import (KERNELS, bron_kerbosch_ekr, brute_force_ekr, colex_unrank, delta,
+                     make_coloring)
 
 
 def H_from(n, k, edges):
@@ -679,6 +685,47 @@ def test_verify_matches_brute_force_in_every_regime(data):
     fast = vf.verify_ekr(H)
     assert (fast.holds, fast.omega, fast.Delta) == (slow.holds, slow.omega, slow.Delta)
     assert vf.validate_witness(H, fast)
+
+
+# Bron-Kerbosch's bank: (n, k, phi) shapes of both regimes, conditioned
+# seeds 0-4, the families of at most 90 edges (its practical range)
+BK_SHAPES = [(8, 3, 10), (10, 4, 12), (11, 4, 20), (11, 4, 25), (12, 5, 15), (13, 5, 18),
+             (14, 5, 16),                                                    # n < 3k
+             (12, 4, 15), (15, 5, 20), (16, 4, 20), (20, 4, 15), (20, 5, 20), (24, 3, 8)]
+
+
+def test_verdicts_match_bron_kerbosch():
+    # an exact oracle that shares no bound with the kernel (see its
+    # docstring): the verdict and omega agree, and a failing family's
+    # witness is an omega-clique with an empty intersection
+    seen = Counter()
+    for n, k, phi in BK_SHAPES:
+        for seed in range(5):
+            H, _ = hg.sample_conditioned(n, k, phi / math.comb(n - 1, k - 1), seed)
+            assert H.m <= 90
+            holds, omega = bron_kerbosch_ekr(H)
+            v = vf.verify_ekr(H)
+            assert (v.holds, v.omega) == (holds, omega), (n, k, phi, seed)
+            if not holds:
+                w = [H.edge_bits[i] for i in v.witness]
+                assert len(set(v.witness)) == len(w) == omega
+                assert all(a & b for a, b in combinations(w, 2))
+                assert functools.reduce(operator.and_, w) == 0
+            seen[n < 3 * k, holds] += 1
+    # (n < 3k, holds): 65 families, both verdicts in both regimes
+    assert sorted(seen.items()) == [((False, False), 9), ((False, True), 21),
+                                    ((True, False), 25), ((True, True), 10)]
+
+
+def test_bron_kerbosch_reads_no_library_search():
+    def names(code):
+        yield from code.co_names
+        for c in code.co_consts:
+            if isinstance(c, types.CodeType):
+                yield from names(c)
+
+    read = set(names(bron_kerbosch_ekr.__code__)) & set(vars(oracles))
+    assert read <= {"Hypergraph", "bits_of"}
 
 
 def test_hm_value_k52():
