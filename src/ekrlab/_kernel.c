@@ -9,6 +9,11 @@
  * d1/d2/d3, zeta_cap).  The colorings reproduce the twin's color_order and
  * pair_color_order class for class, so
  * visited cliques, node counts and the recorded clique are the twin's.
+ * The first-fit classes (color_classes(), which the sparse omega and
+ * nontrivial searches and the generic search's feasibility test share) are
+ * compiled once for each constant W = 1..4, m <= 256, with the class's
+ * available set in registers and no scan for the lowest word; m > 256 runs
+ * the same source as a loop over W words.
  * A node counts its candidates once, in branches(), for its coloring, and
  * pair_color (the dense regime's matching, n < 3k) and the nontrivial
  * search's common-vertex test walk a candidate set's words bit by bit
@@ -74,10 +79,25 @@
  * libnpyrandom.a), edge for edge those of the numpy samplers in
  * tests/oracles.py.  draw() draws one family.  Bernoulli and conditioned
  * ranks ascend: the conditioned ones after Floyd's dedup and a bucket sort
- * (one counting pass into buckets monotone in the rank, then one insertion
- * pass: expected O(m), as the ranks are a uniform m-subset), and both are
- * colex unranked into vertex words (each edge's largest member starts from
- * the last edge's).  An independent family draws each edge by partial
+ * (floyd(): one counting pass into buckets monotone in the rank, then one
+ * insertion pass: expected O(m), as the ranks are a uniform m-subset), and
+ * both are colex unranked into vertex words (each edge's largest member
+ * starts from the last edge's).  A batch of ekr_trials may also keep two
+ * tables over the N ranks, each only when N <= SMALL_N = 2^16 and it pays
+ * (internal constants, not settings):
+ *   - the rank bitmap, for a conditioned batch with 64 p >= 1, so that its
+ *     N / 64 words are no more than the edges a trial expects: Floyd's
+ *     step tests and takes a rank by one bit, and a scan of the bitmap
+ *     reads the ranks back ascending and clears it (floyd_bitmap());
+ *   - the unrank memo, for a Bernoulli or conditioned batch with (hi - lo)
+ *     p >= 1, so that it expects at least N draws and ranks repeat: each
+ *     rank's VW words, unranked once, and a bitmap of the ranks it holds;
+ *     every later draw of a rank copies them.
+ * Below those gates, where the tables would be scanned or paged in for a
+ * few draws (ungated, a (34, 4) batch at phi = 0.3 ran ~60% slower), and in
+ * ekr_draw, whose one family repeats no rank, floyd() and the plain unrank
+ * run.  The ranks, words and rows are the same either way.  An
+ * independent family draws each edge by partial
  * Fisher-Yates; a trial keeps the first copy of each, in draw order, by its
  * colex rank in Floyd's hash set.  ekr_trials draws a batch of sweep trials
  * on their spawned streams and runs decide() on each, and ekr_draw draws
@@ -93,7 +113,10 @@
  * allocates one, and an ekr_trials call grows one (with the clique, its
  * draws and Floyd's hash set) to its largest trial so far, reuses it for
  * every trial and search, and frees it on return.  A trial above the edge
- * cap grows it by star words only.
+ * cap grows it by star words only.  An ekr_trials call also allocates its
+ * own rank bitmap (N bits) and unrank memo (N VW words and N bits) when
+ * their gates open, so at most 2 MiB + 16 KiB at N = 2^16, and frees them
+ * on return.
  *
  * Built with `gcc -O2 -shared -fPIC [-mpopcnt] -I<numpy include>`, linked
  * with numpy's libnpyrandom.a and -lm, and called through ctypes (_native),
@@ -114,6 +137,7 @@ typedef uint64_t u64;
 #define VW 4                            /* vertex bitset words, n <= 256 */
 #define BIT(v) (1ULL << ((v) & 63))
 #define SW (3 * VW)                     /* state words of a level: d1, d2, d3 */
+#define SMALL_N (1 << 16)               /* the most ranks a rank bitmap or memo covers */
 
 enum { OMEGA = 0, NONTRIVIAL = 1, GENERIC = 2, DECIDE = 3 };
 enum { DONE = 0, OUT_OF_BUDGET = 1, OUT_OF_MEMORY = 2 };
@@ -175,43 +199,75 @@ static int reserve(ivec *a, size_t extra)
 
 static inline void push(ivec *a, int32_t x) { a->v[a->len++] = x; }
 
-/* takes the next first-fit class, in index order, out of rest (its lowest
- * bit in word lo), appending it to order when keep */
-static inline void take_class(search *s, int lo, int keep)
+/* the lowest word of rest at or above lo that holds a bit, or W.  At a
+ * constant W <= VW it is 0 while any word does: every index is a constant */
+static inline __attribute__((always_inline)) int first_word(const u64 *rest, int lo, const int W)
 {
-    int W = s->W, v;
-    memcpy(s->avail + lo, s->rest + lo, (W - lo) * sizeof(u64));
-    while ((v = lowest(s->avail, W, &lo)) >= 0) {
-        const u64 *c = s->cadj + (size_t)v * W;
+    if (W <= VW) {
+        u64 any = 0;
+        for (int w = 0; w < W; w++) any |= rest[w];
+        return any ? 0 : W;
+    }
+    while (lo < W && !rest[lo]) lo++;
+    return lo;
+}
+
+/* takes the next first-fit class, in index order, out of rest (W words, none
+ * set below word lo), appending it to order when keep.  At a constant W <=
+ * VW, lo stays 0, so rest and avail are indexed by constants only and can
+ * live in registers; above, lo moves up to the lowest word left */
+static inline __attribute__((always_inline)) void
+take_class(search *s, u64 *rest, u64 *avail, int lo, int keep, const int W)
+{
+    for (int w = lo; w < W; w++) avail[w] = rest[w];
+    for (;;) {
+        int v = -1;
+        for (int w = lo; w < W; w++)
+            if (avail[w]) {
+                v = 64 * w + __builtin_ctzll(avail[w]);
+                rest[w] &= ~BIT(v);
+                if (W > VW) lo = w;
+                break;
+            }
+        if (v < 0) return;
         if (keep) push(&s->order, v);
-        for (int w = lo; w < W; w++) s->avail[w] &= c[w];
-        s->rest[v >> 6] &= ~BIT(v);
+        const u64 *c = s->cadj + (size_t)v * W;
+        for (int w = lo; w < W; w++) avail[w] &= c[w];
     }
 }
 
-/* the twin's first_classes: rest = P (size vertices) less the first kmin
- * first-fit classes (empty when size <= kmin); returns whether any vertex
- * is left */
-static int first_classes(search *s, const u64 *P, int size, int64_t kmin)
+/* the twin's first_classes: rest = P less the first kmin first-fit classes,
+ * and with fit its color_order too: each class after those is appended,
+ * with its start relative to the level's first candidate.  Returns whether
+ * any vertex outlasts kmin classes.  rest and avail are locals at W <= VW,
+ * the workspace's words above */
+static inline __attribute__((always_inline)) int
+color_classes(search *s, const u64 *P, int64_t kmin, int fit, const int W)
 {
-    int W = s->W, lo = 0;
-    if (size <= kmin) return 0;
-    memcpy(s->rest, P, W * sizeof(u64));
-    for (int64_t color = 0; color < kmin && lowest(s->rest, W, &lo) >= 0; color++)
-        take_class(s, lo, 0);
-    return lowest(s->rest, W, &lo) >= 0;
-}
-
-/* the twin's color_order: the first-fit classes numbered > kmin are
- * appended, with their starts relative to the level's first candidate */
-static void first_fit(search *s, const u64 *P, int size, int64_t kmin)
-{
+    u64 r[VW], a[VW], *rest = W <= VW ? r : s->rest, *avail = W <= VW ? a : s->avail;
     int lo = 0;
     size_t base = s->order.len;
-    if (!first_classes(s, P, size, kmin)) return;
-    while (lowest(s->rest, s->W, &lo) >= 0) {
+    for (int w = 0; w < W; w++) rest[w] = P[w];
+    for (int64_t color = 0; color < kmin && (lo = first_word(rest, lo, W)) < W; color++)
+        take_class(s, rest, avail, lo, 0, W);
+    if ((lo = first_word(rest, lo, W)) == W || !fit) return lo < W;
+    for (; lo < W; lo = first_word(rest, lo, W)) {
         push(&s->starts, (int32_t)(s->order.len - base));
-        take_class(s, lo, 1);
+        take_class(s, rest, avail, lo, 1, W);
+    }
+    return 1;
+}
+
+/* color_classes() on P (size vertices), with W a constant for W = 1..VW */
+static int classes(search *s, const u64 *P, int size, int64_t kmin, int fit)
+{
+    if (size <= kmin) return 0;
+    switch (s->W) {
+    case 1: return color_classes(s, P, kmin, fit, 1);
+    case 2: return color_classes(s, P, kmin, fit, 2);
+    case 3: return color_classes(s, P, kmin, fit, 3);
+    case 4: return color_classes(s, P, kmin, fit, 4);
+    default: return color_classes(s, P, kmin, fit, s->W);
     }
 }
 
@@ -330,7 +386,7 @@ static int branches(search *s, level *L, const u64 *P, const u64 *S, int64_t kmi
     L->off = s->order.len;
     L->coff = s->starts.len;
     if (s->mode == GENERIC) {
-        L->idx = first_classes(s, P, size, kmin) ? size : 0;
+        L->idx = classes(s, P, size, kmin, 0) ? size : 0;
         return 0;
     }
     L->c0 = (kmin > 0 ? kmin : 0) + 1;
@@ -347,7 +403,7 @@ static int branches(search *s, level *L, const u64 *P, const u64 *S, int64_t kmi
         if (!zero(c, VW)) size = 0;
     }
     if (size && s->dense) pair_color(s, P, size, kmin);
-    else if (size) first_fit(s, P, size, kmin);
+    else if (size) classes(s, P, size, kmin, 1);
     L->idx = (int64_t)(s->order.len - L->off);
     L->cls = (int64_t)(s->starts.len - L->coff) - 1;
     return 0;
@@ -787,6 +843,21 @@ static void floyd(int64_t N, int64_t m, int64_t *draw, int lg, int64_t *set)
     }
 }
 
+/* floyd() with the bitmap seen (N bits, all clear) for its set: the same
+ * draws, each tested and taken by one bit, then read back ascending by a
+ * scan that clears each word it reads and stops at the m-th rank, so seen
+ * is clear again on return */
+static void floyd_bitmap(int64_t N, int64_t m, int64_t *draw, u64 *seen)
+{
+    for (int64_t i = 0; i < m; i++) {
+        int64_t x = draw[i];
+        if (seen[x >> 6] & BIT(x)) x = draw[i] = N - m + i;
+        seen[x >> 6] |= BIT(x);
+    }
+    for (int64_t w = 0, i = 0; i < m; seen[w++] = 0)
+        for (u64 x = seen[w]; x; x &= x - 1) draw[i++] = 64 * w + __builtin_ctzll(x);
+}
+
 /* numpy's SeedSequence (bit_generator.pyx), in uint32 arithmetic */
 static uint32_t hashmix(uint32_t v, uint32_t *h, uint32_t mult)
 {
@@ -903,19 +974,30 @@ static int64_t *columns(int n, int k, int64_t N)
 
 /* The colex unrank of m ascending ranks into words, ew words an edge: the
  * i-th largest member of rank r is the largest v with
- * C(v, i) = col[(k - i) n + v] <= r. */
+ * C(v, i) = col[(k - i) n + v] <= r.  With memo (ew = VW), a rank whose bit
+ * is set in have is copied from memo[r], and any other is unranked into
+ * memo[r] too and gets its bit. */
 static void unrank(int n, int k, const int64_t *col, int64_t m, const int64_t *rank, int ew,
-                   u64 *words)
+                   u64 *words, u64 *memo, u64 *have)
 {
     memset(words, 0, (size_t)m * ew * sizeof(u64));
     /* ranks ascend, and so does the largest member, top (k >= 1, so
-     * col[0] = C(0, k) = 0): it climbs from the edge before's */
+     * col[0] = C(0, k) = 0): it climbs from the last edge unranked's */
     for (int64_t e = 0, top = 0; e < m; e++) {
         int64_t r = rank[e];
+        u64 *w = words + e * ew;
+        if (memo && have[r >> 6] & BIT(r)) {
+            memcpy(w, memo + r * VW, VW * sizeof(u64));
+            continue;
+        }
         while (top + 1 < n && col[top + 1] <= r) top++;
-        for (int64_t i = 0, v = top + 1; i < k; r -= col[i++ * n + v]) {
-            do v--; while (col[i * n + v] > r);     /* below the member before */
-            words[e * ew + (v >> 6)] |= BIT(v);
+        for (int64_t i = 0, v = top + 1, left = r; i < k; left -= col[i++ * n + v]) {
+            do v--; while (col[i * n + v] > left);  /* below the member before */
+            w[v >> 6] |= BIT(v);
+        }
+        if (memo) {
+            memcpy(memo + r * VW, w, VW * sizeof(u64));
+            have[r >> 6] |= BIT(r);
         }
     }
 }
@@ -954,15 +1036,21 @@ static int64_t draw_edges(bitgen_t *bg, int n, int k, const int64_t *col, int64_
     return kept;
 }
 
-/* Floyd's draws and hash set, each grown to the largest draw so far */
-typedef struct { int64_t *draw, *set, dcap, scap; } scratch;
+/* Floyd's draws and hash set, each grown to the largest draw so far, and
+ * an ekr_trials call's rank bitmap (seen) and unrank memo (memo, have),
+ * when its gates open them (see the header), else NULL */
+typedef struct {
+    int64_t *draw, *set, dcap, scap;
+    u64 *seen, *memo, *have;
+} scratch;
 
 /* One family from g into words, ew words an edge, as the sampler
  * SAMPLER_MODES[sampler] draws it: the ranks r < N whose next_double < p
  * (bernoulli), or m = random_binomial(N, p) and then Floyd's t_j on [0, j],
- * j = N - m .. N - 1 (conditioned), or m edges, deduplicated (independent,
- * draw_edges()); without col, *m independent edges, repeats kept, at any N.
- * *m becomes the edges drawn, written only when they fit in room edges.
+ * j = N - m .. N - 1 (conditioned: floyd(), or floyd_bitmap() on s->seen),
+ * or m edges, deduplicated (independent, draw_edges()); without col, *m
+ * independent edges, repeats kept, at any N.  *m becomes the edges drawn,
+ * written only when they fit in room edges (unrank() reads s's memo).
  * Returns DONE or OUT_OF_MEMORY. */
 static int draw(philox *g, int sampler, int n, int k, const int64_t *col, int64_t N, double p,
                 int64_t *m, int64_t room, int ew, u64 *words, scratch *s)
@@ -980,17 +1068,18 @@ static int draw(philox *g, int sampler, int n, int k, const int64_t *col, int64_
         binomial_t b = {0};
         *m = random_binomial(&bg, p, N, &b);
         while (((int64_t)1 << lg) < 2 * *m + 1) lg++;
-        if (grow(&s->set, &s->scap, (int64_t)1 << lg)) return OUT_OF_MEMORY;
+        if (!s->seen && grow(&s->set, &s->scap, (int64_t)1 << lg)) return OUT_OF_MEMORY;
         if (sampler == CONDITIONED) {
             if (grow(&s->draw, &s->dcap, *m)) return OUT_OF_MEMORY;
             for (int64_t i = 0; i < *m; i++)
                 s->draw[i] = (int64_t)random_bounded_uint64(&bg, 0, (u64)(N - *m + i), 0, 0);
-            floyd(N, *m, s->draw, lg, s->set);
+            if (s->seen) floyd_bitmap(N, *m, s->draw, s->seen);
+            else floyd(N, *m, s->draw, lg, s->set);
         }
     }
     if (*m > room) return DONE;
     if (sampler == INDEPENDENT) *m = draw_edges(&bg, n, k, col, *m, lg, s->set, ew, words);
-    else unrank(n, k, col, *m, s->draw, ew, words);
+    else unrank(n, k, col, *m, s->draw, ew, words, s->memo, s->have);
     return DONE;
 }
 
@@ -1020,7 +1109,8 @@ static int trial(int n, int64_t m, int dense, int64_t edge_cap, int64_t budget, 
  * keep_all).  Returns the trials done, fewer when the next one's m draws
  * may not fit (its row then holds that m), or -OUT_OF_MEMORY.  The column
  * table, draw()'s scratch and trial()'s block are the call's own, grown to
- * the largest trial so far and freed on return. */
+ * the largest trial so far and freed on return, as are the rank bitmap and
+ * unrank memo when their gates (see the header) open. */
 int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int n, int k,
                    int64_t N, double p, int sampler, int dense, int64_t edge_cap, int64_t budget,
                    int keep_all, int64_t *rows, u64 *out, int64_t cap)
@@ -1028,7 +1118,12 @@ int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int
     philox g;
     scratch s = {0};
     int64_t t = lo, used = 0, bcap = 0, *block = NULL, *col = columns(n, k, N);
-    int status = col ? DONE : OUT_OF_MEMORY;
+    size_t bitmap = ((size_t)N + 63) / 64;
+    int memo = N <= SMALL_N && sampler != INDEPENDENT && (double)(hi - lo) * p >= 1;
+    int seen = N <= SMALL_N && sampler == CONDITIONED && 64 * p >= 1;
+    if (memo) s.memo = malloc((size_t)N * VW * sizeof(u64)), s.have = calloc(bitmap, sizeof(u64));
+    if (seen) s.seen = calloc(bitmap, sizeof(u64));
+    int status = col && (!memo || (s.memo && s.have)) && (!seen || s.seen) ? DONE : OUT_OF_MEMORY;
     for (; t < hi && status != OUT_OF_MEMORY; t++) {
         int64_t m = -1, *row = rows + (t - lo) * 5, room = (cap - used) / (VW + 1);
         uint32_t tw[2] = {(uint32_t)t, (uint32_t)(t >> 32)};
@@ -1042,6 +1137,9 @@ int64_t ekr_trials(const uint32_t *ent, int64_t len, int64_t lo, int64_t hi, int
     free(col);
     free(s.draw);
     free(s.set);
+    free(s.seen);
+    free(s.memo);
+    free(s.have);
     free(block);
     return status == OUT_OF_MEMORY ? -OUT_OF_MEMORY : t - lo;
 }

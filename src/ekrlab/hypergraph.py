@@ -289,10 +289,15 @@ def parse_hypergraph(text: str) -> Hypergraph:
     bits are powers of two, so the vertices strictly increase exactly when
     each bit is above the OR of those before it.  Any other line ("05",
     "+7", Unicode digits, a vertex out of range, a repeat, a short line)
-    goes through int() in _parse_line, which raises its error."""
-    lines = text.splitlines()
-    if not lines:
+    goes through int() in _parse_line, which raises its error.
+
+    Lines end only at \\n, \\r\\n or \\r, Python's universal newlines, as
+    read_hypergraph reads a file.  \\x0b, \\x0c, \\x1c-\\x1e, \\x85, \\u2028
+    and \\u2029, where str.splitlines would also end a line, separate tokens
+    within it, as str.split() reads them."""
+    if not text:
         raise ParseError("empty hypergraph file")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     head = lines[0].split()
     if len(head) != 3:
         raise ParseError(f"header must be 'n k m', got {lines[0]!r}")

@@ -243,10 +243,11 @@ def sample(mode: str, n: int, k: int, p: float, seed) -> Hypergraph:
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """hypergraph.parse_hypergraph with every edge line read by int(): the
-    same Hypergraph, or the same ParseError text, on any text."""
-    lines = text.splitlines()
-    if not lines:
+    same Hypergraph, or the same ParseError text, on any text.  Lines end
+    at \\n, \\r\\n or \\r only."""
+    if not text:
         raise ParseError("empty hypergraph file")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     head = lines[0].split()
     if len(head) != 3:
         raise ParseError(f"header must be 'n k m', got {lines[0]!r}")

@@ -565,6 +565,14 @@ def test_parse_errors(bad):
     # a line's number counts the blank lines before it
     ("6 2 2\n\n1 2\n3 x\n", "line 4: non-integer vertex"),
     ("6 2 2\n1 2\n\n  \n3 3\n", "line 5: vertices must be strictly increasing"),
+    # \x0c, \x85 and \u2028 separate tokens and end no line: the numbers
+    # after them count only \n, \r\n and \r
+    ("6 2 2\n1\x0c2\n3 x\n", "line 3: non-integer vertex"),
+    ("6 2 2\r\n1\x852\r\n\u20283 3\r\n", "line 3: vertices must be strictly increasing"),
+    ("6 2 2\r1 2\r\n1\u20282 3\r", "line 3: expected 2 vertices, got 3"),
+    # the header's repr carries no \r from a \r\n line end
+    ("6 2\r\n1 2\r\n", "header must be 'n k m', got '6 2'"),
+    ("6 2 x\r\n1 2\r\n", "non-integer header field: '6 2 x'"),
 ])
 def test_parse_error_messages(bad, message):
     with pytest.raises(ParseError) as err:
@@ -577,15 +585,16 @@ def test_parse_error_messages(bad, message):
 # not an integer
 OFF_TABLE_TOKENS = ["05", "+7", "\u0663", "1_0", "0", "-1", str(10**18), "1.5"]
 SEPARATORS = [" "] * 4 + ["\t", "\xa0"]
-LINE_SEPARATORS = SEPARATORS + ["\x0b", "\x0c"]     # str.splitlines ends a line at these
+# str.splitlines would end a line at these; the parsers keep them inside it
+LINE_SEPARATORS = SEPARATORS + ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
 
 
 @st.composite
 def hypergraph_texts(draw):
     """Files of canonical edges, some lines flawed: an off-table token or
     n + 1, a repeat, descending, short or long; tokens split by any
-    whitespace (\\x0b and \\x0c also end a line), blank lines, \\r\\n
-    line ends, and n past MAX_N."""
+    whitespace (\\x0b, \\x0c, \\x85, \\u2028 among them, which end no
+    line), blank lines, \\r\\n line ends, and n past MAX_N."""
     n = draw(st.sampled_from([3, 6, 9, 14, 64, 65, 256, 257, 300]))
     k = draw(st.integers(1, 4))
     separators = draw(st.sampled_from([SEPARATORS] * 3 + [LINE_SEPARATORS]))
@@ -632,6 +641,16 @@ def test_parse_builds_the_edges_from_edges_builds():
     want = hg.Hypergraph.from_edges(256, 3, [(0, 1, 255), (3, 4, 5), (0, 1, 255), (6, 7, 9)])
     assert (H.n, H.k, H.edge_bits) == (want.n, want.k, want.edge_bits)
     assert H.edge_bits[0] is H.edge_bits[2]      # equal edges share one int
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_parse_line_ends_only_at_universal_newlines(sep):
+    # str.splitlines would read "1<sep>2" as two lines, so m = 1 would not
+    # match; here it is one edge line, its tokens split at sep
+    text = f"6 2 2\n1{sep}2\r\n{sep}3 4{sep}\n"
+    H = hg.parse_hypergraph(text)
+    assert (H.n, H.k, H.edge_bits) == (6, 2, (0b11, 0b1100))
+    assert parsed(oracles.parse_hypergraph, text) == (6, 2, (0b11, 0b1100))
 
 
 def test_parse_multiset_allowed():

@@ -387,6 +387,72 @@ def test_native_trials_draw_numpys_streams(sampler, n, k, p, seed, stream, lo, c
     assert kernel_trials(sampler, n, k, p, seed, stream, lo, lo + count) == want
 
 
+# _kernel.c's SMALL_N: the most ranks its rank bitmap and unrank memo cover
+SMALL_N = 1 << 16
+
+
+def gates(sampler, n, k, p, trials):
+    """(memo, bitmap): whether one ekr_trials call of trials trials opens
+    the kernel's unrank memo and its conditioned rank bitmap."""
+    small = math.comb(n, k) <= SMALL_N
+    return small and trials * p >= 1, small and sampler == "conditioned" and 64 * p >= 1
+
+
+# (n, k, p, trials): each side of each gate, at n <= 64 and n > 64, at p = 1,
+# and on each side of N <= SMALL_N
+GATE_CASES = [
+    (12, 3, 0.9 / 64, 80),      # memo only
+    (12, 3, 1 / 64, 60),        # bitmap only, at its bound 64 p = 1
+    (12, 3, 1 / 64, 64),        # both, each at its bound: (hi - lo) p = 64 p = 1
+    (12, 3, 0.01, 50),          # neither
+    (12, 3, 0.3, 20),           # both
+    (9, 3, 1.0, 4),             # p = 1: every rank in every trial
+    (100, 2, 0.01, 100),        # two vertex words: memo only, at its bound
+    (100, 2, 0.05, 10),         # bitmap only
+    (100, 2, 0.05, 40),         # both
+    (75, 3, 0.05, 25),          # N = 67,525 > SMALL_N: neither
+]
+
+
+def test_gate_cases_open_each_side_of_each_gate():
+    sides = {gates(sampler, *case) for case in GATE_CASES
+             for sampler in ("bernoulli", "conditioned")}
+    assert sides == {(False, False), (False, True), (True, False), (True, True)}
+    assert gates("conditioned", 75, 3, 1.0, 100) == (False, False)
+
+
+@pytest.mark.parametrize("sampler", ["bernoulli", "conditioned"])
+@pytest.mark.parametrize("n, k, p, trials", GATE_CASES)
+def test_native_trial_batches_draw_numpys_streams(sampler, n, k, p, trials):
+    # batches long enough for ranks to repeat across trials, which the memo
+    # serves, and dense enough for the rank bitmap: trial by trial, m and
+    # the edges are still the oracle sampler's on either side of each gate
+    want = [oracles.sample(sampler, n, k, p, np.random.SeedSequence(7, spawn_key=(3, t)))
+            for t in range(trials)]
+    assert kernel_trials(sampler, n, k, p, 7, (3,), 0, trials) == [(H.m, H.edge_bits)
+                                                                   for H in want]
+
+
+@pytest.mark.parametrize("sampler", ["bernoulli", "conditioned"])
+def test_native_trials_resume_with_the_memo_live(sampler):
+    # (74, 3): N = 64,824 <= SMALL_N, p = 0.05, so m ~ 3,240 and a trial's
+    # words take ~13,000 of the first output buffer's 65,536.  A later trial
+    # outgrows it while the memo (and a conditioned batch's bitmap) is live,
+    # and the batch resumes from that trial in a new call, which opens it
+    # afresh
+    n, k, p, trials = 74, 3, 0.05, 25
+    lib, calls = _native.kernel(), []
+    spy = lib._replace(ekr_trials=lambda *a: calls.append(a[2:4]) or lib.ekr_trials(*a))
+    rows = _native.trials(spy, 7, (3,), 0, trials, n, k, math.comb(n, k), p, sampler=sampler,
+                          dense=False, edge_cap=0, node_budget=1, keep_all=True)
+    want = [oracles.sample(sampler, n, k, p, np.random.SeedSequence(7, spawn_key=(3, t)))
+            for t in range(trials)]
+    assert [(row[0], _native.edge_bits(row[-1])) for row in rows] == [(H.m, H.edge_bits)
+                                                                      for H in want]
+    assert len(calls) >= 2 and calls[1][0] > 0
+    assert all(gates(sampler, n, k, p, hi - lo)[0] for lo, hi in calls[:2])
+
+
 def test_native_trials_grow_their_output():
     # m ~ 38,760 edges: each trial's words outgrow the output buffer, and
     # the batch goes on from the trial that did not fit

@@ -459,6 +459,43 @@ def test_kernels_agree_on_sampled_families(key, seed):
     assert runs["python"] == runs["native"]
 
 
+# m at each edge of the kernel's first-fit widths: W = ceil(m / 64) words
+# per candidate set is a compile-time constant for W = 1..4, a loop above
+WIDTH_EDGES = [63, 64, 65, 128, 129, 192, 193, 256, 257]
+
+
+def edges_at(n, k, m, seed):
+    """m edges of a conditioned (n, k) family of about 1.5 m, picked at
+    random, kept in their colex order."""
+    H = oracles.sample("conditioned", n, k, 1.5 * m / math.comb(n, k), seed)
+    assert H.m >= m
+    keep = sorted(np.random.default_rng(seed).choice(H.m, m, replace=False))
+    return hg.Hypergraph.from_edges(n, k, [hg.edge_members(H.edge_bits[i]) for i in keep])
+
+
+@pytest.mark.parametrize("m", WIDTH_EDGES)
+def test_kernels_agree_at_every_coloring_width(m):
+    # sparse (first-fit classes) and dense (pair matching) families of m
+    # edges, searched for omega and an empty intersection, and the generic
+    # search, whose feasibility test takes the first-fit classes in index
+    # order: the compiled kernel and the twin give equal results and node
+    # counts, whether a search finishes or runs out of its budget
+    runs = {}
+    for name, kernel in KERNELS.items():
+        runs[name] = []
+        for n, k, zeta in ((30, 3, 3), (14, 5, 1)):
+            inst = vf._Instance(edges_at(n, k, m, m))
+            omega = search_outcome(kernel.max_clique, inst, 2_000)
+            t = omega[0] if isinstance(omega, tuple) else delta(inst)
+            runs[name] += [omega,
+                           search_outcome(kernel.nontrivial_search, inst, t, 2_000, t - 1),
+                           search_outcome(kernel.nontrivial_search, inst, math.inf, 2_000, 2),
+                           search_outcome(kernel.generic_search, inst, 5, zeta, 2_000)]
+    assert runs["python"] == runs["native"]
+    # most searches finish, with their nodes; the others run out alike
+    assert sum(isinstance(run, tuple) for run in runs["native"]) >= 5
+
+
 def relabelled(H, n, f):
     return hg.Hypergraph.from_edges(n, H.k, [[f(v) for v in hg.edge_members(b)]
                                              for b in H.edge_bits])
