@@ -12,14 +12,15 @@ Conventions used throughout (n > 2k, vertices [n]):
 
 plus the degree brackets alpha1 = max{t : Pr(d >= t) >= psi/n} and
 beta = min{t : Pr(d > t) < 1/(n psi)} for d ~ Bin(M, p), which are one tail
-quantile max{t : Pr(d >= t) >= level} at two levels (tail_quantile), the
-Chernoff bracket beta*, the Chernoff-type tail bounds chernoff_upper and
-chernoff_mult (valid under negative association), and the small-regime
-parameters phi*, gamma, tau, lambda, xi, r0.
+quantile max{t : Pr(d >= t) >= level} at two levels (tail_quantile: one
+tail at a Cornish-Fisher start, then a walk by one), the Chernoff bracket
+beta*, the Chernoff-type tail bounds chernoff_upper and chernoff_mult
+(valid under negative association), and the small-regime parameters phi*,
+gamma, tau, lambda, xi, r0.
 
 Everything here is a pure function of its arguments; exact (big-rational)
 arithmetic is used below a size cutoff (exact.exact_tails for the degree
-tails) and flagged log-space floats above it.
+tails) and flagged floats above it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from . import exact
 
 Number = Union[int, float, Fraction]
@@ -80,8 +81,8 @@ class ModelParams:
             raise DomainError("k must be a positive integer")
         if self.n <= 2 * self.k:
             raise DomainError(f"need n > 2k, got n={self.n}, k={self.k}")
-        if not (self.psi > 0):
-            raise DomainError("psi must be positive")
+        if not 0 < self.psi < math.inf:
+            raise DomainError(f"psi must be positive and finite; got {self.psi}")
         if not (0 < self.eps_thr < 1):
             raise DomainError("eps_thr must lie in (0, 1)")
         if not (0 < self.c_regime < 0.25):
@@ -260,34 +261,50 @@ class AlphaBeta:
     alpha: int
     beta: int
     alpha_le_beta: bool
-    exact: bool  # False when tails fell back to log-space floats
+    exact: bool  # False on float tails
 
 
-def tail_quantile(M: int, p, level, mean: float | None = None) -> int:
+def tail_quantile(M: int, p, level) -> int:
     """max { t : Pr(Bin(M,p) >= t) >= level }, 0 when Pr(X >= 1) < level,
-    on exact or float tails by exact.exact_tails(M, p).
+    on exact or float tails by exact.exact_tails(M, p); DomainError unless
+    level > 0 (where every t qualifies) and, on float tails, >= 1e-300.
 
-    The tail is decreasing in t: gallop past the mean, then bisect.
-    """
-    if mean is None:
-        mean = float(M * Fraction(p)) if isinstance(p, (int, Fraction)) else M * p
-
-    def tail_ok(t):
-        return exact.binom_tail_ge(M, p, t, mean=mean) >= level
-
-    if not tail_ok(1):
-        return 0
-    hi = 2
-    while tail_ok(hi):
-        hi = 2 * hi + int(mean)  # gallop past the mean quickly
-    lo = 1
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if tail_ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    One tail T(t0) at a Cornish-Fisher start t0 (z by Abramowitz & Stegun
+    26.2.22), then a walk by one with the pmf stepped by its ratio: up while
+    T(t+1) = T(t) - pmf(t) >= level, else down, T(t-1) = T(t) + pmf(t-1).
+    T is read afresh where a step would lose ten bits to cancellation or
+    the pmf is below 1e-300.  Past TAIL_TERM_CAP steps: ResourceLimitError."""
+    p = Fraction(p) if exact.exact_tails(M, p) else float(p)
+    if not level > 0 or (level < 1e-300 and isinstance(p, float)):
+        raise DomainError(f"a tail quantile level must be > 0 (>= 1e-300 on floats); got {level}")
+    if p >= 1 or level >= 1:                # X = M surely, or T(1) < 1 <= level
+        return M if p >= 1 and level <= 1 else 0
+    s = math.sqrt(-2 * math.log(max(level, 1e-300) if level < 0.5 else max(1 - level, 1e-16)))
+    z = math.copysign(s - (2.30753 + 0.27061 * s) / (1 + s * (0.99229 + 0.04481 * s)), 0.5 - level)
+    mu, q = M * float(p), 1 - float(p)
+    t = max(1, min(M, math.floor(mu + 0.5 + z * math.sqrt(mu * q) + (2 * q - 1) * (z * z - 1) / 6)))
+    T = anchor = exact.binom_tail_ge(M, p, t)
+    f, odds = exact.binom_pmf(M, p, t), p / (1 - p)
+    for _ in range(exact.TAIL_TERM_CAP):
+        if T >= level:                      # up
+            nxt = T - f
+            if nxt < anchor / 1024:         # T(M + 1) = 0 is read so too
+                nxt = anchor = exact.binom_tail_ge(M, p, t + 1)
+            if nxt < level:
+                return t
+            T, f, t = nxt, f * (M - t) * odds / (t + 1), t + 1
+        elif t == 1:
+            return 0
+        else:                               # down
+            t -= 1
+            if f > 1e-300:
+                f = f * (t + 1) / ((M - t) * odds)
+                T += f
+            else:
+                T, f = exact.binom_tail_ge(M, p, t), exact.binom_pmf(M, p, t)
+            if T >= level:
+                return t
+    raise ResourceLimitError(f"a tail quantile walk needs more than {exact.TAIL_TERM_CAP} steps")
 
 
 def alpha2_from_lambda(mbar: float, q: float, eps_thr: float) -> int:
@@ -327,7 +344,7 @@ def _degree_quantile(params: ModelParams, upper: bool) -> int:
     quantile of d_v ~ Bin(M, p)."""
     M, p, n = params.M, params.p, params.n
     psi = Fraction(params.psi) if exact.exact_tails(M, p) else params.psi  # the float, exactly
-    return tail_quantile(M, p, 1 / (n * psi) if upper else psi / n, float(params.phi))
+    return tail_quantile(M, p, 1 / (n * psi) if upper else psi / n)
 
 
 def _alpha2(params: ModelParams, q: float | None) -> int:

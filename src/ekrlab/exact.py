@@ -1,12 +1,10 @@
 """Exact combinatorial kernels shared across the package.
 
 Falling factorials and generalized binomials (exact for int/Fraction
-arguments), int-bitset helpers, and binomial/Poisson tail probabilities:
+arguments), int-bitset helpers, and the binomial pmf and upper tails:
 exact Fractions for a rational p and M <= EXACT_TAIL_CUTOFF (exact_tails),
-floats otherwise that stay numerically honest from M = 10 up to
-astronomically large M, or raise ResourceLimitError: past TAIL_TERM_CAP
-summed terms (about 9 standard deviations of them near the mean), or past
-POISSON_SWITCH Bernoulli summands with p above POISSON_MAX_P.
+else floats, by one path from M = 10 to past 1e26 (Loader's pmf at the
+boundary term, then a sum of pmf ratios of at most TAIL_TERM_CAP terms).
 """
 
 from __future__ import annotations
@@ -16,12 +14,7 @@ from fractions import Fraction
 
 from .errors import ResourceLimitError
 
-# Above this many Bernoulli summands the binomial is computed through its
-# Poisson limit, off by at most p in total variation (Le Cam), for p <= 1e-8
-# only; every model the samplers' draw cap admits there has p < 5e-9.
-POISSON_SWITCH = 10**15
-POISSON_MAX_P = 1e-8
-TAIL_TERM_CAP = 10**6       # the most terms one float tail sums, ~0.5 s
+TAIL_TERM_CAP = 10**6       # the most terms one float tail sums (~9 sigma near the mean), ~0.2 s
 
 # Ceiling on M for exact (big-rational) binomial tail summation.
 EXACT_TAIL_CUTOFF = 1000
@@ -66,8 +59,54 @@ def mask_from(members) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Binomial upper tails Pr(X >= t), X ~ Bin(M, p)
+# Binomial pmf and upper tails Pr(X >= t), X ~ Bin(M, p)
 # ---------------------------------------------------------------------------
+
+def exact_tails(M: int, p) -> bool:
+    """Whether Bin(M, p)'s pmf and tails are exact Fractions: p int or
+    Fraction and M <= EXACT_TAIL_CUTOFF; otherwise they are floats."""
+    return isinstance(p, (int, Fraction)) and M <= EXACT_TAIL_CUTOFF
+
+
+def binom_pmf(M: int, p, j: int):
+    """Pr(X = j): a Fraction when exact_tails(M, p), else a float by C.
+    Loader's saddle-point form ("Fast and Accurate Computation of Binomial
+    Probabilities", 2000; R's dbinom).  Its bd0 terms read the deviation
+    d = j - Mp, which, like Mp and Mq, is rounded once from p's exact
+    ratio, so no difference of two floats near M is ever taken."""
+    if exact_tails(M, p):
+        p = Fraction(p)
+        return math.comb(M, j) * p**j * (1 - p) ** (M - j) if 0 <= j <= M else Fraction(0)
+    p = float(p)
+    if not 0 <= j <= M or (p <= 0.0 and j) or (p >= 1.0 and j < M):
+        return 0.0
+    if j == 0 or j == M:
+        return math.exp(M * math.log1p(-p)) if j == 0 else p**M
+    a, b = p.as_integer_ratio()
+    d = (j * b - M * a) / b
+    return math.exp(_stirlerr(M) - _stirlerr(j) - _stirlerr(M - j) - _bd0(j, M * a / b, d)
+                    - _bd0(M - j, M * (b - a) / b, -d)) / math.sqrt(2 * math.pi * (j * (M - j) / M))
+
+
+def _stirlerr(n: int) -> float:
+    """log n! - log(sqrt(2 pi n) (n/e)^n): by lgamma below 16, else by five
+    terms of its Stirling series, exact to double precision there."""
+    if n < 16:
+        return math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - math.log(2 * math.pi) / 2
+    w = 1.0 / (float(n) * n)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / n
+
+
+def _bd0(x: int, mu: float, d: float) -> float:
+    """x log(x / mu) + mu - x for d = x - mu: where that form cancels, |v| <
+    0.1 for v = d / (x + mu), by its series in v through v^17, whose
+    remainder is below 1e-17 of it."""
+    x = float(x)
+    v = d / (x + mu)
+    if abs(v) >= 0.1:
+        return x * math.log(x / mu) - d
+    return d * v + 2 * x * sum(v**i / i for i in range(3, 19, 2))
+
 
 def binom_tail_ge_exact(M: int, p, t: int) -> Fraction:
     """Exact Pr(X >= t) as a reduced Fraction; intended for small M.
@@ -92,90 +131,25 @@ def binom_tail_ge_exact(M: int, p, t: int) -> Fraction:
     return Fraction(total - s if low else s, total)
 
 
-def _tail_sum_from(log_start_pmf: float, ratio_fn, first_index: int, last_index, step: int) -> float:
-    """Sum pmf terms starting at a boundary term, following a <1 ratio."""
-    total = 1.0
-    term = 1.0
-    j = first_index
-    stop = first_index + step * TAIL_TERM_CAP
-    while last_index is None or (step > 0 and j < last_index) or (step < 0 and j > last_index):
-        if j == stop:
-            raise ResourceLimitError(f"a tail sum needs more than {TAIL_TERM_CAP} terms")
-        r = ratio_fn(j)
-        if r <= 0.0:
-            break
-        term *= r
-        total += term
-        j += step
-        if term < 1e-18 * total:
-            break
-    return math.exp(log_start_pmf) * total
-
-
-def poisson_tail_ge(mean: float, t: int) -> float:
-    """Pr(X >= t) for X ~ Poisson(mean)."""
-    if t <= 0:
-        return 1.0
-    if mean <= 0.0:
-        return 0.0
-    log_pmf = -mean + t * math.log(mean) - math.lgamma(t + 1)
-    if t > mean:
-        # terms decay going up
-        return min(1.0, _tail_sum_from(log_pmf, lambda j: mean / (j + 1), t, None, 1))
-    # Pr(X <= t-1), summed downward from its largest term at t-1
-    log_pmf_low = -mean + (t - 1) * math.log(mean) - math.lgamma(t)
-    low = _tail_sum_from(log_pmf_low, lambda j: j / mean, t - 1, 0, -1)
-    return max(0.0, 1.0 - low)
-
-
-def binom_tail_ge_float(M: int, p: float, t: int, mean: float | None = None) -> float:
-    """Pr(X >= t) for X ~ Bin(M, p) in stable floating point.
-
-    Sums the smaller tail side starting from its dominant boundary term, so
-    the geometric decay truncates quickly.  Falls back to the Poisson limit
-    when M is too large for lgamma.
-    """
-    if t <= 0:
-        return 1.0
-    if t > M:
-        return 0.0
-    if p >= 1.0:        # X = M: no Poisson limit holds, and its sum takes ~sqrt(M) steps
-        return 1.0
-    if M > POISSON_SWITCH:
-        if p > POISSON_MAX_P:
-            raise ResourceLimitError(f"no tail of Bin({M}, {p:.4g}): too many summands to sum, "
-                                     f"and p > {POISSON_MAX_P} for the Poisson limit")
-        # p itself may underflow double precision here; trust the mean
-        if mean is None:
-            mean = float(M * Fraction(p))
-        return poisson_tail_ge(mean, t)
-    if p <= 0.0:
-        return 0.0
-    if mean is None:
-        mean = M * p
-    lg = math.lgamma
-    logp = math.log(p)
-    log1mp = math.log1p(-p)
-
-    def log_pmf(j):
-        return lg(M + 1) - lg(j + 1) - lg(M - j + 1) + j * logp + (M - j) * log1mp
-
-    odds = p / (1.0 - p)
-    if t > mean:
-        return min(1.0, _tail_sum_from(log_pmf(t), lambda j: (M - j) / (j + 1) * odds, t, M, 1))
-    low = _tail_sum_from(log_pmf(t - 1), lambda j: j / ((M - j + 1) * odds), t - 1, 0, -1)
-    return max(0.0, 1.0 - low)
-
-
-def exact_tails(M: int, p) -> bool:
-    """Whether Bin(M, p)'s tails are exact Fractions: p int or Fraction and
-    M <= EXACT_TAIL_CUTOFF; otherwise they are floats."""
-    return isinstance(p, (int, Fraction)) and M <= EXACT_TAIL_CUTOFF
-
-
-def binom_tail_ge(M: int, p, t: int, mean: float | None = None):
-    """Pr(X >= t) for X ~ Bin(M, p): a Fraction when exact_tails(M, p),
-    a float otherwise."""
+def binom_tail_ge(M: int, p, t: int):
+    """Pr(X >= t) for X ~ Bin(M, p): binom_tail_ge_exact when exact_tails(M,
+    p), else a float: the smaller side's boundary pmf, at t above the mean
+    or t - 1 at or below it, times the sum of the pmf ratios away from it,
+    until a term is below 1e-18 of the sum; ResourceLimitError past
+    TAIL_TERM_CAP terms."""
     if exact_tails(M, p):
         return binom_tail_ge_exact(M, p, t)
-    return binom_tail_ge_float(M, float(p), t, mean=mean)
+    p = float(p)
+    if t <= 0 or t > M or p <= 0.0 or p >= 1.0:     # X = 0 or X = M surely
+        return float(t <= 0 or (t <= M and p >= 1.0))
+    odds, up = p / (1.0 - p), t > M * p
+    j = first = t if up else t - 1
+    total = term = 1.0
+    for _ in range(TAIL_TERM_CAP):
+        if j == (M if up else 0) or term < 1e-18 * total:
+            side = binom_pmf(M, p, first) * total
+            return min(1.0, side) if up else max(0.0, 1.0 - side)
+        term *= (M - j) / (j + 1) * odds if up else j / ((M - j + 1) * odds)
+        total += term
+        j += 1 if up else -1
+    raise ResourceLimitError(f"a tail sum needs more than {TAIL_TERM_CAP} terms")

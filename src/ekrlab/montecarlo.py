@@ -120,17 +120,38 @@ def _fmt(v) -> str:
 
 def classify_witness_kind(H: Hypergraph, witness_indices, params: ModelParams,
                           regime: Optional[analytics.RegimeParams]) -> str:
-    """Histogram tag for a failing clique: generic | hm | eventA/B/C | other."""
+    """Histogram tag for a failing clique: generic | hm | eventA/B/C | other;
+    other too for a NaN zeta cap, under which no count is generic."""
+    if regime is not None and regime.zeta_cap != regime.zeta_cap:
+        return "other"
     idx = list(witness_indices)
-    zeta = regime.zeta_cap if regime is not None else len(idx)
+    return _witness_kind(H.n, idx, [H.edge_bits[i] for i in idx], params,
+                         lambda: regime, lambda: H)
+
+
+def _witness_kind(n: int, idx, bits, params: ModelParams, regime_of, graph_of) -> str:
+    """The witness kind of the clique of edges idx, whose bitsets are bits:
+    other unless they meet pairwise; generic when no vertex has clique-degree
+    above 3 and at most zeta of them have 3 (the degrees bit-sliced,
+    witnesses._degree_sets), zeta the regime's cap or, with no regime, the
+    clique's size; then hm by _hilton_milner_shape; then eventA/B/C by the
+    event classifier on H, or other.  regime_of() and graph_of() give the
+    regime and H, and are called only where they are read: the regime for
+    a clique with a vertex of degree 3 or one that reaches the events, H
+    for the events."""
     try:
-        if witnesses.is_generic_clique(H, idx, zeta):
-            return "generic"
+        d3, over = witnesses._degree_sets(idx, bits)
     except DomainError:
         return "other"
-    if _hilton_milner_shape([H.edge_bits[i] for i in idx], H.n):
+    if not over and (not d3 or d3.bit_count() <= (
+            len(idx) if regime_of() is None else regime_of().zeta_cap)):
+        return "generic"
+    if _hilton_milner_shape(bits, n):
         return "hm"
-    return _event_kind(H, idx, params, regime)
+    regime = regime_of()
+    kind = None if regime is None else witnesses.classify_nontrivial_clique(
+        graph_of(), idx, regime, params.eps)
+    return "other" if kind is None else "event" + kind
 
 
 def _hilton_milner_shape(bits, n: int) -> bool:
@@ -146,15 +167,6 @@ def _hilton_milner_shape(bits, n: int) -> bool:
             return True
         before &= b0
     return False
-
-
-def _event_kind(H: Optional[Hypergraph], idx, params: ModelParams,
-                regime: Optional[analytics.RegimeParams]) -> str:
-    """eventA/B/C by the event classifier on H, or other; H may be None
-    when regime is."""
-    kind = None if regime is None else witnesses.classify_nontrivial_clique(
-        H, idx, regime, params.eps)
-    return "other" if kind is None else "event" + kind
 
 
 WITNESS_KINDS = ("generic", "hm", "eventA", "eventB", "eventC", "other")
@@ -250,25 +262,14 @@ def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list:
 
 def _failing_kind(ctx: TrialContext, clique, words: bytes) -> str:
     """classify_witness_kind of a failing trial's clique from its row's
-    words, of which only the clique's edges are decoded.  The zeta cap, and
-    with it ctx.regime, is read only for a clique with a vertex of degree
-    3: it is gamma / eps or the clique's size, never below 0.  A Hypergraph
-    of all the words is built only for the event classifier, which reads
-    the degrees in H."""
+    words, of which only the clique's edges are decoded.  ctx.regime, and
+    with it alpha, is read only for a clique with a vertex of degree 3 or
+    one that reaches the event classifier, and a Hypergraph of all the words
+    is built only for the event classifier, which reads the degrees in H."""
     size, n = _native._VERTEX_BYTES, ctx.params.n
     bits = [int.from_bytes(words[size * i:size * (i + 1)], "little") for i in clique]
-    try:
-        d3, over = witnesses._degree_sets(clique, bits)
-    except DomainError:
-        return "other"
-    if not over and (not d3 or d3.bit_count() <= (
-            len(clique) if ctx.regime is None else ctx.regime.zeta_cap)):
-        return "generic"
-    if _hilton_milner_shape(bits, n):
-        return "hm"
-    H = None if ctx.regime is None else Hypergraph._unchecked(n, ctx.params.k,
-                                                              _native.edge_bits(words))
-    return _event_kind(H, clique, ctx.params, ctx.regime)
+    return _witness_kind(n, clique, bits, ctx.params, lambda: ctx.regime,
+                         lambda: Hypergraph._unchecked(n, ctx.params.k, _native.edge_bits(words)))
 
 
 def _records(ctx: TrialContext, rows, lo: int = 0) -> list[TrialRecord]:

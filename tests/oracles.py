@@ -10,9 +10,11 @@ against; and the per-trial CSV that pins every field of a trial record.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import io
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, combinations
 from types import SimpleNamespace
@@ -85,6 +87,125 @@ def binom_tail_ge_fractions(M: int, p, t: int) -> Fraction:
     if t <= M * p:
         return 1 - sum(math.comb(M, j) * p**j * (1 - p) ** (M - j) for j in range(t))
     return sum(math.comb(M, j) * p**j * (1 - p) ** (M - j) for j in range(t, M + 1))
+
+
+# Bernoulli numbers B_2, B_4, ..., B_20 of the Stirling series for log n!
+_BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+              Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+              Fraction(43867, 798), Fraction(-174611, 330)]
+
+
+def _decimal_pi() -> Decimal:
+    """pi at the current decimal precision (the decimal module's recipe)."""
+    decimal.getcontext().prec += 2
+    lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _log_factorial(n: int, log_2pi: Decimal) -> Decimal:
+    """log n! at the current decimal precision: of the exact int below
+    1000, else Stirling's series to B_20, whose remainder there is below
+    1e-60 of its last term."""
+    if n < 1000:
+        return Decimal(math.factorial(n)).ln()
+    x = Decimal(n)
+    s = (x + Decimal("0.5")) * x.ln() - x + log_2pi / 2
+    for i, b in enumerate(_BERNOULLI, 1):
+        s += Decimal(b.numerator) / (Decimal(b.denominator) * (2 * i) * (2 * i - 1)
+                                     * x ** (2 * i - 1))
+    return s
+
+
+def binom_tail_ge_decimal(M: int, p: float, t: int, digits: int = 60) -> Decimal:
+    """Pr(X >= t), X ~ Bin(M, p), p's exact binary value, in stdlib decimal
+    at digits + 40 digits (log C(M, j) of M ~ 1e26 cancels ~30): the pmf at
+    the boundary term from log C(M, j) + j log p + (M - j) log(1 - p), then
+    the terms away from it by their exact ratios, until one is below
+    10^-(digits + 5) of the sum; the lower side is summed, and subtracted
+    from 1, when t is at most the mean."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 40
+        if t <= 0:
+            return Decimal(1)
+        if t > M:
+            return Decimal(0)
+        P = Decimal(p)
+        Q = 1 - P
+        upper = t > M * Fraction(p)
+        j = t if upper else t - 1
+        log_2pi = (2 * _decimal_pi()).ln()
+        log_c = (_log_factorial(M, log_2pi) - _log_factorial(j, log_2pi)
+                 - _log_factorial(M - j, log_2pi))
+        term = (log_c + j * P.ln() + (M - j) * Q.ln()).exp()
+        total, eps = term, Decimal(10) ** -(digits + 5)
+        while term > eps * total:
+            if upper:
+                if j == M:
+                    break
+                term = term * (M - j) * P / ((j + 1) * Q)
+                j += 1
+            else:
+                if j == 0:
+                    break
+                term = term * j * Q / ((M - j + 1) * P)
+                j -= 1
+            total += term
+        return +total if upper else 1 - total
+
+
+# ---------------------------------------------------------------------------
+# k = 2: exact EKR curves
+# ---------------------------------------------------------------------------
+
+# a_m, the number of strong-EKR m-edge graphs on [n], m = 0..C(n, 2), as
+# k2_ekr_counts enumerates them; (6, 2)'s were counted independently against
+# the compiled kernel's decide on every family
+K2_EKR_COUNTS = {
+    5: [1, 10, 45, 110, 140, 102, 85, 90, 45, 10, 1],
+    6: [1, 15, 105, 435, 1125, 1953, 2790, 4170, 5535, 4945, 3003, 1365, 455, 105, 15, 1],
+}
+
+
+def k2_ekr_fails(n: int, edge_mask: int) -> bool:
+    """Whether strong EKR fails for the graph (k = 2) on [n] whose edges are
+    the set bits of edge_mask, pair (a, b), a < b, at its index in
+    combinations(range(n), 2): an intersecting family of 2-sets is a star
+    or a triangle, so EKR fails iff H has a triangle and Delta <= 3."""
+    stars, triangles = _k2_masks(n)
+    return (any(edge_mask & t == t for t in triangles)
+            and max((edge_mask & s).bit_count() for s in stars) <= 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _k2_masks(n: int) -> tuple[list[int], list[int]]:
+    """The edge masks of each vertex's star and of each triangle on [n]."""
+    bit = {e: 1 << i for i, e in enumerate(combinations(range(n), 2))}
+    stars = [sum(b for e, b in bit.items() if v in e) for v in range(n)]
+    return stars, [bit[(a, b)] | bit[(a, c)] | bit[(b, c)]
+                   for a, b, c in combinations(range(n), 3)]
+
+
+def k2_ekr_counts(n: int) -> list[int]:
+    """a_m for m = 0..C(n, 2): k2_ekr_fails over all 2^C(n, 2) graphs."""
+    N = math.comb(n, 2)
+    counts = [0] * (N + 1)
+    for mask in range(1 << N):
+        counts[mask.bit_count()] += not k2_ekr_fails(n, mask)
+    return counts
+
+
+def k2_ekr_probability(n: int, p: float) -> float:
+    """f(p) = sum_m a_m p^m (1 - p)^(N - m): Pr(EKR) of G(n, p)."""
+    a = K2_EKR_COUNTS[n]
+    N = len(a) - 1
+    return math.fsum(c * p**m * (1 - p) ** (N - m) for m, c in enumerate(a))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from ekrlab import analytics as an
 from ekrlab import exact
 from ekrlab.errors import DomainError
-from oracles import (brute_force_intersection_probability, chernoff_mult_rescaled,
-                     exact_conditional_intersection)
+from oracles import (binom_tail_ge_decimal, brute_force_intersection_probability,
+                     chernoff_mult_rescaled, exact_conditional_intersection)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +164,64 @@ def test_alpha1_beta_binomial_examples(p, level, want):
                           for j in range(s))) for s in range(12)]
     assert tail[t] >= level > tail[t + 1]
     assert min(s for s in range(11) if tail[s + 1] < level) == t
+
+
+def _quantile_grid(seed, points):
+    # M from 10 to 1e26, mean up to 1e5, levels from 1e-300 to 1 - 1e-12
+    rng = random.Random(seed)
+    for i in range(points):
+        M = int(10 ** rng.uniform(1, 26))
+        p = 10 ** rng.uniform(-3, math.log10(min(M / 2, 1e5))) / M
+        yield M, p, (10 ** rng.uniform(-300, -1), 10 ** rng.uniform(-6, 0),
+                     1 - 10 ** rng.uniform(-12, -1))[i % 3]
+
+
+def test_tail_quantile_matches_the_decimal_oracle():
+    # t = tail_quantile(M, p, level) has T(t) >= level > T(t + 1) by a 30-digit
+    # decimal sum (T(1) < level at t = 0), on a seeded grid; at (503, 0.19),
+    # level 5e-292, the start t0 = M has a pmf that underflows, 1e-363, and
+    # the walk down reads its tails afresh until they are in range
+    for M, p, level in [(503, 0.19031946052994073, 5.03e-292), *_quantile_grid(36, 60)]:
+        t = an.tail_quantile(M, p, level)
+        assert t == 0 or binom_tail_ge_decimal(M, p, t, 30) >= Decimal(level), (M, p, level, t)
+        assert binom_tail_ge_decimal(M, p, t + 1, 30) < Decimal(level), (M, p, level, t)
+
+
+def test_tail_quantile_exact_walk_matches_the_definition():
+    # Fraction p and levels: the walk's answer is the definition's, read off
+    # the exact tails, at levels on, above and below a tail value (ties)
+    rng = random.Random(7)
+    for _ in range(40):
+        M = rng.randint(1, 120)
+        p = Fraction(rng.randint(1, 40), 41)
+        tails = [exact.binom_tail_ge_exact(M, p, t) for t in range(M + 2)]
+        s = rng.randint(1, M)
+        for level in (tails[s], tails[s] * Fraction(1001, 1000), tails[s] * Fraction(999, 1000)):
+            want = max([t for t in range(1, M + 1) if tails[t] >= level], default=0)
+            assert an.tail_quantile(M, p, level) == want, (M, p, level)
+
+
+@pytest.mark.parametrize("M, p, level", [(10, 0.1, 0.0), (10, 0.1, -1.0), (10, 0.1, math.nan),
+                                         (10, Fraction(1, 10), 0), (10, 0.1, 1e-301),
+                                         (10**12, 0.5, 0.0)])
+def test_tail_quantile_needs_a_positive_level(M, p, level):
+    # at level 0 every t qualifies: the old quantile galloped forever; float
+    # tails hold no 15 digits below 1e-300
+    with pytest.raises(DomainError, match="level"):
+        an.tail_quantile(M, p, level)
+
+
+def test_tail_quantile_degenerate_p_and_levels():
+    for p in (0.0, Fraction(0)):
+        assert an.tail_quantile(10, p, 1e-9) == 0
+    for p in (1.0, Fraction(1)):
+        assert an.tail_quantile(10, p, 1) == 10 and an.tail_quantile(10, p, 1.5) == 0
+    assert an.tail_quantile(10**20, 1e-19, 2.0) == 0
+    # T(1) < 1 for p < 1, where float tails within 1e-16 of 1 round to it;
+    # at sigma ~ 1e5 a walk on them ran into the step cap (exit 3)
+    assert an.tail_quantile(math.comb(99, 9), 0.007, 1.0) == 0
+    assert an.tail_quantile(10, Fraction(1, 10), 1) == 0
+    assert an.tail_quantile(10, Fraction(1, 10), Fraction(1, 10**400)) == 10
 
 
 def test_exact_tails_end_at_the_cutoff():

@@ -527,6 +527,32 @@ def test_large_binomial_tails_end_at_once(args):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    (["calc", "--n", "24", "--k", "3", "--phi", "3", "--psi", "inf"], "psi must be"),
+    (["calc", "--n", "24", "--k", "3", "--phi", "3", "--psi", "1e308"], "level"),
+    (["sweep", "--n", "24", "--k", "3", "--grid-start", "1", "--grid-stop", "2",
+      "--grid-points", "2", "--trials", "2", "--psi", "inf"], "psi must be"),
+], ids=["calc-psi-inf", "calc-psi-1e308", "sweep-psi-inf"])
+def test_degenerate_psi_exits_2_at_once(args, message):
+    # beta's level 1/(n psi) is 0 at psi = inf, and rounds to 0 at 1e308:
+    # the quantile walked forever (calc), or the sweep ran with a psi it
+    # cannot read (exit 0); a child process, killed at 10 s
+    out = subprocess.run([sys.executable, "-m", "ekrlab.cli", *args],
+                         capture_output=True, text=True, timeout=10)
+    assert out.returncode == 2, out.stderr
+    assert message in out.stderr and out.stdout == ""
+
+
+@pytest.mark.parametrize("n, k, phi, alpha1, beta", [
+    (144, 11, "125.91", 147, 161), (256, 9, "50", 65, 74), (100, 10, "5", 9, 12)])
+def test_calc_degree_brackets(n, k, phi, alpha1, beta):
+    # checked against scipy.stats.binom.sf and the decimal oracle: the lgamma
+    # start term gave (120, 142) and (72, 78) at the first two
+    code, out, _ = run_cli(["calc", "--n", str(n), "--k", str(k), "--phi", phi])
+    d = json.loads(out)
+    assert code == 0 and (d["alpha1"], d["beta"]) == (alpha1, beta)
+
+
 EXIT_GRID = [(10, 3), (24, 3), (13, 6), (12, 6), (18, 18), (256, 1), (100, 5), (100, 10),
              (256, 10), (207, 12), (256, 12), (256, 18)]
 

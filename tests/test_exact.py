@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from ekrlab import exact
 from ekrlab.errors import ResourceLimitError
-from oracles import binom_tail_ge_fractions, colex_rank, colex_unrank
+from oracles import binom_tail_ge_decimal, binom_tail_ge_fractions, colex_rank, colex_unrank
 
 
 def test_falling_and_gen_binom():
@@ -108,7 +110,7 @@ def test_binom_tail_exact_matches_fraction_terms(M, p, ts):
 def test_binom_tail_float_close(M, p):
     for t in range(0, M + 1, max(1, M // 17)):
         want = float(_tail_oracle(M, Fraction(p).limit_denominator(10**6), t))
-        got = exact.binom_tail_ge_float(M, p, t)
+        got = exact.binom_tail_ge(M, p, t)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -119,19 +121,11 @@ def test_binom_tail_degenerate():
     assert exact.binom_tail_ge(10, 0.5, 11) == 0.0
 
 
-def test_poisson_switch_for_huge_m():
-    M = math.comb(2**20 - 1, 2**10 - 1)   # astronomically large
-    phi = 30.0
-    got = exact.binom_tail_ge(M, phi / M if M < 10**308 else 0.0, 40, mean=phi)
-    want = exact.poisson_tail_ge(phi, 40)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
 def test_binom_tail_at_p_1_beyond_the_poisson_switch():
     # X = M surely; the Poisson sum took ~sqrt(M) steps (calc at p = 1 hung)
     M = math.comb(255, 11)
-    assert exact.binom_tail_ge(M, 1.0, M, mean=float(M)) == 1.0
-    assert exact.binom_tail_ge(M, 1.0, M + 1, mean=float(M)) == 0.0
+    assert exact.binom_tail_ge(M, 1.0, M) == 1.0
+    assert exact.binom_tail_ge(M, 1.0, M + 1) == 0.0
 
 
 def test_tail_sums_are_capped():
@@ -140,23 +134,55 @@ def test_tail_sums_are_capped():
     M = math.comb(99, 9)
     with pytest.raises(ResourceLimitError, match="terms"):
         exact.binom_tail_ge(M, 0.5, M // 2)
-    with pytest.raises(ResourceLimitError, match="terms"):
-        exact.poisson_tail_ge(1e11, 10**11)
     # sigma ~ 1.6e4 needs ~1.4e5 terms: still summed
     assert exact.binom_tail_ge(10**9, 0.5, 5 * 10**8) == pytest.approx(0.5, abs=1e-4)
 
 
-def test_poisson_limit_only_for_small_p():
-    # beyond POISSON_SWITCH summands the Poisson limit is off by up to p in
-    # total variation: a large p is refused, a small one still answered
-    M = math.comb(255, 9)
-    for p in (0.5, 1e15 / M, 2 * exact.POISSON_MAX_P):
-        with pytest.raises(ResourceLimitError, match="Poisson"):
-            exact.binom_tail_ge(M, p, 1)
-    assert exact.binom_tail_ge(M, 20 / M, 40, mean=20.0) == exact.poisson_tail_ge(20.0, 40)
+# ROADMAP item 1's five rows, (n, k, phi) with M = C(n-1, k-1) and t: the
+# lgamma start term gave 0.3874, 0.2151, 1.0 and 0.00135 at the last four
+TAIL_ROWS = [(60, 6, 30.0, 36), (100, 10, 5.0, 6), (256, 8, 20.0, 24), (256, 9, 50.0, 60),
+             (144, 11, 125.9, 151)]
 
 
-def test_poisson_tail_against_series():
-    mu, t = 3.0, 7
-    direct = 1.0 - sum(math.exp(-mu) * mu**j / math.factorial(j) for j in range(t))
-    assert exact.poisson_tail_ge(mu, t) == pytest.approx(direct, rel=1e-12)
+def _tail_grid(seed, points):
+    # (M, p, t): M log-uniform on [10, 1e26], the mean Mp log-uniform up to
+    # min(M/2, 1e5), t from 6 sigma below the mean to 40 above it
+    rng = random.Random(seed)
+    for _ in range(points):
+        M = int(10 ** rng.uniform(1, 26))
+        mu = 10 ** rng.uniform(-3, math.log10(min(M / 2, 1e5)))
+        p = mu / M
+        t = round(mu + math.sqrt(mu * (1 - p)) * rng.uniform(-6, 40) + rng.uniform(-2, 30))
+        yield M, p, max(0, min(M + 1, t))
+
+
+def test_binom_tail_matches_the_decimal_oracle():
+    # relative error <= 1e-9 against a 60-digit decimal sum wherever the
+    # tail is at least 1e-300, from M = 10 to C(255, 17) ~ 1.3e26
+    cases = [(math.comb(n - 1, k - 1), phi / math.comb(n - 1, k - 1), t)
+             for n, k, phi, t in TAIL_ROWS]
+    cases += [(math.comb(255, 17), 20 / math.comb(255, 17), t) for t in (1, 16, 20, 40, 200)]
+    cases += list(_tail_grid(20261022, 60))
+    checked = 0
+    for M, p, t in cases:
+        want = binom_tail_ge_decimal(M, p, t)
+        if want < Decimal("1e-300"):
+            continue
+        got = exact.binom_tail_ge(M, p, t)
+        assert abs(Decimal(got) - want) <= Decimal("1e-9") * want, (M, p, t, got, want)
+        checked += 1
+    assert checked >= 50
+
+
+def test_binom_pmf_exact_and_float():
+    # a Fraction p's pmf is the exact term; a float's is Loader's, close to
+    # the Fraction term of its exact binary value
+    for M, p in ((10, Fraction(1, 10)), (25, Fraction(3, 7)), (1, Fraction(1, 2))):
+        for j in range(-1, M + 2):
+            want = math.comb(M, j) * p**j * (1 - p) ** (M - j) if 0 <= j <= M else 0
+            assert exact.binom_pmf(M, p, j) == want
+    for M, p in ((10, 0.1), (400, 0.3), (1500, 0.002), (50, 0.9)):
+        for j in range(0, M + 1, max(1, M // 23)):
+            want = math.comb(M, j) * Fraction(p) ** j * (1 - Fraction(p)) ** (M - j)
+            assert exact.binom_pmf(M, p, j) == pytest.approx(float(want), rel=1e-12, abs=1e-300)
+    assert [exact.binom_pmf(5, q, j) for q in (0.0, 1.0) for j in (0, 5)] == [1.0, 0.0, 0.0, 1.0]

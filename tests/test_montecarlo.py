@@ -314,6 +314,37 @@ def test_curve_endpoints_p0_p1():
     assert [r.phi for r in table.rows] == [0.0, 15.0]
 
 
+def test_k2_rule_counts_and_verdicts():
+    # the k = 2 rule's counts are the pinned ones, and it is verify_ekr's
+    # verdict on every graph on [5]
+    for n in oracles.K2_EKR_COUNTS:
+        assert oracles.k2_ekr_counts(n) == oracles.K2_EKR_COUNTS[n]
+    pairs = list(itertools.combinations(range(5), 2))
+    for mask in range(1 << len(pairs)):
+        H = hg.Hypergraph.from_edges(5, 2, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        assert vf.verify_ekr(H).holds != oracles.k2_ekr_fails(5, mask), mask
+
+
+# Bonferroni over every point of test_k2_sweep_estimates_the_exact_curve:
+# two samplers, two shapes, nine points each, at family-wise level 1e-3
+K2_SWEEP_Z = 4.19
+
+
+@pytest.mark.parametrize("sampler", ["bernoulli", "conditioned"])
+@pytest.mark.parametrize("n, seed", [(5, 51), (6, 61)])
+def test_k2_sweep_estimates_the_exact_curve(sampler, n, seed):
+    # f-hat is a mean of T Bernoulli(f(p)) verdicts: each point's z against
+    # the exact f(p) = sum_m a_m p^m (1-p)^(N-m) stays inside the bound
+    trials, M = 4000, n - 1
+    grid = [M * (i + 1) / 10 for i in range(9)]     # p = 0.1, ..., 0.9
+    table = mc.estimate_ekr_curve(n, 2, grid, trials=trials, seed=seed, sampler_mode=sampler)
+    for row in table.rows:
+        f = oracles.k2_ekr_probability(n, row.p)
+        assert row.undecided == 0
+        z = (row.f_hat - f) / math.sqrt(f * (1 - f) / trials)
+        assert abs(z) <= K2_SWEEP_Z, (row.phi, row.f_hat, f, z)
+
+
 def test_sweep_csv_deterministic_and_seed_sensitive():
     grid = [0.5, 1.5, 2.5]
     t1 = mc.estimate_ekr_curve(10, 2, grid, trials=40, seed=9)
@@ -710,8 +741,8 @@ def test_sweep_evaluates_alpha_only_where_a_clique_reads_it(monkeypatch, workers
     tails, contexts = [], []
     tail, make = an.tail_quantile, mc.make_trial_context
     monkeypatch.setattr(an, "tail_quantile",
-                        lambda M, p, level, mean=None: tails.append((p, level))
-                        or tail(M, p, level, mean))
+                        lambda M, p, level: tails.append((p, level))
+                        or tail(M, p, level))
     monkeypatch.setattr(mc, "make_trial_context",
                         lambda *a, **kw: contexts.append(make(*a, **kw)) or contexts[-1])
     table = mc.estimate_ekr_curve(24, 3, cli_log_grid(0.3, 20.0, 12), trials=100, seed=1,
@@ -808,7 +839,7 @@ def test_delta_law_beta_band_n60():
     deltas = trial_deltas(params, T, seed=10, sampler_mode="bernoulli")
     pr_le_beta = sum(d <= ab.beta for d in deltas) / T
     from ekrlab import exact
-    tail = exact.binom_tail_ge_float(params.M, float(params.p), ab.beta + 1)
+    tail = exact.binom_tail_ge(params.M, float(params.p), ab.beta + 1)
     harris_lb = (1.0 - tail) ** n
     upper = 1.0 - tail
     sigma = math.sqrt(max(pr_le_beta * (1 - pr_le_beta), 0.25 / T) / T)
