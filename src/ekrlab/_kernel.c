@@ -11,7 +11,7 @@
  * visited cliques, node counts and the recorded clique are the twin's.
  * The first-fit classes (color_classes(), which the sparse omega and
  * nontrivial searches and the generic search's feasibility test share) are
- * compiled once for each constant W = 1..4, m <= 256, with the class's
+ * compiled once for each constant W = 1..CW, m <= 256, with the class's
  * available set in registers and no scan for the lowest word; m > 256 runs
  * the same source as a loop over W words.
  * A node counts its candidates once, in branches(), for its coloring, and
@@ -20,9 +20,14 @@
  * (x &= x - 1, as BBMC, San Segundo et al., C&OR 38, 2011), never a copy
  * of it rescanned from its lowest word.
  *
- * The kernel builds its own graph from each edge's vertex bitset (VW words,
- * n <= 256): per-vertex star words, then the intersection adjacency by
- * verifier._star_adjacency's rule.  The omega and nontrivial searches run
+ * The kernel builds its own graph from each edge's vertex bitset of VW
+ * words, a compile-time constant: the one source is built once per vertex
+ * width, with -DVW=1 for n <= 64 and at the default VW = 4 for n <= 256,
+ * so that a family on at most 64 vertices carries, ANDs and copies one
+ * word an edge and a level's state is three words.  From them it builds
+ * per-vertex star words, then the intersection adjacency by
+ * verifier._star_adjacency's rule (adjacency(): each row the OR of its
+ * vertices' stars, at a constant W = 1..CW in locals, as the classes are).  The omega and nontrivial searches run
  * on its relabel by descending adjacency degree, ties by index (MCQ's
  * initial order, as the twin's relabel): the relabelled edges'
  * words, star words and adjacency, built once per instance, and each
@@ -102,7 +107,9 @@
  * colex rank in Floyd's hash set.  ekr_trials draws a batch of sweep trials
  * on their spawned streams and runs decide() on each, and ekr_draw draws
  * one family.  Star words are kept only for the live vertex rows: below n
- * in a trial, below the highest vertex present in ekr_search.
+ * in a trial, below the highest vertex present in ekr_search.  A build
+ * draws and unranks for n <= 64 VW only: draw_edges()'s Fisher-Yates pool
+ * holds 64 VW vertices.
  *
  * Memory.  A search (run()) works in a workspace its caller hands it: its
  * complement adjacency, its P and state stacks (not zeroed: only row 0 is
@@ -115,12 +122,14 @@
  * every trial and search, and frees it on return.  A trial above the edge
  * cap grows it by star words only.  An ekr_trials call also allocates its
  * own rank bitmap (N bits) and unrank memo (N VW words and N bits) when
- * their gates open, so at most 2 MiB + 16 KiB at N = 2^16, and frees them
- * on return.
+ * their gates open, and frees them on return: at N = 2^16 the memo is
+ * 512 KiB + 8 KiB when n <= 64 (VW = 1) and 2 MiB + 8 KiB at VW = 4, and
+ * the bitmap 8 KiB.
  *
- * Built with `gcc -O2 -shared -fPIC [-mpopcnt] -I<numpy include>`, linked
- * with numpy's libnpyrandom.a and -lm, and called through ctypes (_native),
- * which adds -mpopcnt on an x86-64 CPU that reports POPCNT: every
+ * Built with `gcc -O2 -shared -fPIC [-mpopcnt] -DVW=<1 or 4> -I<numpy
+ * include>`, linked with numpy's libnpyrandom.a and -lm, and called through
+ * ctypes (_native), which loads the build of each width on first use, picks
+ * it by n, and adds -mpopcnt on an x86-64 CPU that reports POPCNT: every
  * __builtin_popcountll is then one popcnt instruction, not a call to
  * libgcc's table-based __popcountdi2.  ctypes releases the GIL for each
  * call, and a sweep's thread pool calls ekr_trials from several threads at
@@ -134,7 +143,13 @@
 #include <numpy/random/bitgen.h>    /* bitgen_t */
 
 typedef uint64_t u64;
-#define VW 4                            /* vertex bitset words, n <= 256 */
+#ifndef VW
+#define VW 4                            /* vertex bitset words: n <= 64 VW */
+#endif
+#if VW < 1 || VW > 4
+#error "VW, the vertex bitset words, must be 1..4 (n <= 256)"
+#endif
+#define CW 4                            /* edge words compiled as constants: m <= 256 */
 #define BIT(v) (1ULL << ((v) & 63))
 #define SW (3 * VW)                     /* state words of a level: d1, d2, d3 */
 #define SMALL_N (1 << 16)               /* the most ranks a rank bitmap or memo covers */
@@ -200,10 +215,10 @@ static int reserve(ivec *a, size_t extra)
 static inline void push(ivec *a, int32_t x) { a->v[a->len++] = x; }
 
 /* the lowest word of rest at or above lo that holds a bit, or W.  At a
- * constant W <= VW it is 0 while any word does: every index is a constant */
+ * constant W <= CW it is 0 while any word does: every index is a constant */
 static inline __attribute__((always_inline)) int first_word(const u64 *rest, int lo, const int W)
 {
-    if (W <= VW) {
+    if (W <= CW) {
         u64 any = 0;
         for (int w = 0; w < W; w++) any |= rest[w];
         return any ? 0 : W;
@@ -214,7 +229,7 @@ static inline __attribute__((always_inline)) int first_word(const u64 *rest, int
 
 /* takes the next first-fit class, in index order, out of rest (W words, none
  * set below word lo), appending it to order when keep.  At a constant W <=
- * VW, lo stays 0, so rest and avail are indexed by constants only and can
+ * CW, lo stays 0, so rest and avail are indexed by constants only and can
  * live in registers; above, lo moves up to the lowest word left */
 static inline __attribute__((always_inline)) void
 take_class(search *s, u64 *rest, u64 *avail, int lo, int keep, const int W)
@@ -226,7 +241,7 @@ take_class(search *s, u64 *rest, u64 *avail, int lo, int keep, const int W)
             if (avail[w]) {
                 v = 64 * w + __builtin_ctzll(avail[w]);
                 rest[w] &= ~BIT(v);
-                if (W > VW) lo = w;
+                if (W > CW) lo = w;
                 break;
             }
         if (v < 0) return;
@@ -239,12 +254,12 @@ take_class(search *s, u64 *rest, u64 *avail, int lo, int keep, const int W)
 /* the twin's first_classes: rest = P less the first kmin first-fit classes,
  * and with fit its color_order too: each class after those is appended,
  * with its start relative to the level's first candidate.  Returns whether
- * any vertex outlasts kmin classes.  rest and avail are locals at W <= VW,
+ * any vertex outlasts kmin classes.  rest and avail are locals at W <= CW,
  * the workspace's words above */
 static inline __attribute__((always_inline)) int
 color_classes(search *s, const u64 *P, int64_t kmin, int fit, const int W)
 {
-    u64 r[VW], a[VW], *rest = W <= VW ? r : s->rest, *avail = W <= VW ? a : s->avail;
+    u64 r[CW], a[CW], *rest = W <= CW ? r : s->rest, *avail = W <= CW ? a : s->avail;
     int lo = 0;
     size_t base = s->order.len;
     for (int w = 0; w < W; w++) rest[w] = P[w];
@@ -258,7 +273,7 @@ color_classes(search *s, const u64 *P, int64_t kmin, int fit, const int W)
     return 1;
 }
 
-/* color_classes() on P (size vertices), with W a constant for W = 1..VW */
+/* color_classes() on P (size vertices), with W a constant for W = 1..CW */
 static int classes(search *s, const u64 *P, int size, int64_t kmin, int fit)
 {
     if (size <= kmin) return 0;
@@ -553,19 +568,34 @@ static void vertex_stars(int m, int W, int rows, const u64 *bits, u64 *star)
 
 /* verifier._star_adjacency from the edges' star words: adj[i] is the OR
  * of the stars of edge i's vertices minus bit i, so repeated edges stay
- * adjacent */
-static void adjacency(int m, int W, const u64 *bits, const u64 *star, u64 *adj)
+ * adjacent.  At a constant W <= CW a row is ORed in locals, then stored */
+static inline __attribute__((always_inline)) void
+star_rows(int m, const u64 *bits, const u64 *star, u64 *adj, const int W)
 {
     for (int i = 0; i < m; i++) {
         const u64 *e = bits + (size_t)i * VW;
-        u64 *a = adj + (size_t)i * W;
-        memset(a, 0, W * sizeof(u64));
+        u64 row[CW], *a = W <= CW ? row : adj + (size_t)i * W;
+        for (int j = 0; j < W; j++) a[j] = 0;
         for (int w = 0; w < VW; w++)
             for (u64 x = e[w]; x; x &= x - 1) {
                 const u64 *st = star + (size_t)(w * 64 + __builtin_ctzll(x)) * W;
                 for (int j = 0; j < W; j++) a[j] |= st[j];
             }
-        a[i >> 6] &= ~BIT(i);
+        if (W <= CW)
+            for (int j = 0; j < W; j++) adj[(size_t)i * W + j] = a[j];
+        adj[(size_t)i * W + (i >> 6)] &= ~BIT(i);
+    }
+}
+
+/* star_rows(), with W a constant for W = 1..CW */
+static void adjacency(int m, int W, const u64 *bits, const u64 *star, u64 *adj)
+{
+    switch (W) {
+    case 1: star_rows(m, bits, star, adj, 1); break;
+    case 2: star_rows(m, bits, star, adj, 2); break;
+    case 3: star_rows(m, bits, star, adj, 3); break;
+    case 4: star_rows(m, bits, star, adj, 4); break;
+    default: star_rows(m, bits, star, adj, W);
     }
 }
 

@@ -10,13 +10,19 @@ samplers of tests/oracles.py draw it (with numpy's binomial and
 bounded-integer samplers from its libnpyrandom.a), deduplicated and
 decided.  ekr_draw draws one family for hypergraph's samplers (draw()).
 
-kernel() builds the kernel on first use with the system gcc (-O2, plus
--mpopcnt on an x86-64 CPU whose /proc/cpuinfo flags report POPCNT, so that
-every popcount is one instruction), linked with libnpyrandom.a, into a
-per-user cache directory ($XDG_CACHE_HOME/ekrlab or ~/.cache/ekrlab, mode
-0700), under a name keyed by the sha256 of the source, the library and the
-build command, flags included, so that hosts sharing a home directory each
-load their own build, and loads it through ctypes.
+The source is built at two vertex widths, its compile-time VW: -DVW=1, one
+word an edge, serves families on n <= 64 vertices, and -DVW=4 those on
+n <= hypergraph.MAX_N = 256.  width(n) names the build for n, and every
+call picks it from n: vertex_words and edge_bits lay out and read its
+words, and search, decide, trials and draw run on kernel(n).  kernel(n)
+builds that width on first use, apart from the other, with the system gcc
+(-O2, plus -mpopcnt on an x86-64 CPU whose /proc/cpuinfo flags report
+POPCNT, so that every popcount is one instruction), linked with
+libnpyrandom.a, into a per-user cache directory ($XDG_CACHE_HOME/ekrlab or
+~/.cache/ekrlab, mode 0700), under a name keyed by the sha256 of the
+source, the library and the build command, flags and width included, so
+that hosts sharing a home directory each load their own build, and loads it
+through ctypes.
 Where there is no compiler or library, the build fails, or the cache
 directory cannot be made or is not private to the user, it raises
 ResourceLimitError with one line that names the cause, so sample, verify,
@@ -50,9 +56,8 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _NPYRANDOM = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
 _CC = "gcc"
 _CFLAGS = ("-O2", "-shared", "-fPIC")
-_VERTEX_BYTES = 32                      # 4 words: n <= hypergraph.MAX_N = 256
 
-_lib = None     # the loaded Kernel
+_lib: dict[int, Kernel] = {}     # the loaded Kernel of each vertex width (width())
 
 
 class Kernel(NamedTuple):
@@ -63,13 +68,21 @@ class Kernel(NamedTuple):
     ekr_draw: object
 
 
-def kernel() -> Kernel:
-    """The native Kernel, built and loaded on first use.  ResourceLimitError
-    where it cannot be, naming the cause; a later call tries again."""
-    global _lib
-    if _lib is None:
-        _lib = _load()
-    return _lib
+def width(n: int) -> int:
+    """The vertex words an edge takes in the build for n vertices: one for
+    n <= 64, else four (n <= hypergraph.MAX_N = 256)."""
+    return 1 if n <= 64 else 4
+
+
+def kernel(n: int) -> Kernel:
+    """The native Kernel for families on n vertices, the build of width(n)
+    vertex words, built and loaded on first use.  ResourceLimitError where
+    it cannot be, naming the cause; a later call tries again."""
+    vw = width(n)
+    lib = _lib.get(vw)
+    if lib is None:
+        lib = _lib[vw] = _load(vw)
+    return lib
 
 
 def _unavailable(cause: str) -> ResourceLimitError:
@@ -111,14 +124,15 @@ def _cpu_flags() -> list[str]:
     return []
 
 
-def _command(cc: str) -> list[str]:
-    """The compile command, less its output and source.  It adds -mpopcnt on
-    an x86-64 CPU that reports POPCNT, so that every popcount is one
-    instruction, not a call to libgcc's __popcountdi2; on a CPU without
-    POPCNT that instruction would die with SIGILL, so any other host builds
-    without it."""
+def _command(cc: str, vw: int) -> list[str]:
+    """The compile command of the build of vw vertex words, less its output
+    and source.  It adds -mpopcnt on an x86-64 CPU that reports POPCNT, so
+    that every popcount is one instruction, not a call to libgcc's
+    __popcountdi2; on a CPU without POPCNT that instruction would die with
+    SIGILL, so any other host builds without it."""
     popcnt = os.uname().machine == "x86_64" and "popcnt" in _cpu_flags()
-    return [cc, *_CFLAGS, *(["-mpopcnt"] if popcnt else []), "-I", np.get_include()]
+    return [cc, *_CFLAGS, *(["-mpopcnt"] if popcnt else []), f"-DVW={vw}", "-I",
+            np.get_include()]
 
 
 def _library_name(args: list[str]) -> str:
@@ -134,14 +148,14 @@ def _library_name(args: list[str]) -> str:
     return f"kernel-{key[:24]}.so"
 
 
-def _load() -> Kernel:
+def _load(vw: int) -> Kernel:
     cc = shutil.which(_CC) if os.name == "posix" else None
     if cc is None:
         raise _unavailable(f"no C compiler ({_CC}) on the PATH")
     for what, path in (("the kernel source", _SOURCE), ("numpy's libnpyrandom.a", _NPYRANDOM)):
         if not os.path.isfile(path):
             raise _unavailable(f"{what} is missing ({path})")
-    command, link = _command(cc), [_NPYRANDOM, "-lm"]
+    command, link = _command(cc, vw), [_NPYRANDOM, "-lm"]
     cache = _cache_dir()
     try:
         os.makedirs(cache, mode=0o700, exist_ok=True)
@@ -188,18 +202,26 @@ def _load() -> Kernel:
     return Kernel(lib.ekr_search, lib.ekr_trials, lib.ekr_draw)
 
 
-def vertex_words(bits):
-    """The edges' vertex bitsets (ints, n <= 256) as the kernel reads them:
-    4 little-endian words per edge."""
-    data = b"".join([x.to_bytes(_VERTEX_BYTES, "little") for x in bits])
+def vertex_words(bits, n: int):
+    """The edges' vertex bitsets (ints below 2**n) as kernel(n) reads them:
+    width(n) little-endian words per edge."""
+    size = 8 * width(n)
+    data = b"".join([x.to_bytes(size, "little") for x in bits])
     return (ctypes.c_uint64 * (len(data) // 8)).from_buffer_copy(data)
 
 
-def edge_bits(words, size: int = _VERTEX_BYTES) -> tuple[int, ...]:
-    """The edge bitsets (ints) of words holding size bytes an edge, little
-    endian: vertex_words' layout by default, its inverse."""
+def _bitsets(words, size: int, which=None) -> tuple[int, ...]:
+    """The ints of words holding size bytes each, little endian: all, or
+    those at the indices which."""
     data = memoryview(words).cast("B")
-    return tuple(int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size))
+    return tuple(int.from_bytes(data[size * i:size * (i + 1)], "little")
+                 for i in (range(len(data) // size) if which is None else which))
+
+
+def edge_bits(words, n: int, which=None) -> tuple[int, ...]:
+    """The edge bitsets (ints) of vertex_words(bits, n), its inverse: every
+    edge's, or only those of the edge indices which."""
+    return _bitsets(words, 8 * width(n), which)
 
 
 def check(status: int) -> None:
@@ -210,11 +232,11 @@ def check(status: int) -> None:
         raise MemoryError("native kernel")
 
 
-def _ekr_search(lib, mode: int, words, dense: bool, floor: int, target: int,
+def _ekr_search(mode: int, words, n: int, dense: bool, floor: int, target: int,
                 zeta_cap: float, node_budget: int):
-    """ekr_search's result (four slots, of which one search fills three)
-    and clique buffer, its status checked."""
-    m = len(words) * 8 // _VERTEX_BYTES
+    """kernel(n)'s ekr_search result (four slots, of which one search fills
+    three) and clique buffer, its status checked."""
+    lib, m = kernel(n), len(words) // width(n)
     clique = (ctypes.c_int32 * max(m, 1))()
     result = (ctypes.c_int64 * 4)()
     # beyond these ranges a value acts as its clamp: best <= m, so a floor of
@@ -226,7 +248,7 @@ def _ekr_search(lib, mode: int, words, dense: bool, floor: int, target: int,
     return tuple(result), clique
 
 
-def search(lib, mode: int, words, *, floor: int, target: int, node_budget: int,
+def search(mode: int, words, n: int, *, floor: int, target: int, node_budget: int,
            dense: bool = False, zeta_cap: float = 0.0):
     """(best, recorded clique or None, nodes visited) of one of the three
     searches: a clique is recorded when it beats best, from floor, and is
@@ -236,23 +258,23 @@ def search(lib, mode: int, words, *, floor: int, target: int, node_budget: int,
     included, costs one of node_budget's nodes; a search that needs more
     raises ResourceLimitError (check()).
 
-    words holds the edges' vertex_words; the kernel builds the intersection
-    adjacency from them, and for the omega and nontrivial searches its
-    relabel by descending degree, whose clique comes back as ascending
-    original edge indices.  The omega search floors itself at Delta, not
+    words holds the edges' vertex_words(bits, n); kernel(n) builds the
+    intersection adjacency from them, and for the omega and nontrivial
+    searches its relabel by descending degree, whose clique comes back as
+    ascending original edge indices.  The omega search floors itself at Delta, not
     floor, and returns the star of the lowest vertex of that degree when no
     clique beats it.
     """
-    (best, size, nodes, _), clique = _ekr_search(lib, mode, words, dense, floor, target,
+    (best, size, nodes, _), clique = _ekr_search(mode, words, n, dense, floor, target,
                                                  zeta_cap, node_budget)
     return (floor, None, nodes) if size < 0 else (best, clique[:size], nodes)
 
 
-def decide(lib, words, *, dense: bool, node_budget: int):
+def decide(words, n: int, *, dense: bool, node_budget: int):
     """verifier._decide's decision in one call: (Delta, omega,
     failing clique as ascending edge indices or None, nodes of both
-    searches) of the distinct edges in words, each search on its own node
-    budget.
+    searches) of the distinct edges in words (vertex_words(bits, n)), each
+    search on its own node budget.
 
     The nontrivial search runs first, for a clique of t = max(Delta, 3) or
     more edges with an empty intersection.  A clique above Delta has no
@@ -262,7 +284,7 @@ def decide(lib, words, *, dense: bool, node_budget: int):
     fails with the nontrivial clique, or is undecided if that search ran
     out.
     """
-    (Delta, omega, size, nodes), clique = _ekr_search(lib, DECIDE, words, dense, 0, 0, 0,
+    (Delta, omega, size, nodes), clique = _ekr_search(DECIDE, words, n, dense, 0, 0, 0,
                                                       node_budget)
     return Delta, omega, (tuple(clique[:size]) if size >= 0 else None), nodes
 
@@ -293,11 +315,13 @@ def _room(N: int, p: float) -> int:     # draw()'s first room, in edges: mean p 
     return int(p * N + 4 * (p * N) ** 0.5) + 16
 
 
-def draw(lib, seed, n: int, k: int, N: int, p: float, sampler: str, m: int = -1):
-    """One family's edge bitsets, drawn on SeedSequence(seed)'s own stream:
-    sampler at p, N = C(n, k) < 2**63, or m >= 0 independent edges, repeats
-    kept in draw order.  Drawn again into m edges when m outgrows the room."""
-    ent, ew = _entropy(seed), (n + 63) // 64
+def draw(seed, n: int, k: int, N: int, p: float, sampler: str, m: int = -1):
+    """One family's edge bitsets, drawn by kernel(n) on SeedSequence(seed)'s
+    own stream: sampler at p, N = C(n, k) < 2**63, or m >= 0 independent
+    edges, repeats kept in draw order.  Drawn again into m edges when m
+    outgrows the room.  ekr_draw writes ceil(n / 64) words an edge, in
+    either build."""
+    lib, ent, ew = kernel(n), _entropy(seed), (n + 63) // 64
     got = m if m >= 0 else _room(N, p)
     while True:
         out = np.empty(max(got, 1) * ew, dtype=np.uint64)
@@ -308,14 +332,14 @@ def draw(lib, seed, n: int, k: int, N: int, p: float, sampler: str, m: int = -1)
         if got * ew > len(out):
             continue
         if ew > 1:
-            return edge_bits(out[:got * ew], 8 * ew)
+            return _bitsets(out[:got * ew], 8 * ew)
         # a one-word edge (n <= 64) is its own bitset, which tolist() gives as
         # an int; out is dropped first, so it and the tuple are never both held
         edges, out = out[:got].tolist(), None
         return tuple(edges)
 
 
-def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: float, *,
+def trials(seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: float, *,
            sampler: str, dense: bool, edge_cap: int, node_budget: int,
            keep_all: bool = False):
     """Trials [lo, hi) of montecarlo.run_one_trial, each on the k-sets of [n]
@@ -327,11 +351,12 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
     edges; omega is -1 when m > edge_cap; size, the failing clique's, is -1
     when EKR holds or no search decided.  A failing trial's row (any
     trial's with keep_all) goes on with its clique, as ascending edge
-    indices, and its family's vertex words as one bytes value (vertex_words'
-    layout; edge_bits decodes them): [m, Delta, omega, size, status,
-    clique, words].  Python reads only those rows one by one; the others
+    indices, and its family's vertex words as one bytes value (the layout of
+    vertex_words(bits, n); edge_bits(words, n) decodes them): [m, Delta,
+    omega, size, status, clique, words].  Python reads only those rows one by one; the others
     are left as tolist() gives them.
     """
+    lib, vw = kernel(n), width(n)
     ent, mode = _entropy(seed, stream), hypergraph.SAMPLER_MODES.index(sampler)
     rows = np.empty((hi - lo, 5), dtype=np.int64)
     out = np.empty(1 << 16, dtype=np.uint64)
@@ -346,11 +371,11 @@ def trials(lib, seed: int, stream, lo: int, hi: int, n: int, k: int, N: int, p: 
         at = 0
         for row in batch if keep_all else [row for row in batch if row[3] >= 0]:
             m, size = row[0], max(row[3], 0)
-            row += (tuple(out[at + 4 * m:at + 4 * m + size].tolist()),
-                    out[at:at + 4 * m].tobytes())
-            at += 4 * m + size
+            row += (tuple(out[at + vw * m:at + vw * m + size].tolist()),
+                    out[at:at + vw * m].tobytes())
+            at += vw * m + size
         done += batch
         lo += count
         if lo < hi:     # trial lo's m draws may not fit: grow out, go on from it
-            out = np.empty(2 * max(len(out), 5 * rows[count, 0]), np.uint64)
+            out = np.empty(2 * max(len(out), (vw + 1) * rows[count, 0]), np.uint64)
     return done

@@ -230,7 +230,7 @@ def _check_draws(mode: str, n: int, k: int, p: float) -> int:
 
 def _draw(mode: str, n: int, k: int, N: int, p: float, seed, m: int = -1) -> tuple[int, ...]:
     from . import _native       # it imports numpy, which this module does not
-    return _native.draw(_native.kernel(), seed, n, k, N, p, mode, m)
+    return _native.draw(seed, n, k, N, p, mode, m)
 
 
 def sample_bernoulli(n: int, k: int, p: float, seed) -> Hypergraph:

@@ -9,8 +9,8 @@ TrialContext.  The chunks are guided: each takes a share of the trials
 still left, so they shrink toward the end, and none crosses a grid point.
 The pool is threads: a chunk is one kernel batch (below), one ctypes call,
 which releases the GIL, so the batches run in parallel in this process.
-The kernel is loaded before the pool is made, so a host without it fails
-before any pool starts.
+The kernel build for the contexts' n (_native.width) is loaded before the
+pool is made, so a host without it fails before any pool starts.
 A task returns one row per trial (see _run_batch): the kernel's m, Delta,
 omega, failing-clique size and status, and for a failing trial its clique
 and witness kind.  A sweep summarizes each grid point straight from its
@@ -248,10 +248,10 @@ def _run_batch(ctx: TrialContext, lo: int, hi: int) -> list:
     never a row."""
     if lo >= hi:
         return []
-    lib = _native.kernel()
     n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
+    _native.kernel(n)
     N = hypergraph._check_draws(ctx.sampler_mode, n, k, p)
-    rows = _native.trials(lib, ctx.master_seed, ctx.stream, lo, hi, n, k, N, p,
+    rows = _native.trials(ctx.master_seed, ctx.stream, lo, hi, n, k, N, p,
                           sampler=ctx.sampler_mode, dense=verifier._dense_pairs(n, k),
                           edge_cap=ctx.edge_cap, node_budget=ctx.node_budget)
     for row in rows:
@@ -266,10 +266,11 @@ def _failing_kind(ctx: TrialContext, clique, words: bytes) -> str:
     with it alpha, is read only for a clique with a vertex of degree 3 or
     one that reaches the event classifier, and a Hypergraph of all the words
     is built only for the event classifier, which reads the degrees in H."""
-    size, n = _native._VERTEX_BYTES, ctx.params.n
-    bits = [int.from_bytes(words[size * i:size * (i + 1)], "little") for i in clique]
+    n = ctx.params.n
+    bits = _native.edge_bits(words, n, clique)
     return _witness_kind(n, clique, bits, ctx.params, lambda: ctx.regime,
-                         lambda: Hypergraph._unchecked(n, ctx.params.k, _native.edge_bits(words)))
+                         lambda: Hypergraph._unchecked(n, ctx.params.k,
+                                                       _native.edge_bits(words, n)))
 
 
 def _records(ctx: TrialContext, rows, lo: int = 0) -> list[TrialRecord]:
@@ -333,7 +334,8 @@ def _trial_batches(contexts, trials: int, workers: int):
             tasks.append((ctx, lo, hi))
             remaining -= hi - lo
             lo = hi
-    _native.kernel()
+    for n in {ctx.params.n for ctx in contexts}:
+        _native.kernel(n)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = []
         for (_, _, hi), batch in zip(tasks, pool.map(_run_batch, *zip(*tasks))):

@@ -161,7 +161,7 @@ class _Instance:
 
     @functools.cached_property
     def words(self):
-        return _native.vertex_words(self.bits)
+        return _native.vertex_words(self.bits, self.n)
 
 
 def check_limits(edge_cap: int = DEFAULT_EDGE_CAP,
@@ -204,7 +204,7 @@ def _max_clique(inst: _Instance, node_budget: int):
     if inst.m == 0:
         return 0, [], 0
     # the kernel reads Delta, relabels by degree and maps back, or lists the star
-    return _native.search(_native.kernel(), _native.OMEGA, inst.words, dense=inst.dense_pairs,
+    return _native.search(_native.OMEGA, inst.words, inst.n, dense=inst.dense_pairs,
                           floor=0, target=inst.m + 1, node_budget=node_budget)
 
 
@@ -234,9 +234,8 @@ def _nontrivial_search(inst: _Instance, target, node_budget: int, floor: int):
     visited): the search records a clique with empty common intersection
     whenever it beats best (from floor) and stops once best >= target.  It
     runs on the omega search's relabel by descending degree."""
-    return _native.search(_native.kernel(), _native.NONTRIVIAL, inst.words,
-                          dense=inst.dense_pairs, floor=floor, target=target,
-                          node_budget=node_budget)
+    return _native.search(_native.NONTRIVIAL, inst.words, inst.n, dense=inst.dense_pairs,
+                          floor=floor, target=target, node_budget=node_budget)
 
 
 def max_nontrivial_clique(H: Hypergraph, node_budget: int = DEFAULT_NODE_BUDGET,
@@ -269,8 +268,8 @@ def _decide(inst: _Instance, node_budget: int) -> tuple[EkrVerdict, int]:
     nodes its searches visited: the nontrivial search first, the omega
     search only when that one finds a clique or runs out (see the module
     docstring), each on its own node_budget."""
-    Delta, omega, witness, nodes = _native.decide(_native.kernel(), inst.words,
-                                                  dense=inst.dense_pairs, node_budget=node_budget)
+    Delta, omega, witness, nodes = _native.decide(inst.words, inst.n, dense=inst.dense_pairs,
+                                                  node_budget=node_budget)
     return EkrVerdict(witness is None, omega, Delta, witness), nodes
 
 

@@ -162,7 +162,7 @@ def find_generic_clique(H: Hypergraph, size_t: int, zeta_cap: float,
 
 def _generic_search(inst: _Instance, size_t: int, zeta_cap: float, node_budget: int):
     """find_generic_clique's search: (best, clique or None, nodes visited)."""
-    return _native.search(_native.kernel(), _native.GENERIC, inst.words, floor=size_t - 1,
+    return _native.search(_native.GENERIC, inst.words, inst.n, floor=size_t - 1,
                           target=size_t, zeta_cap=zeta_cap, node_budget=node_budget)
 
 

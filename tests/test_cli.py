@@ -319,7 +319,7 @@ def witness_in_128_mib(tmp_path, detector):
     code = f"""if True:
         import os, resource, sys
         from ekrlab import _native, cli
-        _native.kernel()
+        _native.kernel(24)
         limit = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
         resource.setrlimit(resource.RLIMIT_AS, (limit + (128 << 20),) * 2)
         sys.exit(cli.main(["witness", {str(path)!r}, *{detector!r}]))

@@ -175,7 +175,7 @@ def test_errored_independent_trials_read_delta(monkeypatch):
     # kernel row: one ekr_trials call, no ekr_search call, and no Python
     # star mask
     params = an.ModelParams.from_phi(12, 3, 3.0)
-    native, kernel_calls = _native.kernel(), []
+    native, kernel_calls = _native.kernel(12), []
     for limits, error in (({"edge_cap": 3}, "exceeds the edge cap 3"),
                           ({"node_budget": 1}, "node budget exceeded")):
         for r in mc.run_trials(params, 12, "independent", seed=3, **limits):
@@ -183,7 +183,7 @@ def test_errored_independent_trials_read_delta(monkeypatch):
                                np.random.SeedSequence(3, spawn_key=(r.trial_index,)))
             assert r.Delta == hg.degree_stats(H).Delta
             assert error in r.error and r.omega == -1 and r.ekr_holds is None
-    monkeypatch.setattr(_native, "_lib", _native.Kernel(
+    monkeypatch.setitem(_native._lib, _native.width(12), _native.Kernel(
         lambda *a: kernel_calls.append("search") or native.ekr_search(*a),
         lambda *a: kernel_calls.append("trials") or native.ekr_trials(*a), native.ekr_draw))
     monkeypatch.setattr(vf, "_vertex_stars", lambda *a: pytest.fail("Python star masks built"))
@@ -460,8 +460,8 @@ def test_trial_builds_star_masks_once(monkeypatch):
     monkeypatch.setattr(wt, "classify_nontrivial_clique",
                         lambda *a: events.append(1) or classify(*a))
     ctx = mc.make_trial_context(an.ModelParams.from_phi(12, 3, 2.0), "conditioned", 1)
-    monkeypatch.setattr(_native, "_lib", _native.Kernel(*[
-        lambda *a, f=f: kernel_calls.append(1) or f(*a) for f in _native.kernel()]))
+    monkeypatch.setitem(_native._lib, _native.width(12), _native.Kernel(*[
+        lambda *a, f=f: kernel_calls.append(1) or f(*a) for f in _native.kernel(12)]))
     kinds = set()
     for t in range(30):
         for seen in (calls, members, built, kernel_calls, events):
@@ -573,7 +573,7 @@ def test_kernel_loads_before_the_pool(monkeypatch):
     # so a host without it fails before any pool starts
     events, _ = in_process_pools(monkeypatch)
     kernel = _native.kernel
-    monkeypatch.setattr(_native, "kernel", lambda: events.append("kernel") or kernel())
+    monkeypatch.setattr(_native, "kernel", lambda n: events.append("kernel") or kernel(n))
     monkeypatch.setattr(mc, "_available_cpus", lambda: 2)
     for sampler in ("conditioned", "independent"):
         events.clear()
@@ -661,7 +661,7 @@ def _sweep_kind(H, witness, params, regime):
     context's cached regime set to regime."""
     ctx = mc.make_trial_context(params, "conditioned", 0)
     ctx.__dict__["regime"] = regime
-    return mc._failing_kind(ctx, tuple(witness), bytes(_native.vertex_words(H.edge_bits)))
+    return mc._failing_kind(ctx, tuple(witness), bytes(_native.vertex_words(H.edge_bits, H.n)))
 
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
@@ -755,12 +755,12 @@ def test_sweep_evaluates_alpha_only_where_a_clique_reads_it(monkeypatch, workers
     need = []
     for ctx in contexts:
         n, k, p = ctx.params.n, ctx.params.k, float(ctx.params.p)
-        rows = _native.trials(_native.kernel(), 1, ctx.stream, 0, 100, n, k, math.comb(n, k),
+        rows = _native.trials(1, ctx.stream, 0, 100, n, k, math.comb(n, k),
                               p, sampler="conditioned", dense=vf._dense_pairs(n, k),
                               edge_cap=ctx.edge_cap, node_budget=ctx.node_budget)
         reads = False
         for *_, clique, words in (row for row in rows if row[3] >= 0):
-            H = hg.Hypergraph._unchecked(n, k, _native.edge_bits(words))
+            H = hg.Hypergraph._unchecked(n, k, _native.edge_bits(words, n))
             deg = oracles.clique_degrees(H, clique).values()
             kind = oracles.classify_witness_kind(H, clique, ctx.params, ctx.regime)
             reads |= max(deg) == 3 or kind not in ("generic", "hm")

@@ -1,5 +1,7 @@
+import ctypes
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -31,10 +33,10 @@ def frontier_sample():
 
 @pytest.fixture
 def reload(monkeypatch, tmp_path):
-    """Forget the loaded kernel and point the cache at a fresh directory;
-    returns (cache directory, the kernel loaded before)."""
-    native = _native.kernel()
-    monkeypatch.setattr(_native, "_lib", None)
+    """Forget the loaded kernels and point the cache at a fresh directory;
+    returns (cache directory, the kernels loaded before)."""
+    native = {_native.width(n): _native.kernel(n) for n in (64, 256)}
+    monkeypatch.setattr(_native, "_lib", {})
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     return tmp_path / "ekrlab", native
 
@@ -42,16 +44,16 @@ def reload(monkeypatch, tmp_path):
 def test_kernel_builds_into_a_private_cache(reload, monkeypatch):
     cache, _ = reload
     H = frontier_sample()
-    _native.kernel()
+    _native.kernel(H.n)
     assert not vf.verify_ekr(H).holds
     (lib,) = os.listdir(cache)          # the library alone: no temporary left
     assert lib.startswith("kernel-") and lib.endswith(".so")
     assert stat.S_IMODE(os.stat(cache).st_mode) == 0o700
     assert stat.S_IMODE(os.stat(cache / lib).st_mode) == 0o700
     # a second process loads the cached build without compiling
-    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_lib", {})
     monkeypatch.setattr(_native.subprocess, "run", lambda *a, **kw: pytest.fail("rebuilt"))
-    _native.kernel()
+    _native.kernel(H.n)
     assert os.listdir(cache) == [lib]
 
 
@@ -71,8 +73,8 @@ def test_kernel_cache_name_covers_numpys_library(reload, monkeypatch, tmp_path):
     names = []
     for extra in (b"", member):         # a member no symbol needs: links the same
         library.write_bytes(data + extra)
-        monkeypatch.setattr(_native, "_lib", None)
-        _native.kernel()
+        monkeypatch.setattr(_native, "_lib", {})
+        _native.kernel(64)
         names.append(set(os.listdir(cache)))
     assert len(names[0]) == 1 and len(names[1]) == 2 and names[0] < names[1]
 
@@ -80,14 +82,14 @@ def test_kernel_cache_name_covers_numpys_library(reload, monkeypatch, tmp_path):
 def test_kernel_cache_name_ignores_the_source_path(reload, monkeypatch, tmp_path):
     # another checkout of the same source loads the cached build
     cache, _ = reload
-    _native.kernel()
+    _native.kernel(64)
     copy = tmp_path / "_kernel.c"
     with open(_native._SOURCE, "rb") as f:
         copy.write_bytes(f.read())
     monkeypatch.setattr(_native, "_SOURCE", str(copy))
-    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_lib", {})
     monkeypatch.setattr(_native.subprocess, "run", lambda *a, **kw: pytest.fail("rebuilt"))
-    _native.kernel()
+    _native.kernel(64)
     assert len(os.listdir(cache)) == 1
 
 
@@ -102,33 +104,43 @@ def numpy_cpu_features() -> dict:
 @pytest.mark.parametrize("machine", ["x86_64", "aarch64"])
 def test_build_command_carries_popcnt_where_the_cpu_has_it(monkeypatch, machine):
     # -mpopcnt exactly on an x86-64 CPU that reports POPCNT (a lookalike
-    # flag is not it), and it is part of the cached build's name
+    # flag is not it), and it is part of the cached build's name, as is
+    # the build's vertex width
     uname = os.uname()
     monkeypatch.setattr(os, "uname", lambda: os.uname_result((*uname[:4], machine)))
     link = [_native._NPYRANDOM, "-lm"]
     names = {}
     for flags in (["fpu", "popcnt", "sse4_2"], ["fpu", "avx512_vpopcntdq"], []):
         monkeypatch.setattr(_native, "_cpu_flags", lambda: flags)
-        command = _native._command("gcc")
-        assert ("-mpopcnt" in command) == (machine == "x86_64" and "popcnt" in flags)
-        names["popcnt" in flags] = _native._library_name(command + link)
-    assert (names[True] != names[False]) == (machine == "x86_64")
+        for vw in (1, 4):
+            command = _native._command("gcc", vw)
+            assert ("-mpopcnt" in command) == (machine == "x86_64" and "popcnt" in flags)
+            assert f"-DVW={vw}" in command
+            names["popcnt" in flags, vw] = _native._library_name(command + link)
+    for popcnt in (True, False):
+        assert names[popcnt, 1] != names[popcnt, 4]
+    assert (names[True, 4] != names[False, 4]) == (machine == "x86_64")
 
 
 def test_loaded_kernel_uses_the_hardware_popcount(reload):
     # the CPU's answer agrees with numpy's own feature probe; on a POPCNT
-    # host the build calls no libgcc __popcountdi2, and elsewhere it is
-    # built without -mpopcnt
+    # host neither build (one vertex word, four) calls libgcc's
+    # __popcountdi2, and elsewhere each is built without -mpopcnt
     cache, _ = reload
     has = "popcnt" in _native._cpu_flags()
     if os.uname().machine == "x86_64":
         assert has == bool(numpy_cpu_features()["POPCNT"])
-    _native.kernel()
-    (lib,) = os.listdir(cache)
     popcnt = os.uname().machine == "x86_64" and has
-    assert ("-mpopcnt" in _native._command("gcc")) == popcnt
-    if popcnt:
-        assert b"__popcountdi2" not in (cache / lib).read_bytes()
+    cc, link = shutil.which(_native._CC), [_native._NPYRANDOM, "-lm"]
+    for n, vw in ((64, 1), (256, 4)):
+        _native.kernel(n)
+        command = _native._command(cc, vw)
+        lib = cache / _native._library_name(command + link)
+        assert lib.is_file()
+        assert ("-mpopcnt" in command) == popcnt
+        if popcnt:
+            assert b"__popcountdi2" not in lib.read_bytes()
+    assert len(os.listdir(cache)) == 2
 
 
 # each way the kernel can fail to build or load, and the cause its error names
@@ -153,7 +165,7 @@ def test_commands_without_a_kernel(reload, monkeypatch, tmp_path, breakage):
     monkeypatch.setattr(_native, "_lib", native)
     path.write_text(hg.dump_hypergraph(frontier_sample()))
     want = [run_cli(args) for args in pure]
-    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_lib", {})
     if breakage == "no compiler":
         monkeypatch.setattr(_native, "_CC", "ekrlab-no-such-compiler")
     elif breakage == "build fails":
@@ -178,7 +190,7 @@ def test_commands_without_a_kernel(reload, monkeypatch, tmp_path, breakage):
         assert err.startswith("ekrlab: resource limit: no kernel: ") and err.count("\n") == 1
         assert NO_KERNEL[breakage] in err, err
     assert [run_cli(args) for args in pure] == want and want[0][0] == 0
-    assert _native._lib is None
+    assert _native._lib == {}
     if cache.is_dir():
         assert os.listdir(cache) == []      # no library, no temporary
 
@@ -239,7 +251,7 @@ def test_native_stats_match_the_star_masks(H):
     # star of that vertex
     Delta, centre = reference_stats(H)
     star = [i for i, b in enumerate(H.edge_bits) if b >> centre & 1]
-    assert _native.decide(_native.kernel(), _native.vertex_words(H.edge_bits),
+    assert _native.decide(_native.vertex_words(H.edge_bits, H.n), H.n,
                           dense=vf._dense_pairs(H.n, H.k), node_budget=10**6)[0] == Delta
     if not H.has_duplicates():
         assert vf.verify_ekr(H).Delta == Delta
@@ -250,8 +262,8 @@ def test_native_stats_match_the_star_masks(H):
 def kernel_trials(sampler, n, k, p, seed, stream, lo, hi):
     """(m, edges) of trials [lo, hi) from one native batch that keeps every
     trial's words; edge cap 0, so no search runs."""
-    return [(m, _native.edge_bits(words)) for m, *_, words in _native.trials(
-        _native.kernel(), seed, stream, lo, hi, n, k, math.comb(n, k), p,
+    return [(m, _native.edge_bits(words, n)) for m, *_, words in _native.trials(
+        seed, stream, lo, hi, n, k, math.comb(n, k), p,
         sampler=sampler, dense=False, edge_cap=0, node_budget=1, keep_all=True)]
 
 
@@ -262,13 +274,13 @@ def test_instances_read_their_statistics_on_first_use(monkeypatch):
     # DECIDE call.  max_intersecting_family is one OMEGA call, which returns
     # the largest star itself: neither builds a Python star mask
     H = hg.sample_bernoulli(25, 5, 10 / math.comb(24, 4), 1)
-    native, vertex_stars = _native.kernel(), vf._vertex_stars
+    native, vertex_stars = _native.kernel(H.n), vf._vertex_stars
     calls = []
     monkeypatch.setattr(vf, "_vertex_stars",
                         lambda *a: calls.append("stars") or vertex_stars(*a))
     names = {_native.OMEGA: "omega", _native.NONTRIVIAL: "nontrivial",
              _native.GENERIC: "generic", _native.DECIDE: "decide"}
-    monkeypatch.setattr(_native, "_lib", _native.Kernel(
+    monkeypatch.setitem(_native._lib, _native.width(H.n), _native.Kernel(
         lambda mode, *a: calls.append(names[mode]) or native.ekr_search(mode, *a),
         native.ekr_trials, native.ekr_draw))
     counts = []
@@ -434,21 +446,22 @@ def test_native_trial_batches_draw_numpys_streams(sampler, n, k, p, trials):
 
 
 @pytest.mark.parametrize("sampler", ["bernoulli", "conditioned"])
-def test_native_trials_resume_with_the_memo_live(sampler):
+def test_native_trials_resume_with_the_memo_live(sampler, monkeypatch):
     # (74, 3): N = 64,824 <= SMALL_N, p = 0.05, so m ~ 3,240 and a trial's
     # words take ~13,000 of the first output buffer's 65,536.  A later trial
     # outgrows it while the memo (and a conditioned batch's bitmap) is live,
     # and the batch resumes from that trial in a new call, which opens it
     # afresh
     n, k, p, trials = 74, 3, 0.05, 25
-    lib, calls = _native.kernel(), []
-    spy = lib._replace(ekr_trials=lambda *a: calls.append(a[2:4]) or lib.ekr_trials(*a))
-    rows = _native.trials(spy, 7, (3,), 0, trials, n, k, math.comb(n, k), p, sampler=sampler,
+    lib, calls = _native.kernel(n), []
+    monkeypatch.setitem(_native._lib, _native.width(n), lib._replace(
+        ekr_trials=lambda *a: calls.append(a[2:4]) or lib.ekr_trials(*a)))
+    rows = _native.trials(7, (3,), 0, trials, n, k, math.comb(n, k), p, sampler=sampler,
                           dense=False, edge_cap=0, node_budget=1, keep_all=True)
     want = [oracles.sample(sampler, n, k, p, np.random.SeedSequence(7, spawn_key=(3, t)))
             for t in range(trials)]
-    assert [(row[0], _native.edge_bits(row[-1])) for row in rows] == [(H.m, H.edge_bits)
-                                                                      for H in want]
+    assert [(row[0], _native.edge_bits(row[-1], n)) for row in rows] == [(H.m, H.edge_bits)
+                                                                         for H in want]
     assert len(calls) >= 2 and calls[1][0] > 0
     assert all(gates(sampler, n, k, p, hi - lo)[0] for lo, hi in calls[:2])
 
@@ -467,7 +480,7 @@ def test_native_draw_reports_m_when_its_output_is_short(sampler, monkeypatch):
     # p = 1 at (9, 3): 84 edges, one word each.  Short of room, ekr_draw
     # writes nothing and returns m, so draw() grows its buffer and draws
     # again, to the oracle's edges
-    lib, ent = _native.kernel(), _native._entropy(5)
+    lib, ent = _native.kernel(9), _native._entropy(5)
     out = np.zeros(83, dtype=np.uint64)
     mode = hg.SAMPLER_MODES.index(sampler)
     assert lib.ekr_draw(ent.ctypes.data, len(ent), 9, 3, 84, 1.0, mode, -1, out.ctypes.data,
@@ -477,9 +490,10 @@ def test_native_draw_reports_m_when_its_output_is_short(sampler, monkeypatch):
     # draw() draws again into 84
     rooms = []
     monkeypatch.setattr(_native, "_room", lambda N, p: 1)
-    short = lib._replace(ekr_draw=lambda *a: rooms.append(a[-1]) or lib.ekr_draw(*a))
+    monkeypatch.setitem(_native._lib, _native.width(9), lib._replace(
+        ekr_draw=lambda *a: rooms.append(a[-1]) or lib.ekr_draw(*a)))
     want = oracles.sample(sampler, 9, 3, 1.0, 5)
-    assert _native.draw(short, 5, 9, 3, 84, 1.0, sampler) == want.edge_bits and want.m == 84
+    assert _native.draw(5, 9, 3, 84, 1.0, sampler) == want.edge_bits and want.m == 84
     assert rooms == [1, 84]
 
 
@@ -489,11 +503,10 @@ def test_native_trials_are_reentrant():
     # stream) and all three samplers, started together, each equal to the
     # same call made serially.  (12, 3, phi = 2) has failing trials, so
     # words and cliques come back too
-    lib = _native.kernel()
     p = 2.0 / math.comb(11, 2)
 
     def batch(seed, stream, sampler):
-        return _native.trials(lib, seed, stream, 0, 400, 12, 3, math.comb(12, 3), p,
+        return _native.trials(seed, stream, 0, 400, 12, 3, math.comb(12, 3), p,
                               sampler=sampler, dense=False,
                               edge_cap=vf.DEFAULT_EDGE_CAP, node_budget=vf.DEFAULT_NODE_BUDGET)
     jobs = [(1, (), "conditioned"), (2, (0,), "bernoulli"), (3, (1, 5), "conditioned"),
@@ -652,7 +665,7 @@ def test_trial_above_the_edge_cap_allocates_no_adjacency():
     code = """if True:
         import os, resource, sys
         from ekrlab import _native, cli
-        _native.kernel()
+        _native.kernel(30)
         limit = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
         resource.setrlimit(resource.RLIMIT_AS, (limit + (1 << 30),) * 2)
         sys.exit(cli.main(["sweep", "--n", "30", "--k", "6", "--grid-start", "59377.5",
@@ -662,3 +675,128 @@ def test_trial_above_the_edge_cap_allocates_no_adjacency():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1].startswith("30,6,59377.5,0.5,1,1,0,nan,")
+
+
+# The one-word build serves n <= 64, the four-word one n > 64: at n = 63, 64
+# and 65, sparse (k = 3: first-fit classes) and dense (k = 22, n < 3k: pair
+# matching) families that use vertex n - 1, so vertex 63, the one word's
+# last bit, at n = 64 and vertex 64, the wide build's second word, at 65
+BOUNDARY_SHAPES = [(n, k) for n in (63, 64, 65) for k in (3, 22)]
+
+
+def boundary_family(n, k, seed):
+    """A conditioned (n, k) family of about 80 edges that uses vertex n - 1."""
+    H = oracles.sample("conditioned", n, k, 80 / math.comb(n, k), seed)
+    assert any(b >> (n - 1) for b in H.edge_bits)
+    return H
+
+
+def outcome(search, *args):
+    """A search's result, or its error's text."""
+    try:
+        return search(*args)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n, k", BOUNDARY_SHAPES)
+def test_kernels_agree_at_the_vertex_width_boundary(monkeypatch, n, k):
+    # DECIDE, OMEGA, NONTRIVIAL and GENERIC on the build of width(n) equal
+    # the twin, node for node, whether a search finishes or runs out
+    H = boundary_family(n, k, n)
+    widths = []
+    for vw, size in ((1, 64), (4, 256)):
+        lib = _native.kernel(size)
+        monkeypatch.setitem(_native._lib, vw, lib._replace(
+            ekr_search=lambda *a, vw=vw, lib=lib: widths.append(vw) or lib.ekr_search(*a)))
+    runs = {}
+    for name, kernel in KERNELS.items():
+        inst = vf._Instance(H)
+        t = max(delta(inst), 3)
+        runs[name] = [outcome(kernel.decide, inst, 2_000),
+                      outcome(kernel.max_clique, inst, 2_000),
+                      outcome(kernel.nontrivial_search, inst, t, 2_000, t - 1),
+                      outcome(kernel.nontrivial_search, inst, math.inf, 300, 2),
+                      outcome(kernel.generic_search, inst, 4, 1, 2_000)]
+    assert runs["python"] == runs["native"]
+    assert widths == [1 if n <= 64 else 4] * 5
+
+
+@pytest.mark.parametrize("sampler", ["bernoulli", "conditioned", "independent"])
+@pytest.mark.parametrize("n", [64, 65])
+def test_native_trials_at_the_vertex_width_boundary(sampler, n):
+    # each sampler's trials and public draws at n = 64 (the one-word build,
+    # whose Fisher-Yates pool holds 64 vertices) and n = 65 (the wide one)
+    # are the oracle's, vertex n - 1 included; and a batch that decides its
+    # trials gives the Python path's rows, failing cliques' words decoded
+    # at width(n)
+    k, seed = 3, 11
+    p = 80 / math.comb(n, k)
+    want = [oracles.sample(sampler, n, k, p, np.random.SeedSequence(seed, spawn_key=(t,)))
+            for t in range(12)]
+    assert any(b >> (n - 1) for H in want for b in H.edge_bits)
+    assert kernel_trials(sampler, n, k, p, seed, (), 0, 12) == [(H.m, H.edge_bits)
+                                                              for H in want]
+    seq = np.random.SeedSequence(seed, spawn_key=(0,))
+    if sampler == "bernoulli":
+        assert hg.sample_bernoulli(n, k, p, seq) == want[0]
+    elif sampler == "conditioned":
+        assert hg.sample_conditioned(n, k, p, seq)[0] == want[0]
+    else:
+        assert hg.sample_independent(n, k, 3 * n, seq) == oracles.sample_independent(
+            n, k, 3 * n, seq)
+    ctx = mc.make_trial_context(an.ModelParams.from_phi(n, k, 1.0), sampler, seed)
+    rows = mc._run_batch(ctx, 0, 20)
+    assert rows == reference_rows(ctx, 0, 20)
+    assert any(row[3] > 0 for row in rows)      # failing cliques, decoded from words
+
+
+def raw_search(size, mode, H, floor, target, zeta, budget):
+    """(status, result slots, clique buffer) of one ekr_search call on the
+    build for size vertices, H's edges in that build's words."""
+    m = H.m
+    clique, result = (ctypes.c_int32 * max(m, 1))(), (ctypes.c_int64 * 4)()
+    status = _native.kernel(size).ekr_search(mode, m, _native.vertex_words(H.edge_bits, size),
+                                             vf._dense_pairs(H.n, H.k), floor, target, zeta,
+                                             budget, clique, result)
+    return status, tuple(result), tuple(clique)
+
+
+@pytest.mark.parametrize("H", [
+    *[pytest.param(boundary_family(n, k, n), id=f"({n},{k})")
+      for n, k in BOUNDARY_SHAPES if n <= 64],
+    pytest.param(frontier_sample(), id="(14,5) frontier"),
+    pytest.param(hg.sample_conditioned(24, 3, 3 / math.comb(23, 2), 2)[0], id="(24,3)"),
+    pytest.param(hg.sample_independent(7, 3, 30, 3), id="repeated edges")])
+@pytest.mark.parametrize("budget", [40, 20_000])
+def test_both_builds_search_a_one_word_family_alike(H, budget):
+    # a family on n <= 64 vertices, searched by the one-word build and by
+    # the wide one on its four-word input, gives equal status, result slots
+    # (Delta, omega or best, size, nodes) and clique, in every mode, whether
+    # the search finishes or runs out
+    t = max(reference_stats(H)[0], 3)
+    for mode, floor, target, zeta in ((_native.DECIDE, 0, 0, 0), (_native.OMEGA, 0, H.m + 1, 0),
+                                      (_native.NONTRIVIAL, t - 1, t, 0),
+                                      (_native.NONTRIVIAL, 2, H.m + 1, 0),
+                                      (_native.GENERIC, 3, 4, 1), (_native.GENERIC, 4, 5, 2)):
+        if mode == _native.DECIDE and H.has_duplicates():
+            continue
+        runs = [raw_search(size, mode, H, floor, target, zeta, budget) for size in (64, 256)]
+        assert runs[0] == runs[1], mode
+
+
+def test_both_builds_sweep_alike(monkeypatch):
+    # the README shape's sweep, and a witness-heavy one, on the wide build
+    # (every n given four words) give the one-word build's CSV byte for byte
+    readme_grid = [0.3 * (20.0 / 0.3) ** (i / 11) for i in range(12)]
+    cases = [(24, 3, readme_grid, 20, 1, "conditioned"),
+             (12, 3, [0.5, 2.0, 4.0], 30, 9, "bernoulli"),
+             (12, 3, [2.0], 30, 4, "independent")]
+
+    def csvs():
+        return [mc.sweep_table_to_csv(mc.estimate_ekr_curve(
+            n, k, grid, trials=trials, seed=seed, sampler_mode=sampler))
+            for n, k, grid, trials, seed, sampler in cases]
+    narrow = csvs()
+    monkeypatch.setattr(_native, "width", lambda n: 4)
+    assert csvs() == narrow
